@@ -12,7 +12,7 @@
 //!            [--rate-limit-budget N] [--round-interval-ms MS]
 //!            [--data-dir DIR] [--sync-every N]
 //!            [--read-timeout-ms MS] [--write-timeout-ms MS]
-//!            [--max-connections N] [--workers N] [--shards N]
+//!            [--max-connections N] [--shards N]
 //!            [--log-level LEVEL] [--metrics-dump-secs N]
 //! ```
 //!
@@ -75,7 +75,6 @@ struct Options {
     read_timeout_ms: Option<u64>,
     write_timeout_ms: Option<u64>,
     max_connections: Option<usize>,
-    workers: Option<usize>,
     shards: Option<usize>,
     log_level: Level,
     metrics_dump_secs: Option<u64>,
@@ -88,7 +87,7 @@ fn usage() -> ! {
          \x20                 [--rate-limit-budget N] [--round-interval-ms MS]\n\
          \x20                 [--data-dir DIR] [--sync-every N]\n\
          \x20                 [--read-timeout-ms MS] [--write-timeout-ms MS]\n\
-         \x20                 [--max-connections N] [--workers N] [--shards N]\n\
+         \x20                 [--max-connections N] [--shards N]\n\
          \x20                 [--log-level off|error|warn|info|debug]\n\
          \x20                 [--metrics-dump-secs N]\n\
          \x20      --mixers     comma-separated mixd addresses, one per chain\n\
@@ -114,7 +113,6 @@ fn parse_options() -> Options {
         read_timeout_ms: None,
         write_timeout_ms: None,
         max_connections: None,
-        workers: None,
         shards: None,
         log_level: Level::Info,
         metrics_dump_secs: None,
@@ -186,9 +184,6 @@ fn parse_options() -> Options {
                         .parse()
                         .unwrap_or_else(|_| usage()),
                 )
-            }
-            "--workers" => {
-                options.workers = Some(value("--workers").parse().unwrap_or_else(|_| usage()))
             }
             "--shards" => {
                 options.shards = Some(value("--shards").parse().unwrap_or_else(|_| usage()))
@@ -341,9 +336,6 @@ fn main() {
     }
     if let Some(cap) = options.max_connections {
         server_config.max_connections = cap;
-    }
-    if let Some(workers) = options.workers {
-        server_config.worker_threads = workers;
     }
 
     let handle = match serve_with_config(service, options.listen.as_str(), server_config) {

@@ -1,34 +1,31 @@
 //! A TCP server exposing a [`SharedCoordinator`] to the network.
 //!
-//! This is the daemon half of the `alpenhornd` deployment. The design is an
-//! event-loop-style split between I/O and dispatch:
+//! This is the daemon half of the `alpenhornd` deployment: a
+//! run-to-completion server.
 //!
 //! * the **accept loop** admits connections up to `max_connections`, shedding
-//!   the excess with a retryable typed error (PR 6 semantics, unchanged);
-//! * each admitted connection gets a thin **reader thread** that does blocking
-//!   frame I/O only — it never touches coordinator state;
-//! * decoded request payloads flow through a bounded [`DispatchQueue`] into a
-//!   fixed pool of **worker threads**, each calling
-//!   [`SharedCoordinator::handle_request_bytes`]. Read-mostly RPCs are served
-//!   from the lock-free snapshot, submissions hit only an intake shard and a
-//!   verifier stripe, and exclusive RPCs serialize on the service write lock
-//!   — so the worker pool actually runs requests in parallel instead of
-//!   convoying behind one service mutex as the previous thread-per-connection
-//!   build did.
+//!   the excess with a retryable typed error;
+//! * each admitted connection gets one **connection thread** that reads a
+//!   frame, calls [`SharedCoordinator::handle_request_bytes_with_correlation`]
+//!   itself, and writes the reply — one wake-up when the request arrives and
+//!   one at the client when the reply does, with no hand-off in between.
 //!
-//! One request is in flight per connection at a time (the RPC protocol is
-//! strict request/response), so per-connection ordering is preserved; the
-//! bounded queue applies backpressure instead of letting a flood of decoded
-//! requests grow an unbounded backlog. Clients speak the framed RPC protocol
+//! Connection threads run requests in parallel because [`SharedCoordinator`]
+//! lets them: read-mostly RPCs are served from the lock-free snapshot,
+//! submissions hit only an intake shard and a verifier stripe, and exclusive
+//! RPCs serialize on the service write lock. Concurrency is bounded by
+//! `max_connections`, and so is memory: one request is in flight per
+//! connection (the RPC protocol is strict request/response, which also
+//! preserves per-connection ordering), so at most `max_connections` frames
+//! are buffered. Clients speak the framed RPC protocol
 //! ([`alpenhorn_wire::rpc`] inside [`alpenhorn_wire::Frame`]); a connection
 //! that sends an undecodable frame gets a typed error reply and is then
 //! dropped.
 
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::collections::HashMap;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -39,12 +36,11 @@ use alpenhorn_wire::Frame;
 use crate::service::CoordinatorService;
 use crate::shared::SharedCoordinator;
 
-/// Server-level load metrics: dispatch-queue depth, worker-pool utilization,
-/// and connection accounting. Process-wide (every server in the process
-/// shares them, matching the one-daemon-per-process deployment).
+/// Server-level load metrics: requests executing right now and connection
+/// accounting. Process-wide (every server in the process shares them,
+/// matching the one-daemon-per-process deployment).
 struct ServerMetrics {
-    queue_depth: Arc<Gauge>,
-    workers_busy: Arc<Gauge>,
+    requests_in_flight: Arc<Gauge>,
     connections_active: Arc<Gauge>,
     connections_shed: Arc<Counter>,
 }
@@ -54,42 +50,36 @@ fn server_metrics() -> &'static ServerMetrics {
     METRICS.get_or_init(|| {
         let registry = alpenhorn_obs::global();
         ServerMetrics {
-            queue_depth: registry.gauge("coordinator_dispatch_queue_depth", &[]),
-            workers_busy: registry.gauge("coordinator_workers_busy", &[]),
+            requests_in_flight: registry.gauge("coordinator_requests_in_flight", &[]),
             connections_active: registry.gauge("coordinator_connections_active", &[]),
             connections_shed: registry.counter("coordinator_connections_shed_total", &[]),
         }
     })
 }
 
-/// Tuning knobs for [`serve_with_config`]: per-connection I/O timeouts, the
-/// accept-loop overload policy, and the dispatch pool shape.
+/// Tuning knobs for [`serve_with_config`]: per-connection I/O timeouts and
+/// the accept-loop overload policy.
 ///
 /// The defaults keep a daemon healthy under hostile or flaky peers: a client
-/// that stops reading or writing cannot pin a reader thread forever, intake
-/// beyond `max_connections` is answered with a retryable
+/// that stops reading or writing cannot pin a connection thread forever, and
+/// intake beyond `max_connections` is answered with a retryable
 /// [`alpenhorn_wire::RpcError::Unavailable`] (carrying a retry-after hint)
-/// instead of queueing unboundedly, and the dispatch queue bounds how many
-/// decoded requests can be buffered ahead of the workers.
+/// instead of queueing unboundedly.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// How long a reader thread waits for the next request frame before
+    /// How long a connection thread waits for the next request frame before
     /// dropping the connection. `None` waits forever (pre-PR 6 behaviour).
     pub read_timeout: Option<Duration>,
     /// How long a blocked response write may stall before the connection is
     /// dropped. `None` waits forever.
     pub write_timeout: Option<Duration>,
-    /// Maximum concurrently served connections. An accept beyond the cap is
-    /// shed: the peer gets one `Unavailable` reply and is disconnected.
+    /// Maximum concurrently served connections, and with it the bound on
+    /// concurrently executing requests and buffered frames. An accept beyond
+    /// the cap is shed: the peer gets one `Unavailable` reply and is
+    /// disconnected.
     pub max_connections: usize,
     /// The retry-after hint (milliseconds) carried in shed replies.
     pub shed_retry_after_ms: u32,
-    /// Worker threads executing requests (minimum 1). Readers outnumbering
-    /// workers is fine: readers only block on I/O.
-    pub worker_threads: usize,
-    /// Bounded depth of the request dispatch queue (minimum 1). A full queue
-    /// blocks readers — backpressure — rather than buffering unboundedly.
-    pub dispatch_queue_depth: usize,
 }
 
 impl Default for ServerConfig {
@@ -99,110 +89,20 @@ impl Default for ServerConfig {
             write_timeout: Some(Duration::from_secs(30)),
             max_connections: 1024,
             shed_retry_after_ms: 200,
-            worker_threads: 4,
-            dispatch_queue_depth: 256,
         }
-    }
-}
-
-/// One unit of work: a decoded request payload plus the channel that routes
-/// the encoded response back to the connection's reader thread.
-struct Job {
-    payload: Vec<u8>,
-    /// Correlation id carried by the request frame's telemetry field, if the
-    /// client sent one; threaded through to the dispatch span.
-    correlation: Option<u64>,
-    reply: SyncSender<Vec<u8>>,
-}
-
-/// A bounded multi-producer/multi-consumer queue of [`Job`]s, hand-rolled on
-/// `Mutex` + `Condvar` (the vendored `parking_lot` has no condvar). `push`
-/// blocks while full; `pop` blocks while empty; `close` wakes everyone so
-/// shutdown cannot deadlock.
-struct DispatchQueue {
-    state: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-struct QueueState {
-    jobs: VecDeque<Job>,
-    depth: usize,
-    closed: bool,
-}
-
-impl DispatchQueue {
-    fn new(depth: usize) -> Self {
-        DispatchQueue {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                depth: depth.max(1),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    /// Enqueues one job, blocking while the queue is full. `Err` means the
-    /// queue closed (server shutdown); the job is handed back.
-    fn push(&self, job: Job) -> Result<(), Job> {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if state.closed {
-                return Err(job);
-            }
-            if state.jobs.len() < state.depth {
-                state.jobs.push_back(job);
-                server_metrics().queue_depth.set(state.jobs.len() as u64);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            state = self.not_full.wait(state).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Dequeues one job, blocking while the queue is empty. `None` means the
-    /// queue closed and drained.
-    fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                server_metrics().queue_depth.set(state.jobs.len() as u64);
-                self.not_full.notify_one();
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Closes the queue: pushers start failing, poppers drain and exit.
-    fn close(&self) {
-        self.state.lock().unwrap_or_else(|p| p.into_inner()).closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
 /// A handle to a running RPC server.
 ///
 /// Dropping the handle does **not** stop the server; call
-/// [`ServerHandle::shutdown`] to stop accepting connections, drain the worker
-/// pool, and join the accept and worker threads. Reader threads exit when
-/// their peer disconnects.
+/// [`ServerHandle::shutdown`] to stop accepting connections, close the open
+/// ones, and join every server thread.
 pub struct ServerHandle {
     local_addr: SocketAddr,
     shared: SharedCoordinator,
-    queue: Arc<DispatchQueue>,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -218,20 +118,17 @@ impl ServerHandle {
         self.shared.clone()
     }
 
-    /// Stops accepting new connections, drains and joins the worker pool,
-    /// and joins the accept thread. Reader threads for existing connections
-    /// exit when their peers disconnect (in-flight pushes fail once the
-    /// queue closes).
+    /// Stops accepting new connections, shuts every open connection down
+    /// (peers see EOF), and joins the accept thread and through it every
+    /// connection thread. A request already executing runs to completion
+    /// first; once this returns, no thread of the server holds the
+    /// [`SharedCoordinator`] and no further request is dispatched.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
-        }
-        self.queue.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
         }
     }
 }
@@ -245,7 +142,7 @@ pub fn serve(
     serve_with_config(service, addr, ServerConfig::default())
 }
 
-/// [`serve`] with explicit timeout, shedding, and worker-pool configuration.
+/// [`serve`] with explicit timeout and shedding configuration.
 pub fn serve_with_config(
     service: CoordinatorService,
     addr: impl ToSocketAddrs,
@@ -264,64 +161,59 @@ pub fn serve_shared(
     let listener = TcpListener::bind(addr)?;
     let local_addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let queue = Arc::new(DispatchQueue::new(config.dispatch_queue_depth));
-
-    let workers = (0..config.worker_threads.max(1))
-        .map(|_| {
-            let queue = Arc::clone(&queue);
-            let shared = shared.clone();
-            std::thread::spawn(move || {
-                while let Some(job) = queue.pop() {
-                    let busy = &server_metrics().workers_busy;
-                    busy.add(1);
-                    let response =
-                        shared.handle_request_bytes_with_correlation(&job.payload, job.correlation);
-                    busy.sub(1);
-                    // A dead receiver means the connection is gone; the
-                    // response has nowhere to go, which is fine.
-                    let _ = job.reply.send(response);
-                }
-            })
-        })
-        .collect();
 
     let accept_stop = Arc::clone(&stop);
-    let accept_queue = Arc::clone(&queue);
-    let active = Arc::new(AtomicUsize::new(0));
+    let accept_shared = shared.clone();
     let accept_thread = std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            if accept_stop.load(Ordering::SeqCst) {
-                break;
+        let (stop, shared, config) = (&*accept_stop, &accept_shared, &config);
+        // A second handle on every live connection's socket, so shutdown can
+        // wake a thread blocked in `read`. A connection thread removes its
+        // own entry on exit; the map's size is the live connection count.
+        let live: Mutex<HashMap<u64, TcpStream>> = Mutex::new(HashMap::new());
+        let lock_live = || {
+            live.lock()
+                .expect("no thread panics holding the connection map")
+        };
+        // The scope joins every connection thread before the accept thread
+        // (and with it `ServerHandle::shutdown`) returns.
+        std::thread::scope(|scope| {
+            for (id, stream) in (0u64..).zip(listener.incoming()) {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                // Overload shedding happens here, before a thread is
+                // spawned: the daemon's intake pressure is answered with a
+                // typed retryable error, never with an unbounded backlog.
+                if lock_live().len() >= config.max_connections {
+                    server_metrics().connections_shed.inc();
+                    shed_connection(stream, config.shed_retry_after_ms);
+                    continue;
+                }
+                // A connection shutdown could not reach is one it could not
+                // stop; refuse it rather than serve it untracked.
+                let Ok(tracked) = stream.try_clone() else {
+                    continue;
+                };
+                lock_live().insert(id, tracked);
+                server_metrics().connections_active.add(1);
+                scope.spawn(move || {
+                    serve_connection(stream, shared, config, stop);
+                    lock_live().remove(&id);
+                    server_metrics().connections_active.sub(1);
+                });
             }
-            let Ok(stream) = stream else { continue };
-            // Overload shedding happens here, before a reader is spawned:
-            // the daemon's intake pressure is answered with a typed
-            // retryable error, never with an unbounded backlog.
-            if active.load(Ordering::SeqCst) >= config.max_connections {
-                server_metrics().connections_shed.inc();
-                shed_connection(stream, config.shed_retry_after_ms);
-                continue;
+            for stream in lock_live().values() {
+                let _ = stream.shutdown(Shutdown::Both);
             }
-            active.fetch_add(1, Ordering::SeqCst);
-            server_metrics().connections_active.add(1);
-            let queue = Arc::clone(&accept_queue);
-            let active = Arc::clone(&active);
-            let config = config.clone();
-            std::thread::spawn(move || {
-                serve_connection(stream, &queue, &config);
-                active.fetch_sub(1, Ordering::SeqCst);
-                server_metrics().connections_active.sub(1);
-            });
-        }
+        });
     });
 
     Ok(ServerHandle {
         local_addr,
         shared,
-        queue,
         stop,
         accept_thread: Some(accept_thread),
-        workers,
     })
 }
 
@@ -340,34 +232,29 @@ fn shed_connection(mut stream: TcpStream, retry_after_ms: u32) {
 }
 
 /// Services one connection until the peer disconnects, stalls past the I/O
-/// timeouts, sends an undecodable frame, or the server shuts down. Pure I/O:
-/// every request is executed by the worker pool.
-fn serve_connection(mut stream: TcpStream, queue: &DispatchQueue, config: &ServerConfig) {
+/// timeouts, sends an undecodable frame, or the server shuts down. Each
+/// request runs to completion on this thread: read, handle, reply.
+fn serve_connection(
+    mut stream: TcpStream,
+    shared: &SharedCoordinator,
+    config: &ServerConfig,
+    stop: &AtomicBool,
+) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(config.read_timeout);
     let _ = stream.set_write_timeout(config.write_timeout);
     loop {
         match Frame::read_from_with_telemetry(&mut stream) {
             Ok((payload, correlation)) => {
-                // One in-flight request per connection: hand the payload to
-                // the pool and wait for its response before reading the next
-                // frame, preserving per-connection ordering.
-                let (reply, response) = std::sync::mpsc::sync_channel(1);
-                if queue
-                    .push(Job {
-                        payload,
-                        correlation,
-                        reply,
-                    })
-                    .is_err()
-                {
-                    // Server shutting down.
+                // Requests the socket had already buffered when shutdown
+                // closed it are dropped, not dispatched.
+                if stop.load(Ordering::SeqCst) {
                     return;
                 }
-                let Ok(response) = response.recv() else {
-                    // Worker pool gone (shutdown drained the queue).
-                    return;
-                };
+                let in_flight = &server_metrics().requests_in_flight;
+                in_flight.add(1);
+                let response = shared.handle_request_bytes_with_correlation(&payload, correlation);
+                in_flight.sub(1);
                 if Frame::write_to(&mut stream, &response).is_err() {
                     return;
                 }
@@ -439,41 +326,69 @@ mod tests {
 
     #[test]
     fn concurrent_connections_share_one_deployment() {
-        // Many connections, few workers, tiny queue: exercises backpressure
-        // and proves all submissions land in the one shared round.
         let service = CoordinatorService::new(Cluster::new(ClusterConfig::test(72)));
-        let handle = serve_with_config(
-            service,
-            "127.0.0.1:0",
-            ServerConfig {
-                worker_threads: 2,
-                dispatch_queue_depth: 2,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
+        let handle = serve(service, "127.0.0.1:0").unwrap();
         let addr = handle.local_addr();
-
-        let onion_len = {
-            let mut admin = TcpStream::connect(addr).unwrap();
-            let Response::AddFriendRoundInfo(info) = roundtrip(
-                &mut admin,
-                &Request::BeginAddFriendRound {
-                    round: Round(1),
-                    expected_real: 8,
-                },
-            ) else {
-                panic!("round opens");
-            };
-            info.onion_len as usize
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            // A regression that serializes connections fails, not hangs.
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            stream
         };
 
-        let submitters: Vec<_> = (0..8u8)
-            .map(|i| {
+        // Park one request: with the service write lock held here, the
+        // admin connection's `BeginAddFriendRound` blocks inside its handler.
+        let shared = handle.service();
+        let write_guard = shared.write();
+        let mut admin = connect();
+        let begin = Request::BeginAddFriendRound {
+            round: Round(1),
+            expected_real: 8,
+        };
+        Frame::write_to(&mut admin, &begin.encode()).unwrap();
+        let in_flight = &server_metrics().requests_in_flight;
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while in_flight.get() == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "request never dispatched"
+            );
+            std::thread::yield_now();
+        }
+
+        // Snapshot reads on other connections complete regardless: each
+        // connection thread runs its own request, none waits for the parked
+        // one, and the read path takes no service lock.
+        let mut clients: Vec<TcpStream> = (0..8).map(|_| connect()).collect();
+        for client in &mut clients {
+            assert!(matches!(
+                roundtrip(client, &Request::GetPkgKeys),
+                Response::PkgKeys(_)
+            ));
+            assert!(matches!(
+                roundtrip(client, &Request::GetAddFriendRoundInfo),
+                Response::Error(alpenhorn_wire::RpcError::NoOpenRound { .. })
+            ));
+        }
+
+        // Released, the parked request completes and the round opens.
+        drop(write_guard);
+        let Response::AddFriendRoundInfo(info) =
+            Response::decode(&Frame::read_from(&mut admin).unwrap()).unwrap()
+        else {
+            panic!("round opens");
+        };
+        let onion_len = info.onion_len as usize;
+
+        // All eight connections submit at once into the one shared round.
+        let submitters: Vec<_> = (1u8..)
+            .zip(clients)
+            .map(|(i, mut stream)| {
                 std::thread::spawn(move || {
-                    let mut stream = TcpStream::connect(addr).unwrap();
                     let mut onion = vec![0u8; onion_len];
-                    onion[0] = i + 1;
+                    onion[0] = i;
                     assert_eq!(
                         roundtrip(
                             &mut stream,
@@ -492,7 +407,6 @@ mod tests {
             t.join().unwrap();
         }
 
-        let mut admin = TcpStream::connect(addr).unwrap();
         let Response::RoundClosed(stats) = roundtrip(
             &mut admin,
             &Request::CloseAddFriendRound { round: Round(1) },
@@ -501,5 +415,36 @@ mod tests {
         };
         assert_eq!(stats.client_messages, 8);
         handle.shutdown();
+    }
+
+    #[test]
+    fn shutdown_closes_open_connections_and_stops_dispatch() {
+        let service = CoordinatorService::new(Cluster::new(ClusterConfig::test(73)));
+        let handle = serve(service, "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+        // No other test in this process sends `GetCdnStats` through a
+        // server, so its counter isolates this connection's dispatches.
+        let dispatched = alpenhorn_obs::global().counter(
+            "coordinator_rpc_total",
+            &[("rpc", "get_cdn_stats"), ("outcome", "ok")],
+        );
+        assert!(matches!(
+            roundtrip(&mut stream, &Request::GetCdnStats),
+            Response::CdnStats(_)
+        ));
+        let before = dispatched.get();
+        assert!(before >= 1);
+
+        handle.shutdown();
+
+        // The still-open client socket sees its connection closed, and a
+        // request sent into it is never dispatched. (The write itself may or
+        // may not fail, depending on whether the reset has arrived yet.)
+        let _ = Frame::write_to(&mut stream, &Request::GetCdnStats.encode());
+        assert!(matches!(
+            Frame::read_from(&mut stream),
+            Err(FrameIoError::Io(_))
+        ));
+        assert_eq!(dispatched.get(), before);
     }
 }

@@ -51,7 +51,7 @@ pub(crate) struct RpcObservation {
 /// Starts observing one decoded request: picks the latency histogram for its
 /// kind and, for round-scoped requests, opens a coordinator span under the
 /// wire-carried correlation id (falling back to the locally derived one, so
-/// frames from a pre-telemetry peer still trace correctly).
+/// a request sent in a plain frame still traces correctly).
 pub(crate) fn begin_rpc(request: &Request, wire_correlation: Option<u64>) -> RpcObservation {
     let rpc = request.name();
     let span = request

@@ -113,10 +113,9 @@ impl MixdServer {
     }
 
     /// Like [`MixdServer::handle`], preferring the correlation id the
-    /// coordinator attached to the request frame (when talking to an
-    /// up-to-date peer) over the locally derived one. Both are the same pure
-    /// function of (protocol, round), so a PR 9-era coordinator that sends
-    /// plain frames still produces correctly linked spans.
+    /// coordinator attached to the request frame over the locally derived
+    /// one. Both are the same pure function of (protocol, round), so a peer
+    /// that sends plain frames still produces correctly linked spans.
     fn handle_with_correlation(
         &mut self,
         request: MixerRequest,

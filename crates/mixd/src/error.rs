@@ -83,8 +83,15 @@ impl From<alpenhorn_wire::codec::FrameIoError> for MixdError {
 impl MixdError {
     /// Whether a retry might succeed: connection-level failures are
     /// retryable (the daemon re-derives identical bytes for a repeated
-    /// round), daemon-reported and protocol errors are not.
+    /// round), daemon-reported and protocol errors are not — nor is
+    /// `InvalidInput`, which is how [`alpenhorn_wire::Frame::write_to`]
+    /// refuses a request too large for one frame: the same request is
+    /// refused again.
     pub fn is_retryable(&self) -> bool {
-        matches!(self, MixdError::Io { .. } | MixdError::Wire(_))
+        match self {
+            MixdError::Io { kind, .. } => *kind != std::io::ErrorKind::InvalidInput,
+            MixdError::Wire(_) => true,
+            _ => false,
+        }
     }
 }

@@ -408,6 +408,33 @@ mod tests {
     }
 
     #[test]
+    fn batch_too_large_for_one_frame_is_a_typed_error() {
+        // A bare listener is enough: the request is refused before any byte
+        // is written, and the refusal is terminal, not retried.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut mixer = RemoteMixer::new(listener.local_addr().unwrap().to_string());
+        let batch = vec![vec![0u8; 1 << 20]; 17];
+        let err = mixer.process(
+            RoundKind::AddFriend,
+            Round(1),
+            1,
+            &NoiseConfig::deterministic(2.0),
+            &[],
+            batch,
+        );
+        assert!(
+            matches!(
+                err,
+                Err(MixdError::Io {
+                    kind: std::io::ErrorKind::InvalidInput,
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn backoff_is_bounded() {
         let policy = MixRetryPolicy::standard();
         assert_eq!(policy.backoff(1), Duration::from_millis(25));

@@ -11,8 +11,9 @@
 //! mis-versioned, or corrupted traffic at the boundary before any message
 //! decoding runs.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
+use crate::crc32c;
 use crate::error::WireError;
 
 /// Append-only encoder producing a byte vector.
@@ -236,122 +237,135 @@ impl From<WireError> for FrameIoError {
 
 /// The length-prefixed, versioned, checksummed RPC frame.
 ///
-/// Layout (all integers big-endian):
+/// Layout (integers big-endian, except the checksum):
 ///
 /// ```text
-/// v3: +-------+---------+-----------+----------------+------------+
+/// v5: +-------+---------+-----------+----------------+------------+
 ///     | magic | version |  length   |    payload     |  checksum  |
-///     | 2 B   | 1 B     | 4 B (u32) | `length` bytes | 4 B        |
+///     | 2 B   | 1 B     | 4 B (u32) | `length` bytes | 4 B (LE)   |
 ///     +-------+---------+-----------+----------------+------------+
-/// v4: +-------+---------+-----------+-------------+----------------+------------+
+/// v6: +-------+---------+-----------+-------------+----------------+------------+
 ///     | magic | version |  length   | correlation |    payload     |  checksum  |
-///     | 2 B   | 1 B     | 4 B (u32) | 8 B (u64)   | `length` bytes | 4 B        |
+///     | 2 B   | 1 B     | 4 B (u32) | 8 B (u64)   | `length` bytes | 4 B (LE)   |
 ///     +-------+---------+-----------+-------------+----------------+------------+
 /// ```
 ///
-/// The checksum is the first four bytes of SHA-256 over everything before it
-/// (header, telemetry block if present, payload), so truncation, bit flips,
-/// and length corruption are all caught.
+/// The checksum is CRC-32C (Castagnoli) over everything before it (header,
+/// telemetry block if present, payload), so truncation, bit flips, and
+/// length corruption are all caught. It is the one little-endian field of
+/// the frame: a CRC's natural byte order, as in RFC 3720. The trailer is a
+/// corruption detector, never an authenticator — it was four bytes of an
+/// *unkeyed* SHA-256 through v4 — and a CRC gives the same 32-bit strength
+/// against random damage, detects every burst of up to 32 bits outright, and
+/// costs a table lookup per byte instead of a hash compression per block.
 ///
 /// Versioning rule: any change to the frame layout or to the encoding of the
-/// RPC messages inside it bumps [`Frame::VERSION`]. v4 introduced the first
-/// *optional* extension: a telemetry block carrying the round correlation id
-/// (`alpenhorn_obs::correlation_id`) so spans in different processes can be
-/// stitched into one trace. Frames without telemetry are still emitted as
-/// byte-identical v3, and receivers accept both v3 and v4 — a PR 9-era peer
-/// that never sends the block interoperates unchanged. Anything outside
-/// `[PLAIN_VERSION, VERSION]` is rejected with
+/// RPC messages inside it bumps [`Frame::VERSION`]. Frames without telemetry
+/// are emitted as [`Frame::PLAIN_VERSION`]; frames carrying the optional
+/// telemetry block (the round correlation id, `alpenhorn_obs::correlation_id`,
+/// which stitches spans of different processes into one trace) as
+/// [`Frame::VERSION`]. Receivers accept exactly those two; anything else —
+/// including the SHA-256-trailer versions 3 and 4 — is rejected with
 /// [`WireError::UnsupportedVersion`].
 pub struct Frame;
 
 impl Frame {
     /// Magic bytes every frame starts with ("AH" for Alpenhorn).
     pub const MAGIC: [u8; 2] = *b"AH";
-    /// The newest protocol version this implementation speaks. History:
-    /// v1 = the PR 4 RPC surface; v2 added
-    /// [`crate::rpc::RpcError::Unavailable`] (typed transient server faults,
-    /// PR 5); v3 added the `retry_after_ms` backoff hint to `Unavailable`
-    /// (overload shedding, PR 6); v4 added the optional telemetry block
-    /// (round correlation id, PR 10).
-    pub const VERSION: u8 = 4;
-    /// The telemetry-free frame version. [`Frame::encode`] still emits it,
-    /// byte-identical to a PR 9 peer's frames.
-    pub const PLAIN_VERSION: u8 = 3;
+    /// The newest protocol version this implementation speaks: the frame
+    /// with the telemetry block. History: v1 = the PR 4 RPC surface; v2
+    /// added [`crate::rpc::RpcError::Unavailable`] (typed transient server
+    /// faults, PR 5); v3 added the `retry_after_ms` backoff hint to
+    /// `Unavailable` (overload shedding, PR 6); v4 added the optional
+    /// telemetry block (round correlation id, PR 10) beside the plain v3;
+    /// v5 (plain) and v6 (telemetry) replaced the truncated SHA-256 trailer
+    /// of v3 and v4 with CRC-32C.
+    pub const VERSION: u8 = 6;
+    /// The telemetry-free frame version, emitted by [`Frame::encode`].
+    pub const PLAIN_VERSION: u8 = 5;
     /// Header length: magic + version + length prefix.
     pub const HEADER_LEN: usize = 2 + 1 + 4;
-    /// Length of the v4 telemetry block (the correlation id).
+    /// Length of the telemetry block (the correlation id).
     pub const TELEMETRY_LEN: usize = 8;
     /// Trailing checksum length.
     pub const CHECKSUM_LEN: usize = 4;
     /// Maximum payload size a frame may carry (16 MiB). A length prefix
-    /// beyond this is rejected before any allocation happens, so a hostile
-    /// peer cannot make the receiver reserve unbounded memory.
+    /// beyond this is rejected before any allocation happens.
     pub const MAX_PAYLOAD_LEN: usize = 1 << 24;
+    /// How far [`Frame::read_from`] lets its buffer run ahead of the bytes
+    /// that have actually arrived, so a peer cannot make the receiver reserve
+    /// a whole [`Frame::MAX_PAYLOAD_LEN`] on the strength of a header alone.
+    const READ_STEP: usize = 64 * 1024;
 
-    fn checksum_parts(parts: &[&[u8]]) -> [u8; Self::CHECKSUM_LEN] {
-        let mut hasher = alpenhorn_crypto::sha256::Sha256::new();
-        for part in parts {
-            hasher.update(part);
+    fn checksum(parts: &[&[u8]]) -> [u8; Self::CHECKSUM_LEN] {
+        parts
+            .iter()
+            .fold(0, |crc, part| crc32c::append(crc, part))
+            .to_le_bytes()
+    }
+
+    /// Parses and validates a frame header, returning the length of the
+    /// telemetry block (0 or [`Frame::TELEMETRY_LEN`]) and the payload length.
+    fn parse_header(header: &[u8]) -> Result<(usize, usize), WireError> {
+        if header[..2] != Self::MAGIC {
+            return Err(WireError::BadMagic);
         }
-        let digest = hasher.finalize();
-        let mut out = [0u8; Self::CHECKSUM_LEN];
-        out.copy_from_slice(&digest[..Self::CHECKSUM_LEN]);
-        out
-    }
-
-    fn header(version: u8, payload_len: usize) -> [u8; Self::HEADER_LEN] {
-        let mut header = [0u8; Self::HEADER_LEN];
-        header[..2].copy_from_slice(&Self::MAGIC);
-        header[2] = version;
-        header[3..].copy_from_slice(&(payload_len as u32).to_be_bytes());
-        header
-    }
-
-    fn encode_inner(payload: &[u8], telemetry: Option<u64>) -> Vec<u8> {
-        assert!(
-            payload.len() <= Self::MAX_PAYLOAD_LEN,
-            "frame payload of {} bytes exceeds the maximum",
-            payload.len()
-        );
-        let version = if telemetry.is_some() {
-            Self::VERSION
-        } else {
-            Self::PLAIN_VERSION
+        let telemetry_len = match header[2] {
+            Self::PLAIN_VERSION => 0,
+            Self::VERSION => Self::TELEMETRY_LEN,
+            version => return Err(WireError::UnsupportedVersion { version }),
         };
-        let header = Self::header(version, payload.len());
+        let claimed = u32::from_be_bytes([header[3], header[4], header[5], header[6]]) as usize;
+        if claimed > Self::MAX_PAYLOAD_LEN {
+            return Err(WireError::FrameTooLarge { claimed });
+        }
+        Ok((telemetry_len, claimed))
+    }
+
+    fn try_encode(payload: &[u8], telemetry: Option<u64>) -> Result<Vec<u8>, WireError> {
+        if payload.len() > Self::MAX_PAYLOAD_LEN {
+            return Err(WireError::FrameTooLarge {
+                claimed: payload.len(),
+            });
+        }
         let mut out = Vec::with_capacity(
             Self::HEADER_LEN + Self::TELEMETRY_LEN + payload.len() + Self::CHECKSUM_LEN,
         );
-        out.extend_from_slice(&header);
+        out.extend_from_slice(&Self::MAGIC);
+        out.push(match telemetry {
+            Some(_) => Self::VERSION,
+            None => Self::PLAIN_VERSION,
+        });
+        out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         if let Some(correlation) = telemetry {
             out.extend_from_slice(&correlation.to_be_bytes());
         }
         out.extend_from_slice(payload);
-        let checksum = Self::checksum_parts(&[&out]);
+        let checksum = Self::checksum(&[&out]);
         out.extend_from_slice(&checksum);
-        out
+        Ok(out)
     }
 
-    /// Wraps `payload` in a complete telemetry-free frame — byte-identical
-    /// to what a v3 (PR 9) implementation emits.
+    /// Wraps `payload` in a complete telemetry-free frame.
     ///
     /// # Panics
     ///
     /// Panics if the payload exceeds [`Frame::MAX_PAYLOAD_LEN`]; no RPC
     /// message comes close (mailbox responses are the largest and are bounded
-    /// by the round's mailbox size).
+    /// by the round's mailbox size). [`Frame::write_to`] reports the same
+    /// condition as an error instead.
     pub fn encode(payload: &[u8]) -> Vec<u8> {
-        Self::encode_inner(payload, None)
+        Self::try_encode(payload, None).expect("frame payload exceeds the maximum")
     }
 
-    /// Wraps `payload` in a v4 frame carrying `correlation` in the telemetry
+    /// Wraps `payload` in a frame carrying `correlation` in the telemetry
     /// block. Same panic condition as [`Frame::encode`].
     pub fn encode_with_telemetry(payload: &[u8], correlation: u64) -> Vec<u8> {
-        Self::encode_inner(payload, Some(correlation))
+        Self::try_encode(payload, Some(correlation)).expect("frame payload exceeds the maximum")
     }
 
     /// Decodes one complete frame from `buf`, returning the payload and the
-    /// correlation id when the sender attached one (v4 frames only).
+    /// correlation id when the sender attached one.
     ///
     /// The whole buffer must be exactly one frame; malformed input (wrong
     /// magic, unsupported version, oversized or lying length prefix,
@@ -363,22 +377,7 @@ impl Frame {
                 context: "frame header",
             });
         }
-        if buf[..2] != Self::MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = buf[2];
-        if version != Self::PLAIN_VERSION && version != Self::VERSION {
-            return Err(WireError::UnsupportedVersion { version });
-        }
-        let telemetry_len = if version == Self::VERSION {
-            Self::TELEMETRY_LEN
-        } else {
-            0
-        };
-        let claimed = u32::from_be_bytes([buf[3], buf[4], buf[5], buf[6]]) as usize;
-        if claimed > Self::MAX_PAYLOAD_LEN {
-            return Err(WireError::FrameTooLarge { claimed });
-        }
+        let (telemetry_len, claimed) = Self::parse_header(&buf[..Self::HEADER_LEN])?;
         let total = Self::HEADER_LEN + telemetry_len + claimed + Self::CHECKSUM_LEN;
         if buf.len() < total {
             return Err(WireError::UnexpectedEnd {
@@ -390,20 +389,18 @@ impl Frame {
                 remaining: buf.len() - total,
             });
         }
-        let body_end = total - Self::CHECKSUM_LEN;
-        let expected = Self::checksum_parts(&[&buf[..body_end]]);
-        if buf[body_end..] != expected {
+        let (body, trailer) = buf.split_at(total - Self::CHECKSUM_LEN);
+        if trailer != Self::checksum(&[body]) {
             return Err(WireError::ChecksumMismatch);
         }
-        let payload_start = Self::HEADER_LEN + telemetry_len;
-        let telemetry = (telemetry_len > 0).then(|| {
-            u64::from_be_bytes(
-                buf[Self::HEADER_LEN..payload_start]
-                    .try_into()
-                    .expect("telemetry block is 8 bytes"),
-            )
-        });
-        Ok((&buf[payload_start..body_end], telemetry))
+        let (telemetry, payload) = body[Self::HEADER_LEN..].split_at(telemetry_len);
+        Ok((payload, Self::correlation(telemetry)))
+    }
+
+    /// The correlation id in a telemetry block (`None` for the empty block of
+    /// a plain frame).
+    fn correlation(telemetry: &[u8]) -> Option<u64> {
+        telemetry.try_into().ok().map(u64::from_be_bytes)
     }
 
     /// Decodes one complete frame from `buf`, returning the payload and
@@ -413,62 +410,61 @@ impl Frame {
     }
 
     /// Writes `payload` as one telemetry-free frame to `writer` and flushes.
+    /// A payload over [`Frame::MAX_PAYLOAD_LEN`] is refused with
+    /// [`std::io::ErrorKind::InvalidInput`] before anything is written.
     pub fn write_to(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-        writer.write_all(&Frame::encode(payload))?;
-        writer.flush()
+        Self::write_to_with_telemetry(writer, payload, None)
     }
 
     /// Writes `payload` as one frame to `writer` and flushes, attaching the
-    /// telemetry block when `correlation` is `Some`.
+    /// telemetry block when `correlation` is `Some`. Refuses an oversized
+    /// payload like [`Frame::write_to`].
     pub fn write_to_with_telemetry(
         writer: &mut impl Write,
         payload: &[u8],
         correlation: Option<u64>,
     ) -> std::io::Result<()> {
-        writer.write_all(&Frame::encode_inner(payload, correlation))?;
+        let frame = Self::try_encode(payload, correlation)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        writer.write_all(&frame)?;
         writer.flush()
     }
 
     /// Reads one complete frame from `reader`, returning the payload and the
     /// sender's correlation id if one was attached.
     ///
-    /// Validates magic, version, length bound, and checksum before returning;
-    /// the oversized-length check runs before the payload allocation.
+    /// Two reads for a frame that arrives whole: the header, then everything
+    /// after it. Magic, version and the length bound are checked before any
+    /// allocation, and the buffer then grows with the bytes received, never
+    /// more than a bounded step ahead of them.
     pub fn read_from_with_telemetry(
         reader: &mut impl Read,
     ) -> Result<(Vec<u8>, Option<u64>), FrameIoError> {
         let mut header = [0u8; Self::HEADER_LEN];
         reader.read_exact(&mut header)?;
-        if header[..2] != Self::MAGIC {
-            return Err(WireError::BadMagic.into());
+        let (telemetry_len, claimed) = Self::parse_header(&header)?;
+        let body_len = telemetry_len + claimed;
+        let rest = body_len + Self::CHECKSUM_LEN;
+        let mut buf = Vec::new();
+        let mut filled = 0;
+        while filled < rest {
+            if filled == buf.len() {
+                buf.resize(rest.min(filled + Self::READ_STEP), 0);
+            }
+            match reader.read(&mut buf[filled..]) {
+                Ok(0) => return Err(std::io::Error::from(ErrorKind::UnexpectedEof).into()),
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
         }
-        let version = header[2];
-        if version != Self::PLAIN_VERSION && version != Self::VERSION {
-            return Err(WireError::UnsupportedVersion { version }.into());
-        }
-        let mut telemetry = None;
-        let mut telemetry_bytes = [0u8; Self::TELEMETRY_LEN];
-        if version == Self::VERSION {
-            reader.read_exact(&mut telemetry_bytes)?;
-            telemetry = Some(u64::from_be_bytes(telemetry_bytes));
-        }
-        let claimed = u32::from_be_bytes([header[3], header[4], header[5], header[6]]) as usize;
-        if claimed > Self::MAX_PAYLOAD_LEN {
-            return Err(WireError::FrameTooLarge { claimed }.into());
-        }
-        let mut payload = vec![0u8; claimed];
-        reader.read_exact(&mut payload)?;
-        let mut checksum = [0u8; Self::CHECKSUM_LEN];
-        reader.read_exact(&mut checksum)?;
-        let expected = if telemetry.is_some() {
-            Self::checksum_parts(&[&header, &telemetry_bytes, &payload])
-        } else {
-            Self::checksum_parts(&[&header, &payload])
-        };
-        if checksum != expected {
+        if buf[body_len..] != Self::checksum(&[&header, &buf[..body_len]]) {
             return Err(WireError::ChecksumMismatch.into());
         }
-        Ok((payload, telemetry))
+        let correlation = Self::correlation(&buf[..telemetry_len]);
+        buf.truncate(body_len);
+        buf.drain(..telemetry_len);
+        Ok((buf, correlation))
     }
 
     /// Reads one complete frame from `reader`, returning the payload and
@@ -561,20 +557,135 @@ mod tests {
     }
 
     #[test]
-    fn plain_frames_are_byte_identical_to_v3() {
-        // Reconstruct the PR 9 frame layout by hand: a current encoder with
-        // no telemetry must produce exactly these bytes.
+    fn golden_frame_bytes() {
+        // Fixed bytes, not a reconstruction: any change to the layout, the
+        // versions, the CRC or its byte order shows up here.
         let payload = b"hello alpenhorn";
-        let mut v3 = Vec::new();
-        v3.extend_from_slice(&Frame::MAGIC);
-        v3.push(3);
-        v3.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        v3.extend_from_slice(payload);
-        let mut hasher = alpenhorn_crypto::sha256::Sha256::new();
-        hasher.update(&v3);
-        v3.extend_from_slice(&hasher.finalize()[..Frame::CHECKSUM_LEN]);
-        assert_eq!(Frame::encode(payload), v3);
-        assert_eq!(Frame::decode(&v3).unwrap(), payload);
+        let v5 = [
+            b'A', b'H', 5, 0, 0, 0, 15, // magic, version, length
+            b'h', b'e', b'l', b'l', b'o', b' ', b'a', b'l', b'p', b'e', b'n', b'h', b'o', b'r',
+            b'n', // payload
+            0x66, 0x34, 0xB2, 0x87, // CRC-32C, little-endian
+        ];
+        assert_eq!(Frame::encode(payload), v5);
+        assert_eq!(Frame::decode(&v5).unwrap(), payload);
+        let v6 = [
+            b'A', b'H', 6, 0, 0, 0, 15, // magic, version, length
+            0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF, // correlation id
+            b'h', b'e', b'l', b'l', b'o', b' ', b'a', b'l', b'p', b'e', b'n', b'h', b'o', b'r',
+            b'n', // payload
+            0x35, 0x1F, 0xA9, 0x81, // CRC-32C, little-endian
+        ];
+        assert_eq!(
+            Frame::encode_with_telemetry(payload, 0x0123_4567_89AB_CDEF),
+            v6
+        );
+        assert_eq!(
+            Frame::decode_with_telemetry(&v6).unwrap(),
+            (&payload[..], Some(0x0123_4567_89AB_CDEF))
+        );
+        assert_eq!(Frame::encode(&[]).len(), 11);
+    }
+
+    #[test]
+    fn sha256_trailer_versions_are_unsupported() {
+        // A well-formed v3 and v4 frame (truncated SHA-256 trailer) must be
+        // answered with the version error, not a checksum mismatch.
+        for (version, telemetry) in [(3u8, &[][..]), (4, &[0u8; 8][..])] {
+            let mut old = Vec::new();
+            old.extend_from_slice(&Frame::MAGIC);
+            old.push(version);
+            old.extend_from_slice(&5u32.to_be_bytes());
+            old.extend_from_slice(telemetry);
+            old.extend_from_slice(b"hello");
+            let mut hasher = alpenhorn_crypto::sha256::Sha256::new();
+            hasher.update(&old);
+            old.extend_from_slice(&hasher.finalize()[..Frame::CHECKSUM_LEN]);
+            assert_eq!(
+                Frame::decode(&old),
+                Err(WireError::UnsupportedVersion { version })
+            );
+            assert!(matches!(
+                Frame::read_from(&mut &old[..]),
+                Err(FrameIoError::Wire(WireError::UnsupportedVersion { version: v })) if v == version
+            ));
+        }
+    }
+
+    #[test]
+    fn oversized_payload_is_an_error_on_write() {
+        let payload = vec![0u8; Frame::MAX_PAYLOAD_LEN + 1];
+        let mut wire = Vec::new();
+        for correlation in [None, Some(1)] {
+            let err = Frame::write_to_with_telemetry(&mut wire, &payload, correlation).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        }
+        assert_eq!(
+            Frame::write_to(&mut wire, &payload).unwrap_err().kind(),
+            ErrorKind::InvalidInput
+        );
+        assert!(wire.is_empty(), "nothing is written for a refused frame");
+    }
+
+    /// Hands out `data` at most `chunk` bytes per `read`, then fails with
+    /// `BrokenPipe`; records the largest buffer it was ever offered.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        chunk: usize,
+        largest_offer: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_offer = self.largest_offer.max(buf.len());
+            if self.data.is_empty() {
+                return Err(ErrorKind::BrokenPipe.into());
+            }
+            let n = self.chunk.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_buffer_follows_arrival_not_the_claimed_length() {
+        // A header claiming the full 16 MiB, one payload byte, then failure.
+        let mut sent = Vec::new();
+        sent.extend_from_slice(&Frame::MAGIC);
+        sent.push(Frame::PLAIN_VERSION);
+        sent.extend_from_slice(&(Frame::MAX_PAYLOAD_LEN as u32).to_be_bytes());
+        sent.push(0);
+        let mut reader = Trickle {
+            data: &sent,
+            chunk: usize::MAX,
+            largest_offer: 0,
+        };
+        assert!(matches!(
+            Frame::read_from(&mut reader),
+            Err(FrameIoError::Io(e)) if e.kind() == ErrorKind::BrokenPipe
+        ));
+        assert_eq!(reader.largest_offer, Frame::READ_STEP);
+    }
+
+    #[test]
+    fn frames_delivered_one_byte_per_read_decode() {
+        // Larger than one growth step, so the buffer grows mid-frame.
+        let payload: Vec<u8> = (0..Frame::READ_STEP + 1000).map(|i| i as u8).collect();
+        for correlation in [None, Some(77)] {
+            let mut sent = Vec::new();
+            Frame::write_to_with_telemetry(&mut sent, &payload, correlation).unwrap();
+            let mut reader = Trickle {
+                data: &sent,
+                chunk: 1,
+                largest_offer: 0,
+            };
+            assert_eq!(
+                Frame::read_from_with_telemetry(&mut reader).unwrap(),
+                (payload.clone(), correlation)
+            );
+            assert!(reader.data.is_empty(), "exactly one frame is consumed");
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@
 pub mod cdn;
 pub mod codec;
 pub mod constants;
+mod crc32c;
 pub mod dial;
 pub mod error;
 pub mod friend_request;

@@ -260,42 +260,35 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..512),
         correlation in any::<u64>(),
     ) {
-        // With the telemetry field: a v4 frame carrying the correlation id.
+        // With the telemetry field: a frame carrying the correlation id.
         let with = Frame::encode_with_telemetry(&payload, correlation);
+        prop_assert_eq!(with[2], Frame::VERSION);
         let (decoded, telemetry) = Frame::decode_with_telemetry(&with).unwrap();
         prop_assert_eq!(decoded, payload.as_slice());
         prop_assert_eq!(telemetry, Some(correlation));
-        // The plain decoder accepts the same v4 frame, dropping the field.
+        // The plain decoder accepts the same frame, dropping the field.
         prop_assert_eq!(Frame::decode(&with).unwrap(), payload.as_slice());
 
-        // Without the field: byte-identical to a PR 9-era (v3) frame.
+        // Without the field: the plain version, eight bytes shorter.
         let without = Frame::encode(&payload);
+        prop_assert_eq!(without[2], Frame::PLAIN_VERSION);
+        prop_assert_eq!(without.len() + Frame::TELEMETRY_LEN, with.len());
         let (decoded, telemetry) = Frame::decode_with_telemetry(&without).unwrap();
         prop_assert_eq!(decoded, payload.as_slice());
         prop_assert_eq!(telemetry, None);
     }
 
     #[test]
-    fn pr9_era_peer_interoperates_with_telemetry_frames(
+    fn plain_and_telemetry_frames_share_one_stream(
         identity in arb_identity(),
         round in 0u64..1_000_000,
         fill in any::<u8>(),
         correlation in any::<u64>(),
     ) {
         for request in all_requests(identity, round, fill, 64, true) {
-            // A PR 9 peer emits exactly `Frame::encode` bytes (the telemetry-
-            // free encoding *is* the v3 encoding); a telemetry-aware receiver
-            // must accept them and see no correlation id.
-            let legacy = Frame::encode(&request.encode());
-            let (payload, telemetry) = Frame::decode_with_telemetry(&legacy).unwrap();
-            prop_assert_eq!(telemetry, None);
-            prop_assert_eq!(Request::decode(payload).unwrap(), request.clone());
-
-            // And a PR 9 peer receiving a v4 frame would reject the unknown
-            // version rather than misparse it, so a telemetry-aware sender
-            // talks to an old receiver by sending plain frames — which this
-            // stream does: both framings of the same request, read back to
-            // back through the streaming reader.
+            // Senders attach the telemetry block per request (round-scoped
+            // ones carry it, the rest do not), so a receiver sees both
+            // framings back to back on one connection.
             let mut wire = Vec::new();
             Frame::write_to_with_telemetry(&mut wire, &request.encode(), Some(correlation)).unwrap();
             Frame::write_to_with_telemetry(&mut wire, &request.encode(), None).unwrap();
@@ -312,16 +305,43 @@ proptest! {
     #[test]
     fn bit_flips_anywhere_are_rejected_or_caught_by_checksum(
         identity in arb_identity(),
-        position in any::<u16>(),
-        flip in 1u8..255,
+        telemetry in any::<bool>(),
+        bit in any::<u32>(),
     ) {
         let request = Request::CompleteRegistration { identity };
-        let mut framed = Frame::encode(&request.encode());
-        let position = (position as usize) % framed.len();
-        framed[position] ^= flip;
-        // A flipped bit anywhere (magic, version, length, payload, checksum)
-        // must make frame decoding fail: the payload is covered by the
-        // checksum and the header fields are validated explicitly.
+        let mut framed = Vec::new();
+        Frame::write_to_with_telemetry(&mut framed, &request.encode(), telemetry.then_some(7))
+            .unwrap();
+        let bit = (bit as usize) % (framed.len() * 8);
+        framed[bit / 8] ^= 1 << (bit % 8);
+        // A single flipped bit anywhere (magic, version, length, telemetry
+        // block, payload, checksum) must make decoding fail: everything
+        // before the trailer is covered by the CRC, the header fields are
+        // validated explicitly, and the two accepted versions differ in two
+        // bits so one flip cannot turn one framing into the other.
+        prop_assert!(Frame::decode(&framed).is_err());
+        prop_assert!(Frame::read_from(&mut &framed[..]).is_err());
+    }
+
+    #[test]
+    fn bursts_up_to_32_bits_are_always_rejected(
+        payload in proptest::collection::vec(any::<u8>(), 0..200),
+        telemetry in any::<bool>(),
+        start in any::<u32>(),
+        pattern in 1u32..u32::MAX,
+    ) {
+        // The guarantee a CRC gives and a truncated hash does not: an error
+        // confined to 32 consecutive bits is caught with certainty, not with
+        // probability 1 - 2^-32. "Consecutive" is in the CRC's own bit order
+        // (least significant bit of each byte first), and holds across the
+        // trailer boundary because the trailer is stored little-endian.
+        let mut framed = Vec::new();
+        Frame::write_to_with_telemetry(&mut framed, &payload, telemetry.then_some(7)).unwrap();
+        let start = (start as usize) % (framed.len() * 8 - 31);
+        for offset in (0..32).filter(|offset| pattern >> offset & 1 == 1) {
+            let bit = start + offset;
+            framed[bit / 8] ^= 1 << (bit % 8);
+        }
         prop_assert!(Frame::decode(&framed).is_err());
     }
 }

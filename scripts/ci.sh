@@ -70,7 +70,7 @@ cargo test -q -p alpenhorn-mixd --test loopback_equivalence
 # byte-identical, one correlation id links the round's spans across
 # coordinator, mixd, and cdnd, and the round/shard counters reconcile.
 # The --ignored variant fetches GetTelemetry from a live alpenhornd over TCP.
-# The frame-telemetry proptests pin v4 <-> v3 wire compatibility.
+# The frame-telemetry proptests pin the plain and telemetry framings.
 stage "observability (telemetry e2e + GetTelemetry smoke vs live alpenhornd)"
 cargo test -q --test observability_e2e
 cargo test -q --release --test observability_e2e -- --ignored
@@ -157,6 +157,15 @@ cargo test -q --release --test chaos -- --ignored
 # too; this named stage makes a scenario regression point at itself.
 stage "scenario smoke (churn wave, crash-restart storm, partition window)"
 cargo test -q --test scenario_smoke
+
+# End-to-end benchmark smoke: 64 clients, 3 rounds, all four workloads,
+# traced, against the real alpenhornd + 3 mixd + 4 cdnd fleet (the harness
+# builds the daemons into its own target directory). Fails on any failed
+# operation or broken oracle, and checks that the metric names printed are
+# exactly those BENCHMARK.json lists. The timed runs are the perf gate and
+# are not run here (examples/e2e_bench/README.md).
+stage "e2e_bench smoke (real 8-daemon topology, metric names vs BENCHMARK.json)"
+cargo run --release --offline --quiet --manifest-path examples/e2e_bench/Cargo.toml -- --smoke
 
 stage "bench smoke: mixnet round pipeline"
 BENCH_SMOKE=1 cargo bench -p alpenhorn-bench --bench mixnet_ops

@@ -25,15 +25,19 @@
 //! listed `cdnd` daemons, where clients can fetch them from any 3 live
 //! nodes.
 //!
-//! With `--data-dir DIR` the daemon is durable: registrations, PKG key
-//! ratchets, rate-limit budgets, and the round counter are journalled to a
-//! write-ahead log with periodic snapshots (`alpenhorn-storage`), and a
-//! restarted daemon **recovers that state before it accepts its first
-//! connection** — previously registered clients keep working across a crash,
-//! and auto-driven rounds resume from where the crashed process left off.
-//! Restart with the same `--seed`/`--pkgs`/`--mix-servers` so the long-term
-//! keys re-derive identically; the journal restores everything that evolved
-//! at runtime.
+//! With `--data-dir DIR` the daemon is durable: registrations, rate-limit
+//! budgets, the round counter and the per-protocol open counts are
+//! journalled to a write-ahead log, compacted into a snapshot at round
+//! boundaries (`alpenhorn-storage`), and the PKG key ratchets are kept apart
+//! in `DIR/pkg-ratchets.key`, replaced at every add-friend open. A restarted
+//! daemon **recovers that state before it accepts its first connection** —
+//! previously registered clients keep working across a crash, auto-driven
+//! rounds resume from where the crashed process left off, and the mix chains
+//! never re-open an earlier round's onion keys. Restart with the same
+//! `--seed`/`--pkgs`/`--mix-servers` so the long-term keys re-derive
+//! identically; the data dir restores everything that evolved at runtime,
+//! and a daemon whose ratchet file disagrees with its journal refuses to
+//! start.
 //!
 //! With `--round-interval-ms MS` the daemon alternates: open an add-friend
 //! and a dialing round, sleep `MS` milliseconds while clients participate,

@@ -101,13 +101,16 @@ impl CdnStats {
 
 /// The simulated CDN.
 ///
-/// Published mailboxes are immutable and `Arc`-shared: a read-path snapshot
-/// ([`crate::shared`]) clones the maps cheaply and serves downloads without
-/// any coordinator lock, charging the shared [`CdnStats`].
+/// Published mailboxes are immutable, and so is each published map: a
+/// read-path snapshot ([`crate::shared`]) takes the maps with two `Arc`
+/// clones, however many rounds they hold, and serves downloads without any
+/// coordinator lock, charging the shared [`CdnStats`]. Publishing and
+/// expiry copy a map on write, once per round, and only while a snapshot
+/// still shares it.
 #[derive(Default)]
 pub struct Cdn {
-    add_friend: HashMap<u64, Arc<AddFriendMailboxes>>,
-    dialing: HashMap<u64, Arc<DialingMailboxes>>,
+    add_friend: Arc<HashMap<u64, Arc<AddFriendMailboxes>>>,
+    dialing: Arc<HashMap<u64, Arc<DialingMailboxes>>>,
     stats: Arc<CdnStats>,
 }
 
@@ -146,22 +149,22 @@ impl Cdn {
 
     /// Publishes the add-friend mailboxes for `round`.
     pub fn publish_add_friend(&mut self, round: Round, mailboxes: AddFriendMailboxes) {
-        self.add_friend.insert(round.0, Arc::new(mailboxes));
+        Arc::make_mut(&mut self.add_friend).insert(round.0, Arc::new(mailboxes));
     }
 
     /// Publishes the dialing mailboxes for `round`.
     pub fn publish_dialing(&mut self, round: Round, mailboxes: DialingMailboxes) {
-        self.dialing.insert(round.0, Arc::new(mailboxes));
+        Arc::make_mut(&mut self.dialing).insert(round.0, Arc::new(mailboxes));
     }
 
     /// The published add-friend rounds, `Arc`-shared for snapshots.
-    pub(crate) fn add_friend_rounds(&self) -> HashMap<u64, Arc<AddFriendMailboxes>> {
-        self.add_friend.clone()
+    pub(crate) fn add_friend_rounds(&self) -> Arc<HashMap<u64, Arc<AddFriendMailboxes>>> {
+        Arc::clone(&self.add_friend)
     }
 
     /// The published dialing rounds, `Arc`-shared for snapshots.
-    pub(crate) fn dialing_rounds(&self) -> HashMap<u64, Arc<DialingMailboxes>> {
-        self.dialing.clone()
+    pub(crate) fn dialing_rounds(&self) -> Arc<HashMap<u64, Arc<DialingMailboxes>>> {
+        Arc::clone(&self.dialing)
     }
 
     /// The shared download-accounting counters.
@@ -204,8 +207,8 @@ impl Cdn {
     /// Removes mailboxes older than `keep_from` (the paper keeps mailbox
     /// contents "for a relatively long time", §5.1, but not forever).
     pub fn expire_before(&mut self, keep_from: Round) {
-        self.add_friend.retain(|r, _| *r >= keep_from.0);
-        self.dialing.retain(|r, _| *r >= keep_from.0);
+        Arc::make_mut(&mut self.add_friend).retain(|r, _| *r >= keep_from.0);
+        Arc::make_mut(&mut self.dialing).retain(|r, _| *r >= keep_from.0);
     }
 
     /// Total bytes served to clients so far (including snapshot-path

@@ -159,8 +159,9 @@ impl<Info> OpenRound<Info> {
 
 /// The mix chain behind one protocol: the in-process [`MixChain`] or a
 /// [`RemoteMixChain`] of `mixd` daemons. Both derive per-server seeds through
-/// [`chain_seed`]/`server_seed` and number rounds identically from zero, so
-/// the two deployments produce byte-identical mailboxes for the same inputs.
+/// [`chain_seed`]/`server_seed` and number rounds identically from zero (or
+/// from where recovery resumes them), so the two deployments produce
+/// byte-identical mailboxes for the same inputs.
 enum MixBackend {
     InProcess(MixChain),
     Remote(RemoteMixChain),
@@ -175,6 +176,13 @@ impl MixBackend {
         match self {
             MixBackend::InProcess(chain) => Ok(chain.begin_round()),
             MixBackend::Remote(chain) => chain.begin_round().map_err(mix_error),
+        }
+    }
+
+    fn resume_at(&mut self, next_round: u64) {
+        match self {
+            MixBackend::InProcess(chain) => chain.resume_at(next_round),
+            MixBackend::Remote(chain) => chain.resume_at(next_round),
         }
     }
 
@@ -535,7 +543,8 @@ impl Cluster {
         }
     }
 
-    /// Every PKG's current ratchet state, in PKG order (snapshot capture).
+    /// Every PKG's current ratchet state, in PKG order (the ratchet file's
+    /// contents).
     pub fn pkg_ratchets(&self) -> Vec<[u8; 32]> {
         self.pkgs
             .iter()
@@ -543,17 +552,26 @@ impl Cluster {
             .collect()
     }
 
-    /// Restores every PKG's ratchet state from a snapshot. The count must
-    /// match the deployment's PKG count.
+    /// Restores every PKG's ratchet state from the ratchet file. The count
+    /// must match the deployment's PKG count.
     pub fn restore_pkg_ratchets(&mut self, ratchets: &[[u8; 32]]) {
         assert_eq!(
             ratchets.len(),
             self.pkgs.len(),
-            "snapshot PKG count must match the deployment"
+            "ratchet file PKG count must match the deployment"
         );
         for (pkg, ratchet) in self.pkgs.iter_mut().zip(ratchets) {
             pkg.round_keys_mut().restore_ratchet(*ratchet);
         }
+    }
+
+    /// Resumes both mix chains' auto-numbering after `add_friend` and
+    /// `dialing` rounds, so a restarted coordinator does not re-open round
+    /// ids — and with them onion keys — that earlier processes already
+    /// served. Call during recovery, before any round opens.
+    pub fn resume_mix_rounds(&mut self, add_friend: u64, dialing: u64) {
+        self.add_friend_chain.resume_at(add_friend);
+        self.dialing_chain.resume_at(dialing);
     }
 
     /// Abandons the open add-friend round without running the mixnet:

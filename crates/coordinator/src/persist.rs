@@ -3,14 +3,23 @@
 //!
 //! [`CoordinatorCore`] bundles everything the service mutates — the
 //! [`Cluster`] (PKG registries and round-key ratchets included), the
-//! rate-limit issuer/verifier, and the round counter — and implements
-//! [`alpenhorn_storage::Persist`] so a [`Durable`](alpenhorn_storage::Durable)
-//! can recover it as snapshot + WAL suffix after a crash.
+//! rate-limit issuer/verifier, the round counter and the per-protocol open
+//! counts — and implements [`alpenhorn_storage::Persist`] so a
+//! [`Durable`](alpenhorn_storage::Durable) can recover it as snapshot + WAL
+//! suffix after a crash.
 //!
 //! The log is an *effect* log: each record describes a mutation that already
-//! completed (an account installed, a ratchet advanced, a token spent), so
+//! completed (an account installed, a round opened, a token spent), so
 //! replay never re-runs RNG-dependent code paths and never re-derives a
-//! closed round's master secret. What is deliberately **not** persisted:
+//! closed round's master secret.
+//!
+//! The PKG ratchet positions are the one secret here, and they are in
+//! neither the snapshot nor the WAL. They live in [`RATCHET_FILE`], replaced
+//! atomically at every add-friend open ([`write_ratchets`]); the rename
+//! unlinks the superseded position. The file records how many add-friend
+//! opens its ratchets reflect, so [`recover_ratchets`] can catch up an open
+//! that reached the journal but not the file. What is deliberately **not**
+//! persisted:
 //!
 //! * pending registrations (the emailed confirmation token restarts the
 //!   idempotent flow),
@@ -21,18 +30,24 @@
 //! * any per-round master secret (forward secrecy — only the forward-only
 //!   ratchet position touches disk).
 
+use std::path::Path;
+
 use alpenhorn_ibe::sig::VerifyingKey;
 use alpenhorn_storage::codec::{get_identity, put_identity};
-use alpenhorn_storage::{Persist, StorageError};
+use alpenhorn_storage::{snapshot, Persist, StorageError};
 use alpenhorn_wire::{Decoder, Encoder, Identity, Round, G1_LEN, SIGNING_PK_LEN};
 
 use crate::cluster::Cluster;
 use crate::ratelimit::{TokenIssuer, TokenVerifier};
 
-/// Snapshot payload version; bump on any change to the snapshot layout or to
-/// a record kind's payload encoding (no negotiation — see the versioning
-/// rules in `docs/ARCHITECTURE.md`).
-const SNAPSHOT_VERSION: u8 = 1;
+/// Snapshot and ratchet-file payload version; bump on any change to either
+/// layout or to a record kind's payload encoding (no negotiation — see the
+/// versioning rules in `docs/ARCHITECTURE.md`).
+const SNAPSHOT_VERSION: u8 = 2;
+
+/// The PKG ratchet file inside the data directory: one storage record
+/// holding the add-friend open count and every PKG's ratchet position.
+pub const RATCHET_FILE: &str = "pkg-ratchets.key";
 
 /// A completed registration was installed at every PKG.
 pub const REC_ACCOUNT_REGISTERED: u8 = 0x01;
@@ -44,7 +59,8 @@ pub const REC_ACCOUNT_TOUCHED: u8 = 0x03;
 pub const REC_TOKEN_ISSUED: u8 = 0x04;
 /// A rate-limit token was spent (double-spend ledger entry).
 pub const REC_TOKEN_SPENT: u8 = 0x05;
-/// An add-friend round opened (every PKG ratchet advanced once).
+/// An add-friend round opened (every PKG ratchet advanced once; the new
+/// positions go to [`RATCHET_FILE`], not here).
 pub const REC_ADD_FRIEND_ROUND_BEGUN: u8 = 0x06;
 /// A dialing round opened (round counter advanced).
 pub const REC_DIALING_ROUND_BEGUN: u8 = 0x07;
@@ -65,6 +81,10 @@ pub struct CoordinatorCore {
     /// The next round an automatic round driver should open (one past the
     /// highest round ever begun).
     pub next_round: Round,
+    /// Add-friend rounds whose open reached the journal.
+    pub add_friend_opens: u64,
+    /// Dialing rounds whose open reached the journal.
+    pub dialing_opens: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -115,18 +135,79 @@ fn get_u64_payload(payload: &[u8], context: &'static str) -> Result<u64, Storage
     Ok(value)
 }
 
+/// Atomically replaces `dir`'s [`RATCHET_FILE`] with every PKG's current
+/// ratchet position, tagged with the add-friend open count it reflects. The
+/// rename unlinks the superseded positions (the erasure half of §4.4 forward
+/// secrecy). The caller must have made the matching round-open record
+/// durable first: the file may lag the journal, never lead it.
+pub fn write_ratchets(dir: &Path, core: &CoordinatorCore) -> Result<(), StorageError> {
+    let ratchets = core.cluster.pkg_ratchets();
+    let mut e = Encoder::new();
+    e.put_u8(SNAPSHOT_VERSION);
+    e.put_u64(core.add_friend_opens);
+    e.put_u32(ratchets.len() as u32);
+    for ratchet in &ratchets {
+        e.put_bytes(ratchet);
+    }
+    snapshot::write_atomic(dir.join(RATCHET_FILE), &e.finish())
+}
+
+/// Installs the PKG ratchet positions after snapshot + WAL replay: the file's
+/// positions (the seed-derived ones when there is no file yet), advanced once
+/// per journalled add-friend open the file does not reflect — at most one
+/// after a crash between the round-open append and the file rewrite.
+///
+/// A file ahead of the journal, for another PKG count, or corrupt is an
+/// error, and nothing on disk is touched: starting from the wrong position
+/// would serve round keys no uncrashed deployment would have.
+pub fn recover_ratchets(dir: &Path, core: &mut CoordinatorCore) -> Result<(), StorageError> {
+    let (reflected_opens, ratchets) = match snapshot::read(dir.join(RATCHET_FILE))? {
+        None => (0, None),
+        Some(payload) => {
+            let mut d = Decoder::new(&payload);
+            if d.get_u8("ratchet file version")? != SNAPSHOT_VERSION {
+                return Err(StorageError::BadPayload {
+                    context: "unsupported PKG ratchet file version",
+                });
+            }
+            let opens = d.get_u64("ratchet file open count")?;
+            let count = d.get_u32("ratchet file PKG count")? as usize;
+            if count != core.cluster.num_pkgs() {
+                return Err(StorageError::BadPayload {
+                    context: "PKG ratchet file count does not match the deployment",
+                });
+            }
+            let mut ratchets = Vec::with_capacity(count);
+            for _ in 0..count {
+                ratchets.push(d.get_array::<32>("ratchet file position")?);
+            }
+            d.finish()?;
+            (opens, Some(ratchets))
+        }
+    };
+    let behind =
+        core.add_friend_opens
+            .checked_sub(reflected_opens)
+            .ok_or(StorageError::BadPayload {
+                context: "PKG ratchet file is ahead of the journal",
+            })?;
+    if let Some(ratchets) = ratchets {
+        core.cluster.restore_pkg_ratchets(&ratchets);
+    }
+    for _ in 0..behind {
+        core.cluster.skip_add_friend_round();
+    }
+    Ok(())
+}
+
 impl Persist for CoordinatorCore {
     fn encode_snapshot(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_u8(SNAPSHOT_VERSION);
         e.put_u64(self.cluster.now());
         e.put_u64(self.next_round.as_u64());
-
-        let ratchets = self.cluster.pkg_ratchets();
-        e.put_u32(ratchets.len() as u32);
-        for ratchet in &ratchets {
-            e.put_bytes(ratchet);
-        }
+        e.put_u64(self.add_friend_opens);
+        e.put_u64(self.dialing_opens);
 
         let registry = self.cluster.account_registry();
         let accounts: Vec<_> = registry.accounts().collect();
@@ -184,17 +265,8 @@ impl Persist for CoordinatorCore {
         }
         let now = d.get_u64("snapshot clock")?;
         let next_round = d.get_u64("snapshot round counter")?;
-
-        let ratchet_count = d.get_u32("snapshot ratchet count")? as usize;
-        if ratchet_count != self.cluster.num_pkgs() {
-            return Err(StorageError::BadPayload {
-                context: "snapshot PKG count does not match the deployment",
-            });
-        }
-        let mut ratchets = Vec::with_capacity(ratchet_count);
-        for _ in 0..ratchet_count {
-            ratchets.push(d.get_array::<32>("snapshot ratchet")?);
-        }
+        let add_friend_opens = d.get_u64("snapshot add-friend opens")?;
+        let dialing_opens = d.get_u64("snapshot dialing opens")?;
 
         // Counts come from disk: never reserve on their say-so (a tampered
         // or corrupt count must fail on decode, not abort on allocation).
@@ -240,7 +312,8 @@ impl Persist for CoordinatorCore {
         // All fields decoded; now install them.
         self.cluster.set_now(now);
         self.next_round = Round(next_round);
-        self.cluster.restore_pkg_ratchets(&ratchets);
+        self.add_friend_opens = add_friend_opens;
+        self.dialing_opens = dialing_opens;
         for (identity, key, last_seen) in accounts {
             self.cluster.restore_registration(&identity, key, last_seen);
         }
@@ -309,11 +382,12 @@ impl Persist for CoordinatorCore {
             }
             REC_ADD_FRIEND_ROUND_BEGUN => {
                 let round = get_u64_payload(payload, "add-friend round")?;
-                self.cluster.skip_add_friend_round();
+                self.add_friend_opens += 1;
                 self.next_round = Round(self.next_round.as_u64().max(round + 1));
             }
             REC_DIALING_ROUND_BEGUN => {
                 let round = get_u64_payload(payload, "dialing round")?;
+                self.dialing_opens += 1;
                 self.next_round = Round(self.next_round.as_u64().max(round + 1));
             }
             REC_CLOCK_ADVANCED => {

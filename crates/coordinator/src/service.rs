@@ -83,6 +83,8 @@ fn build_core(cluster: Cluster, config: ServiceConfig) -> CoordinatorCore {
         issuer,
         verifier,
         next_round: Round::FIRST,
+        add_friend_opens: 0,
+        dialing_opens: 0,
     }
 }
 
@@ -108,9 +110,11 @@ impl CoordinatorService {
     /// way has fully recovered before it accepts its first connection.
     ///
     /// `cluster` must be freshly built from the same [`ClusterConfig`]
-    /// (seed included) as the crashed deployment: long-term keys are
-    /// re-derived from the seed, while the journal restores everything that
-    /// evolved at runtime.
+    /// (seed included) as the crashed deployment, with any remote mixers
+    /// already connected: long-term keys are re-derived from the seed, while
+    /// the journal and the PKG ratchet file restore everything that evolved
+    /// at runtime, and both mix chains resume their round numbering after
+    /// the journalled opens.
     ///
     /// [`ClusterConfig`]: crate::cluster::ClusterConfig
     pub fn with_storage(
@@ -119,7 +123,13 @@ impl CoordinatorService {
         data_dir: impl AsRef<Path>,
         storage: StorageConfig,
     ) -> Result<(Self, RecoveryReport), StorageError> {
-        let (core, report) = Durable::open(build_core(cluster, config), data_dir, storage)?;
+        let data_dir = data_dir.as_ref();
+        let (mut core, report) = Durable::open(build_core(cluster, config), data_dir, storage)?;
+        let state = core.state_mut();
+        persist::recover_ratchets(data_dir, state)?;
+        state
+            .cluster
+            .resume_mix_rounds(state.add_friend_opens, state.dialing_opens);
         Ok((CoordinatorService { core }, report))
     }
 
@@ -187,10 +197,15 @@ impl CoordinatorService {
     fn journal(&mut self, kind: u8, payload: &[u8]) -> Result<(), RpcError> {
         self.core
             .record(kind, payload)
-            .map_err(|e| RpcError::Unavailable {
-                detail: format!("durable log write failed: {e}"),
-                retry_after_ms: STORAGE_RETRY_AFTER_MS,
-            })
+            .map_err(|e| storage_unavailable("durable log write", e))
+    }
+
+    /// Compacts the snapshot + WAL once `checkpoint_every_records` records
+    /// have accumulated. Called at round boundaries only, so no client RPC
+    /// ever waits on a full-state encode. A failure is not surfaced: every
+    /// record is already durable, and the next boundary retries.
+    fn compact_if_due(&mut self) {
+        let _ = self.core.checkpoint_if_due();
     }
 
     /// Handles one decoded request, producing a response. Never panics on
@@ -441,6 +456,7 @@ impl CoordinatorService {
                         {
                             return Response::Error(e);
                         }
+                        self.compact_if_due();
                         Response::AddFriendRoundInfo(add_friend_wire(&info, rate_limited))
                     }
                     Err(e) => Response::Error(e.into()),
@@ -450,6 +466,7 @@ impl CoordinatorService {
                 match self.cluster_mut().close_add_friend_round(round) {
                     Ok(stats) => {
                         count_round_close(RoundKind::AddFriend, &stats);
+                        self.compact_if_due();
                         Response::RoundClosed(round_stats_wire(&stats))
                     }
                     Err(e) => Response::Error(e.into()),
@@ -468,6 +485,7 @@ impl CoordinatorService {
                         if let Err(e) = self.round_begun(persist::REC_DIALING_ROUND_BEGUN, round) {
                             return Response::Error(e);
                         }
+                        self.compact_if_due();
                         Response::DialingRoundInfo(dialing_wire(&info, rate_limited))
                     }
                     Err(e) => Response::Error(e.into()),
@@ -477,6 +495,7 @@ impl CoordinatorService {
                 match self.cluster_mut().close_dialing_round(round) {
                     Ok(stats) => {
                         count_round_close(RoundKind::Dialing, &stats);
+                        self.compact_if_due();
                         Response::RoundClosed(round_stats_wire(&stats))
                     }
                     Err(e) => Response::Error(e.into()),
@@ -499,35 +518,48 @@ impl CoordinatorService {
         self.core.state().verifier.clone()
     }
 
-    /// Journals a begun round and advances the persistent round counter. An
-    /// add-friend round additionally forces a checkpoint: opening the round
-    /// advanced every PKG ratchet, and compaction deletes the files holding
-    /// the superseded ratchet position, keeping forward secrecy for closed
-    /// rounds even against disk theft.
+    /// Journals a begun round, advancing the persistent round counter and
+    /// the protocol's open count. Opening an add-friend round also advanced
+    /// every PKG ratchet: once the round-open record is durable, the new
+    /// positions replace [`persist::RATCHET_FILE`], whose rename unlinks the
+    /// superseded ones — forward secrecy for closed rounds even against disk
+    /// theft.
     fn round_begun(&mut self, kind: u8, round: Round) -> Result<(), RpcError> {
         {
             let core = self.core.state_mut();
             core.next_round = Round(core.next_round.as_u64().max(round.as_u64() + 1));
         }
-        let journalled = self.journal(kind, &persist::u64_payload(round.as_u64()));
-        let result = match journalled {
-            Ok(()) if kind == persist::REC_ADD_FRIEND_ROUND_BEGUN => {
-                self.core.checkpoint().map_err(|e| RpcError::Unavailable {
-                    detail: format!("durable checkpoint failed: {e}"),
-                    retry_after_ms: STORAGE_RETRY_AFTER_MS,
-                })
-            }
-            other => other,
-        };
+        let add_friend = kind == persist::REC_ADD_FRIEND_ROUND_BEGUN;
+        let result = self
+            .journal(kind, &persist::u64_payload(round.as_u64()))
+            .and_then(|()| {
+                if !add_friend {
+                    self.core.state_mut().dialing_opens += 1;
+                    return Ok(());
+                }
+                // Under `--sync-every N` the record may still be buffered;
+                // the ratchet file must never be ahead of the journal.
+                self.core
+                    .sync()
+                    .map_err(|e| storage_unavailable("durable log sync", e))?;
+                self.core.state_mut().add_friend_opens += 1;
+                match self.core.dir() {
+                    Some(dir) => persist::write_ratchets(dir, self.core.state())
+                        .map_err(|e| storage_unavailable("PKG ratchet file write", e)),
+                    None => Ok(()),
+                }
+            });
         if let Err(e) = result {
             // The open could not be made durable, so the round must not be
             // served: abandon it before any client can fetch its info. (The
-            // PKG ratchet advance cannot roll back — it is one-way by design
-            // — but since no client ever sees this round, a recovery that
-            // misses the advance still interoperates: clients fetch fresh
-            // round keys every round and never pin server ratchet state.)
+            // PKG ratchet advance cannot roll back — it is one-way by design.
+            // If the record is durable but the file is not, recovery replays
+            // the advance from the journal; if the record is lost too, a
+            // recovery that misses the advance still interoperates, since no
+            // client ever saw this round: clients fetch fresh round keys
+            // every round and never pin server ratchet state.)
             let cluster = self.cluster_mut();
-            if kind == persist::REC_ADD_FRIEND_ROUND_BEGUN {
+            if add_friend {
                 cluster.abandon_open_add_friend_round();
             } else {
                 cluster.abandon_open_dialing_round();
@@ -679,6 +711,14 @@ impl CoordinatorService {
             return Err(e);
         }
         Ok(())
+    }
+}
+
+/// A retryable storage fault, typed for the client.
+fn storage_unavailable(what: &str, e: StorageError) -> RpcError {
+    RpcError::Unavailable {
+        detail: format!("{what} failed: {e}"),
+        retry_after_ms: STORAGE_RETRY_AFTER_MS,
     }
 }
 

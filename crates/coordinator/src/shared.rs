@@ -77,8 +77,8 @@ struct ReadSnapshot {
     dialing: Option<OpenRoundSnapshot<DialingRoundWire>>,
     verifier: Option<Arc<TokenVerifier>>,
     journal: Journal,
-    add_friend_mailboxes: HashMap<u64, Arc<AddFriendMailboxes>>,
-    dialing_mailboxes: HashMap<u64, Arc<DialingMailboxes>>,
+    add_friend_mailboxes: Arc<HashMap<u64, Arc<AddFriendMailboxes>>>,
+    dialing_mailboxes: Arc<HashMap<u64, Arc<DialingMailboxes>>>,
     cdn_stats: Arc<CdnStats>,
 }
 

@@ -152,6 +152,13 @@ impl RemoteMixChain {
         self.begin_round_for(Round(round))
     }
 
+    /// Makes the next [`begin_round`](Self::begin_round) open round id
+    /// `next_round`, as [`MixChain::resume_at`](alpenhorn_mixnet::MixChain::resume_at)
+    /// does in-process.
+    pub fn resume_at(&mut self, next_round: u64) {
+        self.next_auto_round = next_round;
+    }
+
     /// Opens an explicit round id on every mixer. Idempotent: re-begin after
     /// a failure returns the identical keys.
     pub fn begin_round_for(&mut self, round: Round) -> Result<Vec<DhPublic>, MixdError> {

@@ -200,6 +200,14 @@ impl MixChain {
         self.servers.iter_mut().map(|s| s.begin_round()).collect()
     }
 
+    /// Makes the next [`MixChain::begin_round`] open round id `next_round`
+    /// on every server (see [`MixServer::resume_at`]).
+    pub fn resume_at(&mut self, next_round: u64) {
+        for server in &mut self.servers {
+            server.resume_at(next_round);
+        }
+    }
+
     /// Ends the round on every server, erasing round keys.
     pub fn end_round(&mut self) {
         for server in &mut self.servers {

@@ -133,6 +133,13 @@ impl MixServer {
         self.begin_round_for(round)
     }
 
+    /// Makes the next [`MixServer::begin_round`] open round id `next_round`.
+    /// A restarted deployment resumes the numbering here: starting again
+    /// from 0 would re-derive onion keys that earlier rounds already served.
+    pub fn resume_at(&mut self, next_round: u64) {
+        self.next_auto_round = next_round;
+    }
+
     /// Begins (or re-derives) round `round` and returns its onion public key.
     ///
     /// Idempotent: the keypair is a pure function of (seed, round id), so a

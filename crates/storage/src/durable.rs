@@ -28,10 +28,13 @@
 //!   newest wins and the stale one is deleted on open;
 //! * torn WAL tail → truncated to the last valid record (see [`crate::wal`]).
 //!
-//! Checkpoints are also the compaction *and erasure* mechanism: once the old
-//! generation is deleted, secrets that were rotated out of the state (e.g.
-//! superseded PKG ratchet positions) no longer exist anywhere on disk —
-//! which is why the coordinator forces a checkpoint on every ratchet advance.
+//! Checkpoints are a compaction mechanism only, and they never run inside
+//! [`Durable::record`]: the owner decides when a full-state encode is
+//! affordable and calls [`Durable::checkpoint_if_due`] there (the
+//! coordinator does so at round boundaries). A secret that must be erased
+//! when it rotates does not belong in the snapshot, whose cadence follows
+//! log length; keep it in its own small file replaced with
+//! [`snapshot::write_atomic`] (the coordinator's `pkg-ratchets.key`).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -61,8 +64,9 @@ pub struct StorageConfig {
     /// Fsync the WAL after this many appends (1 = every append). A crash
     /// loses at most the unsynced suffix.
     pub sync_every: u32,
-    /// Automatically checkpoint after this many records accumulate in the
-    /// WAL. Explicit [`Durable::checkpoint`] calls reset the counter too.
+    /// [`Durable::checkpoint_if_due`] checkpoints once this many records
+    /// have accumulated in the WAL. Explicit [`Durable::checkpoint`] calls
+    /// reset the counter too.
     pub checkpoint_every_records: u64,
 }
 
@@ -267,29 +271,39 @@ impl<T: Persist> Durable<T> {
         self.backing.as_ref().map_or(0, |b| b.generation)
     }
 
-    /// Appends one effect record describing an already-applied mutation,
-    /// checkpointing if the WAL has grown past the configured threshold.
+    /// The data directory (`None` for ephemeral stores).
+    pub fn dir(&self) -> Option<&Path> {
+        self.backing.as_ref().map(|b| b.dir.as_path())
+    }
+
+    /// Appends one effect record describing an already-applied mutation.
+    /// Never checkpoints: compaction runs only where the owner calls
+    /// [`Durable::checkpoint_if_due`], so no append pays for a full-state
+    /// encode.
     ///
     /// An `Err` means the record is **not** durable (the WAL rolls a failed
     /// append back), so callers may undo the in-memory mutation and have the
-    /// client retry. A *checkpoint* failure after a successful append is
-    /// deliberately not surfaced here: the record is already durable, so
-    /// reporting failure would trigger exactly the wrong rollback; the
-    /// compaction retries on the next append (the counter stays above the
-    /// threshold until a checkpoint succeeds).
+    /// client retry.
     pub fn record(&mut self, kind: u8, payload: &[u8]) -> Result<(), StorageError> {
-        let Some(backing) = &self.backing else {
-            return Ok(());
-        };
-        backing.wal.append(kind, payload)?;
-        // The counter also covers records appended through Journal handles
-        // on concurrent fast paths; those cannot checkpoint themselves (a
-        // checkpoint needs exclusive access to encode the state), so the
-        // next exclusive-path record compacts for them.
-        if backing.wal.appends_since_swap() >= backing.config.checkpoint_every_records {
-            let _ = self.checkpoint();
+        match &self.backing {
+            Some(backing) => backing.wal.append(kind, payload),
+            None => Ok(()),
         }
-        Ok(())
+    }
+
+    /// Checkpoints if at least [`StorageConfig::checkpoint_every_records`]
+    /// records — from [`Durable::record`] and from [`Journal`] handles alike
+    /// — have been appended since the last checkpoint. On failure the
+    /// counter stays above the threshold, so the next call retries.
+    pub fn checkpoint_if_due(&mut self) -> Result<(), StorageError> {
+        match &self.backing {
+            Some(backing)
+                if backing.wal.appends_since_swap() >= backing.config.checkpoint_every_records =>
+            {
+                self.checkpoint()
+            }
+            _ => Ok(()),
+        }
     }
 
     /// A cloneable handle for appending effect records from concurrent fast
@@ -304,8 +318,8 @@ impl<T: Persist> Durable<T> {
     }
 
     /// Writes a fresh snapshot generation and starts an empty WAL, then
-    /// deletes the previous generation's files (compaction + erasure of
-    /// rotated-out secrets). No-op for ephemeral stores.
+    /// deletes the previous generation's files (compaction). No-op for
+    /// ephemeral stores.
     ///
     /// Failure-atomic: if starting the new generation's WAL fails after its
     /// snapshot was written, the snapshot is removed again before returning,
@@ -474,14 +488,25 @@ mod tests {
             checkpoint_every_records: 4,
         };
         let (mut d, _) = Durable::open(Tally::default(), &dir, config).unwrap();
+        d.checkpoint_if_due().unwrap();
+        assert_eq!(d.generation(), 0, "nothing due on an empty WAL");
         for i in 0..10 {
             commit(&mut d, 1, i);
         }
-        assert!(d.generation() >= 2, "two auto-checkpoints expected");
+        assert_eq!(d.generation(), 0, "appends never checkpoint by themselves");
+        d.checkpoint_if_due().unwrap();
+        assert_eq!(d.generation(), 1, "ten records are past the threshold");
+        d.checkpoint_if_due().unwrap();
+        assert_eq!(d.generation(), 1, "the checkpoint reset the counter");
+        for i in 10..13 {
+            commit(&mut d, 1, i);
+        }
+        d.checkpoint_if_due().unwrap();
+        assert_eq!(d.generation(), 1, "three records are below the threshold");
         drop(d);
         let (d, report) = Durable::open(Tally::default(), &dir, config).unwrap();
-        assert_eq!(d.state().totals.get(&1), Some(&45));
-        assert!(report.records_replayed < 4);
+        assert_eq!(d.state().totals.get(&1), Some(&78));
+        assert_eq!(report.records_replayed, 3);
         std::fs::remove_dir_all(dir).unwrap();
     }
 

@@ -82,7 +82,8 @@ struct Inner {
     /// Bumped by [`GroupWal::checkpoint_swap`]; a parked appender that
     /// observes a bump returns `Ok` — the new snapshot supersedes its record.
     generation: u64,
-    /// Appends since the last checkpoint swap (drives auto-checkpointing).
+    /// Appends since the last checkpoint swap (drives
+    /// `Durable::checkpoint_if_due`).
     appends_since_swap: u64,
 }
 
@@ -100,7 +101,8 @@ impl GroupWal {
     /// Wraps an open WAL. `wal` should have been opened with a batching
     /// threshold it never reaches (`u32::MAX`): the group owns all fsync
     /// scheduling. `replayed` seeds the append counter that drives
-    /// auto-checkpointing (the records recovered into the current WAL).
+    /// `Durable::checkpoint_if_due` (the records recovered into the current
+    /// WAL).
     pub fn new(wal: Wal, sync_every: u32, replayed: u64) -> Self {
         let durable_len = wal.len_bytes();
         GroupWal {

@@ -19,8 +19,9 @@
 //!   renamed, so a crash mid-snapshot leaves the previous generation intact.
 //! * [`durable`] — [`Durable<T: Persist>`](durable::Durable), the generic
 //!   replay engine tying the two together: state is recovered as
-//!   *snapshot + log suffix*, mutations append effect records, and periodic
-//!   checkpoints compact the log into a fresh snapshot generation.
+//!   *snapshot + log suffix*, mutations append effect records, and
+//!   checkpoints — run only where the owner calls `checkpoint_if_due`, never
+//!   inside an append — compact the log into a fresh snapshot generation.
 //! * [`group`] — [`GroupWal`](group::GroupWal), leader-based group commit
 //!   over one WAL so concurrent appenders batch their fsyncs, plus the
 //!   cloneable [`Journal`](group::Journal) handle that lets fast-path
@@ -32,9 +33,11 @@
 //! versioned, and recovery is a single forward scan.
 //!
 //! Consumers: the coordinator (`alpenhorn-coordinator`) journals cluster
-//! registrations, round counters, PKG ratchet positions, and rate-limit
-//! budgets; the client (`alpenhorn`) saves and loads its full state (see
-//! `Client::save_state`). See `docs/ARCHITECTURE.md` § "Durability &
+//! registrations, round counters and open counts, and rate-limit budgets,
+//! and keeps the PKG ratchet positions out of the journal in one small
+//! secret file it replaces with [`snapshot::write_atomic`] at every
+//! add-friend open; the client (`alpenhorn`) saves and loads its full state
+//! (see `Client::save_state`). See `docs/ARCHITECTURE.md` § "Durability &
 //! recovery" for the format and compatibility rules.
 
 #![forbid(unsafe_code)]

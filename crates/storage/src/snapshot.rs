@@ -8,7 +8,9 @@
 //! Writes are crash-safe by construction: the record is written to a `.tmp`
 //! sibling, fsynced, and atomically renamed over the final name; the
 //! directory is then fsynced so the rename itself is durable. At no point is
-//! a partially-written file visible under the final name.
+//! a partially-written file visible under the final name, and the rename
+//! unlinks the file it replaces — which is why the coordinator also keeps
+//! its one rotating secret (`pkg-ratchets.key`) in a file written this way.
 
 use std::fs::File;
 use std::io::Write;

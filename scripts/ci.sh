@@ -133,11 +133,15 @@ fi
 
 # Crash-recovery smoke: start a durable alpenhornd, run a full seeded
 # scenario with a SIGKILL + restart between rounds, and require the client
-# event stream to be byte-identical to an uncrashed daemon's. The test
-# spawns the release alpenhornd built above (same profile as this stage's
-# test harness).
-stage "crash-recovery smoke (SIGKILL alpenhornd --data-dir, restart, finish scenario)"
-cargo test -q --release --test crash_recovery -- --ignored
+# event stream, the post-restart pkg_publics and the onion keys to be
+# byte-identical to an uncrashed daemon's. The in-process tests ride along:
+# PKG ratchet file twins (plain restart, crash between WAL append and file
+# rewrite), no onion key re-served, no superseded ratchet on disk, typed
+# refusal of a bad ratchet file, compaction only at round boundaries. The
+# SIGKILL test spawns the release alpenhornd built above (same profile as
+# this stage's test harness).
+stage "crash-recovery smoke (SIGKILL alpenhornd --data-dir, restart, finish scenario; ratchet file)"
+cargo test -q --release --test crash_recovery -- --include-ignored
 
 # Chaos gate: seeded fault plans (request/response drops, delays, duplicate
 # deliveries, frame corruption, scripted mid-run disconnects) over retrying

@@ -4,7 +4,10 @@
 //! restart of the coordinator *between rounds* yields exactly the same
 //! [`ClientEvent`] sequence as an uncrashed run — previously registered
 //! clients complete the add-friend handshake and a dial against the
-//! recovered deployment, byte-identically.
+//! recovered deployment, byte-identically. Event equality cannot see a
+//! wrong PKG ratchet or a reused onion key (clients fetch fresh keys every
+//! round), so the round infos served after the restart — `pkg_publics` and
+//! `onion_keys` — must match the uncrashed run's too.
 //!
 //! Two deployment shapes run the same scenario:
 //!
@@ -16,7 +19,8 @@
 //!   `crash-recovery smoke` stage of `scripts/ci.sh` (the daemon binary must
 //!   already be built).
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use alpenhorn::{
     Client, ClientConfig, ClientEvent, Identity, LoopbackTransport, TcpTransport, Transport,
@@ -24,7 +28,8 @@ use alpenhorn::{
 use alpenhorn_coordinator::service::{CoordinatorService, RateLimitPolicy, ServiceConfig};
 use alpenhorn_coordinator::{Cluster, ClusterConfig};
 use alpenhorn_ibe::sig::VerifyingKey;
-use alpenhorn_storage::StorageConfig;
+use alpenhorn_storage::{RecoveryReport, StorageConfig, StorageError};
+use alpenhorn_wire::rpc::{AddFriendRoundWire, DialingRoundWire};
 use alpenhorn_wire::{Request, Response, Round};
 
 const SCENARIO_SEED: u8 = 64;
@@ -71,11 +76,20 @@ fn pkg_keys<T: Transport>(net: &mut T) -> Vec<VerifyingKey> {
         .collect()
 }
 
+/// What one run of the scenario observed.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// Every client event, in order.
+    events: Vec<(String, ClientEvent)>,
+    /// Every `Begin*Round` reply (round info with PKG publics and onion
+    /// keys), in order.
+    opens: Vec<Response>,
+}
+
 /// The full seeded scenario: register two clients, run add-friend round 1,
 /// **crash the deployment**, then complete the handshake in round 2 and a
 /// dial in the following dialing rounds — all against the recovered state.
-/// Returns every client event in order.
-fn run_scenario<D: Deployment>(deploy: &mut D) -> Vec<(String, ClientEvent)> {
+fn run_scenario<D: Deployment>(deploy: &mut D) -> Observed {
     let mut admin_net = deploy.connect();
     let mut alice_net = deploy.connect();
     let mut bob_net = deploy.connect();
@@ -98,6 +112,7 @@ fn run_scenario<D: Deployment>(deploy: &mut D) -> Vec<(String, ClientEvent)> {
     alice.add_friend(id("bob@gmail.com"), None);
 
     let mut events: Vec<(String, ClientEvent)> = Vec::new();
+    let mut opens: Vec<Response> = Vec::new();
     let mut keywheel_start = Round(0);
     let run_add_friend = |round: Round,
                           admin_net: &mut D::Net,
@@ -106,14 +121,15 @@ fn run_scenario<D: Deployment>(deploy: &mut D) -> Vec<(String, ClientEvent)> {
                           alice: &mut Client,
                           bob: &mut Client,
                           events: &mut Vec<(String, ClientEvent)>,
+                          opens: &mut Vec<Response>,
                           keywheel_start: &mut Round| {
-        admin(
+        opens.push(admin(
             admin_net,
             Request::BeginAddFriendRound {
                 round,
                 expected_real: 2,
             },
-        );
+        ));
         alice.participate_add_friend(alice_net).unwrap();
         bob.participate_add_friend(bob_net).unwrap();
         admin(admin_net, Request::CloseAddFriendRound { round });
@@ -136,6 +152,7 @@ fn run_scenario<D: Deployment>(deploy: &mut D) -> Vec<(String, ClientEvent)> {
         &mut alice,
         &mut bob,
         &mut events,
+        &mut opens,
         &mut keywheel_start,
     );
 
@@ -156,6 +173,7 @@ fn run_scenario<D: Deployment>(deploy: &mut D) -> Vec<(String, ClientEvent)> {
         &mut alice,
         &mut bob,
         &mut events,
+        &mut opens,
         &mut keywheel_start,
     );
     assert!(
@@ -165,13 +183,13 @@ fn run_scenario<D: Deployment>(deploy: &mut D) -> Vec<(String, ClientEvent)> {
 
     alice.call(id("bob@gmail.com"), 1).unwrap();
     for r in 1..=keywheel_start.as_u64() {
-        admin(
+        opens.push(admin(
             &mut admin_net,
             Request::BeginDialingRound {
                 round: Round(r),
                 expected_real: 2,
             },
-        );
+        ));
         if let Some(event) = alice.participate_dialing(&mut alice_net).unwrap() {
             events.push(("alice".into(), event));
         }
@@ -189,7 +207,7 @@ fn run_scenario<D: Deployment>(deploy: &mut D) -> Vec<(String, ClientEvent)> {
             events.push(("bob".into(), event));
         }
     }
-    events
+    Observed { events, opens }
 }
 
 fn service_config() -> ServiceConfig {
@@ -261,20 +279,26 @@ fn crashed_and_recovered_coordinator_yields_identical_events() {
 
     // The scenario must actually exercise the protocol end to end.
     assert!(baseline
+        .events
         .iter()
         .any(|(who, e)| who == "alice" && e.is_friend_confirmed()));
     assert!(baseline
+        .events
         .iter()
         .any(|(who, e)| who == "bob" && matches!(e, ClientEvent::FriendRequestReceived { .. })));
     assert!(baseline
+        .events
         .iter()
         .any(|(who, e)| who == "alice" && matches!(e, ClientEvent::OutgoingCallPlaced { .. })));
     assert!(baseline
+        .events
         .iter()
         .any(|(who, e)| who == "bob" && e.is_incoming_call()));
 
+    // Same PKG publics and onion keys served after the restart.
+    assert_eq!(baseline.opens, crashed.opens);
     // Typed equality, then byte equality of the rendered sequences.
-    assert_eq!(baseline, crashed);
+    assert_eq!(baseline.events, crashed.events);
     let render = |events: &[(String, ClientEvent)]| {
         events
             .iter()
@@ -283,8 +307,8 @@ fn crashed_and_recovered_coordinator_yields_identical_events() {
             .join("\n")
     };
     assert_eq!(
-        render(&baseline).into_bytes(),
-        render(&crashed).into_bytes()
+        render(&baseline.events).into_bytes(),
+        render(&crashed.events).into_bytes()
     );
 
     let _ = std::fs::remove_dir_all(baseline_dir);
@@ -335,6 +359,334 @@ fn spent_tokens_and_registrations_survive_recovery() {
     admin(&mut net, Request::CloseAddFriendRound { round: Round(2) });
     alice.process_add_friend_mailbox(&mut net).unwrap();
 
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// PKG ratchet file, mix-round numbering, and compaction placement.
+// ---------------------------------------------------------------------------
+
+const RATCHET_SEED: u8 = 9;
+
+/// A small threshold, so round boundaries compact and recovery also runs
+/// through a v2 snapshot rather than only a WAL.
+const SMALL_CHECKPOINTS: StorageConfig = StorageConfig {
+    sync_every: 1,
+    checkpoint_every_records: 2,
+};
+
+fn open_with(
+    config: ClusterConfig,
+    dir: &Path,
+) -> Result<(CoordinatorService, RecoveryReport), StorageError> {
+    CoordinatorService::with_storage(
+        Cluster::new(config),
+        ServiceConfig::default(),
+        dir,
+        SMALL_CHECKPOINTS,
+    )
+}
+
+fn open_durable(dir: &Path) -> CoordinatorService {
+    match open_with(ClusterConfig::test(RATCHET_SEED), dir) {
+        Ok((service, _)) => service,
+        Err(e) => panic!("durable service opens: {e}"),
+    }
+}
+
+fn open_error(config: ClusterConfig, dir: &Path) -> StorageError {
+    match open_with(config, dir) {
+        Ok(_) => panic!("recovery must refuse this data dir"),
+        Err(e) => e,
+    }
+}
+
+/// One add-friend round, begun and closed; returns the begin reply.
+fn add_friend_round(service: &mut CoordinatorService, round: u64) -> AddFriendRoundWire {
+    let Response::AddFriendRoundInfo(info) = service.handle(Request::BeginAddFriendRound {
+        round: Round(round),
+        expected_real: 1,
+    }) else {
+        panic!("add-friend round {round} opens");
+    };
+    let closed = service.handle(Request::CloseAddFriendRound {
+        round: Round(round),
+    });
+    assert!(matches!(closed, Response::RoundClosed(_)));
+    info
+}
+
+/// One dialing round, begun and closed; returns the begin reply.
+fn dialing_round(service: &mut CoordinatorService, round: u64) -> DialingRoundWire {
+    let Response::DialingRoundInfo(info) = service.handle(Request::BeginDialingRound {
+        round: Round(round),
+        expected_real: 1,
+    }) else {
+        panic!("dialing round {round} opens");
+    };
+    let closed = service.handle(Request::CloseDialingRound {
+        round: Round(round),
+    });
+    assert!(matches!(closed, Response::RoundClosed(_)));
+    info
+}
+
+fn ratchet_file(dir: &Path) -> PathBuf {
+    dir.join("pkg-ratchets.key")
+}
+
+/// Every file in `dir`, by name.
+fn dir_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            (
+                entry.file_name().into_string().unwrap(),
+                std::fs::read(entry.path()).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// The live snapshot generation, read off the WAL file name.
+fn generation(dir: &Path) -> u64 {
+    dir_contents(dir)
+        .keys()
+        .filter_map(|name| {
+            name.strip_prefix("wal-")?
+                .strip_suffix(".log")?
+                .parse()
+                .ok()
+        })
+        .max()
+        .expect("a durable data dir always has a WAL")
+}
+
+fn contains(haystack: &[u8], needle: &[u8]) -> bool {
+    haystack.windows(needle.len()).any(|w| w == needle)
+}
+
+/// After a restart, `BeginAddFriendRound` reveals the same `pkg_publics` as
+/// an uncrashed twin — both after a plain restart and after a crash between
+/// the round-open WAL append and the ratchet-file rewrite (simulated by
+/// putting the previous file back).
+#[test]
+fn restart_serves_the_uncrashed_twins_pkg_publics() {
+    let twin_dir = tmpdir("ratchet-twin");
+    let mut twin = open_durable(&twin_dir);
+    let expected: Vec<_> = (1..=4).map(|r| add_friend_round(&mut twin, r)).collect();
+
+    // Plain restart after round 2.
+    let restart_dir = tmpdir("ratchet-restart");
+    let mut service = open_durable(&restart_dir);
+    let mut served: Vec<_> = (1..=2).map(|r| add_friend_round(&mut service, r)).collect();
+    drop(service);
+    let mut service = open_durable(&restart_dir);
+    served.extend((3..=4).map(|r| add_friend_round(&mut service, r)));
+    assert_eq!(served, expected);
+
+    // Round 2's open reached the journal, but the file still holds round
+    // 1's positions: recovery must advance them once.
+    let dir = tmpdir("ratchet-lagging");
+    let mut service = open_durable(&dir);
+    let mut served = vec![add_friend_round(&mut service, 1)];
+    let after_round_1 = std::fs::read(ratchet_file(&dir)).unwrap();
+    served.push(add_friend_round(&mut service, 2));
+    drop(service);
+    assert_ne!(std::fs::read(ratchet_file(&dir)).unwrap(), after_round_1);
+    std::fs::write(ratchet_file(&dir), &after_round_1).unwrap();
+    let mut service = open_durable(&dir);
+    served.extend((3..=4).map(|r| add_friend_round(&mut service, r)));
+    assert_eq!(served, expected);
+
+    drop(twin);
+    for dir in [twin_dir, restart_dir, dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// A restarted coordinator resumes mix-round numbering: its onion keys
+/// equal the uncrashed twin's and differ from every earlier round's.
+#[test]
+fn restart_never_reuses_an_earlier_rounds_onion_keys() {
+    let run = |dir: &Path, crash_before: Option<u64>| {
+        let mut service = open_durable(dir);
+        let mut keys = (Vec::new(), Vec::new());
+        for r in 1..=4 {
+            if crash_before == Some(r) {
+                drop(service);
+                service = open_durable(dir);
+            }
+            keys.0.push(add_friend_round(&mut service, r).onion_keys);
+            keys.1.push(dialing_round(&mut service, r).onion_keys);
+        }
+        keys
+    };
+    let twin_dir = tmpdir("onion-twin");
+    let dir = tmpdir("onion-crashed");
+    let twin = run(&twin_dir, None);
+    let crashed = run(&dir, Some(3));
+    assert_eq!(crashed, twin);
+    for per_round in [&crashed.0, &crashed.1] {
+        for (i, keys) in per_round.iter().enumerate() {
+            for earlier in &per_round[..i] {
+                for key in keys {
+                    assert!(
+                        !earlier.contains(key),
+                        "round {} re-serves an onion key of an earlier round",
+                        i + 1
+                    );
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(twin_dir);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// After several add-friend opens no file in the data dir holds a
+/// superseded ratchet position, and the snapshot and WAL hold no position
+/// at all — only `pkg-ratchets.key` holds the current one.
+#[test]
+fn superseded_ratchets_are_erased_from_the_data_dir() {
+    let dir = tmpdir("erasure");
+    let mut service = open_durable(&dir);
+    let mut positions = vec![service.cluster().pkg_ratchets()];
+    for r in 1..=5 {
+        add_friend_round(&mut service, r);
+        dialing_round(&mut service, r);
+        positions.push(service.cluster().pkg_ratchets());
+    }
+    drop(service);
+
+    let files = dir_contents(&dir);
+    assert!(files.keys().any(|name| name.ends_with(".snap")));
+    let (current, superseded) = positions.split_last().unwrap();
+    for (name, bytes) in &files {
+        for ratchet in superseded.iter().flatten() {
+            assert!(
+                !contains(bytes, ratchet),
+                "{name} holds a superseded ratchet"
+            );
+        }
+        for ratchet in current {
+            assert_eq!(
+                contains(bytes, ratchet),
+                name == "pkg-ratchets.key",
+                "{name}: the current ratchet lives in the ratchet file only"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A ratchet file ahead of the journal, for another PKG count, or corrupt
+/// stops recovery with a typed error and leaves every file in place.
+#[test]
+fn bad_ratchet_file_refuses_recovery_and_leaves_files_in_place() {
+    let ahead_dir = tmpdir("bad-ahead-source");
+    let mut service = open_durable(&ahead_dir);
+    add_friend_round(&mut service, 1);
+    add_friend_round(&mut service, 2);
+    drop(service);
+    let dir = tmpdir("bad-file");
+    let mut service = open_durable(&dir);
+    add_friend_round(&mut service, 1);
+    drop(service);
+    let good = std::fs::read(ratchet_file(&dir)).unwrap();
+
+    let refuse = |config: ClusterConfig, file: &[u8], why: &str| {
+        std::fs::write(ratchet_file(&dir), file).unwrap();
+        let before = dir_contents(&dir);
+        let error = open_error(config, &dir);
+        assert_eq!(dir_contents(&dir), before, "{why}: files untouched");
+        error
+    };
+
+    let ahead = std::fs::read(ratchet_file(&ahead_dir)).unwrap();
+    let e = refuse(ClusterConfig::test(RATCHET_SEED), &ahead, "ahead");
+    assert!(
+        matches!(e, StorageError::BadPayload { context } if context.contains("ahead")),
+        "{e}"
+    );
+
+    let two_pkgs = ClusterConfig {
+        num_pkgs: 2,
+        ..ClusterConfig::test(RATCHET_SEED)
+    };
+    let e = refuse(two_pkgs, &good, "PKG count");
+    assert!(
+        matches!(e, StorageError::BadPayload { context } if context.contains("count")),
+        "{e}"
+    );
+
+    let mut corrupt = good.clone();
+    let byte = corrupt.len() / 2;
+    corrupt[byte] ^= 0x01;
+    let e = refuse(ClusterConfig::test(RATCHET_SEED), &corrupt, "corrupt");
+    assert!(matches!(e, StorageError::Corrupt(_)), "{e}");
+
+    // The untouched files still recover once the good file is back.
+    std::fs::write(ratchet_file(&dir), &good).unwrap();
+    drop(open_durable(&dir));
+    let _ = std::fs::remove_dir_all(ahead_dir);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Compaction runs at round boundaries only: a burst of client RPCs past
+/// the checkpoint threshold leaves the generation alone, and the next
+/// `Begin*Round`/`Close*Round` compacts.
+#[test]
+fn compaction_waits_for_the_next_round_boundary() {
+    let dir = tmpdir("compaction");
+    let storage = StorageConfig {
+        sync_every: 1,
+        checkpoint_every_records: 4,
+    };
+    let (service, _) = CoordinatorService::with_storage(
+        Cluster::new(ClusterConfig::test(SCENARIO_SEED)),
+        service_config(),
+        &dir,
+        storage,
+    )
+    .expect("durable service opens");
+    let mut net = LoopbackTransport::with_service(service);
+    let keys = pkg_keys(&mut net);
+    let mut clients: Vec<Client> = (0..4u8)
+        .map(|i| {
+            Client::new(
+                id(&format!("user{i}@example.com")),
+                keys.clone(),
+                ClientConfig::default(),
+                [10 + i; 32],
+            )
+        })
+        .collect();
+
+    // Four registrations journal four records: due, but not compacted.
+    for client in &mut clients {
+        client.register(&mut net).unwrap();
+    }
+    assert_eq!(generation(&dir), 0);
+    admin(
+        &mut net,
+        Request::BeginAddFriendRound {
+            round: Round(1),
+            expected_real: 4,
+        },
+    );
+    assert_eq!(generation(&dir), 1, "the round open compacts");
+
+    // Extract + issue + submit per client: twelve records, no compaction.
+    for client in &mut clients {
+        client.participate_add_friend(&mut net).unwrap();
+    }
+    assert_eq!(generation(&dir), 1, "client RPCs never compact");
+    admin(&mut net, Request::CloseAddFriendRound { round: Round(1) });
+    assert_eq!(generation(&dir), 2, "the round close compacts");
+
+    drop(net);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -473,8 +825,10 @@ fn sigkill_and_restart_alpenhornd_yields_identical_events() {
     ));
 
     assert!(baseline
+        .events
         .iter()
         .any(|(who, e)| who == "bob" && e.is_incoming_call()));
+    // Events, and the PKG publics and onion keys served after the restart.
     assert_eq!(baseline, crashed);
 
     let _ = std::fs::remove_dir_all(baseline_dir);

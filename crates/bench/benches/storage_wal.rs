@@ -1,6 +1,8 @@
 //! Storage snapshot: costs of the durable-state substrate (`alpenhorn-storage`)
-//! on the paths a busy coordinator exercises — record framing, WAL appends
-//! (buffered and fsynced), recovery replay, and atomic snapshots.
+//! on the paths a busy coordinator exercises — record framing, a buffered
+//! WAL append (every per-client journal record), the round-close barrier
+//! (one fsync over a round's buffered records), recovery replay, and atomic
+//! snapshots.
 //!
 //! Like `hash_hot_path` and `wire_rpc`, this target writes a machine-readable
 //! snapshot (`BENCH_pr5.json` by default, override with `BENCH_JSON_OUT`) so
@@ -12,10 +14,14 @@
 //! * `BENCH_SAMPLE_MS` — per-metric sampling budget (default 300).
 //! * `BENCH_SMOKE=1` — reduce the budget for CI smoke runs.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use alpenhorn_sim::Table;
-use alpenhorn_storage::{record, snapshot, Wal};
+use alpenhorn_storage::{record, snapshot, Durability, GroupWal, Wal};
+
+/// Records one barrier makes durable: an `af_prod`-sized round, 400 clients
+/// × (issue, extract, submit).
+const BARRIER_RECORDS: usize = 1200;
 
 fn measure_ns(budget: Duration, f: impl FnMut()) -> f64 {
     criterion::measure_mean_ns(budget, f).0
@@ -60,28 +66,37 @@ fn main() {
         }),
     ));
 
-    // Buffered appends (group commit: fsync batched far away).
+    // A buffered append through the shared log: what every per-client
+    // journal record costs its RPC.
     {
-        let (mut wal, _) = Wal::open(dir.join("buffered.log"), u32::MAX).unwrap();
+        let group = GroupWal::new(Wal::open(dir.join("buffered.log")).unwrap().0, 0);
         metrics.push((
             "wal_append_buffered_ns",
             measure_ns(budget, || {
-                wal.append(1, &payload).unwrap();
+                group.append(1, &payload, Durability::Buffered).unwrap();
             }),
         ));
-        wal.sync().unwrap();
     }
 
-    // Synced appends (sync_every = 1): the full durability cost per record.
-    // This is fsync-dominated, so the sample budget bounds the iteration
-    // count naturally.
+    // The round-close barrier: one fsync over a round's worth of buffered
+    // records. Only the sync is timed; the sample budget bounds wall time,
+    // appends included, so the log stays small.
     {
-        let (mut wal, _) = Wal::open(dir.join("synced.log"), 1).unwrap();
+        let group = GroupWal::new(Wal::open(dir.join("barrier.log")).unwrap().0, 0);
+        let started = Instant::now();
+        let (mut synced, mut barriers) = (Duration::ZERO, 0u32);
+        while barriers < 3 || started.elapsed() < budget {
+            for _ in 0..BARRIER_RECORDS {
+                group.append(1, &payload, Durability::Buffered).unwrap();
+            }
+            let sync_started = Instant::now();
+            group.sync().unwrap();
+            synced += sync_started.elapsed();
+            barriers += 1;
+        }
         metrics.push((
-            "wal_append_fsync_ns",
-            measure_ns(budget, || {
-                wal.append(1, &payload).unwrap();
-            }),
+            "wal_barrier_sync_1200_ns",
+            synced.as_nanos() as f64 / f64::from(barriers),
         ));
     }
 
@@ -89,14 +104,14 @@ fn main() {
     // workload), reported per record.
     {
         let replay_path = dir.join("replay.log");
-        let (mut wal, _) = Wal::open(&replay_path, u32::MAX).unwrap();
+        let (mut wal, _) = Wal::open(&replay_path).unwrap();
         for i in 0..10_000u32 {
             wal.append((i % 7) as u8, &payload).unwrap();
         }
         wal.sync().unwrap();
         drop(wal);
         let per_open = measure_ns(budget, || {
-            let (_, recovery) = Wal::open(&replay_path, u32::MAX).unwrap();
+            let (_, recovery) = Wal::open(&replay_path).unwrap();
             assert_eq!(recovery.records.len(), 10_000);
             criterion::black_box(recovery.records.len());
         });
@@ -128,7 +143,8 @@ fn main() {
     }
     println!("{}", table.render());
     println!(
-        "(record: {} B payload, {} B on disk; replay log: 10k records)",
+        "(record: {} B payload, {} B on disk; barrier: {BARRIER_RECORDS} records; \
+         replay log: 10k records)",
         payload.len(),
         encoded.len()
     );

@@ -10,7 +10,7 @@
 //! alpenhornd [--listen ADDR] [--seed N] [--pkgs N] [--mix-servers N]
 //!            [--mixers ADDR,ADDR,...] [--cdn-nodes ADDR,ADDR,...]
 //!            [--rate-limit-budget N] [--round-interval-ms MS]
-//!            [--data-dir DIR] [--sync-every N]
+//!            [--data-dir DIR]
 //!            [--read-timeout-ms MS] [--write-timeout-ms MS]
 //!            [--max-connections N] [--shards N]
 //!            [--log-level LEVEL] [--metrics-dump-secs N]
@@ -27,8 +27,10 @@
 //!
 //! With `--data-dir DIR` the daemon is durable: registrations, rate-limit
 //! budgets, the round counter and the per-protocol open counts are
-//! journalled to a write-ahead log, compacted into a snapshot at round
-//! boundaries (`alpenhorn-storage`), and the PKG key ratchets are kept apart
+//! journalled to a write-ahead log — registrations and round opens fsynced
+//! before the reply, per-client records made durable by one fsync at each
+//! round close — compacted into a snapshot at round boundaries
+//! (`alpenhorn-storage`), and the PKG key ratchets are kept apart
 //! in `DIR/pkg-ratchets.key`, replaced at every add-friend open. A restarted
 //! daemon **recovers that state before it accepts its first connection** —
 //! previously registered clients keep working across a crash, auto-driven
@@ -75,7 +77,6 @@ struct Options {
     rate_limit_budget: Option<u32>,
     round_interval: Option<Duration>,
     data_dir: Option<String>,
-    sync_every: u32,
     read_timeout_ms: Option<u64>,
     write_timeout_ms: Option<u64>,
     max_connections: Option<usize>,
@@ -89,7 +90,7 @@ fn usage() -> ! {
         "usage: alpenhornd [--listen ADDR] [--seed N] [--pkgs N] [--mix-servers N]\n\
          \x20                 [--mixers ADDR,ADDR,...] [--cdn-nodes ADDR,ADDR,...]\n\
          \x20                 [--rate-limit-budget N] [--round-interval-ms MS]\n\
-         \x20                 [--data-dir DIR] [--sync-every N]\n\
+         \x20                 [--data-dir DIR]\n\
          \x20                 [--read-timeout-ms MS] [--write-timeout-ms MS]\n\
          \x20                 [--max-connections N] [--shards N]\n\
          \x20                 [--log-level off|error|warn|info|debug]\n\
@@ -113,7 +114,6 @@ fn parse_options() -> Options {
         rate_limit_budget: None,
         round_interval: None,
         data_dir: None,
-        sync_every: 1,
         read_timeout_ms: None,
         write_timeout_ms: None,
         max_connections: None,
@@ -165,9 +165,6 @@ fn parse_options() -> Options {
                 ))
             }
             "--data-dir" => options.data_dir = Some(value("--data-dir")),
-            "--sync-every" => {
-                options.sync_every = value("--sync-every").parse().unwrap_or_else(|_| usage())
-            }
             "--read-timeout-ms" => {
                 options.read_timeout_ms = Some(
                     value("--read-timeout-ms")
@@ -292,11 +289,12 @@ fn main() {
     let service = match &options.data_dir {
         None => CoordinatorService::with_config(cluster, service_config),
         Some(dir) => {
-            let storage = StorageConfig {
-                sync_every: options.sync_every,
-                ..StorageConfig::default()
-            };
-            match CoordinatorService::with_storage(cluster, service_config, dir, storage) {
+            match CoordinatorService::with_storage(
+                cluster,
+                service_config,
+                dir,
+                StorageConfig::default(),
+            ) {
                 Ok((service, report)) => {
                     if report.recovered {
                         log_info!(

@@ -576,8 +576,10 @@ impl Cluster {
 
     /// Abandons the open add-friend round without running the mixnet:
     /// queued submissions are dropped and every PKG's round master secret is
-    /// destroyed. Used when durably journalling the round open failed — a
-    /// round that cannot be recovered must not be served.
+    /// destroyed. Used when the journal could not be made durable — at the
+    /// round open (a round that cannot be recovered must not be served) or
+    /// at the close barrier (a batch whose spends are not durable must not
+    /// be mixed).
     pub fn abandon_open_add_friend_round(&mut self) {
         self.open_add_friend = None;
         self.add_friend_chain.end_round();
@@ -761,16 +763,34 @@ impl Cluster {
     /// are destroyed afterwards (clients already extracted their shares while
     /// the round was open).
     pub fn close_add_friend_round(&mut self, round: Round) -> Result<RoundStats, CoordinatorError> {
+        self.close_add_friend_round_after(round, || Ok(()))
+    }
+
+    /// [`Cluster::close_add_friend_round`] with a `barrier` that runs after
+    /// the intake is sealed and before the batch reaches the first mixer. A
+    /// failed barrier abandons the round
+    /// ([`Cluster::abandon_open_add_friend_round`]: submissions dropped,
+    /// round keys destroyed) and returns its error.
+    pub fn close_add_friend_round_after<E: From<CoordinatorError>>(
+        &mut self,
+        round: Round,
+        barrier: impl FnOnce() -> Result<(), E>,
+    ) -> Result<RoundStats, E> {
         let open = self
             .open_add_friend
             .take()
             .ok_or(CoordinatorError::RoundNotOpen { requested: round })?;
         if open.info.round != round {
             self.open_add_friend = Some(open);
-            return Err(CoordinatorError::RoundNotOpen { requested: round });
+            return Err(CoordinatorError::RoundNotOpen { requested: round }.into());
+        }
+        let batch = open.intake.seal();
+        if let Err(e) = barrier() {
+            self.abandon_open_add_friend_round();
+            return Err(e);
         }
         let run = self.add_friend_chain.run_add_friend_round(
-            open.intake.seal(),
+            batch,
             open.info.num_mailboxes,
             &open.info.onion_keys,
         );
@@ -881,16 +901,31 @@ impl Cluster {
     /// Closes the open dialing round: runs the mixnet, publishes the Bloom
     /// filter mailboxes to the CDN, and returns the round statistics.
     pub fn close_dialing_round(&mut self, round: Round) -> Result<RoundStats, CoordinatorError> {
+        self.close_dialing_round_after(round, || Ok(()))
+    }
+
+    /// [`Cluster::close_dialing_round`] with a `barrier` between the seal
+    /// and the mix (see [`Cluster::close_add_friend_round_after`]).
+    pub fn close_dialing_round_after<E: From<CoordinatorError>>(
+        &mut self,
+        round: Round,
+        barrier: impl FnOnce() -> Result<(), E>,
+    ) -> Result<RoundStats, E> {
         let open = self
             .open_dialing
             .take()
             .ok_or(CoordinatorError::RoundNotOpen { requested: round })?;
         if open.info.round != round {
             self.open_dialing = Some(open);
-            return Err(CoordinatorError::RoundNotOpen { requested: round });
+            return Err(CoordinatorError::RoundNotOpen { requested: round }.into());
+        }
+        let batch = open.intake.seal();
+        if let Err(e) = barrier() {
+            self.abandon_open_dialing_round();
+            return Err(e);
         }
         let run = self.dialing_chain.run_dialing_round(
-            open.intake.seal(),
+            batch,
             open.info.num_mailboxes,
             &open.info.onion_keys,
         );
@@ -1055,6 +1090,46 @@ mod tests {
         // the legitimate user, let alone an adversary compromising the PKGs.
         let auth = bob_key.sign(&extraction_request_message(&bob, round));
         assert!(cluster.extract_identity_keys(&bob, round, &auth).is_err());
+    }
+
+    #[test]
+    fn failed_close_barrier_abandons_the_round() {
+        let mut cluster = Cluster::new(ClusterConfig::test(8));
+        let mut rng = ChaChaRng::from_seed_bytes([8u8; 32]);
+        let bob = id("bob@gmail.com");
+        let bob_key = register(&mut cluster, &bob, &mut rng);
+        let failed = || Err(CoordinatorError::Mixnet("barrier".into()));
+
+        let round = Round(1);
+        let info = cluster.begin_add_friend_round(round, 1).unwrap();
+        cluster
+            .submit_add_friend(round, vec![0u8; info.onion_len])
+            .unwrap();
+        assert!(cluster.close_add_friend_round_after(round, failed).is_err());
+        // Nothing was mixed or published, and the round keys are gone.
+        assert!(cluster.open_add_friend_info().is_none());
+        assert!(cluster
+            .cdn()
+            .fetch_add_friend_mailbox(round, MailboxId(0))
+            .is_none());
+        let auth = bob_key.sign(&extraction_request_message(&bob, round));
+        assert!(cluster.extract_identity_keys(&bob, round, &auth).is_err());
+
+        cluster.begin_dialing_round(Round(2), 1).unwrap();
+        assert!(cluster.close_dialing_round_after(Round(2), failed).is_err());
+        assert!(cluster.open_dialing_info().is_none());
+
+        // The next rounds open and close normally.
+        cluster.begin_add_friend_round(Round(3), 1).unwrap();
+        assert_eq!(
+            cluster
+                .close_add_friend_round(Round(3))
+                .unwrap()
+                .client_messages,
+            0
+        );
+        cluster.begin_dialing_round(Round(3), 1).unwrap();
+        cluster.close_dialing_round(Round(3)).unwrap();
     }
 
     #[test]

@@ -98,7 +98,6 @@ mod tests {
             ServiceConfig::default(),
             &dir,
             StorageConfig {
-                sync_every: 1,
                 checkpoint_every_records: 64,
             },
         );

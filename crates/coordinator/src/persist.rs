@@ -34,7 +34,7 @@ use std::path::Path;
 
 use alpenhorn_ibe::sig::VerifyingKey;
 use alpenhorn_storage::codec::{get_identity, put_identity};
-use alpenhorn_storage::{snapshot, Persist, StorageError};
+use alpenhorn_storage::{snapshot, Durability, Persist, StorageError};
 use alpenhorn_wire::{Decoder, Encoder, Identity, Round, G1_LEN, SIGNING_PK_LEN};
 
 use crate::cluster::Cluster;
@@ -66,6 +66,30 @@ pub const REC_ADD_FRIEND_ROUND_BEGUN: u8 = 0x06;
 pub const REC_DIALING_ROUND_BEGUN: u8 = 0x07;
 /// The deployment clock advanced.
 pub const REC_CLOCK_ADVANCED: u8 = 0x08;
+
+/// The durability class of each record kind: whether its acknowledgement
+/// promises permanence (fsynced before the reply) or it may wait for the
+/// next round-close barrier. The recovery argument for every buffered kind
+/// is in `docs/ARCHITECTURE.md` § "Durability & recovery".
+pub fn durability(kind: u8) -> Durability {
+    match kind {
+        // An acknowledged registration or deregistration must survive.
+        REC_ACCOUNT_REGISTERED | REC_ACCOUNT_DEREGISTERED => Durability::Synced,
+        // Durable before the round info is served or the ratchet file is
+        // rewritten, so the file never leads the journal.
+        REC_ADD_FRIEND_ROUND_BEGUN | REC_DIALING_ROUND_BEGUN => Durability::Synced,
+        // A lost `last_seen` refresh costs nothing.
+        REC_ACCOUNT_TOUCHED => Durability::Buffered,
+        // Replay-idempotent: a crash refunds at most the budget issued since
+        // the last barrier, once per crash.
+        REC_TOKEN_ISSUED => Durability::Buffered,
+        // Round-bound; the onion it paid for sits in the volatile intake
+        // until the close barrier makes this record durable.
+        REC_TOKEN_SPENT => Durability::Buffered,
+        REC_CLOCK_ADVANCED => Durability::Buffered,
+        _ => Durability::Synced,
+    }
+}
 
 /// The state a coordinator must not lose across a restart.
 pub struct CoordinatorCore {

@@ -181,22 +181,28 @@ impl CoordinatorService {
         self.core.state().next_round
     }
 
+    /// WAL fsyncs this service's store has issued since it opened (0 when
+    /// ephemeral). Test/inspection hook: a round costs two — its open and
+    /// its close barrier — however many clients take part.
+    pub fn wal_fsyncs(&self) -> u64 {
+        self.core.fsyncs()
+    }
+
     /// Advances the deployment clock, journalling the advance.
     pub fn advance_clock(&mut self, seconds: u64) {
         self.core.state_mut().cluster.advance_time(seconds);
         // Clock drift on a failed append costs at most coarser rate-limit
         // windows; not worth failing the round loop over.
-        let _ = self
-            .core
-            .record(persist::REC_CLOCK_ADVANCED, &persist::u64_payload(seconds));
+        let _ = self.journal(persist::REC_CLOCK_ADVANCED, &persist::u64_payload(seconds));
     }
 
-    /// Appends one effect record for a mutation that just succeeded. An
-    /// append failure surfaces as a typed RPC error: the caller's retry will
-    /// re-run the (idempotent) mutation once storage recovers.
+    /// Appends one effect record for a mutation that just succeeded, at its
+    /// kind's durability class ([`persist::durability`]). An append failure
+    /// surfaces as a typed RPC error: the caller's retry will re-run the
+    /// (idempotent) mutation once storage recovers.
     fn journal(&mut self, kind: u8, payload: &[u8]) -> Result<(), RpcError> {
         self.core
-            .record(kind, payload)
+            .record(kind, payload, persist::durability(kind))
             .map_err(|e| storage_unavailable("durable log write", e))
     }
 
@@ -452,8 +458,7 @@ impl CoordinatorService {
                     .begin_add_friend_round(round, expected_real as usize)
                 {
                     Ok(info) => {
-                        if let Err(e) = self.round_begun(persist::REC_ADD_FRIEND_ROUND_BEGUN, round)
-                        {
+                        if let Err(e) = self.round_begun(RoundKind::AddFriend, round) {
                             return Response::Error(e);
                         }
                         self.compact_if_due();
@@ -462,16 +467,7 @@ impl CoordinatorService {
                     Err(e) => Response::Error(e.into()),
                 }
             }
-            Request::CloseAddFriendRound { round } => {
-                match self.cluster_mut().close_add_friend_round(round) {
-                    Ok(stats) => {
-                        count_round_close(RoundKind::AddFriend, &stats);
-                        self.compact_if_due();
-                        Response::RoundClosed(round_stats_wire(&stats))
-                    }
-                    Err(e) => Response::Error(e.into()),
-                }
-            }
+            Request::CloseAddFriendRound { round } => self.close_round(RoundKind::AddFriend, round),
             Request::BeginDialingRound {
                 round,
                 expected_real,
@@ -482,7 +478,7 @@ impl CoordinatorService {
                     .begin_dialing_round(round, expected_real as usize)
                 {
                     Ok(info) => {
-                        if let Err(e) = self.round_begun(persist::REC_DIALING_ROUND_BEGUN, round) {
+                        if let Err(e) = self.round_begun(RoundKind::Dialing, round) {
                             return Response::Error(e);
                         }
                         self.compact_if_due();
@@ -491,24 +487,15 @@ impl CoordinatorService {
                     Err(e) => Response::Error(e.into()),
                 }
             }
-            Request::CloseDialingRound { round } => {
-                match self.cluster_mut().close_dialing_round(round) {
-                    Ok(stats) => {
-                        count_round_close(RoundKind::Dialing, &stats);
-                        self.compact_if_due();
-                        Response::RoundClosed(round_stats_wire(&stats))
-                    }
-                    Err(e) => Response::Error(e.into()),
-                }
-            }
+            Request::CloseDialingRound { round } => self.close_round(RoundKind::Dialing, round),
             Request::GetCdnStats => Response::CdnStats(self.cluster().cdn_stats()),
             Request::GetTelemetry => Response::Telemetry(crate::telemetry::telemetry_wire()),
         }
     }
 
     /// A cloneable journal handle for the concurrent read path: snapshot
-    /// submissions append their spent-token records through this, sharing
-    /// the exclusive path's WAL via group commit.
+    /// submissions append their (buffered) spent-token records through this,
+    /// into the exclusive path's WAL.
     pub(crate) fn journal_handle(&self) -> alpenhorn_storage::Journal {
         self.core.journal()
     }
@@ -519,30 +506,30 @@ impl CoordinatorService {
     }
 
     /// Journals a begun round, advancing the persistent round counter and
-    /// the protocol's open count. Opening an add-friend round also advanced
-    /// every PKG ratchet: once the round-open record is durable, the new
-    /// positions replace [`persist::RATCHET_FILE`], whose rename unlinks the
-    /// superseded ones — forward secrecy for closed rounds even against disk
-    /// theft.
-    fn round_begun(&mut self, kind: u8, round: Round) -> Result<(), RpcError> {
+    /// the protocol's open count. The round-open record is synced, so it is
+    /// durable before the round info is served. Opening an add-friend round
+    /// also advanced every PKG ratchet: the new positions then replace
+    /// [`persist::RATCHET_FILE`] (never ahead of the journal), whose rename
+    /// unlinks the superseded ones — forward secrecy for closed rounds even
+    /// against disk theft.
+    fn round_begun(&mut self, protocol: RoundKind, round: Round) -> Result<(), RpcError> {
         {
             let core = self.core.state_mut();
             core.next_round = Round(core.next_round.as_u64().max(round.as_u64() + 1));
         }
-        let add_friend = kind == persist::REC_ADD_FRIEND_ROUND_BEGUN;
+        let kind = match protocol {
+            RoundKind::AddFriend => persist::REC_ADD_FRIEND_ROUND_BEGUN,
+            RoundKind::Dialing => persist::REC_DIALING_ROUND_BEGUN,
+        };
         let result = self
             .journal(kind, &persist::u64_payload(round.as_u64()))
             .and_then(|()| {
-                if !add_friend {
-                    self.core.state_mut().dialing_opens += 1;
+                let core = self.core.state_mut();
+                if protocol == RoundKind::Dialing {
+                    core.dialing_opens += 1;
                     return Ok(());
                 }
-                // Under `--sync-every N` the record may still be buffered;
-                // the ratchet file must never be ahead of the journal.
-                self.core
-                    .sync()
-                    .map_err(|e| storage_unavailable("durable log sync", e))?;
-                self.core.state_mut().add_friend_opens += 1;
+                core.add_friend_opens += 1;
                 match self.core.dir() {
                     Some(dir) => persist::write_ratchets(dir, self.core.state())
                         .map_err(|e| storage_unavailable("PKG ratchet file write", e)),
@@ -558,15 +545,44 @@ impl CoordinatorService {
             // recovery that misses the advance still interoperates, since no
             // client ever saw this round: clients fetch fresh round keys
             // every round and never pin server ratchet state.)
+            count_abandoned(protocol);
             let cluster = self.cluster_mut();
-            if add_friend {
-                cluster.abandon_open_add_friend_round();
-            } else {
-                cluster.abandon_open_dialing_round();
+            match protocol {
+                RoundKind::AddFriend => cluster.abandon_open_add_friend_round(),
+                RoundKind::Dialing => cluster.abandon_open_dialing_round(),
             }
             return Err(e);
         }
         Ok(())
+    }
+
+    /// Closes the open round of `protocol`. The close is the WAL barrier:
+    /// after the intake is sealed — so every spend of an onion in the batch
+    /// is already appended — and before the batch reaches the first mixer,
+    /// one fsync makes the round's buffered records durable. If it fails the
+    /// round is abandoned (submissions dropped, round keys erased) and the
+    /// caller gets a retryable `Unavailable`.
+    fn close_round(&mut self, protocol: RoundKind, round: Round) -> Response {
+        let journal = self.core.journal();
+        let barrier = || {
+            journal.sync().map_err(|e| {
+                count_abandoned(protocol);
+                storage_unavailable("round-close WAL barrier", e)
+            })
+        };
+        let cluster = self.cluster_mut();
+        let closed = match protocol {
+            RoundKind::AddFriend => cluster.close_add_friend_round_after(round, barrier),
+            RoundKind::Dialing => cluster.close_dialing_round_after(round, barrier),
+        };
+        match closed {
+            Ok(stats) => {
+                count_round_close(protocol, &stats);
+                self.compact_if_due();
+                Response::RoundClosed(round_stats_wire(&stats))
+            }
+            Err(e) => Response::Error(e),
+        }
     }
 
     /// Handles one framed request payload (already stripped of its frame),
@@ -793,6 +809,17 @@ fn count_round_close(protocol: RoundKind, stats: &RoundStats) {
         .add(stats.final_messages as u64);
     registry
         .counter("coordinator_rounds_closed_total", labels)
+        .inc();
+}
+
+/// Counts a round abandoned because its journal could not be made durable:
+/// a failed round-open record or a failed close barrier.
+fn count_abandoned(protocol: RoundKind) {
+    alpenhorn_obs::global()
+        .counter(
+            "coordinator_rounds_abandoned_total",
+            &[("protocol", protocol.label()), ("cause", "journal")],
+        )
         .inc();
 }
 

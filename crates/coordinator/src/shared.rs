@@ -16,8 +16,9 @@
 //!   [`SubmissionIntake`](crate::shard::SubmissionIntake), spending
 //!   rate-limit tokens through the lock-striped
 //!   [`TokenVerifier`](crate::ratelimit::TokenVerifier) and journalling the
-//!   spend through the group-commit [`Journal`]. Concurrent submitters only
-//!   contend on one intake shard and one verifier stripe.
+//!   spend, buffered, through the shared [`Journal`] (the round-close
+//!   barrier makes it durable). Concurrent submitters contend on one intake
+//!   shard, one verifier stripe and one short WAL write.
 //!
 //! ## Epoch publication rules
 //!
@@ -401,8 +402,10 @@ impl ReadSnapshot {
     }
 
     /// Mirror of the exclusive path's token spend: verify + stripe-ledger
-    /// insert, then journal the spend through group commit, rolling the
-    /// insert back if the journal append fails.
+    /// insert, then journal the spend (buffered, no fsync), rolling the
+    /// insert back if the journal append fails. The append completes before
+    /// the onion is offered to the intake, so the close barrier — which runs
+    /// after the seal — covers it.
     fn spend_token(
         &self,
         kind: RoundKind,
@@ -434,6 +437,7 @@ impl ReadSnapshot {
         if let Err(e) = self.journal.append(
             persist::REC_TOKEN_SPENT,
             &persist::token_spent(&token.signature),
+            persist::durability(persist::REC_TOKEN_SPENT),
         ) {
             verifier.forget_spent(&token.signature);
             return Err(RpcError::Unavailable {

@@ -845,7 +845,6 @@ mod tests {
             scenario,
             &dir,
             alpenhorn_storage::StorageConfig {
-                sync_every: 1,
                 checkpoint_every_records: 1024,
             },
         )

@@ -11,7 +11,9 @@
 //!
 //! Mutation protocol (a write-behind redo log): the caller mutates the live
 //! state through [`Durable::state_mut`], then appends an *effect record*
-//! describing the completed mutation with [`Durable::record`]. During
+//! describing the completed mutation with [`Durable::record`], at the
+//! [`Durability`] class the mutation's acknowledgement needs; buffered
+//! records become durable at the owner's next [`Journal::sync`]. During
 //! recovery the snapshot is restored and each logged record is re-applied via
 //! [`Persist::apply_record`]; effect records therefore must capture the
 //! mutation's result (inserted account, advanced ratchet, spent token), never
@@ -39,7 +41,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::group::{GroupWal, Journal};
+use crate::group::{Durability, GroupWal, Journal};
 use crate::record::LogRecord;
 use crate::wal::Wal;
 use crate::{snapshot, StorageError};
@@ -58,12 +60,10 @@ pub trait Persist {
     fn apply_record(&mut self, kind: u8, payload: &[u8]) -> Result<(), StorageError>;
 }
 
-/// Tuning for a durable store.
+/// Tuning for a durable store. (When records reach stable storage is not
+/// tuning: each record names its [`Durability`] class.)
 #[derive(Debug, Clone, Copy)]
 pub struct StorageConfig {
-    /// Fsync the WAL after this many appends (1 = every append). A crash
-    /// loses at most the unsynced suffix.
-    pub sync_every: u32,
     /// [`Durable::checkpoint_if_due`] checkpoints once this many records
     /// have accumulated in the WAL. Explicit [`Durable::checkpoint`] calls
     /// reset the counter too.
@@ -73,7 +73,6 @@ pub struct StorageConfig {
 impl Default for StorageConfig {
     fn default() -> Self {
         StorageConfig {
-            sync_every: 1,
             checkpoint_every_records: 4096,
         }
     }
@@ -197,9 +196,7 @@ impl<T: Persist> Durable<T> {
         let generation = generation.unwrap_or_else(|| wal_gens.iter().copied().max().unwrap_or(0));
         report.generation = generation;
 
-        // The inner WAL never reaches its own batching threshold: all fsync
-        // scheduling belongs to the group-commit layer.
-        let (wal, wal_recovery) = Wal::open(wal_path(&dir, generation), u32::MAX)?;
+        let (wal, wal_recovery) = Wal::open(wal_path(&dir, generation))?;
         for LogRecord { kind, payload } in &wal_recovery.records {
             initial.apply_record(*kind, payload)?;
         }
@@ -212,7 +209,7 @@ impl<T: Persist> Durable<T> {
             state: initial,
             backing: Some(Backing {
                 dir,
-                wal: Arc::new(GroupWal::new(wal, config.sync_every, replayed)),
+                wal: Arc::new(GroupWal::new(wal, replayed)),
                 generation,
                 config,
             }),
@@ -276,17 +273,22 @@ impl<T: Persist> Durable<T> {
         self.backing.as_ref().map(|b| b.dir.as_path())
     }
 
-    /// Appends one effect record describing an already-applied mutation.
-    /// Never checkpoints: compaction runs only where the owner calls
-    /// [`Durable::checkpoint_if_due`], so no append pays for a full-state
-    /// encode.
+    /// Appends one effect record describing an already-applied mutation, at
+    /// `durability` (see [`GroupWal::append`]). Never checkpoints: compaction
+    /// runs only where the owner calls [`Durable::checkpoint_if_due`], so no
+    /// append pays for a full-state encode.
     ///
-    /// An `Err` means the record is **not** durable (the WAL rolls a failed
-    /// append back), so callers may undo the in-memory mutation and have the
-    /// client retry.
-    pub fn record(&mut self, kind: u8, payload: &[u8]) -> Result<(), StorageError> {
+    /// An `Err` means the record is **not** in the log (the WAL rolls a
+    /// failed append back), so callers may undo the in-memory mutation and
+    /// have the client retry.
+    pub fn record(
+        &mut self,
+        kind: u8,
+        payload: &[u8],
+        durability: Durability,
+    ) -> Result<(), StorageError> {
         match &self.backing {
-            Some(backing) => backing.wal.append(kind, payload),
+            Some(backing) => backing.wal.append(kind, payload, durability),
             None => Ok(()),
         }
     }
@@ -307,8 +309,8 @@ impl<T: Persist> Durable<T> {
     }
 
     /// A cloneable handle for appending effect records from concurrent fast
-    /// paths without borrowing this store. Records from all handles and from
-    /// [`Durable::record`] share one group-committed WAL; handles from
+    /// paths, or syncing, without borrowing this store. Records from all
+    /// handles and from [`Durable::record`] share one WAL; handles from
     /// ephemeral stores discard every record.
     pub fn journal(&self) -> Journal {
         match &self.backing {
@@ -325,8 +327,8 @@ impl<T: Persist> Durable<T> {
     /// snapshot was written, the snapshot is removed again before returning,
     /// so a process that keeps journalling to the old generation can never
     /// be shadowed by a newer frozen snapshot at the next recovery.
-    /// Concurrency: the snapshot is encoded inside the group-commit barrier
-    /// (see [`GroupWal::checkpoint_swap`]), so effect records journalled by
+    /// Concurrency: the snapshot is encoded under the WAL mutex (see
+    /// [`GroupWal::checkpoint_swap`]), so effect records journalled by
     /// concurrent [`Journal`] handles are never lost across a generation
     /// swap — a record appended before the barrier has its effect captured
     /// by the snapshot; one appended after lands in the new WAL and replays
@@ -338,7 +340,7 @@ impl<T: Persist> Durable<T> {
         let state = &self.state;
         let next = backing.generation + 1;
         let dir = backing.dir.clone();
-        backing.wal.checkpoint_swap(|_old| {
+        backing.wal.checkpoint_swap(|| {
             let payload = state.encode_snapshot();
             let next_snapshot_path = snapshot_path(&dir, next);
             snapshot::write_atomic(&next_snapshot_path, &payload)?;
@@ -347,7 +349,7 @@ impl<T: Persist> Durable<T> {
             // clear it.
             let next_wal_path = wal_path(&dir, next);
             let _ = std::fs::remove_file(&next_wal_path);
-            match Wal::open(next_wal_path, u32::MAX) {
+            match Wal::open(next_wal_path) {
                 Ok((wal, _)) => Ok(wal),
                 Err(e) => {
                     let _ = std::fs::remove_file(&next_snapshot_path);
@@ -362,12 +364,10 @@ impl<T: Persist> Durable<T> {
         Ok(())
     }
 
-    /// Forces the WAL to stable storage (see [`StorageConfig::sync_every`]).
-    pub fn sync(&mut self) -> Result<(), StorageError> {
-        match &self.backing {
-            Some(backing) => backing.wal.sync(),
-            None => Ok(()),
-        }
+    /// WAL fsyncs this store has issued since it was opened (0 for
+    /// ephemeral stores).
+    pub fn fsyncs(&self) -> u64 {
+        self.backing.as_ref().map_or(0, |b| b.wal.fsyncs())
     }
 }
 
@@ -441,7 +441,12 @@ mod tests {
 
     fn commit(d: &mut Durable<Tally>, key: u8, amount: u64) {
         let (kind, payload) = d.state_mut().add(key, amount);
-        d.record(kind, &payload).unwrap();
+        d.record(kind, &payload, Durability::Synced).unwrap();
+    }
+
+    fn commit_buffered(d: &mut Durable<Tally>, key: u8, amount: u64) {
+        let (kind, payload) = d.state_mut().add(key, amount);
+        d.record(kind, &payload, Durability::Buffered).unwrap();
     }
 
     #[test]
@@ -484,7 +489,6 @@ mod tests {
     fn auto_checkpoint_compacts_the_wal() {
         let dir = tmpdir("auto");
         let config = StorageConfig {
-            sync_every: 1,
             checkpoint_every_records: 4,
         };
         let (mut d, _) = Durable::open(Tally::default(), &dir, config).unwrap();
@@ -507,6 +511,46 @@ mod tests {
         let (d, report) = Durable::open(Tally::default(), &dir, config).unwrap();
         assert_eq!(d.state().totals.get(&1), Some(&78));
         assert_eq!(report.records_replayed, 3);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn buffered_records_survive_reopen_sync_and_checkpoints() {
+        let dir = tmpdir("buffered");
+        {
+            let (mut d, _) =
+                Durable::open(Tally::default(), &dir, StorageConfig::default()).unwrap();
+            for i in 0..5 {
+                commit_buffered(&mut d, 1, i);
+            }
+            assert_eq!(d.fsyncs(), 0, "buffered records wait for a sync");
+        }
+        // Dropping the store is a process exit: the OS still holds the
+        // buffered records, so a clean reopen replays every one.
+        let (mut d, report) =
+            Durable::open(Tally::default(), &dir, StorageConfig::default()).unwrap();
+        assert_eq!(report.records_replayed, 5);
+        assert_eq!(d.state().totals.get(&1), Some(&10));
+
+        commit_buffered(&mut d, 2, 7);
+        commit_buffered(&mut d, 2, 8);
+        d.journal().sync().unwrap();
+        assert_eq!(d.fsyncs(), 1, "one sync covers both buffered records");
+        d.journal().sync().unwrap();
+        assert_eq!(d.fsyncs(), 1, "and a second sync has nothing to do");
+
+        // A checkpoint captures buffered effects in its snapshot without
+        // syncing the WAL they were appended to.
+        commit_buffered(&mut d, 3, 30);
+        d.checkpoint().unwrap();
+        assert_eq!(d.fsyncs(), 1);
+        drop(d);
+        let (d, report) = Durable::open(Tally::default(), &dir, StorageConfig::default()).unwrap();
+        assert!(report.snapshot_loaded);
+        assert_eq!(report.records_replayed, 0);
+        assert_eq!(d.state().totals.get(&1), Some(&10));
+        assert_eq!(d.state().totals.get(&2), Some(&15));
+        assert_eq!(d.state().totals.get(&3), Some(&30));
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -595,7 +639,7 @@ mod tests {
         let mut d = Durable::ephemeral(Tally::default());
         commit(&mut d, 1, 1);
         d.checkpoint().unwrap();
-        d.sync().unwrap();
+        d.journal().sync().unwrap();
         assert!(!d.is_durable());
         assert_eq!(d.state().totals.get(&1), Some(&1));
         assert!(!d.journal().is_durable());
@@ -609,7 +653,9 @@ mod tests {
                 Durable::open(Tally::default(), &dir, StorageConfig::default()).unwrap();
             let journal = d.journal();
             let (kind, payload) = d.state_mut().add(4, 40);
-            journal.append(kind, &payload).unwrap();
+            journal
+                .append(kind, &payload, Durability::Buffered)
+                .unwrap();
         }
         let (d, report) = Durable::open(Tally::default(), &dir, StorageConfig::default()).unwrap();
         assert_eq!(report.records_replayed, 1);
@@ -716,7 +762,9 @@ mod tests {
                     s.spawn(move || {
                         for i in 0..25u64 {
                             let (kind, payload) = shared.insert(t * 1000 + i);
-                            journal.append(kind, &payload).unwrap();
+                            journal
+                                .append(kind, &payload, Durability::Buffered)
+                                .unwrap();
                         }
                     });
                 }

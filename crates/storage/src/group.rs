@@ -1,45 +1,45 @@
-//! Group commit: concurrent appenders share one WAL and batch their fsyncs.
+//! One WAL shared by every appender, with a durability class per record and
+//! an explicit sync point.
 //!
-//! A [`Wal`] is single-writer: every append takes `&mut self`, and with
-//! `sync_every = 1` every append pays a full fsync (~100 µs on commodity
-//! disks). That is fine while the coordinator serializes all mutations behind
-//! one lock, but once submission intake is sharded across worker threads the
-//! per-append fsync would re-serialize exactly the path the sharding freed.
+//! A [`GroupWal`] is a [`Wal`] behind one mutex. Every append names its
+//! [`Durability`]:
 //!
-//! [`GroupWal`] keeps the same durability contract while letting appends
-//! overlap:
+//! * [`Durability::Synced`] — written, then fsynced before `append` returns.
+//!   For records whose acknowledgement promises permanence (a completed
+//!   registration, a round open that precedes serving round info).
+//! * [`Durability::Buffered`] — written to the OS and acknowledged without an
+//!   fsync. The record survives the process dying; it survives the machine
+//!   dying once the next [`GroupWal::sync`] (or synced append) covers it.
 //!
-//! * appends interleave under a short mutex hold (buffered write, no fsync);
-//! * the first appender that needs durability becomes the **leader**: it
-//!   clones the file handle, drops the lock, and issues one `fsync` that
-//!   covers every record appended so far — including records that landed
-//!   *while it was waiting to become leader*;
-//! * the other appenders park on a condvar until the leader's fsync covers
-//!   their record's end offset, then return without ever touching the disk.
+//! The owner decides where the buffered suffix becomes durable by calling
+//! [`GroupWal::sync`] — the coordinator does so once per round, after sealing
+//! the round's intake and before mixing it (the *barrier*; see
+//! `docs/ARCHITECTURE.md` § "Durability & recovery" for why that point
+//! covers every record the recovery argument needs). One fsync then covers
+//! every record appended since the previous one: the group commit is the
+//! barrier, not a protocol between appenders.
 //!
-//! Under concurrency, N appenders pay ~1 fsync instead of N. Under a single
-//! thread, behaviour is byte-identical to a plain `Wal` with the same
-//! `sync_every`.
+//! Synced appends run on the coordinator's exclusive path and buffered ones
+//! never fsync, so there is never a second fsync to overlap with: an fsync
+//! is simply done under the mutex.
 //!
-//! **Failure contract** (same as [`Wal::append`]): `Err` means *this record
-//! is not in the log*. When a group fsync fails, the file is truncated back
-//! to the last durable offset and every parked appender whose record was
-//! rolled back gets an `Err`, so each caller can undo the in-memory mutation
-//! its record described. With `sync_every > 1`, records acknowledged before
-//! reaching the batching threshold are rolled back too — the same exposure
-//! window the plain `Wal` documents for a crash.
+//! **Failure contract**: `Err` from [`GroupWal::append`] means *this record
+//! is not in the log* — a failed write, or a failed fsync of a synced
+//! record, is rolled back by truncating to the previous record boundary, so
+//! the caller can undo the in-memory mutation the record described. Earlier
+//! buffered records stay: they were acknowledged at their class. A failed
+//! [`GroupWal::sync`] leaves the suffix in the file, unsynced; the caller
+//! treats it as not durable (the coordinator abandons the round).
 //!
 //! **Checkpoint barrier**: [`GroupWal::checkpoint_swap`] replaces the WAL
-//! with a fresh one for the next snapshot generation *under the group lock*,
-//! after waiting out any in-flight leader fsync. The snapshot is encoded
-//! inside that critical section, so every record appended before the barrier
-//! has its effect captured by the snapshot (appenders apply the in-memory
-//! mutation before appending, and the mutex orders the append before the
-//! encode). Parked appenders from the old generation are released with `Ok`:
-//! the snapshot that superseded their record is already durable.
+//! with a fresh one for the next snapshot generation *under the mutex*. The
+//! snapshot is encoded inside that critical section, so every record
+//! appended before the swap — buffered or synced — has its effect captured
+//! by the snapshot (appenders apply the in-memory mutation before appending,
+//! and the mutex orders the append before the encode), and the snapshot is
+//! made durable by its own atomic write.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use alpenhorn_obs::{Counter, Histogram};
@@ -47,13 +47,21 @@ use alpenhorn_obs::{Counter, Histogram};
 use crate::wal::Wal;
 use crate::StorageError;
 
-/// Group-commit telemetry: how big the batches are and how long the leader's
-/// fsync takes. Cached so the append path never hits the registry lock.
+/// When an appended record must be on stable storage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Durability {
+    /// Fsynced before the append returns.
+    Synced,
+    /// Written to the OS; durable at the next [`GroupWal::sync`].
+    Buffered,
+}
+
+/// Fsync telemetry: one observation per WAL fsync, and how many records it
+/// made durable. Cached so the append path never hits the registry lock.
 struct GroupMetrics {
     fsync_us: Arc<Histogram>,
     batch_records: Arc<Histogram>,
     fsyncs_total: Arc<Counter>,
-    rollbacks_total: Arc<Counter>,
 }
 
 fn group_metrics() -> &'static GroupMetrics {
@@ -64,64 +72,62 @@ fn group_metrics() -> &'static GroupMetrics {
             fsync_us: r.histogram("storage_group_fsync_us", &[]),
             batch_records: r.histogram("storage_group_commit_batch_records", &[]),
             fsyncs_total: r.counter("storage_group_fsyncs_total", &[]),
-            rollbacks_total: r.counter("storage_group_rollbacks_total", &[]),
         }
     })
 }
 
 struct Inner {
     wal: Wal,
-    /// Group-commit threshold: fsync once this many records are pending.
-    sync_every: u32,
-    /// End offsets of records appended but not yet durable, in append order.
-    pending: VecDeque<u64>,
-    /// File length known to be on stable storage.
-    durable_len: u64,
-    /// A leader fsync is in flight outside the lock.
-    leader: bool,
-    /// Bumped by [`GroupWal::checkpoint_swap`]; a parked appender that
-    /// observes a bump returns `Ok` — the new snapshot supersedes its record.
-    generation: u64,
+    /// Records appended since the last fsync: what a machine crash may lose.
+    unsynced: u64,
     /// Appends since the last checkpoint swap (drives
     /// `Durable::checkpoint_if_due`).
     appends_since_swap: u64,
+    /// Fsyncs issued by this log (a per-store count; the registry's
+    /// `storage_group_fsyncs_total` is process-wide).
+    fsyncs: u64,
 }
 
-/// A [`Wal`] shared by concurrent appenders with leader-based fsync batching.
+impl Inner {
+    fn sync(&mut self) -> Result<(), StorageError> {
+        if self.unsynced == 0 {
+            return Ok(());
+        }
+        let started = Instant::now();
+        self.wal.sync()?;
+        let m = group_metrics();
+        m.fsync_us.observe_since(started);
+        m.fsyncs_total.inc();
+        m.batch_records.observe(self.unsynced);
+        self.fsyncs += 1;
+        self.unsynced = 0;
+        Ok(())
+    }
+}
+
+/// A [`Wal`] shared by concurrent appenders; see the module docs.
 pub struct GroupWal {
     inner: Mutex<Inner>,
-    cond: Condvar,
-}
-
-fn group_io_error(detail: &'static str) -> StorageError {
-    StorageError::Io(std::io::Error::other(detail))
 }
 
 impl GroupWal {
-    /// Wraps an open WAL. `wal` should have been opened with a batching
-    /// threshold it never reaches (`u32::MAX`): the group owns all fsync
-    /// scheduling. `replayed` seeds the append counter that drives
+    /// Wraps an open WAL. `replayed` seeds the append counter that drives
     /// `Durable::checkpoint_if_due` (the records recovered into the current
     /// WAL).
-    pub fn new(wal: Wal, sync_every: u32, replayed: u64) -> Self {
-        let durable_len = wal.len_bytes();
+    pub fn new(wal: Wal, replayed: u64) -> Self {
         GroupWal {
             inner: Mutex::new(Inner {
                 wal,
-                sync_every: sync_every.max(1),
-                pending: VecDeque::new(),
-                durable_len,
-                leader: false,
-                generation: 0,
+                unsynced: 0,
                 appends_since_swap: replayed,
+                fsyncs: 0,
             }),
-            cond: Condvar::new(),
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        // Inner state is kept consistent at every await point, so a panic
-        // elsewhere does not invalidate it.
+        // Inner state is consistent whenever the lock is released, so a
+        // panic elsewhere does not invalidate it.
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -130,140 +136,58 @@ impl GroupWal {
         self.lock().appends_since_swap
     }
 
-    /// Appends one record and returns once it is durable (or, below the
-    /// `sync_every` threshold, once it is buffered). See the module docs for
-    /// the group-commit protocol and failure contract.
-    pub fn append(&self, kind: u8, payload: &[u8]) -> Result<(), StorageError> {
+    /// Fsyncs this log has issued since it was opened.
+    pub fn fsyncs(&self) -> u64 {
+        self.lock().fsyncs
+    }
+
+    /// Appends one record at `durability`. See the module docs for the
+    /// failure contract.
+    pub fn append(
+        &self,
+        kind: u8,
+        payload: &[u8],
+        durability: Durability,
+    ) -> Result<(), StorageError> {
         let mut g = self.lock();
+        let before = g.wal.len_bytes();
         g.wal.append(kind, payload)?;
+        g.unsynced += 1;
         g.appends_since_swap += 1;
-        let my_end = g.wal.len_bytes();
-        let my_gen = g.generation;
-        g.pending.push_back(my_end);
-        if (g.pending.len() as u32) < g.sync_every {
-            return Ok(());
-        }
-        loop {
-            if g.generation != my_gen {
-                // A checkpoint snapshot captured this record's effect and is
-                // already durable; the record itself died with the old WAL.
-                return Ok(());
+        if durability == Durability::Synced {
+            if let Err(e) = g.sync() {
+                // The caller is about to undo this record's effect: take the
+                // record back out so a crash cannot replay it.
+                g.wal.truncate_to(before);
+                g.unsynced -= 1;
+                g.appends_since_swap -= 1;
+                return Err(e);
             }
-            if g.durable_len >= my_end {
-                return Ok(());
-            }
-            if g.wal.len_bytes() < my_end {
-                // A failed group fsync truncated this record away.
-                return Err(group_io_error(
-                    "group fsync failed; record rolled back from the WAL",
-                ));
-            }
-            if !g.leader {
-                g.leader = true;
-                let target = g.wal.len_bytes();
-                match g.wal.try_clone_file() {
-                    Ok(file) => {
-                        drop(g);
-                        let started = Instant::now();
-                        let result = file.sync_data();
-                        group_metrics().fsync_us.observe_since(started);
-                        g = self.lock();
-                        g.leader = false;
-                        Self::finish_sync(&mut g, target, result.map_err(StorageError::from));
-                    }
-                    Err(_) => {
-                        // Cannot fsync outside the lock; do it inline. Still
-                        // one fsync for the whole pending batch.
-                        let started = Instant::now();
-                        let result = g.wal.sync();
-                        group_metrics().fsync_us.observe_since(started);
-                        let target = g.wal.len_bytes();
-                        g.leader = false;
-                        Self::finish_sync(&mut g, target, result);
-                    }
-                }
-                self.cond.notify_all();
-                continue;
-            }
-            g = self.cond.wait(g).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Applies the outcome of a leader fsync that targeted file length
-    /// `target`. On failure, rolls the file back to the last durable offset
-    /// so every in-flight appender sees its record gone and returns `Err`.
-    fn finish_sync(g: &mut Inner, target: u64, result: Result<(), StorageError>) {
-        match result {
-            Ok(()) => {
-                if target > g.durable_len {
-                    g.durable_len = target;
-                }
-                let mut covered = 0u64;
-                while matches!(g.pending.front(), Some(&end) if end <= target) {
-                    g.pending.pop_front();
-                    covered += 1;
-                }
-                if g.wal.len_bytes() == target {
-                    g.wal.mark_synced();
-                }
-                let m = group_metrics();
-                m.fsyncs_total.inc();
-                m.batch_records.observe(covered);
-            }
-            Err(_) => {
-                let durable = g.durable_len;
-                g.wal.truncate_to(durable);
-                g.pending.clear();
-                group_metrics().rollbacks_total.inc();
-            }
-        }
-    }
-
-    /// Forces every pending record to stable storage.
-    pub fn sync(&self) -> Result<(), StorageError> {
-        let mut g = self.lock();
-        while g.leader {
-            g = self.cond.wait(g).unwrap_or_else(|p| p.into_inner());
-        }
-        if g.pending.is_empty() {
-            return Ok(());
-        }
-        let target = g.wal.len_bytes();
-        let result = g.wal.sync();
-        let failed = result.is_err();
-        Self::finish_sync(&mut g, target, result);
-        drop(g);
-        self.cond.notify_all();
-        if failed {
-            return Err(group_io_error("sync failed; pending records rolled back"));
         }
         Ok(())
     }
 
-    /// Replaces the WAL under the group lock (the checkpoint barrier).
+    /// Makes every record appended so far durable with one fsync (none if
+    /// nothing is pending).
+    pub fn sync(&self) -> Result<(), StorageError> {
+        self.lock().sync()
+    }
+
+    /// Replaces the WAL under the mutex (the checkpoint barrier).
     ///
-    /// Waits out any in-flight leader fsync, then calls `f` with the old WAL
-    /// while holding the lock — `f` encodes the snapshot, writes it
-    /// atomically, and opens the next generation's WAL. On `Ok`, the old WAL
-    /// is dropped, pending appenders are released (their effects live in the
-    /// snapshot `f` just made durable), and the append counter resets. On
-    /// `Err`, nothing changes.
+    /// Calls `f` while holding the lock — `f` encodes the snapshot, writes
+    /// it atomically, and opens the next generation's WAL.
+    /// On `Ok`, the old WAL is dropped (the snapshot `f` just made durable
+    /// holds every effect it recorded) and the counters reset. On `Err`,
+    /// nothing changes.
     pub fn checkpoint_swap<F>(&self, f: F) -> Result<(), StorageError>
     where
-        F: FnOnce(&mut Wal) -> Result<Wal, StorageError>,
+        F: FnOnce() -> Result<Wal, StorageError>,
     {
         let mut g = self.lock();
-        while g.leader {
-            g = self.cond.wait(g).unwrap_or_else(|p| p.into_inner());
-        }
-        let new_wal = f(&mut g.wal)?;
-        g.wal = new_wal;
-        g.durable_len = g.wal.len_bytes();
-        g.pending.clear();
-        g.generation += 1;
+        g.wal = f()?;
+        g.unsynced = 0;
         g.appends_since_swap = 0;
-        drop(g);
-        self.cond.notify_all();
         Ok(())
     }
 }
@@ -273,10 +197,11 @@ impl GroupWal {
 ///
 /// This is the concurrent fast path: a reader thread that mutated shared
 /// interior-mutable state (e.g. a striped spent-token set) journals the
-/// effect through its `Journal` while other threads do the same, and the
-/// group commit batches their fsyncs. A handle from an ephemeral store
-/// accepts and discards every record, so call sites need not branch on
-/// whether durability is configured.
+/// effect through its `Journal` while other threads do the same. It is also
+/// how an owner whose state is borrowed elsewhere reaches
+/// [`GroupWal::sync`]. A handle from an ephemeral store accepts and discards
+/// every record, so call sites need not branch on whether durability is
+/// configured.
 ///
 /// [`Durable`]: crate::Durable
 #[derive(Clone, Default)]
@@ -294,11 +219,25 @@ impl Journal {
         Journal { wal: Some(wal) }
     }
 
-    /// Appends one effect record; `Err` means the record is **not** durable
-    /// and the caller should undo the in-memory mutation it described.
-    pub fn append(&self, kind: u8, payload: &[u8]) -> Result<(), StorageError> {
+    /// Appends one effect record at `durability`; `Err` means the record is
+    /// **not** in the log and the caller should undo the in-memory mutation
+    /// it described.
+    pub fn append(
+        &self,
+        kind: u8,
+        payload: &[u8],
+        durability: Durability,
+    ) -> Result<(), StorageError> {
         match &self.wal {
-            Some(wal) => wal.append(kind, payload),
+            Some(wal) => wal.append(kind, payload, durability),
+            None => Ok(()),
+        }
+    }
+
+    /// Makes every record appended so far durable (see [`GroupWal::sync`]).
+    pub fn sync(&self) -> Result<(), StorageError> {
+        match &self.wal {
+            Some(wal) => wal.sync(),
             None => Ok(()),
         }
     }
@@ -322,6 +261,8 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
+    use Durability::{Buffered, Synced};
+
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("alpenhorn-group-test-{tag}-{}", std::process::id()));
@@ -330,28 +271,29 @@ mod tests {
         dir
     }
 
-    fn open_group(path: &PathBuf, sync_every: u32) -> GroupWal {
-        let (wal, _) = Wal::open(path, u32::MAX).unwrap();
-        GroupWal::new(wal, sync_every, 0)
+    fn open_group(path: &PathBuf) -> GroupWal {
+        let (wal, _) = Wal::open(path).unwrap();
+        GroupWal::new(wal, 0)
     }
 
     #[test]
     fn concurrent_appends_are_all_recovered() {
         let dir = tmpdir("concurrent");
         let path = dir.join("wal.log");
-        let group = Arc::new(open_group(&path, 1));
+        let group = Arc::new(open_group(&path));
         std::thread::scope(|s| {
             for t in 0..8u8 {
                 let group = Arc::clone(&group);
                 s.spawn(move || {
                     for i in 0..50u8 {
-                        group.append(t, &[t, i]).unwrap();
+                        let class = if i % 10 == 0 { Synced } else { Buffered };
+                        group.append(t, &[t, i], class).unwrap();
                     }
                 });
             }
         });
         drop(group);
-        let (_, recovery) = Wal::open(&path, 1).unwrap();
+        let (_, recovery) = Wal::open(&path).unwrap();
         assert_eq!(recovery.truncated_bytes, 0);
         assert_eq!(recovery.records.len(), 8 * 50);
         let mut per_thread = [0u8; 8];
@@ -365,21 +307,34 @@ mod tests {
     }
 
     #[test]
-    fn sync_every_batches_and_explicit_sync_flushes() {
-        let dir = tmpdir("batch");
+    fn buffered_appends_wait_for_one_sync() {
+        let dir = tmpdir("classes");
         let path = dir.join("wal.log");
-        let group = open_group(&path, 8);
+        let group = open_group(&path);
         for i in 0..20u8 {
-            group.append(0, &[i]).unwrap();
+            group.append(0, &[i], Buffered).unwrap();
         }
-        // 20 appends with sync_every=8 leaves 4 pending; explicit sync
-        // flushes them.
-        assert_eq!(group.lock().pending.len(), 4);
+        assert_eq!(group.fsyncs(), 0, "buffered appends never fsync");
         group.sync().unwrap();
-        assert_eq!(group.lock().pending.len(), 0);
+        assert_eq!(group.fsyncs(), 1, "one fsync covers the whole suffix");
+        group.sync().unwrap();
+        assert_eq!(group.fsyncs(), 1, "nothing pending, nothing to sync");
+        group.append(1, b"synced", Synced).unwrap();
+        assert_eq!(
+            group.fsyncs(),
+            2,
+            "a synced append fsyncs before it returns"
+        );
+        group.append(0, b"buffered", Buffered).unwrap();
+        group.append(1, b"synced", Synced).unwrap();
+        assert_eq!(
+            group.fsyncs(),
+            3,
+            "and covers the buffered records before it"
+        );
         drop(group);
-        let (_, recovery) = Wal::open(&path, 1).unwrap();
-        assert_eq!(recovery.records.len(), 20);
+        let (_, recovery) = Wal::open(&path).unwrap();
+        assert_eq!(recovery.records.len(), 23);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -388,17 +343,19 @@ mod tests {
         let dir = tmpdir("swap");
         let old_path = dir.join("wal-0.log");
         let new_path = dir.join("wal-1.log");
-        let group = open_group(&old_path, 1);
-        group.append(1, b"old-a").unwrap();
-        group.append(1, b"old-b").unwrap();
+        let group = open_group(&old_path);
+        group.append(1, b"old-a", Synced).unwrap();
+        group.append(1, b"old-b", Buffered).unwrap();
         group
-            .checkpoint_swap(|_old| Ok(Wal::open(&new_path, u32::MAX)?.0))
+            .checkpoint_swap(|| Ok(Wal::open(&new_path)?.0))
             .unwrap();
         assert_eq!(group.appends_since_swap(), 0);
-        group.append(2, b"new-a").unwrap();
+        group.sync().unwrap();
+        assert_eq!(group.fsyncs(), 1, "the swapped-out suffix is not re-synced");
+        group.append(2, b"new-a", Buffered).unwrap();
         drop(group);
-        let (_, old) = Wal::open(&old_path, 1).unwrap();
-        let (_, new) = Wal::open(&new_path, 1).unwrap();
+        let (_, old) = Wal::open(&old_path).unwrap();
+        let (_, new) = Wal::open(&new_path).unwrap();
         assert_eq!(old.records.len(), 2);
         assert_eq!(new.records.len(), 1);
         assert_eq!(new.records[0].payload, b"new-a");
@@ -409,17 +366,17 @@ mod tests {
     fn failed_checkpoint_swap_leaves_the_group_usable() {
         let dir = tmpdir("swapfail");
         let path = dir.join("wal.log");
-        let group = open_group(&path, 1);
-        group.append(1, b"before").unwrap();
-        let err = group.checkpoint_swap(|_old| {
+        let group = open_group(&path);
+        group.append(1, b"before", Buffered).unwrap();
+        let err = group.checkpoint_swap(|| {
             Err(StorageError::BadPayload {
                 context: "injected",
             })
         });
         assert!(err.is_err());
-        group.append(1, b"after").unwrap();
+        group.append(1, b"after", Synced).unwrap();
         drop(group);
-        let (_, recovery) = Wal::open(&path, 1).unwrap();
+        let (_, recovery) = Wal::open(&path).unwrap();
         assert_eq!(recovery.records.len(), 2);
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -428,8 +385,9 @@ mod tests {
     fn ephemeral_journal_is_inert() {
         let journal = Journal::ephemeral();
         assert!(!journal.is_durable());
-        journal.append(1, b"nowhere").unwrap();
+        journal.append(1, b"nowhere", Synced).unwrap();
         let cloned = journal.clone();
-        cloned.append(2, b"still nowhere").unwrap();
+        cloned.append(2, b"still nowhere", Buffered).unwrap();
+        cloned.sync().unwrap();
     }
 }

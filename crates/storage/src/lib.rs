@@ -10,10 +10,10 @@
 //!   framing discipline of `alpenhorn_wire::codec::Frame`, so torn writes,
 //!   truncation, and bit flips are all caught before a byte of payload is
 //!   trusted.
-//! * [`wal`] — an append-only write-ahead log of records with configurable
-//!   fsync batching. Opening a log replays it and *truncates at the first bad
-//!   record*: a torn tail from a crash mid-append costs at most the records
-//!   after the last sync, never the whole log.
+//! * [`wal`] — an append-only write-ahead log of records. Opening a log
+//!   replays it and *truncates at the first bad record*: a torn tail from a
+//!   crash mid-append costs at most the records after the last sync, never
+//!   the whole log.
 //! * [`snapshot`] — atomically-renamed full-state snapshots. A snapshot is
 //!   one record in its own file, written to a temp path, fsynced, then
 //!   renamed, so a crash mid-snapshot leaves the previous generation intact.
@@ -22,10 +22,12 @@
 //!   *snapshot + log suffix*, mutations append effect records, and
 //!   checkpoints — run only where the owner calls `checkpoint_if_due`, never
 //!   inside an append — compact the log into a fresh snapshot generation.
-//! * [`group`] — [`GroupWal`](group::GroupWal), leader-based group commit
-//!   over one WAL so concurrent appenders batch their fsyncs, plus the
-//!   cloneable [`Journal`](group::Journal) handle that lets fast-path
-//!   threads journal effects without borrowing the `Durable` store.
+//! * [`group`] — [`GroupWal`](group::GroupWal), one WAL shared by every
+//!   appender, where each record names its
+//!   [`Durability`](group::Durability) class (fsynced before the append
+//!   returns, or buffered until the owner's next `sync`), plus the cloneable
+//!   [`Journal`](group::Journal) handle that lets fast-path threads journal
+//!   effects without borrowing the `Durable` store.
 //!
 //! The design follows the append-only, sequential-write discipline of
 //! log-structured storage (cf. LogRAID, arXiv:2402.17963): all writes are
@@ -74,7 +76,7 @@ pub mod codec {
 }
 
 pub use durable::{Durable, Persist, RecoveryReport, StorageConfig};
-pub use group::{GroupWal, Journal};
+pub use group::{Durability, GroupWal, Journal};
 pub use record::{LogRecord, RecordError};
 pub use wal::Wal;
 

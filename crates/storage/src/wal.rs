@@ -10,10 +10,11 @@
 //! validated prefix is recovered intact, and the caller learns how many bytes
 //! were dropped.
 //!
-//! Durability is batched: [`Wal::append`] buffers through the OS and fsyncs
-//! every `sync_every` records (1 = sync on every append). A crash loses at
-//! most the appends since the last sync — the standard group-commit tradeoff,
-//! surfaced here as an explicit knob instead of a hidden default.
+//! A `Wal` never decides when to fsync: [`Wal::append`] writes through to
+//! the OS (the record survives the process dying) and [`Wal::sync`] makes
+//! everything appended so far survive the machine dying. Which records need
+//! which is the caller's contract — see [`crate::group`], where every record
+//! carries a [`Durability`](crate::group::Durability) class.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -28,13 +29,12 @@ use crate::StorageError;
 
 /// Cached handles into the global registry so the append hot path never
 /// touches the registry lock. Durations observed here are wall-clock side
-/// channels only — nothing deterministic reads them back.
+/// channels only — nothing deterministic reads them back. (Fsyncs are
+/// counted where they are scheduled, in [`crate::group`].)
 struct WalMetrics {
     append_us: Arc<Histogram>,
-    fsync_us: Arc<Histogram>,
     appends_total: Arc<Counter>,
     append_errors_total: Arc<Counter>,
-    fsyncs_total: Arc<Counter>,
 }
 
 fn wal_metrics() -> &'static WalMetrics {
@@ -43,10 +43,8 @@ fn wal_metrics() -> &'static WalMetrics {
         let r = alpenhorn_obs::global();
         WalMetrics {
             append_us: r.histogram("storage_wal_append_us", &[]),
-            fsync_us: r.histogram("storage_wal_fsync_us", &[]),
             appends_total: r.counter("storage_wal_appends_total", &[]),
             append_errors_total: r.counter("storage_wal_append_errors_total", &[]),
-            fsyncs_total: r.counter("storage_wal_fsyncs_total", &[]),
         }
     })
 }
@@ -69,10 +67,6 @@ pub struct Wal {
     path: PathBuf,
     /// Bytes of validated/appended records currently in the file.
     len: u64,
-    /// Appends since the last fsync.
-    unsynced: u32,
-    /// Fsync after this many appends (minimum 1).
-    sync_every: u32,
     /// Set when a failed append may have left a partial record that could
     /// not be rolled back; every later append is refused (appending after
     /// mid-file garbage would be silently discarded at the next recovery).
@@ -83,10 +77,7 @@ impl Wal {
     /// Opens (creating if absent) the log at `path`, validating and returning
     /// its contents. A torn or corrupt tail is truncated away so the file
     /// ends at the last valid record before any new append.
-    pub fn open(
-        path: impl AsRef<Path>,
-        sync_every: u32,
-    ) -> Result<(Self, WalRecovery), StorageError> {
+    pub fn open(path: impl AsRef<Path>) -> Result<(Self, WalRecovery), StorageError> {
         let path = path.as_ref().to_path_buf();
         let bytes = match std::fs::read(&path) {
             Ok(bytes) => bytes,
@@ -123,8 +114,6 @@ impl Wal {
             file,
             path,
             len: offset as u64,
-            unsynced: 0,
-            sync_every: sync_every.max(1),
             poisoned: false,
         };
         Ok((
@@ -152,16 +141,15 @@ impl Wal {
         self.poisoned
     }
 
-    /// Appends one record, fsyncing if the batching threshold is reached.
+    /// Appends one record: written through to the OS, not fsynced.
     ///
-    /// `Err` means *this record is not in the log*: a failed write — or a
-    /// failed fsync when this append crossed the batching threshold — is
-    /// rolled back by truncating the file to the previous record boundary,
-    /// so callers can safely undo the in-memory mutation the record
-    /// described, and a partial record never sits mid-file where it would
-    /// silently discard every later append at the next recovery. If the
-    /// rollback itself fails, the log poisons itself and refuses further
-    /// appends (reopening revalidates and truncates).
+    /// `Err` means *this record is not in the log*: a failed write is rolled
+    /// back by truncating the file to the previous record boundary, so
+    /// callers can safely undo the in-memory mutation the record described,
+    /// and a partial record never sits mid-file where it would silently
+    /// discard every later append at the next recovery. If the rollback
+    /// itself fails, the log poisons itself and refuses further appends
+    /// (reopening revalidates and truncates).
     pub fn append(&mut self, kind: u8, payload: &[u8]) -> Result<(), StorageError> {
         if self.poisoned {
             wal_metrics().append_errors_total.inc();
@@ -172,82 +160,32 @@ impl Wal {
         let started = Instant::now();
         let encoded = record::encode(kind, payload);
         if let Err(e) = self.file.write_all(&encoded) {
-            if self.file.set_len(self.len).is_err() {
-                self.poisoned = true;
-            }
+            self.truncate_to(self.len);
             wal_metrics().append_errors_total.inc();
             return Err(e.into());
         }
         self.len += encoded.len() as u64;
-        self.unsynced += 1;
-        if self.unsynced >= self.sync_every {
-            if let Err(e) = self.sync() {
-                // The record reached the OS but not stable storage, and the
-                // caller is about to be told it failed: take it back out so
-                // a crash cannot replay an effect the caller rolled back.
-                // (Earlier records in the batch stay: they were acknowledged
-                // under the documented group-commit exposure.)
-                let rollback = self.len - encoded.len() as u64;
-                if self.file.set_len(rollback).is_ok() {
-                    self.len = rollback;
-                    self.unsynced -= 1;
-                } else {
-                    self.poisoned = true;
-                }
-                wal_metrics().append_errors_total.inc();
-                return Err(e);
-            }
-        }
         let m = wal_metrics();
         m.appends_total.inc();
         m.append_us.observe_since(started);
         Ok(())
     }
 
-    /// Forces all appended records to stable storage.
-    pub fn sync(&mut self) -> Result<(), StorageError> {
-        if self.unsynced > 0 {
-            let started = Instant::now();
-            self.file.sync_data()?;
-            self.unsynced = 0;
-            let m = wal_metrics();
-            m.fsyncs_total.inc();
-            m.fsync_us.observe_since(started);
-        }
-        Ok(())
+    /// Forces every appended record to stable storage (one `fdatasync`).
+    pub fn sync(&self) -> Result<(), StorageError> {
+        Ok(self.file.sync_data()?)
     }
 
-    /// Clones the underlying file handle so a group-commit leader can fsync
-    /// outside the lock that guards this `Wal`.
-    pub(crate) fn try_clone_file(&self) -> std::io::Result<File> {
-        self.file.try_clone()
-    }
-
-    /// Marks every appended record as synced (a group-commit leader fsynced
-    /// the whole file through a cloned handle).
-    pub(crate) fn mark_synced(&mut self) {
-        self.unsynced = 0;
-    }
-
-    /// Truncates the file back to `len`, which must be a record boundary at
-    /// or below the last durable offset (group-commit rollback after a
-    /// failed batched fsync). Poisons the log if the truncation itself
-    /// fails, exactly like a failed append rollback.
+    /// Truncates the file back to `len`, a record boundary at or below the
+    /// current length (the rollback of a record whose append or sync
+    /// failed). Poisons the log if the truncation itself fails.
     pub(crate) fn truncate_to(&mut self, len: u64) {
         debug_assert!(len <= self.len);
         if self.file.set_len(len).is_ok() {
             self.len = len;
-            self.unsynced = 0;
         } else {
             self.poisoned = true;
         }
-    }
-}
-
-impl Drop for Wal {
-    fn drop(&mut self) {
-        // Best-effort final sync; an explicit `sync` is the reliable path.
-        let _ = self.sync();
     }
 }
 
@@ -268,13 +206,13 @@ mod tests {
         let dir = tmpdir("reopen");
         let path = dir.join("wal.log");
         {
-            let (mut wal, recovery) = Wal::open(&path, 1).unwrap();
+            let (mut wal, recovery) = Wal::open(&path).unwrap();
             assert!(recovery.records.is_empty());
             wal.append(1, b"first").unwrap();
             wal.append(2, b"second").unwrap();
             wal.sync().unwrap();
         }
-        let (_, recovery) = Wal::open(&path, 1).unwrap();
+        let (_, recovery) = Wal::open(&path).unwrap();
         assert_eq!(recovery.truncated_bytes, 0);
         assert_eq!(recovery.tail_error, None);
         assert_eq!(
@@ -293,7 +231,7 @@ mod tests {
         let path = dir.join("wal.log");
         let full_len;
         {
-            let (mut wal, _) = Wal::open(&path, 1).unwrap();
+            let (mut wal, _) = Wal::open(&path).unwrap();
             wal.append(1, b"keep me").unwrap();
             wal.append(2, b"torn away").unwrap();
             wal.sync().unwrap();
@@ -306,7 +244,7 @@ mod tests {
         drop(file);
         assert!(keep + 5 < full_len);
 
-        let (mut wal, recovery) = Wal::open(&path, 1).unwrap();
+        let (mut wal, recovery) = Wal::open(&path).unwrap();
         assert_eq!(
             recovery.records,
             vec![LogRecord::new(1, b"keep me".to_vec())]
@@ -316,7 +254,7 @@ mod tests {
         // New appends land cleanly after the truncated tail.
         wal.append(3, b"after recovery").unwrap();
         drop(wal);
-        let (_, recovery) = Wal::open(&path, 1).unwrap();
+        let (_, recovery) = Wal::open(&path).unwrap();
         assert_eq!(recovery.truncated_bytes, 0);
         assert_eq!(
             recovery.records,
@@ -333,7 +271,7 @@ mod tests {
         let dir = tmpdir("flip");
         let path = dir.join("wal.log");
         {
-            let (mut wal, _) = Wal::open(&path, 1).unwrap();
+            let (mut wal, _) = Wal::open(&path).unwrap();
             for i in 0..5u8 {
                 wal.append(i, &[i; 9]).unwrap();
             }
@@ -344,26 +282,10 @@ mod tests {
         bytes[2 * one + 10] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
 
-        let (_, recovery) = Wal::open(&path, 1).unwrap();
+        let (_, recovery) = Wal::open(&path).unwrap();
         assert_eq!(recovery.records.len(), 2);
         assert_eq!(recovery.tail_error, Some(RecordError::ChecksumMismatch));
         assert_eq!(recovery.truncated_bytes, 3 * one as u64);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn sync_batching_counts_appends() {
-        let dir = tmpdir("batch");
-        let path = dir.join("wal.log");
-        let (mut wal, _) = Wal::open(&path, 8).unwrap();
-        for i in 0..20u8 {
-            wal.append(0, &[i]).unwrap();
-        }
-        // 20 appends with sync_every=8 leaves 4 unsynced; explicit sync
-        // flushes them.
-        assert_eq!(wal.unsynced, 4);
-        wal.sync().unwrap();
-        assert_eq!(wal.unsynced, 0);
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -25,6 +25,7 @@ use std::path::{Path, PathBuf};
 use alpenhorn::{
     Client, ClientConfig, ClientEvent, Identity, LoopbackTransport, TcpTransport, Transport,
 };
+use alpenhorn_coordinator::persist::{REC_ADD_FRIEND_ROUND_BEGUN, REC_TOKEN_SPENT};
 use alpenhorn_coordinator::service::{CoordinatorService, RateLimitPolicy, ServiceConfig};
 use alpenhorn_coordinator::{Cluster, ClusterConfig};
 use alpenhorn_ibe::sig::VerifyingKey;
@@ -239,7 +240,6 @@ impl DurableLoopback {
     fn open(&mut self) {
         let cluster = Cluster::new(ClusterConfig::test(SCENARIO_SEED));
         let storage = StorageConfig {
-            sync_every: 1,
             checkpoint_every_records: 64,
         };
         let (service, _report) =
@@ -371,7 +371,6 @@ const RATCHET_SEED: u8 = 9;
 /// A small threshold, so round boundaries compact and recovery also runs
 /// through a v2 snapshot rather than only a WAL.
 const SMALL_CHECKPOINTS: StorageConfig = StorageConfig {
-    sync_every: 1,
     checkpoint_every_records: 2,
 };
 
@@ -641,7 +640,6 @@ fn bad_ratchet_file_refuses_recovery_and_leaves_files_in_place() {
 fn compaction_waits_for_the_next_round_boundary() {
     let dir = tmpdir("compaction");
     let storage = StorageConfig {
-        sync_every: 1,
         checkpoint_every_records: 4,
     };
     let (service, _) = CoordinatorService::with_storage(
@@ -687,6 +685,273 @@ fn compaction_waits_for_the_next_round_boundary() {
     assert_eq!(generation(&dir), 2, "the round close compacts");
 
     drop(net);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Durability classes: one fsync per round open and one barrier per close.
+// ---------------------------------------------------------------------------
+
+fn open_loopback(seed: u8, dir: &Path) -> LoopbackTransport {
+    let (service, _) = CoordinatorService::with_storage(
+        Cluster::new(ClusterConfig::test(seed)),
+        service_config(),
+        dir,
+        StorageConfig::default(),
+    )
+    .expect("durable service opens");
+    LoopbackTransport::with_service(service)
+}
+
+fn clients(net: &mut LoopbackTransport, count: usize) -> Vec<Client> {
+    let keys = pkg_keys(net);
+    (0..count)
+        .map(|i| {
+            Client::new(
+                id(&format!("user{i}@example.com")),
+                keys.clone(),
+                ClientConfig::default(),
+                [i as u8 + 1; 32],
+            )
+        })
+        .collect()
+}
+
+fn wal_fsyncs(net: &LoopbackTransport) -> u64 {
+    net.shared().read().wal_fsyncs()
+}
+
+/// The live WAL file of a data dir.
+fn wal_file(dir: &Path) -> PathBuf {
+    dir.join(format!("wal-{}.log", generation(dir)))
+}
+
+/// The record kinds of `wal`, each with its end offset.
+fn wal_records(wal: &[u8]) -> Vec<(u8, u64)> {
+    let mut records = Vec::new();
+    let mut offset = 0;
+    while offset < wal.len() {
+        let (record, len) = alpenhorn_storage::record::decode_at(wal, offset).expect("valid WAL");
+        offset += len;
+        records.push((record.kind, offset as u64));
+    }
+    records
+}
+
+/// A durable, rate-limited add-friend round of `k` clients — each issues a
+/// token, extracts its keys and submits — costs exactly two WAL fsyncs: the
+/// synced round open and the close barrier. The per-client records are all
+/// still journalled, three per client.
+#[test]
+fn a_round_costs_two_wal_fsyncs_for_any_client_count() {
+    for k in [1usize, 8, 64] {
+        let dir = tmpdir(&format!("fsync-budget-{k}"));
+        let mut net = open_loopback(SCENARIO_SEED, &dir);
+        let mut clients = clients(&mut net, k);
+        for client in &mut clients {
+            client.register(&mut net).unwrap();
+        }
+        let registered = std::fs::metadata(wal_file(&dir)).unwrap().len();
+        let before = wal_fsyncs(&net);
+        admin(
+            &mut net,
+            Request::BeginAddFriendRound {
+                round: Round(1),
+                expected_real: k as u64,
+            },
+        );
+        for client in &mut clients {
+            client.participate_add_friend(&mut net).unwrap();
+        }
+        admin(&mut net, Request::CloseAddFriendRound { round: Round(1) });
+        assert_eq!(wal_fsyncs(&net) - before, 2, "{k} clients");
+
+        let wal = std::fs::read(wal_file(&dir)).unwrap();
+        let per_client = wal_records(&wal[registered as usize..])
+            .iter()
+            .filter(|&&(kind, _)| kind != REC_ADD_FRIEND_ROUND_BEGUN)
+            .count();
+        assert_eq!(per_client, 3 * k, "{k} clients");
+        drop(net);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Round 3 onward of the suffix-loss scenario, from the clients' state at
+/// the crash: user0 befriends user2 and calls them.
+fn continue_after_crash(
+    net: &mut LoopbackTransport,
+    saved: &[Vec<u8>],
+) -> Vec<(String, ClientEvent)> {
+    let mut clients: Vec<Client> = saved
+        .iter()
+        .map(|bytes| Client::load_state(bytes).expect("client state reloads"))
+        .collect();
+    let friend = clients[2].identity().clone();
+    clients[0].add_friend(friend.clone(), None);
+    let mut events = Vec::new();
+    let mut keywheel_start = Round(0);
+    for round in 3..=4 {
+        admin(
+            net,
+            Request::BeginAddFriendRound {
+                round: Round(round),
+                expected_real: 3,
+            },
+        );
+        for client in &mut clients {
+            client.participate_add_friend(net).unwrap();
+        }
+        admin(
+            net,
+            Request::CloseAddFriendRound {
+                round: Round(round),
+            },
+        );
+        for client in &mut clients {
+            for event in client.process_add_friend_mailbox(net).unwrap() {
+                if let ClientEvent::FriendConfirmed { dialing_round, .. } = &event {
+                    keywheel_start = *dialing_round;
+                }
+                events.push((client.identity().to_string(), event));
+            }
+        }
+    }
+    assert!(keywheel_start.as_u64() > 0, "the handshake completes");
+    clients[0].call(friend, 1).unwrap();
+    for round in 1..=keywheel_start.as_u64() {
+        admin(
+            net,
+            Request::BeginDialingRound {
+                round: Round(round),
+                expected_real: 3,
+            },
+        );
+        for client in &mut clients {
+            if let Some(event) = client.participate_dialing(net).unwrap() {
+                events.push((client.identity().to_string(), event));
+            }
+        }
+        admin(
+            net,
+            Request::CloseDialingRound {
+                round: Round(round),
+            },
+        );
+        for client in &mut clients {
+            for event in client.process_dialing_mailbox(net).unwrap() {
+                events.push((client.identity().to_string(), event));
+            }
+        }
+    }
+    assert!(events.iter().any(|(_, e)| e.is_incoming_call()));
+    events
+}
+
+/// A machine crash loses at most the WAL suffix written since the last
+/// fsync. After round 1's close barrier and round 2's synced open, two of
+/// three clients take part in round 2; then the WAL is cut at every record
+/// boundary of that unsynced suffix and each copy recovered. Every recovery
+/// opens, keeps the round counter, holds every spend of the closed round,
+/// refunds at most the issuance since the barrier, and carries on to the
+/// same client events as the deployment that never crashed.
+#[test]
+fn losing_the_unsynced_suffix_costs_only_what_the_barrier_bounds() {
+    const SEED: u8 = 71;
+    let dir = tmpdir("suffix");
+    let mut net = open_loopback(SEED, &dir);
+    let mut clients = clients(&mut net, 3);
+    let identities: Vec<Identity> = clients.iter().map(|c| c.identity().clone()).collect();
+    let budgets = |net: &LoopbackTransport| -> Vec<u32> {
+        let service = net.shared().read();
+        identities
+            .iter()
+            .map(|who| service.remaining_token_budget(who).unwrap())
+            .collect()
+    };
+    let spent = |net: &LoopbackTransport| net.shared().read().spent_token_count().unwrap();
+    for client in &mut clients {
+        client.register(&mut net).unwrap();
+    }
+
+    admin(
+        &mut net,
+        Request::BeginAddFriendRound {
+            round: Round(1),
+            expected_real: 3,
+        },
+    );
+    for client in &mut clients {
+        client.participate_add_friend(&mut net).unwrap();
+    }
+    admin(&mut net, Request::CloseAddFriendRound { round: Round(1) });
+    let (at_barrier, spent_at_barrier) = (budgets(&net), spent(&net));
+
+    admin(
+        &mut net,
+        Request::BeginAddFriendRound {
+            round: Round(2),
+            expected_real: 3,
+        },
+    );
+    let wal_name = wal_file(&dir)
+        .file_name()
+        .unwrap()
+        .to_str()
+        .unwrap()
+        .to_string();
+    let synced_len = std::fs::metadata(wal_file(&dir)).unwrap().len();
+    for client in &mut clients[..2] {
+        client.participate_add_friend(&mut net).unwrap();
+    }
+    let at_crash = budgets(&net);
+    let next_round = net.shared().read().next_round();
+    // What the OS holds at the crash, and the clients' state then.
+    let image = dir_contents(&dir);
+    let saved: Vec<Vec<u8>> = clients.iter().map(Client::save_state).collect();
+
+    // The uncrashed twin closes round 2 and carries on.
+    admin(&mut net, Request::CloseAddFriendRound { round: Round(2) });
+    let twin_events = continue_after_crash(&mut net, &saved);
+    drop(net);
+
+    let suffix: Vec<(u8, u64)> = wal_records(&image[&wal_name])
+        .into_iter()
+        .filter(|&(_, end)| end > synced_len)
+        .collect();
+    assert_eq!(suffix.len(), 6, "issue, extract and submit by two clients");
+    let cuts = std::iter::once(synced_len).chain(suffix.iter().map(|&(_, end)| end));
+    for cut in cuts {
+        let crashed = tmpdir(&format!("suffix-cut-{cut}"));
+        for (name, bytes) in &image {
+            let bytes = if *name == wal_name {
+                &bytes[..cut as usize]
+            } else {
+                &bytes[..]
+            };
+            std::fs::write(crashed.join(name), bytes).unwrap();
+        }
+        let mut net = open_loopback(SEED, &crashed);
+        assert_eq!(net.shared().read().next_round(), next_round, "cut {cut}");
+        let spends_kept = suffix
+            .iter()
+            .filter(|&&(kind, end)| kind == REC_TOKEN_SPENT && end <= cut)
+            .count();
+        assert_eq!(spent(&net), spent_at_barrier + spends_kept, "cut {cut}");
+        for ((recovered, barrier), crash) in budgets(&net).iter().zip(&at_barrier).zip(&at_crash) {
+            assert!(
+                crash <= recovered && recovered <= barrier,
+                "cut {cut}: budget {recovered} outside [{crash}, {barrier}]"
+            );
+        }
+        assert_eq!(
+            continue_after_crash(&mut net, &saved),
+            twin_events,
+            "cut {cut}"
+        );
+        drop(net);
+        let _ = std::fs::remove_dir_all(crashed);
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -253,7 +253,7 @@ mod storage_injection {
     }
 
     fn write_wal(path: &std::path::Path, records: &[LogRecord]) {
-        let (mut wal, recovery) = Wal::open(path, u32::MAX).unwrap();
+        let (mut wal, recovery) = Wal::open(path).unwrap();
         assert!(recovery.records.is_empty());
         for r in records {
             wal.append(r.kind, &r.payload).unwrap();
@@ -270,7 +270,7 @@ mod storage_injection {
         let records = mixed_records(10_000, 3);
         write_wal(&path, &records);
 
-        let (_, recovery) = Wal::open(&path, 1).unwrap();
+        let (_, recovery) = Wal::open(&path).unwrap();
         assert_eq!(recovery.truncated_bytes, 0);
         assert_eq!(recovery.tail_error, None);
         assert_eq!(recovery.records, records);
@@ -303,14 +303,14 @@ mod storage_injection {
             let cut = full.len() * cut_permille as usize / 1000;
             std::fs::write(&path, &full[..cut]).unwrap();
 
-            let (mut wal, recovery) = Wal::open(&path, 1).unwrap();
+            let (mut wal, recovery) = Wal::open(&path).unwrap();
             // The recovered records are exactly a prefix of what was logged.
             prop_assert!(recovery.records.len() <= records.len());
             prop_assert_eq!(&recovery.records[..], &records[..recovery.records.len()]);
             // And appends continue cleanly after recovery.
             wal.append(0xAA, b"post-recovery append").unwrap();
             drop(wal);
-            let (_, after) = Wal::open(&path, 1).unwrap();
+            let (_, after) = Wal::open(&path).unwrap();
             prop_assert_eq!(after.truncated_bytes, 0);
             prop_assert_eq!(after.records.last().unwrap().kind, 0xAA);
             std::fs::remove_dir_all(dir).unwrap();
@@ -336,7 +336,7 @@ mod storage_injection {
             bytes[flip_at] ^= 1 << bit;
             std::fs::write(&path, &bytes).unwrap();
 
-            let (_, recovery) = Wal::open(&path, 1).unwrap();
+            let (_, recovery) = Wal::open(&path).unwrap();
             prop_assert!(recovery.records.len() < records.len() + 1);
             prop_assert_eq!(&recovery.records[..], &records[..recovery.records.len()]);
             prop_assert!(recovery.tail_error.is_some(), "a flip is always detected");
@@ -349,7 +349,7 @@ mod storage_injection {
     /// not yet deleted) recovers the correct state either way.
     #[test]
     fn mid_snapshot_crash_recovers_previous_generation() {
-        use alpenhorn_storage::{Durable, Persist, StorageConfig, StorageError};
+        use alpenhorn_storage::{Durability, Durable, Persist, StorageConfig, StorageError};
 
         #[derive(Default)]
         struct Appended(Vec<u8>);
@@ -372,10 +372,10 @@ mod storage_injection {
             let (mut d, _) =
                 Durable::open(Appended::default(), &dir, StorageConfig::default()).unwrap();
             d.state_mut().0.extend_from_slice(b"abc");
-            d.record(1, b"abc").unwrap();
+            d.record(1, b"abc", Durability::Buffered).unwrap();
             d.checkpoint().unwrap(); // generation 1
             d.state_mut().0.extend_from_slice(b"def");
-            d.record(1, b"def").unwrap();
+            d.record(1, b"def", Durability::Buffered).unwrap();
         }
         // Crash mid-checkpoint: half-written snapshot temp for generation 2.
         std::fs::write(dir.join("snapshot-2.tmp"), b"AL\x01\xff half written").unwrap();
@@ -393,7 +393,7 @@ mod storage_injection {
             let (mut d, _) =
                 Durable::open(Appended::default(), &dir, StorageConfig::default()).unwrap();
             d.state_mut().0.extend_from_slice(b"ghi");
-            d.record(1, b"ghi").unwrap();
+            d.record(1, b"ghi", Durability::Buffered).unwrap();
             d.checkpoint().unwrap(); // generation 2
         }
         let snap2_path = dir.join("snapshot-2.snap");

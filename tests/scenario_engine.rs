@@ -63,7 +63,6 @@ fn run_acceptance(tag: &str) -> (Vec<String>, Vec<(usize, Vec<alpenhorn::ClientE
         scenario,
         &dir,
         StorageConfig {
-            sync_every: 64,
             checkpoint_every_records: 4096,
         },
     )
@@ -145,7 +144,6 @@ fn rate_limit_tokens_are_never_double_spent_across_crashes() {
         scenario,
         &dir,
         StorageConfig {
-            sync_every: 1,
             checkpoint_every_records: 1024,
         },
     )

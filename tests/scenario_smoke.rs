@@ -103,7 +103,6 @@ fn crash_restart_storm_is_invisible_to_clients() {
         scenario,
         &dir,
         StorageConfig {
-            sync_every: 1,
             checkpoint_every_records: 256,
         },
     )

@@ -1,15 +1,15 @@
 //! Coordinator concurrency snapshot: what breaking the single service mutex
-//! bought, measured as clients × shards sweeps over the three paths the
-//! refactor split apart.
+//! bought, measured over the three dispatch paths of `SharedCoordinator`.
 //!
 //! * **Read path** — `GetAddFriendRoundInfo` served from the published
-//!   epoch snapshot (`SharedCoordinator::handle`) vs. forced through the
-//!   exclusive write lock (`write().handle(..)`, the single-lock build's
-//!   dispatch for every RPC).
+//!   epoch snapshot (`SharedCoordinator::handle`) vs. a lock-taking read:
+//!   write-guard acquisition plus `cluster().open_add_friend_info()` (what a
+//!   single-lock build pays for every RPC; the guard's drop republishes the
+//!   snapshot, as every exclusive RPC does).
 //! * **Submission intake** — concurrent distinct-onion offers into a
-//!   `SubmissionIntake` across a shard sweep, plus the canonical-merge seal.
+//!   `SubmissionIntake`, plus the canonical sort-by-digest seal.
 //! * **Full submit RPC** — concurrent `SubmitAddFriend` through the shared
-//!   dispatch (snapshot validation + sharded intake).
+//!   dispatch (snapshot validation + intake).
 //!
 //! Caveat recorded alongside the numbers in `docs/PERFORMANCE.md`: CI
 //! containers are often single-core, where concurrent threads interleave
@@ -71,12 +71,10 @@ fn distinct_onion(len: usize, thread: usize, op: usize) -> Vec<u8> {
     onion
 }
 
-fn open_round(shards: usize, seed: u8) -> (SharedCoordinator, usize) {
-    let config = ClusterConfig {
-        intake_shards: shards,
-        ..ClusterConfig::test(seed)
-    };
-    let shared = SharedCoordinator::new(CoordinatorService::new(Cluster::new(config)));
+fn open_round(seed: u8) -> (SharedCoordinator, usize) {
+    let shared = SharedCoordinator::new(CoordinatorService::new(Cluster::new(
+        ClusterConfig::test(seed),
+    )));
     let Response::AddFriendRoundInfo(info) = shared.handle(Request::BeginAddFriendRound {
         round: Round(1),
         expected_real: 64,
@@ -89,13 +87,17 @@ fn open_round(shards: usize, seed: u8) -> (SharedCoordinator, usize) {
 fn main() {
     alpenhorn_bench::print_header(
         "Coordinator concurrency snapshot",
-        "epoch-snapshot read path and sharded submission intake vs. the single-lock dispatch (docs/CONCURRENCY.md)",
+        "epoch-snapshot read path and submission intake vs. lock-taking reads (docs/CONCURRENCY.md)",
     );
     let budget = sample_budget();
     let mut metrics: Vec<(String, f64)> = Vec::new();
 
     // ---- Read path: snapshot vs. exclusive lock, 1 and 4 clients ----
-    let (shared, _onion_len) = open_round(8, 80);
+    let (shared, _onion_len) = open_round(80);
+    let exclusive_round_info = || {
+        let service = shared.write();
+        criterion::black_box(service.cluster().open_add_friend_info());
+    };
     metrics.push((
         "snapshot_round_info_ns".to_string(),
         measure_ns(budget, || {
@@ -104,9 +106,7 @@ fn main() {
     ));
     metrics.push((
         "exclusive_round_info_ns".to_string(),
-        measure_ns(budget, || {
-            criterion::black_box(shared.write().handle(Request::GetAddFriendRoundInfo));
-        }),
+        measure_ns(budget, exclusive_round_info),
     ));
     let read_ops = if smoke() { 200 } else { 5_000 };
     for clients in [2usize, 4] {
@@ -118,60 +118,52 @@ fn main() {
         ));
         metrics.push((
             format!("exclusive_round_info_{clients}c_ns"),
-            measure_concurrent_ns(clients, read_ops, |_, _| {
-                criterion::black_box(shared.write().handle(Request::GetAddFriendRoundInfo));
-            }),
+            measure_concurrent_ns(clients, read_ops, |_, _| exclusive_round_info()),
         ));
     }
 
-    // ---- Submission intake: shard sweep under 4 concurrent submitters ----
+    // ---- Submission intake under 4 concurrent submitters ----
     let submit_ops = if smoke() { 100 } else { 2_000 };
     let intake_onion_len = 256;
-    for shards in [1usize, 2, 4, 8, 16] {
-        let intake = SubmissionIntake::new(shards);
-        metrics.push((
-            format!("intake_offer_4c_{shards}shards_ns"),
-            measure_concurrent_ns(4, submit_ops, |thread, op| {
-                criterion::black_box(intake.offer(&distinct_onion(intake_onion_len, thread, op)));
-            }),
-        ));
-        if shards == 1 || shards == 8 {
-            let batch = intake.seal();
-            assert_eq!(batch.len(), 4 * submit_ops, "every offer was accepted");
-            let seal_intake = SubmissionIntake::new(shards);
-            for onion in &batch {
-                seal_intake.offer(onion);
-            }
-            let start = Instant::now();
-            let sealed = seal_intake.seal();
-            metrics.push((
-                format!("intake_seal_{}onions_{shards}shards_ns", sealed.len()),
-                start.elapsed().as_nanos() as f64,
-            ));
-        }
+    let intake = SubmissionIntake::new();
+    metrics.push((
+        "intake_offer_4c_ns".to_string(),
+        measure_concurrent_ns(4, submit_ops, |thread, op| {
+            criterion::black_box(intake.offer(&distinct_onion(intake_onion_len, thread, op)));
+        }),
+    ));
+    let batch = intake.seal();
+    assert_eq!(batch.len(), 4 * submit_ops, "every offer was accepted");
+    let seal_intake = SubmissionIntake::new();
+    for onion in &batch {
+        seal_intake.offer(onion);
     }
+    let start = Instant::now();
+    let sealed = seal_intake.seal();
+    metrics.push((
+        format!("intake_seal_{}onions_ns", sealed.len()),
+        start.elapsed().as_nanos() as f64,
+    ));
 
-    // ---- Full submit RPC through the shared dispatch, shard sweep ----
-    for shards in [1usize, 8] {
-        let (shared, onion_len) = open_round(shards, 81);
-        metrics.push((
-            format!("submit_rpc_4c_{shards}shards_ns"),
-            measure_concurrent_ns(4, submit_ops, |thread, op| {
-                let response = shared.handle(Request::SubmitAddFriend {
-                    round: Round(1),
-                    onion: distinct_onion(onion_len, thread, op),
-                    token: None,
-                });
-                assert!(matches!(criterion::black_box(response), Response::Ack));
-            }),
-        ));
-        let Response::RoundClosed(stats) =
-            shared.handle(Request::CloseAddFriendRound { round: Round(1) })
-        else {
-            panic!("round closes");
-        };
-        assert_eq!(stats.client_messages as usize, 4 * submit_ops);
-    }
+    // ---- Full submit RPC through the shared dispatch ----
+    let (shared, onion_len) = open_round(81);
+    metrics.push((
+        "submit_rpc_4c_ns".to_string(),
+        measure_concurrent_ns(4, submit_ops, |thread, op| {
+            let response = shared.handle(Request::SubmitAddFriend {
+                round: Round(1),
+                onion: distinct_onion(onion_len, thread, op),
+                token: None,
+            });
+            assert!(matches!(criterion::black_box(response), Response::Ack));
+        }),
+    ));
+    let Response::RoundClosed(stats) =
+        shared.handle(Request::CloseAddFriendRound { round: Round(1) })
+    else {
+        panic!("round closes");
+    };
+    assert_eq!(stats.client_messages as usize, 4 * submit_ops);
 
     let mut table = Table::new("Coordinator concurrency", &["metric", "value"]);
     for (name, value) in &metrics {

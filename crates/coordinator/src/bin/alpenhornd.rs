@@ -12,7 +12,7 @@
 //!            [--rate-limit-budget N] [--round-interval-ms MS]
 //!            [--data-dir DIR]
 //!            [--read-timeout-ms MS] [--write-timeout-ms MS]
-//!            [--max-connections N] [--shards N]
+//!            [--max-connections N]
 //!            [--log-level LEVEL] [--metrics-dump-secs N]
 //! ```
 //!
@@ -80,7 +80,6 @@ struct Options {
     read_timeout_ms: Option<u64>,
     write_timeout_ms: Option<u64>,
     max_connections: Option<usize>,
-    shards: Option<usize>,
     log_level: Level,
     metrics_dump_secs: Option<u64>,
 }
@@ -92,7 +91,7 @@ fn usage() -> ! {
          \x20                 [--rate-limit-budget N] [--round-interval-ms MS]\n\
          \x20                 [--data-dir DIR]\n\
          \x20                 [--read-timeout-ms MS] [--write-timeout-ms MS]\n\
-         \x20                 [--max-connections N] [--shards N]\n\
+         \x20                 [--max-connections N]\n\
          \x20                 [--log-level off|error|warn|info|debug]\n\
          \x20                 [--metrics-dump-secs N]\n\
          \x20      --mixers     comma-separated mixd addresses, one per chain\n\
@@ -117,7 +116,6 @@ fn parse_options() -> Options {
         read_timeout_ms: None,
         write_timeout_ms: None,
         max_connections: None,
-        shards: None,
         log_level: Level::Info,
         metrics_dump_secs: None,
     };
@@ -186,9 +184,6 @@ fn parse_options() -> Options {
                         .unwrap_or_else(|_| usage()),
                 )
             }
-            "--shards" => {
-                options.shards = Some(value("--shards").parse().unwrap_or_else(|_| usage()))
-            }
             "--log-level" => {
                 options.log_level = Level::parse(&value("--log-level")).unwrap_or_else(|| usage())
             }
@@ -232,9 +227,6 @@ fn main() {
         num_pkgs: options.num_pkgs,
         num_mix_servers: options.num_mix_servers,
         seed: [options.seed; 32],
-        intake_shards: options
-            .shards
-            .unwrap_or(ClusterConfig::default().intake_shards),
         ..ClusterConfig::default()
     };
     let service_config = ServiceConfig {

@@ -52,10 +52,6 @@ pub struct ClusterConfig {
     pub timing: RoundTiming,
     /// Master seed for all server randomness (reproducible experiments).
     pub seed: [u8; 32],
-    /// Number of submission-intake shards per open round (see
-    /// [`crate::shard`]). The sealed batch is canonical-ordered, so this is
-    /// a pure concurrency knob: any value produces byte-identical rounds.
-    pub intake_shards: usize,
 }
 
 impl Default for ClusterConfig {
@@ -68,7 +64,6 @@ impl Default for ClusterConfig {
             mailbox_policy: MailboxPolicy::default(),
             timing: RoundTiming::default(),
             seed: [0u8; 32],
-            intake_shards: 8,
         }
     }
 }
@@ -100,7 +95,6 @@ impl ClusterConfig {
             },
             timing: RoundTiming::default(),
             seed: [seed; 32],
-            intake_shards: 8,
         }
     }
 }
@@ -137,22 +131,22 @@ pub struct DialingRoundInfo {
 
 struct OpenRound<Info> {
     info: Info,
-    /// Sharded, content-addressed intake for this round's onions. A
-    /// byte-identical resend (a client retrying after a lost response, or a
-    /// duplicated frame) is recognized and accepted without entering the
-    /// batch twice, which is what makes the submit RPCs retry-idempotent end
-    /// to end; distinct submissions never collide, because every onion is
-    /// freshly encrypted. Held in an `Arc` so read-path snapshots can accept
+    /// Content-addressed intake for this round's onions. A byte-identical
+    /// resend (a client retrying after a lost response, or a duplicated
+    /// frame) is recognized and accepted without entering the batch twice,
+    /// which is what makes the submit RPCs retry-idempotent end to end;
+    /// distinct submissions never collide, because every onion is freshly
+    /// encrypted. Held in an `Arc` so read-path snapshots can accept
     /// submissions concurrently with the exclusive-path RPCs (see
     /// [`crate::shared`]); sealing at round close makes the handoff exact.
     intake: Arc<SubmissionIntake>,
 }
 
 impl<Info> OpenRound<Info> {
-    fn new(info: Info, shards: usize) -> Self {
+    fn new(info: Info) -> Self {
         OpenRound {
             info,
-            intake: Arc::new(SubmissionIntake::new(shards)),
+            intake: Arc::new(SubmissionIntake::new()),
         }
     }
 }
@@ -474,20 +468,20 @@ impl Cluster {
         self.open_dialing.as_ref().map(|open| &open.info)
     }
 
-    /// The open add-friend round's submission intake, shared for concurrent
-    /// offers from read-path snapshots.
-    pub fn open_add_friend_intake(&self) -> Option<Arc<SubmissionIntake>> {
+    /// The open add-friend round's parameters together with its submission
+    /// intake, which read-path snapshots share for concurrent offers.
+    pub fn open_add_friend_round(&self) -> Option<(&AddFriendRoundInfo, &Arc<SubmissionIntake>)> {
         self.open_add_friend
             .as_ref()
-            .map(|open| Arc::clone(&open.intake))
+            .map(|open| (&open.info, &open.intake))
     }
 
-    /// The open dialing round's submission intake, shared for concurrent
-    /// offers from read-path snapshots.
-    pub fn open_dialing_intake(&self) -> Option<Arc<SubmissionIntake>> {
+    /// The open dialing round's parameters together with its submission
+    /// intake, which read-path snapshots share for concurrent offers.
+    pub fn open_dialing_round(&self) -> Option<(&DialingRoundInfo, &Arc<SubmissionIntake>)> {
         self.open_dialing
             .as_ref()
-            .map(|open| Arc::clone(&open.intake))
+            .map(|open| (&open.info, &open.intake))
     }
 
     // ------------------------------------------------------------------
@@ -698,7 +692,7 @@ impl Cluster {
             num_mailboxes,
             onion_len,
         };
-        self.open_add_friend = Some(OpenRound::new(info.clone(), self.config.intake_shards));
+        self.open_add_friend = Some(OpenRound::new(info.clone()));
         Ok(info)
     }
 
@@ -747,15 +741,6 @@ impl Cluster {
             // answers the same way, so keep the mapping total.
             Offer::Sealed => Err(CoordinatorError::RoundNotOpen { requested: round }),
         }
-    }
-
-    /// Whether a byte-identical onion was already accepted for the open
-    /// add-friend round — i.e. this submission is a retry/replay of one the
-    /// round already holds.
-    pub fn already_submitted_add_friend(&self, round: Round, onion: &[u8]) -> bool {
-        self.open_add_friend
-            .as_ref()
-            .is_some_and(|open| open.info.round == round && open.intake.contains(onion))
     }
 
     /// Closes the open add-friend round: runs the mixnet, publishes the
@@ -862,7 +847,7 @@ impl Cluster {
             num_mailboxes,
             onion_len,
         };
-        self.open_dialing = Some(OpenRound::new(info.clone(), self.config.intake_shards));
+        self.open_dialing = Some(OpenRound::new(info.clone()));
         Ok(info)
     }
 
@@ -888,14 +873,6 @@ impl Cluster {
             // answers the same way, so keep the mapping total.
             Offer::Sealed => Err(CoordinatorError::RoundNotOpen { requested: round }),
         }
-    }
-
-    /// Whether a byte-identical onion was already accepted for the open
-    /// dialing round.
-    pub fn already_submitted_dialing(&self, round: Round, onion: &[u8]) -> bool {
-        self.open_dialing
-            .as_ref()
-            .is_some_and(|open| open.info.round == round && open.intake.contains(onion))
     }
 
     /// Closes the open dialing round: runs the mixnet, publishes the Bloom

@@ -1,30 +1,36 @@
-//! The coordinator service: dispatches decoded RPC requests onto a
-//! [`Cluster`].
+//! The coordinator service: the deployment's state and the effects that
+//! change it.
 //!
 //! This is the server half of the client ↔ coordinator API defined in
-//! [`alpenhorn_wire::rpc`]. Every transport — the in-process loopback used by
+//! [`alpenhorn_wire::rpc`]. [`CoordinatorService`] owns the [`Cluster`], the
+//! rate-limit state and the round counter, and exposes one named method per
+//! state-changing RPC (`register`, `issue_token`, `begin_round`, …). It does
+//! not dispatch requests: every transport — the in-process loopback used by
 //! tests and the simulator, and the TCP server in [`crate::server`] — funnels
-//! into [`CoordinatorService::handle`], so both paths execute exactly the
-//! same dispatch, the same validation, and the same rate limiting.
+//! into [`SharedCoordinator::handle`](crate::SharedCoordinator::handle), which
+//! answers reads and submissions from its snapshot and calls these methods
+//! under the service write lock.
 //!
-//! Rate limiting (§9 of the paper) is enforced here: when a
-//! [`RateLimitPolicy`] is configured, every submission must carry a valid,
-//! unspent blind-signature token, and token issuance is budgeted per user per
-//! day. Deployments without the policy accept token-less submissions,
-//! matching the paper's prototype.
+//! Rate limiting (§9 of the paper) is configured here: when a
+//! [`RateLimitPolicy`] is set, token issuance is budgeted per user per day
+//! ([`CoordinatorService::issue_token`]) and every submission must carry a
+//! valid, unspent blind-signature token (spent on the submission path in
+//! [`crate::shared`]). Deployments without the policy accept token-less
+//! submissions, matching the paper's prototype.
 
 use std::path::Path;
 
 use alpenhorn_crypto::ChaChaRng;
 use alpenhorn_ibe::blind::BlindedMessage;
-use alpenhorn_ibe::sig::{Signature, SigningKey};
+use alpenhorn_ibe::sig::{Signature, SigningKey, VerifyingKey};
 use alpenhorn_mixnet::RoundStats;
 use alpenhorn_storage::{Durable, RecoveryReport, StorageConfig, StorageError};
 use alpenhorn_wire::rpc::{
     AddFriendRoundWire, DialingRoundWire, IdentityKeyShareWire, RoundStatsWire,
 };
 use alpenhorn_wire::{
-    Frame, RateLimitReason, RateLimitToken, Request, Response, Round, RoundKind, RpcError,
+    Identity, RateLimitReason, Response, Round, RoundKind, RpcError, G1_LEN, SIGNATURE_LEN,
+    SIGNING_PK_LEN,
 };
 
 use crate::cluster::{AddFriendRoundInfo, Cluster, DialingRoundInfo};
@@ -35,7 +41,7 @@ use crate::ratelimit::{self, RateLimitError, TokenIssuer, TokenVerifier};
 /// Backoff hint attached to [`RpcError::Unavailable`] replies caused by a
 /// transient storage fault: long enough for a stuck disk to come back, short
 /// enough that a client with a live deadline gets several attempts in.
-pub(crate) const STORAGE_RETRY_AFTER_MS: u32 = 250;
+const STORAGE_RETRY_AFTER_MS: u32 = 250;
 
 /// Rate-limiting policy for a service (§9): per-user daily issuance budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +60,8 @@ pub struct ServiceConfig {
     pub rate_limit: Option<RateLimitPolicy>,
 }
 
-/// Dispatches RPC requests onto an in-process [`Cluster`].
+/// An in-process [`Cluster`] plus the rate-limit state, with one method per
+/// state-changing RPC.
 ///
 /// The cluster, the rate-limit state, and the round counter live inside a
 /// [`Durable<CoordinatorCore>`]: ephemeral by default (tests, simulation) or
@@ -141,7 +148,8 @@ impl CoordinatorService {
     /// The wrapped cluster (mutable, for round driving and test inspection).
     ///
     /// Mutations made through this escape hatch are **not journalled**;
-    /// durable deployments must drive rounds through [`Request`] dispatch
+    /// durable deployments must drive rounds through
+    /// [`CoordinatorService::begin_round`] / [`CoordinatorService::close_round`]
     /// (as `alpenhornd` does) so the effects reach the WAL.
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.core.state_mut().cluster
@@ -167,7 +175,7 @@ impl CoordinatorService {
     /// Remaining token-issuance budget for `identity` today, or `None` when
     /// rate limiting is off. Test/inspection hook: a retried issuance must
     /// charge the budget exactly once (issuance is replay-idempotent).
-    pub fn remaining_token_budget(&self, identity: &alpenhorn_wire::Identity) -> Option<u32> {
+    pub fn remaining_token_budget(&self, identity: &Identity) -> Option<u32> {
         let state = self.core.state();
         state
             .issuer
@@ -214,283 +222,148 @@ impl CoordinatorService {
         let _ = self.core.checkpoint_if_due();
     }
 
-    /// Handles one decoded request, producing a response. Never panics on
-    /// hostile input: every failure maps to [`Response::Error`].
-    pub fn handle(&mut self, request: Request) -> Response {
-        match request {
-            Request::Register {
-                identity,
-                signing_key,
-            } => {
-                let key = match alpenhorn_ibe::sig::VerifyingKey::from_bytes(&signing_key) {
-                    Ok(key) => key,
-                    Err(_) => return bad_request("malformed signing key"),
-                };
-                // Pending registrations are deliberately not journalled: the
-                // flow is idempotent and restarts cleanly after a crash.
-                match self.cluster_mut().begin_registration(&identity, key) {
-                    Ok(()) => Response::Ack,
-                    Err(e) => Response::Error(e.into()),
-                }
-            }
-            Request::CompleteRegistration { identity } => {
-                let completed = self
-                    .cluster_mut()
-                    .complete_registration_from_inbox(&identity);
-                if let Err(e) = completed {
-                    // A retry after a journal failure (or a duplicate request
-                    // after a lost response) finds the account installed but
-                    // the pending entry consumed. Fall through so the effect
-                    // record is (re-)journalled — replaying a duplicate is
-                    // idempotent — instead of stranding an account that
-                    // exists in memory but never reached the log.
-                    if self.cluster().registered_signing_key(&identity).is_none() {
-                        return Response::Error(e.into());
-                    }
-                }
-                let Some(key) = self.cluster().registered_signing_key(&identity) else {
-                    return bad_request("registration completed without an account");
-                };
-                // Journal the registry's stored timestamp, not the clock: a
-                // duplicated request must re-record the installed effect
-                // verbatim, not refresh the 30-day inactivity window.
-                let last_seen = self
-                    .cluster()
-                    .account_registry()
-                    .account_last_seen(&identity)
-                    .expect("registered accounts have a last_seen");
-                if let Err(e) = self.journal(
-                    persist::REC_ACCOUNT_REGISTERED,
-                    &persist::account_registered(&identity, &key, last_seen),
-                ) {
-                    return Response::Error(e);
-                }
-                Response::Ack
-            }
-            Request::Deregister {
-                identity,
-                signature,
-            } => {
-                let signature = match Signature::from_bytes(&signature) {
-                    Ok(sig) => sig,
-                    Err(_) => return bad_request("malformed signature"),
-                };
-                let deregistered_at = match self.cluster_mut().deregister(&identity, &signature) {
-                    Ok(()) => self.cluster().now(),
-                    // A retry after a journal failure (or a duplicate
-                    // request) finds the account already gone but locked
-                    // out. Re-journal the *original* lockout time — the only
-                    // observable effect is re-recording an existing public
-                    // fact, so accepting it without a live key to verify
-                    // against is safe and keeps deregistration idempotent.
-                    Err(_)
-                        if self
-                            .cluster()
-                            .account_registry()
-                            .lockout_time(&identity)
-                            .is_some() =>
-                    {
-                        self.cluster()
-                            .account_registry()
-                            .lockout_time(&identity)
-                            .expect("checked in the guard")
-                    }
-                    Err(e) => return Response::Error(e.into()),
-                };
-                if let Err(e) = self.journal(
-                    persist::REC_ACCOUNT_DEREGISTERED,
-                    &persist::account_event(&identity, deregistered_at),
-                ) {
-                    return Response::Error(e);
-                }
-                Response::Ack
-            }
-            Request::GetPkgKeys => Response::PkgKeys(
-                self.cluster()
-                    .pkg_verifying_keys()
-                    .iter()
-                    .map(|key| key.to_bytes())
-                    .collect(),
-            ),
-            Request::GetAddFriendRoundInfo => {
-                let rate_limited = self.rate_limited();
-                match self.cluster().open_add_friend_info() {
-                    None => Response::Error(RpcError::NoOpenRound {
-                        kind: RoundKind::AddFriend,
-                    }),
-                    Some(info) => Response::AddFriendRoundInfo(add_friend_wire(info, rate_limited)),
-                }
-            }
-            Request::GetDialingRoundInfo => {
-                let rate_limited = self.rate_limited();
-                match self.cluster().open_dialing_info() {
-                    None => Response::Error(RpcError::NoOpenRound {
-                        kind: RoundKind::Dialing,
-                    }),
-                    Some(info) => Response::DialingRoundInfo(dialing_wire(info, rate_limited)),
-                }
-            }
-            Request::ExtractIdentityKeys {
-                identity,
-                round,
-                auth,
-            } => {
-                let auth = match Signature::from_bytes(&auth) {
-                    Ok(sig) => sig,
-                    Err(_) => return bad_request("malformed extraction signature"),
-                };
-                match self
-                    .cluster_mut()
-                    .extract_identity_keys(&identity, round, &auth)
-                {
-                    Ok(responses) => {
-                        // Extraction refreshed the account's inactivity
-                        // window; journal the refresh so the 30-day
-                        // re-registration policy survives a restart.
-                        let now = self.cluster().now();
-                        if let Err(e) = self.journal(
-                            persist::REC_ACCOUNT_TOUCHED,
-                            &persist::account_event(&identity, now),
-                        ) {
-                            return Response::Error(e);
-                        }
-                        Response::IdentityKeys(
-                            responses
-                                .iter()
-                                .map(|r| IdentityKeyShareWire {
-                                    identity_key: r.identity_key.to_bytes(),
-                                    attestation: r.attestation.to_bytes(),
-                                })
-                                .collect(),
-                        )
-                    }
-                    Err(e) => Response::Error(e.into()),
-                }
-            }
-            Request::IssueRateLimitToken {
-                identity,
-                blinded,
-                auth,
-            } => self.issue_token(identity, blinded, auth),
-            Request::SubmitAddFriend {
-                round,
-                onion,
-                token,
-            } => {
-                // Validate the submission before burning the token: a
-                // rejected submission must not consume issuance budget.
-                let open = self
-                    .cluster()
-                    .open_add_friend_info()
-                    .map(|info| (info.round, info.onion_len));
-                if let Err(e) = validate_submission(open, round, onion.len()) {
-                    return Response::Error(e);
-                }
-                // A byte-identical resend of an onion this round already
-                // holds is a client retrying after a lost response (or a
-                // duplicated frame). Answer Ack without touching the token:
-                // the original acceptance already spent it, and spending
-                // again would misread the retry as a double spend.
-                if self.cluster().already_submitted_add_friend(round, &onion) {
-                    return Response::Ack;
-                }
-                if let Err(e) = self.spend_token(RoundKind::AddFriend, round, token) {
-                    return Response::Error(e);
-                }
-                match self.cluster_mut().submit_add_friend(round, onion) {
-                    Ok(()) => Response::Ack,
-                    Err(e) => Response::Error(e.into()),
-                }
-            }
-            Request::SubmitDialing {
-                round,
-                onion,
-                token,
-            } => {
-                let open = self
-                    .cluster()
-                    .open_dialing_info()
-                    .map(|info| (info.round, info.onion_len));
-                if let Err(e) = validate_submission(open, round, onion.len()) {
-                    return Response::Error(e);
-                }
-                // Same retry-idempotency contract as the add-friend path.
-                if self.cluster().already_submitted_dialing(round, &onion) {
-                    return Response::Ack;
-                }
-                if let Err(e) = self.spend_token(RoundKind::Dialing, round, token) {
-                    return Response::Error(e);
-                }
-                match self.cluster_mut().submit_dialing(round, onion) {
-                    Ok(()) => Response::Ack,
-                    Err(e) => Response::Error(e.into()),
-                }
-            }
-            Request::FetchAddFriendMailbox { round, mailbox } => {
-                match self
-                    .cluster_mut()
-                    .cdn()
-                    .fetch_add_friend_mailbox(round, mailbox)
-                {
-                    Some(contents) => Response::AddFriendMailbox { contents },
-                    None => Response::Error(RpcError::UnknownMailbox),
-                }
-            }
-            Request::FetchDialingMailbox { round, mailbox } => {
-                match self
-                    .cluster_mut()
-                    .cdn()
-                    .fetch_dialing_mailbox(round, mailbox)
-                {
-                    Some(filter) => Response::DialingMailbox {
-                        filter: filter.to_bytes(),
-                    },
-                    None => Response::Error(RpcError::UnknownMailbox),
-                }
-            }
-            Request::BeginAddFriendRound {
-                round,
-                expected_real,
-            } => {
-                let rate_limited = self.rate_limited();
-                match self
-                    .cluster_mut()
-                    .begin_add_friend_round(round, expected_real as usize)
-                {
-                    Ok(info) => {
-                        if let Err(e) = self.round_begun(RoundKind::AddFriend, round) {
-                            return Response::Error(e);
-                        }
-                        self.compact_if_due();
-                        Response::AddFriendRoundInfo(add_friend_wire(&info, rate_limited))
-                    }
-                    Err(e) => Response::Error(e.into()),
-                }
-            }
-            Request::CloseAddFriendRound { round } => self.close_round(RoundKind::AddFriend, round),
-            Request::BeginDialingRound {
-                round,
-                expected_real,
-            } => {
-                let rate_limited = self.rate_limited();
-                match self
-                    .cluster_mut()
-                    .begin_dialing_round(round, expected_real as usize)
-                {
-                    Ok(info) => {
-                        if let Err(e) = self.round_begun(RoundKind::Dialing, round) {
-                            return Response::Error(e);
-                        }
-                        self.compact_if_due();
-                        Response::DialingRoundInfo(dialing_wire(&info, rate_limited))
-                    }
-                    Err(e) => Response::Error(e.into()),
-                }
-            }
-            Request::CloseDialingRound { round } => self.close_round(RoundKind::Dialing, round),
-            Request::GetCdnStats => Response::CdnStats(self.cluster().cdn_stats()),
-            Request::GetTelemetry => Response::Telemetry(crate::telemetry::telemetry_wire()),
+    /// `Register`: starts registration of `identity` at every PKG. Pending
+    /// registrations are deliberately not journalled: the flow is idempotent
+    /// and restarts cleanly after a crash.
+    pub fn register(&mut self, identity: &Identity, signing_key: [u8; SIGNING_PK_LEN]) -> Response {
+        let Ok(key) = VerifyingKey::from_bytes(&signing_key) else {
+            return bad_request("malformed signing key");
+        };
+        match self.cluster_mut().begin_registration(identity, key) {
+            Ok(()) => Response::Ack,
+            Err(e) => Response::Error(e.into()),
         }
+    }
+
+    /// `CompleteRegistration`: confirms the emailed tokens and journals the
+    /// installed account.
+    pub fn complete_registration(&mut self, identity: &Identity) -> Response {
+        if let Err(e) = self
+            .cluster_mut()
+            .complete_registration_from_inbox(identity)
+        {
+            // A retry after a journal failure (or a duplicate request after a
+            // lost response) finds the account installed but the pending
+            // entry consumed. Fall through so the effect record is
+            // (re-)journalled — replaying a duplicate is idempotent — instead
+            // of stranding an account that exists in memory but never
+            // reached the log.
+            if self.cluster().registered_signing_key(identity).is_none() {
+                return Response::Error(e.into());
+            }
+        }
+        // Journal the registry's stored timestamp, not the clock: a
+        // duplicated request must re-record the installed effect verbatim,
+        // not refresh the 30-day inactivity window.
+        let cluster = self.cluster();
+        let (Some(key), Some(last_seen)) = (
+            cluster.registered_signing_key(identity),
+            cluster.account_registry().account_last_seen(identity),
+        ) else {
+            return bad_request("registration completed without an account");
+        };
+        match self.journal(
+            persist::REC_ACCOUNT_REGISTERED,
+            &persist::account_registered(identity, &key, last_seen),
+        ) {
+            Ok(()) => Response::Ack,
+            Err(e) => Response::Error(e),
+        }
+    }
+
+    /// `Deregister`: removes `identity` at every PKG and journals the
+    /// lockout.
+    pub fn deregister(&mut self, identity: &Identity, signature: [u8; SIGNATURE_LEN]) -> Response {
+        let Ok(signature) = Signature::from_bytes(&signature) else {
+            return bad_request("malformed signature");
+        };
+        let deregistered_at = match self.cluster_mut().deregister(identity, &signature) {
+            Ok(()) => self.cluster().now(),
+            // A retry after a journal failure (or a duplicate request) finds
+            // the account already gone but locked out. Re-journal the
+            // *original* lockout time — the only observable effect is
+            // re-recording an existing public fact, so accepting it without a
+            // live key to verify against is safe and keeps deregistration
+            // idempotent.
+            Err(e) => match self.cluster().account_registry().lockout_time(identity) {
+                Some(locked_out_at) => locked_out_at,
+                None => return Response::Error(e.into()),
+            },
+        };
+        match self.journal(
+            persist::REC_ACCOUNT_DEREGISTERED,
+            &persist::account_event(identity, deregistered_at),
+        ) {
+            Ok(()) => Response::Ack,
+            Err(e) => Response::Error(e),
+        }
+    }
+
+    /// `ExtractIdentityKeys`: extracts `identity`'s round key share from every
+    /// PKG. Extraction refreshes the account's inactivity window; the refresh
+    /// is journalled so the 30-day re-registration policy survives a restart.
+    pub fn extract_identity_keys(
+        &mut self,
+        identity: &Identity,
+        round: Round,
+        auth: [u8; SIGNATURE_LEN],
+    ) -> Response {
+        let Ok(auth) = Signature::from_bytes(&auth) else {
+            return bad_request("malformed extraction signature");
+        };
+        let responses = match self
+            .cluster_mut()
+            .extract_identity_keys(identity, round, &auth)
+        {
+            Ok(responses) => responses,
+            Err(e) => return Response::Error(e.into()),
+        };
+        let now = self.cluster().now();
+        if let Err(e) = self.journal(
+            persist::REC_ACCOUNT_TOUCHED,
+            &persist::account_event(identity, now),
+        ) {
+            return Response::Error(e);
+        }
+        Response::IdentityKeys(
+            responses
+                .iter()
+                .map(|r| IdentityKeyShareWire {
+                    identity_key: r.identity_key.to_bytes(),
+                    attestation: r.attestation.to_bytes(),
+                })
+                .collect(),
+        )
+    }
+
+    /// `Begin*Round`: opens `round` of `protocol`, sized for `expected_real`
+    /// requests, and journals the open before the round info is served.
+    pub fn begin_round(
+        &mut self,
+        protocol: RoundKind,
+        round: Round,
+        expected_real: u64,
+    ) -> Response {
+        let rate_limited = self.rate_limited();
+        let cluster = self.cluster_mut();
+        let expected_real = expected_real as usize;
+        let begun = match protocol {
+            RoundKind::AddFriend => cluster
+                .begin_add_friend_round(round, expected_real)
+                .map(|info| Response::AddFriendRoundInfo(add_friend_wire(&info, rate_limited))),
+            RoundKind::Dialing => cluster
+                .begin_dialing_round(round, expected_real)
+                .map(|info| Response::DialingRoundInfo(dialing_wire(&info, rate_limited))),
+        };
+        let reply = match begun {
+            Ok(reply) => reply,
+            Err(e) => return Response::Error(e.into()),
+        };
+        if let Err(e) = self.round_begun(protocol, round) {
+            return Response::Error(e);
+        }
+        self.compact_if_due();
+        reply
     }
 
     /// A cloneable journal handle for the concurrent read path: snapshot
@@ -556,13 +429,14 @@ impl CoordinatorService {
         Ok(())
     }
 
-    /// Closes the open round of `protocol`. The close is the WAL barrier:
+    /// `Close*Round`: closes the open round of `protocol`. The close is the
+    /// WAL barrier:
     /// after the intake is sealed — so every spend of an onion in the batch
     /// is already appended — and before the batch reaches the first mixer,
     /// one fsync makes the round's buffered records durable. If it fails the
     /// round is abandoned (submissions dropped, round keys erased) and the
     /// caller gets a retryable `Unavailable`.
-    fn close_round(&mut self, protocol: RoundKind, round: Round) -> Response {
+    pub fn close_round(&mut self, protocol: RoundKind, round: Round) -> Response {
         let journal = self.core.journal();
         let barrier = || {
             journal.sync().map_err(|e| {
@@ -585,60 +459,24 @@ impl CoordinatorService {
         }
     }
 
-    /// Handles one framed request payload (already stripped of its frame),
-    /// returning the encoded response. A payload that does not decode to a
-    /// [`Request`] yields an encoded [`RpcError::BadRequest`] instead of a
-    /// connection drop, so clients always get a typed answer.
-    pub fn handle_request_bytes(&mut self, payload: &[u8]) -> Vec<u8> {
-        let response = match Request::decode(payload) {
-            Ok(request) => self.handle(request),
-            Err(e) => Response::Error(RpcError::BadRequest {
-                detail: format!("undecodable request: {e}"),
-            }),
-        };
-        let bytes = response.encode();
-        if bytes.len() > Frame::MAX_PAYLOAD_LEN {
-            // A response too large to frame (e.g. a mailbox bloated past the
-            // 16 MiB cap by an unthrottled flood of submissions) must come
-            // back as a typed error, not panic the connection thread in
-            // `Frame::encode`.
-            return Response::Error(RpcError::BadRequest {
-                detail: "response exceeds the maximum frame size".to_string(),
-            })
-            .encode();
-        }
-        bytes
-    }
-
-    /// Handles one complete frame, returning the complete response frame.
-    pub fn handle_frame(&mut self, frame: &[u8]) -> Vec<u8> {
-        let response_bytes = match Frame::decode(frame) {
-            Ok(payload) => self.handle_request_bytes(payload),
-            Err(e) => Response::Error(RpcError::BadRequest {
-                detail: format!("undecodable frame: {e}"),
-            })
-            .encode(),
-        };
-        Frame::encode(&response_bytes)
-    }
-
-    fn issue_token(
+    /// `IssueRateLimitToken`: blind-signs one rate-limit token against
+    /// `identity`'s daily budget. Issuance is authenticated like key
+    /// extraction: the request must be signed by the key registered for the
+    /// identity.
+    pub fn issue_token(
         &mut self,
-        identity: alpenhorn_wire::Identity,
-        blinded: [u8; alpenhorn_wire::G1_LEN],
-        auth: [u8; alpenhorn_wire::SIGNATURE_LEN],
+        identity: &Identity,
+        blinded: [u8; G1_LEN],
+        auth: [u8; SIGNATURE_LEN],
     ) -> Response {
-        let blinded_bytes = blinded;
-        let issued = {
+        let (blind_sig, now) = {
             let core = self.core.state_mut();
             let Some(issuer) = &mut core.issuer else {
                 return Response::Error(RpcError::RateLimited {
                     reason: RateLimitReason::NotEnabled,
                 });
             };
-            // Issuance is authenticated like key extraction: the request must
-            // be signed by the key registered for the identity.
-            let Some(registered) = core.cluster.registered_signing_key(&identity) else {
+            let Some(registered) = core.cluster.registered_signing_key(identity) else {
                 return Response::Error(RpcError::Pkg {
                     code: pkg_error_code(&alpenhorn_pkg::PkgError::UnknownIdentity),
                     detail: alpenhorn_pkg::PkgError::UnknownIdentity.to_string(),
@@ -647,17 +485,17 @@ impl CoordinatorService {
             let Ok(auth) = Signature::from_bytes(&auth) else {
                 return bad_request("malformed issuance signature");
             };
-            if !registered.verify(&ratelimit::issue_message(&identity, &blinded), &auth) {
+            if !registered.verify(&ratelimit::issue_message(identity, &blinded), &auth) {
                 return Response::Error(RpcError::Pkg {
                     code: pkg_error_code(&alpenhorn_pkg::PkgError::AuthenticationFailed),
                     detail: alpenhorn_pkg::PkgError::AuthenticationFailed.to_string(),
                 });
             }
-            let Ok(blinded) = BlindedMessage::from_bytes(&blinded) else {
+            let Ok(blinded_message) = BlindedMessage::from_bytes(&blinded) else {
                 return bad_request("malformed blinded message");
             };
             let now = core.cluster.now();
-            match issuer.issue(&identity, &blinded, now) {
+            match issuer.issue(identity, &blinded_message, now) {
                 Ok(blind_sig) => (blind_sig, now),
                 Err(RateLimitError::BudgetExhausted) => {
                     return Response::Error(RpcError::RateLimited {
@@ -669,10 +507,9 @@ impl CoordinatorService {
                 }
             }
         };
-        let (blind_sig, now) = issued;
         if let Err(e) = self.journal(
             persist::REC_TOKEN_ISSUED,
-            &persist::token_issued(&identity, now, &blinded_bytes),
+            &persist::token_issued(identity, now, &blinded),
         ) {
             return Response::Error(e);
         }
@@ -680,58 +517,10 @@ impl CoordinatorService {
             blind_signature: blind_sig.to_bytes(),
         }
     }
-
-    fn spend_token(
-        &mut self,
-        kind: RoundKind,
-        round: Round,
-        token: Option<RateLimitToken>,
-    ) -> Result<(), RpcError> {
-        {
-            let core = self.core.state();
-            let Some(verifier) = &core.verifier else {
-                return Ok(());
-            };
-            let Some(token) = token else {
-                return Err(RpcError::RateLimited {
-                    reason: RateLimitReason::MissingToken,
-                });
-            };
-            let signature =
-                Signature::from_bytes(&token.signature).map_err(|_| RpcError::RateLimited {
-                    reason: RateLimitReason::InvalidToken,
-                })?;
-            let message = ratelimit::spend_message(kind, round, &token.serial);
-            verifier
-                .spend(&message, &signature)
-                .map_err(|e| RpcError::RateLimited {
-                    reason: match e {
-                        RateLimitError::InvalidToken => RateLimitReason::InvalidToken,
-                        RateLimitError::DoubleSpend => RateLimitReason::DoubleSpend,
-                        RateLimitError::BudgetExhausted => RateLimitReason::BudgetExhausted,
-                    },
-                })?;
-        }
-        let token = token.expect("spend succeeded, so a token was present");
-        if let Err(e) = self.journal(
-            persist::REC_TOKEN_SPENT,
-            &persist::token_spent(&token.signature),
-        ) {
-            // The submission is about to be rejected with a storage error,
-            // so the ledger insert must roll back: the client's retry with
-            // the same (still unspent) token must not read as a double
-            // spend and strand a unit of its daily budget.
-            if let Some(verifier) = &self.core.state().verifier {
-                verifier.forget_spent(&token.signature);
-            }
-            return Err(e);
-        }
-        Ok(())
-    }
 }
 
 /// A retryable storage fault, typed for the client.
-fn storage_unavailable(what: &str, e: StorageError) -> RpcError {
+pub(crate) fn storage_unavailable(what: &str, e: StorageError) -> RpcError {
     RpcError::Unavailable {
         detail: format!("{what} failed: {e}"),
         retry_after_ms: STORAGE_RETRY_AFTER_MS,
@@ -763,30 +552,6 @@ pub(crate) fn dialing_wire(info: &DialingRoundInfo, rate_limited: bool) -> Diali
         onion_len: info.onion_len as u32,
         rate_limited,
     }
-}
-
-/// Checks a submission against the open round (if any) without mutating
-/// anything, so a rejected submission never spends a rate-limit token. The
-/// subsequent cluster call re-checks under the same lock, so the two can
-/// only agree.
-pub(crate) fn validate_submission(
-    open: Option<(Round, usize)>,
-    round: Round,
-    onion_len: usize,
-) -> Result<(), RpcError> {
-    let Some((open_round, expected_len)) = open else {
-        return Err(RpcError::RoundNotOpen { requested: round });
-    };
-    if open_round != round {
-        return Err(RpcError::RoundNotOpen { requested: round });
-    }
-    if onion_len != expected_len {
-        return Err(RpcError::WrongRequestSize {
-            expected: expected_len as u32,
-            actual: onion_len as u32,
-        });
-    }
-    Ok(())
 }
 
 /// Feeds one closed round's message accounting into the shared registry, so
@@ -833,10 +598,15 @@ fn round_stats_wire(stats: &RoundStats) -> RoundStatsWire {
 
 #[cfg(test)]
 mod tests {
+    //! The effect methods are tested directly; everything a client reaches
+    //! through dispatch (round info, submissions, token spends, undecodable
+    //! bytes) is tested through [`SharedCoordinator`], the one dispatcher.
+
     use super::*;
     use crate::cluster::ClusterConfig;
-    use alpenhorn_ibe::blind::{blind, unblind};
-    use alpenhorn_wire::Identity;
+    use crate::shared::SharedCoordinator;
+    use alpenhorn_ibe::blind::{blind, unblind, BlindedSignature};
+    use alpenhorn_wire::{RateLimitToken, Request};
 
     fn service(seed: u8) -> CoordinatorService {
         CoordinatorService::new(Cluster::new(ClusterConfig::test(seed)))
@@ -858,30 +628,76 @@ mod tests {
         let mut rng = ChaChaRng::from_seed_bytes([email.len() as u8; 32]);
         let key = SigningKey::generate(&mut rng);
         assert_eq!(
-            service.handle(Request::Register {
-                identity: identity.clone(),
-                signing_key: key.verifying_key().to_bytes(),
-            }),
+            service.register(&identity, key.verifying_key().to_bytes()),
             Response::Ack
         );
-        assert_eq!(
-            service.handle(Request::CompleteRegistration { identity }),
-            Response::Ack
-        );
+        assert_eq!(service.complete_registration(&identity), Response::Ack);
         key
+    }
+
+    /// Has the service blind-sign an add-friend round-1 token for `identity`
+    /// and unblinds it, as a client would.
+    fn issued_token(
+        service: &mut CoordinatorService,
+        key: &SigningKey,
+        identity: &Identity,
+        serial: [u8; 16],
+        rng_seed: u8,
+    ) -> RateLimitToken {
+        let mut rng = ChaChaRng::from_seed_bytes([rng_seed; 32]);
+        let message = ratelimit::spend_message(RoundKind::AddFriend, Round(1), &serial);
+        let (blinded, factor) = blind(&message, &mut rng);
+        let blinded = blinded.to_bytes();
+        let auth = key.sign(&ratelimit::issue_message(identity, &blinded));
+        let Response::TokenIssued { blind_signature } =
+            service.issue_token(identity, blinded, auth.to_bytes())
+        else {
+            panic!("token issued");
+        };
+        RateLimitToken {
+            serial,
+            signature: unblind(
+                &BlindedSignature::from_bytes(&blind_signature).unwrap(),
+                &factor,
+            )
+            .to_bytes(),
+        }
+    }
+
+    fn submit(
+        shared: &SharedCoordinator,
+        onion: Vec<u8>,
+        token: Option<RateLimitToken>,
+    ) -> Response {
+        shared.handle(Request::SubmitAddFriend {
+            round: Round(1),
+            onion,
+            token,
+        })
+    }
+
+    fn open_add_friend_round(shared: &SharedCoordinator, expected_real: u64) -> usize {
+        let Response::AddFriendRoundInfo(info) = shared.handle(Request::BeginAddFriendRound {
+            round: Round(1),
+            expected_real,
+        }) else {
+            panic!("round opens");
+        };
+        assert_eq!(info.rate_limited, shared.read().rate_limited());
+        info.onion_len as usize
     }
 
     #[test]
     fn round_info_reports_no_open_round() {
-        let mut service = service(40);
+        let shared = SharedCoordinator::new(service(40));
         assert_eq!(
-            service.handle(Request::GetAddFriendRoundInfo),
+            shared.handle(Request::GetAddFriendRoundInfo),
             Response::Error(RpcError::NoOpenRound {
                 kind: RoundKind::AddFriend
             })
         );
         assert_eq!(
-            service.handle(Request::GetDialingRoundInfo),
+            shared.handle(Request::GetDialingRoundInfo),
             Response::Error(RpcError::NoOpenRound {
                 kind: RoundKind::Dialing
             })
@@ -890,12 +706,12 @@ mod tests {
 
     #[test]
     fn begin_round_info_matches_get() {
-        let mut service = service(41);
-        let begun = service.handle(Request::BeginAddFriendRound {
+        let shared = SharedCoordinator::new(service(41));
+        let begun = shared.handle(Request::BeginAddFriendRound {
             round: Round(1),
             expected_real: 10,
         });
-        let fetched = service.handle(Request::GetAddFriendRoundInfo);
+        let fetched = shared.handle(Request::GetAddFriendRoundInfo);
         assert_eq!(begun, fetched);
         let Response::AddFriendRoundInfo(info) = fetched else {
             panic!("expected round info");
@@ -908,35 +724,26 @@ mod tests {
 
     #[test]
     fn malformed_requests_get_typed_errors_not_panics() {
-        let mut service = service(42);
+        let shared = SharedCoordinator::new(service(42));
         let identity = Identity::new("alice@example.com").unwrap();
         assert!(matches!(
-            service.handle(Request::Register {
+            shared.handle(Request::Register {
                 identity: identity.clone(),
-                signing_key: [0xffu8; alpenhorn_wire::SIGNING_PK_LEN],
+                signing_key: [0xffu8; SIGNING_PK_LEN],
             }),
             Response::Error(RpcError::BadRequest { .. })
         ));
         assert!(matches!(
-            service.handle(Request::Deregister {
+            shared.handle(Request::Deregister {
                 identity,
-                signature: [0xffu8; alpenhorn_wire::SIGNATURE_LEN],
+                signature: [0xffu8; SIGNATURE_LEN],
             }),
             Response::Error(RpcError::BadRequest { .. })
         ));
-        // Undecodable request bytes inside a valid frame.
-        let framed = Frame::encode(&[0xde, 0xad, 0xbe, 0xef]);
-        let reply = service.handle_frame(&framed);
-        let payload = Frame::decode(&reply).unwrap();
+        // Undecodable request bytes still get an encoded, typed reply.
+        let reply = shared.handle_request_bytes(&[0xde, 0xad, 0xbe, 0xef]);
         assert!(matches!(
-            Response::decode(payload).unwrap(),
-            Response::Error(RpcError::BadRequest { .. })
-        ));
-        // An undecodable frame still gets a framed, typed reply.
-        let reply = service.handle_frame(b"not a frame at all");
-        let payload = Frame::decode(&reply).unwrap();
-        assert!(matches!(
-            Response::decode(payload).unwrap(),
+            Response::decode(&reply).unwrap(),
             Response::Error(RpcError::BadRequest { .. })
         ));
     }
@@ -946,93 +753,41 @@ mod tests {
         let mut service = rate_limited_service(43, 4);
         let key = register(&mut service, "alice@example.com");
         let identity = Identity::new("alice@example.com").unwrap();
-        let Response::AddFriendRoundInfo(info) = service.handle(Request::BeginAddFriendRound {
-            round: Round(1),
-            expected_real: 4,
-        }) else {
-            panic!("round opens");
-        };
-        assert!(info.rate_limited);
-        let onion = vec![0u8; info.onion_len as usize];
+        let token = issued_token(&mut service, &key, &identity, [7u8; 16], 9);
+        let shared = SharedCoordinator::new(service);
+        let onion_len = open_add_friend_round(&shared, 4);
+        let onion = vec![0u8; onion_len];
 
         // No token: rejected.
         assert_eq!(
-            service.handle(Request::SubmitAddFriend {
-                round: Round(1),
-                onion: onion.clone(),
-                token: None,
-            }),
+            submit(&shared, onion.clone(), None),
             Response::Error(RpcError::RateLimited {
                 reason: RateLimitReason::MissingToken
             })
         );
 
         // Forged token: rejected.
+        let forged = RateLimitToken {
+            serial: [1u8; 16],
+            signature: [0u8; SIGNATURE_LEN],
+        };
         assert_eq!(
-            service.handle(Request::SubmitAddFriend {
-                round: Round(1),
-                onion: onion.clone(),
-                token: Some(RateLimitToken {
-                    serial: [1u8; 16],
-                    signature: [0u8; alpenhorn_wire::SIGNATURE_LEN],
-                }),
-            }),
+            submit(&shared, onion.clone(), Some(forged)),
             Response::Error(RpcError::RateLimited {
                 reason: RateLimitReason::InvalidToken
             })
         );
 
         // Properly issued token: accepted once, double spend rejected.
-        let mut rng = ChaChaRng::from_seed_bytes([9u8; 32]);
-        let serial = [7u8; 16];
-        let message = ratelimit::spend_message(RoundKind::AddFriend, Round(1), &serial);
-        let (blinded, factor) = blind(&message, &mut rng);
-        let blinded_bytes = blinded.to_bytes();
-        let auth = key.sign(&ratelimit::issue_message(&identity, &blinded_bytes));
-        let Response::TokenIssued { blind_signature } =
-            service.handle(Request::IssueRateLimitToken {
-                identity: identity.clone(),
-                blinded: blinded_bytes,
-                auth: auth.to_bytes(),
-            })
-        else {
-            panic!("token issued");
-        };
-        let token = RateLimitToken {
-            serial,
-            signature: unblind(
-                &alpenhorn_ibe::blind::BlindedSignature::from_bytes(&blind_signature).unwrap(),
-                &factor,
-            )
-            .to_bytes(),
-        };
-        assert_eq!(
-            service.handle(Request::SubmitAddFriend {
-                round: Round(1),
-                onion: onion.clone(),
-                token: Some(token),
-            }),
-            Response::Ack
-        );
+        assert_eq!(submit(&shared, onion.clone(), Some(token)), Response::Ack);
         // Resubmitting the *same* onion is a retry of an already-accepted
         // submission: acked without consulting (or burning) the token.
-        assert_eq!(
-            service.handle(Request::SubmitAddFriend {
-                round: Round(1),
-                onion,
-                token: Some(token),
-            }),
-            Response::Ack
-        );
-        assert_eq!(service.spent_token_count(), Some(1));
+        assert_eq!(submit(&shared, onion, Some(token)), Response::Ack);
+        assert_eq!(shared.read().spent_token_count(), Some(1));
         // Spending the same token on a *different* submission is the real
         // double-spend and stays rejected.
         assert_eq!(
-            service.handle(Request::SubmitAddFriend {
-                round: Round(1),
-                onion: vec![1u8; info.onion_len as usize],
-                token: Some(token),
-            }),
+            submit(&shared, vec![1u8; onion_len], Some(token)),
             Response::Error(RpcError::RateLimited {
                 reason: RateLimitReason::DoubleSpend
             })
@@ -1048,62 +803,28 @@ mod tests {
         let mut service = rate_limited_service(47, 1);
         let key = register(&mut service, "erin@example.com");
         let erin = Identity::new("erin@example.com").unwrap();
-        let Response::AddFriendRoundInfo(info) = service.handle(Request::BeginAddFriendRound {
-            round: Round(1),
-            expected_real: 1,
-        }) else {
-            panic!("round opens");
-        };
-
-        let mut rng = ChaChaRng::from_seed_bytes([8u8; 32]);
-        let serial = [3u8; 16];
-        let message = ratelimit::spend_message(RoundKind::AddFriend, Round(1), &serial);
-        let (blinded, factor) = blind(&message, &mut rng);
-        let blinded_bytes = blinded.to_bytes();
-        let auth = key.sign(&ratelimit::issue_message(&erin, &blinded_bytes));
-        let Response::TokenIssued { blind_signature } =
-            service.handle(Request::IssueRateLimitToken {
-                identity: erin,
-                blinded: blinded_bytes,
-                auth: auth.to_bytes(),
-            })
-        else {
-            panic!("token issued");
-        };
-        let token = RateLimitToken {
-            serial,
-            signature: unblind(
-                &alpenhorn_ibe::blind::BlindedSignature::from_bytes(&blind_signature).unwrap(),
-                &factor,
-            )
-            .to_bytes(),
-        };
+        let token = issued_token(&mut service, &key, &erin, [3u8; 16], 8);
+        let shared = SharedCoordinator::new(service);
+        let onion_len = open_add_friend_round(&shared, 1);
 
         // Wrong size: rejected without spending.
         assert!(matches!(
-            service.handle(Request::SubmitAddFriend {
-                round: Round(1),
-                onion: vec![0u8; info.onion_len as usize - 1],
-                token: Some(token),
-            }),
+            submit(&shared, vec![0u8; onion_len - 1], Some(token)),
             Response::Error(RpcError::WrongRequestSize { .. })
         ));
         // Wrong round: likewise.
         assert!(matches!(
-            service.handle(Request::SubmitAddFriend {
+            shared.handle(Request::SubmitAddFriend {
                 round: Round(9),
-                onion: vec![0u8; info.onion_len as usize],
+                onion: vec![0u8; onion_len],
                 token: Some(token),
             }),
             Response::Error(RpcError::RoundNotOpen { .. })
         ));
+        assert_eq!(shared.read().spent_token_count(), Some(0));
         // The corrected submission spends the same token successfully.
         assert_eq!(
-            service.handle(Request::SubmitAddFriend {
-                round: Round(1),
-                onion: vec![0u8; info.onion_len as usize],
-                token: Some(token),
-            }),
+            submit(&shared, vec![0u8; onion_len], Some(token)),
             Response::Ack
         );
     }
@@ -1116,11 +837,7 @@ mod tests {
         let (blinded, _) = blind(b"message", &mut rng);
         // Unknown identity.
         assert!(matches!(
-            service.handle(Request::IssueRateLimitToken {
-                identity: identity.clone(),
-                blinded: blinded.to_bytes(),
-                auth: [0u8; alpenhorn_wire::SIGNATURE_LEN],
-            }),
+            service.issue_token(&identity, blinded.to_bytes(), [0u8; SIGNATURE_LEN]),
             Response::Error(RpcError::Pkg { code: 4, .. })
         ));
         // Registered identity, wrong key signing the request.
@@ -1129,11 +846,7 @@ mod tests {
         let rogue = SigningKey::generate(&mut rng);
         let auth = rogue.sign(&ratelimit::issue_message(&carol, &blinded.to_bytes()));
         assert!(matches!(
-            service.handle(Request::IssueRateLimitToken {
-                identity: carol,
-                blinded: blinded.to_bytes(),
-                auth: auth.to_bytes(),
-            }),
+            service.issue_token(&carol, blinded.to_bytes(), auth.to_bytes()),
             Response::Error(RpcError::Pkg { code: 5, .. })
         ));
     }
@@ -1148,11 +861,7 @@ mod tests {
             let (blinded, _) = blind(format!("m{attempt}").as_bytes(), &mut rng);
             let blinded_bytes = blinded.to_bytes();
             let auth = key.sign(&ratelimit::issue_message(&dan, &blinded_bytes));
-            let response = service.handle(Request::IssueRateLimitToken {
-                identity: dan.clone(),
-                blinded: blinded_bytes,
-                auth: auth.to_bytes(),
-            });
+            let response = service.issue_token(&dan, blinded_bytes, auth.to_bytes());
             if attempt == 0 {
                 assert!(matches!(response, Response::TokenIssued { .. }));
             } else {
@@ -1176,61 +885,37 @@ mod tests {
         let key = register(&mut service, "frank@example.com");
         let frank = Identity::new("frank@example.com").unwrap();
         assert_eq!(
-            service.handle(Request::CompleteRegistration {
-                identity: frank.clone(),
-            }),
+            service.complete_registration(&frank),
             Response::Ack,
             "duplicate completion is idempotent"
         );
 
-        let signature = key.sign(&alpenhorn_pkg::server::deregistration_message(&frank));
+        let signature = key
+            .sign(&alpenhorn_pkg::server::deregistration_message(&frank))
+            .to_bytes();
+        assert_eq!(service.deregister(&frank, signature), Response::Ack);
         assert_eq!(
-            service.handle(Request::Deregister {
-                identity: frank.clone(),
-                signature: signature.to_bytes(),
-            }),
-            Response::Ack
-        );
-        assert_eq!(
-            service.handle(Request::Deregister {
-                identity: frank.clone(),
-                signature: signature.to_bytes(),
-            }),
+            service.deregister(&frank, signature),
             Response::Ack,
             "duplicate deregistration is idempotent"
         );
         // An identity that never existed still gets a typed error.
         assert!(matches!(
-            service.handle(Request::Deregister {
-                identity: Identity::new("ghost@example.com").unwrap(),
-                signature: signature.to_bytes(),
-            }),
+            service.deregister(&Identity::new("ghost@example.com").unwrap(), signature),
             Response::Error(RpcError::Pkg { .. })
         ));
     }
 
     #[test]
     fn tokens_are_not_required_when_disabled() {
-        let mut service = service(46);
-        let Response::AddFriendRoundInfo(info) = service.handle(Request::BeginAddFriendRound {
-            round: Round(1),
-            expected_real: 1,
-        }) else {
-            panic!("round opens");
-        };
+        let shared = SharedCoordinator::new(service(46));
+        let onion_len = open_add_friend_round(&shared, 1);
+        assert_eq!(submit(&shared, vec![0u8; onion_len], None), Response::Ack);
         assert_eq!(
-            service.handle(Request::SubmitAddFriend {
-                round: Round(1),
-                onion: vec![0u8; info.onion_len as usize],
-                token: None,
-            }),
-            Response::Ack
-        );
-        assert_eq!(
-            service.handle(Request::IssueRateLimitToken {
+            shared.handle(Request::IssueRateLimitToken {
                 identity: Identity::new("a@b.co").unwrap(),
-                blinded: [0u8; alpenhorn_wire::G1_LEN],
-                auth: [0u8; alpenhorn_wire::SIGNATURE_LEN],
+                blinded: [0u8; G1_LEN],
+                auth: [0u8; SIGNATURE_LEN],
             }),
             Response::Error(RpcError::RateLimited {
                 reason: RateLimitReason::NotEnabled

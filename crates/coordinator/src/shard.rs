@@ -1,37 +1,28 @@
-//! Sharded, lock-striped submission intake for an open round.
+//! The submission intake for an open round.
 //!
 //! While a round is open, submissions arrive from many connections at once.
-//! The single-lock design funnels every onion through one `Mutex` around the
-//! whole service; this module replaces the per-round batch with N independent
-//! shards, each guarded by its own short mutex, so concurrent submitters only
-//! contend when their onions hash to the same shard.
+//! Each one is offered here from the snapshot path ([`crate::shared`]) under
+//! one short `Mutex` — a digest insert and a push — so submitters never wait
+//! on the service write lock.
 //!
 //! ## Determinism contract
 //!
 //! The mixnet is input-order-sensitive (each server applies a seeded shuffle
 //! to whatever order it is handed), so the batch handed to the chain at round
-//! close must not depend on arrival order, thread interleaving, or the shard
-//! count. [`SubmissionIntake::seal`] therefore produces a *canonical* order:
+//! close must not depend on arrival order or thread interleaving.
+//! [`SubmissionIntake::seal`] therefore produces a *canonical* order: the
+//! accepted onions sorted by their full SHA-256 digest. Two runs that accept
+//! the same submission set hand the mixnet byte-identical input no matter how
+//! the submissions interleaved. (Identical onions dedup, because equal bytes
+//! have equal digests.)
 //!
-//! * an onion's shard is a monotone function of the big-endian integer formed
-//!   by the first 8 bytes of its SHA-256 digest (`shard = prefix * N >> 64`),
-//!   so shard ranges partition the hash space in digest order;
-//! * each shard sorts its entries by full digest before draining.
-//!
-//! Concatenating shards in index order is then exactly the global
-//! sort-by-digest of the accepted set — for **any** shard count, including 1.
-//! Two runs that accept the same submission set hand the mixnet byte-identical
-//! input no matter how the submissions interleaved. (Identical onions dedup
-//! within one shard, because equal bytes have equal digests.)
-//!
-//! Note this is deliberately stronger than "shard index, then arrival order
-//! within shard": arrival order within a shard is still racy under
-//! concurrency, so it cannot be part of a reproducibility contract. Sorting
-//! by digest leaks nothing (digests are of encrypted onions) and the first
-//! mixnet server re-shuffles the batch anyway.
+//! Arrival order is racy under concurrency, so it cannot be part of a
+//! reproducibility contract. Sorting by digest leaks nothing (digests are of
+//! encrypted onions) and the first mixnet server re-shuffles the batch
+//! anyway.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use alpenhorn_crypto::sha256;
 
@@ -48,84 +39,55 @@ pub enum Offer {
     Sealed,
 }
 
-struct Shard {
+#[derive(Default)]
+struct Queue {
     sealed: bool,
     seen: HashSet<[u8; 32]>,
     entries: Vec<([u8; 32], Vec<u8>)>,
 }
 
-/// Concurrent intake for one open round's submissions, sharded by onion
-/// digest. See the module docs for the canonical merge order.
+/// Concurrent intake for one open round's submissions. See the module docs
+/// for the canonical seal order.
+#[derive(Default)]
 pub struct SubmissionIntake {
-    shards: Vec<Mutex<Shard>>,
-}
-
-/// Monotone map from the digest's leading 8 bytes to a shard index: shard
-/// boundaries partition the hash space into `n` contiguous ranges, so
-/// per-shard sorting + index-order concatenation equals a global sort.
-fn shard_index(digest: &[u8; 32], n: usize) -> usize {
-    let mut prefix = [0u8; 8];
-    prefix.copy_from_slice(&digest[..8]);
-    let prefix = u64::from_be_bytes(prefix);
-    ((prefix as u128 * n as u128) >> 64) as usize
+    queue: Mutex<Queue>,
 }
 
 impl SubmissionIntake {
-    /// Creates an intake with `shards` independent queues (minimum 1).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        SubmissionIntake {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        sealed: false,
-                        seen: HashSet::new(),
-                        entries: Vec::new(),
-                    })
-                })
-                .collect(),
-        }
+    /// Creates an empty, unsealed intake.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// The number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, digest: &[u8; 32]) -> std::sync::MutexGuard<'_, Shard> {
-        self.shards[shard_index(digest, self.shards.len())]
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Offers one onion for the round. Accepts it, recognises it as a
     /// duplicate retry, or reports the round sealed.
     pub fn offer(&self, onion: &[u8]) -> Offer {
         let digest = sha256::digest(onion);
-        let mut shard = self.shard(&digest);
-        if shard.sealed {
+        let mut queue = self.lock();
+        if queue.sealed {
             return Offer::Sealed;
         }
-        if !shard.seen.insert(digest) {
+        if !queue.seen.insert(digest) {
             return Offer::Duplicate;
         }
-        shard.entries.push((digest, onion.to_vec()));
+        queue.entries.push((digest, onion.to_vec()));
         Offer::Accepted
     }
 
     /// Whether an identical onion has already been accepted.
     pub fn contains(&self, onion: &[u8]) -> bool {
         let digest = sha256::digest(onion);
-        self.shard(&digest).seen.contains(&digest)
+        self.lock().seen.contains(&digest)
     }
 
     /// Accepted submissions so far (racy under concurrency; exact once
     /// sealed).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).entries.len())
-            .sum()
+        self.lock().entries.len()
     }
 
     /// Whether no submissions have been accepted.
@@ -133,25 +95,23 @@ impl SubmissionIntake {
         self.len() == 0
     }
 
-    /// Seals every shard against further offers and drains the accepted
-    /// onions in canonical order (global sort by digest; see module docs).
+    /// Seals the intake against further offers and drains the accepted
+    /// onions in canonical order (sorted by digest; see module docs).
     pub fn seal(&self) -> Vec<Vec<u8>> {
-        let mut batch = Vec::new();
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(|p| p.into_inner());
-            shard.sealed = true;
-            let mut entries = std::mem::take(&mut shard.entries);
-            entries.sort_unstable_by_key(|&(digest, _)| digest);
-            batch.extend(entries.into_iter().map(|(_, onion)| onion));
-        }
-        batch
+        let mut entries = {
+            let mut queue = self.lock();
+            queue.sealed = true;
+            std::mem::take(&mut queue.entries)
+        };
+        entries.sort_unstable_by_key(|&(digest, _)| digest);
+        entries.into_iter().map(|(_, onion)| onion).collect()
     }
 }
 
 impl std::fmt::Debug for SubmissionIntake {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SubmissionIntake")
-            .field("shards", &self.shards.len())
+            .field("len", &self.len())
             .finish()
     }
 }
@@ -170,68 +130,63 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn canonical_order_is_shard_count_invariant() {
-        let set = onions(200);
-        let reference = {
-            let intake = SubmissionIntake::new(1);
-            for onion in &set {
-                assert_eq!(intake.offer(onion), Offer::Accepted);
-            }
-            intake.seal()
-        };
-        for shards in 2..=16 {
-            let intake = SubmissionIntake::new(shards);
-            // Reverse arrival order; the sealed batch must not care.
-            for onion in set.iter().rev() {
-                assert_eq!(intake.offer(onion), Offer::Accepted);
-            }
-            assert_eq!(intake.seal(), reference, "shards={shards}");
+    fn natural_order_batch(set: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let intake = SubmissionIntake::new();
+        for onion in set {
+            assert_eq!(intake.offer(onion), Offer::Accepted);
         }
+        intake.seal()
+    }
+
+    #[test]
+    fn canonical_order_is_arrival_order_invariant() {
+        let set = onions(200);
+        let reference = natural_order_batch(&set);
+        let digests: Vec<_> = reference.iter().map(|o| sha256::digest(o)).collect();
+        assert!(
+            digests.windows(2).all(|pair| pair[0] < pair[1]),
+            "sealed batch is sorted by digest"
+        );
+        // Reverse arrival order; the sealed batch must not care.
+        let intake = SubmissionIntake::new();
+        for onion in set.iter().rev() {
+            assert_eq!(intake.offer(onion), Offer::Accepted);
+        }
+        assert_eq!(intake.seal(), reference);
     }
 
     #[test]
     fn concurrent_interleavings_yield_the_reference_batch() {
         let set = onions(128);
-        let reference = {
-            let intake = SubmissionIntake::new(1);
-            for onion in &set {
-                intake.offer(onion);
+        let reference = natural_order_batch(&set);
+        let intake = SubmissionIntake::new();
+        std::thread::scope(|s| {
+            for chunk in set.chunks(32) {
+                let intake = &intake;
+                s.spawn(move || {
+                    for onion in chunk {
+                        assert_eq!(intake.offer(onion), Offer::Accepted);
+                    }
+                });
             }
-            intake.seal()
-        };
-        for shards in [1, 3, 8] {
-            let intake = SubmissionIntake::new(shards);
-            std::thread::scope(|s| {
-                for chunk in set.chunks(32) {
-                    let intake = &intake;
-                    s.spawn(move || {
-                        for onion in chunk {
-                            assert_eq!(intake.offer(onion), Offer::Accepted);
-                        }
-                    });
-                }
-            });
-            assert_eq!(intake.seal(), reference, "shards={shards}");
-        }
+        });
+        assert_eq!(intake.seal(), reference);
     }
 
     #[test]
-    fn duplicates_dedup_across_any_shard_count() {
-        for shards in [1, 4, 16] {
-            let intake = SubmissionIntake::new(shards);
-            let onion = vec![7u8; 48];
-            assert_eq!(intake.offer(&onion), Offer::Accepted);
-            assert_eq!(intake.offer(&onion), Offer::Duplicate);
-            assert!(intake.contains(&onion));
-            assert_eq!(intake.len(), 1);
-            assert_eq!(intake.seal().len(), 1);
-        }
+    fn duplicates_dedup_to_one_entry() {
+        let intake = SubmissionIntake::new();
+        let onion = vec![7u8; 48];
+        assert_eq!(intake.offer(&onion), Offer::Accepted);
+        assert_eq!(intake.offer(&onion), Offer::Duplicate);
+        assert!(intake.contains(&onion));
+        assert_eq!(intake.len(), 1);
+        assert_eq!(intake.seal().len(), 1);
     }
 
     #[test]
     fn sealed_intake_refuses_offers() {
-        let intake = SubmissionIntake::new(4);
+        let intake = SubmissionIntake::new();
         intake.offer(&[1u8; 32]);
         let batch = intake.seal();
         assert_eq!(batch.len(), 1);

@@ -1,24 +1,27 @@
-//! Concurrent coordinator front-end: epoch snapshots over an exclusive core.
+//! The coordinator's request dispatcher: epoch snapshots over an exclusive
+//! core.
 //!
-//! [`SharedCoordinator`] wraps a [`CoordinatorService`] so many connections
-//! can be served at once without funnelling every RPC through one mutex:
+//! [`SharedCoordinator::handle`] is the one place a [`Request`] is matched.
+//! It wraps a [`CoordinatorService`] so many connections can be served at
+//! once without funnelling every RPC through one mutex:
 //!
 //! * **Exclusive path** — state-changing, round-driving, and registration
-//!   RPCs take the service write lock exactly as the single-lock build did,
-//!   so their semantics (validation order, journalling, idempotency) are
-//!   unchanged.
+//!   RPCs take the service write lock and call the matching
+//!   [`CoordinatorService`] method (`register`, `begin_round`, …), so their
+//!   semantics (validation order, journalling, idempotency) are those of a
+//!   single-lock build.
 //! * **Read path** — the hot, read-mostly RPCs (`GetPkgKeys`,
-//!   `Get*RoundInfo`, `Fetch*Mailbox`) are answered from an immutable
-//!   [`ReadSnapshot`] behind an `Arc`, with **zero** service-lock
+//!   `Get*RoundInfo`, `Fetch*Mailbox`, `GetCdnStats`) are answered from an
+//!   immutable [`ReadSnapshot`] behind an `Arc`, with **zero** service-lock
 //!   acquisitions.
 //! * **Submission path** — `Submit*` RPCs validate against the snapshot and
-//!   enqueue into the open round's sharded
+//!   enqueue into the open round's
 //!   [`SubmissionIntake`](crate::shard::SubmissionIntake), spending
 //!   rate-limit tokens through the lock-striped
 //!   [`TokenVerifier`](crate::ratelimit::TokenVerifier) and journalling the
 //!   spend, buffered, through the shared [`Journal`] (the round-close
-//!   barrier makes it durable). Concurrent submitters contend on one intake
-//!   shard, one verifier stripe and one short WAL write.
+//!   barrier makes it durable). Concurrent submitters contend on the intake
+//!   mutex, one verifier stripe and one short WAL write.
 //!
 //! ## Epoch publication rules
 //!
@@ -27,16 +30,15 @@
 //! every mutation goes through the write guard, the published snapshot is
 //! never older than the last completed mutation: a reader observes either
 //! the pre-mutation or the post-mutation world, exactly as if it had taken
-//! the old mutex just before or just after — never a torn mixture. The
+//! one mutex just before or just after — never a torn mixture. The
 //! `epoch` counter increments per publication so tests and benchmarks can
 //! observe publication without comparing snapshot contents.
 //!
 //! The intake inside a snapshot is shared (`Arc`) with the live round, not
 //! copied, and is *sealed* at round close. A submitter holding a stale
 //! snapshot whose round just closed finds the intake sealed and gets
-//! `RoundNotOpen` — the same answer the single-lock build gives a request
-//! that arrives after close wins the lock. See `docs/CONCURRENCY.md` for
-//! the full determinism argument.
+//! `RoundNotOpen` — the same answer a request that arrives after the close
+//! gets. See `docs/CONCURRENCY.md` for the full determinism argument.
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -56,9 +58,7 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use crate::cdn::{serve_add_friend, serve_dialing, CdnStats};
 use crate::persist;
 use crate::ratelimit::{self, RateLimitError, TokenVerifier};
-use crate::service::{
-    add_friend_wire, dialing_wire, validate_submission, CoordinatorService, STORAGE_RETRY_AFTER_MS,
-};
+use crate::service::{add_friend_wire, dialing_wire, storage_unavailable, CoordinatorService};
 use crate::shard::{Offer, SubmissionIntake};
 
 /// The open-round slice of a snapshot: everything a round-info or submit RPC
@@ -94,23 +94,21 @@ fn capture(service: &CoordinatorService) -> Arc<ReadSnapshot> {
             .map(|key| key.to_bytes())
             .collect(),
         add_friend: cluster
-            .open_add_friend_info()
-            .map(|info| OpenRoundSnapshot {
+            .open_add_friend_round()
+            .map(|(info, intake)| OpenRoundSnapshot {
                 wire: add_friend_wire(info, rate_limited),
                 round: info.round,
                 onion_len: info.onion_len,
-                intake: cluster
-                    .open_add_friend_intake()
-                    .expect("an open round always has an intake"),
+                intake: Arc::clone(intake),
             }),
-        dialing: cluster.open_dialing_info().map(|info| OpenRoundSnapshot {
-            wire: dialing_wire(info, rate_limited),
-            round: info.round,
-            onion_len: info.onion_len,
-            intake: cluster
-                .open_dialing_intake()
-                .expect("an open round always has an intake"),
-        }),
+        dialing: cluster
+            .open_dialing_round()
+            .map(|(info, intake)| OpenRoundSnapshot {
+                wire: dialing_wire(info, rate_limited),
+                round: info.round,
+                onion_len: info.onion_len,
+                intake: Arc::clone(intake),
+            }),
         verifier: service.verifier_handle(),
         journal: service.journal_handle(),
         add_friend_mailboxes: cdn.add_friend_rounds(),
@@ -203,12 +201,22 @@ impl SharedCoordinator {
         Arc::clone(&self.inner.snapshot.read())
     }
 
-    /// Handles one decoded request: fast-path RPCs from the current
-    /// snapshot, everything else through the exclusive write path. The
-    /// response for any given request is one the single-lock build could
-    /// have produced under some request ordering.
+    /// Handles one decoded request: reads and submissions from the current
+    /// snapshot, everything else through the exclusive write path. Never
+    /// panics on hostile input: every failure maps to [`Response::Error`].
     pub fn handle(&self, request: Request) -> Response {
         match request {
+            Request::Register {
+                identity,
+                signing_key,
+            } => self.write().register(&identity, signing_key),
+            Request::CompleteRegistration { identity } => {
+                self.write().complete_registration(&identity)
+            }
+            Request::Deregister {
+                identity,
+                signature,
+            } => self.write().deregister(&identity, signature),
             Request::GetPkgKeys => Response::PkgKeys(self.snapshot().pkg_keys.clone()),
             Request::GetAddFriendRoundInfo => match &self.snapshot().add_friend {
                 Some(open) => Response::AddFriendRoundInfo(open.wire.clone()),
@@ -222,6 +230,34 @@ impl SharedCoordinator {
                     kind: RoundKind::Dialing,
                 }),
             },
+            Request::ExtractIdentityKeys {
+                identity,
+                round,
+                auth,
+            } => self.write().extract_identity_keys(&identity, round, auth),
+            Request::IssueRateLimitToken {
+                identity,
+                blinded,
+                auth,
+            } => self.write().issue_token(&identity, blinded, auth),
+            Request::SubmitAddFriend {
+                round,
+                onion,
+                token,
+            } => {
+                let snapshot = self.snapshot();
+                let open = snapshot.add_friend.as_ref();
+                snapshot.submit(open, RoundKind::AddFriend, round, &onion, token)
+            }
+            Request::SubmitDialing {
+                round,
+                onion,
+                token,
+            } => {
+                let snapshot = self.snapshot();
+                let open = snapshot.dialing.as_ref();
+                snapshot.submit(open, RoundKind::Dialing, round, &onion, token)
+            }
             Request::FetchAddFriendMailbox { round, mailbox } => {
                 let snapshot = self.snapshot();
                 match snapshot.add_friend_mailboxes.get(&round.0) {
@@ -244,39 +280,23 @@ impl SharedCoordinator {
                     None => Response::Error(RpcError::UnknownMailbox),
                 }
             }
-            Request::SubmitAddFriend {
+            Request::BeginAddFriendRound {
                 round,
-                onion,
-                token,
-            } => {
-                let snapshot = self.snapshot();
-                snapshot.submit(
-                    snapshot
-                        .add_friend
-                        .as_ref()
-                        .map(|open| (open.round, open.onion_len, &open.intake)),
-                    RoundKind::AddFriend,
-                    round,
-                    &onion,
-                    token,
-                )
+                expected_real,
+            } => self
+                .write()
+                .begin_round(RoundKind::AddFriend, round, expected_real),
+            Request::CloseAddFriendRound { round } => {
+                self.write().close_round(RoundKind::AddFriend, round)
             }
-            Request::SubmitDialing {
+            Request::BeginDialingRound {
                 round,
-                onion,
-                token,
-            } => {
-                let snapshot = self.snapshot();
-                snapshot.submit(
-                    snapshot
-                        .dialing
-                        .as_ref()
-                        .map(|open| (open.round, open.onion_len, &open.intake)),
-                    RoundKind::Dialing,
-                    round,
-                    &onion,
-                    token,
-                )
+                expected_real,
+            } => self
+                .write()
+                .begin_round(RoundKind::Dialing, round, expected_real),
+            Request::CloseDialingRound { round } => {
+                self.write().close_round(RoundKind::Dialing, round)
             }
             // The counters are shared atomics, so the snapshot always reads
             // current totals — no lock needed.
@@ -284,13 +304,13 @@ impl SharedCoordinator {
             // Telemetry reads only the global registry and span ring — no
             // coordinator state, so no reason to serialize on the write lock.
             Request::GetTelemetry => Response::Telemetry(crate::telemetry::telemetry_wire()),
-            exclusive => self.write().handle(exclusive),
         }
     }
 
-    /// Handles one framed request payload, like
-    /// [`CoordinatorService::handle_request_bytes`] but dispatching through
-    /// the concurrent paths.
+    /// Handles one framed request payload (already stripped of its frame),
+    /// returning the encoded response. A payload that does not decode to a
+    /// [`Request`] yields an encoded [`RpcError::BadRequest`] instead of a
+    /// connection drop, so clients always get a typed answer.
     pub fn handle_request_bytes(&self, payload: &[u8]) -> Vec<u8> {
         self.handle_request_bytes_with_correlation(payload, None)
     }
@@ -318,26 +338,16 @@ impl SharedCoordinator {
         };
         let bytes = response.encode();
         if bytes.len() > Frame::MAX_PAYLOAD_LEN {
-            // Same cap as the exclusive path: an overgrown response comes
-            // back as a typed error, never a panic in `Frame::encode`.
+            // A response too large to frame (e.g. a mailbox bloated past the
+            // 16 MiB cap by an unthrottled flood of submissions) must come
+            // back as a typed error, not panic the connection thread in
+            // `Frame::encode`.
             return Response::Error(RpcError::BadRequest {
                 detail: "response exceeds the maximum frame size".to_string(),
             })
             .encode();
         }
         bytes
-    }
-
-    /// Handles one complete frame, returning the complete response frame.
-    pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        let response_bytes = match Frame::decode(frame) {
-            Ok(payload) => self.handle_request_bytes(payload),
-            Err(e) => Response::Error(RpcError::BadRequest {
-                detail: format!("undecodable frame: {e}"),
-            })
-            .encode(),
-        };
-        Frame::encode(&response_bytes)
     }
 }
 
@@ -349,28 +359,45 @@ impl std::fmt::Debug for SharedCoordinator {
     }
 }
 
+/// Checks a submission against the snapshot's open round (if any) without
+/// mutating anything, so a rejected submission never spends a rate-limit
+/// token, and returns the round's intake. A stale snapshot can pass this
+/// check after the round closed; its intake is sealed by then, so the offer
+/// reports it.
+fn validate_submission<Wire>(
+    open: Option<&OpenRoundSnapshot<Wire>>,
+    round: Round,
+    onion_len: usize,
+) -> Result<&Arc<SubmissionIntake>, RpcError> {
+    let Some(open) = open.filter(|open| open.round == round) else {
+        return Err(RpcError::RoundNotOpen { requested: round });
+    };
+    if onion_len != open.onion_len {
+        return Err(RpcError::WrongRequestSize {
+            expected: open.onion_len as u32,
+            actual: onion_len as u32,
+        });
+    }
+    Ok(&open.intake)
+}
+
 impl ReadSnapshot {
-    /// The lock-free submit path. Ordering mirrors the single-lock build:
-    /// validate (no side effects) → recognise retries → spend the token →
-    /// enqueue the onion. A submission recognised as a byte-identical retry
-    /// is acked without touching the token, so retry storms never misread as
-    /// double spends.
-    fn submit(
+    /// The lock-free submit path: validate (no side effects) → recognise
+    /// retries → spend the token → enqueue the onion. A submission
+    /// recognised as a byte-identical retry is acked without touching the
+    /// token, so retry storms never misread as double spends.
+    fn submit<Wire>(
         &self,
-        open: Option<(Round, usize, &Arc<SubmissionIntake>)>,
+        open: Option<&OpenRoundSnapshot<Wire>>,
         kind: RoundKind,
         round: Round,
         onion: &[u8],
         token: Option<RateLimitToken>,
     ) -> Response {
-        if let Err(e) = validate_submission(
-            open.map(|(open_round, onion_len, _)| (open_round, onion_len)),
-            round,
-            onion.len(),
-        ) {
-            return Response::Error(e);
-        }
-        let (_, _, intake) = open.expect("validation checked the round is open");
+        let intake = match validate_submission(open, round, onion.len()) {
+            Ok(intake) => intake,
+            Err(e) => return Response::Error(e),
+        };
         if intake.contains(onion) {
             return Response::Ack;
         }
@@ -393,15 +420,15 @@ impl ReadSnapshot {
         match intake.offer(onion) {
             Offer::Accepted | Offer::Duplicate => Response::Ack,
             // The round closed between snapshot capture and this offer: the
-            // submission missed the round, exactly as if it had lost the
-            // single-lock race with close. (The spent token stays spent for
-            // this closed round — rejecting late arrivals is what §9's
-            // per-round tokens are for.)
+            // submission missed the round, exactly as if it had arrived
+            // after the close. (The spent token stays spent for this closed
+            // round — rejecting late arrivals is what §9's per-round tokens
+            // are for.)
             Offer::Sealed => Response::Error(RpcError::RoundNotOpen { requested: round }),
         }
     }
 
-    /// Mirror of the exclusive path's token spend: verify + stripe-ledger
+    /// Spends a submission's rate-limit token: verify + stripe-ledger
     /// insert, then journal the spend (buffered, no fsync), rolling the
     /// insert back if the journal append fails. The append completes before
     /// the onion is offered to the intake, so the close barrier — which runs
@@ -439,11 +466,12 @@ impl ReadSnapshot {
             &persist::token_spent(&token.signature),
             persist::durability(persist::REC_TOKEN_SPENT),
         ) {
+            // The submission is about to be rejected with a storage error,
+            // so the ledger insert must roll back: the client's retry with
+            // the same (still unspent) token must not read as a double spend
+            // and strand a unit of its daily budget.
             verifier.forget_spent(&token.signature);
-            return Err(RpcError::Unavailable {
-                detail: format!("durable log write failed: {e}"),
-                retry_after_ms: STORAGE_RETRY_AFTER_MS,
-            });
+            return Err(storage_unavailable("durable log write", e));
         }
         Ok(())
     }
@@ -529,13 +557,9 @@ mod tests {
             shared.handle(Request::CloseAddFriendRound { round: Round(1) }),
             Response::RoundClosed(_)
         ));
-        let open = stale
-            .add_friend
-            .as_ref()
-            .map(|o| (o.round, o.onion_len, &o.intake));
         assert_eq!(
             stale.submit(
-                open,
+                stale.add_friend.as_ref(),
                 RoundKind::AddFriend,
                 Round(1),
                 &vec![0u8; info.onion_len as usize],

@@ -40,15 +40,15 @@ cargo test -q
 stage "transport equivalence smoke (loopback vs TCP alpenhornd)"
 cargo test -q --test transport_equivalence
 
-# Concurrent-equivalence gate (PR 8): clients racing through the sharded
-# submission intake on concurrent connections must see event streams
-# byte-identical to the sequential single-lock reference, and the intake's
-# canonical merge must be shard-count- and arrival-order-invariant (property
-# tests over shard counts 1..=16, random permutations, racing threads, and
-# full published-mailbox rounds). Runs inside `cargo test -q` too; this named
-# stage makes a determinism regression point at itself.
-stage "concurrent equivalence (sharded intake determinism + racing clients vs loopback)"
-cargo test -q --test shard_determinism
+# Concurrent-equivalence gate: clients racing through the submission intake
+# on concurrent connections must see event streams byte-identical to the
+# sequential reference, and the intake's canonical sort-by-digest seal must
+# be arrival-order-invariant (property tests over random permutations,
+# racing threads, and full published-mailbox rounds fed in reverse). Runs
+# inside `cargo test -q` too; this named stage makes a determinism
+# regression point at itself.
+stage "concurrent equivalence (intake determinism + racing clients vs loopback)"
+cargo test -q --test intake_determinism
 cargo test -q --test transport_equivalence concurrent
 
 # Distributed-deployment gate (PR 9): a coordinator driving 3 networked mixd

@@ -31,7 +31,7 @@ use alpenhorn_coordinator::{Cluster, ClusterConfig};
 use alpenhorn_ibe::sig::VerifyingKey;
 use alpenhorn_storage::{RecoveryReport, StorageConfig, StorageError};
 use alpenhorn_wire::rpc::{AddFriendRoundWire, DialingRoundWire};
-use alpenhorn_wire::{Request, Response, Round};
+use alpenhorn_wire::{Request, Response, Round, RoundKind};
 
 const SCENARIO_SEED: u8 = 64;
 const RATE_LIMIT_BUDGET: u32 = 50;
@@ -402,30 +402,23 @@ fn open_error(config: ClusterConfig, dir: &Path) -> StorageError {
 
 /// One add-friend round, begun and closed; returns the begin reply.
 fn add_friend_round(service: &mut CoordinatorService, round: u64) -> AddFriendRoundWire {
-    let Response::AddFriendRoundInfo(info) = service.handle(Request::BeginAddFriendRound {
-        round: Round(round),
-        expected_real: 1,
-    }) else {
+    let Response::AddFriendRoundInfo(info) =
+        service.begin_round(RoundKind::AddFriend, Round(round), 1)
+    else {
         panic!("add-friend round {round} opens");
     };
-    let closed = service.handle(Request::CloseAddFriendRound {
-        round: Round(round),
-    });
+    let closed = service.close_round(RoundKind::AddFriend, Round(round));
     assert!(matches!(closed, Response::RoundClosed(_)));
     info
 }
 
 /// One dialing round, begun and closed; returns the begin reply.
 fn dialing_round(service: &mut CoordinatorService, round: u64) -> DialingRoundWire {
-    let Response::DialingRoundInfo(info) = service.handle(Request::BeginDialingRound {
-        round: Round(round),
-        expected_real: 1,
-    }) else {
+    let Response::DialingRoundInfo(info) = service.begin_round(RoundKind::Dialing, Round(round), 1)
+    else {
         panic!("dialing round {round} opens");
     };
-    let closed = service.handle(Request::CloseDialingRound {
-        round: Round(round),
-    });
+    let closed = service.close_round(RoundKind::Dialing, Round(round));
     assert!(matches!(closed, Response::RoundClosed(_)));
     info
 }

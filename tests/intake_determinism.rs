@@ -1,19 +1,19 @@
-//! Property tests for the sharded submission intake's determinism contract
-//! (PR 8, `docs/CONCURRENCY.md`): for **any** shard count and **any**
-//! arrival order — including genuinely concurrent interleavings — the sealed
-//! batch handed to the mixnet is byte-identical to the 1-shard build's, and
-//! a full round therefore publishes byte-identical mailboxes.
+//! Property tests for the submission intake's determinism contract
+//! (`docs/CONCURRENCY.md`): for **any** arrival order — including genuinely
+//! concurrent interleavings — the sealed batch handed to the mixnet is
+//! byte-identical to the natural-order batch, and a full round therefore
+//! publishes byte-identical mailboxes.
 
 use alpenhorn_coordinator::service::CoordinatorService;
 use alpenhorn_coordinator::{Cluster, ClusterConfig, SharedCoordinator, SubmissionIntake};
 use alpenhorn_wire::{MailboxId, Request, Response, Round};
 use proptest::prelude::*;
 
-/// Seals a batch after offering `onions` in `order` through `shards` shards.
-fn sealed_batch(onions: &[Vec<u8>], shards: usize, order: &[usize]) -> Vec<Vec<u8>> {
-    let intake = SubmissionIntake::new(shards);
-    for &i in order {
-        intake.offer(&onions[i]);
+/// Seals a batch after offering `onions` in iteration order.
+fn sealed_batch<'a>(onions: impl IntoIterator<Item = &'a Vec<u8>>) -> Vec<Vec<u8>> {
+    let intake = SubmissionIntake::new();
+    for onion in onions {
+        intake.offer(onion);
     }
     intake.seal()
 }
@@ -36,42 +36,31 @@ fn shuffled(len: usize, seed: u64) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any shard count × any arrival permutation ⇒ the canonical 1-shard
-    /// batch. Duplicate onions in the generated set dedup identically on
-    /// both sides.
+    /// Any arrival permutation ⇒ the natural-order batch. Duplicate onions
+    /// in the generated set dedup identically on both sides.
     #[test]
-    fn any_shard_count_and_arrival_order_yield_the_one_shard_batch(
+    fn any_arrival_order_yields_the_natural_order_batch(
         onions in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 32..64),
             1..40,
         ),
-        shards in 1usize..17,
         seed in any::<u64>(),
     ) {
-        let reference = {
-            let intake = SubmissionIntake::new(1);
-            for onion in &onions {
-                intake.offer(onion);
-            }
-            intake.seal()
-        };
+        let reference = sealed_batch(&onions);
         let order = shuffled(onions.len(), seed);
-        prop_assert_eq!(sealed_batch(&onions, shards, &order), reference);
+        prop_assert_eq!(sealed_batch(order.iter().map(|&i| &onions[i])), reference);
     }
 }
 
 proptest! {
     // Thread spawning per case is comparatively expensive; a handful of
-    // cases over the full shard range is the coverage that matters.
+    // cases is the coverage that matters.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Real concurrency: four submitter threads racing into the intake must
-    /// still seal to the canonical batch, for any shard count.
+    /// still seal to the sequential batch.
     #[test]
-    fn concurrent_interleavings_are_shard_count_invariant(
-        shards in 1usize..17,
-        salt in any::<u8>(),
-    ) {
+    fn concurrent_interleavings_yield_the_sequential_batch(salt in any::<u8>()) {
         let onions: Vec<Vec<u8>> = (0..64u64)
             .map(|i| {
                 let mut onion = vec![salt; 48];
@@ -79,14 +68,8 @@ proptest! {
                 onion
             })
             .collect();
-        let reference = {
-            let intake = SubmissionIntake::new(1);
-            for onion in &onions {
-                intake.offer(onion);
-            }
-            intake.seal()
-        };
-        let intake = SubmissionIntake::new(shards);
+        let reference = sealed_batch(&onions);
+        let intake = SubmissionIntake::new();
         std::thread::scope(|scope| {
             for chunk in onions.chunks(16) {
                 let intake = &intake;
@@ -104,12 +87,10 @@ proptest! {
 /// Runs one full add-friend round through the shared coordinator: submit
 /// `count` distinct onions (in the given arrival order), close the round,
 /// and download every published mailbox.
-fn round_mailboxes(seed: u8, shards: usize, count: usize, reverse: bool) -> Vec<Vec<Vec<u8>>> {
-    let config = ClusterConfig {
-        intake_shards: shards,
-        ..ClusterConfig::test(seed)
-    };
-    let shared = SharedCoordinator::new(CoordinatorService::new(Cluster::new(config)));
+fn round_mailboxes(seed: u8, count: usize, reverse: bool) -> Vec<Vec<Vec<u8>>> {
+    let shared = SharedCoordinator::new(CoordinatorService::new(Cluster::new(
+        ClusterConfig::test(seed),
+    )));
     let Response::AddFriendRoundInfo(info) = shared.handle(Request::BeginAddFriendRound {
         round: Round(1),
         expected_real: count as u64,
@@ -157,20 +138,16 @@ fn round_mailboxes(seed: u8, shards: usize, count: usize, reverse: bool) -> Vec<
 
 proptest! {
     // Full mixnet rounds are the expensive end of the pyramid; a few seeded
-    // cases across the shard range suffice on top of the intake-level
-    // properties above.
+    // cases suffice on top of the intake-level properties above.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// End to end: a round fed through N intake shards in reversed arrival
-    /// order publishes mailboxes byte-identical to the 1-shard natural-order
-    /// round — the mixnet input really is canonical.
+    /// End to end: a round fed in reversed arrival order publishes mailboxes
+    /// byte-identical to the natural-order round — the mixnet input really
+    /// is canonical.
     #[test]
-    fn published_mailboxes_are_shard_count_invariant(
-        shards in 2usize..17,
-        seed in 0u8..8,
-    ) {
-        let reference = round_mailboxes(seed, 1, 24, false);
-        let sharded = round_mailboxes(seed, shards, 24, true);
-        prop_assert_eq!(sharded, reference);
+    fn reversed_arrival_publishes_identical_mailboxes(seed in 0u8..8) {
+        let reference = round_mailboxes(seed, 24, false);
+        let reversed = round_mailboxes(seed, 24, true);
+        prop_assert_eq!(reversed, reference);
     }
 }

@@ -5,8 +5,8 @@
 //!   observe, span begin/drop, and correlation-id derivation, each measured
 //!   alone. These bound what any single instrumentation point can cost.
 //! * **Dispatch overhead** — the full framed-payload dispatch
-//!   (`SharedCoordinator::handle_request_bytes_with_correlation`: decode →
-//!   RPC timing + span + outcome counter → encode) against a bare
+//!   (the coordinator's `Handler::respond`: decode → in-flight gauge + RPC
+//!   timing + span + outcome counter → encode) against a bare
 //!   decode → `handle` → encode loop with every telemetry hook skipped.
 //!   The delta is exactly the per-RPC instrumentation tax in nanoseconds.
 //!   Relative to the bare in-memory dispatch (itself ~100 ns) that tax looks
@@ -27,6 +27,7 @@ use alpenhorn_coordinator::server::serve as coordinator_serve;
 use alpenhorn_coordinator::service::CoordinatorService;
 use alpenhorn_coordinator::{Cluster, ClusterConfig, SharedCoordinator};
 use alpenhorn_sim::Table;
+use alpenhorn_wire::server::Handler;
 use alpenhorn_wire::{Request, Response, Round, RoundKind};
 
 fn measure_ns(budget: Duration, f: impl FnMut()) -> f64 {
@@ -143,9 +144,7 @@ fn main() {
             criterion::black_box(response.encode());
         });
         let instrumented = measure_ns(budget, || {
-            criterion::black_box(
-                shared.handle_request_bytes_with_correlation(&payload, Some(corr)),
-            );
+            criterion::black_box(shared.respond(&payload, Some(corr)));
         });
         let tax = instrumented - bare;
         let pct = tax / tcp_rpc * 100.0;

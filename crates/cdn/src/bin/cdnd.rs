@@ -11,9 +11,12 @@
 //!      [--metrics-dump-secs N]
 //! ```
 
-use alpenhorn_cdn::{serve, CdnNodeState};
+use std::sync::Mutex;
+
+use alpenhorn_cdn::{server_config, CdnNodeState};
 use alpenhorn_obs::log::Level;
 use alpenhorn_obs::{log_error, log_info};
+use alpenhorn_wire::server::serve;
 
 /// The log/metrics target tag for this daemon.
 const TARGET: &str = "cdnd";
@@ -101,7 +104,7 @@ fn main() {
             }
         },
     };
-    let handle = match serve(state, options.listen.as_str()) {
+    let handle = match serve(options.listen.as_str(), server_config(), Mutex::new(state)) {
         Ok(handle) => handle,
         Err(e) => {
             log_error!(TARGET, "cannot listen on {}: {e}", options.listen);

@@ -5,10 +5,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use alpenhorn_wire::server::connect;
 use alpenhorn_wire::{CdnRequest, CdnResponse, Frame};
 
 use crate::error::CdnError;
-use crate::node::{connect, CdnNodeState};
+use crate::node::{CdnNodeState, CONNECTION_IO_TIMEOUT};
 
 /// A readers-and-writers view of one CDN node.
 ///
@@ -129,10 +130,15 @@ impl TcpNode {
 
 impl NodeClient for TcpNode {
     fn call(&mut self, request: &CdnRequest) -> Result<CdnResponse, CdnError> {
-        if self.stream.is_none() {
-            self.stream = Some(connect(&self.addr, self.connect_timeout)?);
-        }
-        let stream = self.stream.as_mut().expect("connected above");
+        let stream = match self.stream.take() {
+            Some(stream) => stream,
+            None => connect(
+                &self.addr,
+                self.connect_timeout,
+                Some(CONNECTION_IO_TIMEOUT),
+            )?,
+        };
+        let stream = self.stream.insert(stream);
         // Round-scoped requests carry the round's correlation id in the
         // frame's telemetry field so the node's span joins the round trace.
         let correlation = request
@@ -206,7 +212,12 @@ mod tests {
 
     #[test]
     fn tcp_node_round_trips_against_a_served_node() {
-        let handle = crate::node::serve(CdnNodeState::new(), "127.0.0.1:0").unwrap();
+        let handle = alpenhorn_wire::server::serve(
+            "127.0.0.1:0",
+            crate::node::server_config(),
+            Mutex::new(CdnNodeState::new()),
+        )
+        .unwrap();
         let mut client = TcpNode::new(handle.local_addr().to_string());
         assert_eq!(
             client.call(&CdnRequest::GetStats),

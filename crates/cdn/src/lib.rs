@@ -8,7 +8,9 @@
 //!   [`CdnRequest`](alpenhorn_wire::CdnRequest) protocol, optionally
 //!   mirrored to a data directory so an acknowledged shard survives a node
 //!   restart.
-//! * [`serve`] — the framed TCP accept loop (`cdnd` binary).
+//! * [`server_config`] — how the `cdnd` binary runs a [`CdnNodeState`] in
+//!   the serve loop all three daemons share,
+//!   [`alpenhorn_wire::server::serve`] (as `Mutex<CdnNodeState>`).
 //! * [`NodeClient`] — a handle to one node: [`LoopbackNode`] (in-process,
 //!   full codec, with a liveness switch for scripted node loss) or
 //!   [`TcpNode`] (framed TCP, lazy reconnect).
@@ -28,5 +30,5 @@ pub mod sharded;
 
 pub use client::{LoopbackNode, NodeClient, TcpNode};
 pub use error::CdnError;
-pub use node::{serve, CdnNodeHandle, CdnNodeState};
+pub use node::{server_config, CdnNodeState};
 pub use sharded::{CdnFleetStats, FetchOutcome, PublishOutcome, ShardedCdn};

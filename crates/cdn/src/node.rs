@@ -1,16 +1,15 @@
 //! One CDN node: an erasure-shard store behind the `cdnd` request protocol.
 
 use std::collections::BTreeMap;
-use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use alpenhorn_obs::SpanGuard;
 use alpenhorn_wire::cdn::MAX_SHARDS;
 use alpenhorn_wire::rpc::{SpanWire, TelemetryWire};
-use alpenhorn_wire::{CdnRequest, CdnResponse, Frame, Round, RoundKind, ShardHeader};
+use alpenhorn_wire::server::{ConnectionEvent, Exclusive, ServerConfig};
+use alpenhorn_wire::{CdnRequest, CdnResponse, Round, RoundKind, ShardHeader};
 
 /// The span component tag for code running inside a CDN node. In a real
 /// deployment each `cdnd` process only ever records spans with this tag; in
@@ -20,11 +19,14 @@ pub const SPAN_COMPONENT: &str = "cdn";
 
 /// Node-side serving counters mirrored into the shared registry, so fleet
 /// accounting can be reconciled against the coordinator's `CdnStats`-style
-/// totals without polling every node's `GetStats`.
+/// totals without polling every node's `GetStats`, and the serve loop's
+/// connection accounting.
 struct NodeMetrics {
     shard_puts: Arc<alpenhorn_obs::Counter>,
     shard_fetches: Arc<alpenhorn_obs::Counter>,
     bytes_served: Arc<alpenhorn_obs::Counter>,
+    connections_active: Arc<alpenhorn_obs::Gauge>,
+    connections_shed: Arc<alpenhorn_obs::Counter>,
 }
 
 fn node_metrics() -> &'static NodeMetrics {
@@ -35,6 +37,8 @@ fn node_metrics() -> &'static NodeMetrics {
             shard_puts: r.counter("cdn_node_shard_puts_total", &[]),
             shard_fetches: r.counter("cdn_node_shard_fetches_total", &[]),
             bytes_served: r.counter("cdn_node_bytes_served_total", &[]),
+            connections_active: r.gauge("cdn_node_connections_active", &[]),
+            connections_shed: r.counter("cdn_node_connections_shed_total", &[]),
         }
     })
 }
@@ -217,25 +221,17 @@ impl CdnNodeState {
             CdnRequest::GetTelemetry => CdnResponse::Telemetry(telemetry_wire()),
         }
     }
+}
 
-    /// Handles one framed request payload, returning the encoded response.
-    /// Undecodable payloads come back as encoded [`CdnResponse::Error`]s,
-    /// keeping the connection alive and aligned.
-    pub fn handle_request_bytes(&mut self, payload: &[u8]) -> Vec<u8> {
-        self.handle_request_bytes_with_correlation(payload, None)
-    }
-
-    /// Like [`CdnNodeState::handle_request_bytes`], with the correlation id
-    /// the peer attached to the request frame (if any): round-scoped
-    /// requests record a node-side span under it, so one add-friend round
-    /// can be traced from the coordinator into every node that stored or
-    /// served its shards.
-    pub fn handle_request_bytes_with_correlation(
-        &mut self,
-        payload: &[u8],
-        correlation: Option<u64>,
-    ) -> Vec<u8> {
-        let response = match CdnRequest::decode(payload) {
+impl Exclusive for CdnNodeState {
+    /// Round-scoped requests record a node-side span under `correlation`
+    /// (or the round's own id when the peer sent a plain frame), so one
+    /// add-friend round can be traced from the coordinator into every node
+    /// that stored or served its shards. Undecodable payloads come back as
+    /// encoded [`CdnResponse::Error`]s, keeping the connection alive and
+    /// aligned.
+    fn respond(&mut self, payload: &[u8], correlation: Option<u64>) -> Vec<u8> {
+        match CdnRequest::decode(payload) {
             Ok(request) => {
                 let correlation = correlation.or_else(|| {
                     request
@@ -247,13 +243,21 @@ impl CdnNodeState {
                 self.handle(request)
             }
             Err(e) => CdnResponse::Error(format!("undecodable cdn request: {e}")),
-        };
-        let bytes = response.encode();
-        if bytes.len() > Frame::MAX_PAYLOAD_LEN {
-            return CdnResponse::Error("response exceeds the maximum frame size".to_string())
-                .encode();
         }
-        bytes
+        .encode()
+    }
+
+    fn error_reply(detail: &str) -> Vec<u8> {
+        CdnResponse::Error(detail.to_string()).encode()
+    }
+
+    fn on_event(event: ConnectionEvent) {
+        let metrics = node_metrics();
+        match event {
+            ConnectionEvent::Opened => metrics.connections_active.add(1),
+            ConnectionEvent::Closed => metrics.connections_active.sub(1),
+            ConnectionEvent::Shed => metrics.connections_shed.inc(),
+        }
     }
 }
 
@@ -300,116 +304,24 @@ fn decode_shard_file(bytes: &[u8]) -> Option<(ShardHeader, Vec<u8>)> {
     Some((header, bytes[12..].to_vec()))
 }
 
-/// A handle to a running [`serve`] loop.
-pub struct CdnNodeHandle {
-    local_addr: std::net::SocketAddr,
-    state: Arc<Mutex<CdnNodeState>>,
-    shutdown: Arc<std::sync::atomic::AtomicBool>,
-}
+/// Read/write timeout per connection, on both ends.
+pub(crate) const CONNECTION_IO_TIMEOUT: Duration = Duration::from_secs(60);
 
-impl CdnNodeHandle {
-    /// The bound listen address (with the OS-assigned port for `:0` binds).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr
+/// The serve-loop configuration of a `cdnd`: the default connection cap,
+/// both I/O timeouts at 60 s. Serve a node as
+/// `alpenhorn_wire::server::serve(addr, server_config(), Mutex::new(state))`.
+/// A connection over the cap is closed without a reply, which a reader
+/// treats like a dead node: it falls back to parity shards.
+/// [`ServerHandle::shutdown`](alpenhorn_wire::server::ServerHandle::shutdown)
+/// makes a node look crashed to its clients — connects are refused, open
+/// connections see EOF and a buffered request gets no reply — while its
+/// state survives on disk (with a data directory), as a real crash's would.
+pub fn server_config() -> ServerConfig {
+    ServerConfig {
+        read_timeout: Some(CONNECTION_IO_TIMEOUT),
+        write_timeout: Some(CONNECTION_IO_TIMEOUT),
+        ..ServerConfig::default()
     }
-
-    /// The served node state, shared with the accept loop.
-    pub fn state(&self) -> Arc<Mutex<CdnNodeState>> {
-        Arc::clone(&self.state)
-    }
-
-    /// Kills the daemon: the listener closes (new connects are refused) and
-    /// every open connection is dropped at its next frame without a
-    /// response. Clients see exactly what a crashed `cdnd` process looks
-    /// like. The node state survives in this handle, as it would on disk.
-    pub fn shutdown(&self) {
-        self.shutdown
-            .store(true, std::sync::atomic::Ordering::SeqCst);
-        // Wake the accept loop so it observes the flag and drops the
-        // listener; the wake connection itself is refused service.
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
-    }
-}
-
-/// Serves `state` on `addr`: one framed [`CdnRequest`] → [`CdnResponse`]
-/// exchange per frame, one thread per connection. Returns once the listener
-/// is bound; accepting runs on a background thread until
-/// [`CdnNodeHandle::shutdown`] (or for the life of the process).
-pub fn serve(state: CdnNodeState, addr: &str) -> std::io::Result<CdnNodeHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    let state = Arc::new(Mutex::new(state));
-    let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let accept_state = Arc::clone(&state);
-    let accept_shutdown = Arc::clone(&shutdown);
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            if accept_shutdown.load(std::sync::atomic::Ordering::SeqCst) {
-                return; // drops the listener: connects now refused
-            }
-            let Ok(stream) = stream else { continue };
-            let state = Arc::clone(&accept_state);
-            let shutdown = Arc::clone(&accept_shutdown);
-            std::thread::spawn(move || serve_connection(stream, state, shutdown));
-        }
-    });
-    Ok(CdnNodeHandle {
-        local_addr,
-        state,
-        shutdown,
-    })
-}
-
-/// Read/write timeout per connection.
-const CONNECTION_IO_TIMEOUT: Duration = Duration::from_secs(60);
-
-fn serve_connection(
-    mut stream: TcpStream,
-    state: Arc<Mutex<CdnNodeState>>,
-    shutdown: Arc<std::sync::atomic::AtomicBool>,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(CONNECTION_IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(CONNECTION_IO_TIMEOUT));
-    loop {
-        let (payload, correlation) = match Frame::read_from_with_telemetry(&mut stream) {
-            Ok(read) => read,
-            Err(_) => return,
-        };
-        if shutdown.load(std::sync::atomic::Ordering::SeqCst) {
-            // A killed daemon never answers: drop the connection mid-request.
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            return;
-        }
-        let response = {
-            let mut state = state.lock().expect("cdn node state mutex");
-            state.handle_request_bytes_with_correlation(&payload, correlation)
-        };
-        if Frame::write_to(&mut stream, &response).is_err() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            return;
-        }
-    }
-}
-
-/// A connect helper with the node's defaults (used by
-/// [`TcpNode`](crate::client::TcpNode)).
-pub(crate) fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
-    let mut last = None;
-    for candidate in std::net::ToSocketAddrs::to_socket_addrs(addr)? {
-        match TcpStream::connect_timeout(&candidate, timeout) {
-            Ok(stream) => {
-                stream.set_nodelay(true)?;
-                stream.set_read_timeout(Some(CONNECTION_IO_TIMEOUT))?;
-                stream.set_write_timeout(Some(CONNECTION_IO_TIMEOUT))?;
-                return Ok(stream);
-            }
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(last.unwrap_or_else(|| {
-        std::io::Error::new(ErrorKind::InvalidInput, "address resolved to no candidates")
-    }))
 }
 
 #[cfg(test)]
@@ -531,7 +443,7 @@ mod tests {
     #[test]
     fn undecodable_requests_keep_the_node_alive() {
         let mut node = CdnNodeState::new();
-        let bytes = node.handle_request_bytes(&[0xff, 0x01]);
+        let bytes = node.respond(&[0xff, 0x01], None);
         assert!(matches!(
             CdnResponse::decode(&bytes).unwrap(),
             CdnResponse::Error(_)

@@ -49,12 +49,12 @@
 
 use std::time::Duration;
 
-use alpenhorn_coordinator::server::{serve_with_config, ServerConfig};
 use alpenhorn_coordinator::service::{CoordinatorService, RateLimitPolicy, ServiceConfig};
 use alpenhorn_coordinator::{Cluster, ClusterConfig, SharedCoordinator};
 use alpenhorn_obs::log::Level;
 use alpenhorn_obs::{log_error, log_info};
 use alpenhorn_storage::StorageConfig;
+use alpenhorn_wire::server::{serve, ServerConfig};
 use alpenhorn_wire::{Request, Response};
 
 /// The log/metrics target tag for this daemon.
@@ -332,7 +332,8 @@ fn main() {
         server_config.max_connections = cap;
     }
 
-    let handle = match serve_with_config(service, options.listen.as_str(), server_config) {
+    let shared = SharedCoordinator::new(service);
+    let handle = match serve(options.listen.as_str(), server_config, shared.clone()) {
         Ok(handle) => handle,
         Err(e) => {
             log_error!(TARGET, "cannot listen on {}: {e}", options.listen);
@@ -378,11 +379,10 @@ fn main() {
                 interval.as_millis(),
                 first_round.as_u64()
             );
-            let service = handle.service();
             let mut round = first_round;
             loop {
                 admin(
-                    &service,
+                    &shared,
                     "opening add-friend round",
                     Request::BeginAddFriendRound {
                         round,
@@ -390,7 +390,7 @@ fn main() {
                     },
                 );
                 admin(
-                    &service,
+                    &shared,
                     "opening dialing round",
                     Request::BeginDialingRound {
                         round,
@@ -399,7 +399,7 @@ fn main() {
                 );
                 std::thread::sleep(interval);
                 if let Some(Response::RoundClosed(stats)) = admin(
-                    &service,
+                    &shared,
                     "closing add-friend round",
                     Request::CloseAddFriendRound { round },
                 ) {
@@ -412,7 +412,7 @@ fn main() {
                     );
                 }
                 if let Some(Response::RoundClosed(stats)) = admin(
-                    &service,
+                    &shared,
                     "closing dialing round",
                     Request::CloseDialingRound { round },
                 ) {
@@ -424,7 +424,7 @@ fn main() {
                     );
                 }
                 {
-                    let mut svc = service.write();
+                    let mut svc = shared.write();
                     svc.advance_clock(interval.as_secs().max(1));
                     round = svc.next_round();
                 }

@@ -32,7 +32,7 @@ pub use control::DurableController;
 pub use error::CoordinatorError;
 pub use ratelimit::{TokenIssuer, TokenVerifier};
 pub use rounds::RoundTiming;
-pub use server::{serve, ServerHandle};
+pub use server::serve;
 pub use service::{CoordinatorService, RateLimitPolicy, ServiceConfig};
 pub use shard::SubmissionIntake;
 pub use shared::{ServiceWriteGuard, SharedCoordinator};

@@ -1,37 +1,22 @@
-//! A TCP server exposing a [`SharedCoordinator`] to the network.
-//!
-//! This is the daemon half of the `alpenhornd` deployment: a
-//! run-to-completion server.
-//!
-//! * the **accept loop** admits connections up to `max_connections`, shedding
-//!   the excess with a retryable typed error;
-//! * each admitted connection gets one **connection thread** that reads a
-//!   frame, calls [`SharedCoordinator::handle_request_bytes_with_correlation`]
-//!   itself, and writes the reply — one wake-up when the request arrives and
-//!   one at the client when the reply does, with no hand-off in between.
+//! `alpenhornd`'s side of the one serve loop ([`alpenhorn_wire::server`]):
+//! the [`Handler`] for a [`SharedCoordinator`], and [`serve`].
 //!
 //! Connection threads run requests in parallel because [`SharedCoordinator`]
 //! lets them: read-mostly RPCs are served from the lock-free snapshot,
-//! submissions hit only an intake shard and a verifier stripe, and exclusive
-//! RPCs serialize on the service write lock. Concurrency is bounded by
-//! `max_connections`, and so is memory: one request is in flight per
-//! connection (the RPC protocol is strict request/response, which also
-//! preserves per-connection ordering), so at most `max_connections` frames
-//! are buffered. Clients speak the framed RPC protocol
-//! ([`alpenhorn_wire::rpc`] inside [`alpenhorn_wire::Frame`]); a connection
-//! that sends an undecodable frame gets a typed error reply and is then
-//! dropped.
+//! submissions hit only the round's intake and a verifier stripe, and
+//! exclusive RPCs serialize on the service write lock. Clients speak the
+//! framed RPC protocol ([`alpenhorn_wire::rpc`] inside
+//! [`alpenhorn_wire::Frame`]): a payload that does not decode to a
+//! [`Request`] gets a typed [`RpcError::BadRequest`] and the connection
+//! stays open, and a connection over the cap is shed with one retryable
+//! [`RpcError::Unavailable`] carrying [`SHED_RETRY_AFTER_MS`].
 
-use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::net::ToSocketAddrs;
+use std::sync::{Arc, OnceLock};
 
 use alpenhorn_obs::{Counter, Gauge};
-use alpenhorn_wire::codec::FrameIoError;
-use alpenhorn_wire::Frame;
+use alpenhorn_wire::server::{ConnectionEvent, Handler, ServerConfig, ServerHandle};
+use alpenhorn_wire::{Request, Response, RpcError};
 
 use crate::service::CoordinatorService;
 use crate::shared::SharedCoordinator;
@@ -57,230 +42,83 @@ fn server_metrics() -> &'static ServerMetrics {
     })
 }
 
-/// Tuning knobs for [`serve_with_config`]: per-connection I/O timeouts and
-/// the accept-loop overload policy.
-///
-/// The defaults keep a daemon healthy under hostile or flaky peers: a client
-/// that stops reading or writing cannot pin a connection thread forever, and
-/// intake beyond `max_connections` is answered with a retryable
-/// [`alpenhorn_wire::RpcError::Unavailable`] (carrying a retry-after hint)
-/// instead of queueing unboundedly.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// How long a connection thread waits for the next request frame before
-    /// dropping the connection. `None` waits forever (pre-PR 6 behaviour).
-    pub read_timeout: Option<Duration>,
-    /// How long a blocked response write may stall before the connection is
-    /// dropped. `None` waits forever.
-    pub write_timeout: Option<Duration>,
-    /// Maximum concurrently served connections, and with it the bound on
-    /// concurrently executing requests and buffered frames. An accept beyond
-    /// the cap is shed: the peer gets one `Unavailable` reply and is
-    /// disconnected.
-    pub max_connections: usize,
-    /// The retry-after hint (milliseconds) carried in shed replies.
-    pub shed_retry_after_ms: u32,
-}
+/// The retry-after hint (milliseconds) a shed connection's `Unavailable`
+/// reply carries.
+pub const SHED_RETRY_AFTER_MS: u32 = 200;
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            read_timeout: Some(Duration::from_secs(60)),
-            write_timeout: Some(Duration::from_secs(30)),
-            max_connections: 1024,
-            shed_retry_after_ms: 200,
+impl Handler for SharedCoordinator {
+    /// Decodes, dispatches through [`SharedCoordinator::handle`] and encodes.
+    /// Every dispatched RPC is timed into `coordinator_rpc_latency_us`,
+    /// counted by outcome in `coordinator_rpc_total`, and — when
+    /// round-scoped — recorded as a coordinator span under `correlation`.
+    fn respond(&self, payload: &[u8], correlation: Option<u64>) -> Vec<u8> {
+        let in_flight = &server_metrics().requests_in_flight;
+        in_flight.add(1);
+        let response = match Request::decode(payload) {
+            Ok(request) => {
+                let observation = crate::telemetry::begin_rpc(&request, correlation);
+                let response = self.handle(request);
+                crate::telemetry::finish_rpc(observation, &response);
+                response
+            }
+            Err(e) => Response::Error(RpcError::BadRequest {
+                detail: format!("undecodable request: {e}"),
+            }),
+        };
+        in_flight.sub(1);
+        response.encode()
+    }
+
+    fn error_reply(&self, detail: &str) -> Vec<u8> {
+        Response::Error(RpcError::BadRequest {
+            detail: detail.to_string(),
+        })
+        .encode()
+    }
+
+    fn shed_reply(&self) -> Option<Vec<u8>> {
+        Some(
+            Response::Error(RpcError::Unavailable {
+                detail: "server at connection capacity; retry shortly".to_string(),
+                retry_after_ms: SHED_RETRY_AFTER_MS,
+            })
+            .encode(),
+        )
+    }
+
+    fn on_event(&self, event: ConnectionEvent) {
+        let metrics = server_metrics();
+        match event {
+            ConnectionEvent::Opened => metrics.connections_active.add(1),
+            ConnectionEvent::Closed => metrics.connections_active.sub(1),
+            ConnectionEvent::Shed => metrics.connections_shed.inc(),
         }
     }
 }
 
-/// A handle to a running RPC server.
-///
-/// Dropping the handle does **not** stop the server; call
-/// [`ServerHandle::shutdown`] to stop accepting connections, close the open
-/// ones, and join every server thread.
-pub struct ServerHandle {
-    local_addr: SocketAddr,
-    shared: SharedCoordinator,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The address the server is listening on (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// The shared coordinator, for server-side inspection and round driving
-    /// (e.g. reading round statistics or advancing the simulated clock from
-    /// tests). Exclusive access goes through [`SharedCoordinator::write`].
-    pub fn service(&self) -> SharedCoordinator {
-        self.shared.clone()
-    }
-
-    /// Stops accepting new connections, shuts every open connection down
-    /// (peers see EOF), and joins the accept thread and through it every
-    /// connection thread. A request already executing runs to completion
-    /// first; once this returns, no thread of the server holds the
-    /// [`SharedCoordinator`] and no further request is dispatched.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Serves `service` on `addr` (use port 0 for an ephemeral port), returning
-/// once the listener is bound and accepting.
+/// Serves `service` on `addr` (port 0 for an ephemeral port) under the
+/// default [`ServerConfig`]. A daemon that tunes the config, or keeps
+/// driving rounds on the coordinator it serves, hands a
+/// [`SharedCoordinator`] to [`alpenhorn_wire::server::serve`] instead.
 pub fn serve(
     service: CoordinatorService,
     addr: impl ToSocketAddrs,
 ) -> std::io::Result<ServerHandle> {
-    serve_with_config(service, addr, ServerConfig::default())
-}
-
-/// [`serve`] with explicit timeout and shedding configuration.
-pub fn serve_with_config(
-    service: CoordinatorService,
-    addr: impl ToSocketAddrs,
-    config: ServerConfig,
-) -> std::io::Result<ServerHandle> {
-    serve_shared(SharedCoordinator::new(service), addr, config)
-}
-
-/// Serves an existing [`SharedCoordinator`] — the entry point when the
-/// caller (daemon, tests) also drives rounds through the same handle.
-pub fn serve_shared(
-    shared: SharedCoordinator,
-    addr: impl ToSocketAddrs,
-    config: ServerConfig,
-) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let accept_stop = Arc::clone(&stop);
-    let accept_shared = shared.clone();
-    let accept_thread = std::thread::spawn(move || {
-        let (stop, shared, config) = (&*accept_stop, &accept_shared, &config);
-        // A second handle on every live connection's socket, so shutdown can
-        // wake a thread blocked in `read`. A connection thread removes its
-        // own entry on exit; the map's size is the live connection count.
-        let live: Mutex<HashMap<u64, TcpStream>> = Mutex::new(HashMap::new());
-        let lock_live = || {
-            live.lock()
-                .expect("no thread panics holding the connection map")
-        };
-        // The scope joins every connection thread before the accept thread
-        // (and with it `ServerHandle::shutdown`) returns.
-        std::thread::scope(|scope| {
-            for (id, stream) in (0u64..).zip(listener.incoming()) {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                // Overload shedding happens here, before a thread is
-                // spawned: the daemon's intake pressure is answered with a
-                // typed retryable error, never with an unbounded backlog.
-                if lock_live().len() >= config.max_connections {
-                    server_metrics().connections_shed.inc();
-                    shed_connection(stream, config.shed_retry_after_ms);
-                    continue;
-                }
-                // A connection shutdown could not reach is one it could not
-                // stop; refuse it rather than serve it untracked.
-                let Ok(tracked) = stream.try_clone() else {
-                    continue;
-                };
-                lock_live().insert(id, tracked);
-                server_metrics().connections_active.add(1);
-                scope.spawn(move || {
-                    serve_connection(stream, shared, config, stop);
-                    lock_live().remove(&id);
-                    server_metrics().connections_active.sub(1);
-                });
-            }
-            for stream in lock_live().values() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        });
-    });
-
-    Ok(ServerHandle {
-        local_addr,
-        shared,
-        stop,
-        accept_thread: Some(accept_thread),
-    })
-}
-
-/// Answers one connection over the cap: a single retryable `Unavailable`
-/// reply with the configured retry-after hint, then disconnect. Best-effort
-/// — a peer that already hung up just gets dropped.
-fn shed_connection(mut stream: TcpStream, retry_after_ms: u32) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let reply = alpenhorn_wire::Response::Error(alpenhorn_wire::RpcError::Unavailable {
-        detail: "server at connection capacity; retry shortly".to_string(),
-        retry_after_ms,
-    })
-    .encode();
-    let _ = Frame::write_to(&mut stream, &reply);
-}
-
-/// Services one connection until the peer disconnects, stalls past the I/O
-/// timeouts, sends an undecodable frame, or the server shuts down. Each
-/// request runs to completion on this thread: read, handle, reply.
-fn serve_connection(
-    mut stream: TcpStream,
-    shared: &SharedCoordinator,
-    config: &ServerConfig,
-    stop: &AtomicBool,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(config.read_timeout);
-    let _ = stream.set_write_timeout(config.write_timeout);
-    loop {
-        match Frame::read_from_with_telemetry(&mut stream) {
-            Ok((payload, correlation)) => {
-                // Requests the socket had already buffered when shutdown
-                // closed it are dropped, not dispatched.
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let in_flight = &server_metrics().requests_in_flight;
-                in_flight.add(1);
-                let response = shared.handle_request_bytes_with_correlation(&payload, correlation);
-                in_flight.sub(1);
-                if Frame::write_to(&mut stream, &response).is_err() {
-                    return;
-                }
-            }
-            // Peer went away (EOF surfaces as UnexpectedEof from read_exact);
-            // any other I/O failure is equally fatal per-connection.
-            Err(FrameIoError::Io(_)) => return,
-            Err(FrameIoError::Wire(e)) => {
-                // Reply with a typed error, then drop the connection: after a
-                // framing error the stream offset can no longer be trusted.
-                let reply = alpenhorn_wire::Response::Error(alpenhorn_wire::RpcError::BadRequest {
-                    detail: format!("undecodable frame: {e}"),
-                })
-                .encode();
-                let _ = Frame::write_to(&mut stream, &reply);
-                return;
-            }
-        }
-    }
+    alpenhorn_wire::server::serve(
+        addr,
+        ServerConfig::default(),
+        SharedCoordinator::new(service),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
-    use alpenhorn_wire::{Request, Response, Round};
+    use alpenhorn_wire::codec::FrameIoError;
+    use alpenhorn_wire::{Frame, Round};
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     fn roundtrip(stream: &mut TcpStream, request: &Request) -> Response {
         Frame::write_to(stream, &request.encode()).unwrap();
@@ -319,7 +157,11 @@ mod tests {
         let payload = Frame::read_from(&mut stream).unwrap();
         assert!(matches!(
             Response::decode(&payload).unwrap(),
-            Response::Error(alpenhorn_wire::RpcError::BadRequest { .. })
+            Response::Error(RpcError::BadRequest { .. })
+        ));
+        assert!(matches!(
+            Frame::read_from(&mut stream),
+            Err(FrameIoError::Io(_))
         ));
         handle.shutdown();
     }
@@ -327,7 +169,10 @@ mod tests {
     #[test]
     fn concurrent_connections_share_one_deployment() {
         let service = CoordinatorService::new(Cluster::new(ClusterConfig::test(72)));
-        let handle = serve(service, "127.0.0.1:0").unwrap();
+        let shared = SharedCoordinator::new(service);
+        let handle =
+            alpenhorn_wire::server::serve("127.0.0.1:0", ServerConfig::default(), shared.clone())
+                .unwrap();
         let addr = handle.local_addr();
         let connect = || {
             let stream = TcpStream::connect(addr).unwrap();
@@ -340,7 +185,6 @@ mod tests {
 
         // Park one request: with the service write lock held here, the
         // admin connection's `BeginAddFriendRound` blocks inside its handler.
-        let shared = handle.service();
         let write_guard = shared.write();
         let mut admin = connect();
         let begin = Request::BeginAddFriendRound {
@@ -369,7 +213,7 @@ mod tests {
             ));
             assert!(matches!(
                 roundtrip(client, &Request::GetAddFriendRoundInfo),
-                Response::Error(alpenhorn_wire::RpcError::NoOpenRound { .. })
+                Response::Error(RpcError::NoOpenRound { .. })
             ));
         }
 

@@ -606,6 +606,7 @@ mod tests {
     use crate::cluster::ClusterConfig;
     use crate::shared::SharedCoordinator;
     use alpenhorn_ibe::blind::{blind, unblind, BlindedSignature};
+    use alpenhorn_wire::server::Handler;
     use alpenhorn_wire::{RateLimitToken, Request};
 
     fn service(seed: u8) -> CoordinatorService {
@@ -741,7 +742,7 @@ mod tests {
             Response::Error(RpcError::BadRequest { .. })
         ));
         // Undecodable request bytes still get an encoded, typed reply.
-        let reply = shared.handle_request_bytes(&[0xde, 0xad, 0xbe, 0xef]);
+        let reply = shared.respond(&[0xde, 0xad, 0xbe, 0xef], None);
         assert!(matches!(
             Response::decode(&reply).unwrap(),
             Response::Error(RpcError::BadRequest { .. })

@@ -50,8 +50,7 @@ use alpenhorn_mixnet::{AddFriendMailboxes, DialingMailboxes};
 use alpenhorn_storage::Journal;
 use alpenhorn_wire::rpc::{AddFriendRoundWire, DialingRoundWire};
 use alpenhorn_wire::{
-    Frame, RateLimitReason, RateLimitToken, Request, Response, Round, RoundKind, RpcError,
-    SIGNING_PK_LEN,
+    RateLimitReason, RateLimitToken, Request, Response, Round, RoundKind, RpcError, SIGNING_PK_LEN,
 };
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -305,49 +304,6 @@ impl SharedCoordinator {
             // coordinator state, so no reason to serialize on the write lock.
             Request::GetTelemetry => Response::Telemetry(crate::telemetry::telemetry_wire()),
         }
-    }
-
-    /// Handles one framed request payload (already stripped of its frame),
-    /// returning the encoded response. A payload that does not decode to a
-    /// [`Request`] yields an encoded [`RpcError::BadRequest`] instead of a
-    /// connection drop, so clients always get a typed answer.
-    pub fn handle_request_bytes(&self, payload: &[u8]) -> Vec<u8> {
-        self.handle_request_bytes_with_correlation(payload, None)
-    }
-
-    /// [`Self::handle_request_bytes`] with the correlation id carried by the
-    /// request's telemetry frame field (if any): every dispatched RPC is
-    /// timed into `coordinator_rpc_latency_us`, counted by outcome in
-    /// `coordinator_rpc_total`, and — when round-scoped — recorded as a
-    /// coordinator span under that correlation id.
-    pub fn handle_request_bytes_with_correlation(
-        &self,
-        payload: &[u8],
-        correlation: Option<u64>,
-    ) -> Vec<u8> {
-        let response = match Request::decode(payload) {
-            Ok(request) => {
-                let observation = crate::telemetry::begin_rpc(&request, correlation);
-                let response = self.handle(request);
-                crate::telemetry::finish_rpc(observation, &response);
-                response
-            }
-            Err(e) => Response::Error(RpcError::BadRequest {
-                detail: format!("undecodable request: {e}"),
-            }),
-        };
-        let bytes = response.encode();
-        if bytes.len() > Frame::MAX_PAYLOAD_LEN {
-            // A response too large to frame (e.g. a mailbox bloated past the
-            // 16 MiB cap by an unthrottled flood of submissions) must come
-            // back as a typed error, not panic the connection thread in
-            // `Frame::encode`.
-            return Response::Error(RpcError::BadRequest {
-                detail: "response exceeds the maximum frame size".to_string(),
-            })
-            .encode();
-        }
-        bytes
     }
 }
 

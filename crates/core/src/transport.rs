@@ -29,6 +29,7 @@ use alpenhorn_coordinator::service::CoordinatorService;
 use alpenhorn_coordinator::{CdnStats, Cluster, ServiceWriteGuard, SharedCoordinator};
 use alpenhorn_wire::cdn::decode_add_friend_blob;
 use alpenhorn_wire::codec::FrameIoError;
+use alpenhorn_wire::server::connect;
 use alpenhorn_wire::{Frame, Request, Response, RoundKind, WireError};
 
 /// Errors raised by a transport itself (as opposed to typed errors the
@@ -237,38 +238,13 @@ impl TcpTransport {
         connect_timeout: Duration,
         io_timeout: Option<Duration>,
     ) -> std::io::Result<Self> {
-        let mut last_err = None;
-        for candidate in addr.to_socket_addrs()? {
-            match Self::open(candidate, connect_timeout, io_timeout) {
-                Ok(stream) => {
-                    return Ok(TcpTransport {
-                        stream,
-                        peer: Some(candidate),
-                        io_timeout,
-                        poisoned: None,
-                    })
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "address resolved to no candidates",
-            )
-        }))
-    }
-
-    fn open(
-        addr: std::net::SocketAddr,
-        connect_timeout: Duration,
-        io_timeout: Option<Duration>,
-    ) -> std::io::Result<TcpStream> {
-        let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(io_timeout)?;
-        stream.set_write_timeout(io_timeout)?;
-        Ok(stream)
+        let stream = connect(addr, connect_timeout, io_timeout)?;
+        Ok(TcpTransport {
+            peer: Some(stream.peer_addr()?),
+            stream,
+            io_timeout,
+            poisoned: None,
+        })
     }
 
     /// Wraps an already-connected stream. The wrapper cannot reconnect (it
@@ -300,8 +276,7 @@ impl TcpTransport {
                 "transport was built from a raw stream; no address to reconnect to",
             )
         })?;
-        let stream = Self::open(peer, Self::DEFAULT_CONNECT_TIMEOUT, self.io_timeout)?;
-        self.stream = stream;
+        self.stream = connect(peer, Self::DEFAULT_CONNECT_TIMEOUT, self.io_timeout)?;
         self.poisoned = None;
         Ok(())
     }

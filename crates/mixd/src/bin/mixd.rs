@@ -16,9 +16,12 @@
 //! `--data-dir` is accepted for deployment-script symmetry with the other
 //! daemons but unused: `mixd` keeps no durable state, by design.
 
-use alpenhorn_mixd::{serve, MixdServer};
+use std::sync::Mutex;
+
+use alpenhorn_mixd::{server_config, MixdServer};
 use alpenhorn_obs::log::Level;
 use alpenhorn_obs::{log_error, log_info};
+use alpenhorn_wire::server::serve;
 
 /// The log/metrics target tag for this daemon.
 const TARGET: &str = "mixd";
@@ -108,7 +111,7 @@ fn main() {
     if let Some(workers) = options.workers {
         server.set_workers(workers);
     }
-    let handle = match serve(server, options.listen.as_str()) {
+    let handle = match serve(options.listen.as_str(), server_config(), Mutex::new(server)) {
         Ok(handle) => handle,
         Err(e) => {
             log_error!(TARGET, "cannot listen on {}: {e}", options.listen);

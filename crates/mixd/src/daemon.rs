@@ -1,15 +1,14 @@
 //! The `mixd` daemon: one chain position's mix servers behind framed TCP.
 
-use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use alpenhorn_ibe::dh::DhPublic;
 use alpenhorn_mixnet::{server_seed, MixServer, NoiseConfig, Protocol};
 use alpenhorn_obs::SpanGuard;
 use alpenhorn_wire::rpc::{SpanWire, TelemetryWire};
-use alpenhorn_wire::{Frame, MixerRequest, MixerResponse, RoundKind};
+use alpenhorn_wire::server::{ConnectionEvent, Exclusive, ServerConfig};
+use alpenhorn_wire::{MixerRequest, MixerResponse, RoundKind};
 
 use crate::seeds::chain_seed;
 
@@ -19,10 +18,13 @@ use crate::seeds::chain_seed;
 pub const SPAN_COMPONENT: &str = "mixd";
 
 /// Daemon-side mixing counters (noise injected, malformed onions dropped),
-/// mirrored into the shared registry for round reconciliation.
+/// mirrored into the shared registry for round reconciliation, and the
+/// serve loop's connection accounting.
 struct DaemonMetrics {
     noise_added: Arc<alpenhorn_obs::Counter>,
     dropped: Arc<alpenhorn_obs::Counter>,
+    connections_active: Arc<alpenhorn_obs::Gauge>,
+    connections_shed: Arc<alpenhorn_obs::Counter>,
 }
 
 fn daemon_metrics() -> &'static DaemonMetrics {
@@ -32,6 +34,8 @@ fn daemon_metrics() -> &'static DaemonMetrics {
         DaemonMetrics {
             noise_added: r.counter("mixd_noise_added_total", &[]),
             dropped: r.counter("mixd_malformed_dropped_total", &[]),
+            connections_active: r.gauge("mixd_connections_active", &[]),
+            connections_shed: r.counter("mixd_connections_shed_total", &[]),
         }
     })
 }
@@ -202,131 +206,57 @@ impl MixdServer {
         }
         response
     }
+}
 
-    /// Handles one framed request payload, returning the encoded response.
-    /// Undecodable payloads and oversized responses come back as encoded
-    /// [`MixerResponse::Error`]s, keeping the connection alive and aligned.
-    pub fn handle_request_bytes(&mut self, payload: &[u8]) -> Vec<u8> {
-        self.handle_request_bytes_with_correlation(payload, None)
-    }
-
-    /// Like [`MixdServer::handle_request_bytes`], with the correlation id the
-    /// peer attached to the request frame (if any).
-    pub fn handle_request_bytes_with_correlation(
-        &mut self,
-        payload: &[u8],
-        correlation: Option<u64>,
-    ) -> Vec<u8> {
-        let response = match MixerRequest::decode(payload) {
+impl Exclusive for MixdServer {
+    /// Undecodable payloads come back as encoded [`MixerResponse::Error`]s,
+    /// keeping the connection alive and aligned.
+    fn respond(&mut self, payload: &[u8], correlation: Option<u64>) -> Vec<u8> {
+        match MixerRequest::decode(payload) {
             Ok(request) => self.handle_with_correlation(request, correlation),
             Err(e) => MixerResponse::Error(format!("undecodable mixer request: {e}")),
-        };
-        let bytes = response.encode();
-        if bytes.len() > Frame::MAX_PAYLOAD_LEN {
-            return MixerResponse::Error("response exceeds the maximum frame size".to_string())
-                .encode();
         }
-        bytes
-    }
-}
-
-/// A handle to a running [`serve`] loop.
-pub struct MixdHandle {
-    local_addr: std::net::SocketAddr,
-    server: Arc<Mutex<MixdServer>>,
-}
-
-impl MixdHandle {
-    /// The bound listen address (with the OS-assigned port for `:0` binds).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr
+        .encode()
     }
 
-    /// The served daemon state, shared with the accept loop (tests and the
-    /// binary's diagnostics).
-    pub fn server(&self) -> Arc<Mutex<MixdServer>> {
-        Arc::clone(&self.server)
+    fn error_reply(detail: &str) -> Vec<u8> {
+        MixerResponse::Error(detail.to_string()).encode()
     }
-}
 
-/// Serves `server` on `addr`: one framed [`MixerRequest`] →
-/// [`MixerResponse`] exchange per frame, one thread per connection, requests
-/// serialized through the daemon mutex (rounds are driven by a single
-/// coordinator; contention is not the bottleneck, the mixing is).
-///
-/// Returns once the listener is bound; accepting runs on a background
-/// thread for the life of the process.
-pub fn serve(server: MixdServer, addr: &str) -> std::io::Result<MixdHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    let server = Arc::new(Mutex::new(server));
-    let accept_server = Arc::clone(&server);
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { continue };
-            let server = Arc::clone(&accept_server);
-            std::thread::spawn(move || serve_connection(stream, server));
-        }
-    });
-    Ok(MixdHandle { local_addr, server })
-}
-
-/// Read/write timeout per connection: generous enough for a full-round
-/// batch, bounded so a wedged peer cannot pin a thread forever.
-const CONNECTION_IO_TIMEOUT: Duration = Duration::from_secs(120);
-
-fn serve_connection(mut stream: TcpStream, server: Arc<Mutex<MixdServer>>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(CONNECTION_IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(CONNECTION_IO_TIMEOUT));
-    loop {
-        let (payload, correlation) = match Frame::read_from_with_telemetry(&mut stream) {
-            Ok(read) => read,
-            // EOF or any framing/IO failure ends the connection; the
-            // coordinator reconnects and retries (identical answers).
-            Err(_) => return,
-        };
-        let response = {
-            let mut server = server.lock().expect("mixd state mutex");
-            server.handle_request_bytes_with_correlation(&payload, correlation)
-        };
-        match Frame::write_to(&mut stream, &response) {
-            Ok(()) => {}
-            Err(e) => {
-                // A torn write desynchronizes the stream; drop it.
-                let _ = e;
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                return;
-            }
+    fn on_event(event: ConnectionEvent) {
+        let metrics = daemon_metrics();
+        match event {
+            ConnectionEvent::Opened => metrics.connections_active.add(1),
+            ConnectionEvent::Closed => metrics.connections_active.sub(1),
+            ConnectionEvent::Shed => metrics.connections_shed.inc(),
         }
     }
 }
 
-/// A connect helper with the daemon's defaults (used by [`RemoteMixer`]).
-///
-/// [`RemoteMixer`]: crate::mixer::RemoteMixer
-pub(crate) fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
-    let mut last = None;
-    for candidate in std::net::ToSocketAddrs::to_socket_addrs(addr)? {
-        match TcpStream::connect_timeout(&candidate, timeout) {
-            Ok(stream) => {
-                stream.set_nodelay(true)?;
-                stream.set_read_timeout(Some(CONNECTION_IO_TIMEOUT))?;
-                stream.set_write_timeout(Some(CONNECTION_IO_TIMEOUT))?;
-                return Ok(stream);
-            }
-            Err(e) => last = Some(e),
-        }
+/// Read/write timeout per connection, on both ends: generous enough for a
+/// full-round batch, bounded so a wedged peer cannot pin a thread forever.
+pub(crate) const CONNECTION_IO_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// The serve-loop configuration of a `mixd`: the default connection cap,
+/// both I/O timeouts at 120 s. Serve a daemon as
+/// `alpenhorn_wire::server::serve(addr, server_config(), Mutex::new(server))`;
+/// a connection over the cap is closed without a reply, which
+/// [`RemoteMixer`](crate::RemoteMixer) retries like any connection failure.
+pub fn server_config() -> ServerConfig {
+    ServerConfig {
+        read_timeout: Some(CONNECTION_IO_TIMEOUT),
+        write_timeout: Some(CONNECTION_IO_TIMEOUT),
+        ..ServerConfig::default()
     }
-    Err(last.unwrap_or_else(|| {
-        std::io::Error::new(ErrorKind::InvalidInput, "address resolved to no candidates")
-    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MixRetryPolicy, MixdError, Mixer, RemoteMixer};
+    use alpenhorn_wire::server::serve;
     use alpenhorn_wire::Round;
+    use std::sync::Mutex;
 
     #[test]
     fn begin_is_idempotent_and_round_scoped() {
@@ -406,7 +336,7 @@ mod tests {
     #[test]
     fn undecodable_requests_keep_the_daemon_alive() {
         let mut daemon = MixdServer::new([7u8; 32], 1);
-        let bytes = daemon.handle_request_bytes(&[0xff, 0x00, 0x01]);
+        let bytes = daemon.respond(&[0xff, 0x00, 0x01], None);
         let response = MixerResponse::decode(&bytes).unwrap();
         assert!(matches!(response, MixerResponse::Error(_)));
     }
@@ -427,5 +357,45 @@ mod tests {
                 MixerResponse::Ack
             );
         }
+    }
+
+    #[test]
+    fn connection_over_the_cap_fails_retryably_and_mixd_shuts_down() {
+        let shed_total = alpenhorn_obs::global().counter("mixd_connections_shed_total", &[]);
+        let shed_before = shed_total.get();
+        let config = ServerConfig {
+            max_connections: 1,
+            ..server_config()
+        };
+        let daemon = Mutex::new(MixdServer::new([9u8; 32], 0));
+        let handle = serve("127.0.0.1:0", config, daemon).unwrap();
+        let addr = handle.local_addr();
+        let begin = |mixer: &mut RemoteMixer| mixer.begin_round(RoundKind::AddFriend, Round(1));
+
+        // One mixer holds the only slot.
+        let mut first = RemoteMixer::new(addr.to_string()).with_retry(MixRetryPolicy::none());
+        let key = begin(&mut first).unwrap();
+
+        // The next connection is closed without a reply: a connection
+        // failure the retry policy retries, not a terminal daemon error.
+        let mut shed = RemoteMixer::new(addr.to_string()).with_retry(MixRetryPolicy::none());
+        match begin(&mut shed) {
+            Err(MixdError::Exhausted { last, .. }) => assert!(last.is_retryable(), "{last:?}"),
+            other => panic!("expected a retryable connection failure, got {other:?}"),
+        }
+        assert!(shed_total.get() > shed_before);
+
+        // Once the slot frees, a retrying mixer gets the identical key.
+        first.disconnect();
+        let mut retrying = RemoteMixer::new(addr.to_string()).with_retry(MixRetryPolicy {
+            max_attempts: 200,
+            base_backoff: Duration::from_millis(10),
+            max_backoff: Duration::from_millis(10),
+        });
+        assert_eq!(begin(&mut retrying).unwrap().to_bytes(), key.to_bytes());
+
+        // Shutdown joins every connection thread and closes the listener.
+        handle.shutdown();
+        assert!(std::net::TcpStream::connect(addr).is_err());
     }
 }

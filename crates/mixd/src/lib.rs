@@ -10,7 +10,11 @@
 //!   (seed, chain position, round id), the daemon is **stateless across
 //!   requests**: retried RPCs reproduce identical responses and no replay
 //!   cache exists.
-//! * [`serve`] — the framed TCP accept loop (`mixd` binary).
+//! * [`server_config`] — how the `mixd` binary runs a [`MixdServer`] in the
+//!   serve loop all three daemons share, [`alpenhorn_wire::server::serve`]
+//!   (as `Mutex<MixdServer>`: requests are serialized through the daemon
+//!   mutex; rounds are driven by one coordinator, so contention is not the
+//!   bottleneck, the mixing is).
 //! * [`Mixer`] — the coordinator's view of one mix server, with two
 //!   implementations: [`LoopbackMixer`] (in-process, still routed through
 //!   the wire codec) and [`RemoteMixer`] (framed TCP with
@@ -36,7 +40,7 @@ pub mod mixer;
 pub mod seeds;
 
 pub use chain::{MixRoundInput, MixRoundOutput, RemoteMixChain};
-pub use daemon::{serve, MixdHandle, MixdServer};
+pub use daemon::{server_config, MixdServer};
 pub use error::MixdError;
 pub use mixer::{LoopbackMixer, MixRetryPolicy, Mixer, ProcessedBatch, RemoteMixer};
 pub use seeds::chain_seed;

@@ -5,9 +5,10 @@ use std::time::Duration;
 
 use alpenhorn_ibe::dh::DhPublic;
 use alpenhorn_mixnet::NoiseConfig;
+use alpenhorn_wire::server::connect;
 use alpenhorn_wire::{Frame, MixerRequest, MixerResponse, Round, RoundKind};
 
-use crate::daemon::{connect, MixdServer};
+use crate::daemon::{MixdServer, CONNECTION_IO_TIMEOUT};
 use crate::error::MixdError;
 
 /// One mix server's output for one round.
@@ -187,10 +188,15 @@ impl RemoteMixer {
         payload: &[u8],
         correlation: Option<u64>,
     ) -> Result<MixerResponse, MixdError> {
-        if self.stream.is_none() {
-            self.stream = Some(connect(&self.addr, self.connect_timeout)?);
-        }
-        let stream = self.stream.as_mut().expect("connected above");
+        let stream = match self.stream.take() {
+            Some(stream) => stream,
+            None => connect(
+                &self.addr,
+                self.connect_timeout,
+                Some(CONNECTION_IO_TIMEOUT),
+            )?,
+        };
+        let stream = self.stream.insert(stream);
         let result: Result<MixerResponse, MixdError> = (|| {
             Frame::write_to_with_telemetry(stream, payload, correlation)?;
             let response = Frame::read_from(stream)?;

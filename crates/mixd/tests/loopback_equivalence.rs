@@ -10,16 +10,19 @@
 //! over TCP, including a mid-run disconnect to prove retry-recovery is
 //! invisible in the output.
 
+use std::sync::Mutex;
+
 use proptest::prelude::*;
 
 use alpenhorn_crypto::ChaChaRng;
 use alpenhorn_ibe::dh::DhPublic;
 use alpenhorn_mixd::{
-    chain_seed, serve, MixRetryPolicy, MixRoundInput, MixdServer, Mixer, RemoteMixChain,
+    chain_seed, server_config, MixRetryPolicy, MixRoundInput, MixdServer, Mixer, RemoteMixChain,
     RemoteMixer,
 };
 use alpenhorn_mixnet::onion::wrap_onion;
 use alpenhorn_mixnet::{MixChain, NoiseConfig};
+use alpenhorn_wire::server::serve;
 use alpenhorn_wire::{AddFriendEnvelope, DialRequest, DialToken, MailboxId, Round, RoundKind};
 
 const ROUNDS: u64 = 3;
@@ -198,7 +201,10 @@ fn remote_chain_over_tcp_equals_in_process_chain_despite_disconnects() {
     let mixers = 3;
 
     let handles: Vec<_> = (0..mixers)
-        .map(|i| serve(MixdServer::new(cluster_seed, i), "127.0.0.1:0").unwrap())
+        .map(|i| {
+            let daemon = Mutex::new(MixdServer::new(cluster_seed, i));
+            serve("127.0.0.1:0", server_config(), daemon).unwrap()
+        })
         .collect();
     let remotes: Vec<Box<dyn Mixer>> = handles
         .iter()

@@ -16,7 +16,9 @@
 //!
 //! The [`rpc`] module defines the versioned client ↔ coordinator RPC API
 //! (requests, responses, typed errors), carried inside the checksummed
-//! [`codec::Frame`]; see `docs/ARCHITECTURE.md` for the layering.
+//! [`codec::Frame`]; see `docs/ARCHITECTURE.md` for the layering. The
+//! [`server`] module is the one TCP serve loop all three daemons run that
+//! protocol family behind, with its client-side [`server::connect`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +36,7 @@ pub mod mixer;
 pub mod onion;
 pub mod round;
 pub mod rpc;
+pub mod server;
 
 pub use cdn::{CdnRequest, CdnResponse, ShardHeader};
 pub use codec::{Decoder, Encoder, Frame, FrameIoError};

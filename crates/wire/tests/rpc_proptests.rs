@@ -1,9 +1,11 @@
 //! Property tests for the RPC codec and the frame layer.
 //!
-//! Round-trips cover every `Request` and `Response` variant with generated
-//! payloads; the adversarial suite feeds truncated frames, bad version bytes,
-//! corrupted checksums, oversized length prefixes, and arbitrary byte soup to
-//! the decoders, which must fail cleanly (typed errors) and never panic.
+//! Round-trips cover every `Request` and `Response` variant, and every
+//! `MixerRequest` and `CdnRequest` variant the `mixd`/`cdnd` daemons decode,
+//! with generated payloads; the adversarial suite feeds truncated frames and
+//! messages, bad version bytes, corrupted checksums, oversized length
+//! prefixes, and arbitrary byte soup to the decoders, which must fail cleanly
+//! (typed errors) and never panic.
 
 use proptest::prelude::*;
 
@@ -12,9 +14,9 @@ use alpenhorn_wire::rpc::{
     RATE_LIMIT_SERIAL_LEN,
 };
 use alpenhorn_wire::{
-    AddFriendEnvelope, CdnStatsWire, Frame, Identity, MailboxId, RateLimitReason, RateLimitToken,
-    Request, Response, Round, RoundKind, RpcError, WireError, G1_LEN, G2_LEN, SIGNATURE_LEN,
-    SIGNING_PK_LEN,
+    AddFriendEnvelope, CdnRequest, CdnResponse, CdnStatsWire, Frame, Identity, MailboxId,
+    MixerRequest, MixerResponse, RateLimitReason, RateLimitToken, Request, Response, Round,
+    RoundKind, RpcError, ShardHeader, WireError, G1_LEN, G2_LEN, SIGNATURE_LEN, SIGNING_PK_LEN,
 };
 
 fn arb_identity() -> impl Strategy<Value = Identity> {
@@ -190,6 +192,69 @@ fn all_responses(round: u64, fill: u8, counts: (usize, usize), detail: String) -
     responses
 }
 
+fn round_kind(fill: u8) -> RoundKind {
+    if fill.is_multiple_of(2) {
+        RoundKind::AddFriend
+    } else {
+        RoundKind::Dialing
+    }
+}
+
+/// One of every `MixerRequest` variant (the coordinator → `mixd` surface).
+fn all_mixer_requests(
+    round: u64,
+    fill: u8,
+    keys: usize,
+    batch: (usize, usize),
+) -> Vec<MixerRequest> {
+    let (protocol, round) = (round_kind(fill), Round(round));
+    let (onions, onion_len) = batch;
+    vec![
+        MixerRequest::BeginRound { protocol, round },
+        MixerRequest::Process {
+            protocol,
+            round,
+            num_mailboxes: fill as u32 + 1,
+            noise_mu: f64::from(fill).to_bits(),
+            noise_b: (f64::from(fill) / 7.0).to_bits(),
+            downstream: vec![[fill; G1_LEN]; keys],
+            batch: vec![vec![fill.wrapping_add(1); onion_len]; onions],
+        },
+        MixerRequest::EndRound { protocol, round },
+        MixerRequest::GetTelemetry,
+    ]
+}
+
+/// One of every `CdnRequest` variant (the coordinator/client → `cdnd`
+/// surface).
+fn all_cdn_requests(round: u64, fill: u8, shard_len: usize) -> Vec<CdnRequest> {
+    let (kind, round, mailbox) = (round_kind(fill), Round(round), MailboxId(fill as u32));
+    let index = u16::from(fill % 4);
+    vec![
+        CdnRequest::PutShard {
+            kind,
+            round,
+            mailbox,
+            index,
+            header: ShardHeader {
+                data_shards: 3,
+                parity_shards: 1,
+                blob_len: round.0,
+            },
+            shard: vec![fill; shard_len],
+        },
+        CdnRequest::GetShard {
+            kind,
+            round,
+            mailbox,
+            index,
+        },
+        CdnRequest::Expire { keep_from: round },
+        CdnRequest::GetStats,
+        CdnRequest::GetTelemetry,
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -241,6 +306,42 @@ proptest! {
         let _ = Request::decode(&bytes);
         let _ = Response::decode(&bytes);
         let _ = Frame::decode(&bytes);
+        let _ = MixerRequest::decode(&bytes);
+        let _ = MixerResponse::decode(&bytes);
+        let _ = CdnRequest::decode(&bytes);
+        let _ = CdnResponse::decode(&bytes);
+    }
+
+    #[test]
+    fn every_mixer_request_variant_round_trips_and_rejects_every_strict_prefix(
+        round in any::<u64>(),
+        fill in any::<u8>(),
+        keys in 0usize..4,
+        onions in 0usize..4,
+        onion_len in 0usize..48,
+    ) {
+        for request in all_mixer_requests(round, fill, keys, (onions, onion_len)) {
+            let encoded = request.encode();
+            for cut in 0..encoded.len() {
+                prop_assert!(MixerRequest::decode(&encoded[..cut]).is_err(), "{request:?} cut at {cut}");
+            }
+            prop_assert_eq!(MixerRequest::decode(&encoded).unwrap(), request);
+        }
+    }
+
+    #[test]
+    fn every_cdn_request_variant_round_trips_and_rejects_every_strict_prefix(
+        round in any::<u64>(),
+        fill in any::<u8>(),
+        shard_len in 0usize..64,
+    ) {
+        for request in all_cdn_requests(round, fill, shard_len) {
+            let encoded = request.encode();
+            for cut in 0..encoded.len() {
+                prop_assert!(CdnRequest::decode(&encoded[..cut]).is_err(), "{request:?} cut at {cut}");
+            }
+            prop_assert_eq!(CdnRequest::decode(&encoded).unwrap(), request);
+        }
     }
 
     #[test]

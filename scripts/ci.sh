@@ -58,9 +58,14 @@ cargo test -q --test transport_equivalence concurrent
 # surviving fetches reconstructed by XOR-only parity decode. The per-crate
 # property suites (shift-XOR loss patterns, remote-chain ≡ in-process chain
 # over every mixer count and pipeline depth) run inside `cargo test -q` too;
-# this named stage makes a distribution regression point at itself.
+# this named stage makes a distribution regression point at itself. All
+# three daemons run one serve loop (alpenhorn_wire::server), so its unit
+# tests (shedding, bad frames, oversized replies, joined shutdown, poisoned
+# state) and the cdn crate's node tests run here as well.
 stage "distributed equivalence (3 mixd + 4 cdnd, one killed mid-run, vs in-process)"
 cargo test -q --test distributed_equivalence
+cargo test -q -p alpenhorn-wire --lib server::
+cargo test -q -p alpenhorn-cdn
 cargo test -q -p alpenhorn-erasure --test shift_xor_proptests
 cargo test -q -p alpenhorn-mixd --test loopback_equivalence
 

@@ -23,7 +23,7 @@ use alpenhorn::{
     LoopbackTransport, RetryPolicy, TcpTransport, Transport,
 };
 use alpenhorn_coordinator::service::{CoordinatorService, RateLimitPolicy, ServiceConfig};
-use alpenhorn_coordinator::{Cluster, ClusterConfig};
+use alpenhorn_coordinator::{Cluster, ClusterConfig, SharedCoordinator};
 use alpenhorn_ibe::sig::VerifyingKey;
 use alpenhorn_wire::{Request, Response, Round};
 
@@ -305,17 +305,17 @@ fn same_plan_and_seed_replays_identical_fault_schedule() {
 /// retrying client rides it out once capacity frees up.
 #[test]
 fn retrying_client_rides_out_connection_shedding() {
-    use alpenhorn_coordinator::server::{serve_with_config, ServerConfig};
+    use alpenhorn_coordinator::server::SHED_RETRY_AFTER_MS;
+    use alpenhorn_wire::server::ServerConfig;
 
     let service = CoordinatorService::new(Cluster::new(ClusterConfig::test(67)));
-    let handle = serve_with_config(
-        service,
+    let handle = alpenhorn_wire::server::serve(
         "127.0.0.1:0",
         ServerConfig {
             max_connections: 1,
-            shed_retry_after_ms: 5,
             ..ServerConfig::default()
         },
+        SharedCoordinator::new(service),
     )
     .expect("server binds");
     let addr = handle.local_addr();
@@ -330,7 +330,7 @@ fn retrying_client_rides_out_connection_shedding() {
     let Response::Error(alpenhorn_wire::RpcError::Unavailable { retry_after_ms, .. }) = err else {
         panic!("expected Unavailable shed reply, got {err:?}");
     };
-    assert_eq!(retry_after_ms, 5);
+    assert_eq!(retry_after_ms, SHED_RETRY_AFTER_MS);
 
     // Free the slot; a retrying client converges without manual recovery
     // (the shed connection was dropped server-side, so the retry path goes
@@ -609,17 +609,17 @@ fn sigkill_under_faults_converges_to_clean_daemon_run() {
 /// re-dials the remembered peer so the call sequence continues.
 #[test]
 fn poisoned_tcp_transport_reconnects_via_reset() {
-    use alpenhorn_coordinator::server::{serve_with_config, ServerConfig};
+    use alpenhorn_wire::server::ServerConfig;
     use std::time::Duration;
 
     let service = CoordinatorService::new(Cluster::new(ClusterConfig::test(68)));
-    let handle = serve_with_config(
-        service,
+    let handle = alpenhorn_wire::server::serve(
         "127.0.0.1:0",
         ServerConfig {
             read_timeout: Some(Duration::from_millis(50)),
             ..ServerConfig::default()
         },
+        SharedCoordinator::new(service),
     )
     .expect("server binds");
 

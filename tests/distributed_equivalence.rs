@@ -9,20 +9,19 @@
 //! the resulting [`ClientEvent`] stream is byte-identical to the loopback
 //! fault-free run.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use alpenhorn::{
     CdnRoutedTransport, Client, ClientConfig, ClientEvent, Identity, LoopbackTransport,
     TcpTransport, Transport,
 };
-use alpenhorn_cdn::{
-    serve as cdn_serve, CdnNodeHandle, CdnNodeState, NodeClient, ShardedCdn, TcpNode,
-};
+use alpenhorn_cdn::{CdnNodeState, NodeClient, ShardedCdn, TcpNode};
 use alpenhorn_coordinator::server::serve as coordinator_serve;
 use alpenhorn_coordinator::service::CoordinatorService;
 use alpenhorn_coordinator::{CdnStats, Cluster, ClusterConfig};
 use alpenhorn_ibe::sig::VerifyingKey;
-use alpenhorn_mixd::{serve as mixd_serve, MixdHandle, MixdServer, Mixer, RemoteMixer};
+use alpenhorn_mixd::{MixdServer, Mixer, RemoteMixer};
+use alpenhorn_wire::server::{serve, ServerHandle};
 use alpenhorn_wire::{Request, Response, Round};
 
 const SCENARIO_SEED: u8 = 90;
@@ -150,9 +149,9 @@ fn in_process_events() -> Vec<(String, ClientEvent)> {
 }
 
 struct Deployment {
-    coordinator: alpenhorn_coordinator::server::ServerHandle,
-    mixds: Vec<MixdHandle>,
-    cdnds: Vec<CdnNodeHandle>,
+    coordinator: ServerHandle,
+    mixds: Vec<ServerHandle>,
+    cdnds: Vec<ServerHandle>,
 }
 
 /// Boots the whole distributed topology on localhost: 3 `mixd` daemons,
@@ -160,11 +159,17 @@ struct Deployment {
 fn boot_deployment() -> Deployment {
     let config = ClusterConfig::test(SCENARIO_SEED);
 
-    let mixds: Vec<MixdHandle> = (0..config.num_mix_servers)
-        .map(|i| mixd_serve(MixdServer::new(config.seed, i), "127.0.0.1:0").expect("mixd binds"))
+    let mixds: Vec<ServerHandle> = (0..config.num_mix_servers)
+        .map(|i| {
+            let daemon = Mutex::new(MixdServer::new(config.seed, i));
+            serve("127.0.0.1:0", alpenhorn_mixd::server_config(), daemon).expect("mixd binds")
+        })
         .collect();
-    let cdnds: Vec<CdnNodeHandle> = (0..CDN_NODES)
-        .map(|_| cdn_serve(CdnNodeState::new(), "127.0.0.1:0").expect("cdnd binds"))
+    let cdnds: Vec<ServerHandle> = (0..CDN_NODES)
+        .map(|_| {
+            let node = Mutex::new(CdnNodeState::new());
+            serve("127.0.0.1:0", alpenhorn_cdn::server_config(), node).expect("cdnd binds")
+        })
         .collect();
 
     let mixer_fleet = || -> Vec<Box<dyn Mixer>> {
@@ -203,7 +208,7 @@ fn distributed_deployment_with_cdn_node_loss_matches_in_process_run() {
     let Deployment {
         coordinator,
         mixds,
-        cdnds,
+        mut cdnds,
     } = boot_deployment();
     let coordinator_addr = coordinator.local_addr();
 
@@ -226,9 +231,8 @@ fn distributed_deployment_with_cdn_node_loss_matches_in_process_run() {
         .with_stats(Arc::clone(&download_stats))
     };
 
-    let distributed = run_scenario(routed(), routed(), routed(), || {
-        cdnds[KILLED_NODE].shutdown();
-    });
+    let killed = cdnds.remove(KILLED_NODE);
+    let distributed = run_scenario(routed(), routed(), routed(), || killed.shutdown());
     assert_eq!(reference, distributed);
     // Byte-identical on the rendered stream, not just typed equality.
     let render = |events: &[(String, ClientEvent)]| {
@@ -287,8 +291,7 @@ fn distributed_deployment_with_cdn_node_loss_matches_in_process_run() {
     assert!(fleet_stats.shards_stored > 0);
 
     coordinator.shutdown();
-    for cdnd in &cdnds {
-        cdnd.shutdown();
+    for daemon in cdnds.into_iter().chain(mixds) {
+        daemon.shutdown();
     }
-    drop(mixds);
 }

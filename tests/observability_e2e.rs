@@ -14,20 +14,19 @@
 //! * **(c) determinism** — the client event stream is byte-identical to the
 //!   in-process reference run, with all instrumentation enabled in both.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use alpenhorn::{
     CdnRoutedTransport, Client, ClientConfig, ClientEvent, Identity, LoopbackTransport,
     TcpTransport, Transport,
 };
-use alpenhorn_cdn::{
-    serve as cdn_serve, CdnNodeHandle, CdnNodeState, NodeClient, ShardedCdn, TcpNode,
-};
+use alpenhorn_cdn::{CdnNodeState, NodeClient, ShardedCdn, TcpNode};
 use alpenhorn_coordinator::server::serve as coordinator_serve;
 use alpenhorn_coordinator::service::CoordinatorService;
 use alpenhorn_coordinator::{CdnStats, Cluster, ClusterConfig};
 use alpenhorn_ibe::sig::VerifyingKey;
-use alpenhorn_mixd::{serve as mixd_serve, MixdHandle, MixdServer, Mixer, RemoteMixer};
+use alpenhorn_mixd::{MixdServer, Mixer, RemoteMixer};
+use alpenhorn_wire::server::{serve, ServerHandle};
 use alpenhorn_wire::{CdnRequest, CdnResponse, Request, Response, Round, RoundKind, TelemetryWire};
 
 const SCENARIO_SEED: u8 = 100;
@@ -150,11 +149,17 @@ fn telemetry_links_rounds_across_all_process_types() {
 
     // Distributed topology: 3 mixd + 4 cdnd + coordinator, all over TCP.
     let config = ClusterConfig::test(SCENARIO_SEED);
-    let mixds: Vec<MixdHandle> = (0..config.num_mix_servers)
-        .map(|i| mixd_serve(MixdServer::new(config.seed, i), "127.0.0.1:0").expect("mixd binds"))
+    let mixds: Vec<ServerHandle> = (0..config.num_mix_servers)
+        .map(|i| {
+            let daemon = Mutex::new(MixdServer::new(config.seed, i));
+            serve("127.0.0.1:0", alpenhorn_mixd::server_config(), daemon).expect("mixd binds")
+        })
         .collect();
-    let cdnds: Vec<CdnNodeHandle> = (0..CDN_NODES)
-        .map(|_| cdn_serve(CdnNodeState::new(), "127.0.0.1:0").expect("cdnd binds"))
+    let cdnds: Vec<ServerHandle> = (0..CDN_NODES)
+        .map(|_| {
+            let node = Mutex::new(CdnNodeState::new());
+            serve("127.0.0.1:0", alpenhorn_cdn::server_config(), node).expect("cdnd binds")
+        })
         .collect();
     let mixer_fleet = || -> Vec<Box<dyn Mixer>> {
         mixds
@@ -302,10 +307,9 @@ fn telemetry_links_rounds_across_all_process_types() {
     assert_eq!(d("cdn_parity_decodes_total"), 0);
 
     coordinator.shutdown();
-    for cdnd in &cdnds {
-        cdnd.shutdown();
+    for daemon in cdnds.into_iter().chain(mixds) {
+        daemon.shutdown();
     }
-    drop(mixds);
 }
 
 /// A spawned `alpenhornd` child, killed on drop.

@@ -19,7 +19,7 @@ use alpenhorn_wire::server::{ConnectionEvent, Handler, ServerConfig, ServerHandl
 use alpenhorn_wire::{Request, Response, RpcError};
 
 use crate::service::CoordinatorService;
-use crate::shared::SharedCoordinator;
+use crate::shared::{run_batch, SharedCoordinator};
 
 /// Server-level load metrics: requests executing right now and connection
 /// accounting. Process-wide (every server in the process shares them,
@@ -46,21 +46,31 @@ fn server_metrics() -> &'static ServerMetrics {
 /// reply carries.
 pub const SHED_RETRY_AFTER_MS: u32 = 200;
 
+/// Dispatches `request` through [`SharedCoordinator::handle`], timing it
+/// into `coordinator_rpc_latency_us`, counting it by outcome in
+/// `coordinator_rpc_total` and — when round-scoped — recording a coordinator
+/// span under `correlation`. A batch goes through the same member loop as
+/// `handle` ([`run_batch`]) with each member observed on its own, under its
+/// own `rpc` label, so per-RPC counts and latencies mean the same whether or
+/// not a client batched.
+fn observed(shared: &SharedCoordinator, request: Request, correlation: Option<u64>) -> Response {
+    if let Request::Batch(members) = request {
+        return run_batch(members, |member| observed(shared, member, correlation));
+    }
+    let observation = crate::telemetry::begin_rpc(&request, correlation);
+    let response = shared.handle(request);
+    crate::telemetry::finish_rpc(observation, &response);
+    response
+}
+
 impl Handler for SharedCoordinator {
-    /// Decodes, dispatches through [`SharedCoordinator::handle`] and encodes.
-    /// Every dispatched RPC is timed into `coordinator_rpc_latency_us`,
-    /// counted by outcome in `coordinator_rpc_total`, and — when
-    /// round-scoped — recorded as a coordinator span under `correlation`.
+    /// Decodes, dispatches through [`SharedCoordinator::handle`] and encodes
+    /// (see `observed`).
     fn respond(&self, payload: &[u8], correlation: Option<u64>) -> Vec<u8> {
         let in_flight = &server_metrics().requests_in_flight;
         in_flight.add(1);
         let response = match Request::decode(payload) {
-            Ok(request) => {
-                let observation = crate::telemetry::begin_rpc(&request, correlation);
-                let response = self.handle(request);
-                crate::telemetry::finish_rpc(observation, &response);
-                response
-            }
+            Ok(request) => observed(self, request, correlation),
             Err(e) => Response::Error(RpcError::BadRequest {
                 detail: format!("undecodable request: {e}"),
             }),
@@ -143,6 +153,29 @@ mod tests {
             Response::Error(_)
         ));
         handle.shutdown();
+    }
+
+    #[test]
+    fn batch_members_are_observed_under_their_own_rpc_labels() {
+        let shared = SharedCoordinator::new(CoordinatorService::new(Cluster::new(
+            ClusterConfig::test(74),
+        )));
+        shared.handle(Request::BeginAddFriendRound {
+            round: Round(1),
+            expected_real: 1,
+        });
+        // No other test in this process gets a round info answered through
+        // `respond`, so this counter moves for this test's members only.
+        let answered = alpenhorn_obs::global().counter(
+            "coordinator_rpc_total",
+            &[("rpc", "get_add_friend_round_info"), ("outcome", "ok")],
+        );
+        let before = answered.get();
+        let batch = Request::Batch(vec![Request::GetAddFriendRoundInfo; 2]);
+        let reply = Response::decode(&shared.respond(&batch.encode(), None)).unwrap();
+        assert!(matches!(reply, Response::Batch(replies) if replies.len() == 2));
+        assert_eq!(answered.get() - before, 2);
+        assert!(!alpenhorn_obs::global().expose().contains(r#"rpc="batch""#));
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //!   `Get*RoundInfo`, `Fetch*Mailbox`, `GetCdnStats`) are answered from an
 //!   immutable [`ReadSnapshot`] behind an `Arc`, with **zero** service-lock
 //!   acquisitions.
+//! * **Batch** — a [`Request::Batch`] runs its members in order through
+//!   these same arms (`run_batch`), stopping after the first error. The
+//!   members are round info (read path), key extraction and token issuance
+//!   (exclusive path). The client puts extraction before issuance, and the
+//!   PKGs refuse to extract for any round but the open one, so a batch that
+//!   guessed the wrong round stops before issuance charges any budget.
 //! * **Submission path** — `Submit*` RPCs validate against the snapshot and
 //!   enqueue into the open round's
 //!   [`SubmissionIntake`](crate::shard::SubmissionIntake), spending
@@ -48,7 +54,7 @@ use std::sync::Arc;
 use alpenhorn_ibe::sig::Signature;
 use alpenhorn_mixnet::{AddFriendMailboxes, DialingMailboxes};
 use alpenhorn_storage::Journal;
-use alpenhorn_wire::rpc::{AddFriendRoundWire, DialingRoundWire};
+use alpenhorn_wire::rpc::{AddFriendRoundWire, DialingRoundWire, MAX_BATCH_MEMBERS};
 use alpenhorn_wire::{
     RateLimitReason, RateLimitToken, Request, Response, Round, RoundKind, RpcError, SIGNING_PK_LEN,
 };
@@ -57,7 +63,9 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use crate::cdn::{serve_add_friend, serve_dialing, CdnStats};
 use crate::persist;
 use crate::ratelimit::{self, RateLimitError, TokenVerifier};
-use crate::service::{add_friend_wire, dialing_wire, storage_unavailable, CoordinatorService};
+use crate::service::{
+    add_friend_wire, bad_request, dialing_wire, storage_unavailable, CoordinatorService,
+};
 use crate::shard::{Offer, SubmissionIntake};
 
 /// The open-round slice of a snapshot: everything a round-info or submit RPC
@@ -303,8 +311,38 @@ impl SharedCoordinator {
             // Telemetry reads only the global registry and span ring — no
             // coordinator state, so no reason to serialize on the write lock.
             Request::GetTelemetry => Response::Telemetry(crate::telemetry::telemetry_wire()),
+            Request::Batch(members) => run_batch(members, |member| self.handle(member)),
         }
     }
+}
+
+/// The one batch member loop, behind both [`SharedCoordinator::handle`] and
+/// the timed dispatch of [`crate::server`]: runs `members` in order through
+/// `run` and stops after the first reply that is a [`Response::Error`],
+/// answering the replies of the members it ran. Members must number 1 to
+/// [`MAX_BATCH_MEMBERS`] and be [`Request::batchable`] — the decoder refuses
+/// anything else off the wire, this covers in-process callers — so a batch
+/// never holds another batch.
+pub(crate) fn run_batch(
+    members: Vec<Request>,
+    mut run: impl FnMut(Request) -> Response,
+) -> Response {
+    if !(1..=MAX_BATCH_MEMBERS).contains(&members.len()) || !members.iter().all(Request::batchable)
+    {
+        return bad_request(
+            "a batch carries 1 to 3 round-info, key-extraction and token-issuance requests",
+        );
+    }
+    let mut replies = Vec::with_capacity(members.len());
+    for member in members {
+        let reply = run(member);
+        let failed = matches!(reply, Response::Error(_));
+        replies.push(reply);
+        if failed {
+            break;
+        }
+    }
+    Response::Batch(replies)
 }
 
 impl std::fmt::Debug for SharedCoordinator {
@@ -549,6 +587,94 @@ mod tests {
             }),
             Response::Error(RpcError::UnknownMailbox)
         );
+    }
+
+    #[test]
+    fn batch_members_run_in_order_and_stop_after_the_first_error() {
+        use crate::service::{RateLimitPolicy, ServiceConfig};
+        use alpenhorn_wire::Identity;
+        let shared = SharedCoordinator::new(CoordinatorService::with_config(
+            Cluster::new(ClusterConfig::test(65)),
+            ServiceConfig {
+                rate_limit: Some(RateLimitPolicy { budget_per_day: 4 }),
+            },
+        ));
+        let identity = Identity::new("zoe@example.com").unwrap();
+        let mut rng = alpenhorn_crypto::ChaChaRng::from_seed_bytes([65u8; 32]);
+        let key = alpenhorn_ibe::sig::SigningKey::generate(&mut rng);
+        shared.handle(Request::Register {
+            identity: identity.clone(),
+            signing_key: key.verifying_key().to_bytes(),
+        });
+        shared.handle(Request::CompleteRegistration {
+            identity: identity.clone(),
+        });
+        shared.handle(Request::BeginAddFriendRound {
+            round: Round(1),
+            expected_real: 1,
+        });
+        let blinded = alpenhorn_ibe::blind::blind(b"spend message", &mut rng)
+            .0
+            .to_bytes();
+        let batch = |round: Round| {
+            let extraction = alpenhorn_pkg::server::extraction_request_message(&identity, round);
+            let issuance = ratelimit::issue_message(&identity, &blinded);
+            Request::Batch(vec![
+                Request::GetAddFriendRoundInfo,
+                Request::ExtractIdentityKeys {
+                    identity: identity.clone(),
+                    round,
+                    auth: key.sign(&extraction).to_bytes(),
+                },
+                Request::IssueRateLimitToken {
+                    identity: identity.clone(),
+                    blinded,
+                    auth: key.sign(&issuance).to_bytes(),
+                },
+            ])
+        };
+        let budget = || shared.read().remaining_token_budget(&identity);
+
+        // A wrong round guess stops at the PKGs' refusal: issuance never
+        // runs, so nothing is charged.
+        let Response::Batch(replies) = shared.handle(batch(Round(2))) else {
+            panic!("batch reply");
+        };
+        assert!(matches!(
+            replies.as_slice(),
+            [
+                Response::AddFriendRoundInfo(_),
+                Response::Error(RpcError::Pkg { .. })
+            ]
+        ));
+        assert_eq!(budget(), Some(4));
+
+        let Response::Batch(replies) = shared.handle(batch(Round(1))) else {
+            panic!("batch reply");
+        };
+        assert!(matches!(
+            replies.as_slice(),
+            [
+                Response::AddFriendRoundInfo(_),
+                Response::IdentityKeys(_),
+                Response::TokenIssued { .. }
+            ]
+        ));
+        assert_eq!(budget(), Some(3));
+
+        // Batches the decoder would refuse are refused whole in process too.
+        for members in [
+            vec![],
+            vec![Request::GetAddFriendRoundInfo; 4],
+            vec![batch(Round(1))],
+            vec![Request::GetPkgKeys],
+        ] {
+            assert!(matches!(
+                shared.handle(Request::Batch(members)),
+                Response::Error(RpcError::BadRequest { .. })
+            ));
+        }
+        assert_eq!(budget(), Some(3));
     }
 
     #[test]

@@ -23,6 +23,11 @@
 //! obtains one blind-signed token per submission via
 //! [`Request::IssueRateLimitToken`]; issuance is authenticated, spending is
 //! unlinkable.
+//!
+//! An add-friend participation after an acked one costs two coordinator
+//! crossings, not four: the client guesses the next round and sends round
+//! info, key extraction and token issuance as one [`Request::Batch`], then
+//! submits (see `Client::open_add_friend_round`).
 
 use std::collections::{HashMap, VecDeque};
 
@@ -33,7 +38,7 @@ use alpenhorn_ibe::anytrust::{aggregate_identity_keys, aggregate_master_publics}
 use alpenhorn_ibe::bf::{
     decrypt as ibe_decrypt, encrypt as ibe_encrypt, IdentityPrivateKey, MasterPublic,
 };
-use alpenhorn_ibe::blind::{blind, unblind, BlindedSignature};
+use alpenhorn_ibe::blind::{blind, unblind, BlindedSignature, BlindingFactor};
 use alpenhorn_ibe::dh::{DhPublic, DhSecret};
 use alpenhorn_ibe::sig::{
     aggregate_signatures, aggregate_verifying_keys, Signature, SigningKey, VerifyingKey,
@@ -41,7 +46,7 @@ use alpenhorn_ibe::sig::{
 use alpenhorn_keywheel::{KeywheelTable, SessionKey};
 use alpenhorn_mixnet::onion::wrap_onion;
 use alpenhorn_pkg::server::extraction_request_message;
-use alpenhorn_wire::rpc::RATE_LIMIT_SERIAL_LEN;
+use alpenhorn_wire::rpc::{IdentityKeyShareWire, RATE_LIMIT_SERIAL_LEN};
 use alpenhorn_wire::{
     AddFriendEnvelope, DialRequest, DialToken, FriendRequest, Identity, MailboxId, RateLimitToken,
     Request, Response, Round, RoundKind, SIGNING_PK_LEN,
@@ -127,6 +132,22 @@ struct AddFriendRoundView {
     rate_limited: bool,
 }
 
+/// What a speculative batch brought for the round it guessed right: the
+/// identity key shares and, when the round is rate limited, the token.
+struct Speculation {
+    shares: Vec<IdentityKeyShareWire>,
+    token: Option<RateLimitToken>,
+}
+
+/// A token issuance in flight: the serial and blinding factor drawn for it,
+/// kept until the blind signature comes back.
+struct PendingToken {
+    kind: RoundKind,
+    round: Round,
+    serial: [u8; RATE_LIMIT_SERIAL_LEN],
+    factor: BlindingFactor,
+}
+
 /// The client's typed view of an open dialing round.
 struct DialingRoundView {
     round: Round,
@@ -164,6 +185,36 @@ fn decode_onion_keys(bytes: &[[u8; alpenhorn_wire::G1_LEN]]) -> Result<Vec<DhPub
         })
 }
 
+/// Validates an add-friend round-info reply into the client's view of it.
+fn add_friend_view(response: Response) -> Result<AddFriendRoundView, ClientError> {
+    let Response::AddFriendRoundInfo(info) = response else {
+        return Err(ClientError::UnexpectedResponse {
+            context: "fetching add-friend round info",
+        });
+    };
+    let onion_keys = decode_onion_keys(&info.onion_keys)?;
+    let pkg_publics = info
+        .pkg_publics
+        .iter()
+        .map(|bytes| MasterPublic::from_bytes(bytes))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|_| ClientError::UnexpectedResponse {
+            context: "decoding PKG master publics",
+        })?;
+    if pkg_publics.is_empty() || info.num_mailboxes == 0 {
+        return Err(ClientError::UnexpectedResponse {
+            context: "validating add-friend round info",
+        });
+    }
+    Ok(AddFriendRoundView {
+        round: info.round,
+        onion_keys,
+        master_public: aggregate_master_publics(&pkg_publics),
+        num_mailboxes: info.num_mailboxes,
+        rate_limited: info.rate_limited,
+    })
+}
+
 /// The Alpenhorn client for one user.
 pub struct Client {
     identity: Identity,
@@ -188,9 +239,10 @@ pub struct Client {
     /// Identity key and mailbox count for the currently open add-friend round
     /// (erased after the mailbox is scanned, §4.4).
     round_identity_key: Option<(Round, u32, IdentityPrivateKey)>,
-    /// The PKG multi-signature over (identity, signing key, round) for the
-    /// current round, included in outgoing requests.
-    round_attestation: Option<(Round, Signature)>,
+    /// The add-friend round of the last acked submission and whether it was
+    /// rate limited: the next participation's guess of the open round. Not
+    /// persisted; without it the client asks for the round info alone.
+    last_add_friend: Option<(Round, bool)>,
     /// Round and mailbox count of the dialing round last participated in
     /// (consumed by mailbox processing).
     dialing_round_state: Option<(Round, u32)>,
@@ -245,7 +297,7 @@ impl Client {
             pending_incoming: HashMap::new(),
             outgoing_calls: VecDeque::new(),
             round_identity_key: None,
-            round_attestation: None,
+            last_add_friend: None,
             dialing_round_state: None,
             next_dialing_round: Round::FIRST,
             sent_dial_token: None,
@@ -450,7 +502,6 @@ impl Client {
         self.outgoing_add_friend.clear();
         self.outgoing_calls.clear();
         self.round_identity_key = None;
-        self.round_attestation = None;
         self.unspent_rate_limit_token = None;
         self.signing_key = SigningKey::generate(&mut self.rng);
         self.registered = false;
@@ -470,22 +521,35 @@ impl Client {
     // ------------------------------------------------------------------
 
     /// Obtains one spendable rate-limit token for a submission to `round`:
-    /// blinds a fresh serial's spend message, has the coordinator blind-sign
-    /// it (authenticated, budgeted), and unblinds the signature. The
-    /// coordinator cannot link the spent token back to this issuance.
+    /// the one cached for it if there is one, otherwise a fresh issuance
+    /// ([`Client::token_request`]).
     fn acquire_rate_limit_token<T: Transport>(
         &mut self,
         net: &mut T,
         kind: RoundKind,
         round: Round,
     ) -> Result<RateLimitToken, ClientError> {
-        // Reuse a token acquired for this round by a participation attempt
-        // that later failed: the budget was already charged for it.
-        if let Some((cached_kind, cached_round, token)) = self.unspent_rate_limit_token {
-            if cached_kind == kind && cached_round == round {
-                return Ok(token);
-            }
+        if let Some(token) = self.cached_token(kind, round) {
+            return Ok(token);
         }
+        let (request, pending) = self.token_request(kind, round);
+        let response = self.rpc(net, request)?;
+        self.finish_token(pending, response)
+    }
+
+    /// The token a participation attempt that later failed acquired for
+    /// `round`: the budget was already charged for it, so it is reused.
+    fn cached_token(&self, kind: RoundKind, round: Round) -> Option<RateLimitToken> {
+        self.unspent_rate_limit_token
+            .filter(|(cached_kind, cached_round, _)| *cached_kind == kind && *cached_round == round)
+            .map(|(_, _, token)| token)
+    }
+
+    /// Draws a fresh serial, blinds its spend message for `round` and signs
+    /// the issuance request (authenticated, budgeted). The coordinator
+    /// blind-signs without seeing the message, so it cannot link the spent
+    /// token back to this issuance.
+    fn token_request(&mut self, kind: RoundKind, round: Round) -> (Request, PendingToken) {
         let mut serial = [0u8; RATE_LIMIT_SERIAL_LEN];
         self.rng.fill_bytes(&mut serial);
         let message = ratelimit::spend_message(kind, round, &serial);
@@ -494,14 +558,29 @@ impl Client {
         let auth = self
             .signing_key
             .sign(&ratelimit::issue_message(&self.identity, &blinded_bytes));
-        let response = self.rpc(
-            net,
-            Request::IssueRateLimitToken {
-                identity: self.identity.clone(),
-                blinded: blinded_bytes,
-                auth: auth.to_bytes(),
+        let request = Request::IssueRateLimitToken {
+            identity: self.identity.clone(),
+            blinded: blinded_bytes,
+            auth: auth.to_bytes(),
+        };
+        (
+            request,
+            PendingToken {
+                kind,
+                round,
+                serial,
+                factor,
             },
-        )?;
+        )
+    }
+
+    /// Unblinds the coordinator's reply to a [`Client::token_request`] into
+    /// a spendable token.
+    fn finish_token(
+        &mut self,
+        pending: PendingToken,
+        response: Response,
+    ) -> Result<RateLimitToken, ClientError> {
         let Response::TokenIssued { blind_signature } = response else {
             return Err(ClientError::UnexpectedResponse {
                 context: "requesting a rate-limit token",
@@ -513,12 +592,12 @@ impl Client {
             }
         })?;
         let token = RateLimitToken {
-            serial,
-            signature: unblind(&blind_signature, &factor).to_bytes(),
+            serial: pending.serial,
+            signature: unblind(&blind_signature, &pending.factor).to_bytes(),
         };
         // Remember the token until it is actually spent, so a failure later
         // in this participation does not strand a unit of budget.
-        self.unspent_rate_limit_token = Some((kind, round, token));
+        self.unspent_rate_limit_token = Some((pending.kind, pending.round, token));
         Ok(token)
     }
 
@@ -526,80 +605,100 @@ impl Client {
     // Add-friend rounds (Algorithm 1)
     // ------------------------------------------------------------------
 
-    /// Fetches and validates the open add-friend round's parameters.
-    fn fetch_add_friend_round<T: Transport>(
+    /// Fetches the open add-friend round's parameters and, when this
+    /// client's guess of the round was right, its identity key shares and
+    /// rate-limit token with them.
+    ///
+    /// A client whose last submission was acked in round r guesses that
+    /// r + 1 is open and asks for everything it needs before submitting in
+    /// one [`Request::Batch`]: the round info, the key extraction for r + 1
+    /// and — when r was rate limited and no token for r + 1 is cached — a
+    /// token issuance, whose serial and blinding factor come from the same
+    /// point of the RNG stream as on the serial path. The server runs the
+    /// members in order and stops at the first error, and the PKGs refuse to
+    /// extract for a round that is not open, so a wrong guess ends the batch
+    /// before issuance charges the budget. The guess is a hit when the round
+    /// and its rate-limit flag are as guessed and every member answered.
+    /// On a miss the caller continues serially from the round info the batch
+    /// returned; a token it then needs gets a fresh serial and blinding
+    /// factor. A client with nothing to guess from (first participation, or
+    /// a reloaded client) asks for the round info alone.
+    fn open_add_friend_round<T: Transport>(
         &mut self,
         net: &mut T,
-    ) -> Result<AddFriendRoundView, ClientError> {
-        let Response::AddFriendRoundInfo(info) = self.rpc(net, Request::GetAddFriendRoundInfo)?
-        else {
+    ) -> Result<(AddFriendRoundView, Option<Speculation>), ClientError> {
+        let Some((last, rate_limited)) = self.last_add_friend else {
+            let response = self.rpc(net, Request::GetAddFriendRoundInfo)?;
+            return Ok((add_friend_view(response)?, None));
+        };
+        let guess = last.next();
+        let cached = self.cached_token(RoundKind::AddFriend, guess);
+        let mut members = vec![
+            Request::GetAddFriendRoundInfo,
+            self.extraction_request(guess),
+        ];
+        let pending = (rate_limited && cached.is_none()).then(|| {
+            let (request, pending) = self.token_request(RoundKind::AddFriend, guess);
+            members.push(request);
+            pending
+        });
+        let Response::Batch(replies) = self.rpc(net, Request::Batch(members))? else {
             return Err(ClientError::UnexpectedResponse {
                 context: "fetching add-friend round info",
             });
         };
-        let onion_keys = decode_onion_keys(&info.onion_keys)?;
-        let pkg_publics = info
-            .pkg_publics
-            .iter()
-            .map(|bytes| MasterPublic::from_bytes(bytes))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|_| ClientError::UnexpectedResponse {
-                context: "decoding PKG master publics",
-            })?;
-        if pkg_publics.is_empty() || info.num_mailboxes == 0 {
-            return Err(ClientError::UnexpectedResponse {
-                context: "validating add-friend round info",
-            });
-        }
-        let master_public = aggregate_master_publics(&pkg_publics);
-        Ok(AddFriendRoundView {
-            round: info.round,
-            onion_keys,
-            master_public,
-            num_mailboxes: info.num_mailboxes,
-            rate_limited: info.rate_limited,
-        })
+        let mut replies = replies.into_iter();
+        let view = match replies.next() {
+            // Exactly how a failed round-info call surfaces on its own.
+            Some(Response::Error(e)) => return Err(e.into()),
+            Some(info) => add_friend_view(info)?,
+            None => {
+                return Err(ClientError::UnexpectedResponse {
+                    context: "fetching add-friend round info",
+                })
+            }
+        };
+        let hit = view.round == guess && view.rate_limited == rate_limited;
+        let shares = match replies.next() {
+            Some(Response::IdentityKeys(shares)) if hit => Some(shares),
+            _ => None,
+        };
+        let token = match pending {
+            Some(pending) => match replies.next() {
+                Some(issued @ Response::TokenIssued { .. }) if hit => {
+                    Some(self.finish_token(pending, issued)?)
+                }
+                _ => None,
+            },
+            None => cached.filter(|_| rate_limited),
+        };
+        let speculation = shares
+            .filter(|_| token.is_some() == rate_limited)
+            .map(|shares| Speculation { shares, token });
+        crate::retry::count_speculation(speculation.is_some());
+        Ok((view, speculation))
     }
 
-    /// Participates in the open add-friend round: fetches the round
-    /// parameters, extracts identity keys from the PKGs (step 1), then signs,
-    /// encrypts, onion-wraps and submits one request — real if one is queued,
-    /// cover otherwise (steps 2-3). Returns the round participated in.
-    pub fn participate_add_friend<T: Transport>(
-        &mut self,
-        net: &mut T,
-    ) -> Result<Round, ClientError> {
-        if !self.registered {
-            return Err(ClientError::NotRegistered);
-        }
-        let view = self.fetch_add_friend_round(net)?;
-
-        // Acquire the rate-limit token before any state is mutated: a
-        // budget failure here must leave queued friend requests queued, not
-        // silently degrade them into cover traffic.
-        let token = if view.rate_limited {
-            Some(self.acquire_rate_limit_token(net, RoundKind::AddFriend, view.round)?)
-        } else {
-            None
-        };
-
-        // Step 1: acquire identity keys and PKG attestations.
+    /// The signed request for this client's identity key shares of `round`.
+    fn extraction_request(&self, round: Round) -> Request {
         let auth = self
             .signing_key
-            .sign(&extraction_request_message(&self.identity, view.round));
-        let Response::IdentityKeys(shares) = self.rpc(
-            net,
-            Request::ExtractIdentityKeys {
-                identity: self.identity.clone(),
-                round: view.round,
-                auth: auth.to_bytes(),
-            },
-        )?
-        else {
-            return Err(ClientError::UnexpectedResponse {
-                context: "extracting identity keys",
-            });
-        };
+            .sign(&extraction_request_message(&self.identity, round));
+        Request::ExtractIdentityKeys {
+            identity: self.identity.clone(),
+            round,
+            auth: auth.to_bytes(),
+        }
+    }
+
+    /// Verifies the PKGs' identity key shares for `view`'s round, keeps the
+    /// aggregated identity key for the mailbox scan and returns the
+    /// aggregated attestation this round's request carries.
+    fn accept_identity_keys(
+        &mut self,
+        view: &AddFriendRoundView,
+        shares: &[IdentityKeyShareWire],
+    ) -> Result<Signature, ClientError> {
         // Verify each PKG's attestation with its long-term key before
         // trusting the aggregate (a malicious PKG returning garbage would
         // otherwise break our own outgoing requests).
@@ -610,7 +709,7 @@ impl Client {
         );
         let mut identity_keys = Vec::with_capacity(shares.len());
         let mut attestations = Vec::with_capacity(shares.len());
-        for share in &shares {
+        for share in shares {
             let identity_key =
                 IdentityPrivateKey::from_bytes(&share.identity_key).map_err(|_| {
                     ClientError::UnexpectedResponse {
@@ -647,9 +746,45 @@ impl Client {
             }
         }
         let identity_key = aggregate_identity_keys(&identity_keys);
-        let attestation = aggregate_signatures(&attestations);
         self.round_identity_key = Some((view.round, view.num_mailboxes, identity_key));
-        self.round_attestation = Some((view.round, attestation));
+        Ok(aggregate_signatures(&attestations))
+    }
+
+    /// Participates in the open add-friend round: fetches the round
+    /// parameters, extracts identity keys from the PKGs (step 1), then signs,
+    /// encrypts, onion-wraps and submits one request — real if one is queued,
+    /// cover otherwise (steps 2-3). Returns the round participated in.
+    pub fn participate_add_friend<T: Transport>(
+        &mut self,
+        net: &mut T,
+    ) -> Result<Round, ClientError> {
+        if !self.registered {
+            return Err(ClientError::NotRegistered);
+        }
+        let (view, speculation) = self.open_add_friend_round(net)?;
+
+        // Acquire the rate-limit token before any state is mutated: a
+        // budget failure here must leave queued friend requests queued, not
+        // silently degrade them into cover traffic. Then step 1: acquire
+        // identity keys and PKG attestations. A right guess brought both.
+        let (token, shares) = match speculation {
+            Some(hit) => (hit.token, hit.shares),
+            None => {
+                let token = if view.rate_limited {
+                    Some(self.acquire_rate_limit_token(net, RoundKind::AddFriend, view.round)?)
+                } else {
+                    None
+                };
+                let request = self.extraction_request(view.round);
+                let Response::IdentityKeys(shares) = self.rpc(net, request)? else {
+                    return Err(ClientError::UnexpectedResponse {
+                        context: "extracting identity keys",
+                    });
+                };
+                (token, shares)
+            }
+        };
+        let attestation = self.accept_identity_keys(&view, &shares)?;
 
         // Steps 2-3: build and submit exactly one fixed-size request. The
         // envelope is encoded into a reused scratch buffer and the onion is
@@ -659,7 +794,7 @@ impl Client {
         // reasons the old in-process API could not hit); a build failure
         // means the item itself is malformed and it is dropped instead.
         let queued = self.outgoing_add_friend.pop_front();
-        let envelope = self.build_add_friend_envelope(queued.as_ref(), &view)?;
+        let envelope = self.build_add_friend_envelope(queued.as_ref(), &view, &attestation)?;
         envelope.encode_into(&mut self.payload_scratch);
         let onion = wrap_onion(&self.payload_scratch, &view.onion_keys, &mut self.rng);
         let submitted = self.rpc(
@@ -673,6 +808,7 @@ impl Client {
         match submitted {
             Ok(Response::Ack) => {
                 self.unspent_rate_limit_token = None;
+                self.last_add_friend = Some((view.round, view.rate_limited));
                 Ok(view.round)
             }
             Ok(_) => {
@@ -699,6 +835,7 @@ impl Client {
         &mut self,
         outgoing: Option<&OutgoingAddFriend>,
         view: &AddFriendRoundView,
+        attestation: &Signature,
     ) -> Result<AddFriendEnvelope, ClientError> {
         let Some(outgoing) = outgoing else {
             return Ok(AddFriendEnvelope::cover());
@@ -738,10 +875,6 @@ impl Client {
             }
         };
 
-        let (_, attestation) = self
-            .round_attestation
-            .as_ref()
-            .expect("participate_add_friend sets the attestation before building");
         let dialing_key = dh_public.to_bytes();
         let sender_sig = self.signing_key.sign(&FriendRequest::signed_message_parts(
             &self.identity,
@@ -808,7 +941,6 @@ impl Client {
         }
         // Forward secrecy: the round identity key is destroyed after the scan
         // (dropping it here; the underlying scalar is not referenced again).
-        self.round_attestation = None;
         Ok(events)
     }
 
@@ -1525,7 +1657,7 @@ impl Client {
             // Round-scoped secrets are never persisted (forward secrecy):
             // a reloaded client starts outside any open round.
             round_identity_key: None,
-            round_attestation: None,
+            last_add_friend: None,
             dialing_round_state,
             next_dialing_round,
             sent_dial_token,

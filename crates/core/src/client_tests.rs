@@ -663,3 +663,114 @@ fn save_to_and_load_from_files_atomically() {
     assert_eq!(reloaded.save_state(), alice.save_state());
     std::fs::remove_dir_all(dir).unwrap();
 }
+
+/// Counts the calls made through the transport it wraps and keeps the onion
+/// of every add-friend submission.
+struct Counting<T> {
+    inner: T,
+    calls: usize,
+    onions: Vec<Vec<u8>>,
+}
+
+impl<T: crate::transport::Transport> crate::transport::Transport for Counting<T> {
+    fn call(
+        &mut self,
+        request: alpenhorn_wire::Request,
+    ) -> Result<alpenhorn_wire::Response, crate::transport::TransportError> {
+        self.calls += 1;
+        if let alpenhorn_wire::Request::SubmitAddFriend { onion, .. } = &request {
+            self.onions.push(onion.clone());
+        }
+        self.inner.call(request)
+    }
+}
+
+fn rate_limited_deployment(seed: u8, budget_per_day: u32) -> LoopbackTransport {
+    use alpenhorn_coordinator::{CoordinatorService, RateLimitPolicy, ServiceConfig};
+    LoopbackTransport::with_service(CoordinatorService::with_config(
+        Cluster::new(ClusterConfig::test(seed)),
+        ServiceConfig {
+            rate_limit: Some(RateLimitPolicy { budget_per_day }),
+        },
+    ))
+}
+
+#[test]
+fn a_right_round_guess_takes_two_calls_and_a_wrong_one_charges_nothing() {
+    const BUDGET: u32 = 8;
+    let mut net = rate_limited_deployment(40, BUDGET);
+    let mut alice = new_client(&mut net, "alice@example.com", 40, ClientConfig::default());
+    let mut counted = Counting {
+        inner: net.clone(),
+        calls: 0,
+        onions: Vec::new(),
+    };
+    // Round 1 has nothing to guess from: round info, issuance, extraction,
+    // submit. Round 2 is guessed: one batch, then the submit. Round 3 passes
+    // without Alice, so her guess for round 4 is wrong: the batch stops at
+    // the extraction the PKGs refuse, and she continues serially.
+    for (round, expected_calls) in [(1, 4), (2, 2), (3, 0), (4, 4)] {
+        net.with_cluster(|c| c.begin_add_friend_round(Round(round), 1))
+            .unwrap();
+        let before = counted.calls;
+        if expected_calls > 0 {
+            assert_eq!(alice.participate_add_friend(&mut counted), Ok(Round(round)));
+        }
+        assert_eq!(counted.calls - before, expected_calls, "round {round}");
+        net.with_cluster(|c| c.close_add_friend_round(Round(round)))
+            .unwrap();
+    }
+    // One unit per participation: the wrong guess charged nothing.
+    assert_eq!(
+        net.service()
+            .remaining_token_budget(&id("alice@example.com")),
+        Some(BUDGET - 3)
+    );
+}
+
+#[test]
+fn a_batched_participation_submits_the_serial_paths_onion() {
+    // The same client state participates twice in one round: once guessing
+    // the round (batch), once reloaded from a save (the guess is not
+    // persisted, so serially). The token's serial and blinding factor come
+    // from the same point of the RNG stream either way, so the onions are
+    // byte-identical — the second submission is acked as a retry of the
+    // first, and its issuance re-signs the same blinded message for free.
+    const BUDGET: u32 = 8;
+    let mut net = rate_limited_deployment(41, BUDGET);
+    let mut alice = new_client(&mut net, "alice@example.com", 41, ClientConfig::default());
+    alice.add_friend(id("bob@gmail.com"), None);
+    net.with_cluster(|c| c.begin_add_friend_round(Round(1), 1))
+        .unwrap();
+    alice.participate_add_friend(&mut net).unwrap();
+    net.with_cluster(|c| c.close_add_friend_round(Round(1)))
+        .unwrap();
+    alice.add_friend(id("carol@x.org"), None);
+    let mut reloaded = Client::load_state(&alice.save_state()).unwrap();
+
+    net.with_cluster(|c| c.begin_add_friend_round(Round(2), 1))
+        .unwrap();
+    let mut batched = Counting {
+        inner: net.clone(),
+        calls: 0,
+        onions: Vec::new(),
+    };
+    alice.participate_add_friend(&mut batched).unwrap();
+    let mut serial = Counting {
+        inner: net.clone(),
+        calls: 0,
+        onions: Vec::new(),
+    };
+    reloaded.participate_add_friend(&mut serial).unwrap();
+    assert_eq!((batched.calls, serial.calls), (2, 4));
+    assert_eq!(batched.onions, serial.onions);
+    let stats = net
+        .with_cluster(|c| c.close_add_friend_round(Round(2)))
+        .unwrap();
+    assert_eq!(stats.client_messages, 1);
+    assert_eq!(
+        net.service()
+            .remaining_token_budget(&id("alice@example.com")),
+        Some(BUDGET - 2)
+    );
+}

@@ -36,14 +36,16 @@ use alpenhorn_wire::{Request, Response, RpcError};
 use crate::error::ClientError;
 use crate::transport::Transport;
 
-/// Client retry telemetry. Counters only — never timings — so the values are
-/// deterministic for a given fault schedule, and never read back by the
-/// protocol.
+/// Client retry and round-speculation telemetry. Counters only — never
+/// timings — so the values are deterministic for a given fault schedule, and
+/// never read back by the protocol.
 struct RetryMetrics {
     retries_total: Arc<Counter>,
     unavailable_total: Arc<Counter>,
     exhausted_total: Arc<Counter>,
     deadline_total: Arc<Counter>,
+    speculation_hits: Arc<Counter>,
+    speculation_misses: Arc<Counter>,
 }
 
 fn retry_metrics() -> &'static RetryMetrics {
@@ -55,8 +57,23 @@ fn retry_metrics() -> &'static RetryMetrics {
             unavailable_total: r.counter("client_unavailable_total", &[]),
             exhausted_total: r.counter("client_retries_exhausted_total", &[]),
             deadline_total: r.counter("client_deadline_expired_total", &[]),
+            speculation_hits: r.counter("client_round_speculation_total", &[("outcome", "hit")]),
+            speculation_misses: r.counter("client_round_speculation_total", &[("outcome", "miss")]),
         }
     })
+}
+
+/// Counts one speculative add-friend batch by whether its round guess held.
+/// A miss costs the participation the serial calls the batch was meant to
+/// save, which a deployment whose clients skip rounds would otherwise pay
+/// without seeing it.
+pub(crate) fn count_speculation(hit: bool) {
+    let metrics = retry_metrics();
+    if hit {
+        metrics.speculation_hits.inc();
+    } else {
+        metrics.speculation_misses.inc();
+    }
 }
 
 /// When (and how often) a [`crate::Client`] retries a failed RPC.

@@ -21,7 +21,9 @@
 //! * rate limiting (§9): [`Request::IssueRateLimitToken`] plus the
 //!   [`RateLimitToken`] carried by submissions;
 //! * round administration (the operator side of the entry server):
-//!   [`Request::BeginAddFriendRound`] and friends.
+//!   [`Request::BeginAddFriendRound`] and friends;
+//! * [`Request::Batch`]: up to [`MAX_BATCH_MEMBERS`] of the replay-idempotent
+//!   pre-submit calls in one frame, answered by one [`Response::Batch`].
 //!
 //! Decoding is total: any byte sequence either decodes to a message or
 //! returns a typed [`WireError`]; nothing in this module panics on input.
@@ -46,6 +48,10 @@ pub const MAX_PKG_KEYS: usize = 64;
 
 /// Upper bound on free-form detail strings carried in errors.
 pub const MAX_DETAIL_LEN: usize = 256;
+
+/// Most members a [`Request::Batch`] (and its [`Response::Batch`]) carries:
+/// one each of round info, key extraction and token issuance.
+pub const MAX_BATCH_MEMBERS: usize = 3;
 
 /// A spendable rate-limit token: a client-chosen random serial plus the
 /// unblinded BLS signature over the spend message for (protocol, round,
@@ -240,6 +246,13 @@ pub enum Request {
     /// Admin: fetch the process's metrics exposition and recent spans
     /// (see `docs/OBSERVABILITY.md`).
     GetTelemetry,
+    /// 1 to [`MAX_BATCH_MEMBERS`] requests in one frame, each one for which
+    /// [`Request::batchable`] holds. The server runs them in order and stops
+    /// after the first one answered with [`Response::Error`]; the
+    /// [`Response::Batch`] holds the replies of the members it ran. Only
+    /// replay-idempotent calls qualify, so resending a whole batch whose
+    /// reply was lost is as safe as resending each call.
+    Batch(Vec<Request>),
 }
 
 /// Why a submission or issuance was rate limited.
@@ -432,6 +445,9 @@ pub enum Response {
     Telemetry(TelemetryWire),
     /// The request failed with a typed error.
     Error(RpcError),
+    /// The replies to a [`Request::Batch`]'s members, in order: one per
+    /// member up to and including the first [`Response::Error`].
+    Batch(Vec<Response>),
 }
 
 /// Upper bound on the metrics exposition text in a telemetry response
@@ -653,6 +669,43 @@ const REQ_BEGIN_DIALING_ROUND: u8 = 15;
 const REQ_CLOSE_DIALING_ROUND: u8 = 16;
 const REQ_GET_CDN_STATS: u8 = 17;
 const REQ_GET_TELEMETRY: u8 = 18;
+const REQ_BATCH: u8 = 19;
+
+/// Tags of the requests a batch may carry ([`Request::batchable`]).
+const BATCHABLE_REQUEST_TAGS: [u8; 3] = [
+    REQ_GET_ADD_FRIEND_ROUND,
+    REQ_EXTRACT_IDENTITY_KEYS,
+    REQ_ISSUE_RATE_LIMIT_TOKEN,
+];
+
+/// A batch is a tag, a member count and the members' own encodings back to
+/// back (every batchable message is self-delimiting). Reads the count, then
+/// each member's tag — checked against `allowed` *before* the member is
+/// decoded, so a batch can never hold another batch and hostile input
+/// cannot make the decoder recurse — then the member body.
+fn decode_batch<T>(
+    d: &mut Decoder<'_>,
+    allowed: &[u8],
+    mut decode_body: impl FnMut(u8, &mut Decoder<'_>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let count = d.get_u8("batch member count")? as usize;
+    if !(1..=MAX_BATCH_MEMBERS).contains(&count) {
+        return Err(WireError::InvalidValue {
+            context: "batch member count",
+        });
+    }
+    let mut members = Vec::with_capacity(count);
+    for _ in 0..count {
+        let tag = d.get_u8("batch member tag")?;
+        if !allowed.contains(&tag) {
+            return Err(WireError::InvalidValue {
+                context: "batch member tag",
+            });
+        }
+        members.push(decode_body(tag, d)?);
+    }
+    Ok(members)
+}
 
 impl Request {
     /// A stable, lowercase name for this request kind, suitable as a metric
@@ -677,7 +730,20 @@ impl Request {
             Request::CloseDialingRound { .. } => "close_dialing_round",
             Request::GetCdnStats => "get_cdn_stats",
             Request::GetTelemetry => "get_telemetry",
+            Request::Batch(_) => "batch",
         }
+    }
+
+    /// Whether this request may travel inside a [`Request::Batch`]: the
+    /// add-friend round info, key extraction and token issuance — the calls
+    /// a client makes before it submits, all replay-idempotent.
+    pub fn batchable(&self) -> bool {
+        matches!(
+            self,
+            Request::GetAddFriendRoundInfo
+                | Request::ExtractIdentityKeys { .. }
+                | Request::IssueRateLimitToken { .. }
+        )
     }
 
     /// The `(protocol, round)` a round-scoped request operates on, used to
@@ -702,25 +768,30 @@ impl Request {
     /// Encodes the request into its wire form (without framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::with_capacity(128);
+        self.encode_into(&mut e);
+        e.finish()
+    }
+
+    fn encode_into(&self, e: &mut Encoder) {
         match self {
             Request::Register {
                 identity,
                 signing_key,
             } => {
                 e.put_u8(REQ_REGISTER);
-                put_identity(&mut e, identity);
+                put_identity(e, identity);
                 e.put_bytes(signing_key);
             }
             Request::CompleteRegistration { identity } => {
                 e.put_u8(REQ_COMPLETE_REGISTRATION);
-                put_identity(&mut e, identity);
+                put_identity(e, identity);
             }
             Request::Deregister {
                 identity,
                 signature,
             } => {
                 e.put_u8(REQ_DEREGISTER);
-                put_identity(&mut e, identity);
+                put_identity(e, identity);
                 e.put_bytes(signature);
             }
             Request::GetPkgKeys => {
@@ -738,7 +809,7 @@ impl Request {
                 auth,
             } => {
                 e.put_u8(REQ_EXTRACT_IDENTITY_KEYS);
-                put_identity(&mut e, identity);
+                put_identity(e, identity);
                 e.put_u64(round.0);
                 e.put_bytes(auth);
             }
@@ -748,7 +819,7 @@ impl Request {
                 auth,
             } => {
                 e.put_u8(REQ_ISSUE_RATE_LIMIT_TOKEN);
-                put_identity(&mut e, identity);
+                put_identity(e, identity);
                 e.put_bytes(blinded);
                 e.put_bytes(auth);
             }
@@ -759,7 +830,7 @@ impl Request {
             } => {
                 e.put_u8(REQ_SUBMIT_ADD_FRIEND);
                 e.put_u64(round.0);
-                put_token(&mut e, token);
+                put_token(e, token);
                 e.put_var_bytes(onion);
             }
             Request::SubmitDialing {
@@ -769,7 +840,7 @@ impl Request {
             } => {
                 e.put_u8(REQ_SUBMIT_DIALING);
                 e.put_u64(round.0);
-                put_token(&mut e, token);
+                put_token(e, token);
                 e.put_var_bytes(onion);
             }
             Request::FetchAddFriendMailbox { round, mailbox } => {
@@ -812,48 +883,68 @@ impl Request {
             Request::GetTelemetry => {
                 e.put_u8(REQ_GET_TELEMETRY);
             }
+            Request::Batch(members) => {
+                e.put_u8(REQ_BATCH);
+                e.put_u8(members.len() as u8);
+                for member in members {
+                    member.encode_into(e);
+                }
+            }
         }
-        e.finish()
     }
 
     /// Decodes a request from its wire form. Total: returns a typed error on
     /// any malformed input and never panics.
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
         let mut d = Decoder::new(buf);
-        let tag = d.get_u8("request tag")?;
-        let request = match tag {
+        let request = match d.get_u8("request tag")? {
+            REQ_BATCH => Request::Batch(decode_batch(
+                &mut d,
+                &BATCHABLE_REQUEST_TAGS,
+                Self::decode_body,
+            )?),
+            tag => Self::decode_body(tag, &mut d)?,
+        };
+        d.finish()?;
+        Ok(request)
+    }
+
+    /// Decodes the fields after `tag`. Never recurses: a batch tag is
+    /// unknown here.
+    fn decode_body(tag: u8, d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(match tag {
             REQ_REGISTER => Request::Register {
-                identity: get_identity(&mut d, "register identity")?,
+                identity: get_identity(d, "register identity")?,
                 signing_key: d.get_array("register signing key")?,
             },
             REQ_COMPLETE_REGISTRATION => Request::CompleteRegistration {
-                identity: get_identity(&mut d, "complete-registration identity")?,
+                identity: get_identity(d, "complete-registration identity")?,
             },
             REQ_DEREGISTER => Request::Deregister {
-                identity: get_identity(&mut d, "deregister identity")?,
+                identity: get_identity(d, "deregister identity")?,
                 signature: d.get_array("deregister signature")?,
             },
             REQ_GET_PKG_KEYS => Request::GetPkgKeys,
             REQ_GET_ADD_FRIEND_ROUND => Request::GetAddFriendRoundInfo,
             REQ_GET_DIALING_ROUND => Request::GetDialingRoundInfo,
             REQ_EXTRACT_IDENTITY_KEYS => Request::ExtractIdentityKeys {
-                identity: get_identity(&mut d, "extract identity")?,
+                identity: get_identity(d, "extract identity")?,
                 round: Round(d.get_u64("extract round")?),
                 auth: d.get_array("extract auth")?,
             },
             REQ_ISSUE_RATE_LIMIT_TOKEN => Request::IssueRateLimitToken {
-                identity: get_identity(&mut d, "issue identity")?,
+                identity: get_identity(d, "issue identity")?,
                 blinded: d.get_array("issue blinded message")?,
                 auth: d.get_array("issue auth")?,
             },
             REQ_SUBMIT_ADD_FRIEND => Request::SubmitAddFriend {
                 round: Round(d.get_u64("submit round")?),
-                token: get_token(&mut d)?,
+                token: get_token(d)?,
                 onion: d.get_var_bytes("submit onion")?.to_vec(),
             },
             REQ_SUBMIT_DIALING => Request::SubmitDialing {
                 round: Round(d.get_u64("submit round")?),
-                token: get_token(&mut d)?,
+                token: get_token(d)?,
                 onion: d.get_var_bytes("submit onion")?.to_vec(),
             },
             REQ_FETCH_ADD_FRIEND_MAILBOX => Request::FetchAddFriendMailbox {
@@ -885,9 +976,7 @@ impl Request {
                     context: "request tag",
                 })
             }
-        };
-        d.finish()?;
-        Ok(request)
+        })
     }
 }
 
@@ -907,6 +996,15 @@ const RESP_ROUND_CLOSED: u8 = 9;
 const RESP_ERROR: u8 = 10;
 const RESP_CDN_STATS: u8 = 11;
 const RESP_TELEMETRY: u8 = 12;
+const RESP_BATCH: u8 = 13;
+
+/// Tags of the replies a batch's members can get.
+const BATCHABLE_RESPONSE_TAGS: [u8; 4] = [
+    RESP_ADD_FRIEND_ROUND,
+    RESP_IDENTITY_KEYS,
+    RESP_TOKEN_ISSUED,
+    RESP_ERROR,
+];
 
 const ERR_ROUND_NOT_OPEN: u8 = 1;
 const ERR_NO_OPEN_ROUND: u8 = 2;
@@ -1035,36 +1133,41 @@ impl Response {
     /// Encodes the response into its wire form (without framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::with_capacity(128);
+        self.encode_into(&mut e);
+        e.finish()
+    }
+
+    fn encode_into(&self, e: &mut Encoder) {
         match self {
             Response::Ack => {
                 e.put_u8(RESP_ACK);
             }
             Response::PkgKeys(keys) => {
                 e.put_u8(RESP_PKG_KEYS);
-                put_point_list(&mut e, keys);
+                put_point_list(e, keys);
             }
             Response::AddFriendRoundInfo(info) => {
                 e.put_u8(RESP_ADD_FRIEND_ROUND);
                 put_round_common(
-                    &mut e,
+                    e,
                     info.round,
                     info.num_mailboxes,
                     info.onion_len,
                     info.rate_limited,
                 );
-                put_point_list(&mut e, &info.onion_keys);
-                put_point_list(&mut e, &info.pkg_publics);
+                put_point_list(e, &info.onion_keys);
+                put_point_list(e, &info.pkg_publics);
             }
             Response::DialingRoundInfo(info) => {
                 e.put_u8(RESP_DIALING_ROUND);
                 put_round_common(
-                    &mut e,
+                    e,
                     info.round,
                     info.num_mailboxes,
                     info.onion_len,
                     info.rate_limited,
                 );
-                put_point_list(&mut e, &info.onion_keys);
+                put_point_list(e, &info.onion_keys);
             }
             Response::IdentityKeys(shares) => {
                 e.put_u8(RESP_IDENTITY_KEYS);
@@ -1105,31 +1208,51 @@ impl Response {
             }
             Response::Telemetry(telemetry) => {
                 e.put_u8(RESP_TELEMETRY);
-                put_telemetry(&mut e, telemetry);
+                put_telemetry(e, telemetry);
             }
             Response::Error(err) => {
                 e.put_u8(RESP_ERROR);
-                err.encode_into(&mut e);
+                err.encode_into(e);
+            }
+            Response::Batch(members) => {
+                e.put_u8(RESP_BATCH);
+                e.put_u8(members.len() as u8);
+                for member in members {
+                    member.encode_into(e);
+                }
             }
         }
-        e.finish()
     }
 
     /// Decodes a response from its wire form. Total: returns a typed error on
     /// any malformed input and never panics.
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
         let mut d = Decoder::new(buf);
-        let tag = d.get_u8("response tag")?;
-        let response = match tag {
+        let response = match d.get_u8("response tag")? {
+            RESP_BATCH => Response::Batch(decode_batch(
+                &mut d,
+                &BATCHABLE_RESPONSE_TAGS,
+                Self::decode_body,
+            )?),
+            tag => Self::decode_body(tag, &mut d)?,
+        };
+        d.finish()?;
+        Ok(response)
+    }
+
+    /// Decodes the fields after `tag`. Never recurses: a batch tag is
+    /// unknown here.
+    fn decode_body(tag: u8, d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(match tag {
             RESP_ACK => Response::Ack,
-            RESP_PKG_KEYS => Response::PkgKeys(get_point_list(&mut d, MAX_PKG_KEYS, "pkg keys")?),
+            RESP_PKG_KEYS => Response::PkgKeys(get_point_list(d, MAX_PKG_KEYS, "pkg keys")?),
             RESP_ADD_FRIEND_ROUND => {
                 let round = Round(d.get_u64("round")?);
                 let num_mailboxes = d.get_u32("num mailboxes")?;
                 let onion_len = d.get_u32("onion len")?;
-                let rate_limited = get_bool(&mut d, "rate limited flag")?;
-                let onion_keys = get_point_list(&mut d, MAX_CHAIN_KEYS, "onion keys")?;
-                let pkg_publics = get_point_list(&mut d, MAX_PKG_KEYS, "pkg publics")?;
+                let rate_limited = get_bool(d, "rate limited flag")?;
+                let onion_keys = get_point_list(d, MAX_CHAIN_KEYS, "onion keys")?;
+                let pkg_publics = get_point_list(d, MAX_PKG_KEYS, "pkg publics")?;
                 Response::AddFriendRoundInfo(AddFriendRoundWire {
                     round,
                     onion_keys,
@@ -1143,8 +1266,8 @@ impl Response {
                 let round = Round(d.get_u64("round")?);
                 let num_mailboxes = d.get_u32("num mailboxes")?;
                 let onion_len = d.get_u32("onion len")?;
-                let rate_limited = get_bool(&mut d, "rate limited flag")?;
-                let onion_keys = get_point_list(&mut d, MAX_CHAIN_KEYS, "onion keys")?;
+                let rate_limited = get_bool(d, "rate limited flag")?;
+                let onion_keys = get_point_list(d, MAX_CHAIN_KEYS, "onion keys")?;
                 Response::DialingRoundInfo(DialingRoundWire {
                     round,
                     onion_keys,
@@ -1196,22 +1319,20 @@ impl Response {
                 total_noise: d.get_u64("total noise")?,
                 final_messages: d.get_u64("final messages")?,
             }),
-            RESP_ERROR => Response::Error(RpcError::decode_from(&mut d)?),
+            RESP_ERROR => Response::Error(RpcError::decode_from(d)?),
             RESP_CDN_STATS => Response::CdnStats(CdnStatsWire {
                 bytes_served: d.get_u64("cdn bytes served")?,
                 downloads: d.get_u64("cdn downloads")?,
                 parity_bytes_served: d.get_u64("cdn parity bytes served")?,
                 shard_fetches: d.get_u64("cdn shard fetches")?,
             }),
-            RESP_TELEMETRY => Response::Telemetry(get_telemetry(&mut d)?),
+            RESP_TELEMETRY => Response::Telemetry(get_telemetry(d)?),
             _ => {
                 return Err(WireError::InvalidValue {
                     context: "response tag",
                 })
             }
-        };
-        d.finish()?;
-        Ok(response)
+        })
     }
 }
 
@@ -1416,5 +1537,63 @@ mod tests {
             Request::decode(&encoded),
             Err(WireError::TrailingBytes { .. })
         ));
+    }
+
+    #[test]
+    fn malformed_batches_rejected() {
+        let count = Some(WireError::InvalidValue {
+            context: "batch member count",
+        });
+        let member = Some(WireError::InvalidValue {
+            context: "batch member tag",
+        });
+        let info = || Request::GetAddFriendRoundInfo;
+        let extract = Request::ExtractIdentityKeys {
+            identity: identity("alice@example.com"),
+            round: Round(2),
+            auth: [3u8; SIGNATURE_LEN],
+        };
+        let batch = Request::Batch(vec![info(), extract]);
+        assert_eq!(Request::decode(&batch.encode()), Ok(batch.clone()));
+
+        let decode = |request: Request| Request::decode(&request.encode()).err();
+        assert_eq!(decode(Request::Batch(vec![])), count);
+        assert_eq!(decode(Request::Batch(vec![info(); 4])), count);
+        assert_eq!(decode(Request::Batch(vec![batch])), member);
+        for disallowed in [
+            Request::SubmitAddFriend {
+                round: Round(2),
+                onion: vec![1u8; 40],
+                token: None,
+            },
+            Request::BeginAddFriendRound {
+                round: Round(2),
+                expected_real: 1,
+            },
+            Request::Register {
+                identity: identity("alice@example.com"),
+                signing_key: [1u8; SIGNING_PK_LEN],
+            },
+        ] {
+            assert!(!disallowed.batchable());
+            assert_eq!(decode(Request::Batch(vec![info(), disallowed])), member);
+        }
+
+        let decode = |response: Response| Response::decode(&response.encode()).err();
+        assert_eq!(decode(Response::Batch(vec![])), count);
+        assert_eq!(decode(Response::Batch(vec![Response::Ack; 4])), count);
+        assert_eq!(decode(Response::Batch(vec![Response::Ack])), member);
+        assert_eq!(
+            decode(Response::Batch(vec![Response::Batch(vec![Response::Ack])])),
+            member
+        );
+
+        // 1 MiB of nested batch headers (tag, count 1, tag, count 1, ...):
+        // rejected at the first member tag, so a decoder that recursed per
+        // header — and overflowed the stack — fails here.
+        let request_bomb = [REQ_BATCH, 1].repeat(1 << 19);
+        assert_eq!(Request::decode(&request_bomb).err(), member);
+        let response_bomb = [RESP_BATCH, 1].repeat(1 << 19);
+        assert_eq!(Response::decode(&response_bomb).err(), member);
     }
 }

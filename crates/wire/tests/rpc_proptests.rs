@@ -1,8 +1,9 @@
 //! Property tests for the RPC codec and the frame layer.
 //!
-//! Round-trips cover every `Request` and `Response` variant, and every
-//! `MixerRequest` and `CdnRequest` variant the `mixd`/`cdnd` daemons decode,
-//! with generated payloads; the adversarial suite feeds truncated frames and
+//! Round-trips cover every `Request` and `Response` variant (batches of one
+//! to three members included), and every `MixerRequest` and `CdnRequest`
+//! variant the `mixd`/`cdnd` daemons decode, with generated payloads, and
+//! every strict prefix of each encoding is rejected; the adversarial suite feeds truncated frames and
 //! messages, bad version bytes, corrupted checksums, oversized length
 //! prefixes, and arbitrary byte soup to the decoders, which must fail cleanly
 //! (typed errors) and never panic.
@@ -25,7 +26,8 @@ fn arb_identity() -> impl Strategy<Value = Identity> {
 }
 
 /// Builds one of every `Request` variant from a handful of generated values,
-/// so each proptest case exercises the complete request surface.
+/// so each proptest case exercises the complete request surface, plus a batch
+/// of one, two and three of the batchable ones.
 fn all_requests(
     identity: Identity,
     round: u64,
@@ -37,7 +39,7 @@ fn all_requests(
         serial: [fill; RATE_LIMIT_SERIAL_LEN],
         signature: [fill.wrapping_add(1); SIGNATURE_LEN],
     });
-    vec![
+    let mut requests = vec![
         Request::Register {
             identity: identity.clone(),
             signing_key: [fill; SIGNING_PK_LEN],
@@ -95,10 +97,17 @@ fn all_requests(
             round: Round(round),
         },
         Request::GetCdnStats,
-    ]
+    ];
+    let batchable: Vec<Request> = requests.iter().filter(|r| r.batchable()).cloned().collect();
+    for members in 1..=batchable.len() {
+        requests.push(Request::Batch(batchable[..members].to_vec()));
+    }
+    requests
 }
 
-/// Builds one of every `Response` variant (including every error variant).
+/// Builds one of every `Response` variant (including every error variant),
+/// plus batches of one, two and three member replies and one that stops at
+/// an error.
 fn all_responses(round: u64, fill: u8, counts: (usize, usize), detail: String) -> Vec<Response> {
     let (num_keys, num_entries) = counts;
     let mut responses = vec![
@@ -188,6 +197,25 @@ fn all_responses(round: u64, fill: u8, counts: (usize, usize), detail: String) -
             retry_after_ms: fill as u32 * 100,
         },
     ];
+    let batched: Vec<Response> = responses
+        .iter()
+        .filter(|r| {
+            matches!(
+                r,
+                Response::AddFriendRoundInfo(_)
+                    | Response::IdentityKeys(_)
+                    | Response::TokenIssued { .. }
+            )
+        })
+        .cloned()
+        .collect();
+    for members in 1..=batched.len() {
+        responses.push(Response::Batch(batched[..members].to_vec()));
+    }
+    responses.push(Response::Batch(vec![
+        batched[0].clone(),
+        Response::Error(errors[errors.len() - 1].clone()),
+    ]));
     responses.extend(errors.into_iter().map(Response::Error));
     responses
 }
@@ -268,6 +296,9 @@ proptest! {
     ) {
         for request in all_requests(identity, round, fill, onion_len, with_token) {
             let encoded = request.encode();
+            for cut in 0..encoded.len() {
+                prop_assert!(Request::decode(&encoded[..cut]).is_err(), "{request:?} cut at {cut}");
+            }
             prop_assert_eq!(Request::decode(&encoded).unwrap(), request);
         }
     }
@@ -282,6 +313,9 @@ proptest! {
     ) {
         for response in all_responses(round, fill, (num_keys, num_entries), detail.clone()) {
             let encoded = response.encode();
+            for cut in 0..encoded.len() {
+                prop_assert!(Response::decode(&encoded[..cut]).is_err(), "{response:?} cut at {cut}");
+            }
             prop_assert_eq!(Response::decode(&encoded).unwrap(), response);
         }
     }
@@ -310,6 +344,12 @@ proptest! {
         let _ = MixerResponse::decode(&bytes);
         let _ = CdnRequest::decode(&bytes);
         let _ = CdnResponse::decode(&bytes);
+        // The same bytes behind a batch header (tag + member count), so the
+        // member loop sees them too.
+        let request_batch = Request::Batch(vec![Request::GetAddFriendRoundInfo]).encode();
+        let _ = Request::decode(&[&request_batch[..2], &bytes].concat());
+        let response_batch = Response::Batch(vec![Response::Ack]).encode();
+        let _ = Response::decode(&[&response_batch[..2], &bytes].concat());
     }
 
     #[test]

@@ -35,10 +35,14 @@ cargo test -q
 # Loopback-vs-TCP equivalence smoke: the same seeded scenario must produce
 # byte-identical client events over the in-process loopback transport and
 # over TCP against a live localhost daemon (plus concurrent-client and
-# hostile-peer coverage). Runs inside `cargo test -q` too; this named stage
-# makes a transport regression point at itself.
+# hostile-peer coverage), with and without rate limiting — the second run
+# sends each client's three-member Request::Batch over the socket. The RPC
+# codec properties (every variant and batch round-trips, every strict prefix
+# and arbitrary bytes fail cleanly) ride along. Runs inside `cargo test -q`
+# too; this named stage makes a transport regression point at itself.
 stage "transport equivalence smoke (loopback vs TCP alpenhornd)"
 cargo test -q --test transport_equivalence
+cargo test -q -p alpenhorn-wire --test rpc_proptests
 
 # Concurrent-equivalence gate: clients racing through the submission intake
 # on concurrent connections must see event streams byte-identical to the

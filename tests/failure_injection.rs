@@ -485,7 +485,10 @@ mod disconnect_mid_call {
     /// Token issuance and onion submission both lose their replies mid-call
     /// during a rate-limited add-friend round. The retried issuance re-signs
     /// the *same* blinded message without charging the budget twice, and the
-    /// retried submission is deduplicated without burning a second token.
+    /// retried submission is deduplicated without burning a second token. In
+    /// the next round the client batches round info, extraction and issuance
+    /// into one call, and that batch's reply is lost: the resent batch is
+    /// just as free.
     #[test]
     fn token_issuance_and_submission_replays_never_double_spend() {
         const BUDGET: u32 = 7;
@@ -507,7 +510,8 @@ mod disconnect_mid_call {
         // Rate-limited participation: GetAddFriendRoundInfo (0),
         // IssueRateLimitToken (1, reply lost; retry = 2),
         // ExtractIdentityKeys (3), SubmitAddFriend (4, reply lost; retry = 5).
-        let mut faulty = FaultyTransport::new(net.clone(), disconnect_plan(2, vec![1, 4]));
+        // Round 2: Batch (6, reply lost; retry = 7), SubmitAddFriend (8).
+        let mut faulty = FaultyTransport::new(net.clone(), disconnect_plan(2, vec![1, 4, 6]));
         alice.participate_add_friend(&mut faulty).unwrap();
         assert_eq!(disconnect_count(&faulty), 2, "both replays exercised");
 
@@ -523,6 +527,26 @@ mod disconnect_mid_call {
         assert_eq!(net.service().spent_token_count(), Some(1));
         let stats = net
             .with_cluster(|c| c.close_add_friend_round(Round(1)))
+            .unwrap();
+        assert_eq!(stats.client_messages, 1);
+
+        net.with_cluster(|c| c.begin_add_friend_round(Round(2), 1))
+            .unwrap();
+        alice.participate_add_friend(&mut faulty).unwrap();
+        assert_eq!(disconnect_count(&faulty), 3, "the batch replay exercised");
+        assert_eq!(
+            faulty.calls(),
+            9,
+            "round 2 took a batch, its retry, a submit"
+        );
+        assert_eq!(
+            net.service()
+                .remaining_token_budget(&id("alice@example.com")),
+            Some(BUDGET - 2)
+        );
+        assert_eq!(net.service().spent_token_count(), Some(2));
+        let stats = net
+            .with_cluster(|c| c.close_add_friend_round(Round(2)))
             .unwrap();
         assert_eq!(stats.client_messages, 1);
     }

@@ -6,13 +6,16 @@
 //! as the loopback path (same seeds, same round schedule). Both runs drive
 //! rounds through the *admin RPCs*, so the entire lifecycle — registration,
 //! round open, key extraction, submission, round close, mailbox fetch — goes
-//! through the versioned RPC boundary on both transports.
+//! through the versioned RPC boundary on both transports. The scenario runs
+//! twice, the second time against a rate-limited deployment, where each
+//! client's second add-friend round is one three-member `Request::Batch`
+//! (round info, key extraction, token issuance) on the socket.
 
 use alpenhorn::{
     Client, ClientConfig, ClientEvent, Identity, LoopbackTransport, TcpTransport, Transport,
 };
 use alpenhorn_coordinator::server::serve;
-use alpenhorn_coordinator::service::CoordinatorService;
+use alpenhorn_coordinator::service::{CoordinatorService, RateLimitPolicy, ServiceConfig};
 use alpenhorn_coordinator::{Cluster, ClusterConfig};
 use alpenhorn_ibe::sig::VerifyingKey;
 use alpenhorn_wire::{Request, Response, Round};
@@ -127,14 +130,24 @@ fn run_scenario<T: Transport>(
     events
 }
 
-fn loopback_events() -> Vec<(String, ClientEvent)> {
-    let net = LoopbackTransport::new(Cluster::new(ClusterConfig::test(SCENARIO_SEED)));
+/// The scenario's deployment, with or without rate limiting (a budget the
+/// scenario never exhausts).
+fn service(rate_limited: bool) -> CoordinatorService {
+    CoordinatorService::with_config(
+        Cluster::new(ClusterConfig::test(SCENARIO_SEED)),
+        ServiceConfig {
+            rate_limit: rate_limited.then_some(RateLimitPolicy { budget_per_day: 16 }),
+        },
+    )
+}
+
+fn loopback_events(rate_limited: bool) -> Vec<(String, ClientEvent)> {
+    let net = LoopbackTransport::with_service(service(rate_limited));
     run_scenario(net.clone(), net.clone(), net)
 }
 
-fn tcp_events() -> Vec<(String, ClientEvent)> {
-    let service = CoordinatorService::new(Cluster::new(ClusterConfig::test(SCENARIO_SEED)));
-    let handle = serve(service, "127.0.0.1:0").expect("server binds");
+fn tcp_events(rate_limited: bool) -> Vec<(String, ClientEvent)> {
+    let handle = serve(service(rate_limited), "127.0.0.1:0").expect("server binds");
     let addr = handle.local_addr();
     let events = run_scenario(
         TcpTransport::connect(addr).unwrap(),
@@ -150,26 +163,39 @@ fn tcp_events() -> Vec<(String, ClientEvent)> {
 /// byte-identical, checked on the serialized debug form.
 #[test]
 fn tcp_and_loopback_produce_identical_event_sequences() {
-    let loopback = loopback_events();
-    let tcp = tcp_events();
+    for rate_limited in [false, true] {
+        let hits = alpenhorn_obs::global()
+            .counter("client_round_speculation_total", &[("outcome", "hit")]);
+        let before = hits.get();
+        let loopback = loopback_events(rate_limited);
+        let tcp = tcp_events(rate_limited);
+        // Each client's second add-friend round guessed right on both
+        // transports (other tests in this process only add to the counter).
+        assert!(hits.get() - before >= 4, "rate_limited = {rate_limited}");
+        assert_identical_streams(&loopback, &tcp);
+    }
+}
 
+/// Checks that `reference` exercised the protocol and that `other` equals
+/// it, typed and byte for byte.
+fn assert_identical_streams(reference: &[(String, ClientEvent)], other: &[(String, ClientEvent)]) {
     // The scenario must actually exercise the protocol: a handshake
     // confirmation on each side, an outgoing call, and an incoming call.
-    assert!(loopback
+    assert!(reference
         .iter()
         .any(|(who, e)| who == "alice" && e.is_friend_confirmed()));
-    assert!(loopback
+    assert!(reference
         .iter()
         .any(|(who, e)| who == "bob" && matches!(e, ClientEvent::FriendRequestReceived { .. })));
-    assert!(loopback
+    assert!(reference
         .iter()
         .any(|(who, e)| who == "alice" && matches!(e, ClientEvent::OutgoingCallPlaced { .. })));
-    assert!(loopback
+    assert!(reference
         .iter()
         .any(|(who, e)| who == "bob" && e.is_incoming_call()));
 
     // Typed equality, then byte equality of the rendered sequence.
-    assert_eq!(loopback, tcp);
+    assert_eq!(reference, other);
     let render = |events: &[(String, ClientEvent)]| {
         events
             .iter()
@@ -177,7 +203,7 @@ fn tcp_and_loopback_produce_identical_event_sequences() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(render(&loopback).into_bytes(), render(&tcp).into_bytes());
+    assert_eq!(render(reference).into_bytes(), render(other).into_bytes());
 }
 
 /// Runs the same seeded scenario against a live daemon, but with alice's and
@@ -276,25 +302,12 @@ fn concurrent_tcp_events(addr: std::net::SocketAddr) -> Vec<(String, ClientEvent
 /// leak into the protocol.
 #[test]
 fn concurrent_submissions_match_sequential_loopback() {
-    let sequential = loopback_events();
+    let sequential = loopback_events(false);
 
-    let service = CoordinatorService::new(Cluster::new(ClusterConfig::test(SCENARIO_SEED)));
-    let handle = serve(service, "127.0.0.1:0").expect("server binds");
+    let handle = serve(service(false), "127.0.0.1:0").expect("server binds");
     let concurrent = concurrent_tcp_events(handle.local_addr());
     handle.shutdown();
-
-    assert_eq!(sequential, concurrent);
-    let render = |events: &[(String, ClientEvent)]| {
-        events
-            .iter()
-            .map(|(who, e)| format!("{who}: {e:?}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(
-        render(&sequential).into_bytes(),
-        render(&concurrent).into_bytes()
-    );
+    assert_identical_streams(&sequential, &concurrent);
 }
 
 /// Many clients hit one daemon concurrently: registrations and submissions

@@ -698,19 +698,19 @@ impl Cluster {
 
     /// Extracts `identity`'s round key share from every PKG. The signature
     /// must cover [`alpenhorn_pkg::server::extraction_request_message`] for
-    /// this identity and round.
+    /// this identity and round. Takes `&self`: extractions run concurrently
+    /// with each other, and only closing the round (`&mut self`) erases the
+    /// secrets they read.
     pub fn extract_identity_keys(
-        &mut self,
+        &self,
         identity: &Identity,
         round: Round,
         auth_signature: &Signature,
     ) -> Result<Vec<ExtractResponse>, CoordinatorError> {
-        let now = self.now;
-        let mut out = Vec::with_capacity(self.pkgs.len());
-        for pkg in &mut self.pkgs {
-            out.push(pkg.extract(identity, round, auth_signature, now)?);
-        }
-        Ok(out)
+        self.pkgs
+            .iter()
+            .map(|pkg| Ok(pkg.extract(identity, round, auth_signature, self.now)?))
+            .collect()
     }
 
     /// Submits one client onion for the open add-friend round. The entry

@@ -96,6 +96,8 @@ pub struct CoordinatorCore {
     /// The deployment: PKGs (registries + ratchets), mixnet, CDN, mail.
     pub cluster: Cluster,
     /// Rate-limit token issuance (per-user daily budgets), when enabled.
+    /// Every [`TokenIssuer`] method takes `&self` over identity-striped
+    /// budgets, so issuance runs under the service read lock.
     pub issuer: Option<TokenIssuer>,
     /// Rate-limit spend verification (double-spend ledger), when enabled.
     /// Shared behind an `Arc` so read-path snapshots ([`crate::shared`]) can
@@ -257,7 +259,7 @@ impl Persist for CoordinatorCore {
                 let issued: Vec<_> = issuer.issued_entries().collect();
                 e.put_u32(issued.len() as u32);
                 for (identity, day, blinded) in issued {
-                    put_identity(&mut e, identity);
+                    put_identity(&mut e, &identity);
                     e.put_u64(day);
                     e.put_bytes(&blinded);
                 }
@@ -344,12 +346,12 @@ impl Persist for CoordinatorCore {
         for (identity, at) in lockouts {
             self.cluster.restore_deregistration(&identity, at);
         }
-        if let Some(issuer) = &mut self.issuer {
+        if let Some(issuer) = &self.issuer {
             for (identity, day, blinded) in issued {
                 issuer.restore_issuance(identity, day, blinded);
             }
         }
-        if let Some(verifier) = &mut self.verifier {
+        if let Some(verifier) = &self.verifier {
             for token in spent {
                 verifier.restore_spent(token);
             }
@@ -391,7 +393,7 @@ impl Persist for CoordinatorCore {
                 let now = d.get_u64("issued at")?;
                 let blinded = d.get_array::<G1_LEN>("issued blinded")?;
                 d.finish()?;
-                if let Some(issuer) = &mut self.issuer {
+                if let Some(issuer) = &self.issuer {
                     let day = now / crate::ratelimit::ISSUANCE_WINDOW_SECONDS;
                     issuer.restore_issuance(identity, day, blinded);
                 }
@@ -400,7 +402,7 @@ impl Persist for CoordinatorCore {
                 let mut d = Decoder::new(payload);
                 let token = d.get_array::<G1_LEN>("spent token")?;
                 d.finish()?;
-                if let Some(verifier) = &mut self.verifier {
+                if let Some(verifier) = &self.verifier {
                     verifier.restore_spent(token);
                 }
             }

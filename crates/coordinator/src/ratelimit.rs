@@ -22,7 +22,7 @@
 //! discussion-level defence).
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use alpenhorn_crypto::sha256;
 use alpenhorn_ibe::blind::{sign_blinded, verify_token, BlindedMessage, BlindedSignature};
@@ -84,17 +84,60 @@ impl core::fmt::Display for RateLimitError {
 
 impl std::error::Error for RateLimitError {}
 
+/// Number of independently locked stripes behind [`TokenIssuer`]'s budgets
+/// and [`TokenVerifier`]'s spent-token ledger.
+const STRIPES: usize = 16;
+
+/// [`STRIPES`] independently locked `T`s. A key always lands in the same
+/// stripe, so a check-and-update made under that stripe's lock is atomic for
+/// the key while other keys proceed in parallel. The stripe is picked by the
+/// key's SHA-256 digest rather than its raw bytes, which keeps the spread
+/// uniform even when keys share structure, as the vendored mock pairing's
+/// signatures do.
+struct Stripes<T> {
+    locks: Vec<Mutex<T>>,
+}
+
+impl<T: Default> Stripes<T> {
+    fn new() -> Self {
+        Stripes {
+            locks: (0..STRIPES).map(|_| Mutex::default()).collect(),
+        }
+    }
+
+    fn get(&self, key: &[u8]) -> MutexGuard<'_, T> {
+        let digest = sha256::digest(key);
+        let mut prefix = [0u8; 8];
+        prefix.copy_from_slice(&digest[..8]);
+        lock(&self.locks[(u64::from_be_bytes(prefix) % STRIPES as u64) as usize])
+    }
+
+    fn all(&self) -> impl Iterator<Item = MutexGuard<'_, T>> {
+        self.locks.iter().map(lock)
+    }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Blinded messages signed per (identity, day index). A day's budget use is
+/// its set's size.
+type SignedPerDay = HashMap<(Identity, u64), HashSet<[u8; 48]>>;
+
 /// Server side: issues blind-signed tokens against per-user daily budgets.
+///
+/// Every method takes `&self`: the budgets are striped by identity, so
+/// concurrent issuances for different users never wait for each other, and
+/// one user's check-and-charge is atomic under its stripe's lock.
 pub struct TokenIssuer {
     signing_key: SigningKey,
     budget_per_day: u32,
-    /// (identity, day index) → tokens issued so far.
-    issued: HashMap<(Identity, u64), u32>,
-    /// (identity, day index) → blinded messages already signed today, so a
-    /// replayed issuance request (an on-path attacker re-sending a captured
-    /// frame, or a client retrying after a lost response) is answered
-    /// idempotently instead of burning the user's budget again.
-    seen: HashMap<(Identity, u64), HashSet<[u8; 48]>>,
+    /// The blinded messages already signed, per (identity, day): the
+    /// budget charge, and what answers a replayed issuance request (an
+    /// on-path attacker re-sending a captured frame, or a client retrying
+    /// after a lost response) idempotently instead of charging again.
+    signed: Stripes<SignedPerDay>,
 }
 
 impl TokenIssuer {
@@ -103,8 +146,7 @@ impl TokenIssuer {
         TokenIssuer {
             signing_key,
             budget_per_day,
-            issued: HashMap::new(),
-            seen: HashMap::new(),
+            signed: Stripes::new(),
         }
     }
 
@@ -116,8 +158,13 @@ impl TokenIssuer {
     /// Remaining budget for `user` at time `now`.
     pub fn remaining(&self, user: &Identity, now: u64) -> u32 {
         let day = now / ISSUANCE_WINDOW_SECONDS;
-        let used = self.issued.get(&(user.clone(), day)).copied().unwrap_or(0);
-        self.budget_per_day.saturating_sub(used)
+        let used = self
+            .signed
+            .get(user.as_bytes())
+            .get(&(user.clone(), day))
+            .map_or(0, HashSet::len);
+        self.budget_per_day
+            .saturating_sub(u32::try_from(used).unwrap_or(u32::MAX))
     }
 
     /// Blind-signs one token for `user`, consuming one unit of today's
@@ -129,24 +176,22 @@ impl TokenIssuer {
     /// key extraction (registered signing key); that check lives with the
     /// caller, which already holds the account database.
     pub fn issue(
-        &mut self,
+        &self,
         user: &Identity,
         blinded: &BlindedMessage,
         now: u64,
     ) -> Result<BlindedSignature, RateLimitError> {
         let day = now / ISSUANCE_WINDOW_SECONDS;
-        let key = (user.clone(), day);
-        let already_signed = self
-            .seen
-            .get(&key)
-            .is_some_and(|messages| messages.contains(&blinded.to_bytes()));
-        if !already_signed {
-            let used = self.issued.entry(key.clone()).or_insert(0);
-            if *used >= self.budget_per_day {
-                return Err(RateLimitError::BudgetExhausted);
+        let message = blinded.to_bytes();
+        {
+            let mut stripe = self.signed.get(user.as_bytes());
+            let signed = stripe.entry((user.clone(), day)).or_default();
+            if !signed.contains(&message) {
+                if signed.len() >= self.budget_per_day as usize {
+                    return Err(RateLimitError::BudgetExhausted);
+                }
+                signed.insert(message);
             }
-            *used += 1;
-            self.seen.entry(key).or_default().insert(blinded.to_bytes());
         }
         Ok(sign_blinded(&self.signing_key, blinded))
     }
@@ -155,48 +200,53 @@ impl TokenIssuer {
     // Durability hooks (`alpenhorn-storage`)
     // ------------------------------------------------------------------
 
-    /// Iterates every blinded message signed so far, as
-    /// `(identity, day, blinded)`, in deterministic order. The budget counts
-    /// are implied: one unit per entry, so a snapshot needs only this list.
-    pub fn issued_entries(&self) -> impl Iterator<Item = (&Identity, u64, [u8; 48])> {
-        let mut keys: Vec<_> = self.seen.keys().collect();
-        keys.sort();
-        keys.into_iter().flat_map(move |key| {
-            let mut messages: Vec<[u8; 48]> = self.seen[key].iter().copied().collect();
-            messages.sort();
-            messages
-                .into_iter()
-                .map(move |blinded| (&key.0, key.1, blinded))
-        })
+    /// Every blinded message signed so far, as `(identity, day, blinded)`,
+    /// in one canonical order whatever the stripes and the order of
+    /// issuance. The budget counts are implied: one unit per entry, so a
+    /// snapshot needs only this list.
+    pub fn issued_entries(&self) -> impl Iterator<Item = (Identity, u64, [u8; 48])> {
+        let mut entries: Vec<_> = self
+            .signed
+            .all()
+            .flat_map(|stripe| {
+                stripe
+                    .iter()
+                    .flat_map(|((identity, day), messages)| {
+                        messages
+                            .iter()
+                            .map(move |blinded| (identity.clone(), *day, *blinded))
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        entries.sort();
+        entries.into_iter()
     }
 
     /// Re-records one issuance during crash recovery: charges the budget and
     /// marks the blinded message seen, exactly as [`TokenIssuer::issue`] did
     /// when the record was logged (idempotent for an already-seen message, so
     /// a record replayed over a snapshot that includes it is harmless).
-    pub fn restore_issuance(&mut self, user: Identity, day: u64, blinded: [u8; 48]) {
-        let key = (user, day);
-        let seen = self.seen.entry(key.clone()).or_default();
-        if seen.insert(blinded) {
-            *self.issued.entry(key).or_insert(0) += 1;
-        }
+    pub fn restore_issuance(&self, user: Identity, day: u64, blinded: [u8; 48]) {
+        self.signed
+            .get(user.as_bytes())
+            .entry((user, day))
+            .or_default()
+            .insert(blinded);
     }
 }
 
-/// Number of independent locks striping the spent-token ledger.
-const SPENT_STRIPES: usize = 16;
-
 /// Entry-server side: verifies spent tokens and rejects double spends.
 ///
-/// The spent ledger is striped across [`SPENT_STRIPES`] independently-locked
-/// sets keyed by token digest, so every method takes `&self` and concurrent
-/// submission shards can spend tokens without funnelling through the service
+/// The spent ledger is striped across [`STRIPES`] independently-locked sets
+/// keyed by token digest, so every method takes `&self` and concurrent
+/// submissions can spend tokens without funnelling through the service
 /// write lock. The double-spend check stays global: a given token always
 /// lands in the same stripe. [`TokenVerifier::spent_entries`] sorts across
 /// stripes, so snapshots are byte-identical to the unstriped encoding.
 pub struct TokenVerifier {
     issuer_key: VerifyingKey,
-    spent: Vec<Mutex<HashSet<[u8; 48]>>>,
+    spent: Stripes<HashSet<[u8; 48]>>,
 }
 
 impl TokenVerifier {
@@ -204,21 +254,8 @@ impl TokenVerifier {
     pub fn new(issuer_key: VerifyingKey) -> Self {
         TokenVerifier {
             issuer_key,
-            spent: (0..SPENT_STRIPES)
-                .map(|_| Mutex::new(HashSet::new()))
-                .collect(),
+            spent: Stripes::new(),
         }
-    }
-
-    /// The stripe a token belongs to. Hashing (rather than slicing the raw
-    /// signature bytes) keeps the distribution uniform even when signatures
-    /// share structure, as the vendored mock pairing's do.
-    fn stripe(&self, token: &[u8; 48]) -> std::sync::MutexGuard<'_, HashSet<[u8; 48]>> {
-        let digest = sha256::digest(token);
-        let mut prefix = [0u8; 8];
-        prefix.copy_from_slice(&digest[..8]);
-        let index = (u64::from_be_bytes(prefix) % self.spent.len() as u64) as usize;
-        self.spent[index].lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Checks a spent token over `message` (typically the round number plus a
@@ -228,7 +265,7 @@ impl TokenVerifier {
         if !verify_token(&self.issuer_key, message, token) {
             return Err(RateLimitError::InvalidToken);
         }
-        if !self.stripe(&token.to_bytes()).insert(token.to_bytes()) {
+        if !self.spent.get(&token.to_bytes()).insert(token.to_bytes()) {
             return Err(RateLimitError::DoubleSpend);
         }
         Ok(())
@@ -236,18 +273,15 @@ impl TokenVerifier {
 
     /// Number of tokens spent so far in this window.
     pub fn spent_count(&self) -> usize {
-        self.spent
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).len())
-            .sum()
+        self.spent.all().map(|stripe| stripe.len()).sum()
     }
 
     /// Clears the double-spend ledger (called when the validity window rolls
     /// over; tokens embed the window in their message so old tokens cannot be
     /// replayed into the new window).
     pub fn roll_window(&self) {
-        for stripe in &self.spent {
-            stripe.lock().unwrap_or_else(|p| p.into_inner()).clear();
+        for mut stripe in self.spent.all() {
+            stripe.clear();
         }
     }
 
@@ -261,14 +295,8 @@ impl TokenVerifier {
     pub fn spent_entries(&self) -> impl Iterator<Item = [u8; 48]> {
         let mut entries: Vec<[u8; 48]> = self
             .spent
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .iter()
-                    .copied()
-                    .collect::<Vec<_>>()
-            })
+            .all()
+            .flat_map(|stripe| stripe.iter().copied().collect::<Vec<_>>())
             .collect();
         entries.sort();
         entries.into_iter()
@@ -276,14 +304,14 @@ impl TokenVerifier {
 
     /// Re-records one spent token during crash recovery.
     pub fn restore_spent(&self, token: [u8; 48]) {
-        self.stripe(&token).insert(token);
+        self.spent.get(&token).insert(token);
     }
 
     /// Rolls back a [`TokenVerifier::spend`] whose surrounding operation
     /// failed after the ledger insert (e.g. the journal append), so the
     /// client's retry with the same token is not punished as a double spend.
     pub fn forget_spent(&self, token: &[u8; 48]) {
-        self.stripe(token).remove(token);
+        self.spent.get(token).remove(token);
     }
 }
 
@@ -306,7 +334,7 @@ mod tests {
 
     #[test]
     fn issue_spend_happy_path() {
-        let (mut issuer, verifier, mut rng) = setup(3);
+        let (issuer, verifier, mut rng) = setup(3);
         let alice = id("alice@example.com");
         let message = b"round 7, serial 0xabcdef";
         let (blinded, factor) = blind(message, &mut rng);
@@ -319,7 +347,7 @@ mod tests {
 
     #[test]
     fn budget_is_enforced_per_day() {
-        let (mut issuer, _, mut rng) = setup(2);
+        let (issuer, _, mut rng) = setup(2);
         let alice = id("alice@example.com");
         for i in 0..2 {
             let (blinded, _) = blind(format!("serial {i}").as_bytes(), &mut rng);
@@ -342,7 +370,7 @@ mod tests {
         // A captured issuance request replayed by an on-path attacker (or a
         // client retry after a lost response) must not drain the budget; the
         // deterministic blind signature is simply returned again.
-        let (mut issuer, _, mut rng) = setup(1);
+        let (issuer, _, mut rng) = setup(1);
         let alice = id("alice@example.com");
         let (blinded, _) = blind(b"m", &mut rng);
         let first = issuer.issue(&alice, &blinded, 0).unwrap();
@@ -360,7 +388,7 @@ mod tests {
 
     #[test]
     fn budgets_are_per_user() {
-        let (mut issuer, _, mut rng) = setup(1);
+        let (issuer, _, mut rng) = setup(1);
         let (blinded, _) = blind(b"m", &mut rng);
         issuer.issue(&id("a@x.com"), &blinded, 0).unwrap();
         assert_eq!(issuer.remaining(&id("a@x.com"), 0), 0);
@@ -370,7 +398,7 @@ mod tests {
 
     #[test]
     fn double_spend_rejected() {
-        let (mut issuer, verifier, mut rng) = setup(5);
+        let (issuer, verifier, mut rng) = setup(5);
         let message = b"round 9, serial 1";
         let (blinded, factor) = blind(message, &mut rng);
         let token = unblind(&issuer.issue(&id("a@x.com"), &blinded, 0).unwrap(), &factor);
@@ -404,7 +432,7 @@ mod tests {
         // PR 8 determinism contract (`docs/CONCURRENCY.md`): the striped
         // ledger reports entries in canonical order, so the persist-layer
         // snapshot is byte-identical however spends interleave.
-        let (mut issuer, concurrent, mut rng) = setup(32);
+        let (issuer, concurrent, mut rng) = setup(32);
         let sequential = TokenVerifier::new(issuer.verifying_key());
         let tokens: Vec<(Vec<u8>, Signature)> = (0..16)
             .map(|i| {
@@ -434,10 +462,48 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_issuance_charges_each_budget_unit_once() {
+        // Issuance runs on the coordinator's shared path: racing requests for
+        // one user must never overdraw the budget, replays racing their
+        // original must charge once, and the ledger must read the same as a
+        // sequential issuer's.
+        let (issuer, _, mut rng) = setup(5);
+        let sequential = TokenIssuer::new(SigningKey::generate(&mut rng), 5);
+        let alice = id("alice@example.com");
+        let blinded: Vec<BlindedMessage> = (0..8)
+            .map(|i| blind(format!("serial {i}").as_bytes(), &mut rng).0)
+            .collect();
+        let granted = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for message in &blinded {
+                        if issuer.issue(&alice, message, 0).is_ok() {
+                            granted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(issuer.remaining(&alice, 0), 0);
+        // Each thread asks in the same order, so the first five messages are
+        // the charged ones: every thread got those (one charge, the rest
+        // free replays) and nobody got the other three.
+        assert_eq!(granted.into_inner(), 4 * 5);
+        for message in &blinded[..5] {
+            sequential.issue(&alice, message, 0).unwrap();
+        }
+        assert_eq!(
+            issuer.issued_entries().collect::<Vec<_>>(),
+            sequential.issued_entries().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
     fn issuer_cannot_link_token_to_issuance() {
         // Structural unlinkability check: the blinded message the issuer sees
         // shares no bytes with the token that is later spent.
-        let (mut issuer, verifier, mut rng) = setup(5);
+        let (issuer, verifier, mut rng) = setup(5);
         let message = b"round 3, serial 99";
         let (blinded, factor) = blind(message, &mut rng);
         let blind_sig = issuer.issue(&id("a@x.com"), &blinded, 0).unwrap();

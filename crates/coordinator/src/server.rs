@@ -3,8 +3,9 @@
 //!
 //! Connection threads run requests in parallel because [`SharedCoordinator`]
 //! lets them: read-mostly RPCs are served from the lock-free snapshot,
-//! submissions hit only the round's intake and a verifier stripe, and
-//! exclusive RPCs serialize on the service write lock. Clients speak the
+//! submissions hit only the round's intake and a verifier stripe, key
+//! extraction and token issuance share the service read lock, and the
+//! remaining exclusive RPCs serialize on the write lock. Clients speak the
 //! framed RPC protocol ([`alpenhorn_wire::rpc`] inside
 //! [`alpenhorn_wire::Frame`]): a payload that does not decode to a
 //! [`Request`] gets a typed [`RpcError::BadRequest`] and the connection

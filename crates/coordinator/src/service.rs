@@ -9,7 +9,8 @@
 //! tests and the simulator, and the TCP server in [`crate::server`] — funnels
 //! into [`SharedCoordinator::handle`](crate::SharedCoordinator::handle), which
 //! answers reads and submissions from its snapshot and calls these methods
-//! under the service write lock.
+//! under the service lock: shared for the two `&self` methods (key
+//! extraction and token issuance), exclusive for the rest.
 //!
 //! Rate limiting (§9 of the paper) is configured here: when a
 //! [`RateLimitPolicy`] is set, token issuance is budgeted per user per day
@@ -208,7 +209,7 @@ impl CoordinatorService {
     /// kind's durability class ([`persist::durability`]). An append failure
     /// surfaces as a typed RPC error: the caller's retry will re-run the
     /// (idempotent) mutation once storage recovers.
-    fn journal(&mut self, kind: u8, payload: &[u8]) -> Result<(), RpcError> {
+    fn journal(&self, kind: u8, payload: &[u8]) -> Result<(), RpcError> {
         self.core
             .record(kind, payload, persist::durability(kind))
             .map_err(|e| storage_unavailable("durable log write", e))
@@ -302,8 +303,13 @@ impl CoordinatorService {
     /// `ExtractIdentityKeys`: extracts `identity`'s round key share from every
     /// PKG. Extraction refreshes the account's inactivity window; the refresh
     /// is journalled so the 30-day re-registration policy survives a restart.
+    ///
+    /// Takes `&self`, and the dispatcher calls it under the service *read*
+    /// lock: the round secrets are only read, the refresh is atomic and
+    /// forward-only, and `close_round` needs the write lock to erase the
+    /// secrets, so it waits for every extraction in flight.
     pub fn extract_identity_keys(
-        &mut self,
+        &self,
         identity: &Identity,
         round: Round,
         auth: [u8; SIGNATURE_LEN],
@@ -311,17 +317,14 @@ impl CoordinatorService {
         let Ok(auth) = Signature::from_bytes(&auth) else {
             return bad_request("malformed extraction signature");
         };
-        let responses = match self
-            .cluster_mut()
-            .extract_identity_keys(identity, round, &auth)
-        {
+        let cluster = self.cluster();
+        let responses = match cluster.extract_identity_keys(identity, round, &auth) {
             Ok(responses) => responses,
             Err(e) => return Response::Error(e.into()),
         };
-        let now = self.cluster().now();
         if let Err(e) = self.journal(
             persist::REC_ACCOUNT_TOUCHED,
-            &persist::account_event(identity, now),
+            &persist::account_event(identity, cluster.now()),
         ) {
             return Response::Error(e);
         }
@@ -462,49 +465,49 @@ impl CoordinatorService {
     /// `IssueRateLimitToken`: blind-signs one rate-limit token against
     /// `identity`'s daily budget. Issuance is authenticated like key
     /// extraction: the request must be signed by the key registered for the
-    /// identity.
+    /// identity. Takes `&self` and runs under the service read lock, like
+    /// extraction: the check-and-charge is atomic inside the issuer's stripe
+    /// for `identity`.
     pub fn issue_token(
-        &mut self,
+        &self,
         identity: &Identity,
         blinded: [u8; G1_LEN],
         auth: [u8; SIGNATURE_LEN],
     ) -> Response {
-        let (blind_sig, now) = {
-            let core = self.core.state_mut();
-            let Some(issuer) = &mut core.issuer else {
+        let core = self.core.state();
+        let Some(issuer) = &core.issuer else {
+            return Response::Error(RpcError::RateLimited {
+                reason: RateLimitReason::NotEnabled,
+            });
+        };
+        let Some(registered) = core.cluster.registered_signing_key(identity) else {
+            return Response::Error(RpcError::Pkg {
+                code: pkg_error_code(&alpenhorn_pkg::PkgError::UnknownIdentity),
+                detail: alpenhorn_pkg::PkgError::UnknownIdentity.to_string(),
+            });
+        };
+        let Ok(auth) = Signature::from_bytes(&auth) else {
+            return bad_request("malformed issuance signature");
+        };
+        if !registered.verify(&ratelimit::issue_message(identity, &blinded), &auth) {
+            return Response::Error(RpcError::Pkg {
+                code: pkg_error_code(&alpenhorn_pkg::PkgError::AuthenticationFailed),
+                detail: alpenhorn_pkg::PkgError::AuthenticationFailed.to_string(),
+            });
+        }
+        let Ok(blinded_message) = BlindedMessage::from_bytes(&blinded) else {
+            return bad_request("malformed blinded message");
+        };
+        let now = core.cluster.now();
+        let blind_sig = match issuer.issue(identity, &blinded_message, now) {
+            Ok(blind_sig) => blind_sig,
+            Err(RateLimitError::BudgetExhausted) => {
                 return Response::Error(RpcError::RateLimited {
-                    reason: RateLimitReason::NotEnabled,
-                });
-            };
-            let Some(registered) = core.cluster.registered_signing_key(identity) else {
-                return Response::Error(RpcError::Pkg {
-                    code: pkg_error_code(&alpenhorn_pkg::PkgError::UnknownIdentity),
-                    detail: alpenhorn_pkg::PkgError::UnknownIdentity.to_string(),
-                });
-            };
-            let Ok(auth) = Signature::from_bytes(&auth) else {
-                return bad_request("malformed issuance signature");
-            };
-            if !registered.verify(&ratelimit::issue_message(identity, &blinded), &auth) {
-                return Response::Error(RpcError::Pkg {
-                    code: pkg_error_code(&alpenhorn_pkg::PkgError::AuthenticationFailed),
-                    detail: alpenhorn_pkg::PkgError::AuthenticationFailed.to_string(),
-                });
+                    reason: RateLimitReason::BudgetExhausted,
+                })
             }
-            let Ok(blinded_message) = BlindedMessage::from_bytes(&blinded) else {
-                return bad_request("malformed blinded message");
-            };
-            let now = core.cluster.now();
-            match issuer.issue(identity, &blinded_message, now) {
-                Ok(blind_sig) => (blind_sig, now),
-                Err(RateLimitError::BudgetExhausted) => {
-                    return Response::Error(RpcError::RateLimited {
-                        reason: RateLimitReason::BudgetExhausted,
-                    })
-                }
-                Err(RateLimitError::InvalidToken | RateLimitError::DoubleSpend) => {
-                    return bad_request("unexpected issuance failure")
-                }
+            Err(RateLimitError::InvalidToken | RateLimitError::DoubleSpend) => {
+                return bad_request("unexpected issuance failure")
             }
         };
         if let Err(e) = self.journal(
@@ -639,7 +642,7 @@ mod tests {
     /// Has the service blind-sign an add-friend round-1 token for `identity`
     /// and unblinds it, as a client would.
     fn issued_token(
-        service: &mut CoordinatorService,
+        service: &CoordinatorService,
         key: &SigningKey,
         identity: &Identity,
         serial: [u8; 16],
@@ -754,7 +757,7 @@ mod tests {
         let mut service = rate_limited_service(43, 4);
         let key = register(&mut service, "alice@example.com");
         let identity = Identity::new("alice@example.com").unwrap();
-        let token = issued_token(&mut service, &key, &identity, [7u8; 16], 9);
+        let token = issued_token(&service, &key, &identity, [7u8; 16], 9);
         let shared = SharedCoordinator::new(service);
         let onion_len = open_add_friend_round(&shared, 4);
         let onion = vec![0u8; onion_len];
@@ -804,7 +807,7 @@ mod tests {
         let mut service = rate_limited_service(47, 1);
         let key = register(&mut service, "erin@example.com");
         let erin = Identity::new("erin@example.com").unwrap();
-        let token = issued_token(&mut service, &key, &erin, [3u8; 16], 8);
+        let token = issued_token(&service, &key, &erin, [3u8; 16], 8);
         let shared = SharedCoordinator::new(service);
         let onion_len = open_add_friend_round(&shared, 1);
 

@@ -5,11 +5,21 @@
 //! It wraps a [`CoordinatorService`] so many connections can be served at
 //! once without funnelling every RPC through one mutex:
 //!
-//! * **Exclusive path** — state-changing, round-driving, and registration
-//!   RPCs take the service write lock and call the matching
-//!   [`CoordinatorService`] method (`register`, `begin_round`, …), so their
-//!   semantics (validation order, journalling, idempotency) are those of a
-//!   single-lock build.
+//! * **Exclusive path** — round-driving, registration and clock RPCs take
+//!   the service write lock and call the matching [`CoordinatorService`]
+//!   method (`register`, `begin_round`, …), so their semantics (validation
+//!   order, journalling, idempotency) are those of a single-lock build.
+//! * **PKG path** — `ExtractIdentityKeys` and `IssueRateLimitToken` take the
+//!   service *read* lock and call the `&self` methods
+//!   `extract_identity_keys` and `issue_token`, so concurrent add-friend
+//!   participants extract and are issued tokens in parallel. What they
+//!   change is interior-mutable and order-free: an atomic, forward-only
+//!   `last_seen` refresh and the issuer's per-identity budget stripe, each
+//!   journalled (buffered) through the WAL's own mutex. Nothing they change
+//!   is in the snapshot, so they do not republish it. Closing a round needs
+//!   the write lock to erase the PKG round secrets, so it waits for every
+//!   extraction in flight, and no extraction starts until it is done: a
+//!   round secret is never read after its round closed.
 //! * **Read path** — the hot, read-mostly RPCs (`GetPkgKeys`,
 //!   `Get*RoundInfo`, `Fetch*Mailbox`, `GetCdnStats`) are answered from an
 //!   immutable [`ReadSnapshot`] behind an `Arc`, with **zero** service-lock
@@ -17,7 +27,7 @@
 //! * **Batch** — a [`Request::Batch`] runs its members in order through
 //!   these same arms (`run_batch`), stopping after the first error. The
 //!   members are round info (read path), key extraction and token issuance
-//!   (exclusive path). The client puts extraction before issuance, and the
+//!   (PKG path). The client puts extraction before issuance, and the
 //!   PKGs refuse to extract for any round but the open one, so a batch that
 //!   guessed the wrong round stops before issuance charges any budget.
 //! * **Submission path** — `Submit*` RPCs validate against the snapshot and
@@ -33,7 +43,8 @@
 //!
 //! A fresh snapshot is captured and published **on every write-guard drop,
 //! while the write lock is still held** ([`ServiceWriteGuard`]). Because
-//! every mutation goes through the write guard, the published snapshot is
+//! every mutation of snapshot-visible state goes through the write guard
+//! (the PKG path changes none), the published snapshot is
 //! never older than the last completed mutation: a reader observes either
 //! the pre-mutation or the post-mutation world, exactly as if it had taken
 //! one mutex just before or just after — never a torn mixture. The
@@ -50,6 +61,7 @@ use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use alpenhorn_ibe::sig::Signature;
 use alpenhorn_mixnet::{AddFriendMailboxes, DialingMailboxes};
@@ -191,11 +203,29 @@ impl SharedCoordinator {
         }
     }
 
-    /// Shared read access to the service, for inspection that needs the live
-    /// state rather than the published snapshot (tests, stats reporting).
-    /// Does not republish.
+    /// Shared read access to the service: the PKG path, and inspection that
+    /// needs the live state rather than the published snapshot (tests, stats
+    /// reporting). Does not republish.
     pub fn read(&self) -> RwLockReadGuard<'_, CoordinatorService> {
         self.inner.service.read()
+    }
+
+    /// [`SharedCoordinator::write`] for dispatching `rpc`, timing the wait
+    /// for the lock into `coordinator_lock_wait_us{rpc}`.
+    fn write_for(&self, rpc: &'static str) -> ServiceWriteGuard<'_> {
+        let started = Instant::now();
+        let guard = self.write();
+        observe_lock_wait(rpc, started);
+        guard
+    }
+
+    /// [`SharedCoordinator::read`] for dispatching `rpc`, timed like
+    /// [`SharedCoordinator::write_for`].
+    fn read_for(&self, rpc: &'static str) -> RwLockReadGuard<'_, CoordinatorService> {
+        let started = Instant::now();
+        let guard = self.read();
+        observe_lock_wait(rpc, started);
+        guard
     }
 
     /// Number of snapshot publications so far. Monotone; bumps once per
@@ -209,21 +239,23 @@ impl SharedCoordinator {
     }
 
     /// Handles one decoded request: reads and submissions from the current
-    /// snapshot, everything else through the exclusive write path. Never
-    /// panics on hostile input: every failure maps to [`Response::Error`].
+    /// snapshot, key extraction and token issuance under the service read
+    /// lock, everything else through the exclusive write path. Never panics
+    /// on hostile input: every failure maps to [`Response::Error`].
     pub fn handle(&self, request: Request) -> Response {
+        let rpc = request.name();
         match request {
             Request::Register {
                 identity,
                 signing_key,
-            } => self.write().register(&identity, signing_key),
+            } => self.write_for(rpc).register(&identity, signing_key),
             Request::CompleteRegistration { identity } => {
-                self.write().complete_registration(&identity)
+                self.write_for(rpc).complete_registration(&identity)
             }
             Request::Deregister {
                 identity,
                 signature,
-            } => self.write().deregister(&identity, signature),
+            } => self.write_for(rpc).deregister(&identity, signature),
             Request::GetPkgKeys => Response::PkgKeys(self.snapshot().pkg_keys.clone()),
             Request::GetAddFriendRoundInfo => match &self.snapshot().add_friend {
                 Some(open) => Response::AddFriendRoundInfo(open.wire.clone()),
@@ -241,12 +273,14 @@ impl SharedCoordinator {
                 identity,
                 round,
                 auth,
-            } => self.write().extract_identity_keys(&identity, round, auth),
+            } => self
+                .read_for(rpc)
+                .extract_identity_keys(&identity, round, auth),
             Request::IssueRateLimitToken {
                 identity,
                 blinded,
                 auth,
-            } => self.write().issue_token(&identity, blinded, auth),
+            } => self.read_for(rpc).issue_token(&identity, blinded, auth),
             Request::SubmitAddFriend {
                 round,
                 onion,
@@ -291,19 +325,19 @@ impl SharedCoordinator {
                 round,
                 expected_real,
             } => self
-                .write()
+                .write_for(rpc)
                 .begin_round(RoundKind::AddFriend, round, expected_real),
             Request::CloseAddFriendRound { round } => {
-                self.write().close_round(RoundKind::AddFriend, round)
+                self.write_for(rpc).close_round(RoundKind::AddFriend, round)
             }
             Request::BeginDialingRound {
                 round,
                 expected_real,
             } => self
-                .write()
+                .write_for(rpc)
                 .begin_round(RoundKind::Dialing, round, expected_real),
             Request::CloseDialingRound { round } => {
-                self.write().close_round(RoundKind::Dialing, round)
+                self.write_for(rpc).close_round(RoundKind::Dialing, round)
             }
             // The counters are shared atomics, so the snapshot always reads
             // current totals — no lock needed.
@@ -314,6 +348,15 @@ impl SharedCoordinator {
             Request::Batch(members) => run_batch(members, |member| self.handle(member)),
         }
     }
+}
+
+/// Records how long dispatching `rpc` waited for the service lock: the part
+/// of `coordinator_rpc_latency_us` spent waiting for other callers rather
+/// than running the handler.
+fn observe_lock_wait(rpc: &'static str, started: Instant) {
+    alpenhorn_obs::global()
+        .histogram("coordinator_lock_wait_us", &[("rpc", rpc)])
+        .observe_since(started);
 }
 
 /// The one batch member loop, behind both [`SharedCoordinator::handle`] and
@@ -589,55 +632,92 @@ mod tests {
         );
     }
 
-    #[test]
-    fn batch_members_run_in_order_and_stop_after_the_first_error() {
-        use crate::service::{RateLimitPolicy, ServiceConfig};
-        use alpenhorn_wire::Identity;
-        let shared = SharedCoordinator::new(CoordinatorService::with_config(
-            Cluster::new(ClusterConfig::test(65)),
-            ServiceConfig {
-                rate_limit: Some(RateLimitPolicy { budget_per_day: 4 }),
-            },
-        ));
-        let identity = Identity::new("zoe@example.com").unwrap();
-        let mut rng = alpenhorn_crypto::ChaChaRng::from_seed_bytes([65u8; 32]);
-        let key = alpenhorn_ibe::sig::SigningKey::generate(&mut rng);
-        shared.handle(Request::Register {
-            identity: identity.clone(),
-            signing_key: key.verifying_key().to_bytes(),
-        });
-        shared.handle(Request::CompleteRegistration {
-            identity: identity.clone(),
-        });
-        shared.handle(Request::BeginAddFriendRound {
-            round: Round(1),
-            expected_real: 1,
-        });
-        let blinded = alpenhorn_ibe::blind::blind(b"spend message", &mut rng)
-            .0
-            .to_bytes();
-        let batch = |round: Round| {
-            let extraction = alpenhorn_pkg::server::extraction_request_message(&identity, round);
-            let issuance = ratelimit::issue_message(&identity, &blinded);
+    /// A rate-limited coordinator with `budget` tokens a day, one registered
+    /// user, and add-friend round 1 open.
+    struct Participant {
+        shared: SharedCoordinator,
+        identity: alpenhorn_wire::Identity,
+        key: alpenhorn_ibe::sig::SigningKey,
+        rng: alpenhorn_crypto::ChaChaRng,
+    }
+
+    impl Participant {
+        fn new(seed: u8, budget: u32) -> Self {
+            use crate::service::{RateLimitPolicy, ServiceConfig};
+            let shared = SharedCoordinator::new(CoordinatorService::with_config(
+                Cluster::new(ClusterConfig::test(seed)),
+                ServiceConfig {
+                    rate_limit: Some(RateLimitPolicy {
+                        budget_per_day: budget,
+                    }),
+                },
+            ));
+            let identity = alpenhorn_wire::Identity::new("zoe@example.com").unwrap();
+            let mut rng = alpenhorn_crypto::ChaChaRng::from_seed_bytes([seed; 32]);
+            let key = alpenhorn_ibe::sig::SigningKey::generate(&mut rng);
+            shared.handle(Request::Register {
+                identity: identity.clone(),
+                signing_key: key.verifying_key().to_bytes(),
+            });
+            shared.handle(Request::CompleteRegistration {
+                identity: identity.clone(),
+            });
+            shared.handle(Request::BeginAddFriendRound {
+                round: Round(1),
+                expected_real: 1,
+            });
+            Participant {
+                shared,
+                identity,
+                key,
+                rng,
+            }
+        }
+
+        fn extract(&self, round: Round) -> Request {
+            let message = alpenhorn_pkg::server::extraction_request_message(&self.identity, round);
+            Request::ExtractIdentityKeys {
+                identity: self.identity.clone(),
+                round,
+                auth: self.key.sign(&message).to_bytes(),
+            }
+        }
+
+        /// An issuance request for a fresh blinded message.
+        fn issue(&mut self) -> Request {
+            let blinded = alpenhorn_ibe::blind::blind(b"spend message", &mut self.rng)
+                .0
+                .to_bytes();
+            let message = ratelimit::issue_message(&self.identity, &blinded);
+            Request::IssueRateLimitToken {
+                identity: self.identity.clone(),
+                blinded,
+                auth: self.key.sign(&message).to_bytes(),
+            }
+        }
+
+        /// The client's speculative pre-submit batch for `round`.
+        fn batch(&mut self, round: Round) -> Request {
             Request::Batch(vec![
                 Request::GetAddFriendRoundInfo,
-                Request::ExtractIdentityKeys {
-                    identity: identity.clone(),
-                    round,
-                    auth: key.sign(&extraction).to_bytes(),
-                },
-                Request::IssueRateLimitToken {
-                    identity: identity.clone(),
-                    blinded,
-                    auth: key.sign(&issuance).to_bytes(),
-                },
+                self.extract(round),
+                self.issue(),
             ])
-        };
-        let budget = || shared.read().remaining_token_budget(&identity);
+        }
+
+        fn budget(&self) -> Option<u32> {
+            self.shared.read().remaining_token_budget(&self.identity)
+        }
+    }
+
+    #[test]
+    fn batch_members_run_in_order_and_stop_after_the_first_error() {
+        let mut zoe = Participant::new(65, 4);
 
         // A wrong round guess stops at the PKGs' refusal: issuance never
         // runs, so nothing is charged.
-        let Response::Batch(replies) = shared.handle(batch(Round(2))) else {
+        let batch = zoe.batch(Round(2));
+        let Response::Batch(replies) = zoe.shared.handle(batch) else {
             panic!("batch reply");
         };
         assert!(matches!(
@@ -647,9 +727,10 @@ mod tests {
                 Response::Error(RpcError::Pkg { .. })
             ]
         ));
-        assert_eq!(budget(), Some(4));
+        assert_eq!(zoe.budget(), Some(4));
 
-        let Response::Batch(replies) = shared.handle(batch(Round(1))) else {
+        let batch = zoe.batch(Round(1));
+        let Response::Batch(replies) = zoe.shared.handle(batch) else {
             panic!("batch reply");
         };
         assert!(matches!(
@@ -660,21 +741,102 @@ mod tests {
                 Response::TokenIssued { .. }
             ]
         ));
-        assert_eq!(budget(), Some(3));
+        assert_eq!(zoe.budget(), Some(3));
 
         // Batches the decoder would refuse are refused whole in process too.
         for members in [
             vec![],
             vec![Request::GetAddFriendRoundInfo; 4],
-            vec![batch(Round(1))],
+            vec![zoe.batch(Round(1))],
             vec![Request::GetPkgKeys],
         ] {
             assert!(matches!(
-                shared.handle(Request::Batch(members)),
+                zoe.shared.handle(Request::Batch(members)),
                 Response::Error(RpcError::BadRequest { .. })
             ));
         }
-        assert_eq!(budget(), Some(3));
+        assert_eq!(zoe.budget(), Some(3));
+    }
+
+    #[test]
+    fn extraction_and_issuance_run_beside_a_held_read_lock() {
+        // The PKG path takes the service lock shared: while another holder
+        // of the read lock (an extraction in flight, here the test itself)
+        // is inside, a whole pre-submit batch still completes. Under an
+        // exclusive lock it would wait for the guard below.
+        let mut zoe = Participant::new(66, 4);
+        let batch = zoe.batch(Round(1));
+        let shared = zoe.shared.clone();
+        let epoch = shared.epoch();
+        let held = zoe.shared.read();
+        let (done, reply) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || done.send(shared.handle(batch)).unwrap());
+        let reply = reply
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the batch waited for a shared lock holder");
+        drop(held);
+        worker.join().unwrap();
+        assert!(matches!(
+            reply,
+            Response::Batch(replies) if matches!(
+                replies.as_slice(),
+                [_, Response::IdentityKeys(_), Response::TokenIssued { .. }]
+            )
+        ));
+        assert_eq!(zoe.budget(), Some(3));
+        // Nothing the PKG path changes is in the snapshot: no republication.
+        assert_eq!(zoe.shared.epoch(), epoch);
+    }
+
+    #[test]
+    fn a_closed_rounds_secret_is_never_read_again() {
+        // Extractions racing the close either finish before it (the close
+        // waits for them) and get the round's one deterministic key, or
+        // start after it and find no round: never a key after the erase.
+        let zoe = Participant::new(67, 4);
+        let Response::IdentityKeys(key) = zoe.shared.handle(zoe.extract(Round(1))) else {
+            panic!("round 1 extracts");
+        };
+        let request = zoe.extract(Round(1));
+        let closed = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut after_close = 0;
+                        while after_close < 3 {
+                            let was_closed = closed.load(Ordering::Acquire);
+                            match zoe.shared.handle(request.clone()) {
+                                Response::IdentityKeys(again) => {
+                                    assert!(!was_closed, "a closed round's key was served");
+                                    assert_eq!(again, key);
+                                }
+                                Response::Error(RpcError::Pkg { code: 7, .. }) => after_close += 1,
+                                other => panic!("unexpected reply {other:?}"),
+                            }
+                        }
+                    })
+                })
+                .collect();
+            assert!(matches!(
+                zoe.shared
+                    .handle(Request::CloseAddFriendRound { round: Round(1) }),
+                Response::RoundClosed(_)
+            ));
+            closed.store(true, Ordering::Release);
+            for racer in racers {
+                racer.join().unwrap();
+            }
+        });
+        // The next round extracts again, under a fresh secret.
+        zoe.shared.handle(Request::BeginAddFriendRound {
+            round: Round(2),
+            expected_real: 1,
+        });
+        let Response::IdentityKeys(next) = zoe.shared.handle(zoe.extract(Round(2))) else {
+            panic!("round 2 extracts");
+        };
+        assert_ne!(next, key);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //!   re-register it.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use alpenhorn_ibe::sig::VerifyingKey;
 use alpenhorn_wire::Identity;
@@ -38,11 +39,27 @@ pub enum AccountStatus {
 }
 
 /// One registered account.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Account {
     signing_key: VerifyingKey,
     /// Time of the last legitimate signed key extraction (or registration).
-    last_seen: u64,
+    /// Atomic so concurrent extractions can refresh it through `&self`; it
+    /// only ever moves forward (`fetch_max`), so the order in which
+    /// concurrent refreshes land does not matter.
+    last_seen: AtomicU64,
+}
+
+impl Account {
+    fn new(signing_key: VerifyingKey, last_seen: u64) -> Self {
+        Account {
+            signing_key,
+            last_seen: AtomicU64::new(last_seen),
+        }
+    }
+
+    fn last_seen(&self) -> u64 {
+        self.last_seen.load(Ordering::Relaxed)
+    }
 }
 
 /// A pending registration awaiting email confirmation.
@@ -125,7 +142,7 @@ impl AccountRegistry {
             if existing.signing_key == signing_key {
                 return Ok(());
             }
-            if now < existing.last_seen + LOCKOUT_SECONDS {
+            if now < existing.last_seen() + LOCKOUT_SECONDS {
                 return Err(PkgError::AlreadyRegistered);
             }
         }
@@ -153,22 +170,17 @@ impl AccountRegistry {
             return Err(PkgError::BadConfirmationToken);
         }
         let pending = self.pending.remove(identity).expect("checked above");
-        self.accounts.insert(
-            identity.clone(),
-            Account {
-                signing_key: pending.signing_key,
-                last_seen: now,
-            },
-        );
+        self.accounts
+            .insert(identity.clone(), Account::new(pending.signing_key, now));
         self.lockouts.remove(identity);
         Ok(())
     }
 
     /// Records a legitimate signed key extraction, refreshing the inactivity
-    /// window.
-    pub fn touch(&mut self, identity: &Identity, now: u64) {
-        if let Some(account) = self.accounts.get_mut(identity) {
-            account.last_seen = account.last_seen.max(now);
+    /// window. Takes `&self`, so extractions can run concurrently.
+    pub fn touch(&self, identity: &Identity, now: u64) {
+        if let Some(account) = self.accounts.get(identity) {
+            account.last_seen.fetch_max(now, Ordering::Relaxed);
         }
     }
 
@@ -200,7 +212,7 @@ impl AccountRegistry {
         entries.sort_by(|a, b| a.0.cmp(b.0));
         entries
             .into_iter()
-            .map(|(id, account)| (id, &account.signing_key, account.last_seen))
+            .map(|(id, account)| (id, &account.signing_key, account.last_seen()))
     }
 
     /// Iterates deregistration lockouts as `(identity, deregistered_at)`, in
@@ -222,13 +234,8 @@ impl AccountRegistry {
         last_seen: u64,
     ) {
         self.lockouts.remove(&identity);
-        self.accounts.insert(
-            identity,
-            Account {
-                signing_key,
-                last_seen,
-            },
-        );
+        self.accounts
+            .insert(identity, Account::new(signing_key, last_seen));
     }
 
     /// The time `identity` was deregistered, if it is under a lockout.
@@ -240,7 +247,7 @@ impl AccountRegistry {
     /// the coordinator journal so a (possibly duplicated) registration
     /// record always captures the stored timestamp, never the current clock.
     pub fn account_last_seen(&self, identity: &Identity) -> Option<u64> {
-        self.accounts.get(identity).map(|a| a.last_seen)
+        self.accounts.get(identity).map(Account::last_seen)
     }
 
     /// Directly installs a deregistration lockout during crash recovery,

@@ -107,24 +107,19 @@ impl RoundKeyManager {
 
     /// The commitment for `round` (broadcast before the reveal).
     pub fn commitment(&self, round: Round) -> Result<Commitment, PkgError> {
-        match &self.current {
-            Some(keys) if keys.round == round => Ok(keys.commitment),
-            Some(keys) => Err(PkgError::WrongRound {
-                current: Some(keys.round),
-            }),
-            None => Err(PkgError::WrongRound { current: None }),
-        }
+        self.round(round).map(|keys| keys.commitment)
     }
 
     /// Extracts the identity key for `identity` in `round`. Only allowed
     /// after the reveal (clients must be able to verify the commitment chain
     /// before trusting the aggregate key).
-    pub fn extract(
-        &mut self,
-        round: Round,
-        identity: &[u8],
-    ) -> Result<IdentityPrivateKey, PkgError> {
-        let keys = self.require_round(round)?;
+    ///
+    /// Takes `&self`: the round secret is fixed from `begin_round` to
+    /// `end_round`, so concurrent extractions only read it, and the
+    /// `&mut self` of `end_round` is what guarantees none is still reading
+    /// when it is erased.
+    pub fn extract(&self, round: Round, identity: &[u8]) -> Result<IdentityPrivateKey, PkgError> {
+        let keys = self.round(round)?;
         if keys.phase != Phase::Revealed {
             return Err(PkgError::WrongPhase);
         }
@@ -176,11 +171,22 @@ impl RoundKeyManager {
         self.ratchet = next;
     }
 
+    fn round(&self, round: Round) -> Result<&RoundKeys, PkgError> {
+        match &self.current {
+            Some(keys) if keys.round == round => Ok(keys),
+            current => Err(PkgError::WrongRound {
+                current: current.as_ref().map(|k| k.round),
+            }),
+        }
+    }
+
     fn require_round(&mut self, round: Round) -> Result<&mut RoundKeys, PkgError> {
-        let current_round = self.current.as_ref().map(|k| k.round);
-        match current_round {
-            Some(r) if r == round => Ok(self.current.as_mut().expect("round is open")),
-            current => Err(PkgError::WrongRound { current }),
+        match &mut self.current {
+            Some(keys) if keys.round != round => Err(PkgError::WrongRound {
+                current: Some(keys.round),
+            }),
+            Some(keys) => Ok(keys),
+            None => Err(PkgError::WrongRound { current: None }),
         }
     }
 }

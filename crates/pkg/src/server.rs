@@ -155,8 +155,12 @@ impl PkgServer {
     ///
     /// `auth_signature` must be a signature over
     /// [`extraction_request_message`] for this identity and round.
+    ///
+    /// Takes `&self` so one PKG can serve many extractions at once: the
+    /// round secret and the signing key are only read, and the inactivity
+    /// refresh is an atomic, forward-only [`AccountRegistry::touch`].
     pub fn extract(
-        &mut self,
+        &self,
         identity: &Identity,
         round: Round,
         auth_signature: &Signature,
@@ -170,7 +174,6 @@ impl PkgServer {
         if !user_key.verify(&request, auth_signature) {
             return Err(PkgError::AuthenticationFailed);
         }
-        let user_key = *user_key;
         let identity_key = self.round_keys.extract(round, identity.as_bytes())?;
         self.registry.touch(identity, now);
 

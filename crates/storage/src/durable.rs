@@ -280,9 +280,11 @@ impl<T: Persist> Durable<T> {
     ///
     /// An `Err` means the record is **not** in the log (the WAL rolls a
     /// failed append back), so callers may undo the in-memory mutation and
-    /// have the client retry.
+    /// have the client retry. Takes `&self`: appends serialize on the WAL's
+    /// own mutex, so owners that mutate interior-mutable state under a
+    /// shared borrow journal it the same way.
     pub fn record(
-        &mut self,
+        &self,
         kind: u8,
         payload: &[u8],
         durability: Durability,

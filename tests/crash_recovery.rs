@@ -770,6 +770,62 @@ fn a_round_costs_two_wal_fsyncs_for_any_client_count() {
     }
 }
 
+/// Key extraction and token issuance run concurrently on the coordinator's
+/// PKG path, so their buffered records reach the WAL in whatever order the
+/// threads interleave. Their replays commute: a process crash mid-round
+/// recovers every identity's issuance budget and `last_seen` exactly as the
+/// live coordinator held them.
+#[test]
+fn concurrent_pkg_path_records_recover_to_the_live_state() {
+    const SEED: u8 = 72;
+    let dir = tmpdir("pkg-path");
+    let mut net = open_loopback(SEED, &dir);
+    let mut clients = clients(&mut net, 8);
+    for client in &mut clients {
+        client.register(&mut net).unwrap();
+    }
+    // Extraction refreshes `last_seen` to the clock; move it off the
+    // registration time so a lost refresh would show.
+    net.shared().write().advance_clock(3_600);
+    admin(
+        &mut net,
+        Request::BeginAddFriendRound {
+            round: Round(1),
+            expected_real: 8,
+        },
+    );
+    std::thread::scope(|scope| {
+        for half in clients.chunks_mut(4) {
+            let mut net = net.clone();
+            scope.spawn(move || {
+                for client in half {
+                    client.participate_add_friend(&mut net).unwrap();
+                }
+            });
+        }
+    });
+    let state = |net: &LoopbackTransport| -> Vec<(Option<u32>, Option<u64>)> {
+        let service = net.shared().read();
+        let registry = service.cluster().account_registry();
+        clients
+            .iter()
+            .map(|c| {
+                (
+                    service.remaining_token_budget(c.identity()),
+                    registry.account_last_seen(c.identity()),
+                )
+            })
+            .collect()
+    };
+    let live = state(&net);
+    assert!(live
+        .iter()
+        .all(|&(budget, seen)| budget == Some(RATE_LIMIT_BUDGET - 1) && seen == Some(3_600)));
+    drop(net);
+    assert_eq!(state(&open_loopback(SEED, &dir)), live);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// Round 3 onward of the suffix-loss scenario, from the clients' state at
 /// the crash: user0 befriends user2 and calls them.
 fn continue_after_crash(

@@ -306,6 +306,42 @@ fn telemetry_links_rounds_across_all_process_types() {
     );
     assert_eq!(d("cdn_parity_decodes_total"), 0);
 
+    // Lock accounting: every dispatch of an RPC that takes the service lock
+    // recorded exactly one wait for it, and the snapshot and submission
+    // paths recorded none.
+    let dispatched = |rpc: &str| {
+        ["ok", "error"]
+            .iter()
+            .map(|outcome| {
+                d(&format!(
+                    "coordinator_rpc_total{{rpc=\"{rpc}\",outcome=\"{outcome}\"}}"
+                ))
+            })
+            .sum::<u64>()
+    };
+    let waited = |rpc: &str| d(&format!("coordinator_lock_wait_us_count{{rpc=\"{rpc}\"}}"));
+    for rpc in [
+        "register",
+        "complete_registration",
+        "extract_identity_keys",
+        "begin_add_friend_round",
+        "close_add_friend_round",
+        "begin_dialing_round",
+        "close_dialing_round",
+    ] {
+        assert!(dispatched(rpc) > 0, "the scenario never dispatched {rpc}");
+        assert_eq!(waited(rpc), dispatched(rpc), "{rpc}: one lock wait each");
+    }
+    for rpc in [
+        "get_add_friend_round_info",
+        "get_dialing_round_info",
+        "submit_add_friend",
+        "submit_dialing",
+    ] {
+        assert!(dispatched(rpc) > 0, "the scenario never dispatched {rpc}");
+        assert_eq!(waited(rpc), 0, "{rpc} takes no service lock");
+    }
+
     coordinator.shutdown();
     for daemon in cdnds.into_iter().chain(mixds) {
         daemon.shutdown();

@@ -13,6 +13,8 @@ use std::sync::{Arc, OnceLock};
 use alpenhorn_bloom::BloomFilter;
 use alpenhorn_mixnet::{AddFriendMailboxes, DialingMailboxes};
 use alpenhorn_obs::Counter;
+use alpenhorn_wire::cdn::dialing_blob_len;
+use alpenhorn_wire::rpc::DialingRoundWire;
 use alpenhorn_wire::{CdnStatsWire, MailboxId, Round};
 
 /// Registry mirrors of the whole-mailbox accounting, shared by every
@@ -110,8 +112,16 @@ impl CdnStats {
 #[derive(Default)]
 pub struct Cdn {
     add_friend: Arc<HashMap<u64, Arc<AddFriendMailboxes>>>,
-    dialing: Arc<HashMap<u64, Arc<DialingMailboxes>>>,
+    dialing: Arc<HashMap<u64, Arc<PublishedDialing>>>,
     stats: Arc<CdnStats>,
+}
+
+/// One closed dialing round as published: its Bloom-filter mailboxes and
+/// the next round's parameters, which the close announced in every one of
+/// them.
+pub(crate) struct PublishedDialing {
+    mailboxes: DialingMailboxes,
+    next_round: Option<DialingRoundWire>,
 }
 
 /// Serves one add-friend mailbox download from a published round, charging
@@ -128,17 +138,20 @@ pub(crate) fn serve_add_friend(
     contents
 }
 
-/// Serves one dialing mailbox download from a published round, charging
-/// `stats`. Shared by [`Cdn::fetch_dialing_mailbox`] and the lock-free
+/// Serves one dialing mailbox download from a published round — the filter
+/// and the announced next round — charging `stats` the length of the blob
+/// the shard fleet serves for it, so both deployment shapes account the
+/// same bytes. Shared by [`Cdn::fetch_dialing_mailbox`] and the lock-free
 /// snapshot path.
-pub(crate) fn serve_dialing(
-    boxes: &DialingMailboxes,
+pub(crate) fn serve_dialing<'a>(
+    published: &'a PublishedDialing,
     mailbox: MailboxId,
     stats: &CdnStats,
-) -> Option<BloomFilter> {
-    let filter = boxes.mailbox(mailbox)?.clone();
-    stats.serve(filter.encoded_len() as u64);
-    Some(filter)
+) -> Option<(&'a BloomFilter, Option<&'a DialingRoundWire>)> {
+    let filter = published.mailboxes.mailbox(mailbox)?;
+    let next_round = published.next_round.as_ref();
+    stats.serve(dialing_blob_len(filter.encoded_len(), next_round) as u64);
+    Some((filter, next_round))
 }
 
 impl Cdn {
@@ -152,9 +165,20 @@ impl Cdn {
         Arc::make_mut(&mut self.add_friend).insert(round.0, Arc::new(mailboxes));
     }
 
-    /// Publishes the dialing mailboxes for `round`.
-    pub fn publish_dialing(&mut self, round: Round, mailboxes: DialingMailboxes) {
-        Arc::make_mut(&mut self.dialing).insert(round.0, Arc::new(mailboxes));
+    /// Publishes the dialing mailboxes for `round`, each served with
+    /// `next_round`: the parameters of round + 1, when the close announced
+    /// them.
+    pub fn publish_dialing(
+        &mut self,
+        round: Round,
+        mailboxes: DialingMailboxes,
+        next_round: Option<DialingRoundWire>,
+    ) {
+        let published = PublishedDialing {
+            mailboxes,
+            next_round,
+        };
+        Arc::make_mut(&mut self.dialing).insert(round.0, Arc::new(published));
     }
 
     /// The published add-friend rounds, `Arc`-shared for snapshots.
@@ -163,7 +187,7 @@ impl Cdn {
     }
 
     /// The published dialing rounds, `Arc`-shared for snapshots.
-    pub(crate) fn dialing_rounds(&self) -> Arc<HashMap<u64, Arc<DialingMailboxes>>> {
+    pub(crate) fn dialing_rounds(&self) -> Arc<HashMap<u64, Arc<PublishedDialing>>> {
         Arc::clone(&self.dialing)
     }
 
@@ -188,8 +212,8 @@ impl Cdn {
         round: Round,
         mailbox: MailboxId,
     ) -> Option<BloomFilter> {
-        let boxes = self.dialing.get(&round.0)?;
-        serve_dialing(boxes, mailbox, &self.stats)
+        let published = self.dialing.get(&round.0)?;
+        serve_dialing(published, mailbox, &self.stats).map(|(filter, _)| filter.clone())
     }
 
     /// Size in bytes of one add-friend mailbox (without downloading it).
@@ -201,7 +225,9 @@ impl Cdn {
 
     /// Size in bytes of one dialing mailbox (without downloading it).
     pub fn dialing_mailbox_size(&self, round: Round, mailbox: MailboxId) -> Option<usize> {
-        self.dialing.get(&round.0).map(|b| b.mailbox_bytes(mailbox))
+        self.dialing
+            .get(&round.0)
+            .map(|b| b.mailboxes.mailbox_bytes(mailbox))
     }
 
     /// Removes mailboxes older than `keep_from` (the paper keeps mailbox
@@ -288,10 +314,14 @@ mod tests {
     #[test]
     fn publish_and_fetch_dialing() {
         let mut cdn = Cdn::new();
-        cdn.publish_dialing(Round(5), dialing_boxes());
+        cdn.publish_dialing(Round(5), dialing_boxes(), None);
         let filter = cdn.fetch_dialing_mailbox(Round(5), MailboxId(0)).unwrap();
         assert!(filter.contains(&[7u8; 32]));
-        assert!(cdn.bytes_served() > 0);
+        // Charged as the blob the shard fleet would serve.
+        assert_eq!(
+            cdn.bytes_served(),
+            alpenhorn_wire::cdn::encode_dialing_blob(&filter.to_bytes(), None).len() as u64
+        );
         assert!(cdn.fetch_dialing_mailbox(Round(5), MailboxId(3)).is_none());
         assert!(cdn.dialing_mailbox_size(Round(5), MailboxId(0)).unwrap() > 0);
     }
@@ -328,7 +358,7 @@ mod tests {
         let mut cdn = Cdn::new();
         cdn.publish_add_friend(Round(1), add_friend_boxes());
         cdn.publish_add_friend(Round(2), add_friend_boxes());
-        cdn.publish_dialing(Round(1), dialing_boxes());
+        cdn.publish_dialing(Round(1), dialing_boxes(), None);
         cdn.expire_before(Round(2));
         assert!(cdn
             .fetch_add_friend_mailbox(Round(1), MailboxId(0))

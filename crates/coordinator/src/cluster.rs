@@ -21,7 +21,8 @@ use alpenhorn_mixnet::{
     AddFriendMailboxes, DialingMailboxes, MailboxPolicy, MixChain, NoiseConfig, RoundStats,
 };
 use alpenhorn_pkg::{ExtractResponse, PkgServer, SimulatedMail};
-use alpenhorn_wire::cdn::encode_add_friend_blob;
+use alpenhorn_wire::cdn::{encode_add_friend_blob, encode_dialing_blob};
+use alpenhorn_wire::rpc::DialingRoundWire;
 use alpenhorn_wire::{
     AddFriendEnvelope, Identity, MailboxId, Round, RoundKind, DIAL_REQUEST_LEN,
     ONION_LAYER_OVERHEAD,
@@ -259,6 +260,10 @@ pub struct Cluster {
     sharded_cdn: Option<ShardedCdn>,
     open_add_friend: Option<OpenRound<AddFriendRoundInfo>>,
     open_dialing: Option<OpenRound<DialingRoundInfo>>,
+    /// The dialing round the last close announced: its chain round is
+    /// already begun, and the next [`Cluster::begin_dialing_round`] for it
+    /// reuses the keys.
+    announced_dialing: Option<DialingRoundInfo>,
     now: u64,
 }
 
@@ -293,6 +298,7 @@ impl Cluster {
             sharded_cdn: None,
             open_add_friend: None,
             open_dialing: None,
+            announced_dialing: None,
             now: 0,
             config,
         }
@@ -466,6 +472,12 @@ impl Cluster {
     /// Parameters of the currently open dialing round, if one is open.
     pub fn open_dialing_info(&self) -> Option<&DialingRoundInfo> {
         self.open_dialing.as_ref().map(|open| &open.info)
+    }
+
+    /// The dialing round the last close announced and no begin has opened
+    /// yet, if any.
+    pub fn announced_dialing_info(&self) -> Option<&DialingRoundInfo> {
+        self.announced_dialing.as_ref()
     }
 
     /// The open add-friend round's parameters together with its submission
@@ -807,18 +819,20 @@ impl Cluster {
     }
 
     /// Publishes one closed dialing round's Bloom filters to the CDN fleet,
-    /// best effort (see [`Cluster::publish_add_friend_shards`]).
-    fn publish_dialing_shards(&self, round: Round, mailboxes: &DialingMailboxes) {
+    /// each with the announced next round, best effort (see
+    /// [`Cluster::publish_add_friend_shards`]).
+    fn publish_dialing_shards(
+        &self,
+        round: Round,
+        mailboxes: &DialingMailboxes,
+        next_round: Option<&DialingRoundWire>,
+    ) {
         let Some(fleet) = &self.sharded_cdn else {
             return;
         };
         for (mailbox, filter) in &mailboxes.mailboxes {
-            let _ = fleet.publish(
-                RoundKind::Dialing,
-                round,
-                MailboxId(*mailbox),
-                &filter.to_bytes(),
-            );
+            let blob = encode_dialing_blob(&filter.to_bytes(), next_round);
+            let _ = fleet.publish(RoundKind::Dialing, round, MailboxId(*mailbox), &blob);
         }
     }
 
@@ -827,6 +841,13 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Opens dialing `round`, sized for `expected_real_tokens`.
+    ///
+    /// When the last close announced `round`, its chain round is already
+    /// begun and its keys are reused. The size is this call's: if it differs
+    /// from the announced one, submissions built from the announcement are
+    /// rejected as stale and their clients fetch this round's info. An
+    /// announced round that is skipped (a different `round` opens) is ended
+    /// on the chain first, so its mix secrets are erased.
     pub fn begin_dialing_round(
         &mut self,
         round: Round,
@@ -835,20 +856,59 @@ impl Cluster {
         if self.open_dialing.is_some() {
             return Err(CoordinatorError::RoundAlreadyOpen);
         }
-        let onion_keys = self.dialing_chain.begin_round()?;
-        let num_mailboxes = self
-            .config
-            .mailbox_policy
-            .dialing_mailboxes(expected_real_tokens);
-        let onion_len = DIAL_REQUEST_LEN + self.config.num_mix_servers * ONION_LAYER_OVERHEAD;
+        let onion_keys = match self.announced_dialing.take() {
+            Some(announced) if announced.round == round => announced.onion_keys,
+            skipped => {
+                if skipped.is_some() {
+                    self.dialing_chain.end_round();
+                }
+                self.dialing_chain.begin_round()?
+            }
+        };
+        let info = DialingRoundInfo {
+            round,
+            onion_keys,
+            num_mailboxes: self
+                .config
+                .mailbox_policy
+                .dialing_mailboxes(expected_real_tokens),
+            onion_len: self.dialing_onion_len(),
+        };
+        self.open_dialing = Some(OpenRound::new(info.clone()));
+        Ok(info)
+    }
+
+    fn dialing_onion_len(&self) -> usize {
+        DIAL_REQUEST_LEN + self.config.num_mix_servers * ONION_LAYER_OVERHEAD
+    }
+
+    /// Begins the chain round of dialing `round` ahead of its open and
+    /// returns its parameters, sized like the round just closed, for the
+    /// closed round's mailboxes to carry. A chain that cannot begin the
+    /// round announces nothing and uses up no chain round: the round's
+    /// begin then begins that chain round itself.
+    fn announce_dialing_round(
+        &mut self,
+        round: Round,
+        num_mailboxes: u32,
+        rate_limited: bool,
+    ) -> Option<DialingRoundWire> {
+        let onion_keys = match self.dialing_chain.begin_round() {
+            Ok(keys) => keys,
+            Err(_) => {
+                self.dialing_chain.end_round();
+                return None;
+            }
+        };
         let info = DialingRoundInfo {
             round,
             onion_keys,
             num_mailboxes,
-            onion_len,
+            onion_len: self.dialing_onion_len(),
         };
-        self.open_dialing = Some(OpenRound::new(info.clone()));
-        Ok(info)
+        let wire = crate::service::dialing_wire(&info, rate_limited);
+        self.announced_dialing = Some(info);
+        Some(wire)
     }
 
     /// Submits one client onion for the open dialing round.
@@ -875,17 +935,24 @@ impl Cluster {
         }
     }
 
-    /// Closes the open dialing round: runs the mixnet, publishes the Bloom
-    /// filter mailboxes to the CDN, and returns the round statistics.
+    /// Closes the open dialing round: runs the mixnet, begins the next
+    /// round's chain round, publishes the Bloom filter mailboxes to the CDN
+    /// with the next round's parameters in each, and returns the round
+    /// statistics.
+    /// A bare cluster takes no rate-limit tokens, and its announcements say
+    /// so.
     pub fn close_dialing_round(&mut self, round: Round) -> Result<RoundStats, CoordinatorError> {
-        self.close_dialing_round_after(round, || Ok(()))
+        self.close_dialing_round_after(round, false, || Ok(()))
     }
 
     /// [`Cluster::close_dialing_round`] with a `barrier` between the seal
-    /// and the mix (see [`Cluster::close_add_friend_round_after`]).
+    /// and the mix (see [`Cluster::close_add_friend_round_after`]), for a
+    /// deployment whose submissions carry rate-limit tokens when
+    /// `rate_limited`, which the announcement tells clients.
     pub fn close_dialing_round_after<E: From<CoordinatorError>>(
         &mut self,
         round: Round,
+        rate_limited: bool,
         barrier: impl FnOnce() -> Result<(), E>,
     ) -> Result<RoundStats, E> {
         let open = self
@@ -908,8 +975,10 @@ impl Cluster {
         );
         self.dialing_chain.end_round();
         let (mailboxes, stats) = run?;
-        self.publish_dialing_shards(round, &mailboxes);
-        self.cdn.publish_dialing(round, mailboxes);
+        let next_round =
+            self.announce_dialing_round(round.next(), open.info.num_mailboxes, rate_limited);
+        self.publish_dialing_shards(round, &mailboxes, next_round.as_ref());
+        self.cdn.publish_dialing(round, mailboxes, next_round);
         Ok(stats)
     }
 }
@@ -1093,7 +1162,9 @@ mod tests {
         assert!(cluster.extract_identity_keys(&bob, round, &auth).is_err());
 
         cluster.begin_dialing_round(Round(2), 1).unwrap();
-        assert!(cluster.close_dialing_round_after(Round(2), failed).is_err());
+        assert!(cluster
+            .close_dialing_round_after(Round(2), false, failed)
+            .is_err());
         assert!(cluster.open_dialing_info().is_none());
 
         // The next rounds open and close normally.
@@ -1107,6 +1178,210 @@ mod tests {
         );
         cluster.begin_dialing_round(Round(3), 1).unwrap();
         cluster.close_dialing_round(Round(3)).unwrap();
+    }
+
+    /// Whether the in-process dialing chain still holds chain round
+    /// `round`'s onion secrets.
+    fn dialing_chain_round_open(cluster: &Cluster, round: u64) -> bool {
+        match &cluster.dialing_chain {
+            MixBackend::InProcess(chain) => chain.round_open_for(round),
+            MixBackend::Remote(_) => unreachable!("in-process chain"),
+        }
+    }
+
+    #[test]
+    fn close_announces_the_next_dialing_round_and_begin_reuses_its_keys() {
+        let mut cluster = Cluster::new(ClusterConfig::test(9));
+        let first = cluster.begin_dialing_round(Round(1), 10).unwrap();
+        cluster.close_dialing_round(Round(1)).unwrap();
+        // Chain round 0 served round 1 and is gone; chain round 1 is begun
+        // for the announced round 2, sized like round 1.
+        assert!(!dialing_chain_round_open(&cluster, 0));
+        assert!(dialing_chain_round_open(&cluster, 1));
+        let announced = cluster.announced_dialing_info().unwrap().clone();
+        assert_eq!(announced.round, Round(2));
+        assert_eq!(announced.num_mailboxes, first.num_mailboxes);
+        // Round 1's mailboxes carry it.
+        let shared = crate::SharedCoordinator::new(crate::CoordinatorService::new(cluster));
+        let fetched = shared.handle(alpenhorn_wire::Request::FetchDialingMailbox {
+            round: Round(1),
+            mailbox: MailboxId(0),
+        });
+        let alpenhorn_wire::Response::DialingMailbox { next_round, .. } = fetched else {
+            panic!("round 1's mailbox is published");
+        };
+        assert_eq!(
+            next_round,
+            Some(crate::service::dialing_wire(&announced, false))
+        );
+
+        // The begin reuses the keys, whatever size it opens with.
+        let mut service = shared.write();
+        let cluster = service.cluster_mut();
+        let second = cluster.begin_dialing_round(Round(2), 1000).unwrap();
+        assert_eq!(second.onion_keys, announced.onion_keys);
+        assert_ne!(second.num_mailboxes, announced.num_mailboxes);
+        assert!(cluster.announced_dialing_info().is_none());
+        cluster.close_dialing_round(Round(2)).unwrap();
+        assert!(!dialing_chain_round_open(cluster, 1));
+    }
+
+    #[test]
+    fn skipping_an_announced_dialing_round_erases_its_mix_secrets() {
+        let mut cluster = Cluster::new(ClusterConfig::test(10));
+        cluster.begin_dialing_round(Round(1), 1).unwrap();
+        cluster.close_dialing_round(Round(1)).unwrap();
+        let announced = cluster.announced_dialing_info().unwrap().clone();
+        assert!(dialing_chain_round_open(&cluster, 1));
+
+        // Round 3 opens instead of the announced round 2.
+        let third = cluster.begin_dialing_round(Round(3), 1).unwrap();
+        assert!(
+            !dialing_chain_round_open(&cluster, 1),
+            "skipped round erased"
+        );
+        assert!(dialing_chain_round_open(&cluster, 2));
+        assert_ne!(third.onion_keys, announced.onion_keys);
+        cluster.close_dialing_round(Round(3)).unwrap();
+        assert_eq!(cluster.announced_dialing_info().unwrap().round, Round(4));
+    }
+
+    #[test]
+    fn skipping_an_announced_dialing_round_ends_it_on_every_mixd() {
+        use alpenhorn_mixd::{MixdServer, Mixer, RemoteMixer};
+        use alpenhorn_wire::server::serve;
+
+        let config = ClusterConfig::test(11);
+        let daemons: Vec<_> = (0..config.num_mix_servers)
+            .map(|i| {
+                let daemon = std::sync::Mutex::new(MixdServer::new(config.seed, i));
+                serve("127.0.0.1:0", alpenhorn_mixd::server_config(), daemon).unwrap()
+            })
+            .collect();
+        let fleet = || -> Vec<Box<dyn Mixer>> {
+            daemons
+                .iter()
+                .map(|h| Box::new(RemoteMixer::new(h.local_addr().to_string())) as Box<dyn Mixer>)
+                .collect()
+        };
+        let mut cluster = Cluster::new(config.clone());
+        cluster.connect_remote_mixers(fleet(), fleet());
+        cluster.begin_dialing_round(Round(1), 1).unwrap();
+        cluster.close_dialing_round(Round(1)).unwrap();
+        cluster.begin_dialing_round(Round(3), 1).unwrap();
+
+        // Every daemon refuses to mix the skipped round's chain round 1 (its
+        // secret is erased) and still mixes the open chain round 2.
+        let noise = config.dialing_noise;
+        for mut probe in fleet() {
+            let mut process =
+                |round| probe.process(RoundKind::Dialing, Round(round), 1, &noise, &[], vec![]);
+            assert!(process(1).is_err(), "skipped chain round still open");
+            assert!(process(2).is_ok());
+        }
+        cluster.close_dialing_round(Round(3)).unwrap();
+        for daemon in daemons {
+            daemon.shutdown();
+        }
+    }
+
+    /// A mixer whose first `BeginRound` for one dialing chain round fails.
+    struct RefusesBegin {
+        inner: alpenhorn_mixd::LoopbackMixer,
+        refuse: Option<Round>,
+    }
+
+    impl Mixer for RefusesBegin {
+        fn begin_round(
+            &mut self,
+            protocol: RoundKind,
+            round: Round,
+        ) -> Result<DhPublic, alpenhorn_mixd::MixdError> {
+            if protocol == RoundKind::Dialing && self.refuse == Some(round) {
+                self.refuse = None;
+                return Err(alpenhorn_mixd::MixdError::UnexpectedResponse);
+            }
+            self.inner.begin_round(protocol, round)
+        }
+
+        fn process(
+            &mut self,
+            protocol: RoundKind,
+            round: Round,
+            num_mailboxes: u32,
+            noise: &NoiseConfig,
+            downstream: &[DhPublic],
+            batch: Vec<Vec<u8>>,
+        ) -> Result<alpenhorn_mixd::ProcessedBatch, alpenhorn_mixd::MixdError> {
+            self.inner
+                .process(protocol, round, num_mailboxes, noise, downstream, batch)
+        }
+
+        fn end_round(
+            &mut self,
+            protocol: RoundKind,
+            round: Round,
+        ) -> Result<(), alpenhorn_mixd::MixdError> {
+            self.inner.end_round(protocol, round)
+        }
+    }
+
+    #[test]
+    fn a_failed_announcement_uses_up_no_chain_round() {
+        use alpenhorn_mixd::LoopbackMixer;
+        let config = ClusterConfig::test(13);
+        let fleet = |refuse: Option<Round>| -> Vec<Box<dyn Mixer>> {
+            (0..config.num_mix_servers)
+                .map(|i| {
+                    let inner = LoopbackMixer::for_position(config.seed, i);
+                    let refuse = refuse.filter(|_| i == 1);
+                    Box::new(RefusesBegin { inner, refuse }) as Box<dyn Mixer>
+                })
+                .collect()
+        };
+        // The second mixer fails to begin chain round 1, which the close of
+        // round 1 begins to announce round 2: the mix succeeds, the
+        // announcement does not.
+        let mut cluster = Cluster::new(config.clone());
+        cluster.connect_remote_mixers(fleet(None), fleet(Some(Round(1))));
+        let mut twin = Cluster::new(config.clone());
+        twin.connect_remote_mixers(fleet(None), fleet(None));
+        for deployment in [&mut cluster, &mut twin] {
+            deployment.begin_dialing_round(Round(1), 1).unwrap();
+            deployment.close_dialing_round(Round(1)).unwrap();
+        }
+        assert!(cluster.announced_dialing_info().is_none());
+        assert!(twin.announced_dialing_info().is_some());
+
+        // Round 2's begin then begins chain round 1 itself, with the keys
+        // the twin announced, and the next close announces chain round 2
+        // on both: two journalled opens, two chain rounds used.
+        let second = cluster.begin_dialing_round(Round(2), 1).unwrap();
+        assert_eq!(
+            second.onion_keys,
+            twin.begin_dialing_round(Round(2), 1).unwrap().onion_keys
+        );
+        for deployment in [&mut cluster, &mut twin] {
+            deployment.close_dialing_round(Round(2)).unwrap();
+        }
+        assert_eq!(
+            cluster.announced_dialing_info().unwrap().onion_keys,
+            twin.announced_dialing_info().unwrap().onion_keys
+        );
+
+        // Round 1's mailboxes were published without an announcement.
+        let shared = crate::SharedCoordinator::new(crate::CoordinatorService::new(cluster));
+        let fetched = shared.handle(alpenhorn_wire::Request::FetchDialingMailbox {
+            round: Round(1),
+            mailbox: MailboxId(0),
+        });
+        assert!(matches!(
+            fetched,
+            alpenhorn_wire::Response::DialingMailbox {
+                next_round: None,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -66,6 +66,10 @@ pub const REC_ADD_FRIEND_ROUND_BEGUN: u8 = 0x06;
 pub const REC_DIALING_ROUND_BEGUN: u8 = 0x07;
 /// The deployment clock advanced.
 pub const REC_CLOCK_ADVANCED: u8 = 0x08;
+/// A dialing open skipped the round the previous close announced, whose
+/// chain round had been begun and was ended unopened (payload: the round
+/// that opened instead). Replay counts the chain round as used.
+pub const REC_DIALING_ROUND_SKIPPED: u8 = 0x09;
 
 /// The durability class of each record kind: whether its acknowledgement
 /// promises permanence (fsynced before the reply) or it may wait for the
@@ -87,6 +91,9 @@ pub fn durability(kind: u8) -> Durability {
         // until the close barrier makes this record durable.
         REC_TOKEN_SPENT => Durability::Buffered,
         REC_CLOCK_ADVANCED => Durability::Buffered,
+        // Appended right before the synced open record of the same begin,
+        // whose fsync makes it durable.
+        REC_DIALING_ROUND_SKIPPED => Durability::Buffered,
         _ => Durability::Synced,
     }
 }
@@ -109,7 +116,9 @@ pub struct CoordinatorCore {
     pub next_round: Round,
     /// Add-friend rounds whose open reached the journal.
     pub add_friend_opens: u64,
-    /// Dialing rounds whose open reached the journal.
+    /// Dialing chain rounds used by opens (and by announced rounds that
+    /// were skipped) that reached the journal: where the dialing chain's
+    /// round numbering resumes after a restart.
     pub dialing_opens: u64,
 }
 
@@ -415,6 +424,10 @@ impl Persist for CoordinatorCore {
                 let round = get_u64_payload(payload, "dialing round")?;
                 self.dialing_opens += 1;
                 self.next_round = Round(self.next_round.as_u64().max(round + 1));
+            }
+            REC_DIALING_ROUND_SKIPPED => {
+                get_u64_payload(payload, "skipping dialing round")?;
+                self.dialing_opens += 1;
             }
             REC_CLOCK_ADVANCED => {
                 let seconds = get_u64_payload(payload, "clock advance")?;

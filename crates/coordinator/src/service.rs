@@ -350,6 +350,10 @@ impl CoordinatorService {
         let rate_limited = self.rate_limited();
         let cluster = self.cluster_mut();
         let expected_real = expected_real as usize;
+        let skips_announced = protocol == RoundKind::Dialing
+            && cluster
+                .announced_dialing_info()
+                .is_some_and(|announced| announced.round != round);
         let begun = match protocol {
             RoundKind::AddFriend => cluster
                 .begin_add_friend_round(round, expected_real)
@@ -362,7 +366,7 @@ impl CoordinatorService {
             Ok(reply) => reply,
             Err(e) => return Response::Error(e.into()),
         };
-        if let Err(e) = self.round_begun(protocol, round) {
+        if let Err(e) = self.round_begun(protocol, round, skips_announced) {
             return Response::Error(e);
         }
         self.compact_if_due();
@@ -383,12 +387,20 @@ impl CoordinatorService {
 
     /// Journals a begun round, advancing the persistent round counter and
     /// the protocol's open count. The round-open record is synced, so it is
-    /// durable before the round info is served. Opening an add-friend round
-    /// also advanced every PKG ratchet: the new positions then replace
-    /// [`persist::RATCHET_FILE`] (never ahead of the journal), whose rename
-    /// unlinks the superseded ones — forward secrecy for closed rounds even
-    /// against disk theft.
-    fn round_begun(&mut self, protocol: RoundKind, round: Round) -> Result<(), RpcError> {
+    /// durable before the round info is served. A dialing open that skipped
+    /// the announced round first journals the skip: that round's chain
+    /// round was begun at the last close and ended unopened, and a
+    /// recovered coordinator must resume the chain past it, not reopen it.
+    /// Opening an add-friend round also advanced every PKG ratchet: the new
+    /// positions then replace [`persist::RATCHET_FILE`] (never ahead of the
+    /// journal), whose rename unlinks the superseded ones — forward secrecy
+    /// for closed rounds even against disk theft.
+    fn round_begun(
+        &mut self,
+        protocol: RoundKind,
+        round: Round,
+        skips_announced: bool,
+    ) -> Result<(), RpcError> {
         {
             let core = self.core.state_mut();
             core.next_round = Round(core.next_round.as_u64().max(round.as_u64() + 1));
@@ -397,12 +409,17 @@ impl CoordinatorService {
             RoundKind::AddFriend => persist::REC_ADD_FRIEND_ROUND_BEGUN,
             RoundKind::Dialing => persist::REC_DIALING_ROUND_BEGUN,
         };
-        let result = self
-            .journal(kind, &persist::u64_payload(round.as_u64()))
+        let payload = persist::u64_payload(round.as_u64());
+        let skip = || match skips_announced {
+            true => self.journal(persist::REC_DIALING_ROUND_SKIPPED, &payload),
+            false => Ok(()),
+        };
+        let result = skip()
+            .and_then(|()| self.journal(kind, &payload))
             .and_then(|()| {
                 let core = self.core.state_mut();
                 if protocol == RoundKind::Dialing {
-                    core.dialing_opens += 1;
+                    core.dialing_opens += 1 + u64::from(skips_announced);
                     return Ok(());
                 }
                 core.add_friend_opens += 1;
@@ -441,6 +458,7 @@ impl CoordinatorService {
     /// caller gets a retryable `Unavailable`.
     pub fn close_round(&mut self, protocol: RoundKind, round: Round) -> Response {
         let journal = self.core.journal();
+        let rate_limited = self.rate_limited();
         let barrier = || {
             journal.sync().map_err(|e| {
                 count_abandoned(protocol);
@@ -450,7 +468,7 @@ impl CoordinatorService {
         let cluster = self.cluster_mut();
         let closed = match protocol {
             RoundKind::AddFriend => cluster.close_add_friend_round_after(round, barrier),
-            RoundKind::Dialing => cluster.close_dialing_round_after(round, barrier),
+            RoundKind::Dialing => cluster.close_dialing_round_after(round, rate_limited, barrier),
         };
         match closed {
             Ok(stats) => {

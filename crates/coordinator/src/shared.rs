@@ -64,7 +64,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use alpenhorn_ibe::sig::Signature;
-use alpenhorn_mixnet::{AddFriendMailboxes, DialingMailboxes};
+use alpenhorn_mixnet::AddFriendMailboxes;
 use alpenhorn_storage::Journal;
 use alpenhorn_wire::rpc::{AddFriendRoundWire, DialingRoundWire, MAX_BATCH_MEMBERS};
 use alpenhorn_wire::{
@@ -72,7 +72,7 @@ use alpenhorn_wire::{
 };
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::cdn::{serve_add_friend, serve_dialing, CdnStats};
+use crate::cdn::{serve_add_friend, serve_dialing, CdnStats, PublishedDialing};
 use crate::persist;
 use crate::ratelimit::{self, RateLimitError, TokenVerifier};
 use crate::service::{
@@ -85,6 +85,7 @@ use crate::shard::{Offer, SubmissionIntake};
 struct OpenRoundSnapshot<Wire> {
     wire: Wire,
     round: Round,
+    num_mailboxes: u32,
     onion_len: usize,
     intake: Arc<SubmissionIntake>,
 }
@@ -98,7 +99,7 @@ struct ReadSnapshot {
     verifier: Option<Arc<TokenVerifier>>,
     journal: Journal,
     add_friend_mailboxes: Arc<HashMap<u64, Arc<AddFriendMailboxes>>>,
-    dialing_mailboxes: Arc<HashMap<u64, Arc<DialingMailboxes>>>,
+    dialing_mailboxes: Arc<HashMap<u64, Arc<PublishedDialing>>>,
     cdn_stats: Arc<CdnStats>,
 }
 
@@ -117,6 +118,7 @@ fn capture(service: &CoordinatorService) -> Arc<ReadSnapshot> {
             .map(|(info, intake)| OpenRoundSnapshot {
                 wire: add_friend_wire(info, rate_limited),
                 round: info.round,
+                num_mailboxes: info.num_mailboxes,
                 onion_len: info.onion_len,
                 intake: Arc::clone(intake),
             }),
@@ -125,6 +127,7 @@ fn capture(service: &CoordinatorService) -> Arc<ReadSnapshot> {
             .map(|(info, intake)| OpenRoundSnapshot {
                 wire: dialing_wire(info, rate_limited),
                 round: info.round,
+                num_mailboxes: info.num_mailboxes,
                 onion_len: info.onion_len,
                 intake: Arc::clone(intake),
             }),
@@ -288,16 +291,30 @@ impl SharedCoordinator {
             } => {
                 let snapshot = self.snapshot();
                 let open = snapshot.add_friend.as_ref();
-                snapshot.submit(open, RoundKind::AddFriend, round, &onion, token)
+                snapshot.submit(open, RoundKind::AddFriend, round, None, &onion, token)
             }
             Request::SubmitDialing {
                 round,
+                num_mailboxes,
                 onion,
                 token,
             } => {
                 let snapshot = self.snapshot();
                 let open = snapshot.dialing.as_ref();
-                snapshot.submit(open, RoundKind::Dialing, round, &onion, token)
+                let reply = snapshot.submit(
+                    open,
+                    RoundKind::Dialing,
+                    round,
+                    Some(num_mailboxes),
+                    &onion,
+                    token,
+                );
+                if let Response::Error(RpcError::StaleRoundInfo { .. }) = reply {
+                    alpenhorn_obs::global()
+                        .counter("coordinator_dialing_stale_info_total", &[])
+                        .inc();
+                }
+                reply
             }
             Request::FetchAddFriendMailbox { round, mailbox } => {
                 let snapshot = self.snapshot();
@@ -313,10 +330,11 @@ impl SharedCoordinator {
                 match snapshot
                     .dialing_mailboxes
                     .get(&round.0)
-                    .and_then(|boxes| serve_dialing(boxes, mailbox, &snapshot.cdn_stats))
+                    .and_then(|published| serve_dialing(published, mailbox, &snapshot.cdn_stats))
                 {
-                    Some(filter) => Response::DialingMailbox {
+                    Some((filter, next_round)) => Response::DialingMailbox {
                         filter: filter.to_bytes(),
+                        next_round: next_round.cloned(),
                     },
                     None => Response::Error(RpcError::UnknownMailbox),
                 }
@@ -398,17 +416,25 @@ impl std::fmt::Debug for SharedCoordinator {
 
 /// Checks a submission against the snapshot's open round (if any) without
 /// mutating anything, so a rejected submission never spends a rate-limit
-/// token, and returns the round's intake. A stale snapshot can pass this
-/// check after the round closed; its intake is sealed by then, so the offer
-/// reports it.
+/// token, and returns the round's intake. A dialing submission names the
+/// mailbox count its onion was built for; a count other than the round's
+/// is stale round info. A stale snapshot can pass this check after the
+/// round closed; its intake is sealed by then, so the offer reports it.
 fn validate_submission<Wire>(
     open: Option<&OpenRoundSnapshot<Wire>>,
     round: Round,
+    num_mailboxes: Option<u32>,
     onion_len: usize,
 ) -> Result<&Arc<SubmissionIntake>, RpcError> {
     let Some(open) = open.filter(|open| open.round == round) else {
         return Err(RpcError::RoundNotOpen { requested: round });
     };
+    if let Some(actual) = num_mailboxes.filter(|&count| count != open.num_mailboxes) {
+        return Err(RpcError::StaleRoundInfo {
+            expected: open.num_mailboxes,
+            actual,
+        });
+    }
     if onion_len != open.onion_len {
         return Err(RpcError::WrongRequestSize {
             expected: open.onion_len as u32,
@@ -428,10 +454,11 @@ impl ReadSnapshot {
         open: Option<&OpenRoundSnapshot<Wire>>,
         kind: RoundKind,
         round: Round,
+        num_mailboxes: Option<u32>,
         onion: &[u8],
         token: Option<RateLimitToken>,
     ) -> Response {
-        let intake = match validate_submission(open, round, onion.len()) {
+        let intake = match validate_submission(open, round, num_mailboxes, onion.len()) {
             Ok(intake) => intake,
             Err(e) => return Response::Error(e),
         };
@@ -599,6 +626,7 @@ mod tests {
                 stale.add_friend.as_ref(),
                 RoundKind::AddFriend,
                 Round(1),
+                None,
                 &vec![0u8; info.onion_len as usize],
                 None,
             ),

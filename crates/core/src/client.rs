@@ -46,10 +46,10 @@ use alpenhorn_ibe::sig::{
 use alpenhorn_keywheel::{KeywheelTable, SessionKey};
 use alpenhorn_mixnet::onion::wrap_onion;
 use alpenhorn_pkg::server::extraction_request_message;
-use alpenhorn_wire::rpc::{IdentityKeyShareWire, RATE_LIMIT_SERIAL_LEN};
+use alpenhorn_wire::rpc::{DialingRoundWire, IdentityKeyShareWire, RATE_LIMIT_SERIAL_LEN};
 use alpenhorn_wire::{
     AddFriendEnvelope, DialRequest, DialToken, FriendRequest, Identity, MailboxId, RateLimitToken,
-    Request, Response, Round, RoundKind, SIGNING_PK_LEN,
+    Request, Response, Round, RoundKind, RpcError, SIGNING_PK_LEN,
 };
 use rand::RngCore;
 
@@ -148,12 +148,42 @@ struct PendingToken {
     factor: BlindingFactor,
 }
 
-/// The client's typed view of an open dialing round.
+/// The client's typed view of an open (or announced) dialing round.
 struct DialingRoundView {
     round: Round,
     onion_keys: Vec<DhPublic>,
     num_mailboxes: u32,
     rate_limited: bool,
+}
+
+/// Validates dialing round parameters — fetched, or announced in a mailbox
+/// — into the client's view of the round.
+fn dialing_view(info: DialingRoundWire) -> Result<DialingRoundView, ClientError> {
+    let onion_keys = decode_onion_keys(&info.onion_keys)?;
+    if info.num_mailboxes == 0 {
+        return Err(ClientError::UnexpectedResponse {
+            context: "validating dialing round info",
+        });
+    }
+    Ok(DialingRoundView {
+        round: info.round,
+        onion_keys,
+        num_mailboxes: info.num_mailboxes,
+        rate_limited: info.rate_limited,
+    })
+}
+
+/// Whether a submission built from an announced round was refused because
+/// the announcement no longer holds: the round opened with another size, or
+/// a different round opened. The client then fetches the round info.
+fn announcement_missed(error: &ClientError) -> bool {
+    matches!(
+        error,
+        ClientError::Rpc(RpcError::StaleRoundInfo { .. })
+            | ClientError::Coordinator(
+                alpenhorn_coordinator::CoordinatorError::RoundNotOpen { .. }
+            )
+    )
 }
 
 /// Derives the retry-jitter RNG from 32 bytes of seed material. Domain
@@ -246,6 +276,11 @@ pub struct Client {
     /// Round and mailbox count of the dialing round last participated in
     /// (consumed by mailbox processing).
     dialing_round_state: Option<(Round, u32)>,
+    /// The next dialing round's parameters as the last scanned mailbox
+    /// announced them: the next participation submits from these without
+    /// asking for the round info. Validated when used, so the scan does not
+    /// pay for decoding keys. Not persisted; without it the client asks.
+    announced_dialing: Option<DialingRoundWire>,
     /// The client's view of the next dialing round (used to propose keywheel
     /// start rounds).
     next_dialing_round: Round,
@@ -299,6 +334,7 @@ impl Client {
             round_identity_key: None,
             last_add_friend: None,
             dialing_round_state: None,
+            announced_dialing: None,
             next_dialing_round: Round::FIRST,
             sent_dial_token: None,
             unspent_rate_limit_token: None,
@@ -1056,43 +1092,81 @@ impl Client {
         &mut self,
         net: &mut T,
     ) -> Result<DialingRoundView, ClientError> {
+        crate::retry::count_dialing_round_info(false);
         let Response::DialingRoundInfo(info) = self.rpc(net, Request::GetDialingRoundInfo)? else {
             return Err(ClientError::UnexpectedResponse {
                 context: "fetching dialing round info",
             });
         };
-        let onion_keys = decode_onion_keys(&info.onion_keys)?;
-        if info.num_mailboxes == 0 {
-            return Err(ClientError::UnexpectedResponse {
-                context: "validating dialing round info",
-            });
-        }
-        Ok(DialingRoundView {
-            round: info.round,
-            onion_keys,
-            num_mailboxes: info.num_mailboxes,
-            rate_limited: info.rate_limited,
-        })
+        dialing_view(info)
     }
 
     /// Participates in the open dialing round: submits one (possibly cover)
     /// dial token through the mixnet. Returns the outgoing-call event if a
     /// real call was placed.
+    ///
+    /// A client that scanned the previous round's mailbox holds this
+    /// round's parameters from it and submits in one crossing. If the
+    /// coordinator refuses the submission because the announcement no
+    /// longer holds (the round opened with another mailbox count, or
+    /// another round opened), the client fetches the round info once and
+    /// submits again. The resubmission draws a fresh onion: the entry
+    /// server saw the refused one, and an onion re-drawn from the same
+    /// randomness would repeat its ephemeral keys and tell real calls from
+    /// cover ones by the bytes that changed. Neither attempt charges the
+    /// rate-limit budget beyond the round's one token, since announcements
+    /// of rate-limited rounds are not held (see
+    /// [`Client::process_dialing_mailbox`]).
     pub fn participate_dialing<T: Transport>(
         &mut self,
         net: &mut T,
     ) -> Result<Option<ClientEvent>, ClientError> {
-        let view = self.fetch_dialing_round(net)?;
-        self.next_dialing_round = Round(self.next_dialing_round.0.max(view.round.0));
+        let announced = self
+            .announced_dialing
+            .take()
+            .and_then(|info| dialing_view(info).ok());
+        let Some(announced) = announced else {
+            let view = self.fetch_dialing_round(net)?;
+            let rate_token = self.enter_dialing_round(net, &view)?;
+            return self.submit_dial(net, &view, rate_token);
+        };
+        crate::retry::count_dialing_round_info(true);
+        let rate_token = self.enter_dialing_round(net, &announced)?;
+        match self.submit_dial(net, &announced, rate_token) {
+            Err(e) if announcement_missed(&e) => {
+                let view = self.fetch_dialing_round(net)?;
+                let rate_token = self.enter_dialing_round(net, &view)?;
+                self.submit_dial(net, &view, rate_token)
+            }
+            result => result,
+        }
+    }
 
+    /// Notes `view`'s round as the client's current dialing round and
+    /// obtains the rate-limit token the round requires, if any: the one
+    /// already issued for the round, or a fresh issuance.
+    fn enter_dialing_round<T: Transport>(
+        &mut self,
+        net: &mut T,
+        view: &DialingRoundView,
+    ) -> Result<Option<RateLimitToken>, ClientError> {
+        self.next_dialing_round = Round(self.next_dialing_round.0.max(view.round.0));
         // Acquire the rate-limit token before popping a queued call: a
         // budget failure here must leave the call queued for a later round.
-        let rate_token = if view.rate_limited {
-            Some(self.acquire_rate_limit_token(net, RoundKind::Dialing, view.round)?)
-        } else {
-            None
-        };
+        if !view.rate_limited {
+            return Ok(None);
+        }
+        self.acquire_rate_limit_token(net, RoundKind::Dialing, view.round)
+            .map(Some)
+    }
 
+    /// Builds and submits this client's dial onion for `view`'s round.
+    fn submit_dial<T: Transport>(
+        &mut self,
+        net: &mut T,
+        view: &DialingRoundView,
+        rate_token: Option<RateLimitToken>,
+    ) -> Result<Option<ClientEvent>, ClientError> {
         // The chosen call is held aside so a failed submission can put it
         // back at the head of the queue; its token and event only become
         // client state once the coordinator has accepted the submission.
@@ -1135,6 +1209,7 @@ impl Client {
             net,
             Request::SubmitDialing {
                 round: view.round,
+                num_mailboxes: view.num_mailboxes,
                 onion,
                 token: rate_token,
             },
@@ -1191,19 +1266,28 @@ impl Client {
     ) -> Result<Vec<ClientEvent>, ClientError> {
         let (round, num_mailboxes) = self.dialing_round_state.ok_or(ClientError::NoRoundState)?;
         let mailbox = MailboxId::for_recipient(&self.identity, num_mailboxes);
-        let filter_bytes = match self.rpc(net, Request::FetchDialingMailbox { round, mailbox })? {
-            Response::DialingMailbox { filter } => filter,
-            _ => {
-                return Err(ClientError::UnexpectedResponse {
-                    context: "fetching a dialing mailbox",
-                })
-            }
-        };
+        let (filter_bytes, next_round) =
+            match self.rpc(net, Request::FetchDialingMailbox { round, mailbox })? {
+                Response::DialingMailbox { filter, next_round } => (filter, next_round),
+                _ => {
+                    return Err(ClientError::UnexpectedResponse {
+                        context: "fetching a dialing mailbox",
+                    })
+                }
+            };
         let filter =
             BloomFilter::from_bytes(&filter_bytes).ok_or(ClientError::UnexpectedResponse {
                 context: "decoding a dialing Bloom filter",
             })?;
         self.dialing_round_state = None;
+        // Hold the next round's announced parameters for the next
+        // participation. An announcement for any other round, or one that
+        // does not validate there, is ignored: the participation then asks.
+        // So is a rate-limited one: its token would be issued before the
+        // client learns whether the round opens, and a token for a skipped
+        // round is a unit of the day's budget lost.
+        self.announced_dialing =
+            next_round.filter(|info| info.round == round.next() && !info.rate_limited);
 
         let own_token = match self.sent_dial_token {
             Some((token_round, token)) if token_round == round => Some(token),
@@ -1247,6 +1331,7 @@ impl Client {
         if matches!(self.dialing_round_state, Some((r, _)) if r == round) {
             self.dialing_round_state = None;
         }
+        self.drop_announcements_before(round.next());
         self.keywheels.advance_to(round.next());
         self.next_dialing_round = Round(self.next_dialing_round.0.max(round.next().0));
     }
@@ -1263,8 +1348,23 @@ impl Client {
         if matches!(self.dialing_round_state, Some((r, _)) if r < round) {
             self.dialing_round_state = None;
         }
+        self.drop_announcements_before(round);
         self.keywheels.advance_to(round);
         self.next_dialing_round = Round(self.next_dialing_round.0.max(round.0));
+    }
+
+    /// Forgets a held dialing announcement for a round before `round`: the
+    /// client will not participate in it.
+    fn drop_announcements_before(&mut self, round: Round) {
+        if matches!(&self.announced_dialing, Some(info) if info.round < round) {
+            self.announced_dialing = None;
+        }
+    }
+
+    /// The dialing round whose announced parameters the client holds for
+    /// its next participation, if any.
+    pub fn announced_dialing_round(&self) -> Option<Round> {
+        self.announced_dialing.as_ref().map(|info| info.round)
     }
 }
 
@@ -1659,6 +1759,7 @@ impl Client {
             round_identity_key: None,
             last_add_friend: None,
             dialing_round_state,
+            announced_dialing: None,
             next_dialing_round,
             sent_dial_token,
             unspent_rate_limit_token,

@@ -44,6 +44,33 @@ fn run_add_friend_round(
         .collect()
 }
 
+/// Sends an admin request through the service, as a deployment's round
+/// driver does: a dialing close then announces the next round with the
+/// service's rate-limit flag, which the bare cluster does not know.
+fn admin(net: &mut LoopbackTransport, request: alpenhorn_wire::Request) {
+    use crate::transport::Transport;
+    let response = net.call(request).unwrap();
+    assert!(
+        !matches!(response, alpenhorn_wire::Response::Error(_)),
+        "{response:?}"
+    );
+}
+
+fn begin_dialing(net: &mut LoopbackTransport, round: Round, expected_real: usize) {
+    let expected_real = expected_real as u64;
+    admin(
+        net,
+        alpenhorn_wire::Request::BeginDialingRound {
+            round,
+            expected_real,
+        },
+    );
+}
+
+fn close_dialing(net: &mut LoopbackTransport, round: Round) {
+    admin(net, alpenhorn_wire::Request::CloseDialingRound { round });
+}
+
 /// Runs one complete dialing round and returns each client's events
 /// (participation events followed by mailbox events).
 fn run_dialing_round(
@@ -51,8 +78,7 @@ fn run_dialing_round(
     round: Round,
     clients: &mut [&mut Client],
 ) -> Vec<Vec<ClientEvent>> {
-    net.with_cluster(|c| c.begin_dialing_round(round, clients.len()))
-        .unwrap();
+    begin_dialing(net, round, clients.len());
     let mut events: Vec<Vec<ClientEvent>> = Vec::new();
     for client in clients.iter_mut() {
         let mut mine = Vec::new();
@@ -61,7 +87,7 @@ fn run_dialing_round(
         }
         events.push(mine);
     }
-    net.with_cluster(|c| c.close_dialing_round(round)).unwrap();
+    close_dialing(net, round);
     for (client, mine) in clients.iter_mut().zip(events.iter_mut()) {
         mine.extend(client.process_dialing_mailbox(net).unwrap());
     }
@@ -664,24 +690,58 @@ fn save_to_and_load_from_files_atomically() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
-/// Counts the calls made through the transport it wraps and keeps the onion
-/// of every add-friend submission.
-struct Counting<T> {
+/// Records the name of every request it passes on and the onion of every
+/// acknowledged submission and, with `announce` off, strips the announced
+/// next round from dialing mailbox replies — the deployment as it was
+/// before closes announced rounds, where every participation asks for the
+/// round info.
+struct Recorder<T> {
     inner: T,
-    calls: usize,
+    announce: bool,
+    calls: Vec<&'static str>,
     onions: Vec<Vec<u8>>,
 }
 
-impl<T: crate::transport::Transport> crate::transport::Transport for Counting<T> {
+impl<T> Recorder<T> {
+    fn new(inner: T, announce: bool) -> Self {
+        Recorder {
+            inner,
+            announce,
+            calls: Vec::new(),
+            onions: Vec::new(),
+        }
+    }
+
+    /// The requests recorded since the last call.
+    fn take(&mut self) -> Vec<&'static str> {
+        std::mem::take(&mut self.calls)
+    }
+}
+
+impl<T: crate::transport::Transport> crate::transport::Transport for Recorder<T> {
     fn call(
         &mut self,
         request: alpenhorn_wire::Request,
     ) -> Result<alpenhorn_wire::Response, crate::transport::TransportError> {
-        self.calls += 1;
-        if let alpenhorn_wire::Request::SubmitAddFriend { onion, .. } = &request {
-            self.onions.push(onion.clone());
-        }
-        self.inner.call(request)
+        use alpenhorn_wire::{Request, Response};
+        self.calls.push(request.name());
+        let onion = match &request {
+            Request::SubmitAddFriend { onion, .. } | Request::SubmitDialing { onion, .. } => {
+                Some(onion.clone())
+            }
+            _ => None,
+        };
+        Ok(match self.inner.call(request)? {
+            Response::DialingMailbox { filter, .. } if !self.announce => Response::DialingMailbox {
+                filter,
+                next_round: None,
+            },
+            Response::Ack => {
+                self.onions.extend(onion);
+                Response::Ack
+            }
+            response => response,
+        })
     }
 }
 
@@ -700,11 +760,7 @@ fn a_right_round_guess_takes_two_calls_and_a_wrong_one_charges_nothing() {
     const BUDGET: u32 = 8;
     let mut net = rate_limited_deployment(40, BUDGET);
     let mut alice = new_client(&mut net, "alice@example.com", 40, ClientConfig::default());
-    let mut counted = Counting {
-        inner: net.clone(),
-        calls: 0,
-        onions: Vec::new(),
-    };
+    let mut counted = Recorder::new(net.clone(), true);
     // Round 1 has nothing to guess from: round info, issuance, extraction,
     // submit. Round 2 is guessed: one batch, then the submit. Round 3 passes
     // without Alice, so her guess for round 4 is wrong: the batch stops at
@@ -712,11 +768,15 @@ fn a_right_round_guess_takes_two_calls_and_a_wrong_one_charges_nothing() {
     for (round, expected_calls) in [(1, 4), (2, 2), (3, 0), (4, 4)] {
         net.with_cluster(|c| c.begin_add_friend_round(Round(round), 1))
             .unwrap();
-        let before = counted.calls;
+        let before = counted.calls.len();
         if expected_calls > 0 {
             assert_eq!(alice.participate_add_friend(&mut counted), Ok(Round(round)));
         }
-        assert_eq!(counted.calls - before, expected_calls, "round {round}");
+        assert_eq!(
+            counted.calls.len() - before,
+            expected_calls,
+            "round {round}"
+        );
         net.with_cluster(|c| c.close_add_friend_round(Round(round)))
             .unwrap();
     }
@@ -750,19 +810,11 @@ fn a_batched_participation_submits_the_serial_paths_onion() {
 
     net.with_cluster(|c| c.begin_add_friend_round(Round(2), 1))
         .unwrap();
-    let mut batched = Counting {
-        inner: net.clone(),
-        calls: 0,
-        onions: Vec::new(),
-    };
+    let mut batched = Recorder::new(net.clone(), true);
     alice.participate_add_friend(&mut batched).unwrap();
-    let mut serial = Counting {
-        inner: net.clone(),
-        calls: 0,
-        onions: Vec::new(),
-    };
+    let mut serial = Recorder::new(net.clone(), true);
     reloaded.participate_add_friend(&mut serial).unwrap();
-    assert_eq!((batched.calls, serial.calls), (2, 4));
+    assert_eq!((batched.calls.len(), serial.calls.len()), (2, 4));
     assert_eq!(batched.onions, serial.onions);
     let stats = net
         .with_cluster(|c| c.close_add_friend_round(Round(2)))
@@ -772,5 +824,283 @@ fn a_batched_participation_submits_the_serial_paths_onion() {
         net.service()
             .remaining_token_budget(&id("alice@example.com")),
         Some(BUDGET - 2)
+    );
+}
+
+/// Alice and Bob befriend, Alice calls Bob, and both take part in dialing
+/// rounds 1 to the keywheel start + 2, each round opened for the scripted
+/// number of real tokens. The round at the keywheel start, where the call
+/// goes out, opens with ten times the mailboxes of the round before it, and
+/// the next one with the old size again. Round `skip`, if any, never opens:
+/// the round after it does.
+fn resized_dialing_run(
+    mut net: LoopbackTransport,
+    announce: bool,
+    skip: Option<u64>,
+) -> DialingRun {
+    let mut alice = new_client(&mut net, "alice@example.com", 50, ClientConfig::default());
+    let mut bob = new_client(&mut net, "bob@gmail.com", 51, ClientConfig::default());
+    let start = befriend(&mut net, &mut alice, &mut bob, 1);
+    alice.call(id("bob@gmail.com"), 1).unwrap();
+    let mut nets = [
+        Recorder::new(net.clone(), announce),
+        Recorder::new(net.clone(), announce),
+    ];
+    let mut run = DialingRun::default();
+    for r in (1..=start.as_u64() + 2).filter(|&r| Some(r) != skip) {
+        let expected_real = if r == start.as_u64() { 1000 } else { 100 };
+        begin_dialing(&mut net, Round(r), expected_real);
+        for (client, net) in [&mut alice, &mut bob].into_iter().zip(&mut nets) {
+            run.events.extend(client.participate_dialing(net).unwrap());
+        }
+        close_dialing(&mut net, Round(r));
+        for (client, net) in [&mut alice, &mut bob].into_iter().zip(&mut nets) {
+            run.events
+                .extend(client.process_dialing_mailbox(net).unwrap());
+        }
+        run.calls.push(nets.each_mut().map(|net| net.take()));
+    }
+    run
+}
+
+/// What [`resized_dialing_run`] observed.
+#[derive(Default)]
+struct DialingRun {
+    /// Both clients' events, in order.
+    events: Vec<ClientEvent>,
+    /// Per dialing round that opened, the requests it cost each client.
+    calls: Vec<[Vec<&'static str>; 2]>,
+}
+
+#[test]
+fn announced_rounds_take_one_crossing_and_a_resized_round_one_fetch_more() {
+    let run = resized_dialing_run(deployment(50), true, None);
+    let reference = resized_dialing_run(deployment(50), false, None);
+    assert_eq!(run.events, reference.events);
+    assert!(run
+        .events
+        .iter()
+        .any(|e| matches!(e, ClientEvent::IncomingCall { .. })));
+    let calls = run.calls;
+
+    let fetch = "get_dialing_round_info";
+    let (submit, scan) = ("submit_dialing", "fetch_dialing_mailbox");
+    let start = calls.len() - 2;
+    for (r, per_client) in calls.iter().enumerate() {
+        let expected = match r {
+            // Nothing announced yet: the client asks.
+            0 => vec![fetch, submit, scan],
+            // Resized: the announced count is refused, the client asks once.
+            r if r + 1 == start => vec![submit, fetch, submit, scan],
+            // Sized back: the announcement from the resized round is stale
+            // again.
+            r if r == start => vec![submit, fetch, submit, scan],
+            _ => vec![submit, scan],
+        };
+        assert_eq!(per_client, &[expected.clone(), expected], "round {}", r + 1);
+    }
+    for per_client in reference.calls {
+        assert_eq!(
+            per_client,
+            [vec![fetch, submit, scan], vec![fetch, submit, scan]]
+        );
+    }
+}
+
+#[test]
+fn a_skipped_announced_round_costs_one_fetch_more() {
+    // Round 3 never opens, so round 2's announcement is refused with
+    // `RoundNotOpen` in round 4.
+    let run = resized_dialing_run(deployment(55), true, Some(3));
+    let reference = resized_dialing_run(deployment(55), false, Some(3));
+    assert_eq!(run.events, reference.events);
+    assert_eq!(
+        run.calls[2],
+        [
+            vec![
+                "submit_dialing",
+                "get_dialing_round_info",
+                "submit_dialing",
+                "fetch_dialing_mailbox"
+            ],
+            vec![
+                "submit_dialing",
+                "get_dialing_round_info",
+                "submit_dialing",
+                "fetch_dialing_mailbox"
+            ],
+        ]
+    );
+}
+
+#[test]
+fn a_rate_limited_client_holds_no_announcement_and_pays_one_token_a_round() {
+    // A token issued for an announced round that is then skipped would be
+    // a unit of the day's budget lost, so rate-limited clients ask for the
+    // round info every round: resized and skipped rounds cost them nothing
+    // extra, and the events are those of a deployment without
+    // announcements.
+    const BUDGET: u32 = 20;
+    let net = rate_limited_deployment(52, BUDGET);
+    let run = resized_dialing_run(net.clone(), true, Some(3));
+    let reference = resized_dialing_run(rate_limited_deployment(52, BUDGET), false, Some(3));
+    assert_eq!(run.events, reference.events);
+    assert_eq!(run.calls, reference.calls);
+    let every_round = [
+        "get_dialing_round_info",
+        "issue_rate_limit_token",
+        "submit_dialing",
+        "fetch_dialing_mailbox",
+    ];
+    for per_client in &run.calls {
+        assert_eq!(per_client, &[every_round.to_vec(), every_round.to_vec()]);
+    }
+    // One issuance and one spend per participation: the two add-friend
+    // rounds of the handshake, then every dialing round that opened.
+    let participations = run.calls.len() as u32 + 2;
+    for who in ["alice@example.com", "bob@gmail.com"] {
+        assert_eq!(
+            net.service().remaining_token_budget(&id(who)),
+            Some(BUDGET - participations)
+        );
+    }
+    assert_eq!(
+        net.service().spent_token_count(),
+        Some(2 * participations as usize)
+    );
+}
+
+/// Serves one client's dialing rounds 1 and 2 from onion keys whose
+/// secrets the test holds: round 1 through `GetDialingRoundInfo`, round 2
+/// through round 1's mailbox, announced with one mailbox. Round 2 opens
+/// with two, so the announced submission is refused as stale. Keeps every
+/// submitted onion.
+struct StaleAnnouncement {
+    info: alpenhorn_wire::rpc::DialingRoundWire,
+    onions: Vec<Vec<u8>>,
+}
+
+impl crate::transport::Transport for StaleAnnouncement {
+    fn call(
+        &mut self,
+        request: alpenhorn_wire::Request,
+    ) -> Result<alpenhorn_wire::Response, crate::transport::TransportError> {
+        use alpenhorn_wire::{Request, Response, RpcError};
+        Ok(match request {
+            Request::GetDialingRoundInfo => Response::DialingRoundInfo(self.info.clone()),
+            Request::SubmitDialing {
+                num_mailboxes,
+                onion,
+                ..
+            } => {
+                self.onions.push(onion);
+                match num_mailboxes == self.info.num_mailboxes {
+                    true => Response::Ack,
+                    false => Response::Error(RpcError::StaleRoundInfo {
+                        expected: self.info.num_mailboxes,
+                        actual: num_mailboxes,
+                    }),
+                }
+            }
+            Request::FetchDialingMailbox { .. } => {
+                let params = alpenhorn_bloom::BloomParams::for_elements(1, 20);
+                let announced = alpenhorn_wire::rpc::DialingRoundWire {
+                    round: Round(2),
+                    ..self.info.clone()
+                };
+                Response::DialingMailbox {
+                    filter: alpenhorn_bloom::BloomFilter::new(params).to_bytes(),
+                    next_round: Some(announced),
+                }
+            }
+            other => panic!("unexpected request {}", other.name()),
+        })
+    }
+}
+
+#[test]
+fn a_refused_onion_and_its_resubmission_share_no_ephemeral_key() {
+    use alpenhorn_ibe::dh::DhSecret;
+    use alpenhorn_mixnet::onion::peel_layer;
+    use alpenhorn_wire::{DH_PK_LEN, DIAL_REQUEST_LEN, ONION_LAYER_OVERHEAD};
+
+    let mut rng = alpenhorn_crypto::ChaChaRng::from_seed_bytes([56; 32]);
+    let secrets: Vec<DhSecret> = (0..3).map(|_| DhSecret::generate(&mut rng)).collect();
+    let mut net = StaleAnnouncement {
+        info: alpenhorn_wire::rpc::DialingRoundWire {
+            round: Round(1),
+            onion_keys: secrets.iter().map(|s| s.public().to_bytes()).collect(),
+            num_mailboxes: 1,
+            onion_len: (DIAL_REQUEST_LEN + 3 * ONION_LAYER_OVERHEAD) as u32,
+            rate_limited: false,
+        },
+        onions: Vec::new(),
+    };
+    let mut alice = Client::new(
+        id("alice@example.com"),
+        Vec::new(),
+        ClientConfig::default(),
+        [56; 32],
+    );
+    alice.participate_dialing(&mut net).unwrap();
+    alice.process_dialing_mailbox(&mut net).unwrap();
+    assert_eq!(alice.announced_dialing_round(), Some(Round(2)));
+    net.info.round = Round(2);
+    net.info.num_mailboxes = 2;
+    alice.participate_dialing(&mut net).unwrap();
+
+    // Round 1's onion, then round 2's refused one and its resubmission:
+    // peel each, keeping every hop's ephemeral key and the cover request.
+    let peeled: Vec<(Vec<Vec<u8>>, Vec<u8>)> = net
+        .onions
+        .iter()
+        .map(|onion| {
+            let mut layer = onion.clone();
+            let mut ephemerals = Vec::new();
+            for (hop, secret) in secrets.iter().enumerate() {
+                ephemerals.push(layer[..DH_PK_LEN].to_vec());
+                layer = peel_layer(&layer, secret, hop).unwrap();
+            }
+            (ephemerals, layer)
+        })
+        .collect();
+    let [_, (refused_keys, refused_request), (resent_keys, resent_request)] = &peeled[..] else {
+        panic!("three submissions, got {}", peeled.len());
+    };
+    for key in refused_keys {
+        assert!(!resent_keys.contains(key), "ephemeral key reused");
+    }
+    // A cover dial draws a new random token too.
+    assert_ne!(refused_request, resent_request);
+}
+
+#[test]
+fn fast_forward_and_abandon_drop_a_stale_announcement() {
+    let mut net = deployment(53);
+    let mut alice = new_client(&mut net, "alice@example.com", 53, ClientConfig::default());
+    run_dialing_round(&mut net, Round(1), &mut [&mut alice]);
+    assert_eq!(alice.announced_dialing_round(), Some(Round(2)));
+    // Catching up to round 2 keeps round 2's announcement; giving up on
+    // round 2 drops it.
+    alice.fast_forward(Round(2));
+    assert_eq!(alice.announced_dialing_round(), Some(Round(2)));
+    alice.abandon_dialing_round(Round(2));
+    assert_eq!(alice.announced_dialing_round(), None);
+
+    let mut net = deployment(54);
+    let mut bob = new_client(&mut net, "bob@gmail.com", 54, ClientConfig::default());
+    run_dialing_round(&mut net, Round(1), &mut [&mut bob]);
+    bob.abandon_dialing_round(Round(1));
+    assert_eq!(bob.announced_dialing_round(), Some(Round(2)));
+    // Sleeping past round 2 drops it; the next participation asks.
+    bob.fast_forward(Round(5));
+    assert_eq!(bob.announced_dialing_round(), None);
+    net.with_cluster(|c| c.begin_dialing_round(Round(5), 1))
+        .unwrap();
+    let mut recorded = Recorder::new(net.clone(), true);
+    bob.participate_dialing(&mut recorded).unwrap();
+    assert_eq!(
+        recorded.take(),
+        ["get_dialing_round_info", "submit_dialing"]
     );
 }

@@ -36,7 +36,8 @@ use alpenhorn_wire::{Request, Response, RpcError};
 use crate::error::ClientError;
 use crate::transport::Transport;
 
-/// Client retry and round-speculation telemetry. Counters only — never
+/// Client retry, round-speculation and dialing round-info telemetry.
+/// Counters only — never
 /// timings — so the values are deterministic for a given fault schedule, and
 /// never read back by the protocol.
 struct RetryMetrics {
@@ -46,6 +47,8 @@ struct RetryMetrics {
     deadline_total: Arc<Counter>,
     speculation_hits: Arc<Counter>,
     speculation_misses: Arc<Counter>,
+    dialing_info_announced: Arc<Counter>,
+    dialing_info_fetched: Arc<Counter>,
 }
 
 fn retry_metrics() -> &'static RetryMetrics {
@@ -59,6 +62,12 @@ fn retry_metrics() -> &'static RetryMetrics {
             deadline_total: r.counter("client_deadline_expired_total", &[]),
             speculation_hits: r.counter("client_round_speculation_total", &[("outcome", "hit")]),
             speculation_misses: r.counter("client_round_speculation_total", &[("outcome", "miss")]),
+            dialing_info_announced: r.counter(
+                "client_dialing_round_info_total",
+                &[("source", "announced")],
+            ),
+            dialing_info_fetched: r
+                .counter("client_dialing_round_info_total", &[("source", "fetched")]),
         }
     })
 }
@@ -73,6 +82,19 @@ pub(crate) fn count_speculation(hit: bool) {
         metrics.speculation_hits.inc();
     } else {
         metrics.speculation_misses.inc();
+    }
+}
+
+/// Counts where a dialing participation took its round info from: the
+/// announcement in the previous round's mailbox, or a `GetDialingRoundInfo`
+/// call. An announcement the coordinator refuses counts once each way, so
+/// `fetched` is exactly the number of round-info calls.
+pub(crate) fn count_dialing_round_info(announced: bool) {
+    let metrics = retry_metrics();
+    if announced {
+        metrics.dialing_info_announced.inc();
+    } else {
+        metrics.dialing_info_fetched.inc();
     }
 }
 

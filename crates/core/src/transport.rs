@@ -27,7 +27,7 @@ use alpenhorn_bloom::BloomFilter;
 use alpenhorn_cdn::ShardedCdn;
 use alpenhorn_coordinator::service::CoordinatorService;
 use alpenhorn_coordinator::{CdnStats, Cluster, ServiceWriteGuard, SharedCoordinator};
-use alpenhorn_wire::cdn::decode_add_friend_blob;
+use alpenhorn_wire::cdn::{decode_add_friend_blob, decode_dialing_blob};
 use alpenhorn_wire::codec::FrameIoError;
 use alpenhorn_wire::server::connect;
 use alpenhorn_wire::{Frame, Request, Response, RoundKind, WireError};
@@ -409,8 +409,13 @@ impl<T: Transport> Transport for CdnRoutedTransport<T> {
                 if let Some(blob) = self.fetch_blob(RoundKind::Dialing, *round, *mailbox) {
                     // Validate before serving: a corrupt blob must fall back
                     // to the origin, not poison the client's dial scan.
-                    if BloomFilter::from_bytes(&blob).is_some() {
-                        return Ok(Response::DialingMailbox { filter: blob });
+                    if let Ok((filter, next_round)) = decode_dialing_blob(&blob) {
+                        if BloomFilter::from_bytes(filter).is_some() {
+                            return Ok(Response::DialingMailbox {
+                                filter: filter.to_vec(),
+                                next_round,
+                            });
+                        }
                     }
                 }
             }
@@ -421,5 +426,77 @@ impl<T: Transport> Transport for CdnRoutedTransport<T> {
 
     fn reset(&mut self) -> Result<(), TransportError> {
         self.inner.reset()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use alpenhorn_cdn::{LoopbackNode, NodeClient};
+    use alpenhorn_coordinator::ClusterConfig;
+    use alpenhorn_wire::cdn::encode_dialing_blob;
+    use alpenhorn_wire::{MailboxId, Round};
+
+    /// Counts the calls that reach the origin.
+    struct Origin {
+        inner: LoopbackTransport,
+        calls: usize,
+    }
+
+    impl Transport for Origin {
+        fn call(&mut self, request: Request) -> Result<Response, TransportError> {
+            self.calls += 1;
+            self.inner.call(request)
+        }
+    }
+
+    #[test]
+    fn undecodable_dialing_blobs_fall_back_to_the_origin() {
+        let origin = LoopbackTransport::new(Cluster::new(ClusterConfig::test(7)));
+        origin
+            .with_cluster(|c| {
+                c.begin_dialing_round(Round(1), 1)?;
+                c.close_dialing_round(Round(1))
+            })
+            .unwrap();
+        let fetch = || Request::FetchDialingMailbox {
+            round: Round(1),
+            mailbox: MailboxId(0),
+        };
+        let from_origin = origin.clone().call(fetch()).unwrap();
+        let Response::DialingMailbox { filter, next_round } = from_origin.clone() else {
+            panic!("the origin serves the mailbox");
+        };
+        assert_eq!(next_round.as_ref().map(|info| info.round), Some(Round(2)));
+
+        let valid = encode_dialing_blob(&filter, next_round.as_ref());
+        let mut trailing = valid.clone();
+        trailing.push(0);
+        let not_a_filter = encode_dialing_blob(&[1, 2, 3], next_round.as_ref());
+        for (blob, served_by_fleet) in [
+            (valid, true),
+            // The pre-announcement layout: the bare filter bytes.
+            (filter.clone(), false),
+            (trailing, false),
+            (not_a_filter, false),
+        ] {
+            let nodes: Vec<Box<dyn NodeClient>> = (0..4)
+                .map(|_| Box::new(LoopbackNode::new()) as Box<dyn NodeClient>)
+                .collect();
+            let fleet = ShardedCdn::new(nodes, 3, 1);
+            fleet
+                .publish(RoundKind::Dialing, Round(1), MailboxId(0), &blob)
+                .unwrap();
+            let mut routed = CdnRoutedTransport::new(
+                Origin {
+                    inner: origin.clone(),
+                    calls: 0,
+                },
+                Arc::new(fleet),
+            );
+            assert_eq!(routed.call(fetch()).unwrap(), from_origin);
+            let origin_calls = usize::from(!served_by_fleet);
+            assert_eq!(routed.inner().calls, origin_calls, "blob {blob:?}");
+        }
     }
 }

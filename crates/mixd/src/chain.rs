@@ -144,12 +144,16 @@ impl RemoteMixChain {
     }
 
     /// Opens the next auto-numbered round on every mixer and returns the
-    /// onion public keys in chain order.
+    /// onion public keys in chain order. A failed begin serves no key, so
+    /// it uses up no round id: the next begin retries the same one
+    /// (idempotently), and [`end_round`](Self::end_round) still erases what
+    /// the mixers that succeeded derived.
     pub fn begin_round(&mut self) -> Result<Vec<DhPublic>, MixdError> {
         let round = self.next_auto_round;
-        self.next_auto_round += 1;
         self.current_round = Some(round);
-        self.begin_round_for(Round(round))
+        let keys = self.begin_round_for(Round(round))?;
+        self.next_auto_round += 1;
+        Ok(keys)
     }
 
     /// Makes the next [`begin_round`](Self::begin_round) open round id

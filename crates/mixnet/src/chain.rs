@@ -208,6 +208,13 @@ impl MixChain {
         }
     }
 
+    /// Whether any server in the chain still holds the onion secret of
+    /// chain round `round` (rounds are numbered by
+    /// [`MixChain::begin_round`] from 0).
+    pub fn round_open_for(&self, round: u64) -> bool {
+        self.servers.iter().any(|s| s.round_open_for(round))
+    }
+
     /// Ends the round on every server, erasing round keys.
     pub fn end_round(&mut self) {
         for server in &mut self.servers {

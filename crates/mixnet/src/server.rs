@@ -255,84 +255,55 @@ impl MixServer {
         let hop = self.index;
         let first_downstream_hop = self.index + 1;
         let mut kept = vec![false; batch.len()];
-        let mut dropped = 0u64;
-        // Per-worker noise output, merged in mailbox order below.
-        let noise_shards: Vec<(Vec<Vec<u8>>, u64)>;
 
-        if workers <= 1 {
-            dropped += peel_chunk(&mut batch, &mut kept, &secret, hop);
-            let mut shard = (Vec::new(), 0u64);
-            shard.1 = generate_noise_range(
-                0..mailbox_slots,
+        // Each worker peels one contiguous batch chunk, then generates the
+        // noise of one contiguous mailbox range, so every worker carries a
+        // share of both phases and no thread idles while another peels the
+        // whole batch. The calling thread runs the first share itself, so
+        // `workers = 1` spawns nothing. Determinism is unaffected: results
+        // are collected in share order, chunks and ranges are contiguous
+        // and ascending, and each mailbox's noise stream is derived from
+        // the round seed, so share boundaries cannot change the bytes.
+        let chunk_len = batch.len().div_ceil(workers).max(1);
+        let range_len = (mailbox_slots as usize).div_ceil(workers).max(1) as u32;
+        let mut chunks = batch.chunks_mut(chunk_len).zip(kept.chunks_mut(chunk_len));
+        let shares: Vec<_> = (0..workers as u32)
+            .map(|w| {
+                let start = w.saturating_mul(range_len).min(mailbox_slots);
+                (chunks.next(), start..mailbox_slots.min(start + range_len))
+            })
+            .collect();
+        let run_share = |(chunk, range): Share<'_>| {
+            let dropped = chunk.map_or(0, |(messages, kept)| {
+                peel_chunk(messages, kept, &secret, hop)
+            });
+            let mut noise_out = Vec::new();
+            let added = generate_noise_range(
+                range,
                 num_mailboxes,
                 &noise_seed,
                 protocol,
                 noise,
                 downstream_publics,
                 first_downstream_hop,
-                &mut shard.0,
+                &mut noise_out,
             );
-            noise_shards = vec![shard];
-        } else {
-            // Peel workers (contiguous batch chunks) and noise workers
-            // (contiguous mailbox ranges) run in ONE scope, so the two
-            // independent phases overlap instead of paying two spawn/join
-            // barriers. The configured worker budget is split between the
-            // phases in proportion to their work, so at most `workers`
-            // CPU-bound threads are in flight. Determinism is unaffected:
-            // results are collected per-handle in spawn order, and each
-            // mailbox's noise stream is derived from the round seed, so
-            // shard boundaries cannot change the generated bytes.
-            let peel_workers = ((workers * batch.len()) / work.max(1)).clamp(1, workers - 1);
-            let noise_workers = workers - peel_workers;
-            let chunk_len = batch.len().div_ceil(peel_workers).max(1);
-            let range_len = (mailbox_slots as usize).div_ceil(noise_workers).max(1) as u32;
-            let (drop_counts, shards) = std::thread::scope(|s| {
-                let peel_handles: Vec<_> = batch
-                    .chunks_mut(chunk_len)
-                    .zip(kept.chunks_mut(chunk_len))
-                    .map(|(messages, kept)| {
-                        let secret = &secret;
-                        s.spawn(move || peel_chunk(messages, kept, secret, hop))
-                    })
-                    .collect();
-                let noise_handles: Vec<_> = (0..mailbox_slots)
-                    .step_by(range_len as usize)
-                    .map(|range_start| {
-                        let range = range_start..mailbox_slots.min(range_start + range_len);
-                        let noise_seed = &noise_seed;
-                        s.spawn(move || {
-                            let mut out = Vec::new();
-                            let added = generate_noise_range(
-                                range,
-                                num_mailboxes,
-                                noise_seed,
-                                protocol,
-                                noise,
-                                downstream_publics,
-                                first_downstream_hop,
-                                &mut out,
-                            );
-                            (out, added)
-                        })
-                    })
-                    .collect();
-                let drop_counts: Vec<u64> = peel_handles
-                    .into_iter()
-                    .map(|h| h.join().expect("peel worker"))
-                    .collect();
-                let shards: Vec<(Vec<Vec<u8>>, u64)> = noise_handles
-                    .into_iter()
-                    .map(|h| h.join().expect("noise worker"))
-                    .collect();
-                (drop_counts, shards)
-            });
-            dropped += drop_counts.iter().sum::<u64>();
-            noise_shards = shards;
-        }
+            (dropped, noise_out, added)
+        };
+        let results: Vec<(u64, Vec<Vec<u8>>, u64)> = std::thread::scope(|s| {
+            let mut shares = shares.into_iter();
+            let first = shares.next().expect("at least one worker");
+            let handles: Vec<_> = shares
+                .map(|share| s.spawn(move || run_share(share)))
+                .collect();
+            let mut results = vec![run_share(first)];
+            results.extend(handles.into_iter().map(|h| h.join().expect("mix worker")));
+            results
+        });
+        let dropped: u64 = results.iter().map(|(dropped, _, _)| dropped).sum();
+        let noise_count: u64 = results.iter().map(|(_, _, added)| added).sum();
 
         self.last_malformed_dropped = dropped;
-        let noise_count: u64 = noise_shards.iter().map(|(_, n)| n).sum();
         self.last_noise_added = noise_count;
 
         // Deterministic merge: surviving client messages in submission order,
@@ -344,7 +315,7 @@ impl MixServer {
                 out.push(message);
             }
         }
-        for (mut shard, _) in noise_shards {
+        for (_, mut shard, _) in results {
             out.append(&mut shard);
         }
 
@@ -354,6 +325,13 @@ impl MixServer {
         out
     }
 }
+
+/// One worker's share of a round: a batch chunk to peel (with its
+/// survivor flags), if the batch reaches it, and a mailbox range to noise.
+type Share<'a> = (
+    Option<(&'a mut [Vec<u8>], &'a mut [bool])>,
+    core::ops::Range<u32>,
+);
 
 fn default_workers() -> usize {
     std::thread::available_parallelism()
@@ -599,7 +577,12 @@ mod tests {
     }
 
     /// Runs one identical round on servers differing only in worker count.
-    fn run_round(workers: usize, batch_size: u32) -> (Vec<Vec<u8>>, u64, u64) {
+    fn run_round(
+        workers: usize,
+        batch_size: u32,
+        protocol: Protocol,
+        num_mailboxes: u32,
+    ) -> (Vec<Vec<u8>>, u64, u64) {
         let mut client_rng = ChaChaRng::from_seed_bytes([21u8; 32]);
         let mut server = MixServer::new(0, [22u8; 32]);
         server.set_workers(workers);
@@ -610,8 +593,15 @@ mod tests {
                     // Sprinkle malformed messages among the real ones.
                     vec![i as u8; 20]
                 } else {
-                    let mut payload = AddFriendEnvelope::cover().encode();
-                    payload[..4].copy_from_slice(&i.to_be_bytes());
+                    let mut payload = match protocol {
+                        Protocol::AddFriend => AddFriendEnvelope::cover().encode(),
+                        Protocol::Dialing => DialRequest {
+                            mailbox: MailboxId::COVER,
+                            token: DialToken([i as u8; 32]),
+                        }
+                        .encode(),
+                    };
+                    payload[..4].copy_from_slice(&(i % num_mailboxes).to_be_bytes());
                     wrap_onion(&payload, &[pk], &mut client_rng)
                 }
             })
@@ -619,9 +609,9 @@ mod tests {
         let out = server.process(
             batch,
             &[],
-            Protocol::AddFriend,
+            protocol,
             &NoiseConfig::deterministic(2.0),
-            40,
+            num_mailboxes,
         );
         (
             out,
@@ -632,14 +622,22 @@ mod tests {
 
     #[test]
     fn parallel_process_is_byte_identical_to_sequential() {
-        // 400 messages + 41 mailboxes exceeds PARALLEL_THRESHOLD, so worker
-        // counts > 1 genuinely exercise the threaded path.
-        let (sequential, seq_noise, seq_dropped) = run_round(1, 400);
-        for workers in [2, 3, 8] {
-            let (parallel, noise, dropped) = run_round(workers, 400);
-            assert_eq!(noise, seq_noise, "workers = {workers}");
-            assert_eq!(dropped, seq_dropped, "workers = {workers}");
-            assert_eq!(parallel, sequential, "workers = {workers}");
+        // Both shapes exceed PARALLEL_THRESHOLD, so worker counts > 1
+        // genuinely exercise the threaded path: an add-friend batch of 400
+        // messages over 41 mailbox slots, and a dial-shaped one of 1 000
+        // messages over 2 slots, where some workers get no mailbox range.
+        for (protocol, batch_size, num_mailboxes) in
+            [(Protocol::AddFriend, 400, 40), (Protocol::Dialing, 1000, 1)]
+        {
+            let (sequential, seq_noise, seq_dropped) =
+                run_round(1, batch_size, protocol, num_mailboxes);
+            for workers in [2, 3, 8] {
+                let (parallel, noise, dropped) =
+                    run_round(workers, batch_size, protocol, num_mailboxes);
+                assert_eq!(noise, seq_noise, "{protocol:?}, workers = {workers}");
+                assert_eq!(dropped, seq_dropped, "{protocol:?}, workers = {workers}");
+                assert_eq!(parallel, sequential, "{protocol:?}, workers = {workers}");
+            }
         }
     }
 }

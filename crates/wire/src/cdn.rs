@@ -11,16 +11,18 @@
 //!
 //! Two blob codecs live here so the coordinator and clients agree on the
 //! bytes being sharded: an add-friend mailbox is its ciphertext list
-//! ([`encode_add_friend_blob`]), and a dialing mailbox is the raw Bloom
-//! filter bytes (no codec needed — `BloomFilter::to_bytes` is already a
-//! canonical blob).
+//! ([`encode_add_friend_blob`]), and a dialing mailbox is its Bloom filter
+//! plus the next dialing round's parameters when the round's close
+//! announced them ([`encode_dialing_blob`]).
 
 use crate::codec::{Decoder, Encoder};
 use crate::error::WireError;
 use crate::friend_request::AddFriendEnvelope;
 use crate::mailbox::MailboxId;
 use crate::round::{Round, RoundKind};
-use crate::rpc::{get_detail, put_detail};
+use crate::rpc::{
+    get_bool, get_detail, get_dialing_round, put_detail, put_dialing_round, DialingRoundWire,
+};
 
 /// Upper bound on shard counts (`k + m`) a node will accept.
 pub const MAX_SHARDS: usize = 256;
@@ -376,6 +378,61 @@ pub fn decode_add_friend_blob(blob: &[u8]) -> Result<Vec<Vec<u8>>, WireError> {
     Ok(contents)
 }
 
+/// Serializes a dialing mailbox into the canonical blob the erasure layer
+/// shards and the origin serves inside
+/// [`Response::DialingMailbox`](crate::Response::DialingMailbox): the Bloom
+/// filter bytes (length-prefixed), then a presence byte and, when present,
+/// the parameters of the next dialing round, which the round's close fixed.
+pub fn encode_dialing_blob(filter: &[u8], next_round: Option<&DialingRoundWire>) -> Vec<u8> {
+    let mut e = Encoder::with_capacity(filter.len() + 192);
+    put_dialing_blob(&mut e, filter, next_round);
+    e.finish()
+}
+
+/// Parses a dialing mailbox blob into its filter bytes and the announced
+/// next round, rejecting trailing bytes.
+pub fn decode_dialing_blob(blob: &[u8]) -> Result<(&[u8], Option<DialingRoundWire>), WireError> {
+    let mut d = Decoder::new(blob);
+    let parts = get_dialing_blob(&mut d)?;
+    d.finish()?;
+    Ok(parts)
+}
+
+/// The length of [`encode_dialing_blob`]'s output for a filter of
+/// `filter_len` bytes, without encoding it.
+pub fn dialing_blob_len(filter_len: usize, next_round: Option<&DialingRoundWire>) -> usize {
+    // Filter length prefix and presence byte; then round, mailbox count,
+    // onion length, rate-limit flag and key count ahead of the keys.
+    4 + filter_len
+        + 1
+        + next_round.map_or(0, |info| {
+            8 + 4 + 4 + 1 + 2 + info.onion_keys.len() * crate::G1_LEN
+        })
+}
+
+pub(crate) fn put_dialing_blob(
+    e: &mut Encoder,
+    filter: &[u8],
+    next_round: Option<&DialingRoundWire>,
+) {
+    e.put_var_bytes(filter);
+    e.put_u8(next_round.is_some() as u8);
+    if let Some(info) = next_round {
+        put_dialing_round(e, info);
+    }
+}
+
+pub(crate) fn get_dialing_blob<'a>(
+    d: &mut Decoder<'a>,
+) -> Result<(&'a [u8], Option<DialingRoundWire>), WireError> {
+    let filter = d.get_var_bytes("dialing filter")?;
+    let next_round = match get_bool(d, "dialing announcement flag")? {
+        true => Some(get_dialing_round(d)?),
+        false => None,
+    };
+    Ok((filter, next_round))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,6 +530,31 @@ mod tests {
             decode_add_friend_blob(&encode_add_friend_blob(&[])).unwrap(),
             Vec::<Vec<u8>>::new()
         );
+    }
+
+    #[test]
+    fn dialing_blob_round_trips_and_is_the_origin_reply_body() {
+        let next = DialingRoundWire {
+            round: Round(8),
+            onion_keys: vec![[3u8; crate::G1_LEN]; 3],
+            num_mailboxes: 2,
+            onion_len: 228,
+            rate_limited: false,
+        };
+        for next_round in [None, Some(next)] {
+            let blob = encode_dialing_blob(&[5u8; 40], next_round.as_ref());
+            assert_eq!(blob.len(), dialing_blob_len(40, next_round.as_ref()));
+            let (filter, decoded) = decode_dialing_blob(&blob).unwrap();
+            assert_eq!((filter, &decoded), (&[5u8; 40][..], &next_round));
+            let reply = crate::Response::DialingMailbox {
+                filter: filter.to_vec(),
+                next_round,
+            };
+            assert_eq!(reply.encode()[1..], blob[..]);
+            let mut longer = blob.clone();
+            longer.push(0);
+            assert!(decode_dialing_blob(&longer).is_err());
+        }
     }
 
     #[test]

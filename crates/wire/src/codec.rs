@@ -240,11 +240,11 @@ impl From<WireError> for FrameIoError {
 /// Layout (integers big-endian, except the checksum):
 ///
 /// ```text
-/// v7: +-------+---------+-----------+----------------+------------+
+/// v9: +-------+---------+-----------+----------------+------------+
 ///     | magic | version |  length   |    payload     |  checksum  |
 ///     | 2 B   | 1 B     | 4 B (u32) | `length` bytes | 4 B (LE)   |
 ///     +-------+---------+-----------+----------------+------------+
-/// v8: +-------+---------+-----------+-------------+----------------+------------+
+/// v10:+-------+---------+-----------+-------------+----------------+------------+
 ///     | magic | version |  length   | correlation |    payload     |  checksum  |
 ///     | 2 B   | 1 B     | 4 B (u32) | 8 B (u64)   | `length` bytes | 4 B (LE)   |
 ///     +-------+---------+-----------+-------------+----------------+------------+
@@ -265,8 +265,8 @@ impl From<WireError> for FrameIoError {
 /// telemetry block (the round correlation id, `alpenhorn_obs::correlation_id`,
 /// which stitches spans of different processes into one trace) as
 /// [`Frame::VERSION`]. Receivers accept exactly those two; anything else —
-/// including the SHA-256-trailer versions 3 and 4 and the pre-batch 5 and 6 —
-/// is rejected with [`WireError::UnsupportedVersion`].
+/// including the SHA-256-trailer versions 3 and 4, the pre-batch 5 and 6 and
+/// the pre-announcement 7 and 8 — is rejected with [`WireError::UnsupportedVersion`].
 pub struct Frame;
 
 impl Frame {
@@ -280,10 +280,13 @@ impl Frame {
     /// telemetry block (round correlation id, PR 10) beside the plain v3;
     /// v5 (plain) and v6 (telemetry) replaced the truncated SHA-256 trailer
     /// of v3 and v4 with CRC-32C; v7 (plain) and v8 (telemetry) added
-    /// [`crate::rpc::Request::Batch`] and [`crate::rpc::Response::Batch`].
-    pub const VERSION: u8 = 8;
+    /// [`crate::rpc::Request::Batch`] and [`crate::rpc::Response::Batch`];
+    /// v9 (plain) and v10 (telemetry) added the mailbox count to
+    /// `SubmitDialing`, the announced next round to `DialingMailbox` and
+    /// [`crate::rpc::RpcError::StaleRoundInfo`].
+    pub const VERSION: u8 = 10;
     /// The telemetry-free frame version, emitted by [`Frame::encode`].
-    pub const PLAIN_VERSION: u8 = 7;
+    pub const PLAIN_VERSION: u8 = 9;
     /// Header length: magic + version + length prefix.
     pub const HEADER_LEN: usize = 2 + 1 + 4;
     /// Length of the telemetry block (the correlation id).
@@ -562,27 +565,27 @@ mod tests {
         // Fixed bytes, not a reconstruction: any change to the layout, the
         // versions, the CRC or its byte order shows up here.
         let payload = b"hello alpenhorn";
-        let v7 = [
-            b'A', b'H', 7, 0, 0, 0, 15, // magic, version, length
+        let v9 = [
+            b'A', b'H', 9, 0, 0, 0, 15, // magic, version, length
             b'h', b'e', b'l', b'l', b'o', b' ', b'a', b'l', b'p', b'e', b'n', b'h', b'o', b'r',
             b'n', // payload
-            0x1C, 0xDB, 0x35, 0xE9, // CRC-32C, little-endian
+            0x8B, 0x21, 0x4E, 0xE5, // CRC-32C, little-endian
         ];
-        assert_eq!(Frame::encode(payload), v7);
-        assert_eq!(Frame::decode(&v7).unwrap(), payload);
-        let v8 = [
-            b'A', b'H', 8, 0, 0, 0, 15, // magic, version, length
+        assert_eq!(Frame::encode(payload), v9);
+        assert_eq!(Frame::decode(&v9).unwrap(), payload);
+        let v10 = [
+            b'A', b'H', 10, 0, 0, 0, 15, // magic, version, length
             0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF, // correlation id
             b'h', b'e', b'l', b'l', b'o', b' ', b'a', b'l', b'p', b'e', b'n', b'h', b'o', b'r',
             b'n', // payload
-            0x0B, 0x4A, 0x11, 0x41, // CRC-32C, little-endian
+            0x92, 0x2A, 0xD6, 0x00, // CRC-32C, little-endian
         ];
         assert_eq!(
             Frame::encode_with_telemetry(payload, 0x0123_4567_89AB_CDEF),
-            v8
+            v10
         );
         assert_eq!(
-            Frame::decode_with_telemetry(&v8).unwrap(),
+            Frame::decode_with_telemetry(&v10).unwrap(),
             (&payload[..], Some(0x0123_4567_89AB_CDEF))
         );
         assert_eq!(Frame::encode(&[]).len(), 11);
@@ -590,14 +593,17 @@ mod tests {
 
     #[test]
     fn retired_frame_versions_are_unsupported() {
-        // A well-formed v3 and v4 frame (truncated SHA-256 trailer) and v5
-        // and v6 frame (CRC-32C trailer, no batch messages) must be answered
-        // with the version error, not a checksum mismatch.
+        // A well-formed v3 and v4 frame (truncated SHA-256 trailer), v5 and
+        // v6 frame (CRC-32C trailer, no batch messages) and v7 and v8 frame
+        // (no announced dialing rounds) must be answered with the version
+        // error, not a checksum mismatch.
         for (version, telemetry) in [
             (3u8, &[][..]),
             (4, &[0u8; 8][..]),
             (5, &[][..]),
             (6, &[0u8; 8][..]),
+            (7, &[][..]),
+            (8, &[0u8; 8][..]),
         ] {
             let mut old = Vec::new();
             old.extend_from_slice(&Frame::MAGIC);

@@ -191,6 +191,11 @@ pub enum Request {
     SubmitDialing {
         /// The round being submitted to.
         round: Round,
+        /// The mailbox count the dial request inside the onion was addressed
+        /// for. A client that built the onion from an announcement the round
+        /// was not opened with gets [`RpcError::StaleRoundInfo`], before
+        /// intake and before its token is spent.
+        num_mailboxes: u32,
         /// The onion-wrapped request, exactly `onion_len` bytes.
         onion: Vec<u8>,
         /// Rate-limit token, required when the round is rate limited.
@@ -356,6 +361,16 @@ pub enum RpcError {
         /// Human-readable description.
         detail: String,
     },
+    /// A dialing submission was built for a mailbox count other than the
+    /// open round's: the announcement it came from went stale when the
+    /// round opened with a different size. The client fetches the round
+    /// info and resubmits.
+    StaleRoundInfo {
+        /// The open round's mailbox count.
+        expected: u32,
+        /// The count the submission was addressed for.
+        actual: u32,
+    },
     /// A transient server-side fault (e.g. the durable journal could not be
     /// written, or the server is shedding load). Unlike
     /// [`RpcError::BadRequest`], retrying the same request later is expected
@@ -388,6 +403,10 @@ impl core::fmt::Display for RpcError {
                     "PKG {pkg_index} revealed a key not matching its commitment"
                 )
             }
+            RpcError::StaleRoundInfo { expected, actual } => write!(
+                f,
+                "round info is stale: the round has {expected} mailboxes, not {actual}"
+            ),
             RpcError::Pkg { detail, .. } => write!(f, "PKG error: {detail}"),
             RpcError::RateLimited { reason } => write!(f, "rate limited: {reason}"),
             RpcError::BadRequest { detail } => write!(f, "bad request: {detail}"),
@@ -432,10 +451,16 @@ pub enum Response {
         /// [`AddFriendEnvelope::CIPHERTEXT_LEN`] bytes.
         contents: Vec<Vec<u8>>,
     },
-    /// Contents of one dialing mailbox: a serialized Bloom filter.
+    /// Contents of one dialing mailbox: a serialized Bloom filter, plus the
+    /// next dialing round's parameters when the round's close announced
+    /// them. Encoded as the tag followed by the mailbox's CDN blob
+    /// ([`crate::cdn::encode_dialing_blob`]), so the origin and the shard
+    /// fleet serve the same bytes.
     DialingMailbox {
         /// The filter, as produced by `BloomFilter::to_bytes`.
         filter: Vec<u8>,
+        /// Round r + 1's parameters, fixed when round r closed.
+        next_round: Option<DialingRoundWire>,
     },
     /// A round was closed; summary statistics.
     RoundClosed(RoundStatsWire),
@@ -835,11 +860,13 @@ impl Request {
             }
             Request::SubmitDialing {
                 round,
+                num_mailboxes,
                 onion,
                 token,
             } => {
                 e.put_u8(REQ_SUBMIT_DIALING);
                 e.put_u64(round.0);
+                e.put_u32(*num_mailboxes);
                 put_token(e, token);
                 e.put_var_bytes(onion);
             }
@@ -944,6 +971,7 @@ impl Request {
             },
             REQ_SUBMIT_DIALING => Request::SubmitDialing {
                 round: Round(d.get_u64("submit round")?),
+                num_mailboxes: d.get_u32("submit mailbox count")?,
                 token: get_token(d)?,
                 onion: d.get_var_bytes("submit onion")?.to_vec(),
             },
@@ -1016,6 +1044,7 @@ const ERR_PKG: u8 = 7;
 const ERR_RATE_LIMITED: u8 = 8;
 const ERR_BAD_REQUEST: u8 = 9;
 const ERR_UNAVAILABLE: u8 = 10;
+const ERR_STALE_ROUND_INFO: u8 = 11;
 
 impl RpcError {
     fn encode_into(&self, e: &mut Encoder) {
@@ -1042,6 +1071,11 @@ impl RpcError {
             RpcError::CommitmentMismatch { pkg_index } => {
                 e.put_u8(ERR_COMMITMENT_MISMATCH);
                 e.put_u32(*pkg_index);
+            }
+            RpcError::StaleRoundInfo { expected, actual } => {
+                e.put_u8(ERR_STALE_ROUND_INFO);
+                e.put_u32(*expected);
+                e.put_u32(*actual);
             }
             RpcError::Pkg { code, detail } => {
                 e.put_u8(ERR_PKG);
@@ -1085,6 +1119,10 @@ impl RpcError {
             ERR_COMMITMENT_MISMATCH => RpcError::CommitmentMismatch {
                 pkg_index: d.get_u32("error pkg index")?,
             },
+            ERR_STALE_ROUND_INFO => RpcError::StaleRoundInfo {
+                expected: d.get_u32("error expected mailboxes")?,
+                actual: d.get_u32("error actual mailboxes")?,
+            },
             ERR_PKG => RpcError::Pkg {
                 code: d.get_u8("error pkg code")?,
                 detail: get_detail(d, "error pkg detail")?,
@@ -1121,12 +1159,41 @@ fn put_round_common(
     e.put_u8(rate_limited as u8);
 }
 
-fn get_bool(d: &mut Decoder<'_>, context: &'static str) -> Result<bool, WireError> {
+pub(crate) fn get_bool(d: &mut Decoder<'_>, context: &'static str) -> Result<bool, WireError> {
     match d.get_u8(context)? {
         0 => Ok(false),
         1 => Ok(true),
         _ => Err(WireError::InvalidValue { context }),
     }
+}
+
+/// Writes a dialing round's parameters: the body of
+/// [`Response::DialingRoundInfo`] and of a dialing blob's announcement.
+pub(crate) fn put_dialing_round(e: &mut Encoder, info: &DialingRoundWire) {
+    put_round_common(
+        e,
+        info.round,
+        info.num_mailboxes,
+        info.onion_len,
+        info.rate_limited,
+    );
+    put_point_list(e, &info.onion_keys);
+}
+
+/// Reads what [`put_dialing_round`] wrote.
+pub(crate) fn get_dialing_round(d: &mut Decoder<'_>) -> Result<DialingRoundWire, WireError> {
+    let round = Round(d.get_u64("round")?);
+    let num_mailboxes = d.get_u32("num mailboxes")?;
+    let onion_len = d.get_u32("onion len")?;
+    let rate_limited = get_bool(d, "rate limited flag")?;
+    let onion_keys = get_point_list(d, MAX_CHAIN_KEYS, "onion keys")?;
+    Ok(DialingRoundWire {
+        round,
+        onion_keys,
+        num_mailboxes,
+        onion_len,
+        rate_limited,
+    })
 }
 
 impl Response {
@@ -1160,14 +1227,7 @@ impl Response {
             }
             Response::DialingRoundInfo(info) => {
                 e.put_u8(RESP_DIALING_ROUND);
-                put_round_common(
-                    e,
-                    info.round,
-                    info.num_mailboxes,
-                    info.onion_len,
-                    info.rate_limited,
-                );
-                put_point_list(e, &info.onion_keys);
+                put_dialing_round(e, info);
             }
             Response::IdentityKeys(shares) => {
                 e.put_u8(RESP_IDENTITY_KEYS);
@@ -1189,9 +1249,9 @@ impl Response {
                     e.put_bytes(ciphertext);
                 }
             }
-            Response::DialingMailbox { filter } => {
+            Response::DialingMailbox { filter, next_round } => {
                 e.put_u8(RESP_DIALING_MAILBOX);
-                e.put_var_bytes(filter);
+                crate::cdn::put_dialing_blob(e, filter, next_round.as_ref());
             }
             Response::RoundClosed(stats) => {
                 e.put_u8(RESP_ROUND_CLOSED);
@@ -1262,20 +1322,7 @@ impl Response {
                     rate_limited,
                 })
             }
-            RESP_DIALING_ROUND => {
-                let round = Round(d.get_u64("round")?);
-                let num_mailboxes = d.get_u32("num mailboxes")?;
-                let onion_len = d.get_u32("onion len")?;
-                let rate_limited = get_bool(d, "rate limited flag")?;
-                let onion_keys = get_point_list(d, MAX_CHAIN_KEYS, "onion keys")?;
-                Response::DialingRoundInfo(DialingRoundWire {
-                    round,
-                    onion_keys,
-                    num_mailboxes,
-                    onion_len,
-                    rate_limited,
-                })
-            }
+            RESP_DIALING_ROUND => Response::DialingRoundInfo(get_dialing_round(d)?),
             RESP_IDENTITY_KEYS => {
                 let count = d.get_u16("identity key count")? as usize;
                 if count > MAX_PKG_KEYS || count * (G2_LEN + SIGNATURE_LEN) > d.remaining() {
@@ -1311,9 +1358,13 @@ impl Response {
                 }
                 Response::AddFriendMailbox { contents }
             }
-            RESP_DIALING_MAILBOX => Response::DialingMailbox {
-                filter: d.get_var_bytes("dialing filter")?.to_vec(),
-            },
+            RESP_DIALING_MAILBOX => {
+                let (filter, next_round) = crate::cdn::get_dialing_blob(d)?;
+                Response::DialingMailbox {
+                    filter: filter.to_vec(),
+                    next_round,
+                }
+            }
             RESP_ROUND_CLOSED => Response::RoundClosed(RoundStatsWire {
                 client_messages: d.get_u64("client messages")?,
                 total_noise: d.get_u64("total noise")?,
@@ -1378,6 +1429,7 @@ mod tests {
             },
             Request::SubmitDialing {
                 round: Round(9),
+                num_mailboxes: 12,
                 onion: vec![7u8; 50],
                 token: Some(RateLimitToken {
                     serial: [8u8; RATE_LIMIT_SERIAL_LEN],
@@ -1444,6 +1496,17 @@ mod tests {
             },
             Response::DialingMailbox {
                 filter: vec![8u8; 64],
+                next_round: None,
+            },
+            Response::DialingMailbox {
+                filter: vec![8u8; 64],
+                next_round: Some(DialingRoundWire {
+                    round: Round(5),
+                    onion_keys: vec![[2u8; G1_LEN]; 3],
+                    num_mailboxes: 16,
+                    onion_len: 228,
+                    rate_limited: true,
+                }),
             },
             Response::RoundClosed(RoundStatsWire {
                 client_messages: 10,
@@ -1463,6 +1526,10 @@ mod tests {
             }),
             Response::Error(RpcError::UnknownMailbox),
             Response::Error(RpcError::CommitmentMismatch { pkg_index: 2 }),
+            Response::Error(RpcError::StaleRoundInfo {
+                expected: 2,
+                actual: 1,
+            }),
             Response::Error(RpcError::Pkg {
                 code: 3,
                 detail: "identity not registered".into(),

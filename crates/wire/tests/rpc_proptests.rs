@@ -1,15 +1,19 @@
 //! Property tests for the RPC codec and the frame layer.
 //!
 //! Round-trips cover every `Request` and `Response` variant (batches of one
-//! to three members included), and every `MixerRequest` and `CdnRequest`
-//! variant the `mixd`/`cdnd` daemons decode, with generated payloads, and
-//! every strict prefix of each encoding is rejected; the adversarial suite feeds truncated frames and
-//! messages, bad version bytes, corrupted checksums, oversized length
-//! prefixes, and arbitrary byte soup to the decoders, which must fail cleanly
-//! (typed errors) and never panic.
+//! to three members included), every `MixerRequest` and `CdnRequest`
+//! variant the `mixd`/`cdnd` daemons decode, and the dialing mailbox blob,
+//! with generated payloads, and every strict prefix of each encoding is
+//! rejected; the adversarial suite feeds truncated frames and messages, bad
+//! version bytes, corrupted checksums, oversized length prefixes, arbitrary
+//! byte soup and single bit flips to the decoders, which must fail cleanly
+//! (typed errors) and never panic. Below the frame, a flipped bit either
+//! fails to decode or decodes to a different message that encodes back to
+//! exactly the flipped bytes: no decoder accepts a non-canonical encoding.
 
 use proptest::prelude::*;
 
+use alpenhorn_wire::cdn::{decode_dialing_blob, encode_dialing_blob};
 use alpenhorn_wire::rpc::{
     AddFriendRoundWire, DialingRoundWire, IdentityKeyShareWire, RoundStatsWire,
     RATE_LIMIT_SERIAL_LEN,
@@ -71,6 +75,7 @@ fn all_requests(
         },
         Request::SubmitDialing {
             round: Round(round),
+            num_mailboxes: u32::from(fill) + 1,
             onion: vec![fill.wrapping_add(3); onion_len],
             token,
         },
@@ -121,13 +126,7 @@ fn all_responses(round: u64, fill: u8, counts: (usize, usize), detail: String) -
             onion_len: 500,
             rate_limited: fill.is_multiple_of(2),
         }),
-        Response::DialingRoundInfo(DialingRoundWire {
-            round: Round(round),
-            onion_keys: vec![[fill; G1_LEN]; num_keys],
-            num_mailboxes: fill as u32 + 1,
-            onion_len: 228,
-            rate_limited: !fill.is_multiple_of(2),
-        }),
+        Response::DialingRoundInfo(dialing_round(round, fill, num_keys)),
         Response::IdentityKeys(vec![
             IdentityKeyShareWire {
                 identity_key: [fill; G2_LEN],
@@ -143,6 +142,11 @@ fn all_responses(round: u64, fill: u8, counts: (usize, usize), detail: String) -
         },
         Response::DialingMailbox {
             filter: vec![fill; num_entries * 8 + 20],
+            next_round: None,
+        },
+        Response::DialingMailbox {
+            filter: vec![fill; num_entries * 8 + 20],
+            next_round: Some(dialing_round(round, fill, num_keys)),
         },
         Response::RoundClosed(RoundStatsWire {
             client_messages: round,
@@ -175,6 +179,10 @@ fn all_responses(round: u64, fill: u8, counts: (usize, usize), detail: String) -
         RpcError::UnknownMailbox,
         RpcError::CommitmentMismatch {
             pkg_index: fill as u32,
+        },
+        RpcError::StaleRoundInfo {
+            expected: u32::from(fill) + 1,
+            actual: u32::from(fill),
         },
         RpcError::Pkg {
             code: fill,
@@ -218,6 +226,77 @@ fn all_responses(round: u64, fill: u8, counts: (usize, usize), detail: String) -
     ]));
     responses.extend(errors.into_iter().map(Response::Error));
     responses
+}
+
+fn dialing_round(round: u64, fill: u8, num_keys: usize) -> DialingRoundWire {
+    DialingRoundWire {
+        round: Round(round),
+        onion_keys: vec![[fill; G1_LEN]; num_keys],
+        num_mailboxes: fill as u32 + 1,
+        onion_len: 228,
+        rate_limited: !fill.is_multiple_of(2),
+    }
+}
+
+/// The bit-flip property below the frame: `encoded` with bit `bit`
+/// flipped either fails to decode, or decodes to a message other than
+/// `original` whose encoding is exactly the flipped bytes.
+fn flipped_is_rejected_or_canonical<T: PartialEq + std::fmt::Debug>(
+    original: &T,
+    encoded: &[u8],
+    bit: usize,
+    decode: impl Fn(&[u8]) -> Result<T, WireError>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) -> Result<(), TestCaseError> {
+    let bit = bit % (encoded.len() * 8);
+    let mut flipped = encoded.to_vec();
+    flipped[bit / 8] ^= 1 << (bit % 8);
+    if let Ok(decoded) = decode(&flipped) {
+        prop_assert!(&decoded != original, "bit {bit} flip went unnoticed");
+        prop_assert!(
+            encode(&decoded) == flipped,
+            "non-canonical decode after bit {bit}: {decoded:?}"
+        );
+    }
+    Ok(())
+}
+
+/// One of every `MixerResponse` variant (the `mixd` → coordinator surface).
+fn all_mixer_responses(fill: u8, onions: usize, detail: String) -> Vec<MixerResponse> {
+    vec![
+        MixerResponse::RoundKey([fill; G1_LEN]),
+        MixerResponse::Processed {
+            batch: vec![vec![fill; 40]; onions],
+            noise_added: u64::from(fill) * 3,
+            dropped: u64::from(fill),
+        },
+        MixerResponse::Ack,
+        MixerResponse::Error(detail),
+    ]
+}
+
+/// One of every `CdnResponse` variant (the `cdnd` → coordinator/client
+/// surface) but telemetry.
+fn all_cdn_responses(round: u64, fill: u8, shard_len: usize, detail: String) -> Vec<CdnResponse> {
+    vec![
+        CdnResponse::Ack,
+        CdnResponse::Shard {
+            header: ShardHeader {
+                data_shards: 3,
+                parity_shards: 1,
+                blob_len: round,
+            },
+            shard: vec![fill; shard_len],
+        },
+        CdnResponse::NotFound,
+        CdnResponse::Stats {
+            shards_stored: round,
+            bytes_stored: round.wrapping_mul(3),
+            shard_fetches: u64::from(fill),
+            bytes_served: round.wrapping_add(7),
+        },
+        CdnResponse::Error(detail),
+    ]
 }
 
 fn round_kind(fill: u8) -> RoundKind {
@@ -344,6 +423,7 @@ proptest! {
         let _ = MixerResponse::decode(&bytes);
         let _ = CdnRequest::decode(&bytes);
         let _ = CdnResponse::decode(&bytes);
+        let _ = decode_dialing_blob(&bytes);
         // The same bytes behind a batch header (tag + member count), so the
         // member loop sees them too.
         let request_batch = Request::Batch(vec![Request::GetAddFriendRoundInfo]).encode();
@@ -381,6 +461,88 @@ proptest! {
                 prop_assert!(CdnRequest::decode(&encoded[..cut]).is_err(), "{request:?} cut at {cut}");
             }
             prop_assert_eq!(CdnRequest::decode(&encoded).unwrap(), request);
+        }
+    }
+
+    #[test]
+    fn dialing_blob_round_trips_and_rejects_every_strict_prefix(
+        round in any::<u64>(),
+        fill in any::<u8>(),
+        filter_len in 0usize..96,
+        num_keys in 0usize..5,
+        announced in any::<bool>(),
+    ) {
+        let filter = vec![fill; filter_len];
+        let next_round = announced.then(|| dialing_round(round, fill, num_keys));
+        let blob = encode_dialing_blob(&filter, next_round.as_ref());
+        for cut in 0..blob.len() {
+            prop_assert!(decode_dialing_blob(&blob[..cut]).is_err(), "cut at {}", cut);
+        }
+        let (decoded, decoded_next) = decode_dialing_blob(&blob).unwrap();
+        prop_assert_eq!(decoded, &filter[..]);
+        prop_assert_eq!(&decoded_next, &next_round);
+        // The origin's reply is the tag followed by the very same bytes.
+        let reply = Response::DialingMailbox { filter, next_round };
+        prop_assert_eq!(&reply.encode()[1..], &blob[..]);
+    }
+
+    #[test]
+    fn bit_flips_in_dialing_encodings_are_rejected_or_canonical(
+        round in any::<u64>(),
+        fill in any::<u8>(),
+        filter_len in 0usize..64,
+        num_keys in 0usize..4,
+        bit in any::<usize>(),
+    ) {
+        let filter = vec![fill; filter_len];
+        for next_round in [None, Some(dialing_round(round, fill, num_keys))] {
+            let parts = (filter.clone(), next_round.clone());
+            let blob = encode_dialing_blob(&filter, next_round.as_ref());
+            flipped_is_rejected_or_canonical(
+                &parts,
+                &blob,
+                bit,
+                |bytes| decode_dialing_blob(bytes).map(|(f, n)| (f.to_vec(), n)),
+                |(f, n)| encode_dialing_blob(f, n.as_ref()),
+            )?;
+            let reply = Response::DialingMailbox { filter: filter.clone(), next_round };
+            flipped_is_rejected_or_canonical(&reply, &reply.encode(), bit, Response::decode, Response::encode)?;
+        }
+        for token in [None, Some(RateLimitToken {
+            serial: [fill; RATE_LIMIT_SERIAL_LEN],
+            signature: [fill.wrapping_add(1); SIGNATURE_LEN],
+        })] {
+            let submit = Request::SubmitDialing {
+                round: Round(round),
+                num_mailboxes: u32::from(fill),
+                onion: vec![fill; filter_len],
+                token,
+            };
+            flipped_is_rejected_or_canonical(&submit, &submit.encode(), bit, Request::decode, Request::encode)?;
+        }
+    }
+
+    #[test]
+    fn bit_flips_in_mixer_and_cdn_messages_are_rejected_or_canonical(
+        round in any::<u64>(),
+        fill in any::<u8>(),
+        keys in 0usize..4,
+        onions in 0usize..4,
+        len in 0usize..48,
+        detail in "[ -~]{0,24}",
+        bit in any::<usize>(),
+    ) {
+        for request in all_mixer_requests(round, fill, keys, (onions, len)) {
+            flipped_is_rejected_or_canonical(&request, &request.encode(), bit, MixerRequest::decode, MixerRequest::encode)?;
+        }
+        for response in all_mixer_responses(fill, onions, detail.clone()) {
+            flipped_is_rejected_or_canonical(&response, &response.encode(), bit, MixerResponse::decode, MixerResponse::encode)?;
+        }
+        for request in all_cdn_requests(round, fill, len) {
+            flipped_is_rejected_or_canonical(&request, &request.encode(), bit, CdnRequest::decode, CdnRequest::encode)?;
+        }
+        for response in all_cdn_responses(round, fill, len, detail.clone()) {
+            flipped_is_rejected_or_canonical(&response, &response.encode(), bit, CdnResponse::decode, CdnResponse::encode)?;
         }
     }
 

@@ -5,8 +5,8 @@
 //! [`ClientEvent`] sequence as an uncrashed run — previously registered
 //! clients complete the add-friend handshake and a dial against the
 //! recovered deployment, byte-identically. Event equality cannot see a
-//! wrong PKG ratchet or a reused onion key (clients fetch fresh keys every
-//! round), so the round infos served after the restart — `pkg_publics` and
+//! wrong PKG ratchet or a reused onion key (clients learn each round's keys
+//! afresh, from the round info or the previous dialing mailbox), so the round infos served after the restart — `pkg_publics` and
 //! `onion_keys` — must match the uncrashed run's too.
 //!
 //! Two deployment shapes run the same scenario:
@@ -535,6 +535,140 @@ fn restart_never_reuses_an_earlier_rounds_onion_keys() {
     }
     let _ = std::fs::remove_dir_all(twin_dir);
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A restart between `CloseDialingRound(r)` and `BeginDialingRound(r + 1)`
+/// loses the announcement held in memory, but recovery resumes the dialing
+/// chain at the announced round's chain round, so the begin re-derives the
+/// keys the clients were told — also after an announced round was skipped,
+/// whose chain round the journal counts so it is never reopened. Runs once
+/// recovering from a compacted snapshot and once replaying the WAL.
+#[test]
+fn restart_after_a_dialing_close_reopens_the_announced_keys() {
+    for (tag, storage) in [
+        ("snapshot", SMALL_CHECKPOINTS),
+        ("wal", StorageConfig::default()),
+    ] {
+        let dir = tmpdir(&format!("announced-keys-{tag}"));
+        let open = || {
+            let (service, _) = CoordinatorService::with_storage(
+                Cluster::new(ClusterConfig::test(RATCHET_SEED)),
+                ServiceConfig::default(),
+                &dir,
+                storage,
+            )
+            .expect("durable service opens");
+            service
+        };
+        let mut service = open();
+        let first = dialing_round(&mut service, 1);
+        // The announced round 2 is skipped: round 3 opens instead.
+        let third = dialing_round(&mut service, 3);
+        let announced = service.cluster().announced_dialing_info().unwrap().clone();
+        assert_eq!(announced.round, Round(4));
+        drop(service);
+
+        let mut service = open();
+        let fourth = dialing_round(&mut service, 4);
+        let announced_keys: Vec<_> = announced.onion_keys.iter().map(|k| k.to_bytes()).collect();
+        assert_eq!(
+            fourth.onion_keys, announced_keys,
+            "recovered from the {tag}"
+        );
+        for earlier in [&first, &third] {
+            assert_ne!(fourth.onion_keys, earlier.onion_keys);
+        }
+        drop(service);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Counts the requests a client sends.
+struct Counted {
+    inner: LoopbackTransport,
+    calls: usize,
+}
+
+impl Transport for Counted {
+    fn call(&mut self, request: Request) -> Result<Response, alpenhorn::TransportError> {
+        self.calls += 1;
+        self.inner.call(request)
+    }
+}
+
+/// Clients that scanned dialing round 1 hold round 2's announced info
+/// across a coordinator restart. A recovered begin of the announced size
+/// accepts it: one crossing per participation. A resized one refuses it
+/// with the typed stale count, and each client fetches the round info and
+/// resubmits: three. Either way every submission is mixed, none dropped.
+#[test]
+fn announced_dialing_info_survives_a_restart_or_falls_back() {
+    for (resized, crossings) in [(false, 1), (true, 3)] {
+        let dir = tmpdir(&format!("announced-restart-{resized}"));
+        let open = || {
+            let (service, _) = CoordinatorService::with_storage(
+                Cluster::new(ClusterConfig::test(SCENARIO_SEED)),
+                ServiceConfig::default(),
+                &dir,
+                StorageConfig::default(),
+            )
+            .expect("durable service opens");
+            service
+        };
+        let net = LoopbackTransport::with_service(open());
+        let mut admin_net = net.clone();
+        let mut users = clients(&mut admin_net, 2);
+        for user in &mut users {
+            user.register(&mut admin_net).unwrap();
+        }
+        let dial = |net: &mut LoopbackTransport, round: u64, expected_real: u64| {
+            admin(
+                net,
+                Request::BeginDialingRound {
+                    round: Round(round),
+                    expected_real,
+                },
+            )
+        };
+        dial(&mut admin_net, 1, 1);
+        for user in &mut users {
+            user.participate_dialing(&mut admin_net.clone()).unwrap();
+        }
+        admin(
+            &mut admin_net,
+            Request::CloseDialingRound { round: Round(1) },
+        );
+        for user in &mut users {
+            user.process_dialing_mailbox(&mut admin_net.clone())
+                .unwrap();
+            assert_eq!(user.announced_dialing_round(), Some(Round(2)));
+        }
+
+        net.restart_with(open);
+        dial(&mut admin_net, 2, if resized { 1000 } else { 1 });
+        for user in &mut users {
+            let mut counted = Counted {
+                inner: net.clone(),
+                calls: 0,
+            };
+            user.participate_dialing(&mut counted).unwrap();
+            assert_eq!(counted.calls, crossings, "resized = {resized}");
+        }
+        let Response::RoundClosed(stats) = admin(
+            &mut admin_net,
+            Request::CloseDialingRound { round: Round(2) },
+        ) else {
+            panic!("round 2 closes");
+        };
+        assert_eq!(stats.client_messages, 2);
+        assert_eq!(
+            stats.final_messages,
+            2 + stats.total_noise,
+            "no onion dropped"
+        );
+        drop(net);
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// After several add-friend opens no file in the data dir holds a

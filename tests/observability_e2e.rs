@@ -342,6 +342,31 @@ fn telemetry_links_rounds_across_all_process_types() {
         assert_eq!(waited(rpc), 0, "{rpc} takes no service lock");
     }
 
+    // Round-info accounting: a dialing participation takes its round info
+    // from the previous mailbox's announcement or from one
+    // `GetDialingRoundInfo` call, and then submits once. Only the first
+    // dialing round has nothing announced, and every round here opens with
+    // the same size, so no announcement is refused.
+    let round_info = |source: &str| {
+        d(&format!(
+            "client_dialing_round_info_total{{source=\"{source}\"}}"
+        ))
+    };
+    assert_eq!(
+        round_info("fetched"),
+        dispatched("get_dialing_round_info"),
+        "every fetched round info is one coordinator call"
+    );
+    assert!(
+        round_info("announced") > 0,
+        "no participation used an announcement"
+    );
+    assert_eq!(
+        round_info("announced") + round_info("fetched"),
+        dispatched("submit_dialing")
+    );
+    assert_eq!(d("coordinator_dialing_stale_info_total"), 0);
+
     coordinator.shutdown();
     for daemon in cdnds.into_iter().chain(mixds) {
         daemon.shutdown();

@@ -4,9 +4,6 @@
 //!   in-process [`MixChain`] vs the same batch through [`RemoteMixChain`]
 //!   over loopback mixers (full wire codec both ways — the bytes a TCP
 //!   deployment exchanges, minus the socket).
-//! * **Round pipelining** — 4 rounds pushed through `mix_rounds` at pipeline
-//!   depth 1 vs depth 3: overlapping rounds across chain stages is the
-//!   latency lever `docs/DISTRIBUTION.md` describes.
 //! * **Erasure + fleet** — shift-XOR encode of a mailbox blob at the
 //!   deployed 3+1 shape, publish to a 4-node loopback fleet, fetch with all
 //!   nodes up (straight data-shard concatenation) and with one data node
@@ -23,7 +20,7 @@ use alpenhorn_cdn::{LoopbackNode, NodeClient, ShardedCdn};
 use alpenhorn_crypto::ChaChaRng;
 use alpenhorn_erasure::{encode, reconstruct, CodeParams};
 use alpenhorn_ibe::dh::DhPublic;
-use alpenhorn_mixd::{chain_seed, LoopbackMixer, MixRoundInput, Mixer, RemoteMixChain};
+use alpenhorn_mixd::{chain_seed, LoopbackMixer, Mixer, RemoteMixChain};
 use alpenhorn_mixnet::onion::wrap_onion;
 use alpenhorn_mixnet::{MixChain, NoiseConfig};
 use alpenhorn_sim::Table;
@@ -87,7 +84,7 @@ fn remote_chain() -> RemoteMixChain {
 fn main() {
     alpenhorn_bench::print_header(
         "Distributed round snapshot",
-        "remote mix chain vs in-process, round pipelining, and erasure-coded CDN fleet (docs/DISTRIBUTION.md)",
+        "remote mix chain vs in-process, and erasure-coded CDN fleet (docs/DISTRIBUTION.md)",
     );
     let budget = sample_budget();
     let batch_size = if smoke() { 16 } else { 96 };
@@ -125,37 +122,6 @@ fn main() {
             remote.end_round().expect("round ends");
         }),
     ));
-
-    // ---- Pipelining: 4 rounds through mix_rounds at depth 1 vs 3 ----
-    let pipeline_rounds = 4u64;
-    for depth in [1usize, 3] {
-        let mut chain = remote_chain();
-        chain.set_pipeline_depth(depth);
-        let mut next_round = 1u64;
-        metrics.push((
-            format!("pipelined_{pipeline_rounds}rounds_depth{depth}_ns"),
-            measure_ns(budget, || {
-                let rounds: Vec<u64> = (next_round..next_round + pipeline_rounds).collect();
-                next_round += pipeline_rounds;
-                let inputs: Vec<MixRoundInput> = rounds
-                    .iter()
-                    .map(|&r| {
-                        let publics = chain.begin_round_for(Round(r)).expect("round opens");
-                        MixRoundInput {
-                            round: Round(r),
-                            batch: batch_for(r, &publics, batch_size),
-                            num_mailboxes: NUM_MAILBOXES,
-                            publics,
-                        }
-                    })
-                    .collect();
-                criterion::black_box(chain.mix_rounds(inputs).expect("rounds run"));
-                for &r in &rounds {
-                    chain.end_round_for(Round(r)).expect("round ends");
-                }
-            }),
-        ));
-    }
 
     // ---- Erasure code + CDN fleet at the deployed 3+1 shape ----
     let params = CodeParams::new(3, 1);

@@ -111,7 +111,6 @@ fn main() {
     // The snapshot-served read path is the coordinator's hottest RPC; a
     // round-scoped fetch additionally opens a span per dispatch.
     let shared = open_round(100);
-    let corr = alpenhorn_obs::correlation_id(RoundKind::AddFriend.code(), 1);
 
     // The client-visible denominator: one framed RPC over localhost TCP
     // against a served coordinator (instrumentation on — it always is).
@@ -144,7 +143,7 @@ fn main() {
             criterion::black_box(response.encode());
         });
         let instrumented = measure_ns(budget, || {
-            criterion::black_box(shared.respond(&payload, Some(corr)));
+            criterion::black_box(shared.respond(&payload));
         });
         let tax = instrumented - bare;
         let pct = tax / tcp_rpc * 100.0;

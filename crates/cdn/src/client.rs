@@ -139,13 +139,8 @@ impl NodeClient for TcpNode {
             )?,
         };
         let stream = self.stream.insert(stream);
-        // Round-scoped requests carry the round's correlation id in the
-        // frame's telemetry field so the node's span joins the round trace.
-        let correlation = request
-            .round_scope()
-            .map(|(kind, round)| alpenhorn_obs::correlation_id(kind.code(), round.0));
         let result: Result<CdnResponse, CdnError> = (|| {
-            Frame::write_to_with_telemetry(stream, &request.encode(), correlation)?;
+            Frame::write_to(stream, &request.encode())?;
             let response = Frame::read_from(stream)?;
             Ok(CdnResponse::decode(&response)?)
         })();

@@ -224,22 +224,21 @@ impl CdnNodeState {
 }
 
 impl Exclusive for CdnNodeState {
-    /// Round-scoped requests record a node-side span under `correlation`
-    /// (or the round's own id when the peer sent a plain frame), so one
-    /// add-friend round can be traced from the coordinator into every node
-    /// that stored or served its shards. Undecodable payloads come back as
-    /// encoded [`CdnResponse::Error`]s, keeping the connection alive and
-    /// aligned.
-    fn respond(&mut self, payload: &[u8], correlation: Option<u64>) -> Vec<u8> {
+    /// Round-scoped requests record a node-side span under the correlation
+    /// id of their `(protocol, round)`, so one add-friend round can be traced
+    /// from the coordinator into every node that stored or served its
+    /// shards. Undecodable payloads come back as encoded
+    /// [`CdnResponse::Error`]s, keeping the connection alive and aligned.
+    fn respond(&mut self, payload: &[u8]) -> Vec<u8> {
         match CdnRequest::decode(payload) {
             Ok(request) => {
-                let correlation = correlation.or_else(|| {
-                    request
-                        .round_scope()
-                        .map(|(kind, round)| alpenhorn_obs::correlation_id(kind.code(), round.0))
+                let _span = request.round_scope().map(|(kind, round)| {
+                    SpanGuard::begin(
+                        SPAN_COMPONENT,
+                        request.name(),
+                        alpenhorn_obs::correlation_id(kind.code(), round.0),
+                    )
                 });
-                let _span =
-                    correlation.map(|corr| SpanGuard::begin(SPAN_COMPONENT, request.name(), corr));
                 self.handle(request)
             }
             Err(e) => CdnResponse::Error(format!("undecodable cdn request: {e}")),
@@ -443,7 +442,7 @@ mod tests {
     #[test]
     fn undecodable_requests_keep_the_node_alive() {
         let mut node = CdnNodeState::new();
-        let bytes = node.respond(&[0xff, 0x01], None);
+        let bytes = node.respond(&[0xff, 0x01]);
         assert!(matches!(
             CdnResponse::decode(&bytes).unwrap(),
             CdnResponse::Error(_)

@@ -575,7 +575,7 @@ impl Cluster {
     /// `dialing` rounds, so a restarted coordinator does not re-open round
     /// ids — and with them onion keys — that earlier processes already
     /// served. Call during recovery, before any round opens.
-    pub fn resume_mix_rounds(&mut self, add_friend: u64, dialing: u64) {
+    pub fn resume_mix_chains(&mut self, add_friend: u64, dialing: u64) {
         self.add_friend_chain.resume_at(add_friend);
         self.dialing_chain.resume_at(dialing);
     }

@@ -50,15 +50,15 @@ pub const SHED_RETRY_AFTER_MS: u32 = 200;
 /// Dispatches `request` through [`SharedCoordinator::handle`], timing it
 /// into `coordinator_rpc_latency_us`, counting it by outcome in
 /// `coordinator_rpc_total` and — when round-scoped — recording a coordinator
-/// span under `correlation`. A batch goes through the same member loop as
+/// span under the round's correlation id. A batch goes through the same member loop as
 /// `handle` ([`run_batch`]) with each member observed on its own, under its
 /// own `rpc` label, so per-RPC counts and latencies mean the same whether or
 /// not a client batched.
-fn observed(shared: &SharedCoordinator, request: Request, correlation: Option<u64>) -> Response {
+fn observed(shared: &SharedCoordinator, request: Request) -> Response {
     if let Request::Batch(members) = request {
-        return run_batch(members, |member| observed(shared, member, correlation));
+        return run_batch(members, |member| observed(shared, member));
     }
-    let observation = crate::telemetry::begin_rpc(&request, correlation);
+    let observation = crate::telemetry::begin_rpc(&request);
     let response = shared.handle(request);
     crate::telemetry::finish_rpc(observation, &response);
     response
@@ -67,11 +67,11 @@ fn observed(shared: &SharedCoordinator, request: Request, correlation: Option<u6
 impl Handler for SharedCoordinator {
     /// Decodes, dispatches through [`SharedCoordinator::handle`] and encodes
     /// (see `observed`).
-    fn respond(&self, payload: &[u8], correlation: Option<u64>) -> Vec<u8> {
+    fn respond(&self, payload: &[u8]) -> Vec<u8> {
         let in_flight = &server_metrics().requests_in_flight;
         in_flight.add(1);
         let response = match Request::decode(payload) {
-            Ok(request) => observed(self, request, correlation),
+            Ok(request) => observed(self, request),
             Err(e) => Response::Error(RpcError::BadRequest {
                 detail: format!("undecodable request: {e}"),
             }),
@@ -173,7 +173,7 @@ mod tests {
         );
         let before = answered.get();
         let batch = Request::Batch(vec![Request::GetAddFriendRoundInfo; 2]);
-        let reply = Response::decode(&shared.respond(&batch.encode(), None)).unwrap();
+        let reply = Response::decode(&shared.respond(&batch.encode())).unwrap();
         assert!(matches!(reply, Response::Batch(replies) if replies.len() == 2));
         assert_eq!(answered.get() - before, 2);
         assert!(!alpenhorn_obs::global().expose().contains(r#"rpc="batch""#));

@@ -137,7 +137,7 @@ impl CoordinatorService {
         persist::recover_ratchets(data_dir, state)?;
         state
             .cluster
-            .resume_mix_rounds(state.add_friend_opens, state.dialing_opens);
+            .resume_mix_chains(state.add_friend_opens, state.dialing_opens);
         Ok((CoordinatorService { core }, report))
     }
 
@@ -763,7 +763,7 @@ mod tests {
             Response::Error(RpcError::BadRequest { .. })
         ));
         // Undecodable request bytes still get an encoded, typed reply.
-        let reply = shared.respond(&[0xde, 0xad, 0xbe, 0xef], None);
+        let reply = shared.respond(&[0xde, 0xad, 0xbe, 0xef]);
         assert!(matches!(
             Response::decode(&reply).unwrap(),
             Response::Error(RpcError::BadRequest { .. })

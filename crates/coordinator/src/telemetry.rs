@@ -50,16 +50,17 @@ pub(crate) struct RpcObservation {
 
 /// Starts observing one decoded request: picks the latency histogram for its
 /// kind and, for round-scoped requests, opens a coordinator span under the
-/// wire-carried correlation id (falling back to the locally derived one, so
-/// a request sent in a plain frame still traces correctly).
-pub(crate) fn begin_rpc(request: &Request, wire_correlation: Option<u64>) -> RpcObservation {
+/// correlation id derived from the request's `(protocol, round)` — the id
+/// every other hop of that round derives alike.
+pub(crate) fn begin_rpc(request: &Request) -> RpcObservation {
     let rpc = request.name();
-    let span = request
-        .round_scope()
-        .map(|(kind, round)| {
-            wire_correlation.unwrap_or_else(|| alpenhorn_obs::correlation_id(kind.code(), round.0))
-        })
-        .map(|correlation| SpanGuard::begin(SPAN_COMPONENT, rpc, correlation));
+    let span = request.round_scope().map(|(kind, round)| {
+        SpanGuard::begin(
+            SPAN_COMPONENT,
+            rpc,
+            alpenhorn_obs::correlation_id(kind.code(), round.0),
+        )
+    });
     RpcObservation {
         latency: alpenhorn_obs::global().histogram("coordinator_rpc_latency_us", &[("rpc", rpc)]),
         rpc,

@@ -295,15 +295,7 @@ impl Transport for TcpTransport {
                 original: Box::new(original.clone()),
             });
         }
-        // Round-scoped requests carry their telemetry correlation id in the
-        // frame, so the server's dispatch span joins the same trace as the
-        // client's work on this round.
-        let correlation = request
-            .round_scope()
-            .map(|(kind, round)| alpenhorn_obs::correlation_id(kind.code(), round.0));
-        if let Err(e) =
-            Frame::write_to_with_telemetry(&mut self.stream, &request.encode(), correlation)
-        {
+        if let Err(e) = Frame::write_to(&mut self.stream, &request.encode()) {
             return Err(self.poison(e.into()));
         }
         let payload = match Frame::read_from(&mut self.stream) {

@@ -1,4 +1,4 @@
-//! A mix chain driven over [`Mixer`] handles, with cross-round pipelining.
+//! A mix chain driven over [`Mixer`] handles.
 //!
 //! [`RemoteMixChain`] mirrors the in-process
 //! [`MixChain`](alpenhorn_mixnet::MixChain) API — begin, run, end — over a
@@ -6,18 +6,13 @@
 //! connection to a `mixd` process. Because every mix server derives its
 //! round bytes from (seed, round id), the remote chain's output for a given
 //! round is byte-identical to the in-process chain's, regardless of
-//! transport, retries, or pipelining depth.
+//! transport or retries.
 //!
-//! The pipelining is the point of distribution: with N machines, mixer k
-//! can peel round r while mixer k+1 is still noising round r−1. [`mix_rounds`]
-//! runs one stage thread per mixer connected by bounded channels, so up to
-//! `pipeline_depth` rounds are in flight between adjacent stages and the
-//! chain's throughput approaches one round per slowest-stage interval
-//! instead of one round per whole-chain traversal.
-//!
-//! [`mix_rounds`]: RemoteMixChain::mix_rounds
+//! A round's batch passes the mixers one after another, exactly as in
+//! `MixChain`: a round's batch exists only once the round closes, so two
+//! rounds of one protocol are never in flight together and there is nothing
+//! to overlap.
 
-use std::sync::mpsc;
 use std::time::Instant;
 
 use alpenhorn_ibe::dh::DhPublic;
@@ -40,23 +35,6 @@ fn phase_histogram(
     )
 }
 
-/// One round's result from [`RemoteMixChain::mix_rounds`]: the fully mixed
-/// batch plus the same [`RoundStats`] the in-process chain would report.
-pub type MixRoundOutput = (Vec<Vec<u8>>, RoundStats);
-
-/// One round's worth of work for [`RemoteMixChain::mix_rounds`].
-pub struct MixRoundInput {
-    /// The round id (must already be open on every mixer).
-    pub round: Round,
-    /// The client onion batch.
-    pub batch: Vec<Vec<u8>>,
-    /// Mailbox count for noise generation.
-    pub num_mailboxes: u32,
-    /// The chain's onion keys for this round, in chain order — what
-    /// [`RemoteMixChain::begin_round`] returned.
-    pub publics: Vec<DhPublic>,
-}
-
 /// A chain of mix servers driven through [`Mixer`] handles.
 ///
 /// One instance drives one protocol's chain (add-friend or dialing); the
@@ -70,13 +48,9 @@ pub struct RemoteMixChain {
     noise: NoiseConfig,
     next_auto_round: u64,
     current_round: Option<u64>,
-    pipeline_depth: usize,
 }
 
 impl RemoteMixChain {
-    /// Default bound on rounds in flight between adjacent pipeline stages.
-    pub const DEFAULT_PIPELINE_DEPTH: usize = 2;
-
     /// Creates a chain over the given mixer handles, in chain order.
     /// Panics if `mixers` is empty, matching the in-process chain.
     pub fn new(protocol: RoundKind, mixers: Vec<Box<dyn Mixer>>, noise: NoiseConfig) -> Self {
@@ -90,7 +64,6 @@ impl RemoteMixChain {
             noise,
             next_auto_round: 0,
             current_round: None,
-            pipeline_depth: Self::DEFAULT_PIPELINE_DEPTH,
         }
     }
 
@@ -129,13 +102,6 @@ impl RemoteMixChain {
         &self.noise
     }
 
-    /// Bounds how many rounds may be in flight between adjacent pipeline
-    /// stages in [`mix_rounds`](Self::mix_rounds). Clamped to at least 1.
-    /// Depth changes scheduling only, never bytes.
-    pub fn set_pipeline_depth(&mut self, depth: usize) {
-        self.pipeline_depth = depth.max(1);
-    }
-
     /// Severs mixer `index`'s transport (the scenario engine's mixer-crash
     /// lever). The next call to that mixer reconnects and, because rounds
     /// replay byte-identically, recovery is invisible in the output.
@@ -149,9 +115,19 @@ impl RemoteMixChain {
     /// (idempotently), and [`end_round`](Self::end_round) still erases what
     /// the mixers that succeeded derived.
     pub fn begin_round(&mut self) -> Result<Vec<DhPublic>, MixdError> {
-        let round = self.next_auto_round;
-        self.current_round = Some(round);
-        let keys = self.begin_round_for(Round(round))?;
+        let round = Round(self.next_auto_round);
+        self.current_round = Some(round.0);
+        let protocol = self.protocol;
+        let _span = self.span("mix_begin", round);
+        let started = Instant::now();
+        // Idempotent on every mixer: a re-begin returns the identical keys.
+        let keys = self
+            .mixers
+            .iter_mut()
+            .map(|m| m.begin_round(protocol, round))
+            .collect::<Result<Vec<_>, _>>();
+        phase_histogram(protocol, "begin").observe_since(started);
+        let keys = keys?;
         self.next_auto_round += 1;
         Ok(keys)
     }
@@ -163,47 +139,29 @@ impl RemoteMixChain {
         self.next_auto_round = next_round;
     }
 
-    /// Opens an explicit round id on every mixer. Idempotent: re-begin after
-    /// a failure returns the identical keys.
-    pub fn begin_round_for(&mut self, round: Round) -> Result<Vec<DhPublic>, MixdError> {
-        let protocol = self.protocol;
-        let _span = SpanGuard::begin(
-            "coordinator",
-            "mix_begin",
-            alpenhorn_obs::correlation_id(protocol.code(), round.0),
-        );
-        let started = Instant::now();
-        let keys = self
-            .mixers
-            .iter_mut()
-            .map(|m| m.begin_round(protocol, round))
-            .collect();
-        phase_histogram(protocol, "begin").observe_since(started);
-        keys
-    }
-
-    /// Ends the current auto-numbered round on every mixer.
+    /// Ends the current auto-numbered round on every mixer (idempotent).
     pub fn end_round(&mut self) -> Result<(), MixdError> {
-        match self.current_round.take() {
-            Some(round) => self.end_round_for(Round(round)),
-            None => Ok(()),
-        }
-    }
-
-    /// Ends an explicit round id on every mixer (idempotent).
-    pub fn end_round_for(&mut self, round: Round) -> Result<(), MixdError> {
+        let Some(round) = self.current_round.take().map(Round) else {
+            return Ok(());
+        };
         let protocol = self.protocol;
-        let _span = SpanGuard::begin(
-            "coordinator",
-            "mix_end",
-            alpenhorn_obs::correlation_id(protocol.code(), round.0),
-        );
+        let _span = self.span("mix_end", round);
         let started = Instant::now();
         for mixer in &mut self.mixers {
             mixer.end_round(protocol, round)?;
         }
         phase_histogram(protocol, "end").observe_since(started);
         Ok(())
+    }
+
+    /// A coordinator span for one chain phase of `round`, under the round's
+    /// correlation id.
+    fn span(&self, name: &'static str, round: Round) -> SpanGuard {
+        SpanGuard::begin(
+            "coordinator",
+            name,
+            alpenhorn_obs::correlation_id(self.protocol.code(), round.0),
+        )
     }
 
     /// Runs a complete add-friend round against the current round's keys and
@@ -234,171 +192,47 @@ impl RemoteMixChain {
         Ok((DialingMailboxes::from_batch(&finals, num_mailboxes), stats))
     }
 
+    /// Passes `batch` through every mixer in chain order for the current
+    /// round, collecting the same [`RoundStats`] the in-process chain
+    /// reports. On a terminal mixer failure the call fails; because rounds
+    /// replay byte-identically, the caller may simply call again.
     fn mix_current(
         &mut self,
         batch: Vec<Vec<u8>>,
         num_mailboxes: u32,
         publics: &[DhPublic],
     ) -> Result<(Vec<Vec<u8>>, RoundStats), MixdError> {
-        let round = self
-            .current_round
-            .expect("process called without begin_round");
-        let mut out = self.mix_rounds(vec![MixRoundInput {
-            round: Round(round),
-            batch,
-            num_mailboxes,
-            publics: publics.to_vec(),
-        }])?;
-        Ok(out.pop().expect("one input yields one output"))
-    }
-
-    /// Pushes several rounds' batches through the chain concurrently: one
-    /// stage thread per mixer, bounded channels between stages, so mixer k
-    /// works on round r while mixer k+1 works on round r−1. Every round must
-    /// already be open ([`begin_round_for`](Self::begin_round_for)) on every
-    /// mixer. Results come back in input order, each with the same
-    /// [`RoundStats`] the in-process chain would report.
-    ///
-    /// On any terminal mixer failure the whole call fails; because rounds
-    /// replay byte-identically, the caller may simply call again with the
-    /// same inputs.
-    pub fn mix_rounds(
-        &mut self,
-        inputs: Vec<MixRoundInput>,
-    ) -> Result<Vec<MixRoundOutput>, MixdError> {
-        let rounds = inputs.len();
-        if rounds == 0 {
-            return Ok(Vec::new());
-        }
-        let protocol = self.protocol;
-        let noise = self.noise;
-        let depth = self.pipeline_depth.max(1);
-        let stages = self.mixers.len();
-
-        // One coordinator-side span per round in the call, all covering the
-        // pipelined traversal (per-daemon timing lives in the mixd spans).
-        let _round_spans: Vec<SpanGuard> = inputs
-            .iter()
-            .map(|input| {
-                SpanGuard::begin(
-                    "coordinator",
-                    "mix_process",
-                    alpenhorn_obs::correlation_id(protocol.code(), input.round.0),
-                )
-            })
-            .collect();
-        let process_started = Instant::now();
-        let stall_histogram = alpenhorn_obs::global().histogram(
-            "coordinator_mix_pipeline_stall_us",
-            &[("protocol", protocol.label())],
+        let round = Round(
+            self.current_round
+                .expect("process called without begin_round"),
         );
-
-        let client_counts: Vec<usize> = inputs.iter().map(|i| i.batch.len()).collect();
-        let mut meta = Vec::with_capacity(rounds);
-        let mut batches = Vec::with_capacity(rounds);
-        for (idx, input) in inputs.into_iter().enumerate() {
-            meta.push((input.round, input.num_mailboxes, input.publics));
-            batches.push((idx, input.batch));
+        let protocol = self.protocol;
+        let _span = self.span("mix_process", round);
+        let started = Instant::now();
+        let mut stats = RoundStats {
+            client_messages: batch.len(),
+            ..RoundStats::default()
+        };
+        let mut current = batch;
+        for (k, mixer) in self.mixers.iter_mut().enumerate() {
+            // Tolerate short key lists (e.g. a round that was never opened):
+            // the daemon answers with its own typed error.
+            let downstream = publics.get(k + 1..).unwrap_or(&[]);
+            let processed = mixer.process(
+                protocol,
+                round,
+                num_mailboxes,
+                &self.noise,
+                downstream,
+                current,
+            )?;
+            stats.noise_per_server.push(processed.noise_added);
+            stats.dropped_per_server.push(processed.dropped);
+            current = processed.batch;
         }
-        let meta = &meta;
-
-        type Item = (usize, Vec<Vec<u8>>);
-        // Per-stage outcome: (round input index, noise added, dropped).
-        type StageStats = Vec<(usize, u64, u64)>;
-
-        let (finals, stage_results) = std::thread::scope(|scope| {
-            let (first_tx, mut prev_rx) = mpsc::sync_channel::<Item>(depth);
-            let mut handles = Vec::with_capacity(stages);
-            for (k, mixer) in self.mixers.iter_mut().enumerate() {
-                let (tx, rx) = mpsc::sync_channel::<Item>(depth);
-                let rx_in = prev_rx;
-                prev_rx = rx;
-                let stage_stall = std::sync::Arc::clone(&stall_histogram);
-                handles.push(scope.spawn(move || -> Result<StageStats, MixdError> {
-                    let mut stats = StageStats::new();
-                    // Time this stage spends starved for upstream input or
-                    // blocked on downstream backpressure — the pipeline's
-                    // wasted wall-clock, one observation per stage per call.
-                    let mut stall_us = 0u64;
-                    loop {
-                        let waiting = Instant::now();
-                        let Ok((idx, batch)) = rx_in.recv() else {
-                            break;
-                        };
-                        stall_us += waiting.elapsed().as_micros() as u64;
-                        let (round, num_mailboxes, publics) = &meta[idx];
-                        // Tolerate short key lists (e.g. a round that was
-                        // never opened): the daemon answers with its own
-                        // typed error instead of this thread panicking.
-                        let downstream = publics.get(k + 1..).unwrap_or(&[]);
-                        let processed = mixer.process(
-                            protocol,
-                            *round,
-                            *num_mailboxes,
-                            &noise,
-                            downstream,
-                            batch,
-                        )?;
-                        stats.push((idx, processed.noise_added, processed.dropped));
-                        let blocked = Instant::now();
-                        if tx.send((idx, processed.batch)).is_err() {
-                            // The downstream stage died; its error is the
-                            // interesting one, reported at join time.
-                            break;
-                        }
-                        stall_us += blocked.elapsed().as_micros() as u64;
-                    }
-                    stage_stall.observe(stall_us);
-                    Ok(stats)
-                }));
-            }
-            // Feed from a dedicated thread so the main thread can drain the
-            // sink concurrently — with bounded channels everywhere, feeding
-            // and draining from one thread would deadlock past `depth`.
-            scope.spawn(move || {
-                for item in batches {
-                    if first_tx.send(item).is_err() {
-                        return;
-                    }
-                }
-            });
-            let mut finals: Vec<Option<Vec<Vec<u8>>>> = vec![None; rounds];
-            for (idx, batch) in prev_rx.iter() {
-                finals[idx] = Some(batch);
-            }
-            let stage_results: Vec<Result<StageStats, MixdError>> = handles
-                .into_iter()
-                .map(|h| h.join().expect("mix pipeline stage panicked"))
-                .collect();
-            (finals, stage_results)
-        });
-
-        let mut per_stage = Vec::with_capacity(stages);
-        for result in stage_results {
-            per_stage.push(result?);
-        }
-        let mut out = Vec::with_capacity(rounds);
-        for (idx, finals) in finals.into_iter().enumerate() {
-            let finals = finals
-                .ok_or_else(|| MixdError::Mixer("mix pipeline dropped a round".to_string()))?;
-            let mut stats = RoundStats {
-                client_messages: client_counts[idx],
-                final_messages: finals.len(),
-                ..RoundStats::default()
-            };
-            for stage in &per_stage {
-                let &(i, noise_added, dropped) = stage
-                    .iter()
-                    .find(|(i, _, _)| *i == idx)
-                    .ok_or_else(|| MixdError::Mixer("mix pipeline dropped a round".to_string()))?;
-                debug_assert_eq!(i, idx);
-                stats.noise_per_server.push(noise_added);
-                stats.dropped_per_server.push(dropped);
-            }
-            out.push((finals, stats));
-        }
-        phase_histogram(protocol, "process").observe_since(process_started);
-        Ok(out)
+        stats.final_messages = current.len();
+        phase_histogram(protocol, "process").observe_since(started);
+        Ok((current, stats))
     }
 }
 
@@ -440,54 +274,12 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_rounds_match_sequential_rounds() {
-        let noise = NoiseConfig::deterministic(1.0);
-        let mut sequential = RemoteMixChain::loopback(RoundKind::Dialing, 4, noise, SEED);
-        let mut pipelined = RemoteMixChain::loopback(RoundKind::Dialing, 4, noise, SEED);
-        pipelined.set_pipeline_depth(3);
-
-        // Open rounds 0..5 on both chains.
-        let mut publics = Vec::new();
-        for r in 0..5u64 {
-            let p = sequential.begin_round_for(Round(r)).unwrap();
-            assert_eq!(
-                p.iter().map(|k| k.to_bytes()).collect::<Vec<_>>(),
-                pipelined
-                    .begin_round_for(Round(r))
-                    .unwrap()
-                    .iter()
-                    .map(|k| k.to_bytes())
-                    .collect::<Vec<_>>()
-            );
-            publics.push(p);
-        }
-        let input = |r: u64, publics: &[Vec<DhPublic>]| MixRoundInput {
-            round: Round(r),
-            batch: vec![],
-            num_mailboxes: 3,
-            publics: publics[r as usize].clone(),
-        };
-        // One call per round vs one pipelined call for all five.
-        let mut one_by_one = Vec::new();
-        for r in 0..5u64 {
-            one_by_one.extend(sequential.mix_rounds(vec![input(r, &publics)]).unwrap());
-        }
-        let all_at_once = pipelined
-            .mix_rounds((0..5u64).map(|r| input(r, &publics)).collect())
-            .unwrap();
-        assert_eq!(one_by_one, all_at_once);
-    }
-
-    #[test]
-    fn mix_rounds_reports_closed_rounds_as_mixer_errors() {
+    fn mixing_a_closed_round_is_a_mixer_error() {
         let noise = NoiseConfig::deterministic(0.0);
         let mut chain = RemoteMixChain::loopback(RoundKind::AddFriend, 2, noise, SEED);
-        let err = chain.mix_rounds(vec![MixRoundInput {
-            round: Round(7),
-            batch: vec![],
-            num_mailboxes: 1,
-            publics: vec![],
-        }]);
+        // Round 7 was never opened on the mixers.
+        chain.current_round = Some(7);
+        let err = chain.run_add_friend_round(vec![], 1, &[]);
         assert!(
             matches!(&err, Err(MixdError::Mixer(d)) if d.contains("not open")),
             "{err:?}"
@@ -510,12 +302,5 @@ mod tests {
             local.end_round();
             remote.end_round().unwrap();
         }
-    }
-
-    #[test]
-    fn empty_input_is_a_no_op() {
-        let mut chain =
-            RemoteMixChain::loopback(RoundKind::AddFriend, 1, NoiseConfig::light(), SEED);
-        assert!(chain.mix_rounds(vec![]).unwrap().is_empty());
     }
 }

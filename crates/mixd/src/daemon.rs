@@ -111,25 +111,14 @@ impl MixdServer {
 
     /// Dispatches one request. Failures come back as
     /// [`MixerResponse::Error`], never a panic: a hostile or confused
-    /// coordinator must not kill the daemon.
+    /// coordinator must not kill the daemon. A round-scoped request is timed
+    /// and spanned under the correlation id of its `(protocol, round)`, the
+    /// id the coordinator's side of the round derives alike.
     pub fn handle(&mut self, request: MixerRequest) -> MixerResponse {
-        self.handle_with_correlation(request, None)
-    }
-
-    /// Like [`MixdServer::handle`], preferring the correlation id the
-    /// coordinator attached to the request frame over the locally derived
-    /// one. Both are the same pure function of (protocol, round), so a peer
-    /// that sends plain frames still produces correctly linked spans.
-    fn handle_with_correlation(
-        &mut self,
-        request: MixerRequest,
-        wire_correlation: Option<u64>,
-    ) -> MixerResponse {
         let metrics = daemon_metrics();
         let phase_timer = request.round_scope().map(|(protocol, round)| {
             let phase = request.name();
-            let correlation = wire_correlation
-                .unwrap_or_else(|| alpenhorn_obs::correlation_id(protocol.code(), round.0));
+            let correlation = alpenhorn_obs::correlation_id(protocol.code(), round.0);
             (
                 alpenhorn_obs::global().histogram(
                     "mixd_round_phase_us",
@@ -211,9 +200,9 @@ impl MixdServer {
 impl Exclusive for MixdServer {
     /// Undecodable payloads come back as encoded [`MixerResponse::Error`]s,
     /// keeping the connection alive and aligned.
-    fn respond(&mut self, payload: &[u8], correlation: Option<u64>) -> Vec<u8> {
+    fn respond(&mut self, payload: &[u8]) -> Vec<u8> {
         match MixerRequest::decode(payload) {
-            Ok(request) => self.handle_with_correlation(request, correlation),
+            Ok(request) => self.handle(request),
             Err(e) => MixerResponse::Error(format!("undecodable mixer request: {e}")),
         }
         .encode()
@@ -336,7 +325,7 @@ mod tests {
     #[test]
     fn undecodable_requests_keep_the_daemon_alive() {
         let mut daemon = MixdServer::new([7u8; 32], 1);
-        let bytes = daemon.respond(&[0xff, 0x00, 0x01], None);
+        let bytes = daemon.respond(&[0xff, 0x00, 0x01]);
         let response = MixerResponse::decode(&bytes).unwrap();
         assert!(matches!(response, MixerResponse::Error(_)));
     }

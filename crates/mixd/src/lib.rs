@@ -21,10 +21,10 @@
 //!   reconnect-and-retry, mirroring the client transport's recovery
 //!   policy).
 //! * [`RemoteMixChain`] — mirrors the in-process
-//!   [`MixChain`](alpenhorn_mixnet::MixChain) API over a row of [`Mixer`]s
-//!   and adds cross-round pipelining: mixer k peels round r while mixer
-//!   k+1 noises round r−1. Outputs are byte-identical to `MixChain` for
-//!   every mixer count and pipelining depth (`tests/loopback_equivalence`).
+//!   [`MixChain`](alpenhorn_mixnet::MixChain) API over a row of [`Mixer`]s,
+//!   passing each round's batch through them in chain order. Outputs are
+//!   byte-identical to `MixChain` for every mixer count and transport
+//!   (`tests/loopback_equivalence`).
 //!
 //! Seed derivation for daemons is shared with the coordinator via
 //! [`chain_seed`] and [`alpenhorn_mixnet::server_seed`], so a daemon given
@@ -39,7 +39,7 @@ pub mod error;
 pub mod mixer;
 pub mod seeds;
 
-pub use chain::{MixRoundInput, MixRoundOutput, RemoteMixChain};
+pub use chain::RemoteMixChain;
 pub use daemon::{server_config, MixdServer};
 pub use error::MixdError;
 pub use mixer::{LoopbackMixer, MixRetryPolicy, Mixer, ProcessedBatch, RemoteMixer};

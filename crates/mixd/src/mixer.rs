@@ -183,11 +183,7 @@ impl RemoteMixer {
         &self.addr
     }
 
-    fn exchange_once(
-        &mut self,
-        payload: &[u8],
-        correlation: Option<u64>,
-    ) -> Result<MixerResponse, MixdError> {
+    fn exchange_once(&mut self, payload: &[u8]) -> Result<MixerResponse, MixdError> {
         let stream = match self.stream.take() {
             Some(stream) => stream,
             None => connect(
@@ -198,7 +194,7 @@ impl RemoteMixer {
         };
         let stream = self.stream.insert(stream);
         let result: Result<MixerResponse, MixdError> = (|| {
-            Frame::write_to_with_telemetry(stream, payload, correlation)?;
+            Frame::write_to(stream, payload)?;
             let response = Frame::read_from(stream)?;
             Ok(MixerResponse::decode(&response)?)
         })();
@@ -220,18 +216,13 @@ impl RemoteMixer {
     }
 
     fn call(&mut self, request: MixerRequest) -> Result<MixerResponse, MixdError> {
-        // Round-scoped requests carry the round's correlation id in the
-        // frame's telemetry field so daemon-side spans join the round trace.
-        let correlation = request
-            .round_scope()
-            .map(|(protocol, round)| alpenhorn_obs::correlation_id(protocol.code(), round.0));
         let payload = request.encode();
         let mut last = None;
         for attempt in 1..=self.retry.max_attempts.max(1) {
             if attempt > 1 {
                 std::thread::sleep(self.retry.backoff(attempt - 1));
             }
-            match self.exchange_once(&payload, correlation) {
+            match self.exchange_once(&payload) {
                 Ok(response) => return Ok(response),
                 Err(e) if e.is_retryable() => last = Some(e),
                 Err(e) => return Err(e),

@@ -4,8 +4,8 @@
 //! [`RemoteMixChain`] over loopback mixers routes every request through the
 //! full wire codec — exactly the bytes a TCP deployment exchanges — so these
 //! properties pin the whole distribution surface: for any mixer count,
-//! pipelining depth, batch, and protocol, the mailboxes and round stats must
-//! equal what `MixChain` produces from the same cluster seed. A final
+//! batch, and protocol, the mailboxes and round stats must equal what
+//! `MixChain` produces from the same cluster seed. A final
 //! socket-level test runs the same comparison against real `mixd` daemons
 //! over TCP, including a mid-run disconnect to prove retry-recovery is
 //! invisible in the output.
@@ -17,13 +17,12 @@ use proptest::prelude::*;
 use alpenhorn_crypto::ChaChaRng;
 use alpenhorn_ibe::dh::DhPublic;
 use alpenhorn_mixd::{
-    chain_seed, server_config, MixRetryPolicy, MixRoundInput, MixdServer, Mixer, RemoteMixChain,
-    RemoteMixer,
+    chain_seed, server_config, MixRetryPolicy, MixdServer, Mixer, RemoteMixChain, RemoteMixer,
 };
 use alpenhorn_mixnet::onion::wrap_onion;
 use alpenhorn_mixnet::{MixChain, NoiseConfig};
 use alpenhorn_wire::server::serve;
-use alpenhorn_wire::{AddFriendEnvelope, DialRequest, DialToken, MailboxId, Round, RoundKind};
+use alpenhorn_wire::{AddFriendEnvelope, DialRequest, DialToken, MailboxId, RoundKind};
 
 const ROUNDS: u64 = 3;
 
@@ -66,8 +65,8 @@ fn batch_for(
         .collect()
 }
 
-/// Runs `ROUNDS` rounds on the in-process chain, one at a time (its only
-/// mode), returning per-round final mailboxes as comparable values.
+/// Runs `ROUNDS` rounds on the in-process chain, returning per-round final
+/// mailboxes as comparable values.
 #[allow(clippy::type_complexity)]
 fn run_in_process(
     protocol: RoundKind,
@@ -108,22 +107,19 @@ fn run_in_process(
         .collect()
 }
 
-/// Runs the same `ROUNDS` rounds through a [`RemoteMixChain`]: all rounds
-/// opened up front, mixed in one pipelined call, mailboxes built from the
-/// final batches.
+/// Runs the same `ROUNDS` rounds through a [`RemoteMixChain`], begin, run
+/// and end once per round, as the coordinator drives it.
 #[allow(clippy::type_complexity)]
 fn run_remote(
     mut chain: RemoteMixChain,
     protocol: RoundKind,
-    depth: usize,
     cluster_seed: [u8; 32],
     batch_size: usize,
     num_mailboxes: u32,
 ) -> Vec<(String, alpenhorn_mixnet::RoundStats)> {
-    chain.set_pipeline_depth(depth);
-    let inputs: Vec<MixRoundInput> = (0..ROUNDS)
+    (0..ROUNDS)
         .map(|round| {
-            let publics = chain.begin_round_for(Round(round)).unwrap();
+            let publics = chain.begin_round().unwrap();
             let batch = batch_for(
                 protocol,
                 round,
@@ -132,34 +128,25 @@ fn run_remote(
                 num_mailboxes,
                 cluster_seed[0],
             );
-            MixRoundInput {
-                round: Round(round),
-                batch,
-                num_mailboxes,
-                publics,
-            }
-        })
-        .collect();
-    let results = chain.mix_rounds(inputs).unwrap();
-    for round in 0..ROUNDS {
-        chain.end_round_for(Round(round)).unwrap();
-    }
-    results
-        .into_iter()
-        .map(|(finals, stats)| {
-            let key = match protocol {
+            let out = match protocol {
                 RoundKind::AddFriend => {
-                    let boxes =
-                        alpenhorn_mixnet::AddFriendMailboxes::from_batch(&finals, num_mailboxes);
-                    format!("{:?}", boxes.mailboxes)
+                    let (boxes, stats) = chain
+                        .run_add_friend_round(batch, num_mailboxes, &publics)
+                        .unwrap();
+                    (format!("{:?}", boxes.mailboxes), stats)
                 }
                 RoundKind::Dialing => {
-                    let boxes =
-                        alpenhorn_mixnet::DialingMailboxes::from_batch(&finals, num_mailboxes);
-                    format!("{:?} {:?}", boxes.mailboxes, boxes.token_counts)
+                    let (boxes, stats) = chain
+                        .run_dialing_round(batch, num_mailboxes, &publics)
+                        .unwrap();
+                    (
+                        format!("{:?} {:?}", boxes.mailboxes, boxes.token_counts),
+                        stats,
+                    )
                 }
             };
-            (key, stats)
+            chain.end_round().unwrap();
+            out
         })
         .collect()
 }
@@ -169,12 +156,11 @@ proptest! {
     // keep the case count moderate.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// For any mixer count, pipelining depth, batch size, mailbox count,
-    /// protocol, and seed: distributed == in-process, byte for byte.
+    /// For any mixer count, batch size, mailbox count, protocol, and seed:
+    /// distributed == in-process, byte for byte.
     #[test]
     fn remote_chain_over_loopback_equals_in_process_chain(
         mixers in 1usize..5,
-        depth in 1usize..4,
         batch_size in 0usize..10,
         num_mailboxes in 1u32..4,
         dialing in any::<bool>(),
@@ -185,7 +171,7 @@ proptest! {
         let noise = NoiseConfig::deterministic(1.5);
         let local = run_in_process(protocol, mixers, noise, cluster_seed, batch_size, num_mailboxes);
         let remote_chain = RemoteMixChain::loopback(protocol, mixers, noise, cluster_seed);
-        let remote = run_remote(remote_chain, protocol, depth, cluster_seed, batch_size, num_mailboxes);
+        let remote = run_remote(remote_chain, protocol, cluster_seed, batch_size, num_mailboxes);
         prop_assert_eq!(local, remote);
     }
 }
@@ -221,23 +207,15 @@ fn remote_chain_over_tcp_equals_in_process_chain_despite_disconnects() {
 
     // Mix round by round so we can sever a connection between rounds; the
     // next call must silently reconnect and replay.
-    remote_chain.set_pipeline_depth(2);
     let mut remote = Vec::new();
     for round in 0..ROUNDS {
-        let publics = remote_chain.begin_round_for(Round(round)).unwrap();
+        let publics = remote_chain.begin_round().unwrap();
         let batch = batch_for(protocol, round, &publics, 6, 2, cluster_seed[0]);
-        let results = remote_chain
-            .mix_rounds(vec![MixRoundInput {
-                round: Round(round),
-                batch,
-                num_mailboxes: 2,
-                publics,
-            }])
+        let (boxes, stats) = remote_chain
+            .run_add_friend_round(batch, 2, &publics)
             .unwrap();
-        let (finals, stats) = results.into_iter().next().unwrap();
-        let boxes = alpenhorn_mixnet::AddFriendMailboxes::from_batch(&finals, 2);
         remote.push((format!("{:?}", boxes.mailboxes), stats));
-        remote_chain.end_round_for(Round(round)).unwrap();
+        remote_chain.end_round().unwrap();
         // Crash the middle mixer's transport between every round.
         remote_chain.disconnect_mixer(1);
     }

@@ -27,12 +27,12 @@
 //! All per-round randomness (the onion keypair, noise, the shuffle) is
 //! derived by HMAC from the server seed and an explicit **round id**
 //! ([`MixServer::begin_round_for`]), never from a sequential rng stream.
-//! Rounds are therefore independent: several may be open at once (the round
-//! pipelining a distributed chain wants), repeating an operation for the
-//! same round reproduces byte-identical output (what makes the `mixd`
-//! daemon's RPCs retry-idempotent with no replay cache), and the bytes a
-//! remote server produces depend only on (seed, index, round) — not on
-//! which process hosts it or when its calls interleave with other servers'.
+//! Rounds are therefore independent: several may be open at once, repeating
+//! an operation for the same round reproduces byte-identical output (what
+//! makes the `mixd` daemon's RPCs retry-idempotent with no replay cache),
+//! and the bytes a remote server produces depend only on (seed, index,
+//! round) — not on which process hosts it or when its calls interleave with
+//! other servers'.
 //! The id-less [`MixServer::begin_round`] API numbers rounds from 0
 //! internally and is what the in-process [`crate::MixChain`] path uses.
 

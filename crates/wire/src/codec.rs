@@ -171,7 +171,8 @@ impl<'a> Decoder<'a> {
         self.take(len, context)
     }
 
-    /// Reads a padded field written by [`Encoder::put_padded`].
+    /// Reads a padded field written by [`Encoder::put_padded`]. Non-zero
+    /// padding is rejected, so each field value has exactly one encoding.
     pub fn get_padded(
         &mut self,
         width: usize,
@@ -181,8 +182,11 @@ impl<'a> Decoder<'a> {
         if len >= width {
             return Err(WireError::InvalidValue { context });
         }
-        let field = self.take(width - 1, context)?;
-        Ok(&field[..len])
+        let (value, padding) = self.take(width - 1, context)?.split_at(len);
+        if padding.iter().any(|&b| b != 0) {
+            return Err(WireError::InvalidValue { context });
+        }
+        Ok(value)
     }
 
     /// Number of bytes not yet consumed.
@@ -240,57 +244,49 @@ impl From<WireError> for FrameIoError {
 /// Layout (integers big-endian, except the checksum):
 ///
 /// ```text
-/// v9: +-------+---------+-----------+----------------+------------+
-///     | magic | version |  length   |    payload     |  checksum  |
-///     | 2 B   | 1 B     | 4 B (u32) | `length` bytes | 4 B (LE)   |
-///     +-------+---------+-----------+----------------+------------+
-/// v10:+-------+---------+-----------+-------------+----------------+------------+
-///     | magic | version |  length   | correlation |    payload     |  checksum  |
-///     | 2 B   | 1 B     | 4 B (u32) | 8 B (u64)   | `length` bytes | 4 B (LE)   |
-///     +-------+---------+-----------+-------------+----------------+------------+
+/// +-------+---------+-----------+----------------+------------+
+/// | magic | version |  length   |    payload     |  checksum  |
+/// | 2 B   | 1 B     | 4 B (u32) | `length` bytes | 4 B (LE)   |
+/// +-------+---------+-----------+----------------+------------+
 /// ```
 ///
-/// The checksum is CRC-32C (Castagnoli) over everything before it (header,
-/// telemetry block if present, payload), so truncation, bit flips, and
-/// length corruption are all caught. It is the one little-endian field of
-/// the frame: a CRC's natural byte order, as in RFC 3720. The trailer is a
-/// corruption detector, never an authenticator — it was four bytes of an
-/// *unkeyed* SHA-256 through v4 — and a CRC gives the same 32-bit strength
-/// against random damage, detects every burst of up to 32 bits outright, and
-/// costs a table lookup per byte instead of a hash compression per block.
+/// The checksum is CRC-32C (Castagnoli) over everything before it (header
+/// and payload), so truncation, bit flips, and length corruption are all
+/// caught. It is the one little-endian field of the frame: a CRC's natural
+/// byte order, as in RFC 3720. The trailer is a corruption detector, never
+/// an authenticator — it was four bytes of an *unkeyed* SHA-256 through v4 —
+/// and a CRC gives the same 32-bit strength against random damage, detects
+/// every burst of up to 32 bits outright, and costs a table lookup per byte
+/// instead of a hash compression per block.
 ///
 /// Versioning rule: any change to the frame layout or to the encoding of the
-/// RPC messages inside it bumps [`Frame::VERSION`]. Frames without telemetry
-/// are emitted as [`Frame::PLAIN_VERSION`]; frames carrying the optional
-/// telemetry block (the round correlation id, `alpenhorn_obs::correlation_id`,
-/// which stitches spans of different processes into one trace) as
-/// [`Frame::VERSION`]. Receivers accept exactly those two; anything else —
-/// including the SHA-256-trailer versions 3 and 4, the pre-batch 5 and 6 and
-/// the pre-announcement 7 and 8 — is rejected with [`WireError::UnsupportedVersion`].
+/// RPC messages inside it bumps [`Frame::VERSION`]. Receivers accept exactly
+/// that version; anything else — including the SHA-256-trailer versions 3 and
+/// 4, the pre-batch 5 and 6, the pre-announcement 7 and 8 and the retired
+/// telemetry layout 10 — is rejected with [`WireError::UnsupportedVersion`].
+/// A frame carries no trace context: every request that belongs to a trace
+/// names its `(protocol, round)`, from which each receiver derives the round
+/// correlation id (`alpenhorn_obs::correlation_id`) itself.
 pub struct Frame;
 
 impl Frame {
     /// Magic bytes every frame starts with ("AH" for Alpenhorn).
     pub const MAGIC: [u8; 2] = *b"AH";
-    /// The newest protocol version this implementation speaks: the frame
-    /// with the telemetry block. History: v1 = the PR 4 RPC surface; v2
-    /// added [`crate::rpc::RpcError::Unavailable`] (typed transient server
-    /// faults, PR 5); v3 added the `retry_after_ms` backoff hint to
-    /// `Unavailable` (overload shedding, PR 6); v4 added the optional
-    /// telemetry block (round correlation id, PR 10) beside the plain v3;
-    /// v5 (plain) and v6 (telemetry) replaced the truncated SHA-256 trailer
-    /// of v3 and v4 with CRC-32C; v7 (plain) and v8 (telemetry) added
-    /// [`crate::rpc::Request::Batch`] and [`crate::rpc::Response::Batch`];
-    /// v9 (plain) and v10 (telemetry) added the mailbox count to
+    /// The protocol version this implementation speaks. History: v1 = the
+    /// first RPC surface; v2 added [`crate::rpc::RpcError::Unavailable`]
+    /// (typed transient server faults); v3 added the `retry_after_ms` backoff
+    /// hint to `Unavailable` (overload shedding); v4 added an optional
+    /// telemetry block (the round correlation id) beside the plain v3; v5
+    /// (plain) and v6 (telemetry) replaced the truncated SHA-256 trailer of
+    /// v3 and v4 with CRC-32C; v7 (plain) and v8 (telemetry) added
+    /// [`crate::rpc::Request::Batch`] and [`crate::rpc::Response::Batch`]; v9
+    /// (plain) and v10 (telemetry) added the mailbox count to
     /// `SubmitDialing`, the announced next round to `DialingMailbox` and
-    /// [`crate::rpc::RpcError::StaleRoundInfo`].
-    pub const VERSION: u8 = 10;
-    /// The telemetry-free frame version, emitted by [`Frame::encode`].
-    pub const PLAIN_VERSION: u8 = 9;
+    /// [`crate::rpc::RpcError::StaleRoundInfo`]. The telemetry layout was then
+    /// retired, leaving v9 as the one frame.
+    pub const VERSION: u8 = 9;
     /// Header length: magic + version + length prefix.
     pub const HEADER_LEN: usize = 2 + 1 + 4;
-    /// Length of the telemetry block (the correlation id).
-    pub const TELEMETRY_LEN: usize = 8;
     /// Trailing checksum length.
     pub const CHECKSUM_LEN: usize = 4;
     /// Maximum payload size a frame may carry (16 MiB). A length prefix
@@ -308,49 +304,38 @@ impl Frame {
             .to_le_bytes()
     }
 
-    /// Parses and validates a frame header, returning the length of the
-    /// telemetry block (0 or [`Frame::TELEMETRY_LEN`]) and the payload length.
-    fn parse_header(header: &[u8]) -> Result<(usize, usize), WireError> {
+    /// Parses and validates a frame header, returning the payload length.
+    fn parse_header(header: &[u8]) -> Result<usize, WireError> {
         if header[..2] != Self::MAGIC {
             return Err(WireError::BadMagic);
         }
-        let telemetry_len = match header[2] {
-            Self::PLAIN_VERSION => 0,
-            Self::VERSION => Self::TELEMETRY_LEN,
-            version => return Err(WireError::UnsupportedVersion { version }),
-        };
+        if header[2] != Self::VERSION {
+            return Err(WireError::UnsupportedVersion { version: header[2] });
+        }
         let claimed = u32::from_be_bytes([header[3], header[4], header[5], header[6]]) as usize;
         if claimed > Self::MAX_PAYLOAD_LEN {
             return Err(WireError::FrameTooLarge { claimed });
         }
-        Ok((telemetry_len, claimed))
+        Ok(claimed)
     }
 
-    fn try_encode(payload: &[u8], telemetry: Option<u64>) -> Result<Vec<u8>, WireError> {
+    fn try_encode(payload: &[u8]) -> Result<Vec<u8>, WireError> {
         if payload.len() > Self::MAX_PAYLOAD_LEN {
             return Err(WireError::FrameTooLarge {
                 claimed: payload.len(),
             });
         }
-        let mut out = Vec::with_capacity(
-            Self::HEADER_LEN + Self::TELEMETRY_LEN + payload.len() + Self::CHECKSUM_LEN,
-        );
+        let mut out = Vec::with_capacity(Self::HEADER_LEN + payload.len() + Self::CHECKSUM_LEN);
         out.extend_from_slice(&Self::MAGIC);
-        out.push(match telemetry {
-            Some(_) => Self::VERSION,
-            None => Self::PLAIN_VERSION,
-        });
+        out.push(Self::VERSION);
         out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        if let Some(correlation) = telemetry {
-            out.extend_from_slice(&correlation.to_be_bytes());
-        }
         out.extend_from_slice(payload);
         let checksum = Self::checksum(&[&out]);
         out.extend_from_slice(&checksum);
         Ok(out)
     }
 
-    /// Wraps `payload` in a complete telemetry-free frame.
+    /// Wraps `payload` in a complete frame.
     ///
     /// # Panics
     ///
@@ -359,30 +344,23 @@ impl Frame {
     /// by the round's mailbox size). [`Frame::write_to`] reports the same
     /// condition as an error instead.
     pub fn encode(payload: &[u8]) -> Vec<u8> {
-        Self::try_encode(payload, None).expect("frame payload exceeds the maximum")
+        Self::try_encode(payload).expect("frame payload exceeds the maximum")
     }
 
-    /// Wraps `payload` in a frame carrying `correlation` in the telemetry
-    /// block. Same panic condition as [`Frame::encode`].
-    pub fn encode_with_telemetry(payload: &[u8], correlation: u64) -> Vec<u8> {
-        Self::try_encode(payload, Some(correlation)).expect("frame payload exceeds the maximum")
-    }
-
-    /// Decodes one complete frame from `buf`, returning the payload and the
-    /// correlation id when the sender attached one.
+    /// Decodes one complete frame from `buf`, returning the payload.
     ///
     /// The whole buffer must be exactly one frame; malformed input (wrong
     /// magic, unsupported version, oversized or lying length prefix,
     /// truncation, checksum mismatch) is rejected with a typed error and
     /// never panics.
-    pub fn decode_with_telemetry(buf: &[u8]) -> Result<(&[u8], Option<u64>), WireError> {
+    pub fn decode(buf: &[u8]) -> Result<&[u8], WireError> {
         if buf.len() < Self::HEADER_LEN + Self::CHECKSUM_LEN {
             return Err(WireError::UnexpectedEnd {
                 context: "frame header",
             });
         }
-        let (telemetry_len, claimed) = Self::parse_header(&buf[..Self::HEADER_LEN])?;
-        let total = Self::HEADER_LEN + telemetry_len + claimed + Self::CHECKSUM_LEN;
+        let claimed = Self::parse_header(&buf[..Self::HEADER_LEN])?;
+        let total = Self::HEADER_LEN + claimed + Self::CHECKSUM_LEN;
         if buf.len() < total {
             return Err(WireError::UnexpectedEnd {
                 context: "frame payload",
@@ -397,58 +375,30 @@ impl Frame {
         if trailer != Self::checksum(&[body]) {
             return Err(WireError::ChecksumMismatch);
         }
-        let (telemetry, payload) = body[Self::HEADER_LEN..].split_at(telemetry_len);
-        Ok((payload, Self::correlation(telemetry)))
+        Ok(&body[Self::HEADER_LEN..])
     }
 
-    /// The correlation id in a telemetry block (`None` for the empty block of
-    /// a plain frame).
-    fn correlation(telemetry: &[u8]) -> Option<u64> {
-        telemetry.try_into().ok().map(u64::from_be_bytes)
-    }
-
-    /// Decodes one complete frame from `buf`, returning the payload and
-    /// discarding any telemetry block.
-    pub fn decode(buf: &[u8]) -> Result<&[u8], WireError> {
-        Self::decode_with_telemetry(buf).map(|(payload, _)| payload)
-    }
-
-    /// Writes `payload` as one telemetry-free frame to `writer` and flushes.
-    /// A payload over [`Frame::MAX_PAYLOAD_LEN`] is refused with
+    /// Writes `payload` as one frame to `writer` and flushes. A payload over
+    /// [`Frame::MAX_PAYLOAD_LEN`] is refused with
     /// [`std::io::ErrorKind::InvalidInput`] before anything is written.
     pub fn write_to(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-        Self::write_to_with_telemetry(writer, payload, None)
-    }
-
-    /// Writes `payload` as one frame to `writer` and flushes, attaching the
-    /// telemetry block when `correlation` is `Some`. Refuses an oversized
-    /// payload like [`Frame::write_to`].
-    pub fn write_to_with_telemetry(
-        writer: &mut impl Write,
-        payload: &[u8],
-        correlation: Option<u64>,
-    ) -> std::io::Result<()> {
-        let frame = Self::try_encode(payload, correlation)
+        let frame = Self::try_encode(payload)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         writer.write_all(&frame)?;
         writer.flush()
     }
 
-    /// Reads one complete frame from `reader`, returning the payload and the
-    /// sender's correlation id if one was attached.
+    /// Reads one complete frame from `reader`, returning the payload.
     ///
     /// Two reads for a frame that arrives whole: the header, then everything
     /// after it. Magic, version and the length bound are checked before any
     /// allocation, and the buffer then grows with the bytes received, never
     /// more than a bounded step ahead of them.
-    pub fn read_from_with_telemetry(
-        reader: &mut impl Read,
-    ) -> Result<(Vec<u8>, Option<u64>), FrameIoError> {
+    pub fn read_from(reader: &mut impl Read) -> Result<Vec<u8>, FrameIoError> {
         let mut header = [0u8; Self::HEADER_LEN];
         reader.read_exact(&mut header)?;
-        let (telemetry_len, claimed) = Self::parse_header(&header)?;
-        let body_len = telemetry_len + claimed;
-        let rest = body_len + Self::CHECKSUM_LEN;
+        let claimed = Self::parse_header(&header)?;
+        let rest = claimed + Self::CHECKSUM_LEN;
         let mut buf = Vec::new();
         let mut filled = 0;
         while filled < rest {
@@ -462,19 +412,11 @@ impl Frame {
                 Err(e) => return Err(e.into()),
             }
         }
-        if buf[body_len..] != Self::checksum(&[&header, &buf[..body_len]]) {
+        if buf[claimed..] != Self::checksum(&[&header, &buf[..claimed]]) {
             return Err(WireError::ChecksumMismatch.into());
         }
-        let correlation = Self::correlation(&buf[..telemetry_len]);
-        buf.truncate(body_len);
-        buf.drain(..telemetry_len);
-        Ok((buf, correlation))
-    }
-
-    /// Reads one complete frame from `reader`, returning the payload and
-    /// discarding any telemetry block.
-    pub fn read_from(reader: &mut impl Read) -> Result<Vec<u8>, FrameIoError> {
-        Self::read_from_with_telemetry(reader).map(|(payload, _)| payload)
+        buf.truncate(claimed);
+        Ok(buf)
     }
 }
 
@@ -573,30 +515,16 @@ mod tests {
         ];
         assert_eq!(Frame::encode(payload), v9);
         assert_eq!(Frame::decode(&v9).unwrap(), payload);
-        let v10 = [
-            b'A', b'H', 10, 0, 0, 0, 15, // magic, version, length
-            0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF, // correlation id
-            b'h', b'e', b'l', b'l', b'o', b' ', b'a', b'l', b'p', b'e', b'n', b'h', b'o', b'r',
-            b'n', // payload
-            0x92, 0x2A, 0xD6, 0x00, // CRC-32C, little-endian
-        ];
-        assert_eq!(
-            Frame::encode_with_telemetry(payload, 0x0123_4567_89AB_CDEF),
-            v10
-        );
-        assert_eq!(
-            Frame::decode_with_telemetry(&v10).unwrap(),
-            (&payload[..], Some(0x0123_4567_89AB_CDEF))
-        );
         assert_eq!(Frame::encode(&[]).len(), 11);
     }
 
     #[test]
     fn retired_frame_versions_are_unsupported() {
         // A well-formed v3 and v4 frame (truncated SHA-256 trailer), v5 and
-        // v6 frame (CRC-32C trailer, no batch messages) and v7 and v8 frame
-        // (no announced dialing rounds) must be answered with the version
-        // error, not a checksum mismatch.
+        // v6 frame (CRC-32C trailer, no batch messages), v7 and v8 frame (no
+        // announced dialing rounds) and v10 frame (the retired telemetry
+        // block) must be answered with the version error, not a checksum
+        // mismatch.
         for (version, telemetry) in [
             (3u8, &[][..]),
             (4, &[0u8; 8][..]),
@@ -604,6 +532,7 @@ mod tests {
             (6, &[0u8; 8][..]),
             (7, &[][..]),
             (8, &[0u8; 8][..]),
+            (10, &[0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF][..]),
         ] {
             let mut old = Vec::new();
             old.extend_from_slice(&Frame::MAGIC);
@@ -634,10 +563,6 @@ mod tests {
     fn oversized_payload_is_an_error_on_write() {
         let payload = vec![0u8; Frame::MAX_PAYLOAD_LEN + 1];
         let mut wire = Vec::new();
-        for correlation in [None, Some(1)] {
-            let err = Frame::write_to_with_telemetry(&mut wire, &payload, correlation).unwrap_err();
-            assert_eq!(err.kind(), ErrorKind::InvalidInput);
-        }
         assert_eq!(
             Frame::write_to(&mut wire, &payload).unwrap_err().kind(),
             ErrorKind::InvalidInput
@@ -671,7 +596,7 @@ mod tests {
         // A header claiming the full 16 MiB, one payload byte, then failure.
         let mut sent = Vec::new();
         sent.extend_from_slice(&Frame::MAGIC);
-        sent.push(Frame::PLAIN_VERSION);
+        sent.push(Frame::VERSION);
         sent.extend_from_slice(&(Frame::MAX_PAYLOAD_LEN as u32).to_be_bytes());
         sent.push(0);
         let mut reader = Trickle {
@@ -690,62 +615,28 @@ mod tests {
     fn frames_delivered_one_byte_per_read_decode() {
         // Larger than one growth step, so the buffer grows mid-frame.
         let payload: Vec<u8> = (0..Frame::READ_STEP + 1000).map(|i| i as u8).collect();
-        for correlation in [None, Some(77)] {
-            let mut sent = Vec::new();
-            Frame::write_to_with_telemetry(&mut sent, &payload, correlation).unwrap();
-            let mut reader = Trickle {
-                data: &sent,
-                chunk: 1,
-                largest_offer: 0,
-            };
-            assert_eq!(
-                Frame::read_from_with_telemetry(&mut reader).unwrap(),
-                (payload.clone(), correlation)
-            );
-            assert!(reader.data.is_empty(), "exactly one frame is consumed");
-        }
+        let mut sent = Vec::new();
+        Frame::write_to(&mut sent, &payload).unwrap();
+        let mut reader = Trickle {
+            data: &sent,
+            chunk: 1,
+            largest_offer: 0,
+        };
+        assert_eq!(Frame::read_from(&mut reader).unwrap(), payload);
+        assert!(reader.data.is_empty(), "exactly one frame is consumed");
     }
 
     #[test]
-    fn telemetry_frames_round_trip() {
-        let payload = b"round work";
-        let framed = Frame::encode_with_telemetry(payload, 0xABCD_1234);
-        assert_eq!(framed[2], Frame::VERSION);
-        let (got, telemetry) = Frame::decode_with_telemetry(&framed).unwrap();
-        assert_eq!(got, payload);
-        assert_eq!(telemetry, Some(0xABCD_1234));
-        // The plain decoder accepts the frame and discards the block.
-        assert_eq!(Frame::decode(&framed).unwrap(), payload);
-        // And the plain frame reports no telemetry.
-        let plain = Frame::encode(payload);
-        assert_eq!(
-            Frame::decode_with_telemetry(&plain).unwrap(),
-            (&payload[..], None)
-        );
-    }
-
-    #[test]
-    fn telemetry_frames_round_trip_through_streams() {
-        let mut wire = Vec::new();
-        Frame::write_to_with_telemetry(&mut wire, b"with", Some(7)).unwrap();
-        Frame::write_to_with_telemetry(&mut wire, b"without", None).unwrap();
-        let mut reader = &wire[..];
-        assert_eq!(
-            Frame::read_from_with_telemetry(&mut reader).unwrap(),
-            (b"with".to_vec(), Some(7))
-        );
-        // A telemetry-unaware reader still gets the payload.
-        assert_eq!(Frame::read_from(&mut reader).unwrap(), b"without".to_vec());
-    }
-
-    #[test]
-    fn corrupted_telemetry_block_fails_the_checksum() {
-        let mut framed = Frame::encode_with_telemetry(b"payload", 99);
-        framed[Frame::HEADER_LEN] ^= 0x01; // flip a correlation-id bit
-        assert_eq!(
-            Frame::decode_with_telemetry(&framed),
-            Err(WireError::ChecksumMismatch)
-        );
+    fn padded_rejects_nonzero_padding() {
+        let mut e = Encoder::new();
+        e.put_padded(b"a@b", 64);
+        let mut buf = e.finish();
+        buf[63] = 1;
+        let mut d = Decoder::new(&buf);
+        assert!(matches!(
+            d.get_padded(64, "email"),
+            Err(WireError::InvalidValue { .. })
+        ));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::constants::{
     MULTISIG_LEN, SIGNATURE_LEN, SIGNING_PK_LEN,
 };
 use crate::error::WireError;
-use crate::identity::Identity;
+use crate::identity::{get_identity, put_identity, Identity};
 use crate::mailbox::MailboxId;
 use crate::round::Round;
 
@@ -48,7 +48,7 @@ impl FriendRequest {
     /// address.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::with_capacity(FRIEND_REQUEST_LEN + 8);
-        e.put_padded(self.sender.as_bytes(), IDENTITY_FIELD_LEN);
+        put_identity(&mut e, &self.sender);
         e.put_bytes(&self.sender_key);
         e.put_bytes(&self.sender_sig);
         e.put_bytes(&self.pkg_sigs);
@@ -70,11 +70,7 @@ impl FriendRequest {
             });
         }
         let mut d = Decoder::new(buf);
-        let raw_id = d.get_padded(IDENTITY_FIELD_LEN, "sender identity")?;
-        let sender = Identity::new(
-            core::str::from_utf8(raw_id)
-                .map_err(|_| WireError::InvalidIdentity("<non-utf8>".into()))?,
-        )?;
+        let sender = get_identity(&mut d, "sender identity")?;
         let sender_key = d.get_array("sender key")?;
         let sender_sig = d.get_array("sender signature")?;
         let pkg_sigs = d.get_array("pkg multi-signature")?;

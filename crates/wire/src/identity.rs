@@ -6,7 +6,8 @@
 //! to mailboxes and IBE public keys is consistent between sender and
 //! recipient.
 
-use crate::constants::MAX_IDENTITY_LEN;
+use crate::codec::{Decoder, Encoder};
+use crate::constants::{IDENTITY_FIELD_LEN, MAX_IDENTITY_LEN};
 use crate::error::WireError;
 
 /// A validated, normalized user identity (an email address).
@@ -82,6 +83,29 @@ impl core::str::FromStr for Identity {
     }
 }
 
+/// Writes `identity` into its fixed-width wire field.
+pub(crate) fn put_identity(e: &mut Encoder, identity: &Identity) {
+    e.put_padded(identity.as_bytes(), IDENTITY_FIELD_LEN);
+}
+
+/// Reads an identity field written by [`put_identity`]. Only the normalized
+/// form is accepted: bytes that [`Identity::new`] would rewrite (uppercase,
+/// surrounding whitespace) are rejected rather than decoded to the identity
+/// they normalize to, so every identity has exactly one encoding.
+pub(crate) fn get_identity(
+    d: &mut Decoder<'_>,
+    context: &'static str,
+) -> Result<Identity, WireError> {
+    let raw = d.get_padded(IDENTITY_FIELD_LEN, context)?;
+    let s =
+        core::str::from_utf8(raw).map_err(|_| WireError::InvalidIdentity("<non-utf8>".into()))?;
+    let identity = Identity::new(s)?;
+    if identity.as_str() != s {
+        return Err(WireError::InvalidIdentity(s.to_string()));
+    }
+    Ok(identity)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +163,29 @@ mod tests {
             Identity::new("Alice@Example.com").unwrap(),
             Identity::new("alice@example.COM").unwrap()
         );
+    }
+
+    #[test]
+    fn wire_field_accepts_only_the_normalized_form() {
+        let mut e = Encoder::new();
+        put_identity(&mut e, &Identity::new("alice@x.org").unwrap());
+        let canonical = e.finish();
+        let mut d = Decoder::new(&canonical);
+        assert_eq!(get_identity(&mut d, "id").unwrap().as_str(), "alice@x.org");
+
+        for raw in ["Alice@x.org", " alice@x.org"] {
+            let mut e = Encoder::new();
+            e.put_padded(raw.as_bytes(), IDENTITY_FIELD_LEN);
+            let bytes = e.finish();
+            let mut d = Decoder::new(&bytes);
+            assert!(
+                matches!(
+                    get_identity(&mut d, "id"),
+                    Err(WireError::InvalidIdentity(_))
+                ),
+                "{raw:?} must not decode"
+            );
+        }
     }
 
     #[test]

@@ -29,10 +29,10 @@
 //! returns a typed [`WireError`]; nothing in this module panics on input.
 
 use crate::codec::{Decoder, Encoder};
-use crate::constants::{G1_LEN, G2_LEN, IDENTITY_FIELD_LEN, SIGNATURE_LEN, SIGNING_PK_LEN};
+use crate::constants::{G1_LEN, G2_LEN, SIGNATURE_LEN, SIGNING_PK_LEN};
 use crate::error::WireError;
 use crate::friend_request::AddFriendEnvelope;
-use crate::identity::Identity;
+use crate::identity::{get_identity, put_identity, Identity};
 use crate::mailbox::MailboxId;
 use crate::round::{Round, RoundKind};
 
@@ -526,17 +526,6 @@ pub struct CdnStatsWire {
 // ---------------------------------------------------------------------------
 // Encoding helpers
 // ---------------------------------------------------------------------------
-
-fn put_identity(e: &mut Encoder, identity: &Identity) {
-    e.put_padded(identity.as_bytes(), IDENTITY_FIELD_LEN);
-}
-
-fn get_identity(d: &mut Decoder<'_>, context: &'static str) -> Result<Identity, WireError> {
-    let raw = d.get_padded(IDENTITY_FIELD_LEN, context)?;
-    let s =
-        core::str::from_utf8(raw).map_err(|_| WireError::InvalidIdentity("<non-utf8>".into()))?;
-    Identity::new(s)
-}
 
 fn put_point_list<const N: usize>(e: &mut Encoder, points: &[[u8; N]]) {
     e.put_u16(points.len() as u16);

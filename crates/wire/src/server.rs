@@ -54,10 +54,9 @@ pub enum ConnectionEvent {
 /// A daemon's side of [`serve`]: its request handler plus the replies and
 /// the hook the loop needs from the protocol.
 pub trait Handler: Sync {
-    /// Answers one request frame's payload; `correlation` is the frame's
-    /// telemetry field. A payload that does not decode must come back as the
-    /// protocol's error response, never as a panic.
-    fn respond(&self, payload: &[u8], correlation: Option<u64>) -> Vec<u8>;
+    /// Answers one request frame's payload. A payload that does not decode
+    /// must come back as the protocol's error response, never as a panic.
+    fn respond(&self, payload: &[u8]) -> Vec<u8>;
 
     /// The protocol's error response carrying `detail`.
     fn error_reply(&self, detail: &str) -> Vec<u8>;
@@ -76,7 +75,7 @@ pub trait Handler: Sync {
 /// `Mutex<T>`; connections over the cap are closed without a reply.
 pub trait Exclusive: Send {
     /// [`Handler::respond`], with the daemon mutex held.
-    fn respond(&mut self, payload: &[u8], correlation: Option<u64>) -> Vec<u8>;
+    fn respond(&mut self, payload: &[u8]) -> Vec<u8>;
 
     /// [`Handler::error_reply`].
     fn error_reply(detail: &str) -> Vec<u8>;
@@ -86,9 +85,9 @@ pub trait Exclusive: Send {
 }
 
 impl<T: Exclusive> Handler for Mutex<T> {
-    fn respond(&self, payload: &[u8], correlation: Option<u64>) -> Vec<u8> {
+    fn respond(&self, payload: &[u8]) -> Vec<u8> {
         match self.lock() {
-            Ok(mut state) => state.respond(payload, correlation),
+            Ok(mut state) => state.respond(payload),
             // A request panicked mid-update: answer errors rather than serve
             // state that may be torn.
             Err(_) => T::error_reply("daemon state poisoned by an earlier request"),
@@ -247,14 +246,13 @@ fn serve_connection<H: Handler>(
     let _ = stream.set_read_timeout(config.read_timeout);
     let _ = stream.set_write_timeout(config.write_timeout);
     loop {
-        let reply = match Frame::read_from_with_telemetry(&mut stream) {
+        let reply = match Frame::read_from(&mut stream) {
             // A request the socket had already buffered when shutdown closed
             // it is dropped, not dispatched.
             Ok(_) if stop.load(Ordering::SeqCst) => return,
-            Ok((payload, correlation)) => {
-                let reply =
-                    catch_unwind(AssertUnwindSafe(|| handler.respond(&payload, correlation)))
-                        .unwrap_or_else(|_| handler.error_reply("the request handler panicked"));
+            Ok(payload) => {
+                let reply = catch_unwind(AssertUnwindSafe(|| handler.respond(&payload)))
+                    .unwrap_or_else(|_| handler.error_reply("the request handler panicked"));
                 if reply.len() > Frame::MAX_PAYLOAD_LEN {
                     handler.error_reply("response exceeds the maximum frame size")
                 } else {
@@ -329,7 +327,7 @@ mod tests {
     }
 
     impl Handler for Echo {
-        fn respond(&self, payload: &[u8], _correlation: Option<u64>) -> Vec<u8> {
+        fn respond(&self, payload: &[u8]) -> Vec<u8> {
             echo(payload)
         }
         fn error_reply(&self, detail: &str) -> Vec<u8> {
@@ -347,7 +345,7 @@ mod tests {
     struct LockedEcho;
 
     impl Exclusive for LockedEcho {
-        fn respond(&mut self, payload: &[u8], _correlation: Option<u64>) -> Vec<u8> {
+        fn respond(&mut self, payload: &[u8]) -> Vec<u8> {
             echo(payload)
         }
         fn error_reply(detail: &str) -> Vec<u8> {

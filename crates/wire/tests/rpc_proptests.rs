@@ -523,6 +523,26 @@ proptest! {
     }
 
     #[test]
+    fn bit_flips_in_client_messages_are_rejected_or_canonical(
+        identity in arb_identity(),
+        round in any::<u64>(),
+        fill in any::<u8>(),
+        onion_len in 0usize..48,
+        with_token in any::<bool>(),
+        num_keys in 0usize..4,
+        num_entries in 0usize..3,
+        detail in "[ -~]{0,24}",
+        bit in any::<usize>(),
+    ) {
+        for request in all_requests(identity, round, fill, onion_len, with_token) {
+            flipped_is_rejected_or_canonical(&request, &request.encode(), bit, Request::decode, Request::encode)?;
+        }
+        for response in all_responses(round, fill, (num_keys, num_entries), detail) {
+            flipped_is_rejected_or_canonical(&response, &response.encode(), bit, Response::decode, Response::encode)?;
+        }
+    }
+
+    #[test]
     fn bit_flips_in_mixer_and_cdn_messages_are_rejected_or_canonical(
         round in any::<u64>(),
         fill in any::<u8>(),
@@ -559,69 +579,18 @@ proptest! {
     }
 
     #[test]
-    fn telemetry_frames_round_trip_with_and_without_the_field(
-        payload in proptest::collection::vec(any::<u8>(), 0..512),
-        correlation in any::<u64>(),
-    ) {
-        // With the telemetry field: a frame carrying the correlation id.
-        let with = Frame::encode_with_telemetry(&payload, correlation);
-        prop_assert_eq!(with[2], Frame::VERSION);
-        let (decoded, telemetry) = Frame::decode_with_telemetry(&with).unwrap();
-        prop_assert_eq!(decoded, payload.as_slice());
-        prop_assert_eq!(telemetry, Some(correlation));
-        // The plain decoder accepts the same frame, dropping the field.
-        prop_assert_eq!(Frame::decode(&with).unwrap(), payload.as_slice());
-
-        // Without the field: the plain version, eight bytes shorter.
-        let without = Frame::encode(&payload);
-        prop_assert_eq!(without[2], Frame::PLAIN_VERSION);
-        prop_assert_eq!(without.len() + Frame::TELEMETRY_LEN, with.len());
-        let (decoded, telemetry) = Frame::decode_with_telemetry(&without).unwrap();
-        prop_assert_eq!(decoded, payload.as_slice());
-        prop_assert_eq!(telemetry, None);
-    }
-
-    #[test]
-    fn plain_and_telemetry_frames_share_one_stream(
-        identity in arb_identity(),
-        round in 0u64..1_000_000,
-        fill in any::<u8>(),
-        correlation in any::<u64>(),
-    ) {
-        for request in all_requests(identity, round, fill, 64, true) {
-            // Senders attach the telemetry block per request (round-scoped
-            // ones carry it, the rest do not), so a receiver sees both
-            // framings back to back on one connection.
-            let mut wire = Vec::new();
-            Frame::write_to_with_telemetry(&mut wire, &request.encode(), Some(correlation)).unwrap();
-            Frame::write_to_with_telemetry(&mut wire, &request.encode(), None).unwrap();
-            let mut reader = std::io::Cursor::new(wire);
-            let (first, t1) = Frame::read_from_with_telemetry(&mut reader).unwrap();
-            let (second, t2) = Frame::read_from_with_telemetry(&mut reader).unwrap();
-            prop_assert_eq!(t1, Some(correlation));
-            prop_assert_eq!(t2, None);
-            prop_assert_eq!(Request::decode(&first).unwrap(), request.clone());
-            prop_assert_eq!(Request::decode(&second).unwrap(), request);
-        }
-    }
-
-    #[test]
     fn bit_flips_anywhere_are_rejected_or_caught_by_checksum(
         identity in arb_identity(),
-        telemetry in any::<bool>(),
         bit in any::<u32>(),
     ) {
         let request = Request::CompleteRegistration { identity };
-        let mut framed = Vec::new();
-        Frame::write_to_with_telemetry(&mut framed, &request.encode(), telemetry.then_some(7))
-            .unwrap();
+        let mut framed = Frame::encode(&request.encode());
         let bit = (bit as usize) % (framed.len() * 8);
         framed[bit / 8] ^= 1 << (bit % 8);
-        // A single flipped bit anywhere (magic, version, length, telemetry
-        // block, payload, checksum) must make decoding fail: everything
-        // before the trailer is covered by the CRC, the header fields are
-        // validated explicitly, and the two accepted versions differ in two
-        // bits so one flip cannot turn one framing into the other.
+        // A single flipped bit anywhere (magic, version, length, payload,
+        // checksum) must make decoding fail: everything before the trailer
+        // is covered by the CRC and the header fields are validated
+        // explicitly.
         prop_assert!(Frame::decode(&framed).is_err());
         prop_assert!(Frame::read_from(&mut &framed[..]).is_err());
     }
@@ -629,7 +598,6 @@ proptest! {
     #[test]
     fn bursts_up_to_32_bits_are_always_rejected(
         payload in proptest::collection::vec(any::<u8>(), 0..200),
-        telemetry in any::<bool>(),
         start in any::<u32>(),
         pattern in 1u32..u32::MAX,
     ) {
@@ -638,8 +606,7 @@ proptest! {
         // probability 1 - 2^-32. "Consecutive" is in the CRC's own bit order
         // (least significant bit of each byte first), and holds across the
         // trailer boundary because the trailer is stored little-endian.
-        let mut framed = Vec::new();
-        Frame::write_to_with_telemetry(&mut framed, &payload, telemetry.then_some(7)).unwrap();
+        let mut framed = Frame::encode(&payload);
         let start = (start as usize) % (framed.len() * 8 - 31);
         for offset in (0..32).filter(|offset| pattern >> offset & 1 == 1) {
             let bit = start + offset;

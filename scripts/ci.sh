@@ -61,7 +61,7 @@ cargo test -q --test transport_equivalence concurrent
 # in-process fault-free run — including one cdnd killed mid-run, with the
 # surviving fetches reconstructed by XOR-only parity decode. The per-crate
 # property suites (shift-XOR loss patterns, remote-chain ≡ in-process chain
-# over every mixer count and pipeline depth) run inside `cargo test -q` too;
+# over every mixer count, over loopback and TCP) run inside `cargo test -q` too;
 # this named stage makes a distribution regression point at itself. All
 # three daemons run one serve loop (alpenhorn_wire::server), so its unit
 # tests (shedding, bad frames, oversized replies, joined shutdown, poisoned

@@ -200,7 +200,9 @@ mod tests {
         assert_eq!(node.state().lock().unwrap().shards_stored(), 1);
         node.set_alive(false);
         assert!(matches!(
-            other.call(&CdnRequest::GetStats),
+            other.call(&CdnRequest::Expire {
+                keep_from: Round(1)
+            }),
             Err(CdnError::Io { .. })
         ));
     }
@@ -214,17 +216,15 @@ mod tests {
         )
         .unwrap();
         let mut client = TcpNode::new(handle.local_addr().to_string());
-        assert_eq!(
-            client.call(&CdnRequest::GetStats),
-            Ok(CdnResponse::Stats {
-                shards_stored: 0,
-                bytes_stored: 0,
-                shard_fetches: 0,
-                bytes_served: 0,
-            })
-        );
+        let get = CdnRequest::GetShard {
+            kind: RoundKind::Dialing,
+            round: Round(2),
+            mailbox: MailboxId(1),
+            index: 0,
+        };
+        assert_eq!(client.call(&get), Ok(CdnResponse::NotFound));
         // A severed connection re-establishes transparently.
         client.disconnect();
-        assert!(client.call(&CdnRequest::GetStats).is_ok());
+        assert_eq!(client.call(&get), Ok(CdnResponse::NotFound));
     }
 }

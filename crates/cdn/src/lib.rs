@@ -31,4 +31,4 @@ pub mod sharded;
 pub use client::{LoopbackNode, NodeClient, TcpNode};
 pub use error::CdnError;
 pub use node::{server_config, CdnNodeState};
-pub use sharded::{CdnFleetStats, FetchOutcome, PublishOutcome, ShardedCdn};
+pub use sharded::{FetchOutcome, PublishOutcome, ShardedCdn};

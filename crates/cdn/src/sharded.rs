@@ -48,9 +48,10 @@ pub struct PublishOutcome {
     pub failed: usize,
 }
 
-/// One reconstructed blob plus the accounting a serving layer needs:
-/// how many bytes came from data shards vs parity shards, and how many
-/// shard fetches it took.
+/// One reconstructed blob plus what it cost: how many bytes came from data
+/// shards vs parity shards, and how many shard fetches it took (the same
+/// figures [`ShardedCdn::fetch`] adds to the registry's `cdn_fetch*`
+/// counters).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FetchOutcome {
     /// The reconstructed blob, or `None` if no node holds any shard of it.
@@ -301,42 +302,6 @@ impl ShardedCdn {
             let _ = self.call_node(index, &request);
         }
     }
-
-    /// Sums the serving counters across reachable nodes.
-    pub fn stats(&self) -> CdnFleetStats {
-        let mut stats = CdnFleetStats::default();
-        for index in 0..self.nodes.len() {
-            if let Ok(CdnResponse::Stats {
-                shards_stored,
-                bytes_stored,
-                shard_fetches,
-                bytes_served,
-            }) = self.call_node(index, &CdnRequest::GetStats)
-            {
-                stats.nodes_reporting += 1;
-                stats.shards_stored += shards_stored;
-                stats.bytes_stored += bytes_stored;
-                stats.shard_fetches += shard_fetches;
-                stats.bytes_served += bytes_served;
-            }
-        }
-        stats
-    }
-}
-
-/// Fleet-wide serving counters (sum over reachable nodes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CdnFleetStats {
-    /// Nodes that answered the stats request.
-    pub nodes_reporting: usize,
-    /// Shards stored across the fleet.
-    pub shards_stored: u64,
-    /// Bytes stored across the fleet.
-    pub bytes_stored: u64,
-    /// Shard fetches served across the fleet.
-    pub shard_fetches: u64,
-    /// Shard bytes served across the fleet.
-    pub bytes_served: u64,
 }
 
 #[cfg(test)]
@@ -441,7 +406,7 @@ mod tests {
 
     #[test]
     fn expire_drops_old_rounds_fleet_wide() {
-        let (cdn, _handles) = fleet(4);
+        let (cdn, handles) = fleet(4);
         cdn.publish(RoundKind::AddFriend, Round(1), MailboxId(0), &[1; 30])
             .unwrap();
         cdn.publish(RoundKind::AddFriend, Round(5), MailboxId(0), &[2; 30])
@@ -458,8 +423,10 @@ mod tests {
             .unwrap()
             .blob
             .is_some());
-        let stats = cdn.stats();
-        assert_eq!(stats.nodes_reporting, 4);
-        assert_eq!(stats.shards_stored, 4);
+        let stored: u64 = handles
+            .iter()
+            .map(|h| h.state().lock().unwrap().shards_stored())
+            .sum();
+        assert_eq!(stored, 4);
     }
 }

@@ -11,7 +11,7 @@
 //! 3. submit exactly one fixed-size onion per round (real or cover),
 //! 4. after the round closes, download their mailbox from the CDN and scan it.
 
-use alpenhorn_cdn::{CdnFleetStats, NodeClient, ShardedCdn};
+use alpenhorn_cdn::{NodeClient, ShardedCdn};
 use alpenhorn_ibe::anytrust::aggregate_master_publics;
 use alpenhorn_ibe::bf::MasterPublic;
 use alpenhorn_ibe::dh::DhPublic;
@@ -358,19 +358,6 @@ impl Cluster {
         self.sharded_cdn = Some(ShardedCdn::new(nodes, data_shards, parity_shards));
     }
 
-    /// Aggregate counters of the connected CDN fleet, if any.
-    pub fn cdn_fleet_stats(&self) -> Option<CdnFleetStats> {
-        self.sharded_cdn.as_ref().map(|fleet| fleet.stats())
-    }
-
-    /// The shared download-accounting counters, for fetch paths that serve
-    /// mailboxes on the coordinator's behalf (the CDN-routed client
-    /// transport charges shard downloads here so the evaluation bandwidth
-    /// figures cover both deployment shapes).
-    pub fn cdn_download_stats(&self) -> Arc<crate::cdn::CdnStats> {
-        self.cdn.stats()
-    }
-
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.config
@@ -401,12 +388,6 @@ impl Cluster {
         &self.cdn
     }
 
-    /// A point-in-time snapshot of the CDN download counters, in the wire
-    /// representation served to `GetCdnStats`.
-    pub fn cdn_stats(&self) -> alpenhorn_wire::CdnStatsWire {
-        self.cdn.stats().wire()
-    }
-
     /// Expires mailboxes from rounds before `keep_from`, on the origin CDN
     /// and (best effort) on every connected fleet node.
     pub fn expire_mailboxes_before(&mut self, keep_from: Round) {
@@ -416,8 +397,9 @@ impl Cluster {
         }
     }
 
-    /// Installs (or with `None` removes) a scripted [`MixAdversary`] on the
-    /// chain serving `protocol` — the coordinator-level control surface for
+    /// Installs (or with `None` removes) a scripted
+    /// [`MixAdversary`](alpenhorn_mixnet::MixAdversary) on the chain serving
+    /// `protocol` — the coordinator-level control surface for
     /// malicious-mixer scenarios. Honest operation is unchanged while no
     /// adversary is installed.
     pub fn set_mix_adversary(
@@ -1044,7 +1026,7 @@ mod tests {
 
         let stats = cluster.close_add_friend_round(round).unwrap();
         assert_eq!(stats.client_messages, 1);
-        assert!(stats.total_noise() > 0);
+        assert!(stats.noise > 0);
 
         // Bob downloads his mailbox and trial-decrypts.
         let mailbox = MailboxId::for_recipient(&bob, info.num_mailboxes);

@@ -26,7 +26,7 @@ pub mod shard;
 pub mod shared;
 pub mod telemetry;
 
-pub use cdn::{Cdn, CdnStats};
+pub use cdn::Cdn;
 pub use cluster::{AddFriendRoundInfo, Cluster, ClusterConfig, DialingRoundInfo};
 pub use control::DurableController;
 pub use error::CoordinatorError;

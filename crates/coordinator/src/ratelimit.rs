@@ -238,7 +238,7 @@ impl TokenIssuer {
 
 /// Entry-server side: verifies spent tokens and rejects double spends.
 ///
-/// The spent ledger is striped across [`STRIPES`] independently-locked sets
+/// The spent ledger is striped across `STRIPES` independently-locked sets
 /// keyed by token digest, so every method takes `&self` and concurrent
 /// submissions can spend tokens without funnelling through the service
 /// write lock. The double-spend check stays global: a given token always

@@ -300,15 +300,15 @@ mod tests {
         let service = CoordinatorService::new(Cluster::new(ClusterConfig::test(73)));
         let handle = serve(service, "127.0.0.1:0").unwrap();
         let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-        // No other test in this process sends `GetCdnStats` through a
+        // No other test in this process sends `GetTelemetry` through a
         // server, so its counter isolates this connection's dispatches.
         let dispatched = alpenhorn_obs::global().counter(
             "coordinator_rpc_total",
-            &[("rpc", "get_cdn_stats"), ("outcome", "ok")],
+            &[("rpc", "get_telemetry"), ("outcome", "ok")],
         );
         assert!(matches!(
-            roundtrip(&mut stream, &Request::GetCdnStats),
-            Response::CdnStats(_)
+            roundtrip(&mut stream, &Request::GetTelemetry),
+            Response::Telemetry(_)
         ));
         let before = dispatched.get();
         assert!(before >= 1);
@@ -318,7 +318,7 @@ mod tests {
         // The still-open client socket sees its connection closed, and a
         // request sent into it is never dispatched. (The write itself may or
         // may not fail, depending on whether the reset has arrived yet.)
-        let _ = Frame::write_to(&mut stream, &Request::GetCdnStats.encode());
+        let _ = Frame::write_to(&mut stream, &Request::GetTelemetry.encode());
         assert!(matches!(
             Frame::read_from(&mut stream),
             Err(FrameIoError::Io(_))

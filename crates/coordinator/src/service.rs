@@ -586,10 +586,10 @@ fn count_round_close(protocol: RoundKind, stats: &RoundStats) {
         .add(stats.client_messages as u64);
     registry
         .counter("coordinator_round_noise_total", labels)
-        .add(stats.total_noise());
+        .add(stats.noise);
     registry
         .counter("coordinator_round_dropped_total", labels)
-        .add(stats.dropped_per_server.iter().sum());
+        .add(stats.dropped);
     registry
         .counter("coordinator_round_final_messages_total", labels)
         .add(stats.final_messages as u64);
@@ -612,7 +612,7 @@ fn count_abandoned(protocol: RoundKind) {
 fn round_stats_wire(stats: &RoundStats) -> RoundStatsWire {
     RoundStatsWire {
         client_messages: stats.client_messages as u64,
-        total_noise: stats.total_noise(),
+        total_noise: stats.noise,
         final_messages: stats.final_messages as u64,
     }
 }

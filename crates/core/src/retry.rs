@@ -3,7 +3,7 @@
 //! Every [`crate::Client`] RPC funnels through [`execute`], which classifies
 //! failures into **retryable** and **terminal**:
 //!
-//! * retryable — any [`TransportError`] (the request may never have reached
+//! * retryable — any [`TransportError`](crate::TransportError) (the request may never have reached
 //!   the coordinator, or the response was lost; the transport is
 //!   [`Transport::reset`] before the next attempt, which reconnects a
 //!   poisoned TCP connection), and the typed server fault

@@ -20,13 +20,14 @@
 //! transport (covered by `tests/transport_equivalence.rs`).
 
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use alpenhorn_bloom::BloomFilter;
 use alpenhorn_cdn::ShardedCdn;
 use alpenhorn_coordinator::service::CoordinatorService;
-use alpenhorn_coordinator::{CdnStats, Cluster, ServiceWriteGuard, SharedCoordinator};
+use alpenhorn_coordinator::{Cluster, ServiceWriteGuard, SharedCoordinator};
+use alpenhorn_obs::Counter;
 use alpenhorn_wire::cdn::{decode_add_friend_blob, decode_dialing_blob};
 use alpenhorn_wire::codec::FrameIoError;
 use alpenhorn_wire::server::connect;
@@ -326,34 +327,44 @@ impl Transport for TcpTransport {
 /// unpublished round, empty mailbox, too many dead nodes, or a blob that
 /// fails validation — falls back to the inner transport, so the origin stays
 /// authoritative and this wrapper can never make a fetch *less* available.
-/// The fallback answer is byte-identical to the shard-path answer because
-/// the coordinator publishes the same encoded blobs it serves.
+/// Each fallback counts in `client_cdn_origin_fallbacks_total`. The fallback
+/// answer is byte-identical to the shard-path answer because the
+/// coordinator publishes the same encoded blobs it serves.
 pub struct CdnRoutedTransport<T> {
     inner: T,
     fleet: Arc<ShardedCdn>,
-    /// Download accounting to charge for shard-path fetches, so in-process
-    /// evaluation runs report the same `bytes_served`/`downloads` figures as
-    /// an undistributed deployment plus the parity/shard overhead counters.
-    /// `None` for true remote deployments, where the client has no handle on
-    /// the coordinator's counters.
-    stats: Option<Arc<CdnStats>>,
+}
+
+/// Mailbox fetches the fleet could not answer, served by the origin.
+fn origin_fallbacks() -> &'static Counter {
+    static COUNTER: OnceLock<Arc<Counter>> = OnceLock::new();
+    COUNTER
+        .get_or_init(|| alpenhorn_obs::global().counter("client_cdn_origin_fallbacks_total", &[]))
+}
+
+/// The reply a mailbox blob from the fleet stands for, or `None` when the
+/// blob fails validation: a corrupt blob must fall back to the origin, not
+/// poison the client's scan.
+fn fleet_reply(kind: RoundKind, blob: &[u8]) -> Option<Response> {
+    match kind {
+        RoundKind::AddFriend => decode_add_friend_blob(blob)
+            .ok()
+            .map(|contents| Response::AddFriendMailbox { contents }),
+        RoundKind::Dialing => {
+            let (filter, next_round) = decode_dialing_blob(blob).ok()?;
+            BloomFilter::from_bytes(filter)?;
+            Some(Response::DialingMailbox {
+                filter: filter.to_vec(),
+                next_round,
+            })
+        }
+    }
 }
 
 impl<T> CdnRoutedTransport<T> {
     /// Routes mailbox fetches to `fleet`, everything else to `inner`.
     pub fn new(inner: T, fleet: Arc<ShardedCdn>) -> Self {
-        CdnRoutedTransport {
-            inner,
-            fleet,
-            stats: None,
-        }
-    }
-
-    /// Charges shard-path downloads to the coordinator's CDN counters (see
-    /// [`Cluster::cdn_download_stats`]).
-    pub fn with_stats(mut self, stats: Arc<CdnStats>) -> Self {
-        self.stats = Some(stats);
-        self
+        CdnRoutedTransport { inner, fleet }
     }
 
     /// The inner transport.
@@ -365,54 +376,28 @@ impl<T> CdnRoutedTransport<T> {
     pub fn inner_mut(&mut self) -> &mut T {
         &mut self.inner
     }
-
-    /// Fetches one blob from the fleet, answering `None` on *any* miss or
-    /// failure — the caller falls back to the inner transport.
-    fn fetch_blob(
-        &self,
-        kind: RoundKind,
-        round: alpenhorn_wire::Round,
-        mailbox: alpenhorn_wire::MailboxId,
-    ) -> Option<Vec<u8>> {
-        let outcome = self.fleet.fetch(kind, round, mailbox).ok()?;
-        let blob = outcome.blob?;
-        if let Some(stats) = &self.stats {
-            stats.serve_sharded_download(
-                outcome.data_bytes,
-                outcome.parity_bytes,
-                outcome.shard_fetches,
-            );
-        }
-        Some(blob)
-    }
 }
 
 impl<T: Transport> Transport for CdnRoutedTransport<T> {
     fn call(&mut self, request: Request) -> Result<Response, TransportError> {
-        match &request {
+        let (kind, round, mailbox) = match &request {
             Request::FetchAddFriendMailbox { round, mailbox } => {
-                if let Some(blob) = self.fetch_blob(RoundKind::AddFriend, *round, *mailbox) {
-                    if let Ok(contents) = decode_add_friend_blob(&blob) {
-                        return Ok(Response::AddFriendMailbox { contents });
-                    }
-                }
+                (RoundKind::AddFriend, *round, *mailbox)
             }
             Request::FetchDialingMailbox { round, mailbox } => {
-                if let Some(blob) = self.fetch_blob(RoundKind::Dialing, *round, *mailbox) {
-                    // Validate before serving: a corrupt blob must fall back
-                    // to the origin, not poison the client's dial scan.
-                    if let Ok((filter, next_round)) = decode_dialing_blob(&blob) {
-                        if BloomFilter::from_bytes(filter).is_some() {
-                            return Ok(Response::DialingMailbox {
-                                filter: filter.to_vec(),
-                                next_round,
-                            });
-                        }
-                    }
-                }
+                (RoundKind::Dialing, *round, *mailbox)
             }
-            _ => {}
+            _ => return self.inner.call(request),
+        };
+        let blob = self
+            .fleet
+            .fetch(kind, round, mailbox)
+            .ok()
+            .and_then(|o| o.blob);
+        if let Some(reply) = blob.and_then(|blob| fleet_reply(kind, &blob)) {
+            return Ok(reply);
         }
+        origin_fallbacks().inc();
         self.inner.call(request)
     }
 
@@ -486,9 +471,17 @@ mod tests {
                 },
                 Arc::new(fleet),
             );
+            // No other test in this binary routes through a fleet, so the
+            // counter moves by exactly this fetch's fallback.
+            let fallbacks = origin_fallbacks().get();
             assert_eq!(routed.call(fetch()).unwrap(), from_origin);
             let origin_calls = usize::from(!served_by_fleet);
             assert_eq!(routed.inner().calls, origin_calls, "blob {blob:?}");
+            assert_eq!(
+                origin_fallbacks().get(),
+                fallbacks + origin_calls as u64,
+                "blob {blob:?}"
+            );
         }
     }
 }

@@ -229,8 +229,8 @@ impl ChaCha20 {
 
     /// XORs the keystream into `data` in place, starting at the current counter.
     ///
-    /// The hot path computes [`WIDE`] blocks per loop iteration in
-    /// SIMD-friendly lockstep ([`ChaCha20::permute_wide`]) and applies the
+    /// The hot path computes `WIDE` blocks per loop iteration in
+    /// SIMD-friendly lockstep (`ChaCha20::permute_wide`) and applies the
     /// keystream in `u64` words rather than byte by byte. The onion
     /// peel/wrap pipeline, the AEAD, the CSPRNG, and hybrid IBE all sit on
     /// top of this routine.

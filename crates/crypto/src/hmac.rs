@@ -1,4 +1,4 @@
-//! HMAC-SHA256 (RFC 2104), implemented from scratch on top of [`crate::sha256`].
+//! HMAC-SHA256 (RFC 2104), implemented from scratch on top of [`mod@crate::sha256`].
 //!
 //! The Alpenhorn keywheel (§5 of the paper) is defined in terms of a keyed
 //! family of cryptographic hash functions "such as HMAC-SHA256"; this module

@@ -3,7 +3,7 @@
 //! The implementation is a streaming Merkle–Damgård construction over
 //! 64-byte blocks. Two compression functions live here:
 //!
-//! * [`compress_block`] — the hot path: fully unrolled message schedule and
+//! * `compress_block` — the hot path: fully unrolled message schedule and
 //!   round function over a 16-word ring buffer, with the round constants
 //!   folded into the schedule words. All operations are plain `u32` word ops,
 //!   so the compiler keeps the working set in registers.

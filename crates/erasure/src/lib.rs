@@ -4,7 +4,7 @@
 //! shards are derived so that **any** `k` of the `k + m` shards recover the
 //! blob byte-identically. Both encode and decode use only byte shifts and
 //! XOR — no finite-field multiplication tables — following the shift-XOR
-//! construction (Vandermonde rows over the polynomial ring GF(2)[x], with
+//! construction (Vandermonde rows over the polynomial ring `GF(2)[x]`, with
 //! the shard bytes as coefficients and a byte shift playing the role of
 //! multiplication by `x`):
 //!

@@ -226,8 +226,8 @@ impl RemoteMixChain {
                 downstream,
                 current,
             )?;
-            stats.noise_per_server.push(processed.noise_added);
-            stats.dropped_per_server.push(processed.dropped);
+            stats.noise += processed.noise_added;
+            stats.dropped += processed.dropped;
             current = processed.batch;
         }
         stats.final_messages = current.len();

@@ -4,7 +4,7 @@
 //! to clients, pushes a batch through every server in order, and hands the
 //! final batch to the mailbox builders. This is the substrate the
 //! coordinator crate and the evaluation harness drive; a production
-//! deployment would place each [`MixServer`](crate::server::MixServer) on its
+//! deployment would place each [`MixServer`] on its
 //! own machine, but the message flow is identical.
 
 use alpenhorn_crypto::ChaChaRng;
@@ -91,19 +91,12 @@ impl MixAdversary {
 pub struct RoundStats {
     /// Messages submitted by clients.
     pub client_messages: usize,
-    /// Noise messages added, per server.
-    pub noise_per_server: Vec<u64>,
-    /// Malformed messages dropped, per server.
-    pub dropped_per_server: Vec<u64>,
+    /// Noise messages added, summed over the servers.
+    pub noise: u64,
+    /// Malformed messages dropped, summed over the servers.
+    pub dropped: u64,
     /// Messages in the final batch (clients + noise - dropped).
     pub final_messages: usize,
-}
-
-impl RoundStats {
-    /// Total noise added across all servers.
-    pub fn total_noise(&self) -> u64 {
-        self.noise_per_server.iter().sum()
-    }
 }
 
 /// Derives the seed for the server at `index` in a chain seeded with
@@ -244,12 +237,8 @@ impl MixChain {
         for i in 0..server_count {
             let downstream = &publics[i + 1..];
             current = self.servers[i].process(current, downstream, protocol, &noise, num_mailboxes);
-            stats
-                .noise_per_server
-                .push(self.servers[i].last_noise_added());
-            stats
-                .dropped_per_server
-                .push(self.servers[i].last_malformed_dropped());
+            stats.noise += self.servers[i].last_noise_added();
+            stats.dropped += self.servers[i].last_malformed_dropped();
             // A compromised server tampers after its honest processing, so
             // the stats record what the server *claims* and `final_messages`
             // records what actually came out — the discrepancy is exactly
@@ -329,9 +318,9 @@ mod tests {
         chain.end_round();
 
         assert_eq!(stats.client_messages, 3);
-        assert_eq!(stats.dropped_per_server, vec![0, 0, 0]);
+        assert_eq!(stats.dropped, 0);
         // 2 noise per mailbox (1 real + cover) per server = 4 per server.
-        assert_eq!(stats.total_noise(), 12);
+        assert_eq!(stats.noise, 12);
         // The real ciphertexts are present in mailbox 0.
         let delivered = mailboxes.mailbox(MailboxId(0));
         assert!(delivered
@@ -411,9 +400,9 @@ mod tests {
         let p5 = chain5.begin_round();
         let (_, s5) = chain5.run_add_friend_round(vec![], 2, &p5);
 
-        assert!(s5.total_noise() > s3.total_noise());
-        assert_eq!(s3.total_noise(), 3 * 4 * 3); // servers x mu x (mailboxes + cover)
-        assert_eq!(s5.total_noise(), 5 * 4 * 3);
+        assert!(s5.noise > s3.noise);
+        assert_eq!(s3.noise, 3 * 4 * 3); // servers x mu x (mailboxes + cover)
+        assert_eq!(s5.noise, 5 * 4 * 3);
     }
 
     #[test]
@@ -451,7 +440,7 @@ mod tests {
         let batch = marker_batch(&mut rng, &publics, 64);
         let (_, stats) = chain.run_add_friend_round(batch, 1, &publics);
         assert_eq!(stats.client_messages, 64);
-        assert_eq!(stats.total_noise(), 0);
+        assert_eq!(stats.noise, 0);
         assert!(
             stats.final_messages < 64,
             "a dropping mixer must lose messages: {stats:?}"

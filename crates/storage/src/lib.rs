@@ -22,11 +22,11 @@
 //!   *snapshot + log suffix*, mutations append effect records, and
 //!   checkpoints — run only where the owner calls `checkpoint_if_due`, never
 //!   inside an append — compact the log into a fresh snapshot generation.
-//! * [`group`] — [`GroupWal`](group::GroupWal), one WAL shared by every
+//! * [`group`] — [`GroupWal`], one WAL shared by every
 //!   appender, where each record names its
-//!   [`Durability`](group::Durability) class (fsynced before the append
+//!   [`Durability`] class (fsynced before the append
 //!   returns, or buffered until the owner's next `sync`), plus the cloneable
-//!   [`Journal`](group::Journal) handle that lets fast-path threads journal
+//!   [`Journal`] handle that lets fast-path threads journal
 //!   effects without borrowing the `Durable` store.
 //!
 //! The design follows the append-only, sequential-write discipline of

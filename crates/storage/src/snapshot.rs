@@ -1,6 +1,6 @@
 //! Atomically-replaced full-state snapshots.
 //!
-//! A snapshot file holds exactly one [`record`](crate::record) frame, so the
+//! A snapshot file holds exactly one [`record`] frame, so the
 //! same checksum machinery that guards the WAL guards the snapshot: a torn or
 //! bit-flipped snapshot is detected on read, and recovery falls back to the
 //! previous generation (see [`crate::durable`]).

@@ -1,6 +1,6 @@
 //! The append-only write-ahead log.
 //!
-//! A WAL file is a concatenation of [`record`](crate::record) frames.
+//! A WAL file is a concatenation of [`record`] frames.
 //! Opening a log scans it front to back; the scan stops at the first byte
 //! range that fails validation and *truncates the file there* — a torn tail
 //! from a crash mid-append (the only corruption an append-only discipline can

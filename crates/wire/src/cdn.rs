@@ -74,8 +74,6 @@ pub enum CdnRequest {
         /// First round to keep.
         keep_from: Round,
     },
-    /// Fetch the node's serving counters.
-    GetStats,
     /// Admin: fetch the node's metrics exposition and recent spans
     /// (see `docs/OBSERVABILITY.md`).
     GetTelemetry,
@@ -95,17 +93,6 @@ pub enum CdnResponse {
     },
     /// The node does not hold that shard (never stored, expired, or lost).
     NotFound,
-    /// The node's serving counters.
-    Stats {
-        /// Shards currently stored.
-        shards_stored: u64,
-        /// Bytes currently stored across all shards.
-        bytes_stored: u64,
-        /// Shard fetches served.
-        shard_fetches: u64,
-        /// Shard bytes served.
-        bytes_served: u64,
-    },
     /// The node's telemetry: metrics exposition text and recent spans.
     Telemetry(crate::rpc::TelemetryWire),
     /// The request failed.
@@ -118,13 +105,13 @@ pub enum CdnResponse {
 const CREQ_PUT_SHARD: u8 = 1;
 const CREQ_GET_SHARD: u8 = 2;
 const CREQ_EXPIRE: u8 = 3;
-const CREQ_GET_STATS: u8 = 4;
+// 4: retired (the node stats request); decodes as an unknown tag, never reused.
 const CREQ_GET_TELEMETRY: u8 = 5;
 
 const CRESP_ACK: u8 = 1;
 const CRESP_SHARD: u8 = 2;
 const CRESP_NOT_FOUND: u8 = 3;
-const CRESP_STATS: u8 = 4;
+// 4: retired (the node stats reply); decodes as an unknown tag, never reused.
 const CRESP_ERROR: u8 = 5;
 const CRESP_TELEMETRY: u8 = 6;
 
@@ -175,7 +162,6 @@ impl CdnRequest {
             CdnRequest::PutShard { .. } => "put_shard",
             CdnRequest::GetShard { .. } => "get_shard",
             CdnRequest::Expire { .. } => "expire",
-            CdnRequest::GetStats => "get_stats",
             CdnRequest::GetTelemetry => "get_telemetry",
         }
     }
@@ -187,7 +173,7 @@ impl CdnRequest {
             CdnRequest::PutShard { kind, round, .. } | CdnRequest::GetShard { kind, round, .. } => {
                 Some((*kind, *round))
             }
-            CdnRequest::Expire { .. } | CdnRequest::GetStats | CdnRequest::GetTelemetry => None,
+            CdnRequest::Expire { .. } | CdnRequest::GetTelemetry => None,
         }
     }
 
@@ -227,9 +213,6 @@ impl CdnRequest {
                 e.put_u8(CREQ_EXPIRE);
                 e.put_u64(keep_from.0);
             }
-            CdnRequest::GetStats => {
-                e.put_u8(CREQ_GET_STATS);
-            }
             CdnRequest::GetTelemetry => {
                 e.put_u8(CREQ_GET_TELEMETRY);
             }
@@ -259,7 +242,6 @@ impl CdnRequest {
             CREQ_EXPIRE => CdnRequest::Expire {
                 keep_from: Round(d.get_u64("cdn keep-from round")?),
             },
-            CREQ_GET_STATS => CdnRequest::GetStats,
             CREQ_GET_TELEMETRY => CdnRequest::GetTelemetry,
             _ => {
                 return Err(WireError::InvalidValue {
@@ -288,18 +270,6 @@ impl CdnResponse {
             CdnResponse::NotFound => {
                 e.put_u8(CRESP_NOT_FOUND);
             }
-            CdnResponse::Stats {
-                shards_stored,
-                bytes_stored,
-                shard_fetches,
-                bytes_served,
-            } => {
-                e.put_u8(CRESP_STATS);
-                e.put_u64(*shards_stored);
-                e.put_u64(*bytes_stored);
-                e.put_u64(*shard_fetches);
-                e.put_u64(*bytes_served);
-            }
             CdnResponse::Telemetry(telemetry) => {
                 e.put_u8(CRESP_TELEMETRY);
                 crate::rpc::put_telemetry(&mut e, telemetry);
@@ -323,12 +293,6 @@ impl CdnResponse {
                 shard: d.get_var_bytes("cdn shard bytes")?.to_vec(),
             },
             CRESP_NOT_FOUND => CdnResponse::NotFound,
-            CRESP_STATS => CdnResponse::Stats {
-                shards_stored: d.get_u64("cdn shards stored")?,
-                bytes_stored: d.get_u64("cdn bytes stored")?,
-                shard_fetches: d.get_u64("cdn shard fetches")?,
-                bytes_served: d.get_u64("cdn bytes served")?,
-            },
             CRESP_ERROR => CdnResponse::Error(get_detail(&mut d, "cdn error detail")?),
             CRESP_TELEMETRY => CdnResponse::Telemetry(crate::rpc::get_telemetry(&mut d)?),
             _ => {
@@ -465,7 +429,7 @@ mod tests {
             CdnRequest::Expire {
                 keep_from: Round(4),
             },
-            CdnRequest::GetStats,
+            CdnRequest::GetTelemetry,
         ];
         for request in requests {
             assert_eq!(
@@ -481,12 +445,6 @@ mod tests {
                 shard: vec![2u8; 334],
             },
             CdnResponse::NotFound,
-            CdnResponse::Stats {
-                shards_stored: 12,
-                bytes_stored: 4000,
-                shard_fetches: 9,
-                bytes_served: 3000,
-            },
             CdnResponse::Error("shard index out of range".into()),
         ];
         for response in responses {

@@ -50,6 +50,5 @@ pub use mixer::{MixerRequest, MixerResponse};
 pub use onion::{OnionEnvelope, OnionEnvelopeRef};
 pub use round::{Round, RoundKind};
 pub use rpc::{
-    CdnStatsWire, RateLimitReason, RateLimitToken, Request, Response, RpcError, SpanWire,
-    TelemetryWire,
+    RateLimitReason, RateLimitToken, Request, Response, RpcError, SpanWire, TelemetryWire,
 };

@@ -14,9 +14,9 @@
 //! drops or timeouts are safe with no replay cache and no rng rewind.
 //!
 //! A `process` batch travels in one frame, bounding it by
-//! [`crate::codec::MAX_PAYLOAD_LEN`] (16 MiB) — ample for this
-//! reproduction's round sizes; a deployment at the paper's scale would
-//! stream chunks.
+//! [`Frame::MAX_PAYLOAD_LEN`](crate::Frame::MAX_PAYLOAD_LEN) (16 MiB) —
+//! ample for this reproduction's round sizes; a deployment at the paper's
+//! scale would stream chunks.
 
 use crate::codec::{Decoder, Encoder};
 use crate::constants::G1_LEN;

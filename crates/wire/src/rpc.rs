@@ -244,10 +244,6 @@ pub enum Request {
         /// The round number to close.
         round: Round,
     },
-    /// Fetch the CDN's bandwidth counters (the evaluation's bandwidth
-    /// figures; parity traffic is accounted separately from data so the
-    /// erasure-coded deployment stays comparable to the origin-only one).
-    GetCdnStats,
     /// Admin: fetch the process's metrics exposition and recent spans
     /// (see `docs/OBSERVABILITY.md`).
     GetTelemetry,
@@ -464,8 +460,6 @@ pub enum Response {
     },
     /// A round was closed; summary statistics.
     RoundClosed(RoundStatsWire),
-    /// The CDN's bandwidth counters.
-    CdnStats(CdnStatsWire),
     /// The process's telemetry: metrics exposition text and recent spans.
     Telemetry(TelemetryWire),
     /// The request failed with a typed error.
@@ -505,22 +499,6 @@ pub struct SpanWire {
     pub start_us: u64,
     /// Duration in microseconds.
     pub duration_us: u64,
-}
-
-/// CDN serving counters, in wire form. Data bytes are mailbox payload bytes
-/// delivered to clients; parity bytes are the extra erasure-shard bytes
-/// fetched to reconstruct them, kept separate so bandwidth figures remain
-/// comparable to an origin-only deployment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CdnStatsWire {
-    /// Mailbox payload bytes served to clients.
-    pub bytes_served: u64,
-    /// Mailbox downloads served.
-    pub downloads: u64,
-    /// Extra parity-shard bytes fetched during erasure reconstruction.
-    pub parity_bytes_served: u64,
-    /// Individual shard fetches issued to CDN nodes.
-    pub shard_fetches: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -681,7 +659,7 @@ const REQ_BEGIN_ADD_FRIEND_ROUND: u8 = 13;
 const REQ_CLOSE_ADD_FRIEND_ROUND: u8 = 14;
 const REQ_BEGIN_DIALING_ROUND: u8 = 15;
 const REQ_CLOSE_DIALING_ROUND: u8 = 16;
-const REQ_GET_CDN_STATS: u8 = 17;
+// 17: retired (the CDN stats request); decodes as an unknown tag, never reused.
 const REQ_GET_TELEMETRY: u8 = 18;
 const REQ_BATCH: u8 = 19;
 
@@ -742,7 +720,6 @@ impl Request {
             Request::CloseAddFriendRound { .. } => "close_add_friend_round",
             Request::BeginDialingRound { .. } => "begin_dialing_round",
             Request::CloseDialingRound { .. } => "close_dialing_round",
-            Request::GetCdnStats => "get_cdn_stats",
             Request::GetTelemetry => "get_telemetry",
             Request::Batch(_) => "batch",
         }
@@ -893,9 +870,6 @@ impl Request {
                 e.put_u8(REQ_CLOSE_DIALING_ROUND);
                 e.put_u64(round.0);
             }
-            Request::GetCdnStats => {
-                e.put_u8(REQ_GET_CDN_STATS);
-            }
             Request::GetTelemetry => {
                 e.put_u8(REQ_GET_TELEMETRY);
             }
@@ -986,7 +960,6 @@ impl Request {
             REQ_CLOSE_DIALING_ROUND => Request::CloseDialingRound {
                 round: Round(d.get_u64("close round")?),
             },
-            REQ_GET_CDN_STATS => Request::GetCdnStats,
             REQ_GET_TELEMETRY => Request::GetTelemetry,
             _ => {
                 return Err(WireError::InvalidValue {
@@ -1011,7 +984,7 @@ const RESP_ADD_FRIEND_MAILBOX: u8 = 7;
 const RESP_DIALING_MAILBOX: u8 = 8;
 const RESP_ROUND_CLOSED: u8 = 9;
 const RESP_ERROR: u8 = 10;
-const RESP_CDN_STATS: u8 = 11;
+// 11: retired (the CDN stats reply); decodes as an unknown tag, never reused.
 const RESP_TELEMETRY: u8 = 12;
 const RESP_BATCH: u8 = 13;
 
@@ -1248,13 +1221,6 @@ impl Response {
                 e.put_u64(stats.total_noise);
                 e.put_u64(stats.final_messages);
             }
-            Response::CdnStats(stats) => {
-                e.put_u8(RESP_CDN_STATS);
-                e.put_u64(stats.bytes_served);
-                e.put_u64(stats.downloads);
-                e.put_u64(stats.parity_bytes_served);
-                e.put_u64(stats.shard_fetches);
-            }
             Response::Telemetry(telemetry) => {
                 e.put_u8(RESP_TELEMETRY);
                 put_telemetry(e, telemetry);
@@ -1360,12 +1326,6 @@ impl Response {
                 final_messages: d.get_u64("final messages")?,
             }),
             RESP_ERROR => Response::Error(RpcError::decode_from(d)?),
-            RESP_CDN_STATS => Response::CdnStats(CdnStatsWire {
-                bytes_served: d.get_u64("cdn bytes served")?,
-                downloads: d.get_u64("cdn downloads")?,
-                parity_bytes_served: d.get_u64("cdn parity bytes served")?,
-                shard_fetches: d.get_u64("cdn shard fetches")?,
-            }),
             RESP_TELEMETRY => Response::Telemetry(get_telemetry(d)?),
             _ => {
                 return Err(WireError::InvalidValue {
@@ -1573,14 +1533,19 @@ mod tests {
 
     #[test]
     fn unknown_tags_rejected() {
-        assert!(matches!(
-            Request::decode(&[0xff]),
-            Err(WireError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            Response::decode(&[0xff]),
-            Err(WireError::InvalidValue { .. })
-        ));
+        // 0xff was never assigned; the others are retired tags (the CDN
+        // stats messages), reserved so that no later message reuses them.
+        let invalid = |context| Some(WireError::InvalidValue { context });
+        for tag in [0xff, 17] {
+            assert_eq!(Request::decode(&[tag]).err(), invalid("request tag"));
+        }
+        for tag in [0xff, 11] {
+            assert_eq!(Response::decode(&[tag]).err(), invalid("response tag"));
+        }
+        let cdn_request = crate::CdnRequest::decode(&[4]);
+        assert_eq!(cdn_request.err(), invalid("cdn request tag"));
+        let cdn_response = crate::CdnResponse::decode(&[4]);
+        assert_eq!(cdn_response.err(), invalid("cdn response tag"));
         assert!(Request::decode(&[]).is_err());
         assert!(Response::decode(&[]).is_err());
     }

@@ -19,9 +19,9 @@ use alpenhorn_wire::rpc::{
     RATE_LIMIT_SERIAL_LEN,
 };
 use alpenhorn_wire::{
-    AddFriendEnvelope, CdnRequest, CdnResponse, CdnStatsWire, Frame, Identity, MailboxId,
-    MixerRequest, MixerResponse, RateLimitReason, RateLimitToken, Request, Response, Round,
-    RoundKind, RpcError, ShardHeader, WireError, G1_LEN, G2_LEN, SIGNATURE_LEN, SIGNING_PK_LEN,
+    AddFriendEnvelope, CdnRequest, CdnResponse, Frame, Identity, MailboxId, MixerRequest,
+    MixerResponse, RateLimitReason, RateLimitToken, Request, Response, Round, RoundKind, RpcError,
+    ShardHeader, SpanWire, TelemetryWire, WireError, G1_LEN, G2_LEN, SIGNATURE_LEN, SIGNING_PK_LEN,
 };
 
 fn arb_identity() -> impl Strategy<Value = Identity> {
@@ -101,7 +101,6 @@ fn all_requests(
         Request::CloseDialingRound {
             round: Round(round),
         },
-        Request::GetCdnStats,
     ];
     let batchable: Vec<Request> = requests.iter().filter(|r| r.batchable()).cloned().collect();
     for members in 1..=batchable.len() {
@@ -153,12 +152,7 @@ fn all_responses(round: u64, fill: u8, counts: (usize, usize), detail: String) -
             total_noise: round.wrapping_mul(7),
             final_messages: round.wrapping_add(99),
         }),
-        Response::CdnStats(CdnStatsWire {
-            bytes_served: round,
-            downloads: round.wrapping_mul(3),
-            parity_bytes_served: round.wrapping_mul(5),
-            shard_fetches: round.wrapping_add(1),
-        }),
+        Response::Telemetry(telemetry(round, fill, num_keys, detail.clone())),
     ];
     let errors = vec![
         RpcError::RoundNotOpen {
@@ -271,12 +265,13 @@ fn all_mixer_responses(fill: u8, onions: usize, detail: String) -> Vec<MixerResp
             dropped: u64::from(fill),
         },
         MixerResponse::Ack,
+        MixerResponse::Telemetry(telemetry(u64::from(fill), fill, onions, detail.clone())),
         MixerResponse::Error(detail),
     ]
 }
 
 /// One of every `CdnResponse` variant (the `cdnd` → coordinator/client
-/// surface) but telemetry.
+/// surface).
 fn all_cdn_responses(round: u64, fill: u8, shard_len: usize, detail: String) -> Vec<CdnResponse> {
     vec![
         CdnResponse::Ack,
@@ -289,14 +284,25 @@ fn all_cdn_responses(round: u64, fill: u8, shard_len: usize, detail: String) -> 
             shard: vec![fill; shard_len],
         },
         CdnResponse::NotFound,
-        CdnResponse::Stats {
-            shards_stored: round,
-            bytes_stored: round.wrapping_mul(3),
-            shard_fetches: u64::from(fill),
-            bytes_served: round.wrapping_add(7),
-        },
+        CdnResponse::Telemetry(telemetry(round, fill, shard_len % 4, detail.clone())),
         CdnResponse::Error(detail),
     ]
+}
+
+/// A telemetry reply's payload: `exposition` and `spans` spans.
+fn telemetry(round: u64, fill: u8, spans: usize, exposition: String) -> TelemetryWire {
+    TelemetryWire {
+        exposition,
+        spans: (0..spans as u64)
+            .map(|i| SpanWire {
+                component: "cdn".repeat(i as usize),
+                name: format!("span_{fill}"),
+                correlation: round.wrapping_add(i),
+                start_us: u64::from(fill) << i,
+                duration_us: i,
+            })
+            .collect(),
+    }
 }
 
 fn round_kind(fill: u8) -> RoundKind {
@@ -357,7 +363,6 @@ fn all_cdn_requests(round: u64, fill: u8, shard_len: usize) -> Vec<CdnRequest> {
             index,
         },
         CdnRequest::Expire { keep_from: round },
-        CdnRequest::GetStats,
         CdnRequest::GetTelemetry,
     ]
 }

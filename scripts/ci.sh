@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Staged CI gate: formatting, lints, build, tests, bench smoke + snapshot.
+# Staged CI gate: formatting, lints, rustdoc, build, tests, bench smoke +
+# snapshot.
 #
 #   scripts/ci.sh
 #
@@ -25,6 +26,11 @@ cargo fmt --check
 
 stage "clippy (cargo clippy --all-targets -- -D warnings)"
 cargo clippy --all-targets -- -D warnings
+
+# Rustdoc with warnings denied: a doc link left dangling by a rename or a
+# deletion fails here, not in a reader's browser.
+stage "rustdoc (cargo doc --no-deps --workspace, warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 stage "build (release)"
 cargo build --release
@@ -78,12 +84,14 @@ cargo test -q -p alpenhorn-mixd --test loopback_equivalence
 # always-on instrumentation and asserts the client event stream stays
 # byte-identical, one correlation id links the round's spans across
 # coordinator, mixd, and cdnd, and the round/shard counters reconcile.
-# The --ignored variant fetches GetTelemetry from a live alpenhornd over TCP.
-# The frame-telemetry proptests pin the plain and telemetry framings.
+# Every metric family the daemons expose must be named in
+# docs/OBSERVABILITY.md. The --ignored variant fetches GetTelemetry from a
+# live alpenhornd over TCP. The bit-flip proptests cover every message of
+# the three protocols, the three telemetry replies included.
 stage "observability (telemetry e2e + GetTelemetry smoke vs live alpenhornd)"
 cargo test -q --test observability_e2e
 cargo test -q --release --test observability_e2e -- --ignored
-cargo test -q -p alpenhorn-wire --test rpc_proptests telemetry
+cargo test -q -p alpenhorn-wire --test rpc_proptests bit_flips
 
 # Full sampling budget, not BENCH_SMOKE: this stage's output IS the recorded
 # perf trajectory (≈3 s total), and overwriting the committed baseline with

@@ -12,7 +12,9 @@
 //!   noise (nothing dropped on the healthy path), and the shard fleet served
 //!   exactly `k` shard fetches per reassembled mailbox download;
 //! * **(c) determinism** — the client event stream is byte-identical to the
-//!   in-process reference run, with all instrumentation enabled in both.
+//!   in-process reference run, with all instrumentation enabled in both;
+//! * **(d) documentation** — every metric family in the three expositions
+//!   is named in `docs/OBSERVABILITY.md`.
 
 use std::sync::{Arc, Mutex};
 
@@ -23,7 +25,7 @@ use alpenhorn::{
 use alpenhorn_cdn::{CdnNodeState, NodeClient, ShardedCdn, TcpNode};
 use alpenhorn_coordinator::server::serve as coordinator_serve;
 use alpenhorn_coordinator::service::CoordinatorService;
-use alpenhorn_coordinator::{CdnStats, Cluster, ClusterConfig};
+use alpenhorn_coordinator::{Cluster, ClusterConfig};
 use alpenhorn_ibe::sig::VerifyingKey;
 use alpenhorn_mixd::{MixdServer, Mixer, RemoteMixer};
 use alpenhorn_wire::server::{serve, ServerHandle};
@@ -181,18 +183,17 @@ fn telemetry_links_rounds_across_all_process_types() {
     let coordinator_addr = coordinator.local_addr();
 
     let client_fleet = Arc::new(ShardedCdn::new(cdn_fleet(), DATA_SHARDS, PARITY_SHARDS));
-    let download_stats = Arc::new(CdnStats::default());
     let routed = || {
         CdnRoutedTransport::new(
             TcpTransport::connect(coordinator_addr).expect("client connects"),
             Arc::clone(&client_fleet),
         )
-        .with_stats(Arc::clone(&download_stats))
     };
 
     // Counter reconciliation works on deltas over the distributed run only:
     // the registry is process-global and the reference run above already
-    // incremented the shared counters.
+    // incremented the shared counters. The binary's other test is ignored
+    // outside `--ignored` runs, so the deltas are exact.
     let before = alpenhorn_obs::global().snapshot();
     let distributed = run_scenario(routed(), routed(), routed());
     let after = alpenhorn_obs::global().snapshot();
@@ -263,6 +264,9 @@ fn telemetry_links_rounds_across_all_process_types() {
     assert!(!coordinator_telemetry.exposition.is_empty());
     assert!(!mixd_telemetry.exposition.is_empty());
     assert!(!cdn_telemetry.exposition.is_empty());
+    for telemetry in [&coordinator_telemetry, &mixd_telemetry, &cdn_telemetry] {
+        assert_families_documented(&telemetry.exposition);
+    }
 
     // (b) Counters reconcile. Mixnet accounting first: everything that went
     // in (submissions + noise) came out, nothing dropped on the healthy path.
@@ -289,21 +293,22 @@ fn telemetry_links_rounds_across_all_process_types() {
         );
     }
 
-    // Shard-fleet accounting: every reassembled mailbox download cost
-    // exactly `k` shard fetches (no parity reads — all nodes are healthy).
-    let downloads = download_stats.wire();
-    assert!(downloads.downloads > 0, "no sharded downloads were served");
-    assert_eq!(
-        downloads.shard_fetches,
-        DATA_SHARDS as u64 * downloads.downloads,
-        "healthy-path shard fetches must be k x mailbox downloads"
-    );
-    assert_eq!(downloads.parity_bytes_served, 0);
+    // Shard-fleet accounting: every mailbox download the fleet reassembled
+    // (every fetch that did not fall back to the origin) cost exactly `k`
+    // shard fetches, with no parity reads — all nodes are healthy — and the
+    // nodes served every one of those fetches.
+    let reassembled = d("cdn_fetches_total") - d("client_cdn_origin_fallbacks_total");
+    assert!(reassembled > 0, "no sharded downloads were served");
     assert_eq!(
         d("cdn_shard_fetches_total"),
-        downloads.shard_fetches,
-        "fetch-path registry counter must agree with the CdnStats view"
+        DATA_SHARDS as u64 * reassembled,
+        "healthy-path shard fetches must be k x reassembled downloads"
     );
+    assert_eq!(
+        d("cdn_node_shard_fetches_total"),
+        d("cdn_shard_fetches_total")
+    );
+    assert_eq!(d("cdn_fetch_parity_bytes_total"), 0);
     assert_eq!(d("cdn_parity_decodes_total"), 0);
 
     // Lock accounting: every dispatch of an RPC that takes the service lock
@@ -370,6 +375,27 @@ fn telemetry_links_rounds_across_all_process_types() {
     coordinator.shutdown();
     for daemon in cdnds.into_iter().chain(mixds) {
         daemon.shutdown();
+    }
+}
+
+/// Asserts that every metric family in `exposition` is named in
+/// `docs/OBSERVABILITY.md`, so a metric cannot ship undocumented. A
+/// histogram's `_bucket`/`_sum`/`_count` lines belong to its family.
+fn assert_families_documented(exposition: &str) {
+    let doc = include_str!("../docs/OBSERVABILITY.md");
+    let documented: std::collections::HashSet<&str> = doc
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .collect();
+    for line in exposition.lines() {
+        let name = line.split(['{', ' ']).next().unwrap_or_default();
+        let family = ["_bucket", "_sum", "_count"]
+            .iter()
+            .find_map(|suffix| name.strip_suffix(suffix))
+            .unwrap_or(name);
+        assert!(
+            documented.contains(family),
+            "metric family {family} is not documented in docs/OBSERVABILITY.md"
+        );
     }
 }
 

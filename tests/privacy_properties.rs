@@ -79,10 +79,7 @@ fn mailbox_contents_dominated_by_noise_even_with_one_active_user() {
     let stats = net
         .with_cluster(|c| c.close_add_friend_round(Round(1)))
         .unwrap();
-    assert_eq!(
-        stats.total_noise(),
-        3 * 50 * (info.num_mailboxes as u64 + 1)
-    );
+    assert_eq!(stats.noise, 3 * 50 * (info.num_mailboxes as u64 + 1));
 
     let mailbox =
         alpenhorn_wire::MailboxId::for_recipient(&id("bob@gmail.com"), info.num_mailboxes);

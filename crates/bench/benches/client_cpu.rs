@@ -1,5 +1,5 @@
 //! §8.2 client CPU costs: IBE decryption throughput, mailbox scan time,
-//! keywheel hashing rate, and Bloom-filter scan time.
+//! keywheel hashing rate, and dial-set scan time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -44,7 +44,7 @@ fn print_tables(_c: &mut Criterion) {
     print_header(
         "Client CPU costs",
         "Section 8.2: 800 IBE decryptions/sec/core; 8 s to scan a 24k-request mailbox; \
-         1M keywheel hashes/sec; Bloom scan of 1000 friends x 10 intents < 1 s",
+         1M keywheel hashes/sec; dialing scan of 1000 friends x 10 intents < 1 s",
     );
     let model = calibrated_model();
     println!("{}", client_cpu_table(&model.costs).render());

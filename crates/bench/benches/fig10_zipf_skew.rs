@@ -21,7 +21,7 @@ fn print_figure_10(_c: &mut Criterion) {
     println!("{}", figure_10(&CostModel::paper_reference()).render());
 
     // §8.4's dialing observation: skew barely moves dialing latency because
-    // Bloom scanning is so cheap. Report the mailbox token spread at s=2.
+    // dial-set scanning is so cheap. Report the mailbox token spread at s=2.
     let model = CostModel::paper_reference();
     let workload = Workload::skewed(10_000_000, 2.0);
     let mailboxes = model.dialing_mailboxes(&workload);

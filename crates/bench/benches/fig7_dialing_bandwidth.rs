@@ -13,7 +13,7 @@ fn print_figure_7(_c: &mut Criterion) {
         "10M users at a 5-minute round is ~3 KB/s (~7.8 GB/month)",
     );
     let measured = calibrated_model();
-    println!("Using Bloom-filter sizes from this implementation and measured costs:\n");
+    println!("Using dial-set sizes from this implementation and measured costs:\n");
     println!("{}", figure_7(&measured, 3).render());
     println!("Using the paper's per-operation reference costs:\n");
     println!("{}", figure_7(&CostModel::paper_reference(), 3).render());

@@ -1,5 +1,5 @@
 //! Mixnet micro-benchmarks: onion wrapping/peeling, noise sampling, shuffling
-//! and Bloom-filter construction — plus the round-processing throughput
+//! and dial-set construction and decoding — plus the round-processing throughput
 //! sweep (batch size × worker count) that tracks the parallel,
 //! allocation-lean round pipeline. These are the per-operation costs that the
 //! cost model (Figures 8-9) is calibrated from.
@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::time::Instant;
 
 use alpenhorn_bench::print_header;
-use alpenhorn_bloom::{BloomFilter, BloomParams};
+use alpenhorn_bloom::DialSet;
 use alpenhorn_crypto::{ChaCha20, ChaChaRng};
 use alpenhorn_ibe::dh::DhSecret;
 use alpenhorn_mixnet::onion::{peel_layer, peel_layer_in_place, wrap_onion};
@@ -90,17 +90,26 @@ fn bench_noise_and_shuffle(c: &mut Criterion) {
         )
     });
 
-    group.bench_function("bloom_build_10k_tokens", |b| {
-        b.iter(|| {
-            let mut rng = ChaChaRng::from_seed_bytes([4u8; 32]);
-            let mut filter = BloomFilter::new(BloomParams::paper_default(10_000));
+    let mut rng = ChaChaRng::from_seed_bytes([4u8; 32]);
+    let tokens: Vec<[u8; 32]> = (0..10_000)
+        .map(|_| {
             let mut token = [0u8; 32];
-            for _ in 0..10_000 {
-                rng.fill_bytes(&mut token);
-                filter.insert(&token);
-            }
-            filter
+            rng.fill_bytes(&mut token);
+            token
         })
+        .collect();
+    // The last server's mailbox build, and the two client-side reads of the
+    // encoding: the CDN wrapper's allocation-free check and the scan's
+    // decode.
+    group.bench_function("dial_set_build_10k_tokens", |b| {
+        b.iter(|| DialSet::new(&tokens).to_bytes())
+    });
+    let encoded = DialSet::new(&tokens).to_bytes();
+    group.bench_function("dial_set_validate_10k_tokens", |b| {
+        b.iter(|| DialSet::validate(&encoded))
+    });
+    group.bench_function("dial_set_decode_10k_tokens", |b| {
+        b.iter(|| DialSet::from_bytes(&encoded))
     });
     group.finish();
 }

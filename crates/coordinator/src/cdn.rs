@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use alpenhorn_bloom::BloomFilter;
+use alpenhorn_bloom::DialSet;
 use alpenhorn_mixnet::{AddFriendMailboxes, DialingMailboxes};
 use alpenhorn_obs::Counter;
 use alpenhorn_wire::cdn::dialing_blob_len;
@@ -58,7 +58,7 @@ pub struct Cdn {
     dialing: Arc<HashMap<u64, Arc<PublishedDialing>>>,
 }
 
-/// One closed dialing round as published: its Bloom-filter mailboxes and
+/// One closed dialing round as published: its dial-set mailboxes and
 /// the next round's parameters, which the close announced in every one of
 /// them.
 pub(crate) struct PublishedDialing {
@@ -75,19 +75,19 @@ pub(crate) fn serve_add_friend(boxes: &AddFriendMailboxes, mailbox: MailboxId) -
     contents
 }
 
-/// Serves one dialing mailbox download from a published round — the filter
-/// and the announced next round — counting the length of the blob the
-/// shard fleet serves for it, so both deployment shapes account the same
-/// bytes. Shared by [`Cdn::fetch_dialing_mailbox`] and the lock-free
+/// Serves one dialing mailbox download from a published round — the
+/// encoded dial set and the announced next round — counting the length of
+/// the blob the shard fleet serves for it, so both deployment shapes account
+/// the same bytes. Shared by [`Cdn::fetch_dialing_mailbox`] and the lock-free
 /// snapshot path.
 pub(crate) fn serve_dialing(
     published: &PublishedDialing,
     mailbox: MailboxId,
-) -> Option<(&BloomFilter, Option<&DialingRoundWire>)> {
-    let filter = published.mailboxes.mailbox(mailbox)?;
+) -> Option<(&[u8], Option<&DialingRoundWire>)> {
+    let set = published.mailboxes.mailbox(mailbox)?;
     let next_round = published.next_round.as_ref();
-    count_download(dialing_blob_len(filter.encoded_len(), next_round));
-    Some((filter, next_round))
+    count_download(dialing_blob_len(set.len(), next_round));
+    Some((set, next_round))
 }
 
 impl Cdn {
@@ -137,14 +137,11 @@ impl Cdn {
         Some(serve_add_friend(boxes, mailbox))
     }
 
-    /// Downloads one dialing mailbox: the Bloom filter of dial tokens.
-    pub fn fetch_dialing_mailbox(
-        &mut self,
-        round: Round,
-        mailbox: MailboxId,
-    ) -> Option<BloomFilter> {
+    /// Downloads one dialing mailbox and decodes its set of dial tokens.
+    pub fn fetch_dialing_mailbox(&mut self, round: Round, mailbox: MailboxId) -> Option<DialSet> {
         let published = self.dialing.get(&round.0)?;
-        serve_dialing(published, mailbox).map(|(filter, _)| filter.clone())
+        let (set, _) = serve_dialing(published, mailbox)?;
+        DialSet::from_bytes(set).ok()
     }
 
     /// Removes mailboxes older than `keep_from` (the paper keeps mailbox
@@ -213,10 +210,10 @@ mod tests {
         let mut cdn = Cdn::new();
         cdn.publish_dialing(Round(5), dialing_boxes(), None);
         let (bytes, downloads) = served();
-        let filter = cdn.fetch_dialing_mailbox(Round(5), MailboxId(0)).unwrap();
-        assert!(filter.contains(&[7u8; 32]));
+        let set = cdn.fetch_dialing_mailbox(Round(5), MailboxId(0)).unwrap();
+        assert!(set.contains(&[7u8; 32]));
         // Counted as the blob the shard fleet would serve.
-        let blob = alpenhorn_wire::cdn::encode_dialing_blob(&filter.to_bytes(), None);
+        let blob = alpenhorn_wire::cdn::encode_dialing_blob(&set.to_bytes(), None);
         assert!(served().0 >= bytes + blob.len() as u64);
         assert!(served().1 > downloads);
         assert!(cdn.fetch_dialing_mailbox(Round(5), MailboxId(3)).is_none());

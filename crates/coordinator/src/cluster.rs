@@ -800,7 +800,7 @@ impl Cluster {
         }
     }
 
-    /// Publishes one closed dialing round's Bloom filters to the CDN fleet,
+    /// Publishes one closed dialing round's dial sets to the CDN fleet,
     /// each with the announced next round, best effort (see
     /// [`Cluster::publish_add_friend_shards`]).
     fn publish_dialing_shards(
@@ -812,8 +812,8 @@ impl Cluster {
         let Some(fleet) = &self.sharded_cdn else {
             return;
         };
-        for (mailbox, filter) in &mailboxes.mailboxes {
-            let blob = encode_dialing_blob(&filter.to_bytes(), next_round);
+        for (mailbox, set) in &mailboxes.mailboxes {
+            let blob = encode_dialing_blob(set, next_round);
             let _ = fleet.publish(RoundKind::Dialing, round, MailboxId(*mailbox), &blob);
         }
     }
@@ -918,7 +918,7 @@ impl Cluster {
     }
 
     /// Closes the open dialing round: runs the mixnet, begins the next
-    /// round's chain round, publishes the Bloom filter mailboxes to the CDN
+    /// round's chain round, publishes the dial-set mailboxes to the CDN
     /// with the next round's parameters in each, and returns the round
     /// statistics.
     /// A bare cluster takes no rate-limit tokens, and its announcements say
@@ -1061,11 +1061,11 @@ mod tests {
         let stats = cluster.close_dialing_round(round).unwrap();
         assert_eq!(stats.client_messages, 1);
 
-        let filter = cluster
+        let set = cluster
             .cdn()
             .fetch_dialing_mailbox(round, MailboxId(0))
             .unwrap();
-        assert!(filter.contains(&token.0));
+        assert!(set.contains(&token.0));
     }
 
     #[test]

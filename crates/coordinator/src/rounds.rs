@@ -3,7 +3,7 @@
 //! §8.2 of the paper: round durations are the deployment knob trading latency
 //! against client bandwidth. Add-friend rounds are long (tens of minutes to
 //! hours) because mailboxes are large; dialing rounds are short (minutes)
-//! because Bloom-filter mailboxes are small. The expected end-to-end latency
+//! because dial-set mailboxes are small. The expected end-to-end latency
 //! of a call is roughly half the dialing round duration plus the processing
 //! time, which is how the paper arrives at "about 2.5 minutes" for 5-minute
 //! dialing rounds.

@@ -328,8 +328,8 @@ impl SharedCoordinator {
                     .get(&round.0)
                     .and_then(|published| serve_dialing(published, mailbox))
                 {
-                    Some((filter, next_round)) => Response::DialingMailbox {
-                        filter: filter.to_bytes(),
+                    Some((set, next_round)) => Response::DialingMailbox {
+                        filter: set.to_vec(),
                         next_round: next_round.cloned(),
                     },
                     None => Response::Error(RpcError::UnknownMailbox),

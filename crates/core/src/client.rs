@@ -16,7 +16,7 @@
 //!   address book and keywheels, and erases the round's identity keys.
 //! * **Dialing round**: [`Client::participate_dialing`] submits one (possibly
 //!   cover) dial token; [`Client::process_dialing_mailbox`] downloads the
-//!   round's Bloom filter, tests every (friend, intent) token, surfaces
+//!   round's dial set, tests every (friend, intent) token, surfaces
 //!   incoming calls, and advances the keywheels (forward secrecy).
 //!
 //! When the coordinator enforces rate limiting (§9), the client transparently
@@ -31,7 +31,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use alpenhorn_bloom::BloomFilter;
+use alpenhorn_bloom::DialSet;
 use alpenhorn_coordinator::ratelimit;
 use alpenhorn_crypto::ChaChaRng;
 use alpenhorn_ibe::anytrust::{aggregate_identity_keys, aggregate_master_publics};
@@ -1257,7 +1257,7 @@ impl Client {
         chosen
     }
 
-    /// Downloads the Bloom filter mailbox of the dialing round last
+    /// Downloads the dial-set mailbox of the dialing round last
     /// participated in, scans it for calls from any friend with any intent,
     /// and advances all keywheels past the round (erasing old keys, §5.1).
     pub fn process_dialing_mailbox<T: Transport>(
@@ -1275,9 +1275,9 @@ impl Client {
                     })
                 }
             };
-        let filter =
-            BloomFilter::from_bytes(&filter_bytes).ok_or(ClientError::UnexpectedResponse {
-                context: "decoding a dialing Bloom filter",
+        let dial_set =
+            DialSet::from_bytes(&filter_bytes).map_err(|_| ClientError::UnexpectedResponse {
+                context: "decoding a dialing mailbox's dial set",
             })?;
         self.dialing_round_state = None;
         // Hold the next round's announced parameters for the next
@@ -1302,7 +1302,7 @@ impl Client {
                 // Our own outgoing token for this round; not an incoming call.
                 continue;
             }
-            if filter.contains(token.as_bytes()) {
+            if dial_set.contains(token.as_bytes()) {
                 let session_key: SessionKey = self
                     .keywheels
                     .session_key(&friend, round, intent)

@@ -1003,13 +1003,12 @@ impl crate::transport::Transport for StaleAnnouncement {
                 }
             }
             Request::FetchDialingMailbox { .. } => {
-                let params = alpenhorn_bloom::BloomParams::for_elements(1, 20);
                 let announced = alpenhorn_wire::rpc::DialingRoundWire {
                     round: Round(2),
                     ..self.info.clone()
                 };
                 Response::DialingMailbox {
-                    filter: alpenhorn_bloom::BloomFilter::new(params).to_bytes(),
+                    filter: alpenhorn_bloom::DialSet::new(Vec::<[u8; 32]>::new()).to_bytes(),
                     next_round: Some(announced),
                 }
             }

@@ -52,7 +52,7 @@ pub enum ClientEvent {
         /// The dialing round the call was placed in.
         round: Round,
     },
-    /// An incoming call was found in the round's Bloom filter (the paper's
+    /// An incoming call was found in the round's dial set (the paper's
     /// `IncomingCall` callback).
     IncomingCall {
         /// The calling friend.

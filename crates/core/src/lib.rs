@@ -30,8 +30,8 @@
 //! Alpenhorn is round based. Each add-friend round a client extracts its IBE
 //! identity keys, submits exactly one fixed-size (possibly cover) request,
 //! and later downloads and trial-decrypts its mailbox. Each dialing round a
-//! client submits one (possibly cover) dial token and scans the round's Bloom
-//! filter for calls from its friends. See the `quickstart` example for the
+//! client submits one (possibly cover) dial token and scans the round's dial
+//! set for calls from its friends. See the `quickstart` example for the
 //! full loop against an in-process cluster.
 //!
 //! ## Transports

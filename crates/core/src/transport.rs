@@ -23,7 +23,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use alpenhorn_bloom::BloomFilter;
+use alpenhorn_bloom::DialSet;
 use alpenhorn_cdn::ShardedCdn;
 use alpenhorn_coordinator::service::CoordinatorService;
 use alpenhorn_coordinator::{Cluster, ServiceWriteGuard, SharedCoordinator};
@@ -352,7 +352,7 @@ fn fleet_reply(kind: RoundKind, blob: &[u8]) -> Option<Response> {
             .map(|contents| Response::AddFriendMailbox { contents }),
         RoundKind::Dialing => {
             let (filter, next_round) = decode_dialing_blob(blob).ok()?;
-            BloomFilter::from_bytes(filter)?;
+            DialSet::validate(filter).ok()?;
             Some(Response::DialingMailbox {
                 filter: filter.to_vec(),
                 next_round,
@@ -450,12 +450,22 @@ mod tests {
         let mut trailing = valid.clone();
         trailing.push(0);
         let not_a_filter = encode_dialing_blob(&[1, 2, 3], next_round.as_ref());
+        // The frame-v9 mailbox: a Bloom filter's 20-byte header (bit count,
+        // hash count, inserted count, big-endian) and its bits, here one
+        // token at 48 bits.
+        let mut bloom = Vec::new();
+        bloom.extend_from_slice(&48u64.to_be_bytes());
+        bloom.extend_from_slice(&33u32.to_be_bytes());
+        bloom.extend_from_slice(&1u64.to_be_bytes());
+        bloom.extend_from_slice(&[0x5A; 6]);
+        let bloom_filter = encode_dialing_blob(&bloom, next_round.as_ref());
         for (blob, served_by_fleet) in [
             (valid, true),
             // The pre-announcement layout: the bare filter bytes.
             (filter.clone(), false),
             (trailing, false),
             (not_a_filter, false),
+            (bloom_filter, false),
         ] {
             let nodes: Vec<Box<dyn NodeClient>> = (0..4)
                 .map(|_| Box::new(LoopbackNode::new()) as Box<dyn NodeClient>)

@@ -126,21 +126,33 @@ impl IdentityPrivateKey {
     }
 }
 
-/// Derives the AEAD key from the pairing value and the ephemeral point.
+/// The largest serialized target-group element: BLS12-381's compressed
+/// Fq12, 12 × 48 bytes.
+const GT_MAX_LEN: usize = 576;
+
+/// The HKDF info label; the ephemeral point follows it.
+const KEY_INFO_LABEL: &[u8; 15] = b"ibe-session-key";
+
+/// Derives the AEAD key from the pairing value and the ephemeral point. Both
+/// HKDF inputs are built on the stack: trial decryption runs this once per
+/// mailbox ciphertext, and nearly every one is for someone else.
 fn derive_key(pairing_value: &impl CanonicalSerialize, ephemeral: &[u8; G1_LEN]) -> [u8; 32] {
-    let mut gt_bytes = Vec::new();
+    let mut gt = [0u8; GT_MAX_LEN];
+    let gt = gt
+        .get_mut(..pairing_value.compressed_size())
+        .expect("GT element within GT_MAX_LEN");
     pairing_value
-        .serialize_compressed(&mut gt_bytes)
+        .serialize_compressed(&mut *gt)
         .expect("GT serialization");
     use alpenhorn_crypto::hmac::HmacKey;
     use std::sync::OnceLock;
     // Fixed KEM salt label: precompute its HMAC states once per process.
     static KEM_SALT: OnceLock<HmacKey> = OnceLock::new();
     let salt = KEM_SALT.get_or_init(|| HmacKey::new(b"alpenhorn-bf-ibe-kem"));
-    let hk = Hkdf::extract_with_key(salt, &gt_bytes);
-    let mut info = Vec::with_capacity(G1_LEN + 16);
-    info.extend_from_slice(b"ibe-session-key");
-    info.extend_from_slice(ephemeral);
+    let hk = Hkdf::extract_with_key(salt, gt);
+    let mut info = [0u8; KEY_INFO_LABEL.len() + G1_LEN];
+    info[..KEY_INFO_LABEL.len()].copy_from_slice(KEY_INFO_LABEL);
+    info[KEY_INFO_LABEL.len()..].copy_from_slice(ephemeral);
     hk.expand_key(&info)
 }
 
@@ -193,12 +205,11 @@ pub fn decrypt(idk: &IdentityPrivateKey, ciphertext: &[u8]) -> Result<Vec<u8>, I
     let shared = Bls12_381::pairing(ephemeral.into_affine(), idk.point.into_affine());
     let key = derive_key(&shared, &ephemeral_arr);
 
-    // One allocation for the result; the tag is verified and then truncated
-    // off in place.
-    let mut body = sealed.to_vec();
-    aead::open_in_place(&key, &[0u8; aead::NONCE_LEN], &ephemeral_arr, &mut body, 0)
-        .map_err(|_| IbeError::DecryptionFailed)?;
-    Ok(body)
+    // The tag is checked on the borrowed ciphertext: a ciphertext for
+    // someone else (the common case while scanning) is rejected without a
+    // copy, and only a match allocates its plaintext.
+    aead::open(&key, &[0u8; aead::NONCE_LEN], &ephemeral_arr, sealed)
+        .map_err(|_| IbeError::DecryptionFailed)
 }
 
 /// The ciphertext expansion added by [`encrypt`]: the ephemeral G1 point and

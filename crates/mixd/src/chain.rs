@@ -181,7 +181,7 @@ impl RemoteMixChain {
     }
 
     /// Runs a complete dialing round against the current round's keys and
-    /// builds the Bloom-filter mailboxes.
+    /// builds the dial-set mailboxes.
     pub fn run_dialing_round(
         &mut self,
         batch: Vec<Vec<u8>>,

@@ -269,8 +269,8 @@ impl MixChain {
         )
     }
 
-    /// Runs a complete dialing round: mixes the batch and builds the Bloom
-    /// filter mailboxes.
+    /// Runs a complete dialing round: mixes the batch and builds the
+    /// dial-set mailboxes.
     pub fn run_dialing_round(
         &mut self,
         batch: Vec<Vec<u8>>,
@@ -286,6 +286,7 @@ impl MixChain {
 mod tests {
     use super::*;
     use crate::onion::wrap_onion;
+    use alpenhorn_bloom::DialSet;
     use alpenhorn_crypto::ChaChaRng;
     use alpenhorn_wire::{AddFriendEnvelope, DialRequest, DialToken, MailboxId};
 
@@ -349,8 +350,8 @@ mod tests {
         chain.end_round();
 
         assert_eq!(stats.client_messages, 1);
-        let filter = mailboxes.mailbox(MailboxId(0)).unwrap();
-        assert!(filter.contains(&token.0));
+        let set = DialSet::from_bytes(mailboxes.mailbox(MailboxId(0)).unwrap()).unwrap();
+        assert!(set.contains(&token.0));
         // 1 real token + 5 noise per server per mailbox (mailbox 0 only; cover dropped).
         assert_eq!(mailboxes.total_tokens(), 1 + 3 * 5);
     }

@@ -16,7 +16,8 @@
 //! * [`server`] — a single mixnet server's per-round processing.
 //! * [`chain`] — an in-process chain of servers running a complete round.
 //! * [`mailbox`] — partitioning the final batch into mailboxes and encoding
-//!   dialing mailboxes as Bloom filters (§5.2), plus the mailbox-count
+//!   dialing mailboxes as Golomb-coded dial-token sets (§5.2), plus the
+//!   mailbox-count
 //!   policy of §6.
 
 #![forbid(unsafe_code)]

@@ -3,8 +3,9 @@
 //! The last server groups the fully-peeled requests by their plaintext
 //! mailbox ID (§3.1 step 3). Requests addressed to the cover mailbox are
 //! discarded. Add-friend mailboxes are the concatenation of the IBE
-//! ciphertexts they received; dialing mailboxes are encoded as Bloom filters
-//! of the dial tokens (§5.2), which is what makes the dialing protocol cheap
+//! ciphertexts they received; dialing mailboxes are encoded as Golomb-coded
+//! sets of the dial tokens ([`alpenhorn_bloom::DialSet`], where the paper
+//! uses a Bloom filter, §5.2), which is what makes the dialing protocol cheap
 //! for clients to download.
 //!
 //! [`MailboxPolicy`] implements §6's sizing rule: pick the number of
@@ -14,8 +15,8 @@
 
 use std::collections::BTreeMap;
 
-use alpenhorn_bloom::{BloomFilter, BloomParams};
-use alpenhorn_wire::{AddFriendEnvelope, DialRequest, MailboxId, BLOOM_BITS_PER_ELEMENT};
+use alpenhorn_bloom::DialSet;
+use alpenhorn_wire::{AddFriendEnvelope, DialRequest, MailboxId};
 
 /// How the coordinator chooses the number of mailboxes for a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +26,7 @@ pub struct MailboxPolicy {
     /// an equal volume of noise is added, §8.2).
     pub add_friend_target: usize,
     /// Target number of real dial tokens per dialing mailbox (the paper's 10M
-    /// user experiment uses about 75,000 per Bloom filter, §8.2).
+    /// user experiment uses about 75,000 per mailbox, §8.2).
     pub dialing_target: usize,
 }
 
@@ -117,22 +118,23 @@ impl AddFriendMailboxes {
     }
 }
 
-/// The dialing mailboxes produced by one round: mailbox ID → Bloom filter of
-/// the dial tokens delivered to it.
+/// The dialing mailboxes produced by one round: mailbox ID → the encoded
+/// [`DialSet`] of the dial tokens delivered to it.
 #[derive(Debug, Clone, Default)]
 pub struct DialingMailboxes {
-    /// Bloom filter per mailbox.
-    pub mailboxes: BTreeMap<u32, BloomFilter>,
+    /// The canonical [`DialSet`] encoding per mailbox: the bytes a client
+    /// downloads.
+    pub mailboxes: BTreeMap<u32, Vec<u8>>,
     /// Number of tokens inserted per mailbox (for diagnostics and sizing).
     pub token_counts: BTreeMap<u32, usize>,
 }
 
 impl DialingMailboxes {
-    /// Builds Bloom-filter mailboxes from the final batch of dial requests.
+    /// Builds the mailboxes from the final batch of dial requests.
     ///
-    /// The filter for each mailbox is sized for the number of tokens actually
-    /// received (the last server "is responsible for choosing the optimal
-    /// parameters to encode a given number of dial tokens", §5.2).
+    /// Each set is built from the tokens actually received (the last server
+    /// "is responsible for choosing the optimal parameters to encode a given
+    /// number of dial tokens", §5.2).
     pub fn from_batch(batch: &[Vec<u8>], num_mailboxes: u32) -> Self {
         let mut tokens_per_mailbox: BTreeMap<u32, Vec<[u8; 32]>> = BTreeMap::new();
         for id in 0..num_mailboxes {
@@ -154,13 +156,8 @@ impl DialingMailboxes {
         let mut mailboxes = BTreeMap::new();
         let mut token_counts = BTreeMap::new();
         for (id, tokens) in tokens_per_mailbox {
-            let params = BloomParams::for_elements(tokens.len().max(1), BLOOM_BITS_PER_ELEMENT);
-            let mut filter = BloomFilter::new(params);
-            for token in &tokens {
-                filter.insert(token);
-            }
             token_counts.insert(id, tokens.len());
-            mailboxes.insert(id, filter);
+            mailboxes.insert(id, DialSet::new(&tokens).to_bytes());
         }
         DialingMailboxes {
             mailboxes,
@@ -168,14 +165,14 @@ impl DialingMailboxes {
         }
     }
 
-    /// The Bloom filter for one mailbox, if it exists.
-    pub fn mailbox(&self, id: MailboxId) -> Option<&BloomFilter> {
-        self.mailboxes.get(&id.as_u32())
+    /// The encoded set of one mailbox, if it exists.
+    pub fn mailbox(&self, id: MailboxId) -> Option<&[u8]> {
+        self.mailboxes.get(&id.as_u32()).map(Vec::as_slice)
     }
 
-    /// Serialized size of one mailbox's Bloom filter in bytes.
+    /// Serialized size of one mailbox in bytes.
     pub fn mailbox_bytes(&self, id: MailboxId) -> usize {
-        self.mailbox(id).map(|f| f.encoded_len()).unwrap_or(0)
+        self.mailbox(id).map_or(0, <[u8]>::len)
     }
 
     /// Total number of tokens encoded across all mailboxes.
@@ -213,7 +210,7 @@ mod tests {
         assert_eq!(policy.add_friend_mailboxes(50_000), 5);
         // 10M users, 5% active → 500k dial tokens → 7 dialing mailboxes (§8.2).
         assert_eq!(policy.dialing_mailboxes(500_000), 7);
-        // 1M users dialing → a single Bloom filter (§8.2).
+        // 1M users dialing → a single dialing mailbox (§8.2).
         assert_eq!(policy.dialing_mailboxes(50_000), 1);
         // Degenerate cases.
         assert_eq!(policy.add_friend_mailboxes(0), 1);
@@ -259,11 +256,12 @@ mod tests {
         ];
         let boxes = DialingMailboxes::from_batch(&batch, 2);
         assert_eq!(boxes.total_tokens(), 3);
-        let f0 = boxes.mailbox(MailboxId(0)).unwrap();
+        let set = |id| DialSet::from_bytes(boxes.mailbox(MailboxId(id)).unwrap()).unwrap();
+        let f0 = set(0);
         assert!(f0.contains(&[1u8; 32]));
         assert!(f0.contains(&[2u8; 32]));
         assert!(!f0.contains(&[3u8; 32]));
-        let f1 = boxes.mailbox(MailboxId(1)).unwrap();
+        let f1 = set(1);
         assert!(f1.contains(&[3u8; 32]));
         // The cover token is not encoded anywhere.
         assert!(!f0.contains(&[4u8; 32]));

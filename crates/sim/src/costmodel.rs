@@ -5,8 +5,8 @@
 //! machine. Instead the model combines:
 //!
 //! * **measured per-operation costs** ([`MeasuredCosts::measure`]) — IBE
-//!   encryption/decryption, onion layer processing, noise generation, Bloom
-//!   filter operations, keywheel hashing and PKG extraction, all timed on the
+//!   encryption/decryption, onion layer processing, noise generation,
+//!   dial-set build and lookup, keywheel hashing and PKG extraction, all timed on the
 //!   machine running the benchmark with the real implementations from this
 //!   workspace; and
 //! * **the paper's deployment constants** ([`NetworkModel`]) — 36-core
@@ -15,14 +15,14 @@
 //! The resulting latency and bandwidth formulas follow the protocol
 //! structure: every mixnet server unwraps one onion layer per message and
 //! adds noise per mailbox; the last server builds mailboxes; clients download
-//! their mailbox and scan it (IBE trial decryption for add-friend, Bloom
-//! probes for dialing). Absolute numbers depend on the hardware running the
+//! their mailbox and scan it (IBE trial decryption for add-friend, dial-set
+//! lookups for dialing). Absolute numbers depend on the hardware running the
 //! calibration; the *shape* (linear in users, more servers cost more, dialing
 //! far cheaper than add-friend) is what the reproduction checks.
 
 use std::time::Instant;
 
-use alpenhorn_bloom::{BloomFilter, BloomParams};
+use alpenhorn_bloom::DialSet;
 use alpenhorn_crypto::ChaChaRng;
 use alpenhorn_ibe::anytrust::{aggregate_identity_keys, aggregate_master_publics};
 use alpenhorn_ibe::bf::{decrypt, encrypt, MasterSecret};
@@ -30,7 +30,7 @@ use alpenhorn_ibe::dh::DhSecret;
 use alpenhorn_keywheel::Keywheel;
 use alpenhorn_mixnet::onion::{peel_layer, wrap_onion};
 use alpenhorn_mixnet::MailboxPolicy;
-use alpenhorn_wire::{Round, ADD_FRIEND_REQUEST_LEN, BLOOM_BITS_PER_ELEMENT, DIAL_REQUEST_LEN};
+use alpenhorn_wire::{Round, ADD_FRIEND_REQUEST_LEN, DIAL_REQUEST_LEN};
 
 use crate::workload::Workload;
 
@@ -49,10 +49,11 @@ pub struct MeasuredCosts {
     pub pkg_extract: f64,
     /// One keywheel dial-token derivation (HMAC).
     pub keywheel_hash: f64,
-    /// One Bloom filter membership probe.
-    pub bloom_probe: f64,
-    /// One Bloom filter insertion (last mixnet server).
-    pub bloom_insert: f64,
+    /// One dial-set membership lookup (client, per friend per intent).
+    pub dial_set_probe: f64,
+    /// Building a mailbox's dial set, per token: hash, sort and encode (last
+    /// mixnet server).
+    pub dial_set_insert: f64,
 }
 
 impl MeasuredCosts {
@@ -105,14 +106,20 @@ impl MeasuredCosts {
             let _ = wheel.dial_token(Round(1), 3);
         });
 
-        // Bloom filter operations.
-        let mut filter =
-            BloomFilter::new(BloomParams::for_elements(10_000, BLOOM_BITS_PER_ELEMENT));
-        let bloom_insert = time_per_iter(iterations * 16, || {
-            filter.insert(b"some dial token value 32 bytes..");
-        });
-        let bloom_probe = time_per_iter(iterations * 16, || {
-            let _ = filter.contains(b"some other token value..........");
+        // Dial-set operations, on a 1,000-token mailbox.
+        let tokens: Vec<[u8; 32]> = (0..1_000u32)
+            .map(|i| {
+                let mut token = [0u8; 32];
+                token[..4].copy_from_slice(&i.to_be_bytes());
+                token
+            })
+            .collect();
+        let dial_set_insert = time_per_iter(iterations, || {
+            let _ = DialSet::new(&tokens).to_bytes();
+        }) / tokens.len() as f64;
+        let set = DialSet::new(&tokens);
+        let dial_set_probe = time_per_iter(iterations * 16, || {
+            let _ = set.contains(b"some other token value..........");
         });
 
         MeasuredCosts {
@@ -122,8 +129,8 @@ impl MeasuredCosts {
             onion_wrap,
             pkg_extract,
             keywheel_hash,
-            bloom_probe,
-            bloom_insert,
+            dial_set_probe,
+            dial_set_insert,
         }
     }
 
@@ -140,8 +147,8 @@ impl MeasuredCosts {
             onion_wrap: 140e-6,
             pkg_extract: 1.0 / 4310.0,
             keywheel_hash: 1e-6,
-            bloom_probe: 0.2e-6,
-            bloom_insert: 0.2e-6,
+            dial_set_probe: 0.2e-6,
+            dial_set_insert: 0.2e-6,
         }
     }
 }
@@ -273,7 +280,7 @@ impl CostModel {
         workload.real_requests() as f64 / mailboxes + servers as f64 * self.noise.add_friend_mu
     }
 
-    /// Expected number of tokens in one dialing Bloom filter (real + noise).
+    /// Expected number of tokens in one dialing mailbox (real + noise).
     pub fn dialing_mailbox_tokens(&self, workload: &Workload, servers: usize) -> f64 {
         let mailboxes = self.dialing_mailboxes(workload) as f64;
         workload.real_requests() as f64 / mailboxes + servers as f64 * self.noise.dialing_mu
@@ -284,9 +291,11 @@ impl CostModel {
         self.add_friend_mailbox_requests(workload, servers) * ADD_FRIEND_REQUEST_LEN as f64
     }
 
-    /// Size in bytes of one dialing Bloom filter mailbox.
+    /// Size in bytes of one dialing mailbox: its dial set at
+    /// [`alpenhorn_bloom::expected_bits_per_token`] (≈ 35.05) bits per token.
     pub fn dialing_mailbox_bytes(&self, workload: &Workload, servers: usize) -> f64 {
-        self.dialing_mailbox_tokens(workload, servers) * BLOOM_BITS_PER_ELEMENT as f64 / 8.0
+        self.dialing_mailbox_tokens(workload, servers) * alpenhorn_bloom::expected_bits_per_token()
+            / 8.0
     }
 
     /// Mixnet processing time for one round with `messages` total messages
@@ -333,12 +342,13 @@ impl CostModel {
     ) -> LatencyBreakdown {
         let messages = self.dialing_total_messages(workload, servers);
         let mut server_time = self.server_time(messages, servers, DIAL_REQUEST_LEN);
-        // The last server additionally inserts every token into a Bloom filter.
-        server_time += messages * self.costs.bloom_insert / self.network.server_cores as f64;
+        // The last server additionally builds the mailboxes' dial sets.
+        server_time += messages * self.costs.dial_set_insert / self.network.server_cores as f64;
         let mailbox_bytes = self.dialing_mailbox_bytes(workload, servers);
         let download = mailbox_bytes / self.network.client_bandwidth;
-        let client_scan =
-            friends as f64 * intents as f64 * (self.costs.keywheel_hash + self.costs.bloom_probe);
+        let client_scan = friends as f64
+            * intents as f64
+            * (self.costs.keywheel_hash + self.costs.dial_set_probe);
         LatencyBreakdown {
             total: server_time + download + client_scan,
             servers: server_time,
@@ -405,17 +415,19 @@ mod tests {
         let requests = m.add_friend_mailbox_requests(&w, 3);
         assert!((20_000.0..28_000.0).contains(&requests), "{requests}");
 
-        // 1M users dialing: a single Bloom filter of ~125k tokens ≈ 0.75 MB.
+        // 1M users dialing: a single mailbox of ~125k tokens. The paper's
+        // 48-bit Bloom filter is 0.75 MB; the coded set is ≈ 0.55 MB.
         let tokens = m.dialing_mailbox_tokens(&w, 3);
         assert!((120_000.0..130_000.0).contains(&tokens), "{tokens}");
         let mb = m.dialing_mailbox_bytes(&w, 3) / 1e6;
-        assert!((0.7..0.8).contains(&mb), "{mb}");
+        assert!((0.52..0.57).contains(&mb), "{mb}");
 
-        // 10M users dialing: 7 mailboxes of ~150k tokens ≈ 0.9 MB each.
+        // 10M users dialing: 7 mailboxes of ~150k tokens, ≈ 0.66 MB each
+        // (the paper's 0.9 MB at 48 bits per token).
         let w10 = Workload::paper(10_000_000);
         assert_eq!(m.dialing_mailboxes(&w10), 7);
         let mb = m.dialing_mailbox_bytes(&w10, 3) / 1e6;
-        assert!((0.8..1.1).contains(&mb), "{mb}");
+        assert!((0.6..0.8).contains(&mb), "{mb}");
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! * ~800 IBE decryptions per second per core, so scanning a 24,000-request
 //!   add-friend mailbox takes about 8 seconds on 4 cores;
 //! * ~1 million keywheel hashes per second per core, so scanning a dialing
-//!   Bloom filter against 1,000 friends × 10 intents takes well under a
-//!   second;
+//!   mailbox against 1,000 friends × 10 intents takes well under a second;
 //! * key extraction from 3 or 10 PKGs takes a few milliseconds (dominated by
 //!   network RTT, which the model adds separately).
 
@@ -36,14 +35,14 @@ pub fn client_cpu_table(measured: &MeasuredCosts) -> Table {
         format!("{:.0}", 1.0 / paper.keywheel_hash),
     ]);
     table.push_row(vec![
-        "scan Bloom filter, 1000 friends x 10 intents (s)".into(),
+        "scan dial set, 1000 friends x 10 intents (s)".into(),
         format!(
             "{:.3}",
-            1000.0 * 10.0 * (measured.keywheel_hash + measured.bloom_probe)
+            1000.0 * 10.0 * (measured.keywheel_hash + measured.dial_set_probe)
         ),
         format!(
             "{:.3}",
-            1000.0 * 10.0 * (paper.keywheel_hash + paper.bloom_probe)
+            1000.0 * 10.0 * (paper.keywheel_hash + paper.dial_set_probe)
         ),
     ]);
     table.push_row(vec![

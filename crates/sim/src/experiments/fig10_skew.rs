@@ -6,7 +6,7 @@
 //! maximum rises and the minimum falls, because individual mailboxes grow or
 //! shrink with the popularity of the users hashed into them — but the effect
 //! is damped because roughly half of every mailbox is noise. Dialing is
-//! barely affected because Bloom-filter scanning is so cheap.
+//! barely affected because dial-set scanning is so cheap.
 
 use crate::costmodel::CostModel;
 use crate::report::{fmt_seconds, Table};

@@ -2,7 +2,7 @@
 //!
 //! These runs exercise every real code path (registration, key extraction,
 //! IBE encryption, onion wrapping, mixing, noise, mailbox building, trial
-//! decryption, Bloom scanning) with tens to hundreds of real clients. The
+//! decryption, dial-set scanning) with tens to hundreds of real clients. The
 //! benchmark harness uses them both to validate the cost model's shape and
 //! to measure the paper's per-operation claims on live protocol traffic.
 
@@ -32,9 +32,9 @@ pub struct AddFriendRunResult {
 /// Result of one end-to-end dialing round.
 #[derive(Debug, Clone)]
 pub struct DialingRunResult {
-    /// Wall-clock time for the mixnet/Bloom processing (server side).
+    /// Wall-clock time for the mixnet and dial-set processing (server side).
     pub server_time: Duration,
-    /// Average wall-clock time per client for Bloom scanning.
+    /// Average wall-clock time per client for dial-set scanning.
     pub client_scan_time: Duration,
     /// Number of calls delivered.
     pub calls_delivered: usize,

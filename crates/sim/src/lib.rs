@@ -7,7 +7,7 @@
 //!   uniform and Zipf-skewed recipient selection, and the induced mailbox
 //!   load distributions;
 //! * [`costmodel`] — a cost model whose per-operation constants are measured
-//!   on the machine running the benchmarks (IBE, onion, hashing, Bloom
+//!   on the machine running the benchmarks (IBE, onion, hashing, dial-set
 //!   scans), combined with the paper's network setup (three regions,
 //!   c4.8xlarge-class servers) to predict round latency and client bandwidth
 //!   at user counts that do not fit in one process;

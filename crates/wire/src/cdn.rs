@@ -11,8 +11,8 @@
 //!
 //! Two blob codecs live here so the coordinator and clients agree on the
 //! bytes being sharded: an add-friend mailbox is its ciphertext list
-//! ([`encode_add_friend_blob`]), and a dialing mailbox is its Bloom filter
-//! plus the next dialing round's parameters when the round's close
+//! ([`encode_add_friend_blob`]), and a dialing mailbox is its encoded dial
+//! set plus the next dialing round's parameters when the round's close
 //! announced them ([`encode_dialing_blob`]).
 
 use crate::codec::{Decoder, Encoder};
@@ -344,8 +344,8 @@ pub fn decode_add_friend_blob(blob: &[u8]) -> Result<Vec<Vec<u8>>, WireError> {
 
 /// Serializes a dialing mailbox into the canonical blob the erasure layer
 /// shards and the origin serves inside
-/// [`Response::DialingMailbox`](crate::Response::DialingMailbox): the Bloom
-/// filter bytes (length-prefixed), then a presence byte and, when present,
+/// [`Response::DialingMailbox`](crate::Response::DialingMailbox): the dial
+/// set's canonical encoding (length-prefixed, opaque here), then a presence byte and, when present,
 /// the parameters of the next dialing round, which the round's close fixed.
 pub fn encode_dialing_blob(filter: &[u8], next_round: Option<&DialingRoundWire>) -> Vec<u8> {
     let mut e = Encoder::with_capacity(filter.len() + 192);

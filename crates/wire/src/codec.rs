@@ -262,8 +262,9 @@ impl From<WireError> for FrameIoError {
 /// Versioning rule: any change to the frame layout or to the encoding of the
 /// RPC messages inside it bumps [`Frame::VERSION`]. Receivers accept exactly
 /// that version; anything else — including the SHA-256-trailer versions 3 and
-/// 4, the pre-batch 5 and 6, the pre-announcement 7 and 8 and the retired
-/// telemetry layout 10 — is rejected with [`WireError::UnsupportedVersion`].
+/// 4, the pre-batch 5 and 6, the pre-announcement 7 and 8, the retired
+/// telemetry layout 10 and the Bloom-filter mailboxes of 9 — is rejected with
+/// [`WireError::UnsupportedVersion`].
 /// A frame carries no trace context: every request that belongs to a trace
 /// names its `(protocol, round)`, from which each receiver derives the round
 /// correlation id (`alpenhorn_obs::correlation_id`) itself.
@@ -283,8 +284,12 @@ impl Frame {
     /// (plain) and v10 (telemetry) added the mailbox count to
     /// `SubmitDialing`, the announced next round to `DialingMailbox` and
     /// [`crate::rpc::RpcError::StaleRoundInfo`]. The telemetry layout was then
-    /// retired, leaving v9 as the one frame.
-    pub const VERSION: u8 = 9;
+    /// retired, leaving v9 as the one frame. v11 keeps v9's layout and
+    /// encodings, but a dialing mailbox's opaque filter bytes are a
+    /// Golomb-coded dial set instead of a Bloom filter, so a peer of the
+    /// other meaning fails at its first frame rather than at a mailbox
+    /// parse. 10 stays retired.
+    pub const VERSION: u8 = 11;
     /// Header length: magic + version + length prefix.
     pub const HEADER_LEN: usize = 2 + 1 + 4;
     /// Trailing checksum length.
@@ -507,14 +512,14 @@ mod tests {
         // Fixed bytes, not a reconstruction: any change to the layout, the
         // versions, the CRC or its byte order shows up here.
         let payload = b"hello alpenhorn";
-        let v9 = [
-            b'A', b'H', 9, 0, 0, 0, 15, // magic, version, length
+        let v11 = [
+            b'A', b'H', 11, 0, 0, 0, 15, // magic, version, length
             b'h', b'e', b'l', b'l', b'o', b' ', b'a', b'l', b'p', b'e', b'n', b'h', b'o', b'r',
             b'n', // payload
-            0x8B, 0x21, 0x4E, 0xE5, // CRC-32C, little-endian
+            0xF1, 0xCE, 0xC9, 0x8B, // CRC-32C, little-endian
         ];
-        assert_eq!(Frame::encode(payload), v9);
-        assert_eq!(Frame::decode(&v9).unwrap(), payload);
+        assert_eq!(Frame::encode(payload), v11);
+        assert_eq!(Frame::decode(&v11).unwrap(), payload);
         assert_eq!(Frame::encode(&[]).len(), 11);
     }
 
@@ -522,9 +527,9 @@ mod tests {
     fn retired_frame_versions_are_unsupported() {
         // A well-formed v3 and v4 frame (truncated SHA-256 trailer), v5 and
         // v6 frame (CRC-32C trailer, no batch messages), v7 and v8 frame (no
-        // announced dialing rounds) and v10 frame (the retired telemetry
-        // block) must be answered with the version error, not a checksum
-        // mismatch.
+        // announced dialing rounds), v9 frame (Bloom-filter dialing
+        // mailboxes) and v10 frame (the retired telemetry block) must be
+        // answered with the version error, not a checksum mismatch.
         for (version, telemetry) in [
             (3u8, &[][..]),
             (4, &[0u8; 8][..]),
@@ -532,6 +537,7 @@ mod tests {
             (6, &[0u8; 8][..]),
             (7, &[][..]),
             (8, &[0u8; 8][..]),
+            (9, &[][..]),
             (10, &[0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF][..]),
         ] {
             let mut old = Vec::new();

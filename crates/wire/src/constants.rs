@@ -64,13 +64,9 @@ pub const IBE_CIPHERTEXT_LEN: usize = IBE_EPHEMERAL_LEN + FRIEND_REQUEST_LEN + A
 pub const ADD_FRIEND_REQUEST_LEN: usize = 4 + IBE_CIPHERTEXT_LEN;
 
 /// Length of a dialing request as submitted to the mixnet (mailbox ID plus
-/// dial token). Dialing mailboxes are encoded as Bloom filters, so this size
-/// only affects upstream bandwidth.
+/// dial token). Dialing mailboxes are encoded as sets of token hashes, so this
+/// size only affects upstream bandwidth.
 pub const DIAL_REQUEST_LEN: usize = 4 + DIAL_TOKEN_LEN;
-
-/// Bloom filter bits per dial token (§5.2 of the paper: 48 bits per element
-/// gives a false-positive rate around 1e-10).
-pub const BLOOM_BITS_PER_ELEMENT: usize = 48;
 
 /// Per-hop overhead added by one onion layer: ephemeral DH public key plus
 /// the AEAD tag.

@@ -3,7 +3,8 @@
 //! A dial token is a 256-bit pseudorandom value generated from a keywheel
 //! (§5 of the paper). To call a friend, a client submits the token for the
 //! current round through the mixnet; the last mixnet server encodes each
-//! dialing mailbox as a Bloom filter of the tokens it received.
+//! dialing mailbox as a Golomb-coded set of the tokens it received (the
+//! paper uses a Bloom filter; see `alpenhorn-bloom`).
 
 use crate::codec::Decoder;
 use crate::constants::{DIAL_REQUEST_LEN, DIAL_TOKEN_LEN};

@@ -209,8 +209,8 @@ pub enum Request {
         /// The mailbox to download.
         mailbox: MailboxId,
     },
-    /// Download one dialing mailbox (a Bloom filter of dial tokens) from the
-    /// CDN.
+    /// Download one dialing mailbox (a Golomb-coded set of dial tokens)
+    /// from the CDN.
     FetchDialingMailbox {
         /// The closed round to fetch from.
         round: Round,
@@ -447,13 +447,15 @@ pub enum Response {
         /// [`AddFriendEnvelope::CIPHERTEXT_LEN`] bytes.
         contents: Vec<Vec<u8>>,
     },
-    /// Contents of one dialing mailbox: a serialized Bloom filter, plus the
+    /// Contents of one dialing mailbox: an encoded dial set, plus the
     /// next dialing round's parameters when the round's close announced
     /// them. Encoded as the tag followed by the mailbox's CDN blob
     /// ([`crate::cdn::encode_dialing_blob`]), so the origin and the shard
     /// fleet serve the same bytes.
     DialingMailbox {
-        /// The filter, as produced by `BloomFilter::to_bytes`.
+        /// The dial set, as produced by `alpenhorn_bloom::DialSet::to_bytes`.
+        /// The wire carries it as opaque bytes; its meaning changed from a
+        /// Bloom filter in frame version 11.
         filter: Vec<u8>,
         /// Round r + 1's parameters, fixed when round r closed.
         next_round: Option<DialingRoundWire>,

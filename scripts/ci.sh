@@ -38,6 +38,13 @@ cargo build --release
 stage "tests"
 cargo test -q
 
+# Dial-set false-positive rate: for every dialing mailbox size n in
+# 1..=128, 10^5 non-member queries must see 0 hits (12.8 M queries; the
+# expectation at the set's 7.8e-11 is about 1e-3 hits). Ignored in the
+# debug suite because it needs a release build to finish in seconds.
+stage "dial-set false-positive rate (12.8 M non-member queries, release)"
+cargo test --release -p alpenhorn-bloom -- --ignored
+
 # Loopback-vs-TCP equivalence smoke: the same seeded scenario must produce
 # byte-identical client events over the in-process loopback transport and
 # over TCP against a live localhost daemon (plus concurrent-client and

@@ -1,10 +1,11 @@
 //! Property-based tests (proptest) on cross-crate invariants: wire encodings
-//! round-trip, keywheels stay synchronized, Bloom filters never miss, and
+//! round-trip, keywheels stay synchronized, dial sets never miss and decode
+//! only their canonical encoding, and
 //! Anytrust-IBE decrypts exactly when the full key set is present.
 
 use proptest::prelude::*;
 
-use alpenhorn_bloom::{BloomFilter, BloomParams};
+use alpenhorn_bloom::DialSet;
 use alpenhorn_crypto::ChaChaRng;
 use alpenhorn_ibe::anytrust::{aggregate_identity_keys, aggregate_master_publics};
 use alpenhorn_ibe::bf::{decrypt, encrypt, MasterSecret};
@@ -100,23 +101,48 @@ proptest! {
     }
 
     #[test]
-    fn bloom_filter_never_produces_false_negatives(
-        items in proptest::collection::vec(any::<[u8; 32]>(), 1..200),
-        bits_per_element in 8usize..64,
+    fn dial_set_never_produces_false_negatives(
+        items in proptest::collection::vec(any::<[u8; 32]>(), 0..200),
     ) {
-        let params = BloomParams::for_elements(items.len(), bits_per_element);
-        let mut filter = BloomFilter::new(params);
-        for item in &items {
-            filter.insert(item);
-        }
-        for item in &items {
-            prop_assert!(filter.contains(item));
-        }
-        // Serialization preserves membership.
-        let restored = BloomFilter::from_bytes(&filter.to_bytes()).unwrap();
+        let set = DialSet::new(&items);
+        let bytes = set.to_bytes();
+        prop_assert_eq!(DialSet::validate(&bytes), Ok(items.len()));
+        let restored = DialSet::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(&restored, &set);
+        prop_assert_eq!(restored.to_bytes(), bytes);
         for item in &items {
             prop_assert!(restored.contains(item));
         }
+    }
+
+    #[test]
+    fn dial_set_bit_flips_fail_or_re_encode_exactly(
+        items in proptest::collection::vec(any::<[u8; 32]>(), 0..64),
+        position in any::<u64>(),
+    ) {
+        let mut flipped = DialSet::new(&items).to_bytes();
+        let bit = (position % (flipped.len() as u64 * 8)) as usize;
+        flipped[bit / 8] ^= 0x80 >> (bit % 8);
+        let decoded = DialSet::from_bytes(&flipped);
+        prop_assert_eq!(DialSet::validate(&flipped).err(), decoded.as_ref().err().copied());
+        if let Ok(set) = decoded {
+            prop_assert_eq!(set.to_bytes(), flipped);
+        }
+    }
+
+    #[test]
+    fn dial_set_truncated_or_extended_is_refused(
+        items in proptest::collection::vec(any::<[u8; 32]>(), 0..64),
+        extra in proptest::collection::vec(any::<u8>(), 1..9),
+    ) {
+        let bytes = DialSet::new(&items).to_bytes();
+        for cut in 0..bytes.len() {
+            prop_assert!(DialSet::from_bytes(&bytes[..cut]).is_err());
+            prop_assert!(DialSet::validate(&bytes[..cut]).is_err());
+        }
+        let extended = [&bytes[..], &extra[..]].concat();
+        prop_assert!(DialSet::from_bytes(&extended).is_err());
+        prop_assert!(DialSet::validate(&extended).is_err());
     }
 }
 

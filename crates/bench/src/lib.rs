@@ -1,9 +1,8 @@
 //! Shared helpers for the Alpenhorn benchmark harness.
 //!
 //! Each benchmark target regenerates one figure or measurement from §8 of the
-//! paper (see DESIGN.md §5 for the full index). Targets print paper-style
-//! tables to stdout in addition to any Criterion measurements, so that
-//! `cargo bench` output can be pasted into EXPERIMENTS.md.
+//! paper. Targets print paper-style tables to stdout in addition to any
+//! Criterion measurements; `docs/PERFORMANCE.md` records the results.
 
 #![forbid(unsafe_code)]
 

@@ -1,15 +1,16 @@
 //! HKDF-SHA256 (RFC 5869), implemented from scratch on top of [`crate::hmac`].
 //!
-//! Used to derive onion-layer keys from Diffie-Hellman shared secrets and to
-//! derive the symmetric key that protects the body of an IBE-encrypted friend
-//! request. Validated against the RFC 5869 test vectors.
+//! Used to derive the keywheel's initial secret from a Diffie-Hellman point
+//! and the symmetric key that protects the body of an IBE-encrypted friend
+//! request. (Onion layer keys are a single keyed extract, one HMAC, with no
+//! expand step.) Validated against the RFC 5869 test vectors.
 //!
 //! Two caching levers keep the hot paths cheap:
 //!
 //! * an [`Hkdf`] instance precomputes the PRK's HMAC ipad/opad states, so
 //!   every `expand` block costs two compressions instead of four;
-//! * protocols whose salt is a fixed label (onion layers, the DH KDF, the
-//!   IBE KEM) can precompute the salt's [`HmacKey`] once — typically in a
+//! * protocols whose salt is a fixed label (the DH KDF, the IBE KEM) can
+//!   precompute the salt's [`HmacKey`] once — typically in a
 //!   `OnceLock` — and extract through [`Hkdf::extract_with_key`], halving the
 //!   extract cost too.
 

@@ -8,15 +8,23 @@
 //! * mixnet onion layers (Algorithm 1 step 3): the client generates a fresh
 //!   keypair per hop and derives an AEAD key shared with that server.
 //!
+//! The two uses derive their keys differently. The keywheel's initial secret
+//! is [`DhSecret::shared_secret`] (HKDF under `alpenhorn-dh-v1`); an onion
+//! layer's key is [`DhSecret::derive_key`], one HMAC over the encoded point
+//! keyed by the caller's per-hop label (`docs/ARCHITECTURE.md` § "Onion
+//! layer keys").
+//!
 //! The paper's prototype used Curve25519 for these exchanges; any secure DH
 //! group gives the same protocol semantics, and reusing the pairing curve's
-//! G1 keeps this reproduction's dependency surface small (see DESIGN.md).
+//! G1 keeps this reproduction's dependency surface small (see
+//! `vendor/README.md`).
 
 use ark_bls12_381::{Fr, G1Projective};
 use ark_ec::Group;
 use ark_ff::Zero;
 
 use alpenhorn_crypto::hkdf::Hkdf;
+use alpenhorn_crypto::hmac::HmacKey;
 
 use crate::points::{g1_from_bytes, g1_to_bytes, G1_LEN};
 use crate::{random_scalar, IbeError};
@@ -58,15 +66,28 @@ impl DhSecret {
     /// The raw group element is run through HKDF with a protocol label so the
     /// output is a uniform symmetric key.
     pub fn shared_secret(&self, peer: &DhPublic) -> [u8; SHARED_LEN] {
-        use alpenhorn_crypto::hmac::HmacKey;
         use std::sync::OnceLock;
         // The KDF salt is a fixed protocol label; precompute its HMAC states
-        // once per process (this sits on the onion wrap/peel hot path).
+        // once per process.
         static DH_SALT: OnceLock<HmacKey> = OnceLock::new();
         let salt = DH_SALT.get_or_init(|| HmacKey::new(b"alpenhorn-dh-v1"));
-        let shared_point = peer.point * self.x;
-        let bytes = g1_to_bytes(&shared_point);
-        Hkdf::extract_with_key(salt, &bytes).expand_key(b"shared-secret")
+        Hkdf::extract_with_key(salt, &self.shared_point_bytes(peer)).expand_key(b"shared-secret")
+    }
+
+    /// Derives a 32-byte key from the DH point with one keyed extract:
+    /// `HMAC-SHA256(salt, enc(x·P))`. This is HKDF-Extract with the caller's
+    /// label as the salt, so the output is already a uniform key; the raw
+    /// point never leaves this crate.
+    ///
+    /// With a precomputed `salt` this costs two SHA-256 compressions (the
+    /// 48-byte point fits one inner block), against six for
+    /// [`DhSecret::shared_secret`]'s extract-then-expand.
+    pub fn derive_key(&self, peer: &DhPublic, salt: &HmacKey) -> [u8; SHARED_LEN] {
+        salt.mac(&self.shared_point_bytes(peer))
+    }
+
+    fn shared_point_bytes(&self, peer: &DhPublic) -> [u8; PUBLIC_LEN] {
+        g1_to_bytes(&(peer.point * self.x))
     }
 
     /// Erases the secret scalar (forward secrecy for onion and dialing keys).
@@ -139,6 +160,21 @@ mod tests {
             alice.shared_secret(&bob.public()),
             alice.shared_secret(&carol.public())
         );
+    }
+
+    #[test]
+    fn derived_keys_agree_and_follow_the_salt() {
+        let mut rng = rng(45);
+        let alice = DhSecret::generate(&mut rng);
+        let bob = DhSecret::generate(&mut rng);
+        let salt = HmacKey::new(b"salt-a");
+        let key = alice.derive_key(&bob.public(), &salt);
+        assert_eq!(key, bob.derive_key(&alice.public(), &salt));
+        assert_ne!(
+            key,
+            alice.derive_key(&bob.public(), &HmacKey::new(b"salt-b"))
+        );
+        assert_ne!(key, alice.shared_secret(&bob.public()));
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!
 //! The paper's prototype used the BN-256 curve; this reproduction uses
 //! BLS12-381, the replacement curve the authors anticipate in §8.6 after the
-//! Kim-Barbulescu attacks. See DESIGN.md for the dependency justification.
+//! Kim-Barbulescu attacks. `vendor/README.md` explains the dependency choice
+//! (and that the vendored curve is a functional mock).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

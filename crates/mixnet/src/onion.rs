@@ -2,11 +2,21 @@
 //!
 //! The client wraps its innermost request in one layer per server, from the
 //! last server to the first. Each layer is an ephemeral Diffie-Hellman public
-//! key plus a ChaCha20-Poly1305 ciphertext keyed by the shared secret with
-//! that server's round key. Servers peel layers in order; after the last
-//! server the plaintext request remains.
+//! key plus a ChaCha20-Poly1305 ciphertext (all-zero nonce, the ephemeral key
+//! as AAD). Servers peel layers in order; after the last server the plaintext
+//! request remains.
+//!
+//! A layer's AEAD key is one HMAC-SHA256 over the encoded DH point, keyed by
+//! a per-hop label: `HMAC("alpenhorn-onion-layer-v2/" ‖ u64_be(hop),
+//! enc(x·P))` ([`DhSecret::derive_key`]). Every layer has a fresh ephemeral
+//! key, so every layer key is used once, which is what makes the fixed nonce
+//! safe. Why one HMAC is enough is argued in `docs/ARCHITECTURE.md`
+//! § "Onion layer keys".
+
+use std::sync::OnceLock;
 
 use alpenhorn_crypto::aead;
+use alpenhorn_crypto::hmac::HmacKey;
 use alpenhorn_ibe::dh::{DhPublic, DhSecret};
 use alpenhorn_wire::{DH_PK_LEN, ONION_LAYER_OVERHEAD};
 
@@ -30,21 +40,39 @@ impl core::fmt::Display for OnionError {
 
 impl std::error::Error for OnionError {}
 
-/// Derives the AEAD key for one onion hop from the DH shared secret.
+/// The label every layer-key salt starts with; the hop index follows it as a
+/// big-endian `u64`.
+const LAYER_KEY_LABEL: &[u8] = b"alpenhorn-onion-layer-v2/";
+
+/// Hops whose salt key is built once per process; later hops (longer chains
+/// than any deployment runs) build theirs on the fly.
+const CACHED_HOPS: usize = 16;
+
+/// The HMAC key of hop `hop`'s layer-key salt,
+/// `"alpenhorn-onion-layer-v2/" ‖ u64_be(hop)`. Public so the benches time
+/// the derivation the onions use.
+pub fn layer_salt(hop: usize) -> HmacKey {
+    fn build(hop: usize) -> HmacKey {
+        let mut label = [0u8; LAYER_KEY_LABEL.len() + 8];
+        label[..LAYER_KEY_LABEL.len()].copy_from_slice(LAYER_KEY_LABEL);
+        label[LAYER_KEY_LABEL.len()..].copy_from_slice(&(hop as u64).to_be_bytes());
+        HmacKey::new(&label)
+    }
+    static TABLE: OnceLock<[HmacKey; CACHED_HOPS]> = OnceLock::new();
+    match TABLE.get_or_init(|| std::array::from_fn(build)).get(hop) {
+        Some(salt) => *salt,
+        None => build(hop),
+    }
+}
+
+/// Derives the AEAD key for one onion hop from the DH exchange between
+/// `secret` and `peer`.
 ///
 /// This is the single source of truth for per-hop key derivation: the client
 /// wrap path, the server peel path, and the servers' mid-chain noise wrapping
-/// all go through it (so the HKDF label and hop binding cannot drift apart).
-///
-/// The HKDF salt is a fixed protocol label, so its HMAC ipad/opad states are
-/// precomputed once per process; each derivation then costs two extract and
-/// four expand compressions instead of the eight a cold HKDF run pays.
-pub(crate) fn layer_key(shared: &[u8; 32], hop: usize) -> [u8; 32] {
-    use alpenhorn_crypto::{hkdf::Hkdf, hmac::HmacKey};
-    use std::sync::OnceLock;
-    static LAYER_SALT: OnceLock<HmacKey> = OnceLock::new();
-    let salt = LAYER_SALT.get_or_init(|| HmacKey::new(b"alpenhorn-onion-layer"));
-    Hkdf::extract_with_key(salt, shared).expand_key(&(hop as u64).to_be_bytes())
+/// all go through it, so the label and hop binding cannot drift apart.
+fn layer_key(secret: &DhSecret, peer: &DhPublic, hop: usize) -> [u8; 32] {
+    secret.derive_key(peer, &layer_salt(hop))
 }
 
 /// Client side: wraps `payload` in one onion layer per server public key.
@@ -96,8 +124,7 @@ pub fn wrap_onion_into(
         let hop = first_hop + offset;
         let ephemeral = DhSecret::generate(rng);
         let ephemeral_pk = ephemeral.public().to_bytes();
-        let shared = ephemeral.shared_secret(server_pk);
-        let key = layer_key(&shared, hop);
+        let key = layer_key(&ephemeral, server_pk, hop);
 
         start -= DH_PK_LEN;
         out[start..start + DH_PK_LEN].copy_from_slice(&ephemeral_pk);
@@ -144,8 +171,7 @@ pub fn peel_layer_in_place(
     let inner_len = buf.len() - DH_PK_LEN - aead::TAG_LEN;
     let (aad, rest) = buf.split_at_mut(DH_PK_LEN);
     let client_pk = DhPublic::from_bytes(aad).map_err(|_| OnionError::Malformed)?;
-    let shared = server_secret.shared_secret(&client_pk);
-    let key = layer_key(&shared, hop);
+    let key = layer_key(server_secret, &client_pk, hop);
 
     let (ciphertext, tag) = rest.split_at_mut(inner_len);
     aead::open_detached(&key, &[0u8; aead::NONCE_LEN], aad, ciphertext, tag)
@@ -166,7 +192,7 @@ pub fn onion_size(payload_len: usize, hops: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alpenhorn_crypto::ChaChaRng;
+    use alpenhorn_crypto::{hex, hmac, ChaChaRng};
 
     fn rng(seed: u8) -> ChaChaRng {
         ChaChaRng::from_seed_bytes([seed; 32])
@@ -292,14 +318,108 @@ mod tests {
     fn wrap_into_reuses_buffer_and_matches_mid_chain_hops() {
         let mut rng = rng(11);
         let (secrets, publics) = chain(4, &mut rng);
-        // Wrap only for servers 2..4, as server 1 does when injecting noise.
+        // Wrap only for the servers after `first_hop - 1`, as that server does
+        // when injecting noise: the layers peel at their absolute hop indices
+        // and at no other.
         let mut out = vec![0xFFu8; 3]; // stale contents must be discarded
-        wrap_onion_into(b"noise payload", &publics[2..], 2, &mut rng, &mut out);
-        assert_eq!(out.len(), onion_size(b"noise payload".len(), 2));
-        for (i, secret) in secrets.iter().enumerate().skip(2) {
-            peel_layer_in_place(&mut out, secret, i).unwrap();
+        for first_hop in 1..4 {
+            wrap_onion_into(
+                b"noise payload",
+                &publics[first_hop..],
+                first_hop,
+                &mut rng,
+                &mut out,
+            );
+            assert_eq!(out.len(), onion_size(b"noise payload".len(), 4 - first_hop));
+            let mut shifted = out.clone();
+            assert_eq!(
+                peel_layer_in_place(&mut shifted, &secrets[first_hop], first_hop - 1),
+                Err(OnionError::AuthenticationFailed)
+            );
+            for (i, secret) in secrets.iter().enumerate().skip(first_hop) {
+                peel_layer_in_place(&mut out, secret, i).unwrap();
+            }
+            assert_eq!(out, b"noise payload");
         }
-        assert_eq!(out, b"noise payload");
+    }
+
+    /// The hop-`hop` layer key over the encoded point `point`, computed with
+    /// the one-shot HMAC and the label spelled out, independently of
+    /// [`layer_salt`]'s table.
+    fn reference_layer_key(hop: u64, point: &[u8]) -> [u8; 32] {
+        let label = [&b"alpenhorn-onion-layer-v2/"[..], &hop.to_be_bytes()].concat();
+        hmac::hmac(&label, point)
+    }
+
+    /// A secret scalar of 1, so the DH point with any peer is the peer's own
+    /// public key and its encoding is known without the group arithmetic.
+    fn unit_secret() -> DhSecret {
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        DhSecret::from_bytes(&one).unwrap()
+    }
+
+    #[test]
+    fn layer_keys_match_known_answers() {
+        let peer = DhSecret::generate(&mut rng(12)).public();
+        let point = peer.to_bytes();
+        let secret = unit_secret();
+        let pinned = [
+            "1312100fc4ba70519fec605802d1a7df3ff0f2b6e2264af52a5914342007246a",
+            "5a1ab8399c22294b743a08e406b4871a4b6dee7e3bbfbaca229cfa666dcc6d5a",
+            "df44d87f1a217b6d3bfc8e52858c5e63128ee35b3b0a62ad05b31d46a87d1cf8",
+        ];
+        for (hop, pinned) in pinned.into_iter().enumerate() {
+            let key = layer_key(&secret, &peer, hop);
+            assert_eq!(key, reference_layer_key(hop as u64, &point), "hop {hop}");
+            assert_eq!(hex::encode(&key), pinned, "hop {hop}");
+        }
+        // Past the cached table the salt is built on the fly, to the same key.
+        let far = CACHED_HOPS + 1000;
+        assert_eq!(
+            layer_key(&secret, &peer, far),
+            reference_layer_key(far as u64, &point)
+        );
+    }
+
+    #[test]
+    fn layer_keys_differ_across_hops_and_from_the_keywheel_secret() {
+        let mut rng = rng(13);
+        let client = DhSecret::generate(&mut rng);
+        let server = DhSecret::generate(&mut rng).public();
+        let keys: Vec<[u8; 32]> = (0..CACHED_HOPS + 2)
+            .map(|hop| layer_key(&client, &server, hop))
+            .collect();
+        let shared = client.shared_secret(&server);
+        for (i, key) in keys.iter().enumerate() {
+            assert_ne!(*key, shared, "hop {i}");
+            assert!(keys[i + 1..].iter().all(|other| other != key), "hop {i}");
+        }
+    }
+
+    #[test]
+    fn seeded_three_hop_onion_bytes_are_pinned() {
+        // Any drift in the layer derivation, the layout or the AEAD shows up
+        // here as a changed onion.
+        let mut rng = rng(14);
+        let (secrets, publics) = chain(3, &mut rng);
+        let mut onion = wrap_onion(b"pinned", &publics, &mut rng);
+        assert_eq!(
+            hex::encode(&onion),
+            concat!(
+                "1c15fcbc7d3e59ec000000000000000000000000000000000000000000000000",
+                "000000000000000000000000000000001707cd18c5e8e86fa50e789e3966c5f2",
+                "a4d1ebf9160f85f7262a7cb3bbacb7b4ac974457e1295db7dd25d7a3aca10285",
+                "17555f56982f791e0d59e7534b56dcffeae532049ab1a4a968cfb039845e292c",
+                "a84136294ce834c3ac20bf1840507ddcdcf11037aa4328844134493a551fda9c",
+                "72b1aca5f2531b5c8d02f88f9a3191efacad9524575015c9ef2e2154e8ee368b",
+                "245f7295eb98",
+            )
+        );
+        for (hop, secret) in secrets.iter().enumerate() {
+            peel_layer_in_place(&mut onion, secret, hop).unwrap();
+        }
+        assert_eq!(onion, b"pinned");
     }
 
     #[test]

@@ -48,10 +48,16 @@ pub struct Registry {
     families: RwLock<BTreeMap<String, Family>>,
 }
 
-/// The process-wide registry every instrumented layer reports into.
+/// The process-wide registry every instrumented layer reports into. It is
+/// created holding the observability layer's own counters (the span-ring
+/// overwrites), so every daemon's exposition carries them from the start.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::default)
+    GLOBAL.get_or_init(|| {
+        let registry = Registry::default();
+        registry.counter(crate::span::RING_OVERWRITES, &[]);
+        registry
+    })
 }
 
 /// Spawns a detached thread that writes [`global`]'s text exposition to

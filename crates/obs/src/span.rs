@@ -13,11 +13,22 @@
 //! humans: nothing deterministic may read them back.
 
 use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::Counter;
 
 /// How many finished spans the ring retains.
 pub const SPAN_RING_CAPACITY: usize = 4096;
+
+/// The counter of spans evicted from a full ring. The global registry
+/// registers it when it is created, so every exposition carries it.
+pub(crate) const RING_OVERWRITES: &str = "obs_span_ring_overwrites_total";
+
+fn ring_overwrites() -> &'static Counter {
+    static OVERWRITES: OnceLock<Arc<Counter>> = OnceLock::new();
+    OVERWRITES.get_or_init(|| crate::global().counter(RING_OVERWRITES, &[]))
+}
 
 /// The correlation id shared by all work on one `(protocol, round)`.
 ///
@@ -57,6 +68,7 @@ fn push(record: SpanRecord) {
     let mut ring = ring().lock().expect("span ring lock");
     if ring.len() == SPAN_RING_CAPACITY {
         ring.pop_front();
+        ring_overwrites().inc();
     }
     ring.push_back(record);
 }
@@ -163,5 +175,19 @@ mod tests {
         }
         assert!(spans().len() <= SPAN_RING_CAPACITY);
         assert!(!spans_for("bound").is_empty());
+    }
+
+    #[test]
+    fn overwrites_are_counted() {
+        // The ring is shared with concurrent tests, which may evict too, so
+        // only a lower bound holds: filling the ring and pushing `extra` more
+        // evicts at least `extra` spans.
+        let extra = 7;
+        let before = ring_overwrites().get();
+        for _ in 0..(SPAN_RING_CAPACITY + extra) {
+            drop(SpanGuard::begin("overwrite", "op", 0));
+        }
+        assert!(ring_overwrites().get() - before >= extra as u64);
+        assert!(crate::global().expose().contains(RING_OVERWRITES));
     }
 }

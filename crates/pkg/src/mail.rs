@@ -5,9 +5,9 @@
 //! registered. This reproduction cannot send real mail, so the substrate is a
 //! [`MailDelivery`] trait with a [`SimulatedMail`] implementation that
 //! records messages in per-identity inboxes which the test harness (playing
-//! the role of the user's mail client) can read back. The substitution is
-//! documented in DESIGN.md; every other part of the registration state
-//! machine is unchanged.
+//! the role of the user's mail client) can read back. Only the delivery is
+//! simulated; every other part of the registration state machine is
+//! unchanged.
 
 use std::collections::HashMap;
 

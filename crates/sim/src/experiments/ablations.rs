@@ -1,8 +1,7 @@
 //! Ablations of Alpenhorn's design choices.
 //!
-//! DESIGN.md calls out three tunables whose values the paper picks without a
-//! sweep; these ablations quantify the trade-offs so the chosen values can be
-//! judged:
+//! The paper picks three tunables without a sweep; these ablations quantify
+//! the trade-offs so the chosen values can be judged:
 //!
 //! * **Bloom filter bits per dial token** (§5.2 picks 48): false-positive
 //!   rate (phantom calls) vs dialing mailbox size, next to the Golomb-coded

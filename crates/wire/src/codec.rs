@@ -263,8 +263,8 @@ impl From<WireError> for FrameIoError {
 /// RPC messages inside it bumps [`Frame::VERSION`]. Receivers accept exactly
 /// that version; anything else — including the SHA-256-trailer versions 3 and
 /// 4, the pre-batch 5 and 6, the pre-announcement 7 and 8, the retired
-/// telemetry layout 10 and the Bloom-filter mailboxes of 9 — is rejected with
-/// [`WireError::UnsupportedVersion`].
+/// telemetry layout 10, the Bloom-filter mailboxes of 9 and the two-HKDF
+/// onion layers of 11 — is rejected with [`WireError::UnsupportedVersion`].
 /// A frame carries no trace context: every request that belongs to a trace
 /// names its `(protocol, round)`, from which each receiver derives the round
 /// correlation id (`alpenhorn_obs::correlation_id`) itself.
@@ -288,8 +288,11 @@ impl Frame {
     /// encodings, but a dialing mailbox's opaque filter bytes are a
     /// Golomb-coded dial set instead of a Bloom filter, so a peer of the
     /// other meaning fails at its first frame rather than at a mailbox
-    /// parse. 10 stays retired.
-    pub const VERSION: u8 = 11;
+    /// parse. v12 keeps v11's layout and encodings, but each onion layer's
+    /// AEAD key is one HMAC over the DH point instead of two chained HKDFs,
+    /// so an onion of the other derivation is refused at the first frame
+    /// instead of acked and then dropped at hop 0. 10 and 11 stay retired.
+    pub const VERSION: u8 = 12;
     /// Header length: magic + version + length prefix.
     pub const HEADER_LEN: usize = 2 + 1 + 4;
     /// Trailing checksum length.
@@ -512,14 +515,14 @@ mod tests {
         // Fixed bytes, not a reconstruction: any change to the layout, the
         // versions, the CRC or its byte order shows up here.
         let payload = b"hello alpenhorn";
-        let v11 = [
-            b'A', b'H', 11, 0, 0, 0, 15, // magic, version, length
+        let v12 = [
+            b'A', b'H', 12, 0, 0, 0, 15, // magic, version, length
             b'h', b'e', b'l', b'l', b'o', b' ', b'a', b'l', b'p', b'e', b'n', b'h', b'o', b'r',
             b'n', // payload
-            0xF1, 0xCE, 0xC9, 0x8B, // CRC-32C, little-endian
+            0xC2, 0x08, 0x02, 0x0F, // CRC-32C, little-endian
         ];
-        assert_eq!(Frame::encode(payload), v11);
-        assert_eq!(Frame::decode(&v11).unwrap(), payload);
+        assert_eq!(Frame::encode(payload), v12);
+        assert_eq!(Frame::decode(&v12).unwrap(), payload);
         assert_eq!(Frame::encode(&[]).len(), 11);
     }
 
@@ -528,8 +531,9 @@ mod tests {
         // A well-formed v3 and v4 frame (truncated SHA-256 trailer), v5 and
         // v6 frame (CRC-32C trailer, no batch messages), v7 and v8 frame (no
         // announced dialing rounds), v9 frame (Bloom-filter dialing
-        // mailboxes) and v10 frame (the retired telemetry block) must be
-        // answered with the version error, not a checksum mismatch.
+        // mailboxes), v10 frame (the retired telemetry block) and v11 frame
+        // (two-HKDF onion layer keys) must be answered with the version
+        // error, not a checksum mismatch.
         for (version, telemetry) in [
             (3u8, &[][..]),
             (4, &[0u8; 8][..]),
@@ -539,6 +543,7 @@ mod tests {
             (8, &[0u8; 8][..]),
             (9, &[][..]),
             (10, &[0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF][..]),
+            (11, &[][..]),
         ] {
             let mut old = Vec::new();
             old.extend_from_slice(&Frame::MAGIC);

@@ -45,6 +45,14 @@ cargo test -q
 stage "dial-set false-positive rate (12.8 M non-member queries, release)"
 cargo test --release -p alpenhorn-bloom -- --ignored
 
+# Onion layer keys: known-answer keys for the one-HMAC layer derivation, a
+# seeded onion with pinned bytes, wrap/peel round trips from every first hop
+# (the servers' noise path) and the mixnet's worker-count equivalence. Runs
+# inside `cargo test -q` too; this named stage makes a derivation regression
+# point at itself.
+stage "onion layer KDF (known answers, wrap/peel, parallel equivalence)"
+cargo test -q -p alpenhorn-mixnet
+
 # Loopback-vs-TCP equivalence smoke: the same seeded scenario must produce
 # byte-identical client events over the in-process loopback transport and
 # over TCP against a live localhost daemon (plus concurrent-client and

@@ -1,8 +1,8 @@
 //! Distributed-round snapshot: what the PR 9 distribution layer costs.
 //!
-//! * **Mix round, in-process vs remote** — one add-friend round through the
-//!   in-process [`MixChain`] vs the same batch through [`RemoteMixChain`]
-//!   over loopback mixers (full wire codec both ways — the bytes a TCP
+//! * **Mix round, in-process vs loopback** — one add-friend round through a
+//!   [`MixChain`] of directly called daemons vs the same batch through
+//!   loopback mixers (full wire codec both ways — the bytes a TCP
 //!   deployment exchanges, minus the socket).
 //! * **Erasure + fleet** — shift-XOR encode of a mailbox blob at the
 //!   deployed 3+1 shape, publish to a 4-node loopback fleet, fetch with all
@@ -20,9 +20,9 @@ use alpenhorn_cdn::{LoopbackNode, NodeClient, ShardedCdn};
 use alpenhorn_crypto::ChaChaRng;
 use alpenhorn_erasure::{encode, reconstruct, CodeParams};
 use alpenhorn_ibe::dh::DhPublic;
-use alpenhorn_mixd::{chain_seed, LoopbackMixer, Mixer, RemoteMixChain};
+use alpenhorn_mixd::MixChain;
 use alpenhorn_mixnet::onion::wrap_onion;
-use alpenhorn_mixnet::{MixChain, NoiseConfig};
+use alpenhorn_mixnet::NoiseConfig;
 use alpenhorn_sim::Table;
 use alpenhorn_wire::{AddFriendEnvelope, MailboxId, Round, RoundKind};
 
@@ -70,57 +70,47 @@ fn batch_for(round: u64, publics: &[DhPublic], batch_size: usize) -> Vec<Vec<u8>
         .collect()
 }
 
-fn remote_chain() -> RemoteMixChain {
-    let mixers: Vec<Box<dyn Mixer>> = (0..MIXERS)
-        .map(|i| Box::new(LoopbackMixer::for_position(CLUSTER_SEED, i)) as Box<dyn Mixer>)
-        .collect();
-    RemoteMixChain::new(
-        RoundKind::AddFriend,
-        mixers,
-        NoiseConfig::deterministic(2.0),
-    )
+/// Mean time of one begin, mix and end of an add-friend round on `chain`.
+fn round_ns(budget: Duration, mut chain: MixChain, batch_size: usize) -> f64 {
+    measure_ns(budget, || {
+        let publics = chain.begin_round().expect("round opens");
+        let batch = batch_for(1, &publics, batch_size);
+        criterion::black_box(
+            chain
+                .run_add_friend_round(batch, NUM_MAILBOXES, &publics)
+                .expect("round runs"),
+        );
+        chain.end_round();
+    })
 }
 
 fn main() {
     alpenhorn_bench::print_header(
         "Distributed round snapshot",
-        "remote mix chain vs in-process, and erasure-coded CDN fleet (docs/DISTRIBUTION.md)",
+        "loopback mix chain vs in-process, and erasure-coded CDN fleet (docs/DISTRIBUTION.md)",
     );
     let budget = sample_budget();
     let batch_size = if smoke() { 16 } else { 96 };
     let mut metrics: Vec<(String, f64)> = Vec::new();
 
-    // ---- One add-friend round: in-process chain ----
+    // ---- One add-friend round: directly called daemons, then loopback ----
     let noise = NoiseConfig::deterministic(2.0);
-    let mut in_process = MixChain::new(
-        MIXERS,
-        noise,
-        chain_seed(CLUSTER_SEED, RoundKind::AddFriend),
-    );
+    let kind = RoundKind::AddFriend;
     metrics.push((
         format!("in_process_round_{batch_size}b_ns"),
-        measure_ns(budget, || {
-            let publics = in_process.begin_round();
-            let batch = batch_for(1, &publics, batch_size);
-            criterion::black_box(in_process.run_add_friend_round(batch, NUM_MAILBOXES, &publics));
-            in_process.end_round();
-        }),
+        round_ns(
+            budget,
+            MixChain::in_process(kind, MIXERS, noise, CLUSTER_SEED),
+            batch_size,
+        ),
     ));
-
-    // ---- One add-friend round: remote chain over loopback mixers ----
-    let mut remote = remote_chain();
     metrics.push((
         format!("remote_loopback_round_{batch_size}b_ns"),
-        measure_ns(budget, || {
-            let publics = remote.begin_round().expect("round opens");
-            let batch = batch_for(1, &publics, batch_size);
-            criterion::black_box(
-                remote
-                    .run_add_friend_round(batch, NUM_MAILBOXES, &publics)
-                    .expect("round runs"),
-            );
-            remote.end_round().expect("round ends");
-        }),
+        round_ns(
+            budget,
+            MixChain::loopback(kind, MIXERS, noise, CLUSTER_SEED),
+            batch_size,
+        ),
     ));
 
     // ---- Erasure code + CDN fleet at the deployed 3+1 shape ----

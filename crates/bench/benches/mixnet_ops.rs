@@ -128,7 +128,7 @@ fn build_batch(server_pk: &alpenhorn_ibe::dh::DhPublic, batch_size: usize) -> Ve
 fn measure_round_throughput(batch_size: usize, workers: usize) -> f64 {
     let mut server = MixServer::new(0, [6u8; 32]);
     server.set_workers(workers);
-    let pk = server.begin_round();
+    let pk = server.begin_round(0);
     let batch = build_batch(&pk, batch_size);
 
     let smoke = std::env::var_os("BENCH_SMOKE").is_some();
@@ -143,6 +143,7 @@ fn measure_round_throughput(batch_size: usize, workers: usize) -> f64 {
     let mut batches: Vec<Vec<Vec<u8>>> = (0..iters).map(|_| batch.clone()).collect();
     // Warmup.
     let _ = server.process(
+        0,
         batch,
         &[],
         Protocol::AddFriend,
@@ -151,14 +152,17 @@ fn measure_round_throughput(batch_size: usize, workers: usize) -> f64 {
     );
     let start = Instant::now();
     for input in batches.drain(..) {
-        let out = server.process(
-            input,
-            &[],
-            Protocol::AddFriend,
-            &NoiseConfig::deterministic(0.0),
-            8,
-        );
-        assert_eq!(out.len(), batch_size);
+        let out = server
+            .process(
+                0,
+                input,
+                &[],
+                Protocol::AddFriend,
+                &NoiseConfig::deterministic(0.0),
+                8,
+            )
+            .expect("round 0 is open");
+        assert_eq!(out.batch.len(), batch_size);
     }
     let elapsed = start.elapsed().as_secs_f64();
     (batch_size * iters) as f64 / elapsed

@@ -16,11 +16,11 @@
 //!            [--log-level LEVEL] [--metrics-dump-secs N]
 //! ```
 //!
-//! With `--mixers` the in-process mix chains are replaced by remote `mixd`
-//! daemons, one address per chain position (the count must equal
+//! With `--mixers` the mix chains' in-process mixers are replaced by remote
+//! `mixd` daemons, one address per chain position (the count must equal
 //! `--mix-servers`; each daemon must run with `--seed`/`--index` matching
 //! this deployment). Rounds then produce byte-identical mailboxes to the
-//! in-process chain. With `--cdn-nodes` every closed round's mailboxes are
+//! in-process mixers. With `--cdn-nodes` every closed round's mailboxes are
 //! additionally published as 3-data + 1-parity shift-XOR shards across the
 //! listed `cdnd` daemons, where clients can fetch them from any 3 live
 //! nodes.

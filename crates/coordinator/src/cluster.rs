@@ -16,9 +16,9 @@ use alpenhorn_ibe::anytrust::aggregate_master_publics;
 use alpenhorn_ibe::bf::MasterPublic;
 use alpenhorn_ibe::dh::DhPublic;
 use alpenhorn_ibe::sig::{Signature, VerifyingKey};
-use alpenhorn_mixd::{chain_seed, Mixer, RemoteMixChain};
+use alpenhorn_mixd::{MixChain, Mixer};
 use alpenhorn_mixnet::{
-    AddFriendMailboxes, DialingMailboxes, MailboxPolicy, MixChain, NoiseConfig, RoundStats,
+    AddFriendMailboxes, DialingMailboxes, MailboxPolicy, NoiseConfig, RoundStats,
 };
 use alpenhorn_pkg::{ExtractResponse, PkgServer, SimulatedMail};
 use alpenhorn_wire::cdn::{encode_add_friend_blob, encode_dialing_blob};
@@ -152,107 +152,13 @@ impl<Info> OpenRound<Info> {
     }
 }
 
-/// The mix chain behind one protocol: the in-process [`MixChain`] or a
-/// [`RemoteMixChain`] of `mixd` daemons. Both derive per-server seeds through
-/// [`chain_seed`]/`server_seed` and number rounds identically from zero (or
-/// from where recovery resumes them), so the two deployments produce
-/// byte-identical mailboxes for the same inputs.
-enum MixBackend {
-    InProcess(MixChain),
-    Remote(RemoteMixChain),
-}
-
-fn mix_error(e: alpenhorn_mixd::MixdError) -> CoordinatorError {
-    CoordinatorError::Mixnet(e.to_string())
-}
-
-impl MixBackend {
-    fn begin_round(&mut self) -> Result<Vec<DhPublic>, CoordinatorError> {
-        match self {
-            MixBackend::InProcess(chain) => Ok(chain.begin_round()),
-            MixBackend::Remote(chain) => chain.begin_round().map_err(mix_error),
-        }
-    }
-
-    fn resume_at(&mut self, next_round: u64) {
-        match self {
-            MixBackend::InProcess(chain) => chain.resume_at(next_round),
-            MixBackend::Remote(chain) => chain.resume_at(next_round),
-        }
-    }
-
-    /// Ends the current round. Remote failures are swallowed: ending is
-    /// cleanup, and a daemon that missed it re-derives nothing — stale open
-    /// rounds only cost it a map entry until its next restart.
-    fn end_round(&mut self) {
-        match self {
-            MixBackend::InProcess(chain) => chain.end_round(),
-            MixBackend::Remote(chain) => {
-                let _ = chain.end_round();
-            }
-        }
-    }
-
-    fn run_add_friend_round(
-        &mut self,
-        batch: Vec<Vec<u8>>,
-        num_mailboxes: u32,
-        publics: &[DhPublic],
-    ) -> Result<(AddFriendMailboxes, RoundStats), CoordinatorError> {
-        match self {
-            MixBackend::InProcess(chain) => {
-                Ok(chain.run_add_friend_round(batch, num_mailboxes, publics))
-            }
-            MixBackend::Remote(chain) => chain
-                .run_add_friend_round(batch, num_mailboxes, publics)
-                .map_err(mix_error),
-        }
-    }
-
-    fn run_dialing_round(
-        &mut self,
-        batch: Vec<Vec<u8>>,
-        num_mailboxes: u32,
-        publics: &[DhPublic],
-    ) -> Result<(DialingMailboxes, RoundStats), CoordinatorError> {
-        match self {
-            MixBackend::InProcess(chain) => {
-                Ok(chain.run_dialing_round(batch, num_mailboxes, publics))
-            }
-            MixBackend::Remote(chain) => chain
-                .run_dialing_round(batch, num_mailboxes, publics)
-                .map_err(mix_error),
-        }
-    }
-
-    fn disconnect_mixer(&mut self, index: usize) {
-        match self {
-            // In-process servers have no transport to sever.
-            MixBackend::InProcess(_) => {}
-            MixBackend::Remote(chain) => chain.disconnect_mixer(index),
-        }
-    }
-
-    fn set_adversary(&mut self, adversary: Option<alpenhorn_mixnet::MixAdversary>) {
-        match self {
-            MixBackend::InProcess(chain) => chain.set_adversary(adversary),
-            // Scripted adversaries reach into server internals; a daemon a
-            // network hop away has no such surface (by design — that is the
-            // threat model). Scenarios that need one run in-process.
-            MixBackend::Remote(_) => {
-                panic!("scripted mix adversaries require the in-process chain")
-            }
-        }
-    }
-}
-
 /// An in-process Alpenhorn deployment.
 pub struct Cluster {
     config: ClusterConfig,
     pkgs: Vec<PkgServer>,
     mail: SimulatedMail,
-    add_friend_chain: MixBackend,
-    dialing_chain: MixBackend,
+    add_friend_chain: MixChain,
+    dialing_chain: MixChain,
     cdn: Cdn,
     /// The erasure-coded CDN fleet, when one is connected. Closed rounds'
     /// mailboxes are published here *in addition to* the origin [`Cdn`], so
@@ -278,22 +184,23 @@ impl Cluster {
                 PkgServer::new(&format!("pkg-{i}"), seed)
             })
             .collect();
-        // `chain_seed` is the shared derivation: a `mixd` daemon at chain
-        // position i with the same cluster seed produces byte-identical
-        // rounds to the in-process server built here.
+        // A `mixd` daemon at chain position i with the same cluster seed
+        // produces byte-identical rounds to the in-process one built here.
         Cluster {
             pkgs,
             mail: SimulatedMail::new(),
-            add_friend_chain: MixBackend::InProcess(MixChain::new(
+            add_friend_chain: MixChain::in_process(
+                RoundKind::AddFriend,
                 config.num_mix_servers,
                 config.add_friend_noise,
-                chain_seed(config.seed, RoundKind::AddFriend),
-            )),
-            dialing_chain: MixBackend::InProcess(MixChain::new(
+                config.seed,
+            ),
+            dialing_chain: MixChain::in_process(
+                RoundKind::Dialing,
                 config.num_mix_servers,
                 config.dialing_noise,
-                chain_seed(config.seed, RoundKind::Dialing),
-            )),
+                config.seed,
+            ),
             cdn: Cdn::new(),
             sharded_cdn: None,
             open_add_friend: None,
@@ -306,9 +213,9 @@ impl Cluster {
 
     /// Replaces both in-process mix chains with remote `mixd` fleets, one
     /// [`Mixer`] handle per chain position. Call at startup, before any round
-    /// opens, so chain-level round auto-numbering starts at zero in both
-    /// deployment shapes (that is what makes a distributed run byte-identical
-    /// to the in-process one).
+    /// opens, so chain round numbering starts at zero in both deployment
+    /// shapes (that is what makes a distributed run byte-identical to the
+    /// in-process one).
     ///
     /// # Panics
     ///
@@ -333,16 +240,12 @@ impl Cluster {
             self.open_add_friend.is_none() && self.open_dialing.is_none(),
             "connect remote mixers before opening any round"
         );
-        self.add_friend_chain = MixBackend::Remote(RemoteMixChain::new(
+        self.add_friend_chain = MixChain::new(
             RoundKind::AddFriend,
             add_friend,
             self.config.add_friend_noise,
-        ));
-        self.dialing_chain = MixBackend::Remote(RemoteMixChain::new(
-            RoundKind::Dialing,
-            dialing,
-            self.config.dialing_noise,
-        ));
+        );
+        self.dialing_chain = MixChain::new(RoundKind::Dialing, dialing, self.config.dialing_noise);
     }
 
     /// Connects an erasure-coded CDN fleet: every closed round's mailboxes
@@ -400,8 +303,8 @@ impl Cluster {
     /// Installs (or with `None` removes) a scripted
     /// [`MixAdversary`](alpenhorn_mixnet::MixAdversary) on the chain serving
     /// `protocol` — the coordinator-level control surface for
-    /// malicious-mixer scenarios. Honest operation is unchanged while no
-    /// adversary is installed.
+    /// malicious-mixer scenarios, on in-process and remote mixers alike.
+    /// Honest operation is unchanged while no adversary is installed.
     pub fn set_mix_adversary(
         &mut self,
         protocol: alpenhorn_mixnet::Protocol,
@@ -414,11 +317,11 @@ impl Cluster {
     }
 
     /// Severs the transport to mix server `index` on both chains — the
-    /// scenario engine's mixer-crash lever. On remote chains the next call
-    /// reconnects and retries under the mixer's retry policy; because rounds
-    /// are derived statelessly from (seed, round id), recovery is invisible
-    /// in the round's output. In-process chains have no transport, so this
-    /// is a no-op there.
+    /// scenario engine's mixer-crash lever. A remote mixer's next call
+    /// reconnects and retries under its retry policy; because rounds are
+    /// derived statelessly from (seed, round id), recovery is invisible in
+    /// the round's output. In-process mixers have no transport, so this is a
+    /// no-op there.
     pub fn disconnect_mixer(&mut self, index: usize) {
         self.add_friend_chain.disconnect_mixer(index);
         self.dialing_chain.disconnect_mixer(index);
@@ -553,7 +456,7 @@ impl Cluster {
         }
     }
 
-    /// Resumes both mix chains' auto-numbering after `add_friend` and
+    /// Resumes both mix chains' round numbering after `add_friend` and
     /// `dialing` rounds, so a restarted coordinator does not re-open round
     /// ids — and with them onion keys — that earlier processes already
     /// served. Call during recovery, before any round opens.
@@ -781,7 +684,7 @@ impl Cluster {
         for pkg in &mut self.pkgs {
             pkg.end_round();
         }
-        let (mailboxes, stats) = run?;
+        let (mailboxes, stats) = run.map_err(CoordinatorError::from)?;
         self.publish_add_friend_shards(round, &mailboxes);
         self.cdn.publish_add_friend(round, mailboxes);
         Ok(stats)
@@ -956,7 +859,7 @@ impl Cluster {
             &open.info.onion_keys,
         );
         self.dialing_chain.end_round();
-        let (mailboxes, stats) = run?;
+        let (mailboxes, stats) = run.map_err(CoordinatorError::from)?;
         let next_round =
             self.announce_dialing_round(round.next(), open.info.num_mailboxes, rate_limited);
         self.publish_dialing_shards(round, &mailboxes, next_round.as_ref());
@@ -972,9 +875,11 @@ mod tests {
     use alpenhorn_ibe::anytrust::aggregate_identity_keys;
     use alpenhorn_ibe::bf::{decrypt, encrypt};
     use alpenhorn_ibe::sig::SigningKey;
+    use alpenhorn_mixd::{MixdError, MixdServer};
     use alpenhorn_mixnet::onion::wrap_onion;
     use alpenhorn_pkg::server::extraction_request_message;
-    use alpenhorn_wire::{DialRequest, DialToken, MailboxId};
+    use alpenhorn_wire::{DialRequest, DialToken, MailboxId, MixerRequest, MixerResponse};
+    use std::sync::Mutex;
 
     fn id(s: &str) -> Identity {
         Identity::new(s).unwrap()
@@ -1162,24 +1067,53 @@ mod tests {
         cluster.close_dialing_round(Round(3)).unwrap();
     }
 
-    /// Whether the in-process dialing chain still holds chain round
-    /// `round`'s onion secrets.
-    fn dialing_chain_round_open(cluster: &Cluster, round: u64) -> bool {
-        match &cluster.dialing_chain {
-            MixBackend::InProcess(chain) => chain.round_open_for(round),
-            MixBackend::Remote(_) => unreachable!("in-process chain"),
+    /// An in-process daemon the test keeps a handle to.
+    #[derive(Clone)]
+    struct SharedDaemon(Arc<Mutex<MixdServer>>);
+
+    impl Mixer for SharedDaemon {
+        fn call(&mut self, request: MixerRequest) -> Result<MixerResponse, MixdError> {
+            Ok(self.0.lock().unwrap().handle(request))
         }
+    }
+
+    /// Builds `config`'s cluster on shared daemons, one per chain position
+    /// serving both chains as a `mixd` does, and returns their handles.
+    fn cluster_on_shared_daemons(config: ClusterConfig) -> (Cluster, Vec<SharedDaemon>) {
+        let daemons: Vec<_> = (0..config.num_mix_servers)
+            .map(|i| SharedDaemon(Arc::new(Mutex::new(MixdServer::new(config.seed, i)))))
+            .collect();
+        let fleet = || -> Vec<Box<dyn Mixer>> {
+            daemons
+                .iter()
+                .map(|d| Box::new(d.clone()) as Box<dyn Mixer>)
+                .collect()
+        };
+        let mut cluster = Cluster::new(config);
+        cluster.connect_remote_mixers(fleet(), fleet());
+        (cluster, daemons)
+    }
+
+    /// Whether any daemon still holds dialing chain round `round`'s onion
+    /// secret: only then does it mix the round.
+    fn dialing_chain_round_open(daemons: &[SharedDaemon], round: u64) -> bool {
+        let noise = NoiseConfig::deterministic(0.0);
+        daemons.iter().any(|d| {
+            d.clone()
+                .process(RoundKind::Dialing, Round(round), 1, &noise, &[], vec![])
+                .is_ok()
+        })
     }
 
     #[test]
     fn close_announces_the_next_dialing_round_and_begin_reuses_its_keys() {
-        let mut cluster = Cluster::new(ClusterConfig::test(9));
+        let (mut cluster, daemons) = cluster_on_shared_daemons(ClusterConfig::test(9));
         let first = cluster.begin_dialing_round(Round(1), 10).unwrap();
         cluster.close_dialing_round(Round(1)).unwrap();
         // Chain round 0 served round 1 and is gone; chain round 1 is begun
         // for the announced round 2, sized like round 1.
-        assert!(!dialing_chain_round_open(&cluster, 0));
-        assert!(dialing_chain_round_open(&cluster, 1));
+        assert!(!dialing_chain_round_open(&daemons, 0));
+        assert!(dialing_chain_round_open(&daemons, 1));
         let announced = cluster.announced_dialing_info().unwrap().clone();
         assert_eq!(announced.round, Round(2));
         assert_eq!(announced.num_mailboxes, first.num_mailboxes);
@@ -1205,24 +1139,24 @@ mod tests {
         assert_ne!(second.num_mailboxes, announced.num_mailboxes);
         assert!(cluster.announced_dialing_info().is_none());
         cluster.close_dialing_round(Round(2)).unwrap();
-        assert!(!dialing_chain_round_open(cluster, 1));
+        assert!(!dialing_chain_round_open(&daemons, 1));
     }
 
     #[test]
     fn skipping_an_announced_dialing_round_erases_its_mix_secrets() {
-        let mut cluster = Cluster::new(ClusterConfig::test(10));
+        let (mut cluster, daemons) = cluster_on_shared_daemons(ClusterConfig::test(10));
         cluster.begin_dialing_round(Round(1), 1).unwrap();
         cluster.close_dialing_round(Round(1)).unwrap();
         let announced = cluster.announced_dialing_info().unwrap().clone();
-        assert!(dialing_chain_round_open(&cluster, 1));
+        assert!(dialing_chain_round_open(&daemons, 1));
 
         // Round 3 opens instead of the announced round 2.
         let third = cluster.begin_dialing_round(Round(3), 1).unwrap();
         assert!(
-            !dialing_chain_round_open(&cluster, 1),
+            !dialing_chain_round_open(&daemons, 1),
             "skipped round erased"
         );
-        assert!(dialing_chain_round_open(&cluster, 2));
+        assert!(dialing_chain_round_open(&daemons, 2));
         assert_ne!(third.onion_keys, announced.onion_keys);
         cluster.close_dialing_round(Round(3)).unwrap();
         assert_eq!(cluster.announced_dialing_info().unwrap().round, Round(4));
@@ -1267,55 +1201,34 @@ mod tests {
         }
     }
 
-    /// A mixer whose first `BeginRound` for one dialing chain round fails.
+    /// A daemon whose first `BeginRound` of one dialing chain round fails.
     struct RefusesBegin {
-        inner: alpenhorn_mixd::LoopbackMixer,
+        inner: MixdServer,
         refuse: Option<Round>,
     }
 
     impl Mixer for RefusesBegin {
-        fn begin_round(
-            &mut self,
-            protocol: RoundKind,
-            round: Round,
-        ) -> Result<DhPublic, alpenhorn_mixd::MixdError> {
-            if protocol == RoundKind::Dialing && self.refuse == Some(round) {
-                self.refuse = None;
-                return Err(alpenhorn_mixd::MixdError::UnexpectedResponse);
+        fn call(&mut self, request: MixerRequest) -> Result<MixerResponse, MixdError> {
+            match request {
+                MixerRequest::BeginRound {
+                    protocol: RoundKind::Dialing,
+                    round,
+                } if self.refuse == Some(round) => {
+                    self.refuse = None;
+                    Err(MixdError::UnexpectedResponse)
+                }
+                request => Ok(self.inner.handle(request)),
             }
-            self.inner.begin_round(protocol, round)
-        }
-
-        fn process(
-            &mut self,
-            protocol: RoundKind,
-            round: Round,
-            num_mailboxes: u32,
-            noise: &NoiseConfig,
-            downstream: &[DhPublic],
-            batch: Vec<Vec<u8>>,
-        ) -> Result<alpenhorn_mixd::ProcessedBatch, alpenhorn_mixd::MixdError> {
-            self.inner
-                .process(protocol, round, num_mailboxes, noise, downstream, batch)
-        }
-
-        fn end_round(
-            &mut self,
-            protocol: RoundKind,
-            round: Round,
-        ) -> Result<(), alpenhorn_mixd::MixdError> {
-            self.inner.end_round(protocol, round)
         }
     }
 
     #[test]
     fn a_failed_announcement_uses_up_no_chain_round() {
-        use alpenhorn_mixd::LoopbackMixer;
         let config = ClusterConfig::test(13);
         let fleet = |refuse: Option<Round>| -> Vec<Box<dyn Mixer>> {
             (0..config.num_mix_servers)
                 .map(|i| {
-                    let inner = LoopbackMixer::for_position(config.seed, i);
+                    let inner = MixdServer::new(config.seed, i);
                     let refuse = refuse.filter(|_| i == 1);
                     Box::new(RefusesBegin { inner, refuse }) as Box<dyn Mixer>
                 })

@@ -29,7 +29,7 @@ pub enum CoordinatorError {
         /// Index of the offending PKG.
         pkg_index: usize,
     },
-    /// The remote mix chain failed past its retry budget; the round is lost.
+    /// The mix chain failed past its retry budget; the round is lost.
     Mixnet(String),
 }
 
@@ -61,6 +61,12 @@ impl std::error::Error for CoordinatorError {}
 impl From<alpenhorn_pkg::PkgError> for CoordinatorError {
     fn from(e: alpenhorn_pkg::PkgError) -> Self {
         CoordinatorError::Pkg(e)
+    }
+}
+
+impl From<alpenhorn_mixd::MixdError> for CoordinatorError {
+    fn from(e: alpenhorn_mixd::MixdError) -> Self {
+        CoordinatorError::Mixnet(e.to_string())
     }
 }
 

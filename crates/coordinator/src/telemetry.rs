@@ -14,8 +14,9 @@ use alpenhorn_wire::rpc::{SpanWire, TelemetryWire};
 use alpenhorn_wire::{Request, Response};
 
 /// The span component tag for coordinator-process work. Covers RPC dispatch,
-/// mix-chain driving ([`alpenhorn_mixd::RemoteMixChain`]), and sharded CDN
-/// publication, which all run inside the `alpenhornd` process.
+/// mix-chain driving ([`alpenhorn_mixd::MixChain`], whose spans carry this
+/// tag too), and sharded CDN publication, which all run inside the
+/// `alpenhornd` process.
 pub const SPAN_COMPONENT: &str = "coordinator";
 
 /// The coordinator's `GetTelemetry` reply: the full metrics exposition plus

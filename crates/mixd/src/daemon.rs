@@ -4,13 +4,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use alpenhorn_ibe::dh::DhPublic;
-use alpenhorn_mixnet::{server_seed, MixServer, NoiseConfig, Protocol};
+use alpenhorn_mixnet::{MixServer, NoiseConfig, Protocol};
 use alpenhorn_obs::SpanGuard;
 use alpenhorn_wire::rpc::{SpanWire, TelemetryWire};
 use alpenhorn_wire::server::{ConnectionEvent, Exclusive, ServerConfig};
 use alpenhorn_wire::{MixerRequest, MixerResponse, RoundKind};
 
-use crate::seeds::chain_seed;
+use crate::seeds::{chain_seed, server_seed};
 
 /// The span component tag for code running inside a mix daemon. One tag per
 /// process type: in single-process tests it is what separates mixer-side
@@ -60,8 +60,7 @@ pub fn telemetry_wire() -> TelemetryWire {
 }
 
 /// One mix daemon's state: the add-friend and dialing chain servers for a
-/// single chain position, both derived from (cluster seed, index) exactly as
-/// the coordinator's in-process chains derive them.
+/// single chain position, both derived from (cluster seed, index) alone.
 ///
 /// The daemon holds no per-request state beyond the open rounds' onion
 /// secrets: every response is a pure function of (seed, index, request), so
@@ -130,7 +129,7 @@ impl MixdServer {
         });
         let response = match request {
             MixerRequest::BeginRound { protocol, round } => {
-                let public = self.server_mut(protocol).begin_round_for(round.0);
+                let public = self.server_mut(protocol).begin_round(round.0);
                 MixerResponse::RoundKey(public.to_bytes())
             }
             MixerRequest::Process {
@@ -161,14 +160,7 @@ impl MixdServer {
                     RoundKind::AddFriend => Protocol::AddFriend,
                     RoundKind::Dialing => Protocol::Dialing,
                 };
-                let server = self.server_mut(protocol);
-                if !server.round_open_for(round.0) {
-                    return MixerResponse::Error(format!(
-                        "{protocol:?} round {} is not open",
-                        round.0
-                    ));
-                }
-                let batch = server.process_for(
+                let processed = self.server_mut(protocol).process(
                     round.0,
                     batch,
                     &publics,
@@ -176,16 +168,22 @@ impl MixdServer {
                     &noise,
                     num_mailboxes,
                 );
-                metrics.noise_added.add(server.last_noise_added());
-                metrics.dropped.add(server.last_malformed_dropped());
+                let Some(processed) = processed else {
+                    return MixerResponse::Error(format!(
+                        "{protocol:?} round {} is not open",
+                        round.0
+                    ));
+                };
+                metrics.noise_added.add(processed.noise_added);
+                metrics.dropped.add(processed.dropped);
                 MixerResponse::Processed {
-                    batch,
-                    noise_added: server.last_noise_added(),
-                    dropped: server.last_malformed_dropped(),
+                    batch: processed.batch,
+                    noise_added: processed.noise_added,
+                    dropped: processed.dropped,
                 }
             }
             MixerRequest::EndRound { protocol, round } => {
-                self.server_mut(protocol).end_round_for(round.0);
+                self.server_mut(protocol).end_round(round.0);
                 MixerResponse::Ack
             }
             MixerRequest::GetTelemetry => MixerResponse::Telemetry(telemetry_wire()),

@@ -15,20 +15,19 @@
 //!   (as `Mutex<MixdServer>`: requests are serialized through the daemon
 //!   mutex; rounds are driven by one coordinator, so contention is not the
 //!   bottleneck, the mixing is).
-//! * [`Mixer`] — the coordinator's view of one mix server, with two
-//!   implementations: [`LoopbackMixer`] (in-process, still routed through
-//!   the wire codec) and [`RemoteMixer`] (framed TCP with
-//!   reconnect-and-retry, mirroring the client transport's recovery
-//!   policy).
-//! * [`RemoteMixChain`] — mirrors the in-process
-//!   [`MixChain`](alpenhorn_mixnet::MixChain) API over a row of [`Mixer`]s,
-//!   passing each round's batch through them in chain order. Outputs are
-//!   byte-identical to `MixChain` for every mixer count and transport
-//!   (`tests/loopback_equivalence`).
+//! * [`Mixer`] — the coordinator's view of one mix server: a way to
+//!   deliver a [`MixerRequest`](alpenhorn_wire::MixerRequest). A
+//!   [`MixdServer`] in the same process answers directly; a
+//!   [`LoopbackMixer`] routes through the wire codec; a [`RemoteMixer`]
+//!   speaks framed TCP with reconnect-and-retry, mirroring the client
+//!   transport's recovery policy.
+//! * [`MixChain`] — the one chain driver: it passes each round's batch
+//!   through a row of [`Mixer`]s in chain order, for in-process and
+//!   distributed deployments alike. Outputs are byte-identical for every
+//!   mixer kind and transport (`tests/loopback_equivalence`).
 //!
-//! Seed derivation for daemons is shared with the coordinator via
-//! [`chain_seed`] and [`alpenhorn_mixnet::server_seed`], so a daemon given
-//! only (cluster seed, index) joins the chain byte-compatibly.
+//! Seed derivation lives in [`seeds`]: a daemon given only (cluster seed,
+//! index) derives the same servers wherever it runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,8 +38,7 @@ pub mod error;
 pub mod mixer;
 pub mod seeds;
 
-pub use chain::RemoteMixChain;
+pub use chain::MixChain;
 pub use daemon::{server_config, MixdServer};
 pub use error::MixdError;
-pub use mixer::{LoopbackMixer, MixRetryPolicy, Mixer, ProcessedBatch, RemoteMixer};
-pub use seeds::chain_seed;
+pub use mixer::{LoopbackMixer, MixRetryPolicy, Mixer, RemoteMixer};

@@ -1,39 +1,40 @@
-//! The coordinator's handle to one mix server: loopback or remote.
+//! The coordinator's handle to one mix server: direct, loopback or remote.
 
 use std::net::TcpStream;
 use std::time::Duration;
 
 use alpenhorn_ibe::dh::DhPublic;
-use alpenhorn_mixnet::NoiseConfig;
+use alpenhorn_mixnet::{NoiseConfig, ProcessedBatch};
 use alpenhorn_wire::server::connect;
 use alpenhorn_wire::{Frame, MixerRequest, MixerResponse, Round, RoundKind};
 
 use crate::daemon::{MixdServer, CONNECTION_IO_TIMEOUT};
 use crate::error::MixdError;
 
-/// One mix server's output for one round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProcessedBatch {
-    /// The peeled, noised, shuffled batch.
-    pub batch: Vec<Vec<u8>>,
-    /// Noise onions the server injected.
-    pub noise_added: u64,
-    /// Malformed onions the server dropped.
-    pub dropped: u64,
-}
-
 /// The coordinator's view of one mix server in a chain.
 ///
-/// All three operations are idempotent per (protocol, round): the server
-/// derives its bytes from (seed, round id), so a caller may retry any of
-/// them after a failure without desynchronizing the chain.
+/// An implementation only says how a request reaches the server
+/// ([`Mixer::call`]); the round operations are built on it. All three are
+/// idempotent per (protocol, round): the server derives its bytes from
+/// (seed, round id), so a caller may retry any of them after a failure
+/// without desynchronizing the chain.
 ///
 /// `Send + Sync` because chains of mixers live inside coordinators that are
 /// shared across service threads (every method still takes `&mut self`; the
 /// bound only promises that *holding* a handle across threads is safe).
 pub trait Mixer: Send + Sync {
+    /// Delivers one request to the server and returns its response.
+    fn call(&mut self, request: MixerRequest) -> Result<MixerResponse, MixdError>;
+
     /// Opens (or re-derives) a round and returns its onion public key.
-    fn begin_round(&mut self, protocol: RoundKind, round: Round) -> Result<DhPublic, MixdError>;
+    fn begin_round(&mut self, protocol: RoundKind, round: Round) -> Result<DhPublic, MixdError> {
+        match self.call(MixerRequest::BeginRound { protocol, round })? {
+            MixerResponse::RoundKey(bytes) => {
+                DhPublic::from_bytes(&bytes).map_err(|_| MixdError::UnexpectedResponse)
+            }
+            other => Err(unexpected(other)),
+        }
+    }
 
     /// Hands the server one round's batch; returns the processed batch.
     fn process(
@@ -44,16 +45,60 @@ pub trait Mixer: Send + Sync {
         noise: &NoiseConfig,
         downstream: &[DhPublic],
         batch: Vec<Vec<u8>>,
-    ) -> Result<ProcessedBatch, MixdError>;
+    ) -> Result<ProcessedBatch, MixdError> {
+        let request = MixerRequest::Process {
+            protocol,
+            round,
+            num_mailboxes,
+            noise_mu: noise.mu.to_bits(),
+            noise_b: noise.b.to_bits(),
+            downstream: downstream.iter().map(|k| k.to_bytes()).collect(),
+            batch,
+        };
+        match self.call(request)? {
+            MixerResponse::Processed {
+                batch,
+                noise_added,
+                dropped,
+            } => Ok(ProcessedBatch {
+                batch,
+                noise_added,
+                dropped,
+            }),
+            other => Err(unexpected(other)),
+        }
+    }
 
     /// Closes a round, erasing the server's per-round secret.
-    fn end_round(&mut self, protocol: RoundKind, round: Round) -> Result<(), MixdError>;
+    fn end_round(&mut self, protocol: RoundKind, round: Round) -> Result<(), MixdError> {
+        match self.call(MixerRequest::EndRound { protocol, round })? {
+            MixerResponse::Ack => Ok(()),
+            other => Err(unexpected(other)),
+        }
+    }
 
     /// Severs the transport (if any) so the next call must re-establish it —
     /// the scenario engine's mixer-crash lever. Recovery must be invisible:
     /// retried calls reproduce identical bytes. In-process mixers have no
     /// transport; for them this is a no-op.
     fn disconnect(&mut self) {}
+}
+
+/// The error a response of the wrong kind stands for.
+fn unexpected(response: MixerResponse) -> MixdError {
+    match response {
+        MixerResponse::Error(detail) => MixdError::Mixer(detail),
+        _ => MixdError::UnexpectedResponse,
+    }
+}
+
+/// An in-process daemon answers directly: the request reaches
+/// [`MixdServer::handle`] with no codec round trip, which is how
+/// [`MixChain::in_process`](crate::MixChain::in_process) deployments mix.
+impl Mixer for MixdServer {
+    fn call(&mut self, request: MixerRequest) -> Result<MixerResponse, MixdError> {
+        Ok(self.handle(request))
+    }
 }
 
 /// Drives requests through the full wire codec into an in-process
@@ -74,7 +119,9 @@ impl LoopbackMixer {
     pub fn for_position(cluster_seed: [u8; 32], index: usize) -> Self {
         Self::new(MixdServer::new(cluster_seed, index))
     }
+}
 
+impl Mixer for LoopbackMixer {
     fn call(&mut self, request: MixerRequest) -> Result<MixerResponse, MixdError> {
         // Encode → decode on both legs: the in-process path must not skip
         // the serialization a remote daemon would perform.
@@ -204,17 +251,9 @@ impl RemoteMixer {
         }
         result
     }
+}
 
-    /// Fetches the daemon's telemetry: its metrics exposition and its
-    /// `mixd`-component spans.
-    pub fn get_telemetry(&mut self) -> Result<alpenhorn_wire::rpc::TelemetryWire, MixdError> {
-        match self.call(MixerRequest::GetTelemetry)? {
-            MixerResponse::Telemetry(telemetry) => Ok(telemetry),
-            MixerResponse::Error(detail) => Err(MixdError::Mixer(detail)),
-            _ => Err(MixdError::UnexpectedResponse),
-        }
-    }
-
+impl Mixer for RemoteMixer {
     fn call(&mut self, request: MixerRequest) -> Result<MixerResponse, MixdError> {
         let payload = request.encode();
         let mut last = None;
@@ -232,118 +271,6 @@ impl RemoteMixer {
             attempts: self.retry.max_attempts.max(1),
             last: Box::new(last.expect("loop ran at least once")),
         })
-    }
-}
-
-/// Shared response interpretation for both mixer implementations.
-fn expect_round_key(response: MixerResponse) -> Result<DhPublic, MixdError> {
-    match response {
-        MixerResponse::RoundKey(bytes) => {
-            DhPublic::from_bytes(&bytes).map_err(|_| MixdError::UnexpectedResponse)
-        }
-        MixerResponse::Error(detail) => Err(MixdError::Mixer(detail)),
-        _ => Err(MixdError::UnexpectedResponse),
-    }
-}
-
-fn expect_processed(response: MixerResponse) -> Result<ProcessedBatch, MixdError> {
-    match response {
-        MixerResponse::Processed {
-            batch,
-            noise_added,
-            dropped,
-        } => Ok(ProcessedBatch {
-            batch,
-            noise_added,
-            dropped,
-        }),
-        MixerResponse::Error(detail) => Err(MixdError::Mixer(detail)),
-        _ => Err(MixdError::UnexpectedResponse),
-    }
-}
-
-fn expect_ack(response: MixerResponse) -> Result<(), MixdError> {
-    match response {
-        MixerResponse::Ack => Ok(()),
-        MixerResponse::Error(detail) => Err(MixdError::Mixer(detail)),
-        _ => Err(MixdError::UnexpectedResponse),
-    }
-}
-
-fn process_request(
-    protocol: RoundKind,
-    round: Round,
-    num_mailboxes: u32,
-    noise: &NoiseConfig,
-    downstream: &[DhPublic],
-    batch: Vec<Vec<u8>>,
-) -> MixerRequest {
-    MixerRequest::Process {
-        protocol,
-        round,
-        num_mailboxes,
-        noise_mu: noise.mu.to_bits(),
-        noise_b: noise.b.to_bits(),
-        downstream: downstream.iter().map(|k| k.to_bytes()).collect(),
-        batch,
-    }
-}
-
-impl Mixer for LoopbackMixer {
-    fn begin_round(&mut self, protocol: RoundKind, round: Round) -> Result<DhPublic, MixdError> {
-        expect_round_key(self.call(MixerRequest::BeginRound { protocol, round })?)
-    }
-
-    fn process(
-        &mut self,
-        protocol: RoundKind,
-        round: Round,
-        num_mailboxes: u32,
-        noise: &NoiseConfig,
-        downstream: &[DhPublic],
-        batch: Vec<Vec<u8>>,
-    ) -> Result<ProcessedBatch, MixdError> {
-        expect_processed(self.call(process_request(
-            protocol,
-            round,
-            num_mailboxes,
-            noise,
-            downstream,
-            batch,
-        ))?)
-    }
-
-    fn end_round(&mut self, protocol: RoundKind, round: Round) -> Result<(), MixdError> {
-        expect_ack(self.call(MixerRequest::EndRound { protocol, round })?)
-    }
-}
-
-impl Mixer for RemoteMixer {
-    fn begin_round(&mut self, protocol: RoundKind, round: Round) -> Result<DhPublic, MixdError> {
-        expect_round_key(self.call(MixerRequest::BeginRound { protocol, round })?)
-    }
-
-    fn process(
-        &mut self,
-        protocol: RoundKind,
-        round: Round,
-        num_mailboxes: u32,
-        noise: &NoiseConfig,
-        downstream: &[DhPublic],
-        batch: Vec<Vec<u8>>,
-    ) -> Result<ProcessedBatch, MixdError> {
-        expect_processed(self.call(process_request(
-            protocol,
-            round,
-            num_mailboxes,
-            noise,
-            downstream,
-            batch,
-        ))?)
-    }
-
-    fn end_round(&mut self, protocol: RoundKind, round: Round) -> Result<(), MixdError> {
-        expect_ack(self.call(MixerRequest::EndRound { protocol, round })?)
     }
 
     fn disconnect(&mut self) {

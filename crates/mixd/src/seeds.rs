@@ -1,22 +1,29 @@
-//! Seed derivation shared by the coordinator and standalone daemons.
+//! Seed derivation for mix servers.
 //!
-//! A distributed deployment hands each `mixd` process only the cluster seed
-//! and its chain position; the daemon re-derives the same per-chain and
-//! per-server seeds the coordinator's in-process
-//! [`MixChain`](alpenhorn_mixnet::MixChain) uses, so the two deployments
-//! produce byte-identical rounds.
+//! Every [`MixdServer`](crate::MixdServer) derives its two servers' seeds
+//! from only the cluster seed and its chain position, so a `mixd` process
+//! and a daemon built in-process for the same position (what
+//! [`MixChain::in_process`](crate::MixChain::in_process) does) produce
+//! byte-identical rounds.
 
 use alpenhorn_wire::RoundKind;
 
-/// Derives the per-protocol chain seed from the cluster seed — the same
-/// tweak the coordinator applies when building its in-process chains, kept
-/// here as the single source of truth for both deployments.
+/// Derives the per-protocol chain seed from the cluster seed.
 pub fn chain_seed(cluster_seed: [u8; 32], protocol: RoundKind) -> [u8; 32] {
     let mut seed = cluster_seed;
     seed[29] ^= match protocol {
         RoundKind::AddFriend => 0x11,
         RoundKind::Dialing => 0x22,
     };
+    seed
+}
+
+/// Derives the seed for the server at chain position `index` of a chain
+/// seeded with `chain_seed`.
+pub fn server_seed(chain_seed: [u8; 32], index: usize) -> [u8; 32] {
+    let mut seed = chain_seed;
+    seed[0] ^= index as u8;
+    seed[1] ^= (index >> 8) as u8;
     seed
 }
 

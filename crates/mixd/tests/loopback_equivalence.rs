@@ -1,26 +1,25 @@
 //! Property tests: the distributed chain is byte-equivalent to the
 //! in-process chain.
 //!
-//! [`RemoteMixChain`] over loopback mixers routes every request through the
-//! full wire codec — exactly the bytes a TCP deployment exchanges — so these
+//! [`MixChain`] over loopback mixers routes every request through the full
+//! wire codec — exactly the bytes a TCP deployment exchanges — so these
 //! properties pin the whole distribution surface: for any mixer count,
-//! batch, and protocol, the mailboxes and round stats must equal what
-//! `MixChain` produces from the same cluster seed. A final
+//! batch, and protocol, the mailboxes and round stats must equal what a
+//! chain of directly called daemons produces from the same cluster seed. A
 //! socket-level test runs the same comparison against real `mixd` daemons
 //! over TCP, including a mid-run disconnect to prove retry-recovery is
-//! invisible in the output.
+//! invisible in the output, and a pinned digest checks the bytes across
+//! commits.
 
 use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use alpenhorn_crypto::ChaChaRng;
+use alpenhorn_crypto::{ChaChaRng, Sha256};
 use alpenhorn_ibe::dh::DhPublic;
-use alpenhorn_mixd::{
-    chain_seed, server_config, MixRetryPolicy, MixdServer, Mixer, RemoteMixChain, RemoteMixer,
-};
+use alpenhorn_mixd::{server_config, MixChain, MixRetryPolicy, MixdServer, Mixer, RemoteMixer};
 use alpenhorn_mixnet::onion::wrap_onion;
-use alpenhorn_mixnet::{MixChain, NoiseConfig};
+use alpenhorn_mixnet::{NoiseConfig, RoundStats};
 use alpenhorn_wire::server::serve;
 use alpenhorn_wire::{AddFriendEnvelope, DialRequest, DialToken, MailboxId, RoundKind};
 
@@ -65,58 +64,17 @@ fn batch_for(
         .collect()
 }
 
-/// Runs `ROUNDS` rounds on the in-process chain, returning per-round final
-/// mailboxes as comparable values.
+/// Runs `ROUNDS` rounds through `chain`, begin, run and end once per round,
+/// as the coordinator drives it, returning per-round final mailboxes as
+/// comparable values.
 #[allow(clippy::type_complexity)]
-fn run_in_process(
-    protocol: RoundKind,
-    mixers: usize,
-    noise: NoiseConfig,
-    cluster_seed: [u8; 32],
-    batch_size: usize,
-    num_mailboxes: u32,
-) -> Vec<(String, alpenhorn_mixnet::RoundStats)> {
-    let mut chain = MixChain::new(mixers, noise, chain_seed(cluster_seed, protocol));
-    (0..ROUNDS)
-        .map(|round| {
-            let publics = chain.begin_round();
-            let batch = batch_for(
-                protocol,
-                round,
-                &publics,
-                batch_size,
-                num_mailboxes,
-                cluster_seed[0],
-            );
-            let out = match protocol {
-                RoundKind::AddFriend => {
-                    let (boxes, stats) = chain.run_add_friend_round(batch, num_mailboxes, &publics);
-                    (format!("{:?}", boxes.mailboxes), stats)
-                }
-                RoundKind::Dialing => {
-                    let (boxes, stats) = chain.run_dialing_round(batch, num_mailboxes, &publics);
-                    (
-                        format!("{:?} {:?}", boxes.mailboxes, boxes.token_counts),
-                        stats,
-                    )
-                }
-            };
-            chain.end_round();
-            out
-        })
-        .collect()
-}
-
-/// Runs the same `ROUNDS` rounds through a [`RemoteMixChain`], begin, run
-/// and end once per round, as the coordinator drives it.
-#[allow(clippy::type_complexity)]
-fn run_remote(
-    mut chain: RemoteMixChain,
+fn run(
+    mut chain: MixChain,
     protocol: RoundKind,
     cluster_seed: [u8; 32],
     batch_size: usize,
     num_mailboxes: u32,
-) -> Vec<(String, alpenhorn_mixnet::RoundStats)> {
+) -> Vec<(String, RoundStats)> {
     (0..ROUNDS)
         .map(|round| {
             let publics = chain.begin_round().unwrap();
@@ -145,10 +103,25 @@ fn run_remote(
                     )
                 }
             };
-            chain.end_round().unwrap();
+            chain.end_round();
             out
         })
         .collect()
+}
+
+/// The in-process reference: `ROUNDS` rounds on a chain of directly called
+/// daemons.
+#[allow(clippy::type_complexity)]
+fn run_in_process(
+    protocol: RoundKind,
+    mixers: usize,
+    noise: NoiseConfig,
+    cluster_seed: [u8; 32],
+    batch_size: usize,
+    num_mailboxes: u32,
+) -> Vec<(String, RoundStats)> {
+    let chain = MixChain::in_process(protocol, mixers, noise, cluster_seed);
+    run(chain, protocol, cluster_seed, batch_size, num_mailboxes)
 }
 
 proptest! {
@@ -170,8 +143,8 @@ proptest! {
         let cluster_seed = [seed; 32];
         let noise = NoiseConfig::deterministic(1.5);
         let local = run_in_process(protocol, mixers, noise, cluster_seed, batch_size, num_mailboxes);
-        let remote_chain = RemoteMixChain::loopback(protocol, mixers, noise, cluster_seed);
-        let remote = run_remote(remote_chain, protocol, cluster_seed, batch_size, num_mailboxes);
+        let remote_chain = MixChain::loopback(protocol, mixers, noise, cluster_seed);
+        let remote = run(remote_chain, protocol, cluster_seed, batch_size, num_mailboxes);
         prop_assert_eq!(local, remote);
     }
 }
@@ -201,7 +174,7 @@ fn remote_chain_over_tcp_equals_in_process_chain_despite_disconnects() {
             ) as Box<dyn Mixer>
         })
         .collect();
-    let mut remote_chain = RemoteMixChain::new(protocol, remotes, noise);
+    let mut remote_chain = MixChain::new(protocol, remotes, noise);
 
     let local = run_in_process(protocol, mixers, noise, cluster_seed, 6, 2);
 
@@ -215,9 +188,83 @@ fn remote_chain_over_tcp_equals_in_process_chain_despite_disconnects() {
             .run_add_friend_round(batch, 2, &publics)
             .unwrap();
         remote.push((format!("{:?}", boxes.mailboxes), stats));
-        remote_chain.end_round().unwrap();
+        remote_chain.end_round();
         // Crash the middle mixer's transport between every round.
         remote_chain.disconnect_mixer(1);
     }
     assert_eq!(local, remote);
+}
+
+/// SHA-256 of a fixed seeded run: three rounds of each protocol through a
+/// three-mixer chain, each batch carrying 12 onions and one malformed
+/// message. Recorded from the chain driver as it stood before the in-process
+/// and distributed drivers were merged, so it checks the bytes across
+/// commits: onion keys, noise, shuffles, drops, mailbox encoding and round
+/// numbering.
+const GOLDEN_DIGEST: &str = "09e6e637a624976b825f34add9805dcb135c53b433721aad5332ca96a807b04c";
+
+/// Runs the golden scenario on the chains `chain_for` builds and hashes
+/// every mailbox (id, then length-prefixed contents) and every round's
+/// stats.
+fn golden_digest(chain_for: impl Fn(RoundKind, NoiseConfig, [u8; 32]) -> MixChain) -> String {
+    let cluster_seed = [0x35u8; 32];
+    let mut hash = Sha256::new();
+    let mut update = |bytes: &[u8]| {
+        hash.update(&(bytes.len() as u64).to_be_bytes());
+        hash.update(bytes);
+    };
+    for (protocol, noise) in [
+        (RoundKind::AddFriend, NoiseConfig::deterministic(2.0)),
+        (RoundKind::Dialing, NoiseConfig::deterministic(3.0)),
+    ] {
+        let mut chain = chain_for(protocol, noise, cluster_seed);
+        for round in 0..ROUNDS {
+            let publics = chain.begin_round().unwrap();
+            let mut batch = batch_for(protocol, round, &publics, 12, 2, cluster_seed[0]);
+            batch.push(vec![round as u8; 40]);
+            let stats = match protocol {
+                RoundKind::AddFriend => {
+                    let (boxes, stats) = chain.run_add_friend_round(batch, 2, &publics).unwrap();
+                    for (id, contents) in &boxes.mailboxes {
+                        update(&id.to_be_bytes());
+                        for ciphertext in contents {
+                            update(ciphertext);
+                        }
+                    }
+                    stats
+                }
+                RoundKind::Dialing => {
+                    let (boxes, stats) = chain.run_dialing_round(batch, 2, &publics).unwrap();
+                    for (id, set) in &boxes.mailboxes {
+                        update(&id.to_be_bytes());
+                        update(set);
+                        update(&(boxes.token_counts[id] as u64).to_be_bytes());
+                    }
+                    stats
+                }
+            };
+            for value in [
+                stats.client_messages as u64,
+                stats.noise,
+                stats.dropped,
+                stats.final_messages as u64,
+            ] {
+                update(&value.to_be_bytes());
+            }
+            chain.end_round();
+        }
+    }
+    alpenhorn_crypto::hex::encode(&hash.finalize())
+}
+
+#[test]
+fn golden_digest_is_unchanged_on_every_mixer_kind() {
+    assert_eq!(
+        golden_digest(|protocol, noise, seed| MixChain::in_process(protocol, 3, noise, seed)),
+        GOLDEN_DIGEST
+    );
+    assert_eq!(
+        golden_digest(|protocol, noise, seed| MixChain::loopback(protocol, 3, noise, seed)),
+        GOLDEN_DIGEST
+    );
 }

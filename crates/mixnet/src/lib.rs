@@ -14,7 +14,9 @@
 //! * [`noise`] — Laplace noise sampling and the differential-privacy
 //!   accounting used to pick the paper's parameters (§8.1).
 //! * [`server`] — a single mixnet server's per-round processing.
-//! * [`chain`] — an in-process chain of servers running a complete round.
+//! * [`chain`] — a chain round's statistics and the scripted compromised
+//!   server of malicious-mixer scenarios (the chain driver is
+//!   `alpenhorn_mixd::MixChain`).
 //! * [`mailbox`] — partitioning the final batch into mailboxes and encoding
 //!   dialing mailboxes as Golomb-coded dial-token sets (§5.2), plus the
 //!   mailbox-count
@@ -29,11 +31,11 @@ pub mod noise;
 pub mod onion;
 pub mod server;
 
-pub use chain::{server_seed, MixAdversary, MixChain, MixMisbehavior, RoundStats};
+pub use chain::{MixAdversary, MixMisbehavior, RoundStats};
 pub use mailbox::{AddFriendMailboxes, DialingMailboxes, MailboxPolicy};
 pub use noise::{DpParameters, NoiseConfig};
 pub use onion::{peel_layer, peel_layer_in_place, wrap_onion, wrap_onion_into};
-pub use server::MixServer;
+pub use server::{MixServer, ProcessedBatch};
 
 /// Which of the two Alpenhorn protocols a mixnet round is serving. The two
 /// protocols use different payload formats, noise volumes, and mailbox

@@ -26,15 +26,14 @@
 //!
 //! All per-round randomness (the onion keypair, noise, the shuffle) is
 //! derived by HMAC from the server seed and an explicit **round id**
-//! ([`MixServer::begin_round_for`]), never from a sequential rng stream.
+//! ([`MixServer::begin_round`]), never from a sequential rng stream.
 //! Rounds are therefore independent: several may be open at once, repeating
 //! an operation for the same round reproduces byte-identical output (what
 //! makes the `mixd` daemon's RPCs retry-idempotent with no replay cache),
-//! and the bytes a remote server produces depend only on (seed, index,
-//! round) — not on which process hosts it or when its calls interleave with
-//! other servers'.
-//! The id-less [`MixServer::begin_round`] API numbers rounds from 0
-//! internally and is what the in-process [`crate::MixChain`] path uses.
+//! and the bytes a server produces depend only on (seed, index, round) —
+//! not on which process hosts it or when its calls interleave with other
+//! servers'. The chain driver, `alpenhorn_mixd::MixChain`, numbers the
+//! rounds; a server only answers for the ids it is given.
 
 use std::collections::BTreeMap;
 
@@ -46,6 +45,17 @@ use rand::RngCore;
 use crate::noise::NoiseConfig;
 use crate::onion::{peel_layer_in_place, wrap_onion_into};
 use crate::Protocol;
+
+/// One server's output for one round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProcessedBatch {
+    /// The peeled, noised, shuffled batch.
+    pub batch: Vec<Vec<u8>>,
+    /// Noise onions the server injected.
+    pub noise_added: u64,
+    /// Malformed onions the server dropped.
+    pub dropped: u64,
+}
 
 /// Below this much work (messages plus mailboxes), `process` stays on the
 /// calling thread: spawning workers costs more than it saves.
@@ -61,15 +71,8 @@ pub struct MixServer {
     round_key: HmacKey,
     /// Onion secrets of the currently open rounds, by round id.
     open_rounds: BTreeMap<u64, DhSecret>,
-    /// Round id targeted by the id-less `begin_round`/`process`/`end_round`
-    /// API, plus its auto-numbering counter.
-    current_round: Option<u64>,
-    next_auto_round: u64,
     /// Worker threads used for round processing.
     workers: usize,
-    /// Statistics from the most recent round.
-    last_noise_added: u64,
-    last_malformed_dropped: u64,
 }
 
 impl MixServer {
@@ -83,11 +86,7 @@ impl MixServer {
             name: format!("mix-{index}"),
             round_key: HmacKey::new(&seed),
             open_rounds: BTreeMap::new(),
-            current_round: None,
-            next_auto_round: 0,
             workers: default_workers(),
-            last_noise_added: 0,
-            last_malformed_dropped: 0,
         }
     }
 
@@ -123,28 +122,12 @@ impl MixServer {
         self.workers
     }
 
-    /// Begins a round: generates a fresh onion keypair and announces the
-    /// public half to clients. Rounds are auto-numbered from 0; distributed
-    /// deployments use the explicit [`MixServer::begin_round_for`] instead.
-    pub fn begin_round(&mut self) -> DhPublic {
-        let round = self.next_auto_round;
-        self.next_auto_round += 1;
-        self.current_round = Some(round);
-        self.begin_round_for(round)
-    }
-
-    /// Makes the next [`MixServer::begin_round`] open round id `next_round`.
-    /// A restarted deployment resumes the numbering here: starting again
-    /// from 0 would re-derive onion keys that earlier rounds already served.
-    pub fn resume_at(&mut self, next_round: u64) {
-        self.next_auto_round = next_round;
-    }
-
-    /// Begins (or re-derives) round `round` and returns its onion public key.
+    /// Begins (or re-derives) round `round`: derives its onion keypair and
+    /// returns the public half clients wrap their requests for.
     ///
     /// Idempotent: the keypair is a pure function of (seed, round id), so a
     /// retried call returns the same key and disturbs nothing.
-    pub fn begin_round_for(&mut self, round: u64) -> DhPublic {
+    pub fn begin_round(&mut self, round: u64) -> DhPublic {
         let mut rng = self.round_rng(b"onion-key", round);
         let secret = DhSecret::generate(&mut rng);
         let public = secret.public();
@@ -152,75 +135,26 @@ impl MixServer {
         public
     }
 
-    /// Ends the round the id-less API has open, erasing its onion secret
-    /// (forward secrecy).
-    pub fn end_round(&mut self) {
-        if let Some(round) = self.current_round.take() {
-            self.end_round_for(round);
-        }
-    }
-
     /// Ends round `round`, erasing its onion secret (forward secrecy).
     /// Unknown or already-ended round ids are ignored, so retries are safe.
-    pub fn end_round_for(&mut self, round: u64) {
+    pub fn end_round(&mut self, round: u64) {
         if let Some(mut secret) = self.open_rounds.remove(&round) {
             secret.erase();
         }
     }
 
-    /// Whether the id-less API has a round currently open.
-    pub fn round_open(&self) -> bool {
-        self.current_round
-            .is_some_and(|round| self.open_rounds.contains_key(&round))
-    }
-
-    /// Whether round `round` is open.
-    pub fn round_open_for(&self, round: u64) -> bool {
-        self.open_rounds.contains_key(&round)
-    }
-
-    /// Number of noise messages this server added in the last round.
-    pub fn last_noise_added(&self) -> u64 {
-        self.last_noise_added
-    }
-
-    /// Number of malformed messages dropped in the last round.
-    pub fn last_malformed_dropped(&self) -> u64 {
-        self.last_malformed_dropped
-    }
-
-    /// Processes the round's batch: peel, add noise, shuffle.
+    /// Processes round `round`'s batch: peel, add noise, shuffle. Returns
+    /// `None` if the round is not open (never begun, or already ended).
     ///
     /// `downstream_publics` are the onion public keys of the servers after
     /// this one (empty for the last server); noise is wrapped for them so it
     /// remains indistinguishable from client traffic downstream.
     /// `num_mailboxes` is the number of real mailboxes for the round.
+    ///
+    /// The output is a pure function of (seed, round, inputs): reprocessing
+    /// the same batch for the same round is byte-identical, which is what
+    /// lets a driver retry a lost `Process` RPC without a replay cache.
     pub fn process(
-        &mut self,
-        batch: Vec<Vec<u8>>,
-        downstream_publics: &[DhPublic],
-        protocol: Protocol,
-        noise: &NoiseConfig,
-        num_mailboxes: u32,
-    ) -> Vec<Vec<u8>> {
-        let round = self
-            .current_round
-            .expect("process called without begin_round");
-        self.process_for(
-            round,
-            batch,
-            downstream_publics,
-            protocol,
-            noise,
-            num_mailboxes,
-        )
-    }
-
-    /// [`MixServer::process`] for an explicit round id. The output is a pure
-    /// function of (seed, round, inputs): reprocessing the same batch for the
-    /// same round is byte-identical, which is what lets a remote driver retry
-    /// a lost `Process` RPC without a replay cache.
-    pub fn process_for(
         &mut self,
         round: u64,
         mut batch: Vec<Vec<u8>>,
@@ -228,12 +162,8 @@ impl MixServer {
         protocol: Protocol,
         noise: &NoiseConfig,
         num_mailboxes: u32,
-    ) -> Vec<Vec<u8>> {
-        let secret = self
-            .open_rounds
-            .get(&round)
-            .expect("process called without begin_round")
-            .clone();
+    ) -> Option<ProcessedBatch> {
+        let secret = self.open_rounds.get(&round)?.clone();
 
         // All round randomness derives from (seed, round) up front, so it is
         // independent of batch size, noise volume, worker count, and of any
@@ -303,9 +233,6 @@ impl MixServer {
         let dropped: u64 = results.iter().map(|(dropped, _, _)| dropped).sum();
         let noise_count: u64 = results.iter().map(|(_, _, added)| added).sum();
 
-        self.last_malformed_dropped = dropped;
-        self.last_noise_added = noise_count;
-
         // Deterministic merge: surviving client messages in submission order,
         // then noise in mailbox order.
         let mut out: Vec<Vec<u8>> =
@@ -322,7 +249,11 @@ impl MixServer {
         // Random permutation: the honest server's shuffle is what breaks the
         // link between inputs and outputs.
         shuffle_rng.shuffle(&mut out);
-        out
+        Some(ProcessedBatch {
+            batch: out,
+            noise_added: noise_count,
+            dropped,
+        })
     }
 }
 
@@ -440,12 +371,23 @@ mod tests {
     #[test]
     fn begin_and_end_round() {
         let mut server = MixServer::new(0, [1u8; 32]);
-        assert!(!server.round_open());
-        let pk1 = server.begin_round();
-        assert!(server.round_open());
-        server.end_round();
-        assert!(!server.round_open());
-        let pk2 = server.begin_round();
+        let process = |server: &mut MixServer, round| {
+            server.process(
+                round,
+                vec![],
+                &[],
+                Protocol::Dialing,
+                &NoiseConfig::light(),
+                1,
+            )
+        };
+        assert!(process(&mut server, 0).is_none());
+        let pk1 = server.begin_round(0);
+        assert_eq!(server.begin_round(0).to_bytes(), pk1.to_bytes());
+        assert!(process(&mut server, 0).is_some());
+        server.end_round(0);
+        assert!(process(&mut server, 0).is_none());
+        let pk2 = server.begin_round(1);
         assert_ne!(pk1.to_bytes(), pk2.to_bytes(), "round keys must rotate");
     }
 
@@ -453,23 +395,26 @@ mod tests {
     fn process_peels_and_adds_noise() {
         let mut rng = ChaChaRng::from_seed_bytes([9u8; 32]);
         let mut server = MixServer::new(0, [2u8; 32]);
-        let pk = server.begin_round();
+        let pk = server.begin_round(0);
 
         let payload = AddFriendEnvelope::cover().encode();
         let onion = wrap_onion(&payload, &[pk], &mut rng);
-        let out = server.process(
-            vec![onion],
-            &[],
-            Protocol::AddFriend,
-            &NoiseConfig::deterministic(5.0),
-            2,
-        );
+        let out = server
+            .process(
+                0,
+                vec![onion],
+                &[],
+                Protocol::AddFriend,
+                &NoiseConfig::deterministic(5.0),
+                2,
+            )
+            .unwrap();
         // 1 real message + 5 noise for each of 2 mailboxes + 5 for cover.
-        assert_eq!(out.len(), 1 + 5 * 3);
-        assert_eq!(server.last_noise_added(), 15);
-        assert_eq!(server.last_malformed_dropped(), 0);
+        assert_eq!(out.batch.len(), 1 + 5 * 3);
+        assert_eq!(out.noise_added, 15);
+        assert_eq!(out.dropped, 0);
         // Every output is a well-formed envelope (single server, so fully peeled).
-        for msg in &out {
+        for msg in &out.batch {
             AddFriendEnvelope::decode(msg).unwrap();
         }
     }
@@ -477,16 +422,19 @@ mod tests {
     #[test]
     fn malformed_messages_dropped() {
         let mut server = MixServer::new(0, [3u8; 32]);
-        server.begin_round();
-        let out = server.process(
-            vec![vec![1, 2, 3], vec![0u8; 500]],
-            &[],
-            Protocol::Dialing,
-            &NoiseConfig::deterministic(0.0),
-            1,
-        );
-        assert!(out.is_empty());
-        assert_eq!(server.last_malformed_dropped(), 2);
+        server.begin_round(0);
+        let out = server
+            .process(
+                0,
+                vec![vec![1, 2, 3], vec![0u8; 500]],
+                &[],
+                Protocol::Dialing,
+                &NoiseConfig::deterministic(0.0),
+                1,
+            )
+            .unwrap();
+        assert!(out.batch.is_empty());
+        assert_eq!(out.dropped, 2);
     }
 
     #[test]
@@ -494,29 +442,35 @@ mod tests {
         // Server 0's noise must still be onion-encrypted for server 1.
         let mut server0 = MixServer::new(0, [4u8; 32]);
         let mut server1 = MixServer::new(1, [5u8; 32]);
-        server0.begin_round();
-        let pk1 = server1.begin_round();
+        server0.begin_round(0);
+        let pk1 = server1.begin_round(0);
 
-        let out0 = server0.process(
-            vec![],
-            &[pk1],
-            Protocol::Dialing,
-            &NoiseConfig::deterministic(3.0),
-            1,
-        );
-        assert_eq!(out0.len(), 6); // 3 noise x (1 mailbox + cover)
+        let out0 = server0
+            .process(
+                0,
+                vec![],
+                &[pk1],
+                Protocol::Dialing,
+                &NoiseConfig::deterministic(3.0),
+                1,
+            )
+            .unwrap();
+        assert_eq!(out0.batch.len(), 6); // 3 noise x (1 mailbox + cover)
 
         // Server 1 can peel all of them into valid dial requests.
-        let out1 = server1.process(
-            out0,
-            &[],
-            Protocol::Dialing,
-            &NoiseConfig::deterministic(0.0),
-            1,
-        );
-        assert_eq!(out1.len(), 6);
-        assert_eq!(server1.last_malformed_dropped(), 0);
-        for msg in &out1 {
+        let out1 = server1
+            .process(
+                0,
+                out0.batch,
+                &[],
+                Protocol::Dialing,
+                &NoiseConfig::deterministic(0.0),
+                1,
+            )
+            .unwrap();
+        assert_eq!(out1.batch.len(), 6);
+        assert_eq!(out1.dropped, 0);
+        for msg in &out1.batch {
             DialRequest::decode(msg).unwrap();
         }
     }
@@ -524,14 +478,18 @@ mod tests {
     #[test]
     fn dialing_noise_tokens_are_random() {
         let mut server = MixServer::new(0, [6u8; 32]);
-        server.begin_round();
-        let out = server.process(
-            vec![],
-            &[],
-            Protocol::Dialing,
-            &NoiseConfig::deterministic(10.0),
-            1,
-        );
+        server.begin_round(0);
+        let out = server
+            .process(
+                0,
+                vec![],
+                &[],
+                Protocol::Dialing,
+                &NoiseConfig::deterministic(10.0),
+                1,
+            )
+            .unwrap()
+            .batch;
         let tokens: std::collections::HashSet<[u8; 32]> = out
             .iter()
             .map(|m| DialRequest::decode(m).unwrap().token.0)
@@ -540,10 +498,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "begin_round")]
-    fn process_without_round_panics() {
+    fn process_of_an_unopened_round_is_none() {
         let mut server = MixServer::new(0, [7u8; 32]);
-        server.process(vec![], &[], Protocol::Dialing, &NoiseConfig::light(), 1);
+        server.begin_round(1);
+        let out = server.process(2, vec![], &[], Protocol::Dialing, &NoiseConfig::light(), 1);
+        assert_eq!(out, None);
     }
 
     #[test]
@@ -582,11 +541,11 @@ mod tests {
         batch_size: u32,
         protocol: Protocol,
         num_mailboxes: u32,
-    ) -> (Vec<Vec<u8>>, u64, u64) {
+    ) -> ProcessedBatch {
         let mut client_rng = ChaChaRng::from_seed_bytes([21u8; 32]);
         let mut server = MixServer::new(0, [22u8; 32]);
         server.set_workers(workers);
-        let pk = server.begin_round();
+        let pk = server.begin_round(0);
         let batch: Vec<Vec<u8>> = (0..batch_size)
             .map(|i| {
                 if i % 17 == 3 {
@@ -606,18 +565,16 @@ mod tests {
                 }
             })
             .collect();
-        let out = server.process(
-            batch,
-            &[],
-            protocol,
-            &NoiseConfig::deterministic(2.0),
-            num_mailboxes,
-        );
-        (
-            out,
-            server.last_noise_added(),
-            server.last_malformed_dropped(),
-        )
+        server
+            .process(
+                0,
+                batch,
+                &[],
+                protocol,
+                &NoiseConfig::deterministic(2.0),
+                num_mailboxes,
+            )
+            .unwrap()
     }
 
     #[test]
@@ -629,13 +586,9 @@ mod tests {
         for (protocol, batch_size, num_mailboxes) in
             [(Protocol::AddFriend, 400, 40), (Protocol::Dialing, 1000, 1)]
         {
-            let (sequential, seq_noise, seq_dropped) =
-                run_round(1, batch_size, protocol, num_mailboxes);
+            let sequential = run_round(1, batch_size, protocol, num_mailboxes);
             for workers in [2, 3, 8] {
-                let (parallel, noise, dropped) =
-                    run_round(workers, batch_size, protocol, num_mailboxes);
-                assert_eq!(noise, seq_noise, "{protocol:?}, workers = {workers}");
-                assert_eq!(dropped, seq_dropped, "{protocol:?}, workers = {workers}");
+                let parallel = run_round(workers, batch_size, protocol, num_mailboxes);
                 assert_eq!(parallel, sequential, "{protocol:?}, workers = {workers}");
             }
         }

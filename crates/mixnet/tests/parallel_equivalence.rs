@@ -11,17 +11,11 @@ use proptest::prelude::*;
 
 use alpenhorn_crypto::ChaChaRng;
 use alpenhorn_mixnet::onion::wrap_onion;
-use alpenhorn_mixnet::{MixServer, NoiseConfig, Protocol};
+use alpenhorn_mixnet::{MixServer, NoiseConfig, ProcessedBatch, Protocol};
 use alpenhorn_wire::AddFriendEnvelope;
 
-/// Outcome of one round on server 0 of a two-server chain.
-struct RoundOutput {
-    messages: Vec<Vec<u8>>,
-    noise_added: u64,
-    dropped: u64,
-}
-
-/// Runs one round with the given worker count. Everything else — server
+/// Runs one round on server 0 of a two-server chain with the given worker
+/// count. Everything else — server
 /// seed, client traffic, malformed messages, noise parameters — is a
 /// function of the inputs alone, so runs differ only in parallelism.
 fn run_round(
@@ -30,15 +24,15 @@ fn run_round(
     batch_size: usize,
     malformed_stride: usize,
     num_mailboxes: u32,
-) -> RoundOutput {
+) -> ProcessedBatch {
     let mut server0 = MixServer::new(0, seed);
     let mut server1_seed = seed;
     server1_seed[0] ^= 0xFF;
     let mut server1 = MixServer::new(1, server1_seed);
     server0.set_workers(workers);
 
-    let pk0 = server0.begin_round();
-    let pk1 = server1.begin_round();
+    let pk0 = server0.begin_round(0);
+    let pk1 = server1.begin_round(0);
 
     let mut client_rng = ChaChaRng::from_seed_bytes(seed);
     let batch: Vec<Vec<u8>> = (0..batch_size)
@@ -53,18 +47,16 @@ fn run_round(
         })
         .collect();
 
-    let messages = server0.process(
-        batch,
-        &[pk1],
-        Protocol::AddFriend,
-        &NoiseConfig::deterministic(2.0),
-        num_mailboxes,
-    );
-    RoundOutput {
-        messages,
-        noise_added: server0.last_noise_added(),
-        dropped: server0.last_malformed_dropped(),
-    }
+    server0
+        .process(
+            0,
+            batch,
+            &[pk1],
+            Protocol::AddFriend,
+            &NoiseConfig::deterministic(2.0),
+            num_mailboxes,
+        )
+        .expect("round 0 is open")
 }
 
 proptest! {
@@ -88,14 +80,14 @@ proptest! {
 
         // The parallel output is a permutation of the sequential reference:
         // byte-identical after sorting.
-        let mut sorted_parallel = parallel.messages.clone();
-        let mut sorted_sequential = sequential.messages.clone();
+        let mut sorted_parallel = parallel.batch.clone();
+        let mut sorted_sequential = sequential.batch.clone();
         sorted_parallel.sort();
         sorted_sequential.sort();
         prop_assert_eq!(&sorted_parallel, &sorted_sequential);
 
         // Stronger: per-mailbox noise streams and ordered merging make the
         // output byte-identical in order, not merely as a multiset.
-        prop_assert_eq!(&parallel.messages, &sequential.messages);
+        prop_assert_eq!(&parallel.batch, &sequential.batch);
     }
 }

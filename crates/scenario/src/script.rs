@@ -165,10 +165,10 @@ pub enum Action {
     /// Restore every mix server to honest operation.
     HonestMixer,
     /// Sever the coordinator's transport to mix server `server` on both
-    /// chains (a `mixd` daemon restarting, a network blip). Remote chains
+    /// chains (a `mixd` daemon restarting, a network blip). Remote mixers
     /// reconnect and retry on the next round; because mix rounds are derived
     /// statelessly from (seed, round id), recovery must be invisible in the
-    /// round's output. A no-op on in-process chains.
+    /// round's output. A no-op on in-process mixers.
     MixerCrash {
         /// Chain position of the crashed mixer.
         server: usize,

@@ -29,7 +29,10 @@ use alpenhorn_coordinator::{Cluster, ClusterConfig};
 use alpenhorn_ibe::sig::VerifyingKey;
 use alpenhorn_mixd::{MixdServer, Mixer, RemoteMixer};
 use alpenhorn_wire::server::{serve, ServerHandle};
-use alpenhorn_wire::{CdnRequest, CdnResponse, Request, Response, Round, RoundKind, TelemetryWire};
+use alpenhorn_wire::{
+    CdnRequest, CdnResponse, MixerRequest, MixerResponse, Request, Response, Round, RoundKind,
+    TelemetryWire,
+};
 
 const SCENARIO_SEED: u8 = 100;
 const CDN_NODES: usize = 4;
@@ -220,9 +223,12 @@ fn telemetry_links_rounds_across_all_process_types() {
         };
         t
     };
-    let mixd_telemetry = RemoteMixer::new(mixds[0].local_addr().to_string())
-        .get_telemetry()
-        .expect("mixd telemetry");
+    let mixd_telemetry = match RemoteMixer::new(mixds[0].local_addr().to_string())
+        .call(MixerRequest::GetTelemetry)
+    {
+        Ok(MixerResponse::Telemetry(t)) => t,
+        other => panic!("expected mixd telemetry, got {other:?}"),
+    };
     let cdn_telemetry = {
         let mut node = TcpNode::new(cdnds[0].local_addr().to_string());
         match node.call(&CdnRequest::GetTelemetry) {

@@ -239,6 +239,73 @@ fn dropping_mixer_is_flagged_by_the_conservation_invariant() {
 }
 
 #[test]
+fn dropping_mixer_on_a_tcp_mixd_chain_is_flagged_as_in_process() {
+    use alpenhorn_mixd::{server_config, MixdServer, Mixer, RemoteMixer};
+    use alpenhorn_mixnet::MixMisbehavior;
+    use alpenhorn_scenario::{Action, MailboxConservation, ScenarioBuilder, ScenarioEngine};
+    use alpenhorn_wire::server::serve;
+
+    let scenario = ScenarioBuilder::new("dropping-tcp-mixer", 87)
+        .population(6)
+        .steps(2)
+        .register(1, 0..6)
+        .at(
+            2,
+            Action::MaliciousMixer {
+                server: 1,
+                misbehavior: MixMisbehavior::DropOnions { percent: 60 },
+            },
+        )
+        .build();
+    let config = ClusterConfig::test(87);
+    let daemons: Vec<_> = (0..config.num_mix_servers)
+        .map(|i| {
+            let daemon = std::sync::Mutex::new(MixdServer::new(config.seed, i));
+            serve("127.0.0.1:0", server_config(), daemon).unwrap()
+        })
+        .collect();
+    let fleet = || -> Vec<Box<dyn Mixer>> {
+        daemons
+            .iter()
+            .map(|h| Box::new(RemoteMixer::new(h.local_addr().to_string())) as Box<dyn Mixer>)
+            .collect()
+    };
+    // Each round's summary (the server-reported stats) and violations.
+    let run = |over_tcp: bool| {
+        let mut engine = ScenarioEngine::new(scenario.clone()).unwrap();
+        if over_tcp {
+            engine
+                .net()
+                .with_cluster(|c| c.connect_remote_mixers(fleet(), fleet()));
+        }
+        engine.add_checker(Box::new(MailboxConservation));
+        engine.run().unwrap();
+        engine
+            .rounds()
+            .iter()
+            .map(|r| {
+                let violations: Vec<_> = r.violations.iter().map(|v| v.message.clone()).collect();
+                (r.summary(), violations)
+            })
+            .collect::<Vec<_>>()
+    };
+
+    let in_process = run(false);
+    assert!(
+        in_process[0].1.is_empty(),
+        "round before the compromise is clean"
+    );
+    assert!(
+        !in_process[1].1.is_empty(),
+        "dropped onions must show up as a conservation deficit: {in_process:?}"
+    );
+    assert_eq!(run(true), in_process);
+    for daemon in daemons {
+        daemon.shutdown();
+    }
+}
+
+#[test]
 fn replaying_mixer_is_flagged_by_the_conservation_invariant() {
     use alpenhorn_mixnet::MixMisbehavior;
     use alpenhorn_scenario::{Action, MailboxConservation, ScenarioBuilder, ScenarioEngine};
@@ -277,7 +344,9 @@ fn replaying_mixer_is_flagged_by_the_conservation_invariant() {
 
 #[test]
 fn reordering_mixer_defeats_the_shuffle_property() {
-    use alpenhorn_mixnet::{wrap_onion, MixAdversary, MixChain, MixMisbehavior, NoiseConfig};
+    use alpenhorn_mixd::MixChain;
+    use alpenhorn_mixnet::{wrap_onion, MixAdversary, MixMisbehavior};
+    use alpenhorn_wire::RoundKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -288,9 +357,10 @@ fn reordering_mixer_defeats_the_shuffle_property() {
     // uniform-shuffle spot check rejects.
     let run = |adversary: Option<MixAdversary>| -> Vec<u32> {
         let mut rng = StdRng::seed_from_u64(86);
-        let mut chain = MixChain::new(3, NoiseConfig::deterministic(0.0), [86u8; 32]);
+        let noise = NoiseConfig::deterministic(0.0);
+        let mut chain = MixChain::in_process(RoundKind::AddFriend, 3, noise, [86u8; 32]);
         chain.set_adversary(adversary);
-        let publics = chain.begin_round();
+        let publics = chain.begin_round().unwrap();
         let batch: Vec<Vec<u8>> = (0..64u32)
             .map(|i| {
                 let env = AddFriendEnvelope {
@@ -304,7 +374,7 @@ fn reordering_mixer_defeats_the_shuffle_property() {
                 wrap_onion(&env.encode(), &publics, &mut rng)
             })
             .collect();
-        let (mailboxes, _) = chain.run_add_friend_round(batch, 1, &publics);
+        let (mailboxes, _) = chain.run_add_friend_round(batch, 1, &publics).unwrap();
         mailboxes
             .mailbox(alpenhorn_wire::MailboxId(0))
             .iter()

@@ -1,13 +1,12 @@
 //! Figure 8: add-friend round latency vs number of online users for 3/5/10
-//! servers, predicted from measured per-operation costs, plus a scaled-down
-//! end-to-end run with real in-process clients as a sanity check.
+//! servers, predicted from measured per-operation costs. The end-to-end
+//! round latency of the real daemons is `examples/e2e_bench`'s number.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use alpenhorn_bench::{calibrated_model, print_header};
 use alpenhorn_sim::experiments::figure_8;
-use alpenhorn_sim::harness::SmallDeployment;
-use alpenhorn_sim::{CostModel, Table};
+use alpenhorn_sim::CostModel;
 
 fn print_figure_8(_c: &mut Criterion) {
     print_header(
@@ -21,35 +20,5 @@ fn print_figure_8(_c: &mut Criterion) {
     println!("{}", figure_8(&CostModel::paper_reference()).render());
 }
 
-fn end_to_end_ground_truth(_c: &mut Criterion) {
-    // A scaled-down real run: every code path (IBE, onions, mixing, noise,
-    // mailboxes, trial decryption) with in-process clients.
-    let mut table = Table::new(
-        "End-to-end add-friend rounds with real in-process clients",
-        &[
-            "clients",
-            "server-side round time",
-            "avg client scan",
-            "final batch size",
-        ],
-    );
-    for clients in [8usize, 32, 64] {
-        let mut deployment = SmallDeployment::new(clients, 42);
-        // Half the clients send a real request.
-        for i in (0..clients).step_by(2) {
-            let target = deployment.identity((i + 1) % clients);
-            deployment.clients[i].add_friend(target, None);
-        }
-        let (result, _) = deployment.run_add_friend_round();
-        table.push_row(vec![
-            clients.to_string(),
-            format!("{:.1} ms", result.server_time.as_secs_f64() * 1000.0),
-            format!("{:.1} ms", result.client_scan_time.as_secs_f64() * 1000.0),
-            result.final_messages.to_string(),
-        ]);
-    }
-    println!("{}", table.render());
-}
-
-criterion_group!(benches, print_figure_8, end_to_end_ground_truth);
+criterion_group!(benches, print_figure_8);
 criterion_main!(benches);

@@ -1,12 +1,12 @@
 //! Figure 9: dialing round latency vs number of online users for 3/5/10
-//! servers, plus a scaled-down end-to-end dialing run.
+//! servers, predicted from measured per-operation costs. The end-to-end
+//! round latency of the real daemons is `examples/e2e_bench`'s number.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use alpenhorn_bench::{calibrated_model, print_header};
 use alpenhorn_sim::experiments::figure_9;
-use alpenhorn_sim::harness::SmallDeployment;
-use alpenhorn_sim::{CostModel, Table};
+use alpenhorn_sim::CostModel;
 
 fn print_figure_9(_c: &mut Criterion) {
     print_header(
@@ -20,40 +20,5 @@ fn print_figure_9(_c: &mut Criterion) {
     println!("{}", figure_9(&CostModel::paper_reference()).render());
 }
 
-fn end_to_end_ground_truth(_c: &mut Criterion) {
-    let mut table = Table::new(
-        "End-to-end dialing rounds with real in-process clients",
-        &[
-            "clients",
-            "server-side round time",
-            "avg client scan",
-            "calls delivered",
-        ],
-    );
-    for clients in [8usize, 32, 64] {
-        let mut deployment = SmallDeployment::new(clients, 43);
-        let start = deployment.befriend_pairs();
-        for i in (0..clients).step_by(2) {
-            let friend = deployment.identity(i + 1);
-            deployment.clients[i].call(friend, 0).unwrap();
-        }
-        let mut last = None;
-        let mut delivered = 0;
-        for _ in 0..start.as_u64() {
-            let (result, _) = deployment.run_dialing_round();
-            delivered += result.calls_delivered;
-            last = Some(result);
-        }
-        let result = last.expect("at least one dialing round");
-        table.push_row(vec![
-            clients.to_string(),
-            format!("{:.1} ms", result.server_time.as_secs_f64() * 1000.0),
-            format!("{:.2} ms", result.client_scan_time.as_secs_f64() * 1000.0),
-            delivered.to_string(),
-        ]);
-    }
-    println!("{}", table.render());
-}
-
-criterion_group!(benches, print_figure_9, end_to_end_ground_truth);
+criterion_group!(benches, print_figure_9);
 criterion_main!(benches);

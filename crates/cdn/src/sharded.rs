@@ -115,15 +115,6 @@ impl ShardedCdn {
             .call(request)
     }
 
-    /// Severs node `index`'s transport (scenario hooks; loopback nodes may
-    /// interpret this via their liveness switch instead).
-    pub fn disconnect_node(&self, index: usize) {
-        self.nodes[index % self.nodes.len()]
-            .lock()
-            .expect("cdn node handle mutex")
-            .disconnect();
-    }
-
     /// Encodes `blob` and stores its shards across the fleet. Succeeds as
     /// long as enough shards landed that any future reader can reconstruct
     /// (at most `m` failures); more failures than that is

@@ -32,8 +32,7 @@ use std::sync::Arc;
 
 use crate::cdn::Cdn;
 use crate::error::CoordinatorError;
-use crate::rounds::RoundTiming;
-use crate::shard::{Offer, SubmissionIntake};
+use crate::shard::SubmissionIntake;
 
 /// Configuration for building a [`Cluster`].
 #[derive(Debug, Clone)]
@@ -48,9 +47,6 @@ pub struct ClusterConfig {
     pub dialing_noise: NoiseConfig,
     /// Mailbox sizing policy.
     pub mailbox_policy: MailboxPolicy,
-    /// Round durations (used for latency/bandwidth reporting, not enforced
-    /// in-process).
-    pub timing: RoundTiming,
     /// Master seed for all server randomness (reproducible experiments).
     pub seed: [u8; 32],
 }
@@ -63,26 +59,12 @@ impl Default for ClusterConfig {
             add_friend_noise: NoiseConfig::light(),
             dialing_noise: NoiseConfig::light(),
             mailbox_policy: MailboxPolicy::default(),
-            timing: RoundTiming::default(),
             seed: [0u8; 32],
         }
     }
 }
 
 impl ClusterConfig {
-    /// The paper's deployment parameters (3 servers, §8.1 noise), scaled-down
-    /// noise is NOT applied — use this for cost-model calibration, not for
-    /// in-process end-to-end runs with many simulated clients.
-    pub fn paper() -> Self {
-        ClusterConfig {
-            num_pkgs: 3,
-            num_mix_servers: 3,
-            add_friend_noise: NoiseConfig::paper_add_friend(),
-            dialing_noise: NoiseConfig::paper_dialing(),
-            ..ClusterConfig::default()
-        }
-    }
-
     /// A small, fast configuration for tests and examples.
     pub fn test(seed: u8) -> Self {
         ClusterConfig {
@@ -94,7 +76,6 @@ impl ClusterConfig {
                 add_friend_target: 100,
                 dialing_target: 100,
             },
-            timing: RoundTiming::default(),
             seed: [seed; 32],
         }
     }
@@ -610,36 +591,6 @@ impl Cluster {
             .collect()
     }
 
-    /// Submits one client onion for the open add-friend round. The entry
-    /// server enforces the fixed request size (cover traffic must be
-    /// indistinguishable).
-    pub fn submit_add_friend(
-        &mut self,
-        round: Round,
-        onion: Vec<u8>,
-    ) -> Result<(), CoordinatorError> {
-        let open = self
-            .open_add_friend
-            .as_mut()
-            .ok_or(CoordinatorError::RoundNotOpen { requested: round })?;
-        if open.info.round != round {
-            return Err(CoordinatorError::RoundNotOpen { requested: round });
-        }
-        if onion.len() != open.info.onion_len {
-            return Err(CoordinatorError::WrongRequestSize {
-                expected: open.info.onion_len,
-                actual: onion.len(),
-            });
-        }
-        match open.intake.offer(&onion) {
-            Offer::Accepted | Offer::Duplicate => Ok(()),
-            // Unreachable through `&mut self` (sealing happens at close,
-            // which also clears the slot), but a stale snapshot's intake
-            // answers the same way, so keep the mapping total.
-            Offer::Sealed => Err(CoordinatorError::RoundNotOpen { requested: round }),
-        }
-    }
-
     /// Closes the open add-friend round: runs the mixnet, publishes the
     /// mailboxes to the CDN, and returns the round statistics. PKG round keys
     /// are destroyed afterwards (clients already extracted their shares while
@@ -796,30 +747,6 @@ impl Cluster {
         Some(wire)
     }
 
-    /// Submits one client onion for the open dialing round.
-    pub fn submit_dialing(&mut self, round: Round, onion: Vec<u8>) -> Result<(), CoordinatorError> {
-        let open = self
-            .open_dialing
-            .as_mut()
-            .ok_or(CoordinatorError::RoundNotOpen { requested: round })?;
-        if open.info.round != round {
-            return Err(CoordinatorError::RoundNotOpen { requested: round });
-        }
-        if onion.len() != open.info.onion_len {
-            return Err(CoordinatorError::WrongRequestSize {
-                expected: open.info.onion_len,
-                actual: onion.len(),
-            });
-        }
-        match open.intake.offer(&onion) {
-            Offer::Accepted | Offer::Duplicate => Ok(()),
-            // Unreachable through `&mut self` (sealing happens at close,
-            // which also clears the slot), but a stale snapshot's intake
-            // answers the same way, so keep the mapping total.
-            Offer::Sealed => Err(CoordinatorError::RoundNotOpen { requested: round }),
-        }
-    }
-
     /// Closes the open dialing round: runs the mixnet, begins the next
     /// round's chain round, publishes the dial-set mailboxes to the CDN
     /// with the next round's parameters in each, and returns the round
@@ -881,6 +808,8 @@ mod tests {
     use alpenhorn_wire::{DialRequest, DialToken, MailboxId, MixerRequest, MixerResponse};
     use std::sync::Mutex;
 
+    use crate::shard::Offer;
+
     fn id(s: &str) -> Identity {
         Identity::new(s).unwrap()
     }
@@ -921,7 +850,8 @@ mod tests {
             ciphertext: fixed,
         };
         let onion = wrap_onion(&envelope.encode(), &info.onion_keys, &mut rng);
-        cluster.submit_add_friend(round, onion).unwrap();
+        let (_, intake) = cluster.open_add_friend_round().unwrap();
+        assert_eq!(intake.offer(&onion), Offer::Accepted);
 
         // Bob extracts his identity keys while the round is open.
         let auth = bob_key.sign(&extraction_request_message(&bob, round));
@@ -962,7 +892,8 @@ mod tests {
             token,
         };
         let onion = wrap_onion(&req.encode(), &info.onion_keys, &mut rng);
-        cluster.submit_dialing(round, onion).unwrap();
+        let (_, intake) = cluster.open_dialing_round().unwrap();
+        assert_eq!(intake.offer(&onion), Offer::Accepted);
         let stats = cluster.close_dialing_round(round).unwrap();
         assert_eq!(stats.client_messages, 1);
 
@@ -971,21 +902,6 @@ mod tests {
             .fetch_dialing_mailbox(round, MailboxId(0))
             .unwrap();
         assert!(set.contains(&token.0));
-    }
-
-    #[test]
-    fn entry_server_rejects_wrong_size_requests() {
-        let mut cluster = Cluster::new(ClusterConfig::test(3));
-        let round = Round(1);
-        let info = cluster.begin_add_friend_round(round, 10).unwrap();
-        assert!(matches!(
-            cluster.submit_add_friend(round, vec![0u8; info.onion_len - 1]),
-            Err(CoordinatorError::WrongRequestSize { .. })
-        ));
-        assert!(matches!(
-            cluster.submit_dialing(Round(1), vec![0u8; 10]),
-            Err(CoordinatorError::RoundNotOpen { .. })
-        ));
     }
 
     #[test]
@@ -1035,9 +951,8 @@ mod tests {
 
         let round = Round(1);
         let info = cluster.begin_add_friend_round(round, 1).unwrap();
-        cluster
-            .submit_add_friend(round, vec![0u8; info.onion_len])
-            .unwrap();
+        let (_, intake) = cluster.open_add_friend_round().unwrap();
+        assert_eq!(intake.offer(&vec![0u8; info.onion_len]), Offer::Accepted);
         assert!(cluster.close_add_friend_round_after(round, failed).is_err());
         // Nothing was mixed or published, and the round keys are gone.
         assert!(cluster.open_add_friend_info().is_none());

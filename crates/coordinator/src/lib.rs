@@ -5,8 +5,8 @@
 //! uses a CDN to distribute mailbox contents. This crate provides those
 //! pieces and a [`cluster::Cluster`] that assembles a complete Alpenhorn
 //! deployment — PKGs, mixnet chain, entry server, CDN, simulated email — in
-//! one process. The client library (`alpenhorn` crate) and the evaluation
-//! harness drive a `Cluster` exactly the way a real client would drive a
+//! one process. The client library (`alpenhorn` crate) and the scenario
+//! engine drive a `Cluster` exactly the way a real client would drive a
 //! remote deployment: register, extract round keys, submit onions, download
 //! mailboxes.
 
@@ -19,7 +19,6 @@ pub mod control;
 pub mod error;
 pub mod persist;
 pub mod ratelimit;
-pub mod rounds;
 pub mod server;
 pub mod service;
 pub mod shard;
@@ -31,7 +30,6 @@ pub use cluster::{AddFriendRoundInfo, Cluster, ClusterConfig, DialingRoundInfo};
 pub use control::DurableController;
 pub use error::CoordinatorError;
 pub use ratelimit::{TokenIssuer, TokenVerifier};
-pub use rounds::RoundTiming;
 pub use server::serve;
 pub use service::{CoordinatorService, RateLimitPolicy, ServiceConfig};
 pub use shard::SubmissionIntake;

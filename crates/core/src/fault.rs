@@ -294,15 +294,6 @@ impl<T: Transport> FaultyTransport<T> {
         self.calls
     }
 
-    /// Scripts a disconnect on the next call: the request will be delivered,
-    /// the response lost, and the transport poisoned. Imperative counterpart
-    /// to pre-listing indices in [`FaultPlan::disconnect_at`], for tests
-    /// that arm the fault right before the RPC under scrutiny.
-    pub fn disconnect_next_call(&mut self) {
-        let next = self.calls;
-        self.plan.disconnect_at.push(next);
-    }
-
     /// Opens a partition window starting at the next call. The coordinator
     /// is unreachable through this transport until [`end_partition`]
     /// (`until` is left open-ended). The scenario engine uses this pair to
@@ -347,17 +338,6 @@ impl<T: Transport> FaultyTransport<T> {
                 window.until = now;
             }
         }
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// The wrapped transport, mutably (e.g. to reach a loopback transport's
-    /// service for server-side inspection).
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
     }
 
     /// The plan driving the injection.

@@ -7,7 +7,7 @@
 //! * [`LoopbackTransport`] — wraps an in-process
 //!   [`CoordinatorService`] (and thus a [`Cluster`]). No serialization, no
 //!   I/O, fully deterministic: this is what tests, examples, and the
-//!   evaluation harness use, and it preserves the exact semantics of the
+//!   scenario engine use, and it preserves the exact semantics of the
 //!   pre-RPC in-process cluster. Cloning a loopback transport yields another
 //!   handle to the *same* deployment, mirroring multiple TCP connections to
 //!   one daemon.
@@ -370,11 +370,6 @@ impl<T> CdnRoutedTransport<T> {
     /// The inner transport.
     pub fn inner(&self) -> &T {
         &self.inner
-    }
-
-    /// Mutable access to the inner transport (reconnection, fault levers).
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
     }
 }
 

@@ -9,10 +9,11 @@
 //! and the coordinator's retried requests get the identical answers.
 //!
 //! ```text
-//! mixd --index N [--listen ADDR] [--seed N] [--workers N] [--data-dir DIR]
+//! mixd --index N [--listen ADDR] [--seed N] [--data-dir DIR]
 //!      [--log-level LEVEL] [--metrics-dump-secs N]
 //! ```
 //!
+//! Round processing uses one worker thread per available core.
 //! `--data-dir` is accepted for deployment-script symmetry with the other
 //! daemons but unused: `mixd` keeps no durable state, by design.
 
@@ -30,19 +31,17 @@ struct Options {
     listen: String,
     seed: u8,
     index: Option<usize>,
-    workers: Option<usize>,
     log_level: Level,
     metrics_dump_secs: Option<u64>,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mixd --index N [--listen ADDR] [--seed N] [--workers N] [--data-dir DIR]\n\
+        "usage: mixd --index N [--listen ADDR] [--seed N] [--data-dir DIR]\n\
          \x20           [--log-level off|error|warn|info|debug] [--metrics-dump-secs N]\n\
          \x20      --index N     chain position of this mix server (required)\n\
          \x20      --listen ADDR listen address (default 127.0.0.1:7207; port 0 for ephemeral)\n\
          \x20      --seed N      cluster seed byte, must match the coordinator's (default 0)\n\
-         \x20      --workers N   worker threads per round (default: available parallelism)\n\
          \x20      --data-dir D  accepted and ignored: mixd is stateless by design\n\
          \x20      --log-level L log verbosity (default info)\n\
          \x20      --metrics-dump-secs N  dump the metrics exposition every N seconds"
@@ -55,7 +54,6 @@ fn parse_options() -> Options {
         listen: "127.0.0.1:7207".to_string(),
         seed: 0,
         index: None,
-        workers: None,
         log_level: Level::Info,
         metrics_dump_secs: None,
     };
@@ -71,9 +69,6 @@ fn parse_options() -> Options {
             "--listen" => options.listen = value("--listen"),
             "--seed" => options.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
             "--index" => options.index = Some(value("--index").parse().unwrap_or_else(|_| usage())),
-            "--workers" => {
-                options.workers = Some(value("--workers").parse().unwrap_or_else(|_| usage()))
-            }
             "--data-dir" => {
                 let _ = value("--data-dir");
             }
@@ -107,10 +102,7 @@ fn main() {
         eprintln!("mixd: --index is required (which chain position am I?)");
         usage()
     };
-    let mut server = MixdServer::new([options.seed; 32], index);
-    if let Some(workers) = options.workers {
-        server.set_workers(workers);
-    }
+    let server = MixdServer::new([options.seed; 32], index);
     let handle = match serve(options.listen.as_str(), server_config(), Mutex::new(server)) {
         Ok(handle) => handle,
         Err(e) => {

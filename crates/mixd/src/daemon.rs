@@ -94,13 +94,6 @@ impl MixdServer {
         self.index
     }
 
-    /// Sets the worker-thread count both servers use for round processing
-    /// (output bytes are worker-count independent).
-    pub fn set_workers(&mut self, workers: usize) {
-        self.add_friend.set_workers(workers);
-        self.dialing.set_workers(workers);
-    }
-
     fn server_mut(&mut self, protocol: RoundKind) -> &mut MixServer {
         match protocol {
             RoundKind::AddFriend => &mut self.add_friend,
@@ -300,7 +293,6 @@ mod tests {
     #[test]
     fn process_retries_are_byte_identical() {
         let mut daemon = MixdServer::new([6u8; 32], 0);
-        daemon.set_workers(1);
         daemon.handle(MixerRequest::BeginRound {
             protocol: RoundKind::AddFriend,
             round: Round(1),

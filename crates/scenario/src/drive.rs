@@ -1,8 +1,7 @@
 //! Round driving over the RPC surface.
 //!
-//! The scenario engine — and the `alpenhorn-sim` harness, rebased onto these
-//! functions — opens and closes rounds through [`Request`] dispatch rather
-//! than the `cluster_mut()` escape hatch. That matters for durability:
+//! The scenario engine opens and closes rounds through [`Request`] dispatch
+//! rather than the `cluster_mut()` escape hatch. That matters for durability:
 //! mutations made through the escape hatch are not journalled, so a
 //! crash-restart scenario driven that way would recover a deployment that
 //! disagrees with what clients saw. Driving through the same admin RPCs

@@ -187,7 +187,7 @@ fn service_config(scenario: &Scenario) -> ServiceConfig {
 impl ScenarioEngine {
     /// Builds an ephemeral engine (no durability; [`Action::CrashRestart`]
     /// is an error). The deployment seed is `scenario.seed as u8` over
-    /// [`ClusterConfig::test`], matching `alpenhorn_sim::SmallDeployment`.
+    /// [`ClusterConfig::test`], the [`Population`] seeding convention.
     pub fn new(scenario: Scenario) -> Result<Self, EngineError> {
         let config = ClusterConfig::test(scenario.seed as u8);
         let service =

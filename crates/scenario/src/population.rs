@@ -8,11 +8,11 @@
 //! the script never touches stays a stub. PKG verification keys are fetched
 //! once and shared.
 //!
-//! Seeding conventions deliberately match `alpenhorn_sim::SmallDeployment`
-//! (identity `user{i}@example.com`, client seed
-//! `[seed8.wrapping_add(i as u8 + 1); 32]` over `ClusterConfig::test(seed8)`)
-//! so a scenario-driven run is byte-identical to a hand-driven harness run
-//! of the same seed — the equivalence `crates/sim`'s tests assert.
+//! [`Population::register`] defines the seeding convention: identity
+//! `user{i}@example.com`, client seed `[seed8.wrapping_add(i as u8 + 1); 32]`
+//! over `ClusterConfig::test(seed8)`. A scenario-driven run is therefore
+//! byte-identical to a hand-driven run of the same seed and clients, which
+//! `tests/scenario_smoke.rs` asserts.
 
 use alpenhorn::{
     Client, ClientConfig, ClientError, FaultPlan, FaultyTransport, LoopbackTransport, RetryPolicy,
@@ -158,7 +158,7 @@ impl Population {
             return Ok(());
         }
         if handle.client.is_none() {
-            // Same conventions as SmallDeployment::new; see module docs.
+            // The seeding convention; see module docs.
             let mut client = Client::new(
                 Self::identity(i),
                 self.pkg_keys.clone(),

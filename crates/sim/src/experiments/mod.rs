@@ -2,8 +2,8 @@
 //!
 //! Every driver produces a [`crate::report::Table`] whose rows match the
 //! series the paper plots, computed from the cost model (calibrated with
-//! measured per-operation costs) and/or scaled-down end-to-end runs. The
-//! benchmark binaries in the `alpenhorn-bench` crate print these tables, and
+//! measured per-operation costs). The benchmark binaries in the
+//! `alpenhorn-bench` crate print these tables, and
 //! `examples/evaluation_sweep.rs` regenerates the whole evaluation in one go.
 
 pub mod ablations;

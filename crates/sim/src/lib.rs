@@ -11,18 +11,19 @@
 //!   scans), combined with the paper's network setup (three regions,
 //!   c4.8xlarge-class servers) to predict round latency and client bandwidth
 //!   at user counts that do not fit in one process;
-//! * [`harness`] — scaled-down end-to-end runs against the real in-process
-//!   cluster, used to sanity-check the model's shape;
 //! * [`experiments`] — one driver per figure/measurement in §8, each
 //!   producing the same series the paper plots;
 //! * [`report`] — plain-text table rendering for EXPERIMENTS.md.
+//!
+//! The model does not link the deployment. The end-to-end round it is
+//! checked against is measured by `examples/e2e_bench` over the shipped
+//! daemons.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod costmodel;
 pub mod experiments;
-pub mod harness;
 pub mod report;
 pub mod workload;
 

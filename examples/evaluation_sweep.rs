@@ -10,7 +10,6 @@ use alpenhorn_sim::experiments::crypto_sensitivity::request_size_table;
 use alpenhorn_sim::experiments::{
     client_cpu_table, crypto_sensitivity_table, figure_10, figure_6, figure_7, figure_8, figure_9,
 };
-use alpenhorn_sim::harness::SmallDeployment;
 use alpenhorn_sim::{CostModel, Table, Workload};
 
 // The paper-reference model is available for side-by-side columns inside the
@@ -105,32 +104,5 @@ fn main() {
         Workload::skewed(1_000_000, 2.0).top_k_share(10) * 100.0
     );
 
-    // Scaled-down end-to-end ground truth.
-    println!("## Scaled-down end-to-end runs (real clients, in-process cluster)\n");
-    let mut ete = Table::new(
-        "End-to-end rounds",
-        &[
-            "clients",
-            "add-friend server time (ms)",
-            "avg mailbox scan (ms)",
-            "dialing server time (ms)",
-        ],
-    );
-    for clients in [8usize, 32] {
-        let mut deployment = SmallDeployment::new(clients, 99);
-        for i in (0..clients).step_by(2) {
-            let target = deployment.identity((i + 1) % clients);
-            deployment.clients[i].add_friend(target, None);
-        }
-        let (add_result, _) = deployment.run_add_friend_round();
-        let (dial_result, _) = deployment.run_dialing_round();
-        ete.push_row(vec![
-            clients.to_string(),
-            format!("{:.1}", add_result.server_time.as_secs_f64() * 1e3),
-            format!("{:.1}", add_result.client_scan_time.as_secs_f64() * 1e3),
-            format!("{:.1}", dial_result.server_time.as_secs_f64() * 1e3),
-        ]);
-    }
-    println!("{}", ete.render_markdown());
     println!("Sweep complete.");
 }

@@ -189,8 +189,12 @@ cargo test -q --release --test chaos -- --ignored
 # partition window) in the scenarios-as-data text format, executed through
 # the deterministic engine with the full invariant-checker suite (mailbox
 # conservation, submission accounting, ledger consistency, fault-free-twin
-# convergence), plus a replay-determinism check. Runs inside `cargo test -q`
-# too; this named stage makes a scenario regression point at itself.
+# convergence), plus a replay-determinism check and the scenario ≡
+# hand-driven proof (`scenario_timeline_reproduces_hand_driven_runs_byte_for_byte`:
+# a seed-32 scripted timeline, with and without a flaky window, yields the
+# same client events as the workload driven by hand over `drive`). Runs
+# inside `cargo test -q` too; this named stage makes a scenario regression
+# point at itself.
 stage "scenario smoke (churn wave, crash-restart storm, partition window)"
 cargo test -q --test scenario_smoke
 

@@ -2,13 +2,13 @@
 //! lost mailboxes, and recovery paths.
 
 use alpenhorn::{
-    Client, ClientConfig, ClientError, ClientEvent, Identity, LoopbackTransport, Round,
+    Client, ClientConfig, ClientError, ClientEvent, Identity, LoopbackTransport, Round, Transport,
 };
-use alpenhorn_coordinator::{Cluster, ClusterConfig, CoordinatorError};
+use alpenhorn_coordinator::{Cluster, ClusterConfig};
 use alpenhorn_crypto::ChaChaRng;
 use alpenhorn_ibe::bf::encrypt as ibe_encrypt;
 use alpenhorn_mixnet::onion::wrap_onion;
-use alpenhorn_wire::{AddFriendEnvelope, MailboxId};
+use alpenhorn_wire::{AddFriendEnvelope, MailboxId, Request, Response, RpcError};
 
 fn id(s: &str) -> Identity {
     Identity::new(s).unwrap()
@@ -25,26 +25,65 @@ fn registered_client(net: &mut LoopbackTransport, email: &str, seed: u8) -> Clie
     c
 }
 
+/// Submits `onion` for add-friend `round` the way a client does: one
+/// `SubmitAddFriend` RPC, here without a rate-limit token.
+fn submit_add_friend(net: &mut LoopbackTransport, round: Round, onion: Vec<u8>) -> Response {
+    net.call(Request::SubmitAddFriend {
+        round,
+        onion,
+        token: None,
+    })
+    .unwrap()
+}
+
 #[test]
 fn entry_server_rejects_malformed_submissions() {
-    let net = deployment(90);
+    let mut net = deployment(90);
     let info = net
         .with_cluster(|c| c.begin_add_friend_round(Round(1), 4))
         .unwrap();
     // Too small, too large, and empty submissions are all rejected.
     for bad in [vec![0u8; 10], vec![0u8; info.onion_len + 1], Vec::new()] {
         assert!(matches!(
-            net.with_cluster(|c| c.submit_add_friend(Round(1), bad)),
-            Err(CoordinatorError::WrongRequestSize { .. })
+            submit_add_friend(&mut net, Round(1), bad),
+            Response::Error(RpcError::WrongRequestSize { .. })
         ));
     }
     // Submissions for a round that is not open are rejected too.
     assert!(matches!(
-        net.with_cluster(|c| c.submit_add_friend(Round(7), vec![0u8; info.onion_len])),
-        Err(CoordinatorError::RoundNotOpen { .. })
+        submit_add_friend(&mut net, Round(7), vec![0u8; info.onion_len]),
+        Response::Error(RpcError::RoundNotOpen { .. })
     ));
     net.with_cluster(|c| c.close_add_friend_round(Round(1)))
         .unwrap();
+
+    // Dialing submissions take the same checks, plus the mailbox count the
+    // onion was built for.
+    let admin = net.clone();
+    let mut submit_dialing = |num_mailboxes: u32, len: usize| {
+        net.call(Request::SubmitDialing {
+            round: Round(1),
+            num_mailboxes,
+            onion: vec![0u8; len],
+            token: None,
+        })
+        .unwrap()
+    };
+    assert!(matches!(
+        submit_dialing(1, 10),
+        Response::Error(RpcError::RoundNotOpen { .. })
+    ));
+    let info = admin
+        .with_cluster(|c| c.begin_dialing_round(Round(1), 4))
+        .unwrap();
+    assert!(matches!(
+        submit_dialing(info.num_mailboxes + 1, info.onion_len),
+        Response::Error(RpcError::StaleRoundInfo { .. })
+    ));
+    assert!(matches!(
+        submit_dialing(info.num_mailboxes, info.onion_len - 1),
+        Response::Error(RpcError::WrongRequestSize { .. })
+    ));
 }
 
 #[test]
@@ -61,8 +100,10 @@ fn garbage_onions_are_dropped_by_the_mixnet_not_delivered() {
         .unwrap();
     alice.participate_add_friend(&mut net).unwrap();
     bob.participate_add_friend(&mut net).unwrap();
-    net.with_cluster(|c| c.submit_add_friend(Round(1), vec![0xAB; info.onion_len]))
-        .unwrap();
+    assert_eq!(
+        submit_add_friend(&mut net, Round(1), vec![0xAB; info.onion_len]),
+        Response::Ack
+    );
     let stats = net
         .with_cluster(|c| c.close_add_friend_round(Round(1)))
         .unwrap();
@@ -113,8 +154,7 @@ fn spoofed_friend_requests_without_pkg_attestation_are_rejected() {
         ciphertext,
     };
     let onion = wrap_onion(&envelope.encode(), &info.onion_keys, &mut rng);
-    net.with_cluster(|c| c.submit_add_friend(Round(1), onion))
-        .unwrap();
+    assert_eq!(submit_add_friend(&mut net, Round(1), onion), Response::Ack);
     net.with_cluster(|c| c.close_add_friend_round(Round(1)))
         .unwrap();
 

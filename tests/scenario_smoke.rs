@@ -1,12 +1,17 @@
 //! Scenario smoke tests: three small scripted timelines — a churn wave, a
 //! crash-restart storm, and a partition window — written in the text format,
-//! executed end to end with the full invariant-checker suite. These are the
-//! scenarios `scripts/ci.sh` runs in its "scenario smoke" stage, so they are
-//! sized to finish in seconds.
+//! executed end to end with the full invariant-checker suite, plus the proof
+//! that a scripted timeline reproduces the same workload driven by hand. These
+//! are the scenarios `scripts/ci.sh` runs in its "scenario smoke" stage, so
+//! they are sized to finish in seconds.
 
+use alpenhorn::{
+    Client, ClientConfig, ClientEvent, FaultProbabilities, Identity, LoopbackTransport, Round,
+};
+use alpenhorn_coordinator::{Cluster, ClusterConfig};
 use alpenhorn_scenario::{
-    LedgerConsistency, MailboxConservation, Scenario, ScenarioEngine, SubmissionAccounting,
-    TwinChecker,
+    drive, LedgerConsistency, MailboxConservation, Scenario, ScenarioBuilder, ScenarioEngine,
+    SubmissionAccounting, TwinChecker,
 };
 use alpenhorn_storage::StorageConfig;
 
@@ -90,7 +95,7 @@ fn churn_wave_scenario_passes_all_checkers() {
     assert!(
         report.client_events[9]
             .iter()
-            .any(|e| matches!(e, alpenhorn::ClientEvent::IncomingCall { .. })),
+            .any(|e| matches!(e, ClientEvent::IncomingCall { .. })),
         "the wave-two call landed"
     );
 }
@@ -120,7 +125,7 @@ fn crash_restart_storm_is_invisible_to_clients() {
     assert!(
         report.client_events[1]
             .iter()
-            .any(|e| matches!(e, alpenhorn::ClientEvent::IncomingCall { .. })),
+            .any(|e| matches!(e, ClientEvent::IncomingCall { .. })),
         "the call placed between crashes was delivered"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -161,4 +166,98 @@ fn render_parse_round_trip_preserves_execution() {
     let original = Scenario::parse(PARTITION_WINDOW).unwrap();
     let reparsed = Scenario::parse(&original.render()).unwrap();
     assert_eq!(original, reparsed);
+}
+
+/// Four clients under the `Population` seeding convention (identity
+/// `user{i}@example.com`, seed `[32 + i + 1; 32]` over
+/// `ClusterConfig::test(32)`), driven by hand over the admin RPCs: one
+/// befriending at step 1, one call at step 3, four add-friend + dialing
+/// round pairs. Returns each client's events in arrival order.
+fn hand_driven_seed_32_run() -> Vec<Vec<ClientEvent>> {
+    let mut net = LoopbackTransport::new(Cluster::new(ClusterConfig::test(32)));
+    let pkg_keys = net.with_cluster(|c| c.pkg_verifying_keys());
+    let mut clients: Vec<Client> = (0..4u8)
+        .map(|i| {
+            let identity = Identity::new(&format!("user{i}@example.com")).unwrap();
+            let mut client = Client::new(
+                identity,
+                pkg_keys.clone(),
+                ClientConfig::default(),
+                [32 + i + 1; 32],
+            );
+            client.register(&mut net).unwrap();
+            client
+        })
+        .collect();
+    let target = clients[1].identity().clone();
+    clients[0].add_friend(target.clone(), None);
+    let mut events: Vec<Vec<ClientEvent>> = vec![Vec::new(); clients.len()];
+    for step in 1..=4 {
+        if step == 3 {
+            clients[0].call(target.clone(), 7).unwrap();
+        }
+        let round = Round(step);
+        drive::begin_add_friend_round(&mut net, round, 4).unwrap();
+        for client in &mut clients {
+            client.participate_add_friend(&mut net).unwrap();
+        }
+        drive::close_add_friend_round(&mut net, round).unwrap();
+        for (client, events) in clients.iter_mut().zip(&mut events) {
+            events.extend(client.process_add_friend_mailbox(&mut net).unwrap());
+        }
+        drive::begin_dialing_round(&mut net, round, 4).unwrap();
+        for (client, events) in clients.iter_mut().zip(&mut events) {
+            events.extend(client.participate_dialing(&mut net).unwrap());
+        }
+        drive::close_dialing_round(&mut net, round).unwrap();
+        for (client, events) in clients.iter_mut().zip(&mut events) {
+            events.extend(client.process_dialing_mailbox(&mut net).unwrap());
+        }
+    }
+    events
+}
+
+#[test]
+fn scenario_timeline_reproduces_hand_driven_runs_byte_for_byte() {
+    let hand = hand_driven_seed_32_run();
+    assert!(
+        hand[1].iter().any(ClientEvent::is_incoming_call),
+        "the call landed in the reference run"
+    );
+
+    // The same workload as a scripted scenario, optionally with a flaky
+    // window overlaid on every client mid-timeline.
+    let scripted = |with_flaky: bool| {
+        let mut builder = ScenarioBuilder::new("equivalence", 32)
+            .population(4)
+            .steps(4)
+            .register(1, 0..4)
+            .befriend(1, 0, 1)
+            .call(3, 0, 1, 7);
+        if with_flaky {
+            builder = builder.flaky_window(
+                2,
+                4,
+                0..4,
+                FaultProbabilities {
+                    drop_request: 0.15,
+                    drop_response: 0.1,
+                    duplicate_request: 0.1,
+                    corrupt_response: 0.0,
+                    delay: 0.2,
+                    max_delay_ms: 1,
+                },
+            );
+        }
+        let mut engine = ScenarioEngine::new(builder.build()).unwrap();
+        engine.run().unwrap();
+        engine.into_report().client_events
+    };
+
+    assert_eq!(scripted(false), hand, "scenario-driven ≡ hand-driven");
+    assert_eq!(
+        scripted(true),
+        hand,
+        "a scripted flaky window stays invisible to the event streams"
+    );
 }

@@ -12,9 +12,9 @@ use alpenhorn_bloom::DialSet;
 use alpenhorn_crypto::{ChaCha20, ChaChaRng};
 use alpenhorn_ibe::dh::DhSecret;
 use alpenhorn_mixnet::onion::{peel_layer, peel_layer_in_place, wrap_onion};
-use alpenhorn_mixnet::{MixServer, NoiseConfig, Protocol};
+use alpenhorn_mixnet::{MixServer, NoiseConfig};
 use alpenhorn_sim::Table;
-use alpenhorn_wire::ADD_FRIEND_REQUEST_LEN;
+use alpenhorn_wire::{RoundKind, ADD_FRIEND_REQUEST_LEN};
 use rand::RngCore;
 
 fn bench_onion(c: &mut Criterion) {
@@ -146,7 +146,7 @@ fn measure_round_throughput(batch_size: usize, workers: usize) -> f64 {
         0,
         batch,
         &[],
-        Protocol::AddFriend,
+        RoundKind::AddFriend,
         &NoiseConfig::deterministic(0.0),
         8,
     );
@@ -157,7 +157,7 @@ fn measure_round_throughput(batch_size: usize, workers: usize) -> f64 {
                 0,
                 input,
                 &[],
-                Protocol::AddFriend,
+                RoundKind::AddFriend,
                 &NoiseConfig::deterministic(0.0),
                 8,
             )

@@ -49,7 +49,7 @@ fn print_throughput_table(_c: &mut Criterion) {
     );
     // Measure the raw extraction rate (hash-to-curve + scalar multiplication),
     // which is what bounds how often add-friend rounds can run.
-    let costs = MeasuredCosts::measure(alpenhorn_bench::CALIBRATION_ITERATIONS);
+    let costs = MeasuredCosts::measure(64);
     // Also measure the full authenticated server path for a tighter bound.
     let mut pkg = PkgServer::new("pkg-0", [3u8; 32]);
     let mail = SimulatedMail::new();

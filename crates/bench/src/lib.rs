@@ -1,23 +1,12 @@
 //! Shared helpers for the Alpenhorn benchmark harness.
 //!
-//! Each benchmark target regenerates one figure or measurement from §8 of the
-//! paper. Targets print paper-style tables to stdout in addition to any
-//! Criterion measurements; `docs/PERFORMANCE.md` records the results.
+//! `micro` records the per-operation costs of the primitives (the cost
+//! model's calibration) in `BENCH_micro.json`; `mixnet_ops`,
+//! `pkg_throughput` and `key_extraction` print their sweeps as paper-style
+//! tables. `examples/evaluation_sweep.rs` prints the §8 figure tables, and
+//! `docs/PERFORMANCE.md` records the results.
 
 #![forbid(unsafe_code)]
-
-use alpenhorn_sim::costmodel::MeasuredCosts;
-use alpenhorn_sim::CostModel;
-
-/// Number of calibration iterations used by the figure benches. High enough
-/// for stable medians of the pairing operations, low enough to keep
-/// `cargo bench` runtimes reasonable.
-pub const CALIBRATION_ITERATIONS: usize = 64;
-
-/// Calibrates the cost model on this machine.
-pub fn calibrated_model() -> CostModel {
-    CostModel::new(MeasuredCosts::measure(CALIBRATION_ITERATIONS))
-}
 
 /// Worker counts for the batch-size × worker-count benchmark sweeps.
 ///

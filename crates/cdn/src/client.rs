@@ -57,12 +57,6 @@ impl LoopbackNode {
         Arc::clone(&self.state)
     }
 
-    /// The liveness switch, cloneable into scenario hooks: `false` makes
-    /// every call on every handle fail like a dead TCP peer.
-    pub fn liveness(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.alive)
-    }
-
     /// Flips the node up or down.
     pub fn set_alive(&self, alive: bool) {
         self.alive.store(alive, Ordering::SeqCst);

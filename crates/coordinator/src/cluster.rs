@@ -288,12 +288,12 @@ impl Cluster {
     /// Honest operation is unchanged while no adversary is installed.
     pub fn set_mix_adversary(
         &mut self,
-        protocol: alpenhorn_mixnet::Protocol,
+        protocol: RoundKind,
         adversary: Option<alpenhorn_mixnet::MixAdversary>,
     ) {
         match protocol {
-            alpenhorn_mixnet::Protocol::AddFriend => self.add_friend_chain.set_adversary(adversary),
-            alpenhorn_mixnet::Protocol::Dialing => self.dialing_chain.set_adversary(adversary),
+            RoundKind::AddFriend => self.add_friend_chain.set_adversary(adversary),
+            RoundKind::Dialing => self.dialing_chain.set_adversary(adversary),
         }
     }
 

@@ -362,11 +362,6 @@ impl Client {
         self.config.retry = policy;
     }
 
-    /// The retry policy currently applied to every RPC.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.config.retry
-    }
-
     /// The client's own identity.
     pub fn identity(&self) -> &Identity {
         &self.identity

@@ -202,9 +202,8 @@ impl Transport for LoopbackTransport {
 pub struct TcpTransport {
     stream: TcpStream,
     /// The resolved peer address, kept so [`TcpTransport::reconnect`] can
-    /// replace a poisoned connection. `None` for
-    /// [`TcpTransport::from_stream`] wrappers, which have no address to dial.
-    peer: Option<std::net::SocketAddr>,
+    /// replace a poisoned connection.
+    peer: std::net::SocketAddr,
     /// Read/write timeout applied to the socket (and to reconnections).
     io_timeout: Option<Duration>,
     /// The first failure, kept so reuse reports *why* the connection died.
@@ -241,22 +240,11 @@ impl TcpTransport {
     ) -> std::io::Result<Self> {
         let stream = connect(addr, connect_timeout, io_timeout)?;
         Ok(TcpTransport {
-            peer: Some(stream.peer_addr()?),
+            peer: stream.peer_addr()?,
             stream,
             io_timeout,
             poisoned: None,
         })
-    }
-
-    /// Wraps an already-connected stream. The wrapper cannot reconnect (it
-    /// has no address); [`TcpTransport::reconnect`] on it fails.
-    pub fn from_stream(stream: TcpStream) -> Self {
-        TcpTransport {
-            stream,
-            peer: None,
-            io_timeout: None,
-            poisoned: None,
-        }
     }
 
     /// Whether the connection has been poisoned by an earlier failure and
@@ -268,16 +256,10 @@ impl TcpTransport {
     /// Replaces the underlying connection with a fresh one to the original
     /// peer address and clears the poisoned marker — the recovery path from
     /// [`TransportError::Poisoned`] that does not require rebuilding the
-    /// client. Fails (leaving any poisoned state in place) if the transport
-    /// was built from a raw stream or the peer cannot be reached.
+    /// client. Fails (leaving any poisoned state in place) if the peer cannot
+    /// be reached.
     pub fn reconnect(&mut self) -> std::io::Result<()> {
-        let peer = self.peer.ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "transport was built from a raw stream; no address to reconnect to",
-            )
-        })?;
-        self.stream = connect(peer, Self::DEFAULT_CONNECT_TIMEOUT, self.io_timeout)?;
+        self.stream = connect(self.peer, Self::DEFAULT_CONNECT_TIMEOUT, self.io_timeout)?;
         self.poisoned = None;
         Ok(())
     }

@@ -410,7 +410,7 @@ pub fn digest(data: &[u8]) -> [u8; 32] {
 
 /// One-shot SHA-256 using the seed's loop-based compression function.
 ///
-/// This is the test/bench oracle for the unrolled hot path: the message
+/// This is the test oracle for the unrolled hot path: the message
 /// schedule is fully materialized as 64 words and the round function runs as
 /// a plain loop with the working-variable shuffle written out, exactly as the
 /// seed implementation did. Keep it boring; its value is being obviously

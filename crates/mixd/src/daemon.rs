@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use alpenhorn_ibe::dh::DhPublic;
-use alpenhorn_mixnet::{MixServer, NoiseConfig, Protocol};
+use alpenhorn_mixnet::{MixServer, NoiseConfig};
 use alpenhorn_obs::SpanGuard;
 use alpenhorn_wire::rpc::{SpanWire, TelemetryWire};
 use alpenhorn_wire::server::{ConnectionEvent, Exclusive, ServerConfig};
@@ -149,15 +149,11 @@ impl MixdServer {
                     mu: f64::from_bits(noise_mu),
                     b: f64::from_bits(noise_b),
                 };
-                let mix_protocol = match protocol {
-                    RoundKind::AddFriend => Protocol::AddFriend,
-                    RoundKind::Dialing => Protocol::Dialing,
-                };
                 let processed = self.server_mut(protocol).process(
                     round.0,
                     batch,
                     &publics,
-                    mix_protocol,
+                    protocol,
                     &noise,
                     num_mailboxes,
                 );

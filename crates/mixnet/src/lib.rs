@@ -36,14 +36,3 @@ pub use mailbox::{AddFriendMailboxes, DialingMailboxes, MailboxPolicy};
 pub use noise::{DpParameters, NoiseConfig};
 pub use onion::{peel_layer, peel_layer_in_place, wrap_onion, wrap_onion_into};
 pub use server::{MixServer, ProcessedBatch};
-
-/// Which of the two Alpenhorn protocols a mixnet round is serving. The two
-/// protocols use different payload formats, noise volumes, and mailbox
-/// encodings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// Add-friend rounds carry fixed-size IBE ciphertexts.
-    AddFriend,
-    /// Dialing rounds carry 32-byte dial tokens.
-    Dialing,
-}

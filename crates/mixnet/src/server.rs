@@ -39,12 +39,11 @@ use std::collections::BTreeMap;
 
 use alpenhorn_crypto::{ChaChaRng, HmacKey};
 use alpenhorn_ibe::dh::{DhPublic, DhSecret};
-use alpenhorn_wire::{AddFriendEnvelope, MailboxId, DIAL_TOKEN_LEN};
+use alpenhorn_wire::{AddFriendEnvelope, MailboxId, RoundKind, DIAL_TOKEN_LEN};
 use rand::RngCore;
 
 use crate::noise::NoiseConfig;
 use crate::onion::{peel_layer_in_place, wrap_onion_into};
-use crate::Protocol;
 
 /// One server's output for one round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,7 +158,7 @@ impl MixServer {
         round: u64,
         mut batch: Vec<Vec<u8>>,
         downstream_publics: &[DhPublic],
-        protocol: Protocol,
+        protocol: RoundKind,
         noise: &NoiseConfig,
         num_mailboxes: u32,
     ) -> Option<ProcessedBatch> {
@@ -297,7 +296,7 @@ fn generate_noise_range(
     range: core::ops::Range<u32>,
     num_mailboxes: u32,
     noise_seed: &[u8; 32],
-    protocol: Protocol,
+    protocol: RoundKind,
     noise: &NoiseConfig,
     downstream_publics: &[DhPublic],
     first_hop: usize,
@@ -344,7 +343,7 @@ fn generate_noise_range(
 /// owned envelope struct. `noise_payload_layouts_match_wire_encoders` in the
 /// tests pins the equivalence.
 fn noise_payload_into(
-    protocol: Protocol,
+    protocol: RoundKind,
     mailbox: MailboxId,
     rng: &mut ChaChaRng,
     buf: &mut Vec<u8>,
@@ -353,8 +352,8 @@ fn noise_payload_into(
         // Noise is an IBE-ciphertext-shaped blob of random bytes; by
         // ciphertext anonymity (§4.3) it is indistinguishable from a real
         // encrypted friend request without a matching key.
-        Protocol::AddFriend => AddFriendEnvelope::CIPHERTEXT_LEN,
-        Protocol::Dialing => DIAL_TOKEN_LEN,
+        RoundKind::AddFriend => AddFriendEnvelope::CIPHERTEXT_LEN,
+        RoundKind::Dialing => DIAL_TOKEN_LEN,
     };
     buf.clear();
     buf.extend_from_slice(&mailbox.as_u32().to_be_bytes());
@@ -376,7 +375,7 @@ mod tests {
                 round,
                 vec![],
                 &[],
-                Protocol::Dialing,
+                RoundKind::Dialing,
                 &NoiseConfig::light(),
                 1,
             )
@@ -404,7 +403,7 @@ mod tests {
                 0,
                 vec![onion],
                 &[],
-                Protocol::AddFriend,
+                RoundKind::AddFriend,
                 &NoiseConfig::deterministic(5.0),
                 2,
             )
@@ -428,7 +427,7 @@ mod tests {
                 0,
                 vec![vec![1, 2, 3], vec![0u8; 500]],
                 &[],
-                Protocol::Dialing,
+                RoundKind::Dialing,
                 &NoiseConfig::deterministic(0.0),
                 1,
             )
@@ -450,7 +449,7 @@ mod tests {
                 0,
                 vec![],
                 &[pk1],
-                Protocol::Dialing,
+                RoundKind::Dialing,
                 &NoiseConfig::deterministic(3.0),
                 1,
             )
@@ -463,7 +462,7 @@ mod tests {
                 0,
                 out0.batch,
                 &[],
-                Protocol::Dialing,
+                RoundKind::Dialing,
                 &NoiseConfig::deterministic(0.0),
                 1,
             )
@@ -484,7 +483,7 @@ mod tests {
                 0,
                 vec![],
                 &[],
-                Protocol::Dialing,
+                RoundKind::Dialing,
                 &NoiseConfig::deterministic(10.0),
                 1,
             )
@@ -501,7 +500,7 @@ mod tests {
     fn process_of_an_unopened_round_is_none() {
         let mut server = MixServer::new(0, [7u8; 32]);
         server.begin_round(1);
-        let out = server.process(2, vec![], &[], Protocol::Dialing, &NoiseConfig::light(), 1);
+        let out = server.process(2, vec![], &[], RoundKind::Dialing, &NoiseConfig::light(), 1);
         assert_eq!(out, None);
     }
 
@@ -512,7 +511,7 @@ mod tests {
         let mut rng = ChaChaRng::from_seed_bytes([8u8; 32]);
         let mut buf = Vec::new();
 
-        noise_payload_into(Protocol::Dialing, MailboxId(7), &mut rng, &mut buf);
+        noise_payload_into(RoundKind::Dialing, MailboxId(7), &mut rng, &mut buf);
         let decoded = DialRequest::decode(&buf).unwrap();
         assert_eq!(
             buf,
@@ -523,7 +522,7 @@ mod tests {
             .encode()
         );
 
-        noise_payload_into(Protocol::AddFriend, MailboxId::COVER, &mut rng, &mut buf);
+        noise_payload_into(RoundKind::AddFriend, MailboxId::COVER, &mut rng, &mut buf);
         let decoded = AddFriendEnvelope::decode(&buf).unwrap();
         assert_eq!(
             buf,
@@ -539,7 +538,7 @@ mod tests {
     fn run_round(
         workers: usize,
         batch_size: u32,
-        protocol: Protocol,
+        protocol: RoundKind,
         num_mailboxes: u32,
     ) -> ProcessedBatch {
         let mut client_rng = ChaChaRng::from_seed_bytes([21u8; 32]);
@@ -553,8 +552,8 @@ mod tests {
                     vec![i as u8; 20]
                 } else {
                     let mut payload = match protocol {
-                        Protocol::AddFriend => AddFriendEnvelope::cover().encode(),
-                        Protocol::Dialing => DialRequest {
+                        RoundKind::AddFriend => AddFriendEnvelope::cover().encode(),
+                        RoundKind::Dialing => DialRequest {
                             mailbox: MailboxId::COVER,
                             token: DialToken([i as u8; 32]),
                         }
@@ -583,9 +582,10 @@ mod tests {
         // genuinely exercise the threaded path: an add-friend batch of 400
         // messages over 41 mailbox slots, and a dial-shaped one of 1 000
         // messages over 2 slots, where some workers get no mailbox range.
-        for (protocol, batch_size, num_mailboxes) in
-            [(Protocol::AddFriend, 400, 40), (Protocol::Dialing, 1000, 1)]
-        {
+        for (protocol, batch_size, num_mailboxes) in [
+            (RoundKind::AddFriend, 400, 40),
+            (RoundKind::Dialing, 1000, 1),
+        ] {
             let sequential = run_round(1, batch_size, protocol, num_mailboxes);
             for workers in [2, 3, 8] {
                 let parallel = run_round(workers, batch_size, protocol, num_mailboxes);

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 
 use alpenhorn_crypto::ChaChaRng;
 use alpenhorn_mixnet::onion::wrap_onion;
-use alpenhorn_mixnet::{MixServer, NoiseConfig, ProcessedBatch, Protocol};
-use alpenhorn_wire::AddFriendEnvelope;
+use alpenhorn_mixnet::{MixServer, NoiseConfig, ProcessedBatch};
+use alpenhorn_wire::{AddFriendEnvelope, RoundKind};
 
 /// Runs one round on server 0 of a two-server chain with the given worker
 /// count. Everything else — server
@@ -52,7 +52,7 @@ fn run_round(
             0,
             batch,
             &[pk1],
-            Protocol::AddFriend,
+            RoundKind::AddFriend,
             &NoiseConfig::deterministic(2.0),
             num_mailboxes,
         )

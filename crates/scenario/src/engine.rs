@@ -22,10 +22,10 @@ use alpenhorn_coordinator::service::CoordinatorService;
 use alpenhorn_coordinator::{
     Cluster, ClusterConfig, DurableController, RateLimitPolicy, ServiceConfig,
 };
-use alpenhorn_mixnet::{MixAdversary, Protocol};
+use alpenhorn_mixnet::MixAdversary;
 use alpenhorn_storage::{StorageConfig, StorageError};
 use alpenhorn_wire::rpc::RoundStatsWire;
-use alpenhorn_wire::Round;
+use alpenhorn_wire::{Round, RoundKind};
 use rand::distributions::{Distribution, Zipf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -298,11 +298,6 @@ impl ScenarioEngine {
     /// Resumes after [`ScenarioEngine::pause`].
     pub fn resume(&mut self) {
         self.paused = false;
-    }
-
-    /// Whether the engine is paused.
-    pub fn is_paused(&self) -> bool {
-        self.paused
     }
 
     /// The population (read access for assertions).
@@ -681,14 +676,14 @@ impl ScenarioEngine {
                     seed: self.scenario.seed ^ 0xad5e_ad5e,
                 };
                 self.net.with_cluster(|c| {
-                    c.set_mix_adversary(Protocol::AddFriend, Some(adversary));
-                    c.set_mix_adversary(Protocol::Dialing, Some(adversary));
+                    c.set_mix_adversary(RoundKind::AddFriend, Some(adversary));
+                    c.set_mix_adversary(RoundKind::Dialing, Some(adversary));
                 });
             }
             Action::HonestMixer => {
                 self.net.with_cluster(|c| {
-                    c.set_mix_adversary(Protocol::AddFriend, None);
-                    c.set_mix_adversary(Protocol::Dialing, None);
+                    c.set_mix_adversary(RoundKind::AddFriend, None);
+                    c.set_mix_adversary(RoundKind::Dialing, None);
                 });
             }
             Action::MixerCrash { server } => {

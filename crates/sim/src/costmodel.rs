@@ -58,7 +58,8 @@ pub struct MeasuredCosts {
 
 impl MeasuredCosts {
     /// Times every operation with the real implementations. `iterations`
-    /// trades accuracy for calibration time (benchmarks use a few hundred).
+    /// trades accuracy for calibration time (the benches and the evaluation
+    /// sweep use 64).
     pub fn measure(iterations: usize) -> Self {
         let iterations = iterations.max(8);
         let mut rng = ChaChaRng::from_seed_bytes([0xC0u8; 32]);
@@ -291,11 +292,9 @@ impl CostModel {
         self.add_friend_mailbox_requests(workload, servers) * ADD_FRIEND_REQUEST_LEN as f64
     }
 
-    /// Size in bytes of one dialing mailbox: its dial set at
-    /// [`alpenhorn_bloom::expected_bits_per_token`] (≈ 35.05) bits per token.
+    /// Size in bytes of one dialing mailbox.
     pub fn dialing_mailbox_bytes(&self, workload: &Workload, servers: usize) -> f64 {
-        self.dialing_mailbox_tokens(workload, servers) * alpenhorn_bloom::expected_bits_per_token()
-            / 8.0
+        dial_set_bytes(self.dialing_mailbox_tokens(workload, servers))
     }
 
     /// Mixnet processing time for one round with `messages` total messages
@@ -385,6 +384,12 @@ impl CostModel {
             DIAL_REQUEST_LEN as f64 + servers as f64 * alpenhorn_wire::ONION_LAYER_OVERHEAD as f64;
         (download + upload) / round_duration_secs
     }
+}
+
+/// Size in bytes of a dialing mailbox holding `tokens` tokens: its dial set at
+/// [`alpenhorn_bloom::expected_bits_per_token`] (≈ 35.05) bits per token.
+pub fn dial_set_bytes(tokens: f64) -> f64 {
+    tokens * alpenhorn_bloom::expected_bits_per_token() / 8.0
 }
 
 /// Converts bytes/second to kilobytes/second.
@@ -480,6 +485,25 @@ mod tests {
         // pairing stand-in (vendor/README.md) the pairing itself is cheap, so
         // only the strict ordering is asserted.
         assert!(costs.ibe_decrypt > costs.keywheel_hash);
+    }
+
+    #[test]
+    fn client_bandwidth_involves_no_per_operation_cost() {
+        // The evaluation sweep prints Figures 6 and 7 once for both models.
+        let paper = model();
+        let mut slow = paper;
+        slow.costs.ibe_decrypt *= 10.0;
+        slow.costs.onion_peel *= 10.0;
+        slow.costs.dial_set_insert *= 10.0;
+        let w = Workload::paper(1_000_000);
+        assert_eq!(
+            paper.add_friend_client_bandwidth(&w, 3, 3600.0),
+            slow.add_friend_client_bandwidth(&w, 3, 3600.0)
+        );
+        assert_eq!(
+            paper.dialing_client_bandwidth(&w, 3, 300.0),
+            slow.dialing_client_bandwidth(&w, 3, 300.0)
+        );
     }
 
     #[test]

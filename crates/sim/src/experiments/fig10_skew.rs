@@ -6,9 +6,10 @@
 //! maximum rises and the minimum falls, because individual mailboxes grow or
 //! shrink with the popularity of the users hashed into them — but the effect
 //! is damped because roughly half of every mailbox is noise. Dialing is
-//! barely affected because dial-set scanning is so cheap.
+//! barely affected because dial-set scanning is so cheap
+//! ([`dialing_spread`]).
 
-use crate::costmodel::CostModel;
+use crate::costmodel::{dial_set_bytes, CostModel};
 use crate::report::{fmt_seconds, Table};
 use crate::workload::Workload;
 use alpenhorn_wire::ADD_FRIEND_REQUEST_LEN;
@@ -97,6 +98,35 @@ pub fn figure_10(model: &CostModel) -> Table {
     table
 }
 
+/// §8.4's dialing observation at s = 2 with 10M users on 3 servers: the
+/// number of dialing mailboxes and the sizes of the smallest and largest, in
+/// KB, each token priced as [`CostModel::dialing_mailbox_bytes`] prices it.
+pub fn dialing_spread_kb(model: &CostModel) -> (u32, f64, f64) {
+    let workload = Workload::skewed(10_000_000, 2.0);
+    let mailboxes = model.dialing_mailboxes(&workload);
+    let loads = workload.mailbox_loads(mailboxes);
+    let noise = 3.0 * model.noise.dialing_mu;
+    let min = loads.iter().cloned().fold(f64::MAX, f64::min);
+    let max = loads.iter().cloned().fold(f64::MIN, f64::max);
+    let to_kb = |tokens: f64| dial_set_bytes(tokens + noise) / 1000.0;
+    (mailboxes, to_kb(min), to_kb(max))
+}
+
+/// Renders [`dialing_spread_kb`] as a table.
+pub fn dialing_spread(model: &CostModel) -> Table {
+    let mut table = Table::new(
+        "Section 8.4: dialing mailbox spread at s=2 (10M users, 3 servers)",
+        &["mailboxes", "smallest (KB)", "largest (KB)"],
+    );
+    let (mailboxes, min_kb, max_kb) = dialing_spread_kb(model);
+    table.push_row(vec![
+        mailboxes.to_string(),
+        format!("{min_kb:.0}"),
+        format!("{max_kb:.0}"),
+    ]);
+    table
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,6 +170,30 @@ mod tests {
         let points = figure_10_points(&model, 1_000_000, 3);
         let s0 = &points[0];
         assert!(s0.max_mailbox_bytes / s0.min_mailbox_bytes < 1.2);
+    }
+
+    #[test]
+    fn dialing_spread_prices_tokens_as_a_dial_set() {
+        let model = CostModel::paper_reference();
+        let workload = Workload::skewed(10_000_000, 2.0);
+        let mailboxes = model.dialing_mailboxes(&workload);
+        let largest = workload
+            .mailbox_loads(mailboxes)
+            .into_iter()
+            .fold(f64::MIN, f64::max)
+            + 3.0 * model.noise.dialing_mu;
+        let (boxes, min_kb, max_kb) = dialing_spread_kb(&model);
+        assert_eq!(boxes, mailboxes);
+        assert!(min_kb < max_kb);
+        // ≈ 4.38 bytes per token, not the 48-bit Bloom filter's 6.
+        let bytes_per_token = max_kb * 1000.0 / largest;
+        let expected = alpenhorn_bloom::expected_bits_per_token() / 8.0;
+        assert!(
+            (bytes_per_token - expected).abs() < 1e-9,
+            "{bytes_per_token} bytes per token, expected {expected}"
+        );
+        let text = dialing_spread(&model).render();
+        assert!(text.contains(&format!("{max_kb:.0}")), "{text}");
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Every driver produces a [`crate::report::Table`] whose rows match the
 //! series the paper plots, computed from the cost model (calibrated with
-//! measured per-operation costs). The benchmark binaries in the
-//! `alpenhorn-bench` crate print these tables, and
-//! `examples/evaluation_sweep.rs` regenerates the whole evaluation in one go.
+//! measured per-operation costs). `examples/evaluation_sweep.rs` prints
+//! every one of these tables, the ablations included, in one run.
 
 pub mod ablations;
 pub mod client_cpu;
@@ -17,7 +16,7 @@ pub mod fig9_dialing_latency;
 
 pub use client_cpu::client_cpu_table;
 pub use crypto_sensitivity::crypto_sensitivity_table;
-pub use fig10_skew::figure_10;
+pub use fig10_skew::{dialing_spread, figure_10};
 pub use fig6_addfriend_bandwidth::figure_6;
 pub use fig7_dialing_bandwidth::figure_7;
 pub use fig8_addfriend_latency::figure_8;

@@ -1,19 +1,24 @@
 //! Regenerates the paper's entire evaluation section (§8) in one run,
-//! printing Markdown tables suitable for EXPERIMENTS.md.
+//! printing Markdown tables suitable for EXPERIMENTS.md: Figures 6–10 and the
+//! §8.4 dialing spread from the cost model, the latency figures under both
+//! the costs measured on this machine and the paper's reference costs, the
+//! client CPU, crypto-sensitivity and differential-privacy tables, and the
+//! three ablations.
 //!
 //! Run with `cargo run --release --example evaluation_sweep`.
 //! (Use `--release`: the calibration times real pairing operations.)
 
 use alpenhorn_mixnet::NoiseConfig;
 use alpenhorn_sim::costmodel::MeasuredCosts;
+use alpenhorn_sim::experiments::ablations::{
+    bloom_bits_ablation, mailbox_target_ablation, noise_scale_ablation,
+};
 use alpenhorn_sim::experiments::crypto_sensitivity::request_size_table;
 use alpenhorn_sim::experiments::{
-    client_cpu_table, crypto_sensitivity_table, figure_10, figure_6, figure_7, figure_8, figure_9,
+    client_cpu_table, crypto_sensitivity_table, dialing_spread, figure_10, figure_6, figure_7,
+    figure_8, figure_9,
 };
 use alpenhorn_sim::{CostModel, Table, Workload};
-
-// The paper-reference model is available for side-by-side columns inside the
-// figure tables themselves (Figures 8 and 9 include it automatically).
 
 fn main() {
     println!("# Alpenhorn evaluation sweep\n");
@@ -56,11 +61,21 @@ fn main() {
     ]);
     println!("{}", calib.render_markdown());
 
+    // Client bandwidth and mailbox sizes involve no per-operation cost, so
+    // one table serves both models.
     println!("{}", figure_6(&model, 3).render_markdown());
     println!("{}", figure_7(&model, 3).render_markdown());
-    println!("{}", figure_8(&model).render_markdown());
-    println!("{}", figure_9(&model).render_markdown());
-    println!("{}", figure_10(&model).render_markdown());
+    println!("{}", dialing_spread(&model).render_markdown());
+    let paper = CostModel::paper_reference();
+    for (costs, m) in [
+        ("costs measured on this machine", &model),
+        ("the paper's per-operation reference costs", &paper),
+    ] {
+        println!("## Latency with {costs}\n");
+        println!("{}", figure_8(m).render_markdown());
+        println!("{}", figure_9(m).render_markdown());
+        println!("{}", figure_10(m).render_markdown());
+    }
     println!("{}", client_cpu_table(&measured).render_markdown());
     println!("{}", request_size_table().render_markdown());
     println!("{}", crypto_sensitivity_table(&measured).render_markdown());
@@ -103,6 +118,18 @@ fn main() {
         "Top-10 share of requests at s=2, 1M users: **{:.1}%** (paper: 94.2%)\n",
         Workload::skewed(1_000_000, 2.0).top_k_share(10) * 100.0
     );
+
+    println!("## Ablations\n");
+    let dial_tokens = model.dialing_mailbox_tokens(&Workload::paper(1_000_000), 3);
+    println!(
+        "{}",
+        bloom_bits_ablation(dial_tokens.round() as usize).render_markdown()
+    );
+    println!(
+        "{}",
+        mailbox_target_ablation(&model, 1_000_000, 3).render_markdown()
+    );
+    println!("{}", noise_scale_ablation(1_000_000, 3).render_markdown());
 
     println!("Sweep complete.");
 }

@@ -192,7 +192,7 @@ fn differential_privacy_budget_matches_paper() {
 
 #[test]
 fn dropping_mixer_is_flagged_by_the_conservation_invariant() {
-    use alpenhorn_mixnet::{MixMisbehavior, Protocol};
+    use alpenhorn_mixnet::MixMisbehavior;
     use alpenhorn_scenario::{Action, MailboxConservation, ScenarioBuilder, ScenarioEngine};
 
     let build = |compromised: bool| {
@@ -211,7 +211,6 @@ fn dropping_mixer_is_flagged_by_the_conservation_invariant() {
         }
         builder.build()
     };
-    let _ = Protocol::AddFriend; // the adversary taps both protocol chains
 
     let mut honest = ScenarioEngine::new(build(false)).unwrap();
     honest.add_checker(Box::new(MailboxConservation));

@@ -851,7 +851,7 @@ mod tests {
         };
         let onion = wrap_onion(&envelope.encode(), &info.onion_keys, &mut rng);
         let (_, intake) = cluster.open_add_friend_round().unwrap();
-        assert_eq!(intake.offer(&onion), Offer::Accepted);
+        assert_eq!(intake.offer(&onion, None), Offer::Accepted);
 
         // Bob extracts his identity keys while the round is open.
         let auth = bob_key.sign(&extraction_request_message(&bob, round));
@@ -893,7 +893,7 @@ mod tests {
         };
         let onion = wrap_onion(&req.encode(), &info.onion_keys, &mut rng);
         let (_, intake) = cluster.open_dialing_round().unwrap();
-        assert_eq!(intake.offer(&onion), Offer::Accepted);
+        assert_eq!(intake.offer(&onion, None), Offer::Accepted);
         let stats = cluster.close_dialing_round(round).unwrap();
         assert_eq!(stats.client_messages, 1);
 
@@ -952,7 +952,10 @@ mod tests {
         let round = Round(1);
         let info = cluster.begin_add_friend_round(round, 1).unwrap();
         let (_, intake) = cluster.open_add_friend_round().unwrap();
-        assert_eq!(intake.offer(&vec![0u8; info.onion_len]), Offer::Accepted);
+        assert_eq!(
+            intake.offer(&vec![0u8; info.onion_len], None),
+            Offer::Accepted
+        );
         assert!(cluster.close_add_friend_round_after(round, failed).is_err());
         // Nothing was mixed or published, and the round keys are gone.
         assert!(cluster.open_add_friend_info().is_none());

@@ -15,7 +15,6 @@
 
 pub mod cdn;
 pub mod cluster;
-pub mod control;
 pub mod error;
 pub mod persist;
 pub mod ratelimit;
@@ -27,7 +26,6 @@ pub mod telemetry;
 
 pub use cdn::Cdn;
 pub use cluster::{AddFriendRoundInfo, Cluster, ClusterConfig, DialingRoundInfo};
-pub use control::DurableController;
 pub use error::CoordinatorError;
 pub use ratelimit::{TokenIssuer, TokenVerifier};
 pub use server::serve;

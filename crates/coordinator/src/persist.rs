@@ -3,13 +3,13 @@
 //!
 //! [`CoordinatorCore`] bundles everything the service mutates — the
 //! [`Cluster`] (PKG registries and round-key ratchets included), the
-//! rate-limit issuer/verifier, the round counter and the per-protocol open
-//! counts — and implements [`alpenhorn_storage::Persist`] so a
+//! rate-limit issuer/verifier, and per protocol the highest round begun and
+//! the open count — and implements [`alpenhorn_storage::Persist`] so a
 //! [`Durable`](alpenhorn_storage::Durable) can recover it as snapshot + WAL
 //! suffix after a crash.
 //!
 //! The log is an *effect* log: each record describes a mutation that already
-//! completed (an account installed, a round opened, a token spent), so
+//! completed (an account installed, a round opened, a token issued), so
 //! replay never re-runs RNG-dependent code paths and never re-derives a
 //! closed round's master secret.
 //!
@@ -24,7 +24,11 @@
 //! * pending registrations (the emailed confirmation token restarts the
 //!   idempotent flow),
 //! * open rounds and their submission batches (a crash mid-round abandons the
-//!   round; clients participate in the next one),
+//!   round for good — its id is at or below the journalled highest begun, so
+//!   it is never reopened; clients participate in the next one),
+//! * spent rate-limit tokens: a token verifies for one round only, so the
+//!   round's intake is its whole double-spend ledger, and it dies with the
+//!   abandoned round,
 //! * published CDN mailboxes (re-fetchable only within a round's lifetime;
 //!   a crash between rounds has already delivered them),
 //! * any per-round master secret (forward secrecy — only the forward-only
@@ -35,7 +39,7 @@ use std::path::Path;
 use alpenhorn_ibe::sig::VerifyingKey;
 use alpenhorn_storage::codec::{get_identity, put_identity};
 use alpenhorn_storage::{snapshot, Durability, Persist, StorageError};
-use alpenhorn_wire::{Decoder, Encoder, Identity, Round, G1_LEN, SIGNING_PK_LEN};
+use alpenhorn_wire::{Decoder, Encoder, Identity, Round, RoundKind, G1_LEN, SIGNING_PK_LEN};
 
 use crate::cluster::Cluster;
 use crate::ratelimit::{TokenIssuer, TokenVerifier};
@@ -43,7 +47,7 @@ use crate::ratelimit::{TokenIssuer, TokenVerifier};
 /// Snapshot and ratchet-file payload version; bump on any change to either
 /// layout or to a record kind's payload encoding (no negotiation — see the
 /// versioning rules in `docs/ARCHITECTURE.md`).
-const SNAPSHOT_VERSION: u8 = 2;
+const SNAPSHOT_VERSION: u8 = 3;
 
 /// The PKG ratchet file inside the data directory: one storage record
 /// holding the add-friend open count and every PKG's ratchet position.
@@ -57,8 +61,8 @@ pub const REC_ACCOUNT_DEREGISTERED: u8 = 0x02;
 pub const REC_ACCOUNT_TOUCHED: u8 = 0x03;
 /// A rate-limit token was blind-signed (budget charged).
 pub const REC_TOKEN_ISSUED: u8 = 0x04;
-/// A rate-limit token was spent (double-spend ledger entry).
-pub const REC_TOKEN_SPENT: u8 = 0x05;
+// 0x05 is reserved: it journalled spent rate-limit tokens, which now live
+// only in their round's intake.
 /// An add-friend round opened (every PKG ratchet advanced once; the new
 /// positions go to [`RATCHET_FILE`], not here).
 pub const REC_ADD_FRIEND_ROUND_BEGUN: u8 = 0x06;
@@ -87,9 +91,6 @@ pub fn durability(kind: u8) -> Durability {
         // Replay-idempotent: a crash refunds at most the budget issued since
         // the last barrier, once per crash.
         REC_TOKEN_ISSUED => Durability::Buffered,
-        // Round-bound; the onion it paid for sits in the volatile intake
-        // until the close barrier makes this record durable.
-        REC_TOKEN_SPENT => Durability::Buffered,
         REC_CLOCK_ADVANCED => Durability::Buffered,
         // Appended right before the synced open record of the same begin,
         // whose fsync makes it durable.
@@ -106,20 +107,47 @@ pub struct CoordinatorCore {
     /// Every [`TokenIssuer`] method takes `&self` over identity-striped
     /// budgets, so issuance runs under the service read lock.
     pub issuer: Option<TokenIssuer>,
-    /// Rate-limit spend verification (double-spend ledger), when enabled.
-    /// Shared behind an `Arc` so read-path snapshots ([`crate::shared`]) can
-    /// spend tokens concurrently — every [`TokenVerifier`] method takes
-    /// `&self` over a lock-striped ledger.
-    pub verifier: Option<std::sync::Arc<TokenVerifier>>,
-    /// The next round an automatic round driver should open (one past the
-    /// highest round ever begun).
-    pub next_round: Round,
+    /// Rate-limit token verification (the issuer's public key), when
+    /// enabled. Read-path snapshots ([`crate::shared`]) copy it; the tokens
+    /// themselves are spent into each round's intake.
+    pub verifier: Option<TokenVerifier>,
+    /// The highest add-friend round ever begun (`Round(0)` before the first).
+    pub add_friend_begun: Round,
+    /// The highest dialing round ever begun (`Round(0)` before the first).
+    pub dialing_begun: Round,
     /// Add-friend rounds whose open reached the journal.
     pub add_friend_opens: u64,
     /// Dialing chain rounds used by opens (and by announced rounds that
     /// were skipped) that reached the journal: where the dialing chain's
     /// round numbering resumes after a restart.
     pub dialing_opens: u64,
+}
+
+impl CoordinatorCore {
+    /// The highest round of `protocol` ever begun (`Round(0)` before the
+    /// first). `Begin*Round` refuses any round at or below it, so each
+    /// (protocol, round) gets one intake over the deployment's life.
+    pub(crate) fn highest_begun(&self, protocol: RoundKind) -> Round {
+        match protocol {
+            RoundKind::AddFriend => self.add_friend_begun,
+            RoundKind::Dialing => self.dialing_begun,
+        }
+    }
+
+    /// Records that `round` of `protocol` began.
+    pub(crate) fn note_begun(&mut self, protocol: RoundKind, round: Round) {
+        let begun = match protocol {
+            RoundKind::AddFriend => &mut self.add_friend_begun,
+            RoundKind::Dialing => &mut self.dialing_begun,
+        };
+        *begun = (*begun).max(round);
+    }
+
+    /// One past the highest round either protocol has begun: where an
+    /// automatic round driver resumes after a restart.
+    pub(crate) fn next_round(&self) -> Round {
+        Round(self.add_friend_begun.max(self.dialing_begun).as_u64() + 1)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -151,11 +179,6 @@ pub fn token_issued(identity: &Identity, now: u64, blinded: &[u8; G1_LEN]) -> Ve
     e.put_u64(now);
     e.put_bytes(blinded);
     e.finish()
-}
-
-/// Payload for [`REC_TOKEN_SPENT`].
-pub fn token_spent(signature: &[u8; G1_LEN]) -> Vec<u8> {
-    signature.to_vec()
 }
 
 /// Payload for the round-begun and clock records (one `u64`).
@@ -240,7 +263,8 @@ impl Persist for CoordinatorCore {
         let mut e = Encoder::new();
         e.put_u8(SNAPSHOT_VERSION);
         e.put_u64(self.cluster.now());
-        e.put_u64(self.next_round.as_u64());
+        e.put_u64(self.add_friend_begun.as_u64());
+        e.put_u64(self.dialing_begun.as_u64());
         e.put_u64(self.add_friend_opens);
         e.put_u64(self.dialing_opens);
 
@@ -274,19 +298,6 @@ impl Persist for CoordinatorCore {
                 }
             }
         }
-        match &self.verifier {
-            None => {
-                e.put_u8(0);
-            }
-            Some(verifier) => {
-                e.put_u8(1);
-                let spent: Vec<_> = verifier.spent_entries().collect();
-                e.put_u32(spent.len() as u32);
-                for token in spent {
-                    e.put_bytes(&token);
-                }
-            }
-        }
         e.finish()
     }
 
@@ -299,7 +310,8 @@ impl Persist for CoordinatorCore {
             });
         }
         let now = d.get_u64("snapshot clock")?;
-        let next_round = d.get_u64("snapshot round counter")?;
+        let add_friend_begun = d.get_u64("snapshot highest add-friend round")?;
+        let dialing_begun = d.get_u64("snapshot highest dialing round")?;
         let add_friend_opens = d.get_u64("snapshot add-friend opens")?;
         let dialing_opens = d.get_u64("snapshot dialing opens")?;
 
@@ -335,18 +347,12 @@ impl Persist for CoordinatorCore {
                 issued.push((identity, day, blinded));
             }
         }
-        let mut spent = Vec::new();
-        if d.get_u8("snapshot verifier flag")? == 1 {
-            let count = d.get_u32("snapshot spent count")? as usize;
-            for _ in 0..count {
-                spent.push(d.get_array::<G1_LEN>("snapshot spent token")?);
-            }
-        }
         d.finish()?;
 
         // All fields decoded; now install them.
         self.cluster.set_now(now);
-        self.next_round = Round(next_round);
+        self.add_friend_begun = Round(add_friend_begun);
+        self.dialing_begun = Round(dialing_begun);
         self.add_friend_opens = add_friend_opens;
         self.dialing_opens = dialing_opens;
         for (identity, key, last_seen) in accounts {
@@ -358,11 +364,6 @@ impl Persist for CoordinatorCore {
         if let Some(issuer) = &self.issuer {
             for (identity, day, blinded) in issued {
                 issuer.restore_issuance(identity, day, blinded);
-            }
-        }
-        if let Some(verifier) = &self.verifier {
-            for token in spent {
-                verifier.restore_spent(token);
             }
         }
         Ok(())
@@ -407,23 +408,15 @@ impl Persist for CoordinatorCore {
                     issuer.restore_issuance(identity, day, blinded);
                 }
             }
-            REC_TOKEN_SPENT => {
-                let mut d = Decoder::new(payload);
-                let token = d.get_array::<G1_LEN>("spent token")?;
-                d.finish()?;
-                if let Some(verifier) = &self.verifier {
-                    verifier.restore_spent(token);
-                }
-            }
             REC_ADD_FRIEND_ROUND_BEGUN => {
                 let round = get_u64_payload(payload, "add-friend round")?;
                 self.add_friend_opens += 1;
-                self.next_round = Round(self.next_round.as_u64().max(round + 1));
+                self.note_begun(RoundKind::AddFriend, Round(round));
             }
             REC_DIALING_ROUND_BEGUN => {
                 let round = get_u64_payload(payload, "dialing round")?;
                 self.dialing_opens += 1;
-                self.next_round = Round(self.next_round.as_u64().max(round + 1));
+                self.note_begun(RoundKind::Dialing, Round(round));
             }
             REC_DIALING_ROUND_SKIPPED => {
                 get_u64_payload(payload, "skipping dialing round")?;

@@ -13,13 +13,18 @@
 //!
 //! * [`TokenIssuer`] — the server side: per-user daily budgets and blind
 //!   signing;
-//! * [`TokenVerifier`] — the entry-server side: verifying spent tokens and
-//!   rejecting double-spends within a validity window.
+//! * [`TokenVerifier`] — the entry-server side: checking a spent token's
+//!   signature over its round's [`spend_message`].
 //!
-//! The extension is exercised by unit tests and is available to deployments
-//! that want it; the core round flow in [`crate::cluster`] does not require
-//! tokens (matching the paper's prototype, which also left this as a
-//! discussion-level defence).
+//! A token is spent into its round's
+//! [`SubmissionIntake`](crate::shard::SubmissionIntake), which refuses a
+//! second onion paying with it; no ledger outlives the round.
+//!
+//! The defence is off by default, matching the paper's prototype, which
+//! left it at the discussion level. A deployment turns it on with
+//! [`ServiceConfig::rate_limit`](crate::service::ServiceConfig::rate_limit)
+//! (`alpenhornd --rate-limit-budget`); the core round flow in
+//! [`crate::cluster`] does not require tokens.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, MutexGuard};
@@ -34,9 +39,10 @@ use alpenhorn_wire::{Encoder, Identity, Round, RoundKind, G1_LEN, IDENTITY_FIELD
 pub const ISSUANCE_WINDOW_SECONDS: u64 = 24 * 60 * 60;
 
 /// The message a spendable token signs: domain tag, protocol, round, and the
-/// client-chosen serial. Binding the round means a token cannot be hoarded
-/// and replayed into a later round after [`TokenVerifier::roll_window`]
-/// clears the double-spend ledger.
+/// client-chosen serial. Binding the protocol and round means a token
+/// verifies in one round only: it cannot be hoarded and replayed into a
+/// later round, so that round's intake is the only double-spend ledger it
+/// needs.
 pub fn spend_message(
     kind: RoundKind,
     round: Round,
@@ -68,8 +74,6 @@ pub enum RateLimitError {
     BudgetExhausted,
     /// The spent token's signature does not verify.
     InvalidToken,
-    /// The token was already spent.
-    DoubleSpend,
 }
 
 impl core::fmt::Display for RateLimitError {
@@ -77,15 +81,13 @@ impl core::fmt::Display for RateLimitError {
         match self {
             RateLimitError::BudgetExhausted => write!(f, "daily token budget exhausted"),
             RateLimitError::InvalidToken => write!(f, "rate-limit token is invalid"),
-            RateLimitError::DoubleSpend => write!(f, "rate-limit token was already spent"),
         }
     }
 }
 
 impl std::error::Error for RateLimitError {}
 
-/// Number of independently locked stripes behind [`TokenIssuer`]'s budgets
-/// and [`TokenVerifier`]'s spent-token ledger.
+/// Number of independently locked stripes behind [`TokenIssuer`]'s budgets.
 const STRIPES: usize = 16;
 
 /// [`STRIPES`] independently locked `T`s. A key always lands in the same
@@ -236,88 +238,39 @@ impl TokenIssuer {
     }
 }
 
-/// Entry-server side: verifies spent tokens and rejects double spends.
+/// Entry-server side: checks a spent token's signature.
 ///
-/// The spent ledger is striped across `STRIPES` independently-locked sets
-/// keyed by token digest, so every method takes `&self` and concurrent
-/// submissions can spend tokens without funnelling through the service
-/// write lock. The double-spend check stays global: a given token always
-/// lands in the same stripe. [`TokenVerifier::spent_entries`] sorts across
-/// stripes, so snapshots are byte-identical to the unstriped encoding.
+/// The verifier holds only the issuer's public key. Double spends are the
+/// round's business: a token signs [`spend_message`] for one (protocol,
+/// round), so the round's [`SubmissionIntake`](crate::shard::SubmissionIntake)
+/// is the only place it can be spent twice, and the intake refuses a token
+/// it has already recorded (see `docs/ARCHITECTURE.md` § "Rate-limit tokens").
+#[derive(Clone, Copy)]
 pub struct TokenVerifier {
     issuer_key: VerifyingKey,
-    spent: Stripes<HashSet<[u8; 48]>>,
 }
 
 impl TokenVerifier {
     /// Creates a verifier for tokens issued under `issuer_key`.
     pub fn new(issuer_key: VerifyingKey) -> Self {
-        TokenVerifier {
-            issuer_key,
-            spent: Stripes::new(),
+        TokenVerifier { issuer_key }
+    }
+
+    /// Checks that `token` is the issuer's signature over `message` (the
+    /// [`spend_message`] of the round it is spent in).
+    pub fn verify(&self, message: &[u8], token: &Signature) -> Result<(), RateLimitError> {
+        if verify_token(&self.issuer_key, message, token) {
+            Ok(())
+        } else {
+            Err(RateLimitError::InvalidToken)
         }
-    }
-
-    /// Checks a spent token over `message` (typically the round number plus a
-    /// client-chosen random serial embedded in the token message) and records
-    /// it so it cannot be spent twice.
-    pub fn spend(&self, message: &[u8], token: &Signature) -> Result<(), RateLimitError> {
-        if !verify_token(&self.issuer_key, message, token) {
-            return Err(RateLimitError::InvalidToken);
-        }
-        if !self.spent.get(&token.to_bytes()).insert(token.to_bytes()) {
-            return Err(RateLimitError::DoubleSpend);
-        }
-        Ok(())
-    }
-
-    /// Number of tokens spent so far in this window.
-    pub fn spent_count(&self) -> usize {
-        self.spent.all().map(|stripe| stripe.len()).sum()
-    }
-
-    /// Clears the double-spend ledger (called when the validity window rolls
-    /// over; tokens embed the window in their message so old tokens cannot be
-    /// replayed into the new window).
-    pub fn roll_window(&self) {
-        for mut stripe in self.spent.all() {
-            stripe.clear();
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Durability hooks (`alpenhorn-storage`)
-    // ------------------------------------------------------------------
-
-    /// Iterates the spent-token ledger in deterministic order. Persisting it
-    /// is what keeps "already spent" true across a coordinator restart — the
-    /// crash would otherwise reopen every spent token for double spending.
-    pub fn spent_entries(&self) -> impl Iterator<Item = [u8; 48]> {
-        let mut entries: Vec<[u8; 48]> = self
-            .spent
-            .all()
-            .flat_map(|stripe| stripe.iter().copied().collect::<Vec<_>>())
-            .collect();
-        entries.sort();
-        entries.into_iter()
-    }
-
-    /// Re-records one spent token during crash recovery.
-    pub fn restore_spent(&self, token: [u8; 48]) {
-        self.spent.get(&token).insert(token);
-    }
-
-    /// Rolls back a [`TokenVerifier::spend`] whose surrounding operation
-    /// failed after the ledger insert (e.g. the journal append), so the
-    /// client's retry with the same token is not punished as a double spend.
-    pub fn forget_spent(&self, token: &[u8; 48]) {
-        self.spent.get(token).remove(token);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{Offer, SubmissionIntake};
     use alpenhorn_crypto::ChaChaRng;
     use alpenhorn_ibe::blind::{blind, unblind};
 
@@ -340,8 +293,7 @@ mod tests {
         let (blinded, factor) = blind(message, &mut rng);
         let blind_sig = issuer.issue(&alice, &blinded, 0).unwrap();
         let token = unblind(&blind_sig, &factor);
-        verifier.spend(message, &token).unwrap();
-        assert_eq!(verifier.spent_count(), 1);
+        verifier.verify(message, &token).unwrap();
         assert_eq!(issuer.remaining(&alice, 0), 2);
     }
 
@@ -396,21 +348,42 @@ mod tests {
         assert!(issuer.issue(&id("b@x.com"), &blinded, 0).is_ok());
     }
 
+    /// A token for `(kind, round, serial)`, issued to one user and
+    /// unblinded, as a client holds it when it submits.
+    fn spendable(
+        issuer: &TokenIssuer,
+        rng: &mut ChaChaRng,
+        kind: RoundKind,
+        round: Round,
+        serial: u8,
+    ) -> Signature {
+        let message = spend_message(kind, round, &[serial; RATE_LIMIT_SERIAL_LEN]);
+        let (blinded, factor) = blind(&message, rng);
+        unblind(&issuer.issue(&id("a@x.com"), &blinded, 0).unwrap(), &factor)
+    }
+
     #[test]
     fn double_spend_rejected() {
+        // The round's intake refuses a token on a second onion, and the
+        // token verifies in no other round or protocol.
         let (issuer, verifier, mut rng) = setup(5);
-        let message = b"round 9, serial 1";
-        let (blinded, factor) = blind(message, &mut rng);
-        let token = unblind(&issuer.issue(&id("a@x.com"), &blinded, 0).unwrap(), &factor);
-        verifier.spend(message, &token).unwrap();
-        assert_eq!(
-            verifier.spend(message, &token),
-            Err(RateLimitError::DoubleSpend)
-        );
-        // After the window rolls, the ledger is cleared (the message embeds
-        // the window, so a replay would fail verification on the message).
-        verifier.roll_window();
-        assert_eq!(verifier.spent_count(), 0);
+        let token = spendable(&issuer, &mut rng, RoundKind::AddFriend, Round(9), 1);
+        let serial = [1u8; RATE_LIMIT_SERIAL_LEN];
+        let message = spend_message(RoundKind::AddFriend, Round(9), &serial);
+        verifier.verify(&message, &token).unwrap();
+        let intake = SubmissionIntake::new();
+        let paid = Some(token.to_bytes());
+        assert_eq!(intake.offer(&[1u8; 32], paid.as_ref()), Offer::Accepted);
+        assert_eq!(intake.offer(&[2u8; 32], paid.as_ref()), Offer::DoubleSpend);
+        for elsewhere in [
+            spend_message(RoundKind::AddFriend, Round(10), &serial),
+            spend_message(RoundKind::Dialing, Round(9), &serial),
+        ] {
+            assert_eq!(
+                verifier.verify(&elsewhere, &token),
+                Err(RateLimitError::InvalidToken)
+            );
+        }
     }
 
     #[test]
@@ -422,43 +395,54 @@ mod tests {
         let (blinded, factor) = blind(message, &mut rng);
         let forged = unblind(&sign_blinded(&rogue, &blinded), &factor);
         assert_eq!(
-            verifier.spend(message, &forged),
+            verifier.verify(message, &forged),
             Err(RateLimitError::InvalidToken)
         );
     }
 
     #[test]
     fn concurrent_spends_produce_the_sequential_ledger() {
-        // PR 8 determinism contract (`docs/CONCURRENCY.md`): the striped
-        // ledger reports entries in canonical order, so the persist-layer
-        // snapshot is byte-identical however spends interleave.
-        let (issuer, concurrent, mut rng) = setup(32);
-        let sequential = TokenVerifier::new(issuer.verifying_key());
-        let tokens: Vec<(Vec<u8>, Signature)> = (0..16)
-            .map(|i| {
-                let message = format!("round 4, serial {i}").into_bytes();
-                let (blinded, factor) = blind(&message, &mut rng);
-                let token = unblind(&issuer.issue(&id("a@x.com"), &blinded, 0).unwrap(), &factor);
-                (message, token)
-            })
+        // Racing submitters spend into one round's intake. Copies of one
+        // submission racing each other are retries: one is accepted, the
+        // rest are acked as duplicates, never refused as double spends, and
+        // the sealed batch is the sequential one. Distinct onions racing for
+        // one token: exactly one of them is paid for.
+        let (issuer, _, mut rng) = setup(32);
+        let tokens: Vec<[u8; G1_LEN]> = (0..16)
+            .map(|i| spendable(&issuer, &mut rng, RoundKind::Dialing, Round(4), i).to_bytes())
             .collect();
-        for (message, token) in &tokens {
-            sequential.spend(message, token).unwrap();
+        let onion = |thread: u8, i: usize| [thread, i as u8];
+        let sequential = SubmissionIntake::new();
+        for (i, token) in tokens.iter().enumerate() {
+            assert_eq!(sequential.offer(&onion(0, i), Some(token)), Offer::Accepted);
         }
-        std::thread::scope(|scope| {
-            for chunk in tokens.chunks(4) {
-                let concurrent = &concurrent;
-                scope.spawn(move || {
-                    for (message, token) in chunk {
-                        concurrent.spend(message, token).unwrap();
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            concurrent.spent_entries().collect::<Vec<_>>(),
-            sequential.spent_entries().collect::<Vec<_>>()
-        );
+        let offer_from_four_threads = |intake: &SubmissionIntake, retries: bool| {
+            let outcomes = Mutex::new(Vec::new());
+            std::thread::scope(|scope| {
+                for thread in 0..4u8 {
+                    let (tokens, outcomes) = (&tokens, &outcomes);
+                    scope.spawn(move || {
+                        for (i, token) in tokens.iter().enumerate() {
+                            let onion = onion(if retries { 0 } else { thread }, i);
+                            let offered = intake.offer(&onion, Some(token));
+                            lock(outcomes).push(offered);
+                        }
+                    });
+                }
+            });
+            let outcomes = outcomes.into_inner().unwrap();
+            let count = |offer| outcomes.iter().filter(|&&o| o == offer).count();
+            (
+                count(Offer::Accepted),
+                count(Offer::Duplicate),
+                count(Offer::DoubleSpend),
+            )
+        };
+        let retried = SubmissionIntake::new();
+        assert_eq!(offer_from_four_threads(&retried, true), (16, 48, 0));
+        assert_eq!(retried.seal(), sequential.seal());
+        let contested = SubmissionIntake::new();
+        assert_eq!(offer_from_four_threads(&contested, false), (16, 0, 48));
     }
 
     #[test]
@@ -510,6 +494,6 @@ mod tests {
         let token = unblind(&blind_sig, &factor);
         assert_ne!(blinded.to_bytes(), token.to_bytes());
         assert_ne!(blind_sig.to_bytes(), token.to_bytes());
-        verifier.spend(message, &token).unwrap();
+        verifier.verify(message, &token).unwrap();
     }
 }

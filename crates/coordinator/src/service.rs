@@ -15,11 +15,13 @@
 //! Rate limiting (§9 of the paper) is configured here: when a
 //! [`RateLimitPolicy`] is set, token issuance is budgeted per user per day
 //! ([`CoordinatorService::issue_token`]) and every submission must carry a
-//! valid, unspent blind-signature token (spent on the submission path in
-//! [`crate::shared`]). Deployments without the policy accept token-less
-//! submissions, matching the paper's prototype.
+//! valid blind-signature token, spent into its round's intake on the
+//! submission path in [`crate::shared`]. Deployments without the policy
+//! accept token-less submissions, matching the paper's prototype.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use alpenhorn_crypto::ChaChaRng;
 use alpenhorn_ibe::blind::BlindedMessage;
@@ -72,6 +74,10 @@ pub struct ServiceConfig {
 /// [`crate::persist`]).
 pub struct CoordinatorService {
     core: Durable<CoordinatorCore>,
+    /// Tokens spent since this service was built, shared with the read-path
+    /// snapshots that spend them. Not durable: the spent tokens themselves
+    /// die with their round's intake.
+    tokens_spent: Arc<AtomicUsize>,
 }
 
 fn build_core(cluster: Cluster, config: ServiceConfig) -> CoordinatorCore {
@@ -83,14 +89,15 @@ fn build_core(cluster: Cluster, config: ServiceConfig) -> CoordinatorCore {
             let mut rng = ChaChaRng::from_seed_bytes(seed);
             let issuer = TokenIssuer::new(SigningKey::generate(&mut rng), policy.budget_per_day);
             let verifier = TokenVerifier::new(issuer.verifying_key());
-            (Some(issuer), Some(std::sync::Arc::new(verifier)))
+            (Some(issuer), Some(verifier))
         }
     };
     CoordinatorCore {
         cluster,
         issuer,
         verifier,
-        next_round: Round::FIRST,
+        add_friend_begun: Round(0),
+        dialing_begun: Round(0),
         add_friend_opens: 0,
         dialing_opens: 0,
     }
@@ -107,9 +114,7 @@ impl CoordinatorService {
     /// The rate-limit issuer key is derived deterministically from the
     /// cluster seed so seeded deployments stay reproducible.
     pub fn with_config(cluster: Cluster, config: ServiceConfig) -> Self {
-        CoordinatorService {
-            core: Durable::ephemeral(build_core(cluster, config)),
-        }
+        Self::from_core(Durable::ephemeral(build_core(cluster, config)))
     }
 
     /// Wraps `cluster` with durable state in `data_dir`, recovering any
@@ -138,7 +143,14 @@ impl CoordinatorService {
         state
             .cluster
             .resume_mix_chains(state.add_friend_opens, state.dialing_opens);
-        Ok((CoordinatorService { core }, report))
+        Ok((Self::from_core(core), report))
+    }
+
+    fn from_core(core: Durable<CoordinatorCore>) -> Self {
+        CoordinatorService {
+            core,
+            tokens_spent: Arc::default(),
+        }
     }
 
     /// The wrapped cluster (read-only).
@@ -161,16 +173,14 @@ impl CoordinatorService {
         self.core.state().verifier.is_some()
     }
 
-    /// Number of distinct rate-limit tokens recorded in the double-spend
-    /// ledger, or `None` when rate limiting is off. Test/inspection hook: a
-    /// client retry storm must never move this differently than a fault-free
-    /// run (each submission spends exactly one token, retries spend none).
+    /// Rate-limit tokens spent since this service was built (a recovered
+    /// service starts at 0), or `None` when rate limiting is off.
+    /// Test/inspection hook: a client retry storm must never move this
+    /// differently than a fault-free run (each submission spends exactly one
+    /// token, retries spend none).
     pub fn spent_token_count(&self) -> Option<usize> {
-        self.core
-            .state()
-            .verifier
-            .as_ref()
-            .map(|verifier| verifier.spent_count())
+        self.rate_limited()
+            .then(|| self.tokens_spent.load(Ordering::Relaxed))
     }
 
     /// Remaining token-issuance budget for `identity` today, or `None` when
@@ -187,7 +197,7 @@ impl CoordinatorService {
     /// One past the highest round ever begun — where an automatic round
     /// driver resumes after a restart.
     pub fn next_round(&self) -> Round {
-        self.core.state().next_round
+        self.core.state().next_round()
     }
 
     /// WAL fsyncs this service's store has issued since it opened (0 when
@@ -341,12 +351,26 @@ impl CoordinatorService {
 
     /// `Begin*Round`: opens `round` of `protocol`, sized for `expected_real`
     /// requests, and journals the open before the round info is served.
+    ///
+    /// A round at or below the highest one of `protocol` already begun is
+    /// refused, and nothing is journalled: each (protocol, round) gets one
+    /// intake over the deployment's life, also across crashes, which is what
+    /// lets that intake be the round's whole double-spend ledger.
     pub fn begin_round(
         &mut self,
         protocol: RoundKind,
         round: Round,
         expected_real: u64,
     ) -> Response {
+        let highest = self.core.state().highest_begun(protocol);
+        if round <= highest {
+            return bad_request(&format!(
+                "{} round {} is at or below round {}, which already began",
+                protocol.label(),
+                round.as_u64(),
+                highest.as_u64()
+            ));
+        }
         let rate_limited = self.rate_limited();
         let cluster = self.cluster_mut();
         let expected_real = expected_real as usize;
@@ -373,20 +397,18 @@ impl CoordinatorService {
         reply
     }
 
-    /// A cloneable journal handle for the concurrent read path: snapshot
-    /// submissions append their (buffered) spent-token records through this,
-    /// into the exclusive path's WAL.
-    pub(crate) fn journal_handle(&self) -> alpenhorn_storage::Journal {
-        self.core.journal()
+    /// The rate-limit token verifier, if rate limiting is enabled.
+    pub(crate) fn verifier(&self) -> Option<TokenVerifier> {
+        self.core.state().verifier
     }
 
-    /// The shared spent-token verifier, if rate limiting is enabled.
-    pub(crate) fn verifier_handle(&self) -> Option<std::sync::Arc<TokenVerifier>> {
-        self.core.state().verifier.clone()
+    /// The spent-token count the read-path snapshots bump.
+    pub(crate) fn tokens_spent_handle(&self) -> Arc<AtomicUsize> {
+        Arc::clone(&self.tokens_spent)
     }
 
-    /// Journals a begun round, advancing the persistent round counter and
-    /// the protocol's open count. The round-open record is synced, so it is
+    /// Journals a begun round, advancing the protocol's highest begun round
+    /// and its open count. The round-open record is synced, so it is
     /// durable before the round info is served. A dialing open that skipped
     /// the announced round first journals the skip: that round's chain
     /// round was begun at the last close and ended unopened, and a
@@ -401,10 +423,7 @@ impl CoordinatorService {
         round: Round,
         skips_announced: bool,
     ) -> Result<(), RpcError> {
-        {
-            let core = self.core.state_mut();
-            core.next_round = Round(core.next_round.as_u64().max(round.as_u64() + 1));
-        }
+        self.core.state_mut().note_begun(protocol, round);
         let kind = match protocol {
             RoundKind::AddFriend => persist::REC_ADD_FRIEND_ROUND_BEGUN,
             RoundKind::Dialing => persist::REC_DIALING_ROUND_BEGUN,
@@ -450,10 +469,9 @@ impl CoordinatorService {
     }
 
     /// `Close*Round`: closes the open round of `protocol`. The close is the
-    /// WAL barrier:
-    /// after the intake is sealed — so every spend of an onion in the batch
-    /// is already appended — and before the batch reaches the first mixer,
-    /// one fsync makes the round's buffered records durable. If it fails the
+    /// WAL barrier: after the intake is sealed and before the batch reaches
+    /// the first mixer, one fsync makes the round's buffered records (key
+    /// extractions, token issuance) durable. If it fails the
     /// round is abandoned (submissions dropped, round keys erased) and the
     /// caller gets a retryable `Unavailable`.
     pub fn close_round(&mut self, protocol: RoundKind, round: Round) -> Response {
@@ -524,9 +542,7 @@ impl CoordinatorService {
                     reason: RateLimitReason::BudgetExhausted,
                 })
             }
-            Err(RateLimitError::InvalidToken | RateLimitError::DoubleSpend) => {
-                return bad_request("unexpected issuance failure")
-            }
+            Err(RateLimitError::InvalidToken) => return bad_request("unexpected issuance failure"),
         };
         if let Err(e) = self.journal(
             persist::REC_TOKEN_ISSUED,
@@ -926,6 +942,64 @@ mod tests {
             service.deregister(&Identity::new("ghost@example.com").unwrap(), signature),
             Response::Error(RpcError::Pkg { .. })
         ));
+    }
+
+    #[test]
+    fn a_round_id_opens_once_per_protocol() {
+        // Each (protocol, round) gets one intake over the deployment's life:
+        // a round at or below the highest begun is refused, journalling
+        // nothing, while the other protocol's round of the same id opens.
+        let dir =
+            std::env::temp_dir().join(format!("alpenhorn-service-reopen-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut service, _) = CoordinatorService::with_storage(
+            Cluster::new(ClusterConfig::test(49)),
+            ServiceConfig::default(),
+            &dir,
+            StorageConfig::default(),
+        )
+        .unwrap();
+        let files = || {
+            let mut files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| {
+                    let path = entry.unwrap().path();
+                    (path.clone(), std::fs::read(path).unwrap())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let begin = |service: &mut CoordinatorService, protocol, round| {
+            service.begin_round(protocol, Round(round), 1)
+        };
+        assert!(matches!(
+            begin(&mut service, RoundKind::AddFriend, 3),
+            Response::AddFriendRoundInfo(_)
+        ));
+        assert!(matches!(
+            service.close_round(RoundKind::AddFriend, Round(3)),
+            Response::RoundClosed(_)
+        ));
+        let on_disk = files();
+        for round in [3, 2] {
+            assert!(matches!(
+                begin(&mut service, RoundKind::AddFriend, round),
+                Response::Error(RpcError::BadRequest { .. })
+            ));
+        }
+        assert_eq!(files(), on_disk, "a refused begin journals nothing");
+        assert!(matches!(
+            begin(&mut service, RoundKind::Dialing, 3),
+            Response::DialingRoundInfo(_)
+        ));
+        assert!(matches!(
+            begin(&mut service, RoundKind::AddFriend, 4),
+            Response::AddFriendRoundInfo(_)
+        ));
+        assert_eq!(service.next_round(), Round(5));
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -2,8 +2,18 @@
 //!
 //! While a round is open, submissions arrive from many connections at once.
 //! Each one is offered here from the snapshot path ([`crate::shared`]) under
-//! one short `Mutex` — a digest insert and a push — so submitters never wait
-//! on the service write lock.
+//! one short `Mutex` — a digest insert, a token insert and a push — so
+//! submitters never wait on the service write lock.
+//!
+//! ## Token spends
+//!
+//! On a rate-limited deployment each onion pays with a token that verifies
+//! for this round only ([`crate::ratelimit::spend_message`]), so the intake
+//! is the round's whole double-spend ledger: under the one mutex an onion
+//! already seen is a retry (acked, nothing spent), a token already seen on
+//! another onion is a double spend, and anything else records both. The set
+//! is dropped with the intake when the round closes; no round id is ever
+//! given a second intake (`docs/ARCHITECTURE.md` § "Rate-limit tokens").
 //!
 //! ## Determinism contract
 //!
@@ -25,6 +35,7 @@ use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard};
 
 use alpenhorn_crypto::sha256;
+use alpenhorn_wire::SIGNATURE_LEN;
 
 /// The outcome of offering one onion to the intake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +43,10 @@ pub enum Offer {
     /// The onion was new and is now queued for the round.
     Accepted,
     /// An identical onion is already queued: a client retry. Callers answer
-    /// `Ack` without spending another token.
+    /// `Ack`; the token is not spent again.
     Duplicate,
+    /// The token already paid for another onion this round.
+    DoubleSpend,
     /// The round was sealed before the offer: the submission arrived too
     /// late and must be retried next round.
     Sealed,
@@ -43,6 +56,7 @@ pub enum Offer {
 struct Queue {
     sealed: bool,
     seen: HashSet<[u8; 32]>,
+    spent: HashSet<[u8; SIGNATURE_LEN]>,
     entries: Vec<([u8; 32], Vec<u8>)>,
 }
 
@@ -63,25 +77,28 @@ impl SubmissionIntake {
         self.queue.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Offers one onion for the round. Accepts it, recognises it as a
-    /// duplicate retry, or reports the round sealed.
-    pub fn offer(&self, onion: &[u8]) -> Offer {
+    /// Offers one onion for the round, paid for by `token` (its verified
+    /// signature) when the deployment is rate-limited. Recognises a retry of
+    /// an accepted onion (even once sealed: it is in the batch), reports the
+    /// round sealed, refuses a token already spent on another onion, or
+    /// accepts the onion and spends its token.
+    pub fn offer(&self, onion: &[u8], token: Option<&[u8; SIGNATURE_LEN]>) -> Offer {
         let digest = sha256::digest(onion);
         let mut queue = self.lock();
+        if queue.seen.contains(&digest) {
+            return Offer::Duplicate;
+        }
         if queue.sealed {
             return Offer::Sealed;
         }
-        if !queue.seen.insert(digest) {
-            return Offer::Duplicate;
+        if let Some(token) = token {
+            if !queue.spent.insert(*token) {
+                return Offer::DoubleSpend;
+            }
         }
+        queue.seen.insert(digest);
         queue.entries.push((digest, onion.to_vec()));
         Offer::Accepted
-    }
-
-    /// Whether an identical onion has already been accepted.
-    pub fn contains(&self, onion: &[u8]) -> bool {
-        let digest = sha256::digest(onion);
-        self.lock().seen.contains(&digest)
     }
 
     /// Accepted submissions so far (racy under concurrency; exact once
@@ -133,7 +150,7 @@ mod tests {
     fn natural_order_batch(set: &[Vec<u8>]) -> Vec<Vec<u8>> {
         let intake = SubmissionIntake::new();
         for onion in set {
-            assert_eq!(intake.offer(onion), Offer::Accepted);
+            assert_eq!(intake.offer(onion, None), Offer::Accepted);
         }
         intake.seal()
     }
@@ -150,7 +167,7 @@ mod tests {
         // Reverse arrival order; the sealed batch must not care.
         let intake = SubmissionIntake::new();
         for onion in set.iter().rev() {
-            assert_eq!(intake.offer(onion), Offer::Accepted);
+            assert_eq!(intake.offer(onion, None), Offer::Accepted);
         }
         assert_eq!(intake.seal(), reference);
     }
@@ -165,7 +182,7 @@ mod tests {
                 let intake = &intake;
                 s.spawn(move || {
                     for onion in chunk {
-                        assert_eq!(intake.offer(onion), Offer::Accepted);
+                        assert_eq!(intake.offer(onion, None), Offer::Accepted);
                     }
                 });
             }
@@ -177,9 +194,8 @@ mod tests {
     fn duplicates_dedup_to_one_entry() {
         let intake = SubmissionIntake::new();
         let onion = vec![7u8; 48];
-        assert_eq!(intake.offer(&onion), Offer::Accepted);
-        assert_eq!(intake.offer(&onion), Offer::Duplicate);
-        assert!(intake.contains(&onion));
+        assert_eq!(intake.offer(&onion, None), Offer::Accepted);
+        assert_eq!(intake.offer(&onion, None), Offer::Duplicate);
         assert_eq!(intake.len(), 1);
         assert_eq!(intake.seal().len(), 1);
     }
@@ -187,10 +203,10 @@ mod tests {
     #[test]
     fn sealed_intake_refuses_offers() {
         let intake = SubmissionIntake::new();
-        intake.offer(&[1u8; 32]);
+        intake.offer(&[1u8; 32], None);
         let batch = intake.seal();
         assert_eq!(batch.len(), 1);
-        assert_eq!(intake.offer(&[2u8; 32]), Offer::Sealed);
+        assert_eq!(intake.offer(&[2u8; 32], None), Offer::Sealed);
         assert!(intake.seal().is_empty(), "second seal drains nothing");
     }
 }

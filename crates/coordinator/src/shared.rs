@@ -30,12 +30,11 @@
 //!   (PKG path). The client puts extraction before issuance, and the
 //!   PKGs refuse to extract for any round but the open one, so a batch that
 //!   guessed the wrong round stops before issuance charges any budget.
-//! * **Submission path** — `Submit*` RPCs validate against the snapshot and
-//!   enqueue into the open round's [`SubmissionIntake`], spending
-//!   rate-limit tokens through the lock-striped [`TokenVerifier`] and
-//!   journalling the spend, buffered, through the shared [`Journal`] (the
-//!   round-close barrier makes it durable). Concurrent submitters contend
-//!   on the intake mutex, one verifier stripe and one short WAL write.
+//! * **Submission path** — `Submit*` RPCs validate against the snapshot,
+//!   check the rate-limit token's signature with the [`TokenVerifier`], and
+//!   offer the onion and the token to the open round's [`SubmissionIntake`],
+//!   which spends the token. Nothing is journalled: concurrent submitters
+//!   contend only on the intake mutex.
 //!
 //! ## Epoch publication rules
 //!
@@ -57,25 +56,22 @@
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use alpenhorn_ibe::sig::Signature;
 use alpenhorn_mixnet::AddFriendMailboxes;
-use alpenhorn_storage::Journal;
 use alpenhorn_wire::rpc::{AddFriendRoundWire, DialingRoundWire, MAX_BATCH_MEMBERS};
 use alpenhorn_wire::{
-    RateLimitReason, RateLimitToken, Request, Response, Round, RoundKind, RpcError, SIGNING_PK_LEN,
+    RateLimitReason, RateLimitToken, Request, Response, Round, RoundKind, RpcError, SIGNATURE_LEN,
+    SIGNING_PK_LEN,
 };
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::cdn::{serve_add_friend, serve_dialing, PublishedDialing};
-use crate::persist;
-use crate::ratelimit::{self, RateLimitError, TokenVerifier};
-use crate::service::{
-    add_friend_wire, bad_request, dialing_wire, storage_unavailable, CoordinatorService,
-};
+use crate::ratelimit::{self, TokenVerifier};
+use crate::service::{add_friend_wire, bad_request, dialing_wire, CoordinatorService};
 use crate::shard::{Offer, SubmissionIntake};
 
 /// The open-round slice of a snapshot: everything a round-info or submit RPC
@@ -94,8 +90,9 @@ struct ReadSnapshot {
     pkg_keys: Vec<[u8; SIGNING_PK_LEN]>,
     add_friend: Option<OpenRoundSnapshot<AddFriendRoundWire>>,
     dialing: Option<OpenRoundSnapshot<DialingRoundWire>>,
-    verifier: Option<Arc<TokenVerifier>>,
-    journal: Journal,
+    verifier: Option<TokenVerifier>,
+    /// The service's count of tokens spent, bumped on every paid acceptance.
+    tokens_spent: Arc<AtomicUsize>,
     add_friend_mailboxes: Arc<HashMap<u64, Arc<AddFriendMailboxes>>>,
     dialing_mailboxes: Arc<HashMap<u64, Arc<PublishedDialing>>>,
 }
@@ -128,8 +125,8 @@ fn capture(service: &CoordinatorService) -> Arc<ReadSnapshot> {
                 onion_len: info.onion_len,
                 intake: Arc::clone(intake),
             }),
-        verifier: service.verifier_handle(),
-        journal: service.journal_handle(),
+        verifier: service.verifier(),
+        tokens_spent: service.tokens_spent_handle(),
         add_friend_mailboxes: cdn.add_friend_rounds(),
         dialing_mailboxes: cdn.dialing_rounds(),
     })
@@ -438,10 +435,11 @@ fn validate_submission<Wire>(
 }
 
 impl ReadSnapshot {
-    /// The lock-free submit path: validate (no side effects) → recognise
-    /// retries → spend the token → enqueue the onion. A submission
-    /// recognised as a byte-identical retry is acked without touching the
-    /// token, so retry storms never misread as double spends.
+    /// The lock-free submit path: validate (no side effects) → check the
+    /// token's signature → offer the onion and the token to the round's
+    /// intake, which acks a retry of an accepted onion, refuses a token
+    /// spent on another onion, or accepts the onion and spends its token.
+    /// A rejected submission spends nothing.
     fn submit<Wire>(
         &self,
         open: Option<&OpenRoundSnapshot<Wire>>,
@@ -455,82 +453,55 @@ impl ReadSnapshot {
             Ok(intake) => intake,
             Err(e) => return Response::Error(e),
         };
-        if intake.contains(onion) {
-            return Response::Ack;
-        }
-        if let Err(e) = self.spend_token(kind, round, token) {
-            // Two copies of the same retry can race past the `contains`
-            // check; the loser's spend reads as a double spend even though
-            // the submission is already queued. Re-check and ack it, exactly
-            // as a serial arrival order would have.
-            if matches!(
-                e,
-                RpcError::RateLimited {
-                    reason: RateLimitReason::DoubleSpend
+        let token = match self.check_token(kind, round, token) {
+            Ok(token) => token,
+            Err(e) => return Response::Error(e),
+        };
+        match intake.offer(onion, token.as_ref()) {
+            Offer::Accepted => {
+                if token.is_some() {
+                    self.tokens_spent.fetch_add(1, Ordering::Relaxed);
                 }
-            ) && intake.contains(onion)
-            {
-                return Response::Ack;
+                Response::Ack
             }
-            return Response::Error(e);
-        }
-        match intake.offer(onion) {
-            Offer::Accepted | Offer::Duplicate => Response::Ack,
+            Offer::Duplicate => Response::Ack,
+            Offer::DoubleSpend => Response::Error(RpcError::RateLimited {
+                reason: RateLimitReason::DoubleSpend,
+            }),
             // The round closed between snapshot capture and this offer: the
             // submission missed the round, exactly as if it had arrived
-            // after the close. (The spent token stays spent for this closed
-            // round — rejecting late arrivals is what §9's per-round tokens
-            // are for.)
+            // after the close, and its token stays unspent (it verifies for
+            // this round only, so it is worthless anyway).
             Offer::Sealed => Response::Error(RpcError::RoundNotOpen { requested: round }),
         }
     }
 
-    /// Spends a submission's rate-limit token: verify + stripe-ledger
-    /// insert, then journal the spend (buffered, no fsync), rolling the
-    /// insert back if the journal append fails. The append completes before
-    /// the onion is offered to the intake, so the close barrier — which runs
-    /// after the seal — covers it.
-    fn spend_token(
+    /// Checks a submission's rate-limit token against the round's
+    /// [`ratelimit::spend_message`], returning the signature the intake
+    /// records as spent (`None` when rate limiting is off).
+    fn check_token(
         &self,
         kind: RoundKind,
         round: Round,
         token: Option<RateLimitToken>,
-    ) -> Result<(), RpcError> {
+    ) -> Result<Option<[u8; SIGNATURE_LEN]>, RpcError> {
         let Some(verifier) = &self.verifier else {
-            return Ok(());
+            return Ok(None);
         };
         let Some(token) = token else {
             return Err(RpcError::RateLimited {
                 reason: RateLimitReason::MissingToken,
             });
         };
-        let signature =
-            Signature::from_bytes(&token.signature).map_err(|_| RpcError::RateLimited {
-                reason: RateLimitReason::InvalidToken,
-            })?;
+        let invalid = || RpcError::RateLimited {
+            reason: RateLimitReason::InvalidToken,
+        };
+        let signature = Signature::from_bytes(&token.signature).map_err(|_| invalid())?;
         let message = ratelimit::spend_message(kind, round, &token.serial);
         verifier
-            .spend(&message, &signature)
-            .map_err(|e| RpcError::RateLimited {
-                reason: match e {
-                    RateLimitError::InvalidToken => RateLimitReason::InvalidToken,
-                    RateLimitError::DoubleSpend => RateLimitReason::DoubleSpend,
-                    RateLimitError::BudgetExhausted => RateLimitReason::BudgetExhausted,
-                },
-            })?;
-        if let Err(e) = self.journal.append(
-            persist::REC_TOKEN_SPENT,
-            &persist::token_spent(&token.signature),
-            persist::durability(persist::REC_TOKEN_SPENT),
-        ) {
-            // The submission is about to be rejected with a storage error,
-            // so the ledger insert must roll back: the client's retry with
-            // the same (still unspent) token must not read as a double spend
-            // and strand a unit of its daily budget.
-            verifier.forget_spent(&token.signature);
-            return Err(storage_unavailable("durable log write", e));
-        }
-        Ok(())
+            .verify(&message, &signature)
+            .map_err(|_| invalid())?;
+        Ok(Some(token.signature))
     }
 }
 

@@ -19,9 +19,7 @@
 use alpenhorn::{Client, ClientError, ClientEvent, LoopbackTransport};
 use alpenhorn_cdn::{LoopbackNode, NodeClient};
 use alpenhorn_coordinator::service::CoordinatorService;
-use alpenhorn_coordinator::{
-    Cluster, ClusterConfig, DurableController, RateLimitPolicy, ServiceConfig,
-};
+use alpenhorn_coordinator::{Cluster, ClusterConfig, RateLimitPolicy, ServiceConfig};
 use alpenhorn_mixnet::MixAdversary;
 use alpenhorn_storage::{StorageConfig, StorageError};
 use alpenhorn_wire::rpc::RoundStatsWire;
@@ -103,8 +101,8 @@ pub struct RoundReport {
     pub add_friend: RoundStatsWire,
     /// Server-reported dialing round statistics.
     pub dialing: RoundStatsWire,
-    /// Distinct rate-limit tokens in the double-spend ledger after the step
-    /// (`None` when rate limiting is off).
+    /// Rate-limit tokens spent into the step's two rounds (`None` when rate
+    /// limiting is off).
     pub spent_tokens: Option<usize>,
     /// The coordinator's persistent round counter after the step.
     pub next_round: Round,
@@ -164,7 +162,7 @@ impl ScenarioReport {
 pub struct ScenarioEngine {
     scenario: Scenario,
     net: LoopbackTransport,
-    controller: Option<DurableController>,
+    durable: Option<DurableState>,
     population: Population,
     sampler: StdRng,
     next_step: u64,
@@ -174,6 +172,32 @@ pub struct ScenarioEngine {
     client_events: Vec<Vec<ClientEvent>>,
     last_step_events: Vec<(usize, Vec<ClientEvent>)>,
     cdn_nodes: Vec<LoopbackNode>,
+}
+
+/// Where a durable engine's coordinator keeps its state, and how often it
+/// has booted from it (1 = initial; each further boot is a scripted
+/// crash-restart).
+struct DurableState {
+    data_dir: std::path::PathBuf,
+    storage: StorageConfig,
+    boots: u64,
+}
+
+impl DurableState {
+    /// Recovers a coordinator for `scenario` from the data dir, on a cluster
+    /// freshly built from the scenario's seed (long-term keys re-derive from
+    /// it). The previous service must already be dropped, so its WAL handle
+    /// is closed before the directory is reopened.
+    fn boot(&mut self, scenario: &Scenario) -> Result<CoordinatorService, StorageError> {
+        let (service, _) = CoordinatorService::with_storage(
+            Cluster::new(ClusterConfig::test(scenario.seed as u8)),
+            service_config(scenario),
+            &self.data_dir,
+            self.storage,
+        )?;
+        self.boots += 1;
+        Ok(service)
+    }
 }
 
 fn service_config(scenario: &Scenario) -> ServiceConfig {
@@ -197,30 +221,29 @@ impl ScenarioEngine {
 
     /// Builds an engine whose coordinator journals to `data_dir`, enabling
     /// scripted [`Action::CrashRestart`] events (drop the service, recover
-    /// it from disk via a [`DurableController`]).
+    /// it from disk, as a supervisor restarting a dead `alpenhornd` would).
     pub fn with_data_dir(
         scenario: Scenario,
         data_dir: impl Into<std::path::PathBuf>,
         storage: StorageConfig,
     ) -> Result<Self, EngineError> {
-        let mut controller = DurableController::new(
-            ClusterConfig::test(scenario.seed as u8),
-            service_config(&scenario),
-            data_dir,
+        let mut durable = DurableState {
+            data_dir: data_dir.into(),
             storage,
-        );
-        let service = controller.open().map_err(EngineError::Storage)?;
+            boots: 0,
+        };
+        let service = durable.boot(&scenario).map_err(EngineError::Storage)?;
         Self::build(
             scenario,
             LoopbackTransport::with_service(service),
-            Some(controller),
+            Some(durable),
         )
     }
 
     fn build(
         scenario: Scenario,
         net: LoopbackTransport,
-        controller: Option<DurableController>,
+        durable: Option<DurableState>,
     ) -> Result<Self, EngineError> {
         for (step, action) in &scenario.events {
             if *step == 0 || *step > scenario.steps {
@@ -236,7 +259,7 @@ impl ScenarioEngine {
             sampler: StdRng::seed_from_u64(scenario.seed ^ 0x5ce7_a210_7a61_e57a),
             scenario,
             net,
-            controller,
+            durable,
             population,
             next_step: 1,
             paused: false,
@@ -383,7 +406,10 @@ impl ScenarioEngine {
             self.apply(step, action)?;
         }
 
-        // 3. One add-friend and one dialing round, both numbered `step`.
+        // 3. One add-friend and one dialing round, both numbered `step`. The
+        // spent-token count is read after the actions: a crash-restart
+        // resets it.
+        let spent_before = self.net.service().spent_token_count();
         let participants: Vec<usize> = self
             .population
             .registered_indices()
@@ -451,7 +477,11 @@ impl ScenarioEngine {
         // 4. Build the report and evaluate invariant checkers.
         let (spent_tokens, next_round) = {
             let service = self.net.service();
-            (service.spent_token_count(), service.next_round())
+            let spent = service.spent_token_count().zip(spent_before);
+            (
+                spent.map(|(after, before)| after - before),
+                service.next_round(),
+            )
         };
         let mut report = RoundReport {
             step,
@@ -462,7 +492,7 @@ impl ScenarioEngine {
             dialing,
             spent_tokens,
             next_round,
-            restarts: self.controller.as_ref().map_or(0, |c| c.restarts()),
+            restarts: self.durable.as_ref().map_or(0, |d| d.boots),
             violations: Vec::new(),
             metrics_delta: metrics_delta_since(&metrics_before),
         };
@@ -651,11 +681,12 @@ impl ScenarioEngine {
                 }
             }
             Action::CrashRestart => {
-                let Some(controller) = self.controller.as_mut() else {
+                let Some(durable) = self.durable.as_mut() else {
                     return Err(EngineError::CrashWithoutDurability { step });
                 };
+                let scenario = &self.scenario;
                 let mut failure = None;
-                self.net.restart_with(|| match controller.open() {
+                self.net.restart_with(|| match durable.boot(scenario) {
                     Ok(service) => service,
                     Err(e) => {
                         failure = Some(e);
@@ -780,7 +811,7 @@ mod tests {
         let twin = TwinChecker::new(engine.scenario()).expect("twin builds");
         engine.add_checker(Box::new(MailboxConservation));
         engine.add_checker(Box::new(SubmissionAccounting));
-        engine.add_checker(Box::new(LedgerConsistency::default()));
+        engine.add_checker(Box::new(LedgerConsistency));
         engine.add_checker(Box::new(twin));
     }
 

@@ -414,8 +414,9 @@ mod tests {
     fn mailbox_sizes_match_paper_section_8_2() {
         let m = model();
         // 1M users: one add-friend mailbox holds ~12k real + 12k noise ≈ 24k
-        // requests; the paper quotes 7.4 MB at 308 B/request. Our requests
-        // are 388 B, so the byte size is proportionally larger.
+        // requests; the paper quotes 7.4 MB at 308 B/request. Ours are
+        // `ADD_FRIEND_REQUEST_LEN` = 380 B (23 % more), so the byte size is
+        // proportionally larger.
         let w = Workload::paper(1_000_000);
         let requests = m.add_friend_mailbox_requests(&w, 3);
         assert!((20_000.0..28_000.0).contains(&requests), "{requests}");

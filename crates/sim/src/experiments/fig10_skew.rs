@@ -153,8 +153,9 @@ mod tests {
     #[test]
     fn mailbox_size_spread_same_order_as_paper() {
         // §8.4: with 1M users and s = 2 the largest mailbox is 14.95 MB and
-        // the smallest 4.15 MB (308-byte requests). Our requests are ~26%
-        // larger, so check the ratio rather than the absolute sizes.
+        // the smallest 4.15 MB (308-byte requests). Ours are
+        // `ADD_FRIEND_REQUEST_LEN` = 380 B, 23 % larger, so check the ratio
+        // rather than the absolute sizes.
         let model = CostModel::paper_reference();
         let points = figure_10_points(&model, 1_000_000, 3);
         let s2 = points.last().unwrap();

@@ -114,11 +114,14 @@ cargo test -q -p alpenhorn-wire --test rpc_proptests bit_flips
 # byte-identical to an uncrashed daemon's. The in-process tests ride along:
 # PKG ratchet file twins (plain restart, crash between WAL append and file
 # rewrite), no onion key re-served, no superseded ratchet on disk, typed
-# refusal of a bad ratchet file, compaction only at round boundaries. The
-# SIGKILL test spawns the release alpenhornd built above (same profile as
-# this stage's test harness).
-stage "crash-recovery smoke (SIGKILL alpenhornd --data-dir, restart, finish scenario; ratchet file)"
+# refusal of a bad ratchet file, compaction only at round boundaries, no
+# round id begun twice across a crash. The SIGKILL test spawns the release
+# alpenhornd built above (same profile as this stage's test harness). The
+# scenario engine's 100k-client timeline adds three crash-restarts under
+# ledger-consistency (a token spent at most once, per step).
+stage "crash-recovery smoke (SIGKILL alpenhornd --data-dir, restart, finish scenario; ratchet file; 100k scenario)"
 cargo test -q --release --test crash_recovery -- --include-ignored
+cargo test -q --release --test scenario_engine
 
 # Chaos gate: seeded fault plans (request/response drops, delays, duplicate
 # deliveries, frame corruption, scripted mid-run disconnects) over retrying

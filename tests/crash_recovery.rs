@@ -25,13 +25,13 @@ use std::path::{Path, PathBuf};
 use alpenhorn::{
     Client, ClientConfig, ClientEvent, Identity, LoopbackTransport, TcpTransport, Transport,
 };
-use alpenhorn_coordinator::persist::{REC_ADD_FRIEND_ROUND_BEGUN, REC_TOKEN_SPENT};
+use alpenhorn_coordinator::persist::REC_ADD_FRIEND_ROUND_BEGUN;
 use alpenhorn_coordinator::service::{CoordinatorService, RateLimitPolicy, ServiceConfig};
 use alpenhorn_coordinator::{Cluster, ClusterConfig};
 use alpenhorn_ibe::sig::VerifyingKey;
 use alpenhorn_storage::{RecoveryReport, StorageConfig, StorageError};
 use alpenhorn_wire::rpc::{AddFriendRoundWire, DialingRoundWire};
-use alpenhorn_wire::{Request, Response, Round, RoundKind};
+use alpenhorn_wire::{RateLimitReason, Request, Response, Round, RoundKind, RpcError};
 
 const SCENARIO_SEED: u8 = 64;
 const RATE_LIMIT_BUDGET: u32 = 50;
@@ -315,9 +315,10 @@ fn crashed_and_recovered_coordinator_yields_identical_events() {
     let _ = std::fs::remove_dir_all(crashed_dir);
 }
 
-/// Registrations and rate-limit budgets persist: a token spent before the
-/// crash stays spent after recovery (double-spend ledger survives), and the
-/// registered account needs no re-registration.
+/// Registrations and rate-limit budgets persist: the registered account
+/// needs no re-registration. A token spent before the crash stays spent
+/// because its round is never reopened
+/// (`a_round_open_at_a_crash_is_never_reopened`).
 #[test]
 fn spent_tokens_and_registrations_survive_recovery() {
     let dir = tmpdir("budget");
@@ -369,7 +370,7 @@ fn spent_tokens_and_registrations_survive_recovery() {
 const RATCHET_SEED: u8 = 9;
 
 /// A small threshold, so round boundaries compact and recovery also runs
-/// through a v2 snapshot rather than only a WAL.
+/// through a v3 snapshot rather than only a WAL.
 const SMALL_CHECKPOINTS: StorageConfig = StorageConfig {
     checkpoint_every_records: 2,
 };
@@ -583,18 +584,68 @@ fn restart_after_a_dialing_close_reopens_the_announced_keys() {
     }
 }
 
-/// Counts the requests a client sends.
-struct Counted {
+/// Records the requests a client sends.
+struct Recorded {
     inner: LoopbackTransport,
-    calls: usize,
+    sent: Vec<Request>,
 }
 
-impl Transport for Counted {
+impl Recorded {
+    fn new(inner: LoopbackTransport) -> Self {
+        Recorded {
+            inner,
+            sent: Vec::new(),
+        }
+    }
+
+    /// The `Submit*` requests sent so far.
+    fn submissions(&self) -> impl Iterator<Item = &Request> {
+        self.sent.iter().filter(|request| {
+            matches!(
+                request,
+                Request::SubmitAddFriend { .. } | Request::SubmitDialing { .. }
+            )
+        })
+    }
+}
+
+impl Transport for Recorded {
     fn call(&mut self, request: Request) -> Result<Response, alpenhorn::TransportError> {
-        self.calls += 1;
+        self.sent.push(request.clone());
         self.inner.call(request)
     }
 }
+
+/// `submission` (token included) re-addressed to `round`.
+fn in_round(submission: &Request, round: Round) -> Request {
+    match submission.clone() {
+        Request::SubmitAddFriend { onion, token, .. } => Request::SubmitAddFriend {
+            round,
+            onion,
+            token,
+        },
+        Request::SubmitDialing {
+            num_mailboxes,
+            onion,
+            token,
+            ..
+        } => Request::SubmitDialing {
+            round,
+            num_mailboxes,
+            onion,
+            token,
+        },
+        other => panic!("not a submission: {other:?}"),
+    }
+}
+
+fn reply<T: Transport>(net: &mut T, request: Request) -> Response {
+    net.call(request).expect("transport call succeeds")
+}
+
+const INVALID_TOKEN: Response = Response::Error(RpcError::RateLimited {
+    reason: RateLimitReason::InvalidToken,
+});
 
 /// Clients that scanned dialing round 1 hold round 2's announced info
 /// across a coordinator restart. A recovered begin of the announced size
@@ -647,12 +698,9 @@ fn announced_dialing_info_survives_a_restart_or_falls_back() {
         net.restart_with(open);
         dial(&mut admin_net, 2, if resized { 1000 } else { 1 });
         for user in &mut users {
-            let mut counted = Counted {
-                inner: net.clone(),
-                calls: 0,
-            };
-            user.participate_dialing(&mut counted).unwrap();
-            assert_eq!(counted.calls, crossings, "resized = {resized}");
+            let mut recorded = Recorded::new(net.clone());
+            user.participate_dialing(&mut recorded).unwrap();
+            assert_eq!(recorded.sent.len(), crossings, "resized = {resized}");
         }
         let Response::RoundClosed(stats) = admin(
             &mut admin_net,
@@ -868,7 +916,9 @@ fn wal_records(wal: &[u8]) -> Vec<(u8, u64)> {
 /// A durable, rate-limited add-friend round of `k` clients — each issues a
 /// token, extracts its keys and submits — costs exactly two WAL fsyncs: the
 /// synced round open and the close barrier. The per-client records are all
-/// still journalled, three per client.
+/// still journalled, two per client (the extraction and the issuance; the
+/// submission spends its token into the round's intake and journals
+/// nothing).
 #[test]
 fn a_round_costs_two_wal_fsyncs_for_any_client_count() {
     for k in [1usize, 8, 64] {
@@ -898,7 +948,7 @@ fn a_round_costs_two_wal_fsyncs_for_any_client_count() {
             .iter()
             .filter(|&&(kind, _)| kind != REC_ADD_FRIEND_ROUND_BEGUN)
             .count();
-        assert_eq!(per_client, 3 * k, "{k} clients");
+        assert_eq!(per_client, 2 * k, "{k} clients");
         drop(net);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -961,10 +1011,12 @@ fn concurrent_pkg_path_records_recover_to_the_live_state() {
 }
 
 /// Round 3 onward of the suffix-loss scenario, from the clients' state at
-/// the crash: user0 befriends user2 and calls them.
+/// the crash: user0 befriends user2 and calls them. Round 3 refuses
+/// `round_2_submission`'s token, which was spent in round 2.
 fn continue_after_crash(
     net: &mut LoopbackTransport,
     saved: &[Vec<u8>],
+    round_2_submission: &Request,
 ) -> Vec<(String, ClientEvent)> {
     let mut clients: Vec<Client> = saved
         .iter()
@@ -982,6 +1034,10 @@ fn continue_after_crash(
                 expected_real: 3,
             },
         );
+        if round == 3 {
+            let stale = in_round(round_2_submission, Round(3));
+            assert_eq!(reply(net, stale), INVALID_TOKEN);
+        }
         for client in &mut clients {
             client.participate_add_friend(net).unwrap();
         }
@@ -1035,9 +1091,10 @@ fn continue_after_crash(
 /// fsync. After round 1's close barrier and round 2's synced open, two of
 /// three clients take part in round 2; then the WAL is cut at every record
 /// boundary of that unsynced suffix and each copy recovered. Every recovery
-/// opens, keeps the round counter, holds every spend of the closed round,
-/// refunds at most the issuance since the barrier, and carries on to the
-/// same client events as the deployment that never crashed.
+/// opens, keeps the round counter, refuses to reopen round 2 (so no token
+/// spent in it can be spent again), refunds at most the issuance since the
+/// barrier, refuses a round-2 token in round 3, and carries on to the same
+/// client events as the deployment that never crashed.
 #[test]
 fn losing_the_unsynced_suffix_costs_only_what_the_barrier_bounds() {
     const SEED: u8 = 71;
@@ -1052,7 +1109,6 @@ fn losing_the_unsynced_suffix_costs_only_what_the_barrier_bounds() {
             .map(|who| service.remaining_token_budget(who).unwrap())
             .collect()
     };
-    let spent = |net: &LoopbackTransport| net.shared().read().spent_token_count().unwrap();
     for client in &mut clients {
         client.register(&mut net).unwrap();
     }
@@ -1068,7 +1124,7 @@ fn losing_the_unsynced_suffix_costs_only_what_the_barrier_bounds() {
         client.participate_add_friend(&mut net).unwrap();
     }
     admin(&mut net, Request::CloseAddFriendRound { round: Round(1) });
-    let (at_barrier, spent_at_barrier) = (budgets(&net), spent(&net));
+    let at_barrier = budgets(&net);
 
     admin(
         &mut net,
@@ -1084,9 +1140,11 @@ fn losing_the_unsynced_suffix_costs_only_what_the_barrier_bounds() {
         .unwrap()
         .to_string();
     let synced_len = std::fs::metadata(wal_file(&dir)).unwrap().len();
+    let mut recorded = Recorded::new(net.clone());
     for client in &mut clients[..2] {
-        client.participate_add_friend(&mut net).unwrap();
+        client.participate_add_friend(&mut recorded).unwrap();
     }
+    let round_2_submission = recorded.submissions().next().unwrap().clone();
     let at_crash = budgets(&net);
     let next_round = net.shared().read().next_round();
     // What the OS holds at the crash, and the clients' state then.
@@ -1095,14 +1153,14 @@ fn losing_the_unsynced_suffix_costs_only_what_the_barrier_bounds() {
 
     // The uncrashed twin closes round 2 and carries on.
     admin(&mut net, Request::CloseAddFriendRound { round: Round(2) });
-    let twin_events = continue_after_crash(&mut net, &saved);
+    let twin_events = continue_after_crash(&mut net, &saved, &round_2_submission);
     drop(net);
 
     let suffix: Vec<(u8, u64)> = wal_records(&image[&wal_name])
         .into_iter()
         .filter(|&(_, end)| end > synced_len)
         .collect();
-    assert_eq!(suffix.len(), 6, "issue, extract and submit by two clients");
+    assert_eq!(suffix.len(), 4, "issue and extract by two clients");
     let cuts = std::iter::once(synced_len).chain(suffix.iter().map(|&(_, end)| end));
     for cut in cuts {
         let crashed = tmpdir(&format!("suffix-cut-{cut}"));
@@ -1116,11 +1174,17 @@ fn losing_the_unsynced_suffix_costs_only_what_the_barrier_bounds() {
         }
         let mut net = open_loopback(SEED, &crashed);
         assert_eq!(net.shared().read().next_round(), next_round, "cut {cut}");
-        let spends_kept = suffix
-            .iter()
-            .filter(|&&(kind, end)| kind == REC_TOKEN_SPENT && end <= cut)
-            .count();
-        assert_eq!(spent(&net), spent_at_barrier + spends_kept, "cut {cut}");
+        let reopen = Request::BeginAddFriendRound {
+            round: Round(2),
+            expected_real: 3,
+        };
+        assert!(
+            matches!(
+                reply(&mut net, reopen),
+                Response::Error(RpcError::BadRequest { .. })
+            ),
+            "cut {cut}"
+        );
         for ((recovered, barrier), crash) in budgets(&net).iter().zip(&at_barrier).zip(&at_crash) {
             assert!(
                 crash <= recovered && recovered <= barrier,
@@ -1128,7 +1192,7 @@ fn losing_the_unsynced_suffix_costs_only_what_the_barrier_bounds() {
             );
         }
         assert_eq!(
-            continue_after_crash(&mut net, &saved),
+            continue_after_crash(&mut net, &saved, &round_2_submission),
             twin_events,
             "cut {cut}"
         );
@@ -1136,6 +1200,78 @@ fn losing_the_unsynced_suffix_costs_only_what_the_barrier_bounds() {
         let _ = std::fs::remove_dir_all(crashed);
     }
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A crash with a round open abandons that round for good, for either
+/// protocol: the recovered coordinator refuses to begin it again and
+/// journals nothing, opens the next round, and refuses there every token
+/// spent before the crash. No spent token outlives the crash on disk, and
+/// none needs to.
+#[test]
+fn a_round_open_at_a_crash_is_never_reopened() {
+    for protocol in [RoundKind::AddFriend, RoundKind::Dialing] {
+        let dir = tmpdir(&format!("reopen-{}", protocol.label()));
+        let begin = |round: u64| match protocol {
+            RoundKind::AddFriend => Request::BeginAddFriendRound {
+                round: Round(round),
+                expected_real: 2,
+            },
+            RoundKind::Dialing => Request::BeginDialingRound {
+                round: Round(round),
+                expected_real: 2,
+            },
+        };
+        let mut net = open_loopback(SCENARIO_SEED, &dir);
+        let mut users = clients(&mut net, 2);
+        for user in &mut users {
+            user.register(&mut net).unwrap();
+        }
+        admin(&mut net, begin(1));
+        let mut recorded = Recorded::new(net.clone());
+        for user in &mut users {
+            let participated = match protocol {
+                RoundKind::AddFriend => user.participate_add_friend(&mut recorded).map(|_| ()),
+                RoundKind::Dialing => user.participate_dialing(&mut recorded).map(|_| ()),
+            };
+            participated.unwrap();
+        }
+        let spent: Vec<Request> = recorded.submissions().cloned().collect();
+        assert_eq!(spent.len(), 2);
+        assert_eq!(net.shared().read().spent_token_count(), Some(2));
+
+        drop(recorded);
+        drop(net); // the crash
+        let mut net = open_loopback(SCENARIO_SEED, &dir);
+        let on_disk = dir_contents(&dir);
+        assert!(
+            matches!(
+                reply(&mut net, begin(1)),
+                Response::Error(RpcError::BadRequest { .. })
+            ),
+            "{protocol:?}: the round open at the crash is not begun again"
+        );
+        assert_eq!(
+            dir_contents(&dir),
+            on_disk,
+            "a refused begin journals nothing"
+        );
+        admin(&mut net, begin(2));
+        for submission in &spent {
+            assert_eq!(
+                reply(&mut net, in_round(submission, Round(2))),
+                INVALID_TOKEN
+            );
+            assert_eq!(
+                reply(&mut net, submission.clone()),
+                Response::Error(RpcError::RoundNotOpen {
+                    requested: Round(1)
+                })
+            );
+        }
+        assert_eq!(net.shared().read().spent_token_count(), Some(0));
+        drop(net);
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 // ---------------------------------------------------------------------------

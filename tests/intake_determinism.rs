@@ -13,7 +13,7 @@ use proptest::prelude::*;
 fn sealed_batch<'a>(onions: impl IntoIterator<Item = &'a Vec<u8>>) -> Vec<Vec<u8>> {
     let intake = SubmissionIntake::new();
     for onion in onions {
-        intake.offer(onion);
+        intake.offer(onion, None);
     }
     intake.seal()
 }
@@ -75,7 +75,7 @@ proptest! {
                 let intake = &intake;
                 scope.spawn(move || {
                     for onion in chunk {
-                        intake.offer(onion);
+                        intake.offer(onion, None);
                     }
                 });
             }

@@ -70,7 +70,7 @@ fn run_acceptance(tag: &str) -> (Vec<String>, Vec<(usize, Vec<alpenhorn::ClientE
     let twin = TwinChecker::new(engine.scenario()).unwrap();
     engine.add_checker(Box::new(MailboxConservation));
     engine.add_checker(Box::new(SubmissionAccounting));
-    engine.add_checker(Box::new(LedgerConsistency::default()));
+    engine.add_checker(Box::new(LedgerConsistency));
     engine.add_checker(Box::new(twin));
     engine.run().unwrap();
 
@@ -148,18 +148,18 @@ fn rate_limit_tokens_are_never_double_spent_across_crashes() {
         },
     )
     .unwrap();
-    // LedgerConsistency asserts the double-spend ledger grows by exactly one
-    // token per accepted submission each step — across the crash too.
-    engine.add_checker(Box::new(LedgerConsistency::default()));
+    // LedgerConsistency asserts each step's two rounds spend exactly one
+    // token per accepted submission — the step after the crash too.
+    engine.add_checker(Box::new(LedgerConsistency));
     engine.run().unwrap();
 
     let report = engine.into_report();
     assert!(report.violations().is_empty(), "{:?}", report.violations());
-    let spent = report.rounds.last().unwrap().spent_tokens.unwrap();
+    let spent: Vec<Option<usize>> = report.rounds.iter().map(|r| r.spent_tokens).collect();
     assert_eq!(
         spent,
-        8 * 2 * 4,
-        "eight clients, two submissions per step, four steps"
+        [Some(8 * 2); 4],
+        "eight clients, two submissions per step, every step"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,7 +19,7 @@ fn arm(engine: &mut ScenarioEngine) {
     let twin = TwinChecker::new(engine.scenario()).expect("twin engine builds");
     engine.add_checker(Box::new(MailboxConservation));
     engine.add_checker(Box::new(SubmissionAccounting));
-    engine.add_checker(Box::new(LedgerConsistency::default()));
+    engine.add_checker(Box::new(LedgerConsistency));
     engine.add_checker(Box::new(twin));
 }
 

@@ -20,7 +20,7 @@ use alpenhorn_mixd::{MixChain, Mixer};
 use alpenhorn_mixnet::{
     AddFriendMailboxes, DialingMailboxes, MailboxPolicy, NoiseConfig, RoundStats,
 };
-use alpenhorn_pkg::{ExtractResponse, PkgServer, SimulatedMail};
+use alpenhorn_pkg::{ExtractResponse, PkgServer, PreparedExtraction, SimulatedMail};
 use alpenhorn_wire::cdn::{encode_add_friend_blob, encode_dialing_blob};
 use alpenhorn_wire::rpc::DialingRoundWire;
 use alpenhorn_wire::{
@@ -579,15 +579,46 @@ impl Cluster {
     /// this identity and round. Takes `&self`: extractions run concurrently
     /// with each other, and only closing the round (`&mut self`) erases the
     /// secrets they read.
+    ///
+    /// Two passes. The first looks up every PKG's registered key and
+    /// verifies the request once per distinct key ([`PreparedExtraction`]),
+    /// which hashes the identity and the attestation message only after the
+    /// signature verifies: once per request, as one signature verifies
+    /// under one key. Only then does the second run each PKG's
+    /// [`PkgServer::extract_prepared`], which re-reads its own registry. So
+    /// a request one PKG refuses touches no account at any PKG.
     pub fn extract_identity_keys(
         &self,
         identity: &Identity,
         round: Round,
         auth_signature: &Signature,
     ) -> Result<Vec<ExtractResponse>, CoordinatorError> {
+        let keys = self
+            .pkgs
+            .iter()
+            .map(|pkg| pkg.registered_key(identity))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut prepared: Vec<PreparedExtraction> = Vec::with_capacity(1);
+        for key in &keys {
+            if !prepared.iter().any(|p| p.key() == *key) {
+                prepared.push(PreparedExtraction::verify(
+                    identity,
+                    round,
+                    key,
+                    auth_signature,
+                )?);
+            }
+        }
         self.pkgs
             .iter()
-            .map(|pkg| Ok(pkg.extract(identity, round, auth_signature, self.now)?))
+            .zip(&keys)
+            .map(|(pkg, key)| {
+                let prepared = prepared
+                    .iter()
+                    .find(|p| p.key() == *key)
+                    .expect("every registered key was prepared");
+                Ok(pkg.extract_prepared(identity, round, prepared, self.now)?)
+            })
             .collect()
     }
 
@@ -805,6 +836,7 @@ mod tests {
     use alpenhorn_mixd::{MixdError, MixdServer};
     use alpenhorn_mixnet::onion::wrap_onion;
     use alpenhorn_pkg::server::extraction_request_message;
+    use alpenhorn_pkg::PkgError;
     use alpenhorn_wire::{DialRequest, DialToken, MailboxId, MixerRequest, MixerResponse};
     use std::sync::Mutex;
 
@@ -922,6 +954,103 @@ mod tests {
             Err(CoordinatorError::RoundNotOpen { .. })
         ));
         cluster.close_add_friend_round(Round(1)).unwrap();
+    }
+
+    /// Every PKG's `last_seen` for `who`, in PKG order.
+    fn last_seen(cluster: &Cluster, who: &Identity) -> Vec<Option<u64>> {
+        cluster
+            .pkgs
+            .iter()
+            .map(|pkg| pkg.registry().account_last_seen(who))
+            .collect()
+    }
+
+    #[test]
+    fn refused_extractions_touch_no_account() {
+        let mut cluster = Cluster::new(ClusterConfig::test(11));
+        let mut rng = ChaChaRng::from_seed_bytes([11u8; 32]);
+        let bob = id("bob@gmail.com");
+        let bob_key = register(&mut cluster, &bob, &mut rng);
+        cluster.advance_time(100);
+        let round = Round(2);
+        cluster.begin_add_friend_round(round, 1).unwrap();
+        let untouched = last_seen(&cluster, &bob);
+
+        let forged = SigningKey::generate(&mut rng).sign(&extraction_request_message(&bob, round));
+        let other_round = bob_key.sign(&extraction_request_message(&bob, Round(1)));
+        for auth in [forged, other_round] {
+            assert!(matches!(
+                cluster.extract_identity_keys(&bob, round, &auth),
+                Err(CoordinatorError::Pkg(PkgError::AuthenticationFailed))
+            ));
+            assert_eq!(last_seen(&cluster, &bob), untouched);
+        }
+        let auth = bob_key.sign(&extraction_request_message(&bob, round));
+        assert_eq!(
+            cluster
+                .extract_identity_keys(&bob, round, &auth)
+                .unwrap()
+                .len(),
+            3
+        );
+        assert_eq!(last_seen(&cluster, &bob), vec![Some(100); 3]);
+    }
+
+    #[test]
+    fn an_interrupted_registration_is_refused_before_any_pkg_extracts() {
+        let mut cluster = Cluster::new(ClusterConfig::test(12));
+        let mut rng = ChaChaRng::from_seed_bytes([12u8; 32]);
+        let carol = id("carol@example.com");
+        let carol_key = SigningKey::generate(&mut rng);
+        cluster
+            .begin_registration(&carol, carol_key.verifying_key())
+            .unwrap();
+        // The confirmations reached PKGs 0 and 1 only.
+        for pkg in &mut cluster.pkgs[..2] {
+            let token = cluster.mail.latest_token(&carol, pkg.name()).unwrap();
+            pkg.complete_registration(&carol, token, 0).unwrap();
+        }
+        cluster.advance_time(50);
+        let round = Round(1);
+        cluster.begin_add_friend_round(round, 1).unwrap();
+        let auth = carol_key.sign(&extraction_request_message(&carol, round));
+        assert!(matches!(
+            cluster.extract_identity_keys(&carol, round, &auth),
+            Err(CoordinatorError::Pkg(PkgError::UnknownIdentity))
+        ));
+        assert_eq!(last_seen(&cluster, &carol), vec![Some(0), Some(0), None]);
+    }
+
+    #[test]
+    fn a_pkg_holding_a_different_key_verifies_it_itself() {
+        let mut cluster = Cluster::new(ClusterConfig::test(13));
+        let mut rng = ChaChaRng::from_seed_bytes([13u8; 32]);
+        let bob = id("bob@gmail.com");
+        let bob_key = register(&mut cluster, &bob, &mut rng);
+        let other_key = SigningKey::generate(&mut rng);
+        cluster.pkgs[2]
+            .registry_mut()
+            .restore_account(bob.clone(), other_key.verifying_key(), 0);
+        cluster.advance_time(10);
+        let round = Round(1);
+        cluster.begin_add_friend_round(round, 1).unwrap();
+        // Neither key's signature satisfies all three PKGs: PKG 2 checks the
+        // request under its own key, not under the one PKGs 0 and 1 hold.
+        for key in [&bob_key, &other_key] {
+            let auth = key.sign(&extraction_request_message(&bob, round));
+            assert!(matches!(
+                cluster.extract_identity_keys(&bob, round, &auth),
+                Err(CoordinatorError::Pkg(PkgError::AuthenticationFailed))
+            ));
+            assert_eq!(last_seen(&cluster, &bob), vec![Some(0); 3]);
+        }
+        // Each PKG on its own accepts the key it holds.
+        let auth = other_key.sign(&extraction_request_message(&bob, round));
+        assert!(cluster.pkgs[2].extract(&bob, round, &auth, 10).is_ok());
+        assert_eq!(
+            cluster.pkgs[0].extract(&bob, round, &auth, 10).err(),
+            Some(PkgError::AuthenticationFailed)
+        );
     }
 
     #[test]

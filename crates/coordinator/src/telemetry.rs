@@ -24,6 +24,7 @@ pub const SPAN_COMPONENT: &str = "coordinator";
 /// returned, so a single-process test harness sees the same isolation a real
 /// multi-process deployment would.
 pub fn telemetry_wire() -> TelemetryWire {
+    mirror_group_ops();
     TelemetryWire {
         exposition: alpenhorn_obs::global().expose(),
         spans: alpenhorn_obs::spans_for(SPAN_COMPONENT)
@@ -36,6 +37,23 @@ pub fn telemetry_wire() -> TelemetryWire {
                 duration_us: s.duration_us,
             })
             .collect(),
+    }
+}
+
+/// Copies the process's group-operation counts ([`alpenhorn_ibe::ops`],
+/// plain atomics so `alpenhorn-ibe` needs no `obs` edge) into
+/// `ibe_group_ops_total{op}`, so the exposition carries them.
+fn mirror_group_ops() {
+    let counts = alpenhorn_ibe::ops::snapshot();
+    let registry = alpenhorn_obs::global();
+    for (op, count) in [
+        ("hash_to_g1", counts.hash_to_g1),
+        ("hash_to_g2", counts.hash_to_g2),
+        ("pairing", counts.pairings),
+    ] {
+        registry
+            .gauge("ibe_group_ops_total", &[("op", op)])
+            .set(count);
     }
 }
 

@@ -30,21 +30,25 @@
 //! submits (see `Client::open_add_friend_round`).
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, OnceLock};
 
 use alpenhorn_bloom::DialSet;
 use alpenhorn_coordinator::ratelimit;
 use alpenhorn_crypto::ChaChaRng;
 use alpenhorn_ibe::anytrust::{aggregate_identity_keys, aggregate_master_publics};
 use alpenhorn_ibe::bf::{
-    decrypt as ibe_decrypt, encrypt as ibe_encrypt, IdentityPrivateKey, MasterPublic,
+    decrypt as ibe_decrypt, encrypt as ibe_encrypt, hash_identity, HashedIdentity,
+    IdentityPrivateKey, MasterPublic,
 };
 use alpenhorn_ibe::blind::{blind, unblind, BlindedSignature, BlindingFactor};
 use alpenhorn_ibe::dh::{DhPublic, DhSecret};
 use alpenhorn_ibe::sig::{
-    aggregate_signatures, aggregate_verifying_keys, Signature, SigningKey, VerifyingKey,
+    aggregate_signatures, aggregate_verifying_keys, hash_message, Signature, SigningKey,
+    VerifyingKey,
 };
 use alpenhorn_keywheel::{KeywheelTable, SessionKey};
 use alpenhorn_mixnet::onion::wrap_onion;
+use alpenhorn_obs::Counter;
 use alpenhorn_pkg::server::extraction_request_message;
 use alpenhorn_wire::rpc::{DialingRoundWire, IdentityKeyShareWire, RATE_LIMIT_SERIAL_LEN};
 use alpenhorn_wire::{
@@ -127,6 +131,9 @@ struct OutgoingCall {
 struct AddFriendRoundView {
     round: Round,
     onion_keys: Vec<DhPublic>,
+    /// Each PKG's revealed master public key, in PKG order: what names the
+    /// PKG whose key share fails the aggregate check.
+    pkg_publics: Vec<MasterPublic>,
     master_public: MasterPublic,
     num_mailboxes: u32,
     rate_limited: bool,
@@ -215,6 +222,11 @@ fn decode_onion_keys(bytes: &[[u8; alpenhorn_wire::G1_LEN]]) -> Result<Vec<DhPub
         })
 }
 
+/// The sum of the PKG verification keys, or `None` for the empty set.
+fn aggregate_pkg_keys(pkg_keys: &[VerifyingKey]) -> Option<VerifyingKey> {
+    (!pkg_keys.is_empty()).then(|| aggregate_verifying_keys(pkg_keys))
+}
+
 /// Validates an add-friend round-info reply into the client's view of it.
 fn add_friend_view(response: Response) -> Result<AddFriendRoundView, ClientError> {
     let Response::AddFriendRoundInfo(info) = response else {
@@ -240,18 +252,34 @@ fn add_friend_view(response: Response) -> Result<AddFriendRoundView, ClientError
         round: info.round,
         onion_keys,
         master_public: aggregate_master_publics(&pkg_publics),
+        pkg_publics,
         num_mailboxes: info.num_mailboxes,
         rate_limited: info.rate_limited,
+    })
+}
+
+/// Identity key shares refused because they failed the aggregate check
+/// against the round's master publics.
+fn rejected_key_shares() -> &'static Counter {
+    static COUNTER: OnceLock<Arc<Counter>> = OnceLock::new();
+    COUNTER.get_or_init(|| {
+        alpenhorn_obs::global().counter("client_identity_key_shares_rejected_total", &[])
     })
 }
 
 /// The Alpenhorn client for one user.
 pub struct Client {
     identity: Identity,
+    /// `H2(identity)`, which the client checks its key shares against each
+    /// round; constant for the client's lifetime.
+    identity_point: HashedIdentity,
     config: ClientConfig,
     signing_key: SigningKey,
     /// The PKGs' long-term verification keys (ship with the software, §3.3).
     pkg_keys: Vec<VerifyingKey>,
+    /// Their sum, which verifies an aggregated attestation; `None` when
+    /// `pkg_keys` is empty.
+    pkg_aggregate_key: Option<VerifyingKey>,
     registered: bool,
 
     address_book: AddressBook,
@@ -320,9 +348,11 @@ impl Client {
         let signing_key = SigningKey::generate(&mut rng);
         let retry_rng = derive_retry_rng(&seed);
         Client {
+            identity_point: hash_identity(identity.as_bytes()),
             identity,
             config,
             signing_key,
+            pkg_aggregate_key: aggregate_pkg_keys(&pkg_keys),
             pkg_keys,
             registered: false,
             address_book: AddressBook::new(),
@@ -725,19 +755,17 @@ impl Client {
     /// Verifies the PKGs' identity key shares for `view`'s round, keeps the
     /// aggregated identity key for the mailbox scan and returns the
     /// aggregated attestation this round's request carries.
+    ///
+    /// Both checks run once on the aggregates, with one shared hash each:
+    /// the attestations as one multi-signature on the one attestation
+    /// message, e(Σσᵢ, g₂) = e(H(m), Σpkᵢ), then the key shares against the
+    /// round's master publics, e(Σmpkᵢ, H₂(id)) = e(g₁, Σdᵢ). Only when an
+    /// aggregate check fails do the per-PKG checks run, to name the PKG.
     fn accept_identity_keys(
         &mut self,
         view: &AddFriendRoundView,
         shares: &[IdentityKeyShareWire],
     ) -> Result<Signature, ClientError> {
-        // Verify each PKG's attestation with its long-term key before
-        // trusting the aggregate (a malicious PKG returning garbage would
-        // otherwise break our own outgoing requests).
-        let attestation_msg = FriendRequest::pkg_attestation_message(
-            &self.identity,
-            &self.signing_key.verifying_key().to_bytes(),
-            view.round,
-        );
         let mut identity_keys = Vec::with_capacity(shares.len());
         let mut attestations = Vec::with_capacity(shares.len());
         for share in shares {
@@ -759,26 +787,62 @@ impl Client {
         // an extra, unverifiable response folded into the aggregate would
         // defeat the anytrust check. (An empty `pkg_keys` is the explicit
         // verification opt-out.)
-        if !self.pkg_keys.is_empty() {
-            if shares.len() != self.pkg_keys.len() {
-                return Err(ClientError::PkgResponseCount {
-                    expected: self.pkg_keys.len(),
-                    actual: shares.len(),
-                });
-            }
-            for (i, attestation) in attestations.iter().enumerate() {
-                if !self.pkg_keys[i].verify(&attestation_msg, attestation) {
-                    return Err(ClientError::Coordinator(
-                        alpenhorn_coordinator::CoordinatorError::CommitmentMismatch {
-                            pkg_index: i,
-                        },
-                    ));
-                }
+        if !self.pkg_keys.is_empty() && shares.len() != self.pkg_keys.len() {
+            return Err(ClientError::PkgResponseCount {
+                expected: self.pkg_keys.len(),
+                actual: shares.len(),
+            });
+        }
+        // One share per revealed master public, or the key check below
+        // could not name a PKG.
+        if shares.len() != view.pkg_publics.len() {
+            return Err(ClientError::PkgResponseCount {
+                expected: view.pkg_publics.len(),
+                actual: shares.len(),
+            });
+        }
+        // Verify the attestations with the PKGs' long-term keys before
+        // trusting the aggregate (a malicious PKG returning garbage would
+        // otherwise break our own outgoing requests).
+        let attestation = aggregate_signatures(&attestations);
+        if let Some(aggregate_key) = &self.pkg_aggregate_key {
+            let message = hash_message(&FriendRequest::pkg_attestation_message(
+                &self.identity,
+                &self.signing_key.verifying_key().to_bytes(),
+                view.round,
+            ));
+            if !aggregate_key.verify_hashed(&message, &attestation) {
+                let pkg_index = self
+                    .pkg_keys
+                    .iter()
+                    .zip(&attestations)
+                    .position(|(key, share)| !key.verify_hashed(&message, share))
+                    .expect("a failed aggregate has a failing share (bilinearity)");
+                return Err(ClientError::Coordinator(
+                    alpenhorn_coordinator::CoordinatorError::CommitmentMismatch { pkg_index },
+                ));
             }
         }
+        // A wrong key share would otherwise only show as a mailbox that
+        // silently decrypts nothing.
         let identity_key = aggregate_identity_keys(&identity_keys);
+        if !view
+            .master_public
+            .verify_identity_key(&self.identity_point, &identity_key)
+        {
+            rejected_key_shares().inc();
+            let pkg_index = view
+                .pkg_publics
+                .iter()
+                .zip(&identity_keys)
+                .position(|(public, share)| {
+                    !public.verify_identity_key(&self.identity_point, share)
+                })
+                .expect("a failed aggregate has a failing share (bilinearity)");
+            return Err(ClientError::IdentityKeyShareMismatch { pkg_index });
+        }
         self.round_identity_key = Some((view.round, view.num_mailboxes, identity_key));
-        Ok(aggregate_signatures(&attestations))
+        Ok(attestation)
     }
 
     /// Participates in the open add-friend round: fetches the round
@@ -983,13 +1047,16 @@ impl Client {
         }
 
         // Verify the PKG multi-signature binding (sender, sender_key, round).
-        let multi_vk = aggregate_verifying_keys(&self.pkg_keys);
+        // With no PKG keys configured nothing can verify it.
         let attestation_msg =
             FriendRequest::pkg_attestation_message(&from, &request.sender_key, request.pkg_round);
         let Ok(pkg_sig) = Signature::from_bytes(&request.pkg_sigs) else {
             return Some(self.reject(from, "malformed PKG multi-signature"));
         };
-        if !multi_vk.verify(&attestation_msg, &pkg_sig) {
+        let verified = self
+            .pkg_aggregate_key
+            .is_some_and(|key| key.verify(&attestation_msg, &pkg_sig));
+        if !verified {
             return Some(self.reject(from, "PKG multi-signature does not verify"));
         }
 
@@ -1738,9 +1805,11 @@ impl Client {
         d.finish()?;
 
         Ok(Client {
+            identity_point: hash_identity(identity.as_bytes()),
             identity,
             config,
             signing_key,
+            pkg_aggregate_key: aggregate_pkg_keys(&pkg_keys),
             pkg_keys,
             registered,
             address_book,

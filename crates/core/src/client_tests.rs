@@ -1103,3 +1103,90 @@ fn fast_forward_and_abandon_drop_a_stale_announcement() {
         ["get_dialing_round_info", "submit_dialing"]
     );
 }
+
+/// Loopback that swaps one PKG's identity key share (or attestation) in
+/// every `IdentityKeys` reply for the next PKG's: a well-formed point that
+/// is the wrong one.
+struct SwapShare {
+    inner: LoopbackTransport,
+    pkg: usize,
+    attestation: bool,
+}
+
+impl crate::transport::Transport for SwapShare {
+    fn call(
+        &mut self,
+        request: alpenhorn_wire::Request,
+    ) -> Result<alpenhorn_wire::Response, crate::transport::TransportError> {
+        let mut response = self.inner.call(request)?;
+        if let alpenhorn_wire::Response::IdentityKeys(shares) = &mut response {
+            let next = shares[(self.pkg + 1) % shares.len()];
+            let share = &mut shares[self.pkg];
+            if self.attestation {
+                share.attestation = next.attestation;
+            } else {
+                share.identity_key = next.identity_key;
+            }
+        }
+        Ok(response)
+    }
+}
+
+/// Alice sends Bob a friend request in round 1 and Bob participates through
+/// `SwapShare`; returns Bob's participation result, then lets him retry
+/// honestly and checks that the request still reaches him.
+fn participate_with_swapped_share(seed: u8, pkg: usize, attestation: bool) -> ClientError {
+    let mut net = deployment(seed);
+    let mut alice = new_client(&mut net, "alice@example.com", seed, ClientConfig::default());
+    let mut bob = new_client(&mut net, "bob@gmail.com", seed + 1, ClientConfig::default());
+    alice.add_friend(id("bob@gmail.com"), None);
+    net.with_cluster(|c| c.begin_add_friend_round(Round(1), 2))
+        .unwrap();
+    alice.participate_add_friend(&mut net).unwrap();
+    let mut swapped = SwapShare {
+        inner: net.clone(),
+        pkg,
+        attestation,
+    };
+    let refused = bob.participate_add_friend(&mut swapped).unwrap_err();
+
+    // The refusal kept no round state: an honest retry scans the request.
+    bob.participate_add_friend(&mut net).unwrap();
+    net.with_cluster(|c| c.close_add_friend_round(Round(1)))
+        .unwrap();
+    let events = bob.process_add_friend_mailbox(&mut net).unwrap();
+    assert!(matches!(
+        events[..],
+        [ClientEvent::FriendRequestReceived { .. }]
+    ));
+    refused
+}
+
+#[test]
+fn a_bad_attestation_is_named_by_its_pkg_index() {
+    for pkg in 0..3 {
+        assert_eq!(
+            participate_with_swapped_share(60 + 2 * pkg as u8, pkg, true),
+            ClientError::Coordinator(
+                alpenhorn_coordinator::CoordinatorError::CommitmentMismatch { pkg_index: pkg }
+            )
+        );
+    }
+}
+
+#[test]
+fn a_wrong_identity_key_share_is_named_by_its_pkg_index() {
+    let rejected = || {
+        alpenhorn_obs::global()
+            .snapshot()
+            .value("client_identity_key_shares_rejected_total")
+    };
+    for pkg in 0..3 {
+        let before = rejected();
+        assert_eq!(
+            participate_with_swapped_share(70 + 2 * pkg as u8, pkg, false),
+            ClientError::IdentityKeyShareMismatch { pkg_index: pkg }
+        );
+        assert_eq!(rejected() - before, 1);
+    }
+}

@@ -40,6 +40,13 @@ pub enum ClientError {
         /// Number of responses the coordinator returned.
         actual: usize,
     },
+    /// A PKG's identity key share does not match its revealed round master
+    /// public key for this client's identity: e(mpkᵢ, H₂(id)) ≠ e(g₁, dᵢ).
+    /// Scanning with the aggregate would silently decrypt nothing.
+    IdentityKeyShareMismatch {
+        /// The position of the PKG whose share failed, in PKG order.
+        pkg_index: usize,
+    },
     /// The client has no stored round state to process a mailbox against
     /// (participate was not called for this round).
     NoRoundState,
@@ -120,6 +127,12 @@ impl core::fmt::Display for ClientError {
                 write!(
                     f,
                     "coordinator returned {actual} PKG responses but {expected} PKG keys are configured"
+                )
+            }
+            ClientError::IdentityKeyShareMismatch { pkg_index } => {
+                write!(
+                    f,
+                    "PKG {pkg_index} returned an identity key share that does not match its round master public key"
                 )
             }
             ClientError::NoRoundState => {

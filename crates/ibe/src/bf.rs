@@ -16,16 +16,21 @@
 //! * **Forward secrecy** (§4.4): master keys are rotated per round and erased;
 //!   this module exposes [`MasterSecret::erase`] so the PKG crate can destroy
 //!   the scalar at round end.
+//!
+//! Every PKG extracts from the same `H1(id)`, and the client checks its key
+//! shares against it, so [`hash_identity`] computes it once as a
+//! [`HashedIdentity`] for [`MasterSecret::extract_hashed`] and
+//! [`MasterPublic::verify_identity_key`].
 
-use ark_bls12_381::{Bls12_381, Fr, G1Projective, G2Projective};
-use ark_ec::pairing::Pairing;
-use ark_ec::{CurveGroup, Group};
+use ark_bls12_381::{Fr, G1Projective, G2Projective};
+use ark_ec::Group;
 use ark_ff::Zero;
 use ark_serialize::CanonicalSerialize;
 
 use alpenhorn_crypto::{aead, hkdf::Hkdf};
 
 use crate::hash::hash_to_g2;
+use crate::ops::pairing;
 use crate::points::{g1_from_bytes, g1_to_bytes, G1_LEN};
 use crate::{random_scalar, IbeError};
 
@@ -50,6 +55,21 @@ pub struct IdentityPrivateKey {
     pub(crate) point: G2Projective,
 }
 
+/// An identity already hashed to G2: the `H1(id)` that extraction
+/// multiplies by the master secret.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HashedIdentity {
+    point: G2Projective,
+}
+
+/// Hashes `identity` to G2 once, for any number of extractions and key
+/// checks under it.
+pub fn hash_identity(identity: &[u8]) -> HashedIdentity {
+    HashedIdentity {
+        point: hash_to_g2(IDENTITY_DOMAIN, identity),
+    }
+}
+
 impl MasterSecret {
     /// Generates a fresh master secret.
     pub fn generate(rng: &mut (impl rand::RngCore + ?Sized)) -> Self {
@@ -68,8 +88,14 @@ impl MasterSecret {
     /// Extracts the identity private key for `identity` (the `Extract`
     /// operation of §4.1).
     pub fn extract(&self, identity: &[u8]) -> IdentityPrivateKey {
+        self.extract_hashed(&hash_identity(identity))
+    }
+
+    /// [`MasterSecret::extract`] for an identity hashed by
+    /// [`hash_identity`]; equal to it over the same bytes.
+    pub fn extract_hashed(&self, identity: &HashedIdentity) -> IdentityPrivateKey {
         IdentityPrivateKey {
-            point: hash_to_g2(IDENTITY_DOMAIN, identity) * self.s,
+            point: identity.point * self.s,
         }
     }
 
@@ -109,6 +135,14 @@ impl MasterPublic {
         Ok(MasterPublic {
             point: g1_from_bytes(bytes)?,
         })
+    }
+
+    /// Whether `key` is `identity`'s key under this master public key:
+    /// e(mpk, H1(id)) = e(P1, d). Both sides are linear, so the check holds
+    /// for an anytrust aggregate exactly when it holds for the sum of the
+    /// shares. Two pairings.
+    pub fn verify_identity_key(&self, identity: &HashedIdentity, key: &IdentityPrivateKey) -> bool {
+        pairing(self.point, identity.point) == pairing(G1Projective::generator(), key.point)
     }
 }
 
@@ -170,7 +204,7 @@ pub fn encrypt(
 
     // g_id = e(mpk, H1(id))^r computed as e(r·mpk, H1(id)).
     let q_id = hash_to_g2(IDENTITY_DOMAIN, identity);
-    let shared = Bls12_381::pairing((mpk.point * r).into_affine(), q_id.into_affine());
+    let shared = pairing(mpk.point * r, q_id);
     let key = derive_key(&shared, &ephemeral_bytes);
 
     // Hybrid seal, in place: the ciphertext buffer is allocated once at its
@@ -202,7 +236,7 @@ pub fn decrypt(idk: &IdentityPrivateKey, ciphertext: &[u8]) -> Result<Vec<u8>, I
     let ephemeral_arr: [u8; G1_LEN] = ephemeral_bytes.try_into().expect("split at G1_LEN");
 
     // e(U, d_id) = e(r·P1, s·H1(id)) equals the encryptor's pairing value.
-    let shared = Bls12_381::pairing(ephemeral.into_affine(), idk.point.into_affine());
+    let shared = pairing(ephemeral, idk.point);
     let key = derive_key(&shared, &ephemeral_arr);
 
     // The tag is checked on the borrowed ciphertext: a ciphertext for
@@ -243,6 +277,27 @@ mod tests {
         let ct = encrypt(&mpk, b"bob@gmail.com", b"hello bob", &mut rng);
         let wrong = msk.extract(b"eve@gmail.com");
         assert_eq!(decrypt(&wrong, &ct), Err(IbeError::DecryptionFailed));
+    }
+
+    #[test]
+    fn hashed_identity_extracts_and_checks_like_the_bytes() {
+        let mut rng = rng(12);
+        let msk = MasterSecret::generate(&mut rng);
+        let other = MasterSecret::generate(&mut rng);
+        let bob = hash_identity(b"bob@gmail.com");
+        let key = msk.extract_hashed(&bob);
+        assert_eq!(key, msk.extract(b"bob@gmail.com"));
+        assert!(msk.public().verify_identity_key(&bob, &key));
+        assert!(!msk
+            .public()
+            .verify_identity_key(&hash_identity(b"eve@gmail.com"), &key));
+        assert!(!other.public().verify_identity_key(&bob, &key));
+        // The check is linear: an anytrust aggregate passes against the
+        // aggregated master public key.
+        let mpk = crate::aggregate_master_publics(&[msk.public(), other.public()]);
+        let sum = crate::aggregate_identity_keys(&[key, other.extract_hashed(&bob)]);
+        assert!(mpk.verify_identity_key(&bob, &sum));
+        assert!(!mpk.verify_identity_key(&bob, &key));
     }
 
     #[test]

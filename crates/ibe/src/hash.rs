@@ -46,6 +46,7 @@ fn expand<const N: usize>(base: &Sha256, counter: u32, msg: &[u8]) -> [u8; N] {
 
 /// Hashes a message to a point in the G1 prime-order subgroup.
 pub fn hash_to_g1(domain: &[u8], msg: &[u8]) -> G1Projective {
+    crate::ops::count_hash_to_g1();
     let base = domain_base(domain);
     for counter in 0u32.. {
         let bytes: [u8; 49] = expand(&base, counter, msg);
@@ -63,6 +64,7 @@ pub fn hash_to_g1(domain: &[u8], msg: &[u8]) -> G1Projective {
 
 /// Hashes a message to a point in the G2 prime-order subgroup.
 pub fn hash_to_g2(domain: &[u8], msg: &[u8]) -> G2Projective {
+    crate::ops::count_hash_to_g2();
     let base = domain_base(domain);
     for counter in 0u32.. {
         let bytes: [u8; 97] = expand(&base, counter, msg);

@@ -20,6 +20,8 @@
 //! * [`hash`] — hash-to-curve (try-and-increment) and hash-to-scalar helpers.
 //! * [`blind`] — blind BLS signatures for the rate-limiting (anti-DoS)
 //!   extension the paper sketches in §9.
+//! * [`ops`] — process-wide counts of hashes to G1 and G2 and of pairings,
+//!   the operations a real curve prices far above the stand-in.
 //!
 //! The paper's prototype used the BN-256 curve; this reproduction uses
 //! BLS12-381, the replacement curve the authors anticipate in §8.6 after the
@@ -35,15 +37,19 @@ pub mod blind;
 pub mod commit;
 pub mod dh;
 pub mod hash;
+pub mod ops;
 pub mod points;
 pub mod sig;
 
 pub use anytrust::{aggregate_identity_keys, aggregate_master_publics};
-pub use bf::{decrypt, encrypt, IdentityPrivateKey, MasterPublic, MasterSecret};
+pub use bf::{
+    decrypt, encrypt, hash_identity, HashedIdentity, IdentityPrivateKey, MasterPublic, MasterSecret,
+};
 pub use commit::Commitment;
 pub use dh::{DhPublic, DhSecret};
 pub use sig::{
-    aggregate_signatures, aggregate_verifying_keys, Signature, SigningKey, VerifyingKey,
+    aggregate_signatures, aggregate_verifying_keys, hash_message, HashedMessage, Signature,
+    SigningKey, VerifyingKey,
 };
 
 /// Errors produced by the pairing-based primitives.

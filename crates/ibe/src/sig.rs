@@ -16,12 +16,18 @@
 //! verified against the sum of public keys (the rogue-key caveat does not
 //! apply here because PKG keys are fixed, known to all clients, and shipped
 //! with the software, per §3.3).
+//!
+//! Every PKG signs the same attestation message for one extraction, and a
+//! client checks all of them against it, so the message's hash to G1 can be
+//! computed once: [`hash_message`] returns it as a [`HashedMessage`], which
+//! [`SigningKey::sign_hashed`] and [`VerifyingKey::verify_hashed`] take in
+//! place of the bytes.
 
-use ark_bls12_381::{Bls12_381, Fr, G1Projective, G2Projective};
-use ark_ec::pairing::Pairing;
-use ark_ec::{CurveGroup, Group};
+use ark_bls12_381::{Fr, G1Projective, G2Projective};
+use ark_ec::Group;
 
 use crate::hash::hash_to_g1;
+use crate::ops::pairing;
 use crate::points::{g1_from_bytes, g1_to_bytes, g2_from_bytes, g2_to_bytes, G1_LEN, G2_LEN};
 use crate::{random_scalar, IbeError};
 
@@ -46,6 +52,21 @@ pub struct Signature {
     point: G1Projective,
 }
 
+/// A message already hashed to G1 under the signature domain: what
+/// [`SigningKey::sign`] and [`VerifyingKey::verify`] hash their message to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HashedMessage {
+    point: G1Projective,
+}
+
+/// Hashes `message` to G1 once, for any number of signatures over it
+/// ([`SigningKey::sign_hashed`], [`VerifyingKey::verify_hashed`]).
+pub fn hash_message(message: &[u8]) -> HashedMessage {
+    HashedMessage {
+        point: hash_to_g1(SIG_DOMAIN, message),
+    }
+}
+
 impl SigningKey {
     /// Generates a fresh signing key.
     pub fn generate(rng: &mut (impl rand::RngCore + ?Sized)) -> Self {
@@ -63,8 +84,14 @@ impl SigningKey {
 
     /// Signs a message.
     pub fn sign(&self, message: &[u8]) -> Signature {
+        self.sign_hashed(&hash_message(message))
+    }
+
+    /// Signs a message hashed by [`hash_message`]; equal to
+    /// [`SigningKey::sign`] over the same bytes.
+    pub fn sign_hashed(&self, message: &HashedMessage) -> Signature {
         Signature {
-            point: hash_to_g1(SIG_DOMAIN, message) * self.sk,
+            point: message.point * self.sk,
         }
     }
 
@@ -98,23 +125,25 @@ impl core::fmt::Debug for SigningKey {
 impl VerifyingKey {
     /// Verifies a signature over `message`.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
-        self.verify_with_domain(SIG_DOMAIN, message, signature)
+        self.verify_hashed(&hash_message(message), signature)
+    }
+
+    /// Verifies a signature over a message hashed by [`hash_message`]; equal
+    /// to [`VerifyingKey::verify`] over the same bytes.
+    pub fn verify_hashed(&self, message: &HashedMessage, signature: &Signature) -> bool {
+        self.verify_point(message.point, signature)
     }
 
     /// Verifies a signature over `message` hashed with a caller-chosen domain
     /// tag. Used by the blind-signature tokens ([`crate::blind`]), which must
     /// not be interchangeable with ordinary signatures.
     pub fn verify_with_domain(&self, domain: &[u8], message: &[u8], signature: &Signature) -> bool {
-        // e(sig, P2) == e(H(m), pk)
-        let lhs = Bls12_381::pairing(
-            signature.point.into_affine(),
-            G2Projective::generator().into_affine(),
-        );
-        let rhs = Bls12_381::pairing(
-            hash_to_g1(domain, message).into_affine(),
-            self.point.into_affine(),
-        );
-        lhs == rhs
+        self.verify_point(hash_to_g1(domain, message), signature)
+    }
+
+    /// e(sig, P2) == e(H(m), pk).
+    fn verify_point(&self, hashed: G1Projective, signature: &Signature) -> bool {
+        pairing(signature.point, G2Projective::generator()) == pairing(hashed, self.point)
     }
 
     /// Serializes to the 96-byte compressed form.
@@ -251,6 +280,17 @@ mod tests {
         // honest PKG attested a bogus binding.
         let partial: Vec<Signature> = keys[..2].iter().map(|k| k.sign(message)).collect();
         assert!(!multi_vk.verify(message, &aggregate_signatures(&partial)));
+    }
+
+    #[test]
+    fn hashed_message_signs_and_verifies_like_the_bytes() {
+        let mut rng = rng(38);
+        let sk = SigningKey::generate(&mut rng);
+        let vk = sk.verifying_key();
+        let hashed = hash_message(b"attestation");
+        assert_eq!(sk.sign_hashed(&hashed), sk.sign(b"attestation"));
+        assert!(vk.verify_hashed(&hashed, &sk.sign(b"attestation")));
+        assert!(!vk.verify_hashed(&hash_message(b"other"), &sk.sign(b"attestation")));
     }
 
     #[test]

@@ -25,4 +25,4 @@ pub use error::PkgError;
 pub use mail::{MailDelivery, SimulatedMail};
 pub use registry::{AccountRegistry, AccountStatus, LOCKOUT_SECONDS};
 pub use round_keys::RoundKeyManager;
-pub use server::{ExtractResponse, PkgServer};
+pub use server::{ExtractResponse, PkgServer, PreparedExtraction};

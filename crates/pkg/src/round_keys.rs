@@ -12,7 +12,7 @@
 
 use alpenhorn_crypto::zeroize::Zeroize;
 use alpenhorn_crypto::{hmac_sha256, ChaChaRng, Hkdf, HmacKey};
-use alpenhorn_ibe::bf::{IdentityPrivateKey, MasterPublic, MasterSecret};
+use alpenhorn_ibe::bf::{HashedIdentity, IdentityPrivateKey, MasterPublic, MasterSecret};
 use alpenhorn_ibe::commit::{Commitment, NONCE_LEN};
 use alpenhorn_wire::Round;
 
@@ -110,20 +110,25 @@ impl RoundKeyManager {
         self.round(round).map(|keys| keys.commitment)
     }
 
-    /// Extracts the identity key for `identity` in `round`. Only allowed
-    /// after the reveal (clients must be able to verify the commitment chain
+    /// Extracts the identity key for `identity` (hashed by
+    /// [`alpenhorn_ibe::bf::hash_identity`]) in `round`. Only allowed after
+    /// the reveal (clients must be able to verify the commitment chain
     /// before trusting the aggregate key).
     ///
     /// Takes `&self`: the round secret is fixed from `begin_round` to
     /// `end_round`, so concurrent extractions only read it, and the
     /// `&mut self` of `end_round` is what guarantees none is still reading
     /// when it is erased.
-    pub fn extract(&self, round: Round, identity: &[u8]) -> Result<IdentityPrivateKey, PkgError> {
+    pub fn extract_hashed(
+        &self,
+        round: Round,
+        identity: &HashedIdentity,
+    ) -> Result<IdentityPrivateKey, PkgError> {
         let keys = self.round(round)?;
         if keys.phase != Phase::Revealed {
             return Err(PkgError::WrongPhase);
         }
-        Ok(keys.secret.extract(identity))
+        Ok(keys.secret.extract_hashed(identity))
     }
 
     /// Ends the current round, erasing the master secret (forward secrecy).
@@ -194,7 +199,7 @@ impl RoundKeyManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alpenhorn_ibe::bf::{decrypt, encrypt};
+    use alpenhorn_ibe::bf::{decrypt, encrypt, hash_identity};
 
     #[test]
     fn commit_reveal_extract_cycle() {
@@ -206,7 +211,7 @@ mod tests {
 
         // Extraction before reveal is forbidden.
         assert_eq!(
-            mgr.extract(round, b"alice@example.com"),
+            mgr.extract_hashed(round, &hash_identity(b"alice@example.com")),
             Err(PkgError::WrongPhase)
         );
 
@@ -214,7 +219,9 @@ mod tests {
         assert!(commitment.verify(&public.to_bytes(), &nonce));
 
         // Extraction now works and produces a key that decrypts.
-        let idk = mgr.extract(round, b"alice@example.com").unwrap();
+        let idk = mgr
+            .extract_hashed(round, &hash_identity(b"alice@example.com"))
+            .unwrap();
         let mut rng = ChaChaRng::from_seed_bytes([2u8; 32]);
         let ct = encrypt(&public, b"alice@example.com", b"hi", &mut rng);
         assert_eq!(decrypt(&idk, &ct).unwrap(), b"hi");
@@ -264,10 +271,14 @@ mod tests {
         mgr.end_round();
         mgr.begin_round(Round(2));
         mgr.reveal(Round(2)).unwrap();
-        let new_key = mgr.extract(Round(2), b"bob@gmail.com").unwrap();
+        let new_key = mgr
+            .extract_hashed(Round(2), &hash_identity(b"bob@gmail.com"))
+            .unwrap();
         assert!(decrypt(&new_key, &ct).is_err());
         // And the round-1 key can no longer be extracted at all.
-        assert!(mgr.extract(Round(1), b"bob@gmail.com").is_err());
+        assert!(mgr
+            .extract_hashed(Round(1), &hash_identity(b"bob@gmail.com"))
+            .is_err());
     }
 
     #[test]

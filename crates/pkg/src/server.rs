@@ -5,11 +5,20 @@
 //! signature over `(identity, signing key, round)` made with the PKG's
 //! long-term signing key. Clients aggregate the identity keys (Anytrust-IBE)
 //! and the signatures (a BLS multi-signature carried in friend requests).
+//!
+//! An extraction is two halves. [`PreparedExtraction`] is the per-request
+//! half: it verifies the request signature under the registered key and
+//! hashes the identity to G2 and the attestation message to G1, none of
+//! which depends on the PKG's secrets. [`PkgServer::extract_prepared`] is
+//! the per-PKG half: the round key share and the attestation signature. A
+//! deployment that runs several PKGs in one process prepares once for all
+//! of them (`alpenhorn_coordinator::Cluster::extract_identity_keys`);
+//! [`PkgServer::extract`] is both halves for one PKG.
 
 use alpenhorn_crypto::ChaChaRng;
-use alpenhorn_ibe::bf::{IdentityPrivateKey, MasterPublic};
+use alpenhorn_ibe::bf::{hash_identity, HashedIdentity, IdentityPrivateKey, MasterPublic};
 use alpenhorn_ibe::commit::{Commitment, NONCE_LEN};
-use alpenhorn_ibe::sig::{Signature, SigningKey, VerifyingKey};
+use alpenhorn_ibe::sig::{hash_message, HashedMessage, Signature, SigningKey, VerifyingKey};
 use alpenhorn_wire::{FriendRequest, Identity, Round};
 
 use crate::error::PkgError;
@@ -24,6 +33,47 @@ pub struct ExtractResponse {
     pub identity_key: IdentityPrivateKey,
     /// The PKG's signature over `(identity, signing key, round)`.
     pub attestation: Signature,
+}
+
+/// An extraction request verified under one registered signing key, with
+/// the hashes every PKG holding that key extracts and attests from.
+#[derive(Debug, Clone)]
+pub struct PreparedExtraction {
+    /// The registered key the request signature verified under.
+    key: VerifyingKey,
+    /// `H2(identity)`, the point the round master secrets multiply.
+    identity: HashedIdentity,
+    /// `H1` of the attestation message over `(identity, key, round)`.
+    attestation: HashedMessage,
+}
+
+impl PreparedExtraction {
+    /// Verifies `auth_signature` over [`extraction_request_message`] under
+    /// `key`, the signing key registered for `identity`, and only then
+    /// hashes the identity and the attestation message. A refused request
+    /// costs no hash; and since one signature verifies under one key, a
+    /// request checked against several distinct keys is hashed at most once.
+    pub fn verify(
+        identity: &Identity,
+        round: Round,
+        key: &VerifyingKey,
+        auth_signature: &Signature,
+    ) -> Result<Self, PkgError> {
+        if !key.verify(&extraction_request_message(identity, round), auth_signature) {
+            return Err(PkgError::AuthenticationFailed);
+        }
+        let attestation = FriendRequest::pkg_attestation_message(identity, &key.to_bytes(), round);
+        Ok(PreparedExtraction {
+            key: *key,
+            identity: hash_identity(identity.as_bytes()),
+            attestation: hash_message(&attestation),
+        })
+    }
+
+    /// The registered key the request verified under.
+    pub fn key(&self) -> &VerifyingKey {
+        &self.key
+    }
 }
 
 /// One PKG server.
@@ -120,10 +170,7 @@ impl PkgServer {
         signature: &Signature,
         now: u64,
     ) -> Result<(), PkgError> {
-        let key = self
-            .registry
-            .signing_key(identity)
-            .ok_or(PkgError::UnknownIdentity)?;
+        let key = self.registered_key(identity)?;
         let message = deregistration_message(identity);
         if !key.verify(&message, signature) {
             return Err(PkgError::AuthenticationFailed);
@@ -151,14 +198,12 @@ impl PkgServer {
     }
 
     /// Extracts `identity`'s round key share after verifying the request
-    /// signature made with the account's registered long-term key.
+    /// signature made with the account's registered long-term key:
+    /// [`PreparedExtraction::verify`] under this PKG's registered key, then
+    /// [`PkgServer::extract_prepared`].
     ///
     /// `auth_signature` must be a signature over
     /// [`extraction_request_message`] for this identity and round.
-    ///
-    /// Takes `&self` so one PKG can serve many extractions at once: the
-    /// round secret and the signing key are only read, and the inactivity
-    /// refresh is an atomic, forward-only [`AccountRegistry::touch`].
     pub fn extract(
         &self,
         identity: &Identity,
@@ -166,24 +211,47 @@ impl PkgServer {
         auth_signature: &Signature,
         now: u64,
     ) -> Result<ExtractResponse, PkgError> {
-        let user_key = self
-            .registry
-            .signing_key(identity)
-            .ok_or(PkgError::UnknownIdentity)?;
-        let request = extraction_request_message(identity, round);
-        if !user_key.verify(&request, auth_signature) {
+        let prepared = PreparedExtraction::verify(
+            identity,
+            round,
+            self.registered_key(identity)?,
+            auth_signature,
+        )?;
+        self.extract_prepared(identity, round, &prepared, now)
+    }
+
+    /// Extracts `identity`'s round key share from a request `prepared` under
+    /// this PKG's registered key. The PKG re-reads its own registry and
+    /// refuses with [`PkgError::AuthenticationFailed`] a preparation
+    /// verified under any other key, so the authentication decision stays
+    /// this PKG's own.
+    ///
+    /// Takes `&self` so one PKG can serve many extractions at once: the
+    /// round secret and the signing key are only read, and the inactivity
+    /// refresh is an atomic, forward-only [`AccountRegistry::touch`].
+    pub fn extract_prepared(
+        &self,
+        identity: &Identity,
+        round: Round,
+        prepared: &PreparedExtraction,
+        now: u64,
+    ) -> Result<ExtractResponse, PkgError> {
+        if *self.registered_key(identity)? != prepared.key {
             return Err(PkgError::AuthenticationFailed);
         }
-        let identity_key = self.round_keys.extract(round, identity.as_bytes())?;
+        let identity_key = self.round_keys.extract_hashed(round, &prepared.identity)?;
         self.registry.touch(identity, now);
-
-        let attestation_msg =
-            FriendRequest::pkg_attestation_message(identity, &user_key.to_bytes(), round);
-        let attestation = self.signing_key.sign(&attestation_msg);
         Ok(ExtractResponse {
             identity_key,
-            attestation,
+            attestation: self.signing_key.sign_hashed(&prepared.attestation),
         })
+    }
+
+    /// The signing key registered for `identity` at this PKG.
+    pub fn registered_key(&self, identity: &Identity) -> Result<&VerifyingKey, PkgError> {
+        self.registry
+            .signing_key(identity)
+            .ok_or(PkgError::UnknownIdentity)
     }
 }
 
@@ -281,6 +349,91 @@ mod tests {
             round,
         );
         assert!(multi_vk.verify(&msg, &multi_sig));
+    }
+
+    #[test]
+    fn prepared_and_unprepared_extractions_are_equal_at_every_pkg() {
+        let mut pkgs: Vec<PkgServer> = (0..3)
+            .map(|i| PkgServer::new(&format!("pkg-{i}"), [i as u8 + 11; 32]))
+            .collect();
+        let mail = SimulatedMail::new();
+        let mut rng = ChaChaRng::from_seed_bytes([43u8; 32]);
+        let alice = id("alice@example.com");
+        let alice_key = register_everywhere(&mut pkgs, &mail, &alice, 0, &mut rng);
+        let round = Round(3);
+        for pkg in pkgs.iter_mut() {
+            pkg.begin_round(round);
+            pkg.reveal_round_key(round).unwrap();
+        }
+        let auth = alice_key.sign(&extraction_request_message(&alice, round));
+        // One preparation serves every PKG holding the same key.
+        let registered = pkgs[0].registered_key(&alice).unwrap();
+        let prepared = PreparedExtraction::verify(&alice, round, registered, &auth).unwrap();
+        for pkg in &pkgs {
+            let plain = pkg.extract(&alice, round, &auth, 5).unwrap();
+            let from_prepared = pkg.extract_prepared(&alice, round, &prepared, 5).unwrap();
+            assert_eq!(plain.identity_key, from_prepared.identity_key);
+            assert_eq!(plain.attestation, from_prepared.attestation);
+        }
+    }
+
+    #[test]
+    fn a_preparation_under_another_pkgs_key_is_refused() {
+        let mut pkgs = [
+            PkgServer::new("pkg-0", [1u8; 32]),
+            PkgServer::new("pkg-1", [2u8; 32]),
+        ];
+        let mail = SimulatedMail::new();
+        let mut rng = ChaChaRng::from_seed_bytes([44u8; 32]);
+        let alice = id("alice@example.com");
+        // Each PKG holds a different key for alice (say one registration was
+        // replaced at PKG 0 only).
+        let key_0 = register_everywhere(&mut pkgs[..1], &mail, &alice, 0, &mut rng);
+        let key_1 = register_everywhere(&mut pkgs[1..], &mail, &alice, 0, &mut rng);
+        let round = Round(4);
+        for pkg in pkgs.iter_mut() {
+            pkg.begin_round(round);
+            pkg.reveal_round_key(round).unwrap();
+        }
+        let auth_0 = key_0.sign(&extraction_request_message(&alice, round));
+        let prepared_0 = PreparedExtraction::verify(
+            &alice,
+            round,
+            pkgs[0].registered_key(&alice).unwrap(),
+            &auth_0,
+        )
+        .unwrap();
+        assert!(pkgs[0]
+            .extract_prepared(&alice, round, &prepared_0, 9)
+            .is_ok());
+        // PKG 1 re-reads its own registry: the preparation is not for its key,
+        // and its account is not touched.
+        assert_eq!(
+            pkgs[1]
+                .extract_prepared(&alice, round, &prepared_0, 9)
+                .err(),
+            Some(PkgError::AuthenticationFailed)
+        );
+        assert_eq!(pkgs[1].registry().account_last_seen(&alice), Some(0));
+        // PKG 1 extracts for a request signed with the key it holds.
+        let auth_1 = key_1.sign(&extraction_request_message(&alice, round));
+        let prepared_1 = PreparedExtraction::verify(
+            &alice,
+            round,
+            pkgs[1].registered_key(&alice).unwrap(),
+            &auth_1,
+        )
+        .unwrap();
+        assert_eq!(
+            pkgs[1]
+                .extract_prepared(&alice, round, &prepared_1, 9)
+                .unwrap()
+                .identity_key,
+            pkgs[1]
+                .extract(&alice, round, &auth_1, 9)
+                .unwrap()
+                .identity_key
+        );
     }
 
     #[test]

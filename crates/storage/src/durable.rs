@@ -16,7 +16,8 @@
 //! records become durable at the owner's next [`Journal::sync`]. During
 //! recovery the snapshot is restored and each logged record is re-applied via
 //! [`Persist::apply_record`]; effect records therefore must capture the
-//! mutation's result (inserted account, advanced ratchet, spent token), never
+//! mutation's result (inserted account, advanced ratchet, refreshed
+//! inactivity window), never
 //! non-deterministic inputs.
 //!
 //! Checkpointing bumps the generation: the new snapshot is written atomically
@@ -296,8 +297,7 @@ impl<T: Persist> Durable<T> {
     }
 
     /// Checkpoints if at least [`StorageConfig::checkpoint_every_records`]
-    /// records — from [`Durable::record`] and from [`Journal`] handles alike
-    /// — have been appended since the last checkpoint. On failure the
+    /// records have been appended since the last checkpoint. On failure the
     /// counter stays above the threshold, so the next call retries.
     pub fn checkpoint_if_due(&mut self) -> Result<(), StorageError> {
         match &self.backing {
@@ -310,10 +310,8 @@ impl<T: Persist> Durable<T> {
         }
     }
 
-    /// A cloneable handle for appending effect records from concurrent fast
-    /// paths, or syncing, without borrowing this store. Records from all
-    /// handles and from [`Durable::record`] share one WAL; handles from
-    /// ephemeral stores discard every record.
+    /// A cloneable handle that syncs this store's WAL without borrowing the
+    /// store (see [`Journal`]); handles from ephemeral stores sync nothing.
     pub fn journal(&self) -> Journal {
         match &self.backing {
             Some(backing) => Journal::backed(Arc::clone(&backing.wal)),
@@ -329,12 +327,14 @@ impl<T: Persist> Durable<T> {
     /// snapshot was written, the snapshot is removed again before returning,
     /// so a process that keeps journalling to the old generation can never
     /// be shadowed by a newer frozen snapshot at the next recovery.
-    /// Concurrency: the snapshot is encoded under the WAL mutex (see
-    /// [`GroupWal::checkpoint_swap`]), so effect records journalled by
-    /// concurrent [`Journal`] handles are never lost across a generation
-    /// swap — a record appended before the barrier has its effect captured
-    /// by the snapshot; one appended after lands in the new WAL and replays
-    /// idempotently.
+    /// Concurrency: this takes `&mut self` and [`Durable::record`] takes
+    /// `&self`, so no record of this store is appended during a checkpoint.
+    /// An owner that records from many threads shares the store behind a
+    /// lock whose exclusive side checkpoints (the coordinator's service
+    /// lock): each record is then either captured by the snapshot or
+    /// appended to the new generation's WAL. The snapshot is also encoded
+    /// under the WAL mutex ([`GroupWal::checkpoint_swap`]), so a swap and an
+    /// append never interleave inside the WAL.
     pub fn checkpoint(&mut self) -> Result<(), StorageError> {
         let Some(backing) = &mut self.backing else {
             return Ok(());
@@ -647,6 +647,8 @@ mod tests {
         assert!(!d.journal().is_durable());
     }
 
+    /// A buffered record made durable through the journal handle (the
+    /// close barrier's path) survives a restart.
     #[test]
     fn journal_handle_records_survive_restart() {
         let dir = tmpdir("journal");
@@ -655,9 +657,10 @@ mod tests {
                 Durable::open(Tally::default(), &dir, StorageConfig::default()).unwrap();
             let journal = d.journal();
             let (kind, payload) = d.state_mut().add(4, 40);
-            journal
-                .append(kind, &payload, Durability::Buffered)
-                .unwrap();
+            d.record(kind, &payload, Durability::Buffered).unwrap();
+            assert_eq!(d.fsyncs(), 0);
+            journal.sync().unwrap();
+            assert_eq!(d.fsyncs(), 1);
         }
         let (d, report) = Durable::open(Tally::default(), &dir, StorageConfig::default()).unwrap();
         assert_eq!(report.records_replayed, 1);
@@ -665,9 +668,9 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
-    /// A set of serials mutated through shared references, mirroring how the
-    /// coordinator's striped spent-token set is spent by concurrent fast
-    /// paths: insert first, then journal the (idempotent) effect record.
+    /// A set of serials mutated through shared references, the way the
+    /// coordinator's PKG path refreshes accounts under its service read
+    /// lock: insert first, then record the (idempotent) effect.
     #[derive(Default)]
     struct SerialSet {
         serials: std::sync::Mutex<std::collections::BTreeSet<u64>>,
@@ -719,16 +722,19 @@ mod tests {
         }
     }
 
-    /// The checkpoint barrier: effects journalled by concurrent fast-path
-    /// handles are never lost across generation swaps — each one is either
-    /// captured by a snapshot or replayed from the live WAL suffix.
+    /// Effects recorded by concurrent threads through [`Durable::record`]
+    /// are never lost across the generation swaps of checkpoints taken
+    /// between them — each one is either captured by a snapshot or replayed
+    /// from the live WAL suffix. The threads record under a read lock and
+    /// the checkpoints take the write lock, as the coordinator's PKG path
+    /// records under its service read lock and its round close checkpoints
+    /// under the write lock.
     #[test]
     fn concurrent_journal_with_checkpoints_recovers_every_effect() {
         let dir = tmpdir("barrier");
         let shared: Arc<SerialSet> = Arc::new(SerialSet::default());
-        // `Durable` owns its state; wrap the Arc so fast-path threads and
-        // the recovery machinery mutate the same shared set, the way the
-        // coordinator shares its striped spent-token set.
+        // `Durable` owns its state; wrap the Arc so the recording threads and
+        // the recovery machinery mutate the same shared set.
         struct SharedSet(Arc<SerialSet>);
         impl Persist for SharedSet {
             fn encode_snapshot(&self) -> Vec<u8> {
@@ -750,32 +756,31 @@ mod tests {
             }
         }
         {
-            let (mut d, _) = Durable::open(
+            let (d, _) = Durable::open(
                 SharedSet(Arc::clone(&shared)),
                 &dir,
                 StorageConfig::default(),
             )
             .unwrap();
-            let journal = d.journal();
+            let d = std::sync::RwLock::new(d);
             std::thread::scope(|s| {
                 for t in 0..4u64 {
-                    let journal = journal.clone();
+                    let d = &d;
                     let shared = Arc::clone(&shared);
                     s.spawn(move || {
                         for i in 0..25u64 {
+                            let d = d.read().unwrap();
                             let (kind, payload) = shared.insert(t * 1000 + i);
-                            journal
-                                .append(kind, &payload, Durability::Buffered)
-                                .unwrap();
+                            d.record(kind, &payload, Durability::Buffered).unwrap();
                         }
                     });
                 }
-                // Checkpoint repeatedly while the appenders run.
+                // Checkpoint repeatedly while the recorders run.
                 for _ in 0..5 {
-                    d.checkpoint().unwrap();
+                    d.write().unwrap().checkpoint().unwrap();
                 }
             });
-            d.checkpoint().unwrap();
+            d.write().unwrap().checkpoint().unwrap();
         }
         let recovered: Arc<SerialSet> = Arc::new(SerialSet::default());
         let (_, report) = Durable::open(

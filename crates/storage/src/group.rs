@@ -192,46 +192,31 @@ impl GroupWal {
     }
 }
 
-/// A cloneable handle for appending effect records to a [`Durable`] store's
-/// WAL without holding a reference to the store itself.
+/// A cloneable handle that syncs a [`Durable`] store's WAL without holding a
+/// reference to the store itself.
 ///
-/// This is the concurrent fast path: a reader thread that mutated shared
-/// interior-mutable state (e.g. a striped spent-token set) journals the
-/// effect through its `Journal` while other threads do the same. It is also
-/// how an owner whose state is borrowed elsewhere reaches
-/// [`GroupWal::sync`]. A handle from an ephemeral store accepts and discards
-/// every record, so call sites need not branch on whether durability is
-/// configured.
+/// It is how an owner whose state is borrowed elsewhere reaches
+/// [`GroupWal::sync`]: the coordinator's round close runs its WAL barrier
+/// through one while the cluster is mutably borrowed for the close. Records
+/// are appended only through [`Durable::record`]. A handle from an
+/// ephemeral store syncs nothing, so call sites need not branch on whether
+/// durability is configured.
 ///
 /// [`Durable`]: crate::Durable
+/// [`Durable::record`]: crate::Durable::record
 #[derive(Clone, Default)]
 pub struct Journal {
     wal: Option<Arc<GroupWal>>,
 }
 
 impl Journal {
-    /// A journal that discards every record (ephemeral stores).
+    /// A journal with nothing to sync (ephemeral stores).
     pub fn ephemeral() -> Self {
         Journal { wal: None }
     }
 
     pub(crate) fn backed(wal: Arc<GroupWal>) -> Self {
         Journal { wal: Some(wal) }
-    }
-
-    /// Appends one effect record at `durability`; `Err` means the record is
-    /// **not** in the log and the caller should undo the in-memory mutation
-    /// it described.
-    pub fn append(
-        &self,
-        kind: u8,
-        payload: &[u8],
-        durability: Durability,
-    ) -> Result<(), StorageError> {
-        match &self.wal {
-            Some(wal) => wal.append(kind, payload, durability),
-            None => Ok(()),
-        }
     }
 
     /// Makes every record appended so far durable (see [`GroupWal::sync`]).
@@ -242,7 +227,8 @@ impl Journal {
         }
     }
 
-    /// Whether records actually reach a disk (false for ephemeral handles).
+    /// Whether the store's records reach a disk (false for ephemeral
+    /// handles).
     pub fn is_durable(&self) -> bool {
         self.wal.is_some()
     }
@@ -385,9 +371,9 @@ mod tests {
     fn ephemeral_journal_is_inert() {
         let journal = Journal::ephemeral();
         assert!(!journal.is_durable());
-        journal.append(1, b"nowhere", Synced).unwrap();
+        journal.sync().unwrap();
         let cloned = journal.clone();
-        cloned.append(2, b"still nowhere", Buffered).unwrap();
+        assert!(!cloned.is_durable());
         cloned.sync().unwrap();
     }
 }

@@ -26,8 +26,8 @@
 //!   appender, where each record names its
 //!   [`Durability`] class (fsynced before the append
 //!   returns, or buffered until the owner's next `sync`), plus the cloneable
-//!   [`Journal`] handle that lets fast-path threads journal
-//!   effects without borrowing the `Durable` store.
+//!   [`Journal`] handle that syncs it without borrowing the `Durable`
+//!   store.
 //!
 //! The design follows the append-only, sequential-write discipline of
 //! log-structured storage (cf. LogRAID, arXiv:2402.17963): all writes are

@@ -53,6 +53,16 @@ cargo test --release -p alpenhorn-bloom -- --ignored
 stage "onion layer KDF (known answers, wrap/peel, parallel equivalence)"
 cargo test -q -p alpenhorn-mixnet
 
+# Group-operation counts (alpenhorn_ibe::ops): one 3-PKG extraction hashes
+# the identity to G2 once and the request and attestation messages to G1
+# once each, with one request check (two pairings); the client checks the
+# three attestations as one multi-signature and the key shares as one
+# aggregate (one G1 hash, four pairings). The counters are process-wide, so
+# the file holds exactly one test. Runs inside `cargo test -q` too; this
+# named stage makes an operation-count regression point at itself.
+stage "group-operation counts (one extraction, one client key check)"
+cargo test -q --test group_op_counts
+
 # Loopback-vs-TCP equivalence smoke: the same seeded scenario must produce
 # byte-identical client events over the in-process loopback transport and
 # over TCP against a live localhost daemon (plus concurrent-client and
